@@ -4,7 +4,7 @@
 //! and *nothing else*; all other R evaluation stays single-threaded. This
 //! module reimplements the Figure 8 computations in that model: dense
 //! in-memory matrices, single-threaded element-wise/aggregation loops,
-//! and parallel GEMM (our rayon kernel standing in for MKL).
+//! and parallel GEMM (our `linalg::par` kernel standing in for MKL).
 
 use flashr_core::gen::GenSpec;
 use flashr_linalg::{chol_solve, cholesky, eigen_sym, gemm, Dense};

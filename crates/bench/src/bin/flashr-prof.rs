@@ -25,7 +25,7 @@
 //! `--dir` defaults to `FLASHR_PROFILE_DIR`. Run ids may be abbreviated
 //! to any unique prefix.
 
-use serde_json::Value;
+use flashr::core::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -79,60 +79,49 @@ impl Rec {
     }
 }
 
-fn u(v: &Value, path: &[&str]) -> u64 {
-    let mut cur = v;
-    for k in path {
-        match cur.get(*k) {
-            Some(next) => cur = next,
-            None => return 0,
-        }
-    }
-    cur.as_u64().unwrap_or(0)
+/// A counter, 0 when absent.
+fn u(v: &Value) -> u64 {
+    v.as_u64().unwrap_or(0)
 }
 
-fn s(v: &Value, path: &[&str]) -> String {
-    let mut cur = v;
-    for k in path {
-        match cur.get(*k) {
-            Some(next) => cur = next,
-            None => return String::new(),
-        }
-    }
-    cur.as_str().unwrap_or("").to_string()
+/// A string, empty when absent.
+fn s(v: &Value) -> String {
+    v.as_str().unwrap_or("").to_string()
 }
 
 fn parse_rec(line: &str) -> Option<Rec> {
-    let v: Value = serde_json::from_str(line).ok()?;
-    if u(&v, &["v"]) != 1 {
+    let v = json::parse(line).ok()?;
+    if u(&v["v"]) != 1 {
         return None;
     }
+    let (summary, verdict, exec) = (&v["summary"], &v["verdict"], &v["exec"]);
     Some(Rec {
-        run: s(&v, &["run"]),
-        seq: u(&v, &["seq"]),
-        ts_ms: u(&v, &["ts_ms"]),
-        label: s(&v, &["label"]),
-        fingerprint: s(&v, &["fingerprint"]),
-        op_class: s(&v, &["op_class"]),
-        mode: s(&v, &["mode"]),
-        calibrate: v.get("calibrate").and_then(|b| b.as_bool()).unwrap_or(false),
-        wall_nanos: u(&v, &["summary", "wall_nanos"]),
-        read_bytes: u(&v, &["summary", "sum_read_bytes"]),
-        write_bytes: u(&v, &["summary", "sum_write_bytes"]),
-        chunk_bytes: u(&v, &["summary", "sum_chunk_bytes"]),
-        pred_read_bytes: u(&v, &["summary", "sum_pred_read_bytes"]),
-        source: s(&v, &["verdict", "source"]),
-        bound: s(&v, &["verdict", "bound"]),
-        stragglers: u(&v, &["verdict", "stragglers"]),
-        readahead_late: u(&v, &["verdict", "readahead_late"]),
-        compute_nanos: u(&v, &["verdict", "compute_nanos"]),
-        io_wait_nanos: u(&v, &["verdict", "io_wait_nanos"]),
-        write_stall_nanos: u(&v, &["verdict", "write_stall_nanos"]),
-        idle_nanos: u(&v, &["verdict", "idle_nanos"]),
-        exec_passes: u(&v, &["exec", "passes"]),
-        exec_parts: u(&v, &["exec", "parts"]),
-        exec_pcache_chunks: u(&v, &["exec", "pcache_chunks"]),
-        exec_fused_chains: u(&v, &["exec", "fused_chains"]),
-        decisions: v.get("decisions").and_then(|d| d.as_array()).map(|a| a.len() as u64).unwrap_or(0),
+        run: s(&v["run"]),
+        seq: u(&v["seq"]),
+        ts_ms: u(&v["ts_ms"]),
+        label: s(&v["label"]),
+        fingerprint: s(&v["fingerprint"]),
+        op_class: s(&v["op_class"]),
+        mode: s(&v["mode"]),
+        calibrate: v["calibrate"].as_bool().unwrap_or(false),
+        wall_nanos: u(&summary["wall_nanos"]),
+        read_bytes: u(&summary["sum_read_bytes"]),
+        write_bytes: u(&summary["sum_write_bytes"]),
+        chunk_bytes: u(&summary["sum_chunk_bytes"]),
+        pred_read_bytes: u(&summary["sum_pred_read_bytes"]),
+        source: s(&verdict["source"]),
+        bound: s(&verdict["bound"]),
+        stragglers: u(&verdict["stragglers"]),
+        readahead_late: u(&verdict["readahead_late"]),
+        compute_nanos: u(&verdict["compute_nanos"]),
+        io_wait_nanos: u(&verdict["io_wait_nanos"]),
+        write_stall_nanos: u(&verdict["write_stall_nanos"]),
+        idle_nanos: u(&verdict["idle_nanos"]),
+        exec_passes: u(&exec["passes"]),
+        exec_parts: u(&exec["parts"]),
+        exec_pcache_chunks: u(&exec["pcache_chunks"]),
+        exec_fused_chains: u(&exec["fused_chains"]),
+        decisions: v["decisions"].as_array().map_or(0, |a| a.len() as u64),
     })
 }
 

@@ -12,8 +12,8 @@
 //! * timing, table printing, JSON result recording (under
 //!   `target/flashr-results/`), and peak-RSS sampling for Table 6.
 
+use flashr::core::json::{json_escape, json_f64};
 use flashr::prelude::*;
-use serde::Serialize;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -203,8 +203,7 @@ impl BenchStage {
 ///  "profile": {"exec": ..., "io": ..., "passes": [...]}}
 /// ```
 ///
-/// Built on the core's hand-rolled JSON (`ProfileReport::to_json`) so the
-/// artifact stays byte-identical whether or not serde is in the build.
+/// Built on the core's hand-rolled JSON (`ProfileReport::to_json`).
 pub fn bench_artifact_json(bench: &str, stages: &[BenchStage], profile: &ProfileReport) -> String {
     bench_artifact_json_sections(bench, stages, profile, &[])
 }
@@ -218,7 +217,6 @@ pub fn bench_artifact_json_sections(
     profile: &ProfileReport,
     sections: &[(&str, String)],
 ) -> String {
-    use flashr::core::trace::json_escape;
     let mut out = String::with_capacity(4096);
     out.push_str("{\"bench\":");
     json_escape(bench, &mut out);
@@ -338,7 +336,7 @@ pub fn io_summary_line(io: &flashr::safs::IoStatsSnapshot) -> String {
 }
 
 /// One measured cell of a result table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
     pub experiment: String,
     pub algorithm: String,
@@ -444,20 +442,42 @@ impl Report {
         }
     }
 
+    /// The rows as a JSON array of objects, one row per line; the field
+    /// names are the [`Measurement`] field names (CI reads them).
+    pub fn to_json(&self) -> String {
+        let mut o = String::from("[");
+        for (i, r) in self.rows.iter().enumerate() {
+            o.push_str(if i == 0 { "\n  {" } else { ",\n  {" });
+            for (key, text) in [
+                ("experiment", &r.experiment),
+                ("algorithm", &r.algorithm),
+                ("system", &r.system),
+                ("params", &r.params),
+            ] {
+                o.push_str(&format!("\"{key}\":"));
+                json_escape(text, &mut o);
+                o.push(',');
+            }
+            o.push_str("\"seconds\":");
+            json_f64(r.seconds, &mut o);
+            o.push_str(",\"extra\":");
+            // `None`, like a non-finite value, is written as null.
+            json_f64(r.extra.unwrap_or(f64::NAN), &mut o);
+            o.push('}');
+        }
+        o.push_str("\n]\n");
+        o
+    }
+
     /// Write all rows as JSON under `target/flashr-results/<name>.json`.
     pub fn save_json(&self, name: &str) {
         let dir = PathBuf::from("target/flashr-results");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join(format!("{name}.json"));
-        match serde_json::to_string_pretty(&self.rows) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                } else {
-                    println!("\nresults written to {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialize results: {e}"),
+        if let Err(e) = std::fs::write(&path, self.to_json()) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+        } else {
+            println!("\nresults written to {}", path.display());
         }
     }
 }
@@ -492,20 +512,26 @@ mod tests {
         assert!(json.contains("\"name\":\"warm\\\"up\""));
         assert!(json.contains("\"gib_per_s\":null"), "non-finite rate must become null");
         assert!(json.contains("\"passes\":["));
-        // Deep grammar validation lives in core's trace tests; here check
-        // the nesting is balanced and the document closes cleanly.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.ends_with('}'));
+        flashr::core::json::parse(&json).expect("strict JSON");
     }
 
     #[test]
     fn report_collects_and_serializes() {
         let mut r = Report::new();
         r.push("fig7", "corr", "FlashR-IM", "n=100", 1.0);
-        r.push("fig7", "corr", "MLlib-like", "n=100", 4.0);
-        assert_eq!(r.rows.len(), 2);
-        let json = serde_json::to_string(&r.rows).unwrap();
-        assert!(json.contains("MLlib-like"));
+        r.push_extra("fig7", "corr", "MLlib-like", "n=\"100\"", 4.0, 0.25);
+        use flashr::core::json::{parse, Value};
+        let doc = parse(&r.to_json()).expect("strict JSON");
+        let rows = doc.as_array().expect("an array of rows");
+        assert_eq!(rows.len(), 2);
+        let text = |row: usize, key| rows[row][key].as_str();
+        assert_eq!((text(0, "experiment"), text(0, "algorithm")), (Some("fig7"), Some("corr")));
+        assert_eq!((text(0, "system"), text(1, "params")), (Some("FlashR-IM"), Some("n=\"100\"")));
+        assert_eq!(
+            (rows[1]["seconds"].as_f64(), rows[1]["extra"].as_f64()),
+            (Some(4.0), Some(0.25))
+        );
+        assert_eq!(rows[0]["extra"], Value::Null);
+        assert_eq!(parse(&Report::new().to_json()).unwrap(), Value::Array(Vec::new()));
     }
 }

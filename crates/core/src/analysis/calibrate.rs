@@ -231,10 +231,9 @@ fn median(xs: &[f64]) -> Option<f64> {
     Some(v[v.len() / 2])
 }
 
-/// Extract one history record from a store line, keeping only records
-/// whose host stamp matches. flashr-core takes no JSON dependency, so
-/// this reads the writer's exact output format ([`crate::obs`] controls
-/// both sides): fields are located by their store-unique keys.
+/// Extract one history record from a store line ([`crate::obs`] writes
+/// them), keeping only records whose host stamp matches. A line that is
+/// not a version-1 record — foreign file, truncated write — is skipped.
 fn parse_record(
     line: &str,
     cpus: usize,
@@ -242,45 +241,29 @@ fn parse_record(
     backend: &str,
     simd: &str,
 ) -> Option<HistRecord> {
-    if !line.starts_with("{\"v\":1,") {
-        return None;
-    }
-    if find_u64(line, "cpus")? != cpus as u64
-        || find_str(line, "build_profile")? != build
-        || find_str(line, "backend")? != backend
-        || find_str(line, "simd")? != simd
+    let v = crate::json::parse(line).ok()?;
+    let host = v.get("host")?;
+    if v.get("v")?.as_u64()? != 1
+        || host.get("cpus")?.as_u64()? != cpus as u64
+        || host.get("build_profile")?.as_str()? != build
+        || host.get("backend")?.as_str()? != backend
+        || host.get("simd")?.as_str()? != simd
     {
         return None;
     }
+    let summary = v.get("summary")?;
+    let sum = |key: &str| summary.get(key)?.as_u64();
     Some(HistRecord {
-        fingerprint: u64::from_str_radix(find_str(line, "fingerprint")?, 16).ok()?,
-        op_class: find_str(line, "op_class")?.to_string(),
-        read_bytes: find_u64(line, "sum_read_bytes")?,
-        read_nanos: find_u64(line, "sum_read_nanos")?,
-        write_bytes: find_u64(line, "sum_write_bytes")?,
-        write_nanos: find_u64(line, "sum_write_nanos")?,
-        chunk_bytes: find_u64(line, "sum_chunk_bytes")?,
-        compute_nanos: find_u64(line, "sum_compute_nanos")?,
-        pred_read_bytes_raw: find_u64(line, "sum_pred_read_bytes_raw")?,
+        fingerprint: u64::from_str_radix(v.get("fingerprint")?.as_str()?, 16).ok()?,
+        op_class: v.get("op_class")?.as_str()?.to_string(),
+        read_bytes: sum("sum_read_bytes")?,
+        read_nanos: sum("sum_read_nanos")?,
+        write_bytes: sum("sum_write_bytes")?,
+        write_nanos: sum("sum_write_nanos")?,
+        chunk_bytes: sum("sum_chunk_bytes")?,
+        compute_nanos: sum("sum_compute_nanos")?,
+        pred_read_bytes_raw: sum("sum_pred_read_bytes_raw")?,
     })
-}
-
-fn find_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = find_value(line, key)?;
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn find_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = find_value(line, key)?;
-    let rest = rest.strip_prefix('"')?;
-    rest.split('"').next()
-}
-
-fn find_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)?;
-    Some(&line[at + needle.len()..])
 }
 
 #[cfg(test)]

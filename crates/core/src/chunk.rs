@@ -15,6 +15,7 @@
 
 use crate::dtype::{DType, Scalar};
 use crate::element::Element;
+use flashr_safs::sync::Mutex;
 use flashr_safs::IoBuf;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -247,7 +248,7 @@ impl BufPool {
 /// uniform per matrix; no resize-extension semantics to reason about)
 /// and bounded by total pooled bytes rather than per-shelf count.
 pub struct PartBufPool {
-    free: parking_lot::Mutex<HashMap<usize, Vec<IoBuf>>>,
+    free: Mutex<HashMap<usize, Vec<IoBuf>>>,
     pooled_bytes: std::sync::atomic::AtomicUsize,
 }
 
@@ -271,7 +272,7 @@ impl PartBufPool {
     /// Fresh empty pool.
     pub fn new() -> Self {
         PartBufPool {
-            free: parking_lot::Mutex::new(HashMap::new()),
+            free: Mutex::new(HashMap::new()),
             pooled_bytes: std::sync::atomic::AtomicUsize::new(0),
         }
     }

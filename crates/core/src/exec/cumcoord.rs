@@ -7,8 +7,9 @@
 //! strictly earlier partition, and sequential dispatch guarantees every
 //! earlier partition is claimed, so the chain resolves without deadlock.
 
-use parking_lot::{Condvar, Mutex};
+use flashr_safs::sync::Mutex;
 use std::collections::HashMap;
+use std::sync::{Condvar, PoisonError};
 use std::time::Duration;
 
 /// Carry chain for one `cum.col` node within one pass.
@@ -30,11 +31,15 @@ impl CumCoord {
             if let Some(c) = carries.get(&(part - 1)) {
                 return Some(c.clone());
             }
-            let timed_out = self
+            let (guard, wait) = self
                 .cv
-                .wait_for(&mut carries, Duration::from_secs(120))
-                .timed_out();
-            assert!(!timed_out, "cum.col carry for partition {part} never arrived (deadlock?)");
+                .wait_timeout(carries, Duration::from_secs(120))
+                .unwrap_or_else(PoisonError::into_inner);
+            carries = guard;
+            assert!(
+                !wait.timed_out(),
+                "cum.col carry for partition {part} never arrived (deadlock?)"
+            );
         }
     }
 

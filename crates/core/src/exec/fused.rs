@@ -20,8 +20,8 @@ use crate::part::pcache_ranges;
 use crate::session::{ExecMode, FlashCtx, StorageClass};
 use crate::stats::ExecStats;
 use crate::trace::{Lane, OpProfile, PassProfile, Timeline, TraceLevel, WorkerProfile};
+use flashr_safs::sync::Mutex;
 use flashr_safs::{now_nanos, IoBuf, IoTicket, SafsFile, NO_ARGS};
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;

@@ -41,6 +41,7 @@ pub mod exec;
 pub mod fm;
 pub mod gen;
 pub mod io;
+pub mod json;
 pub mod mat;
 pub mod metrics;
 pub mod obs;

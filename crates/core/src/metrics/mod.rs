@@ -34,8 +34,8 @@ pub use flashr_safs::{Counter, Gauge, Log2Histogram, Log2HistogramSnapshot};
 pub use flight::FlightRecorder;
 pub use serve::MetricsServer;
 
+use flashr_safs::sync::Mutex;
 use flashr_safs::{LatencyHisto, LatencyHistoSnapshot};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A label set: static names, owned values (`shard="3"`, `op="read"`).

@@ -235,8 +235,7 @@ fn render_record(ctx: &FlashCtx, rec: &Record<'_>) -> String {
     o.push_str(",\"host\":");
     o.push_str(&host_json(ctx));
 
-    // Flat summary with store-unique keys: what the calibration loader
-    // reads without a JSON parser (flashr-core takes no serde).
+    // Flat summary: what the calibration loader reads.
     let (rb, rn, wb, wn) = match rec.io_delta {
         Some(io) => (io.read_bytes, io.read_nanos, io.write_bytes, io.write_nanos),
         None => (0, 0, 0, 0),

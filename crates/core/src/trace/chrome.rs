@@ -10,9 +10,8 @@
 //! so lanes from the engine and the SAFS I/O threads line up in one
 //! view.
 //!
-//! Hand-rolled like the rest of this module's serialization:
-//! flashr-core takes no serde dependency. Tests parse the output with a
-//! real JSON parser (dev-dependency).
+//! Hand-rolled like the rest of this module's serialization; tests read
+//! the output back with [`crate::json::parse`].
 
 use super::json_escape;
 use super::timeline::{EventKind, LaneSnapshot, Timeline};

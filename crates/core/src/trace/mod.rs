@@ -32,14 +32,15 @@ pub mod chrome;
 pub mod critical;
 pub mod timeline;
 
+pub use crate::json::{json_escape, json_f64};
 pub use critical::{CriticalPath, PassBreakdown, WallAttribution};
 pub use timeline::{EventKind, Lane, LaneSnapshot, SpanEvent, Timeline};
 
 use crate::stats::ExecStatsSnapshot;
+use flashr_safs::sync::Mutex;
 use flashr_safs::{
     CacheStatsSnapshot, IoStatsSnapshot, LatencyHistoSnapshot, ShardStatsSnapshot, LAT_BUCKETS,
 };
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -358,38 +359,8 @@ impl ProfileReport {
     }
 }
 
-/// Append a JSON string literal (with escaping) to `out`.
-pub fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_u64(v: u64, out: &mut String) {
     out.push_str(itoa(v).as_str());
-}
-
-/// Append an f64 as a JSON value. JSON has no NaN/Infinity literals, so
-/// non-finite values become `null` (matching what serde_json's
-/// `Value::from(f64::NAN)` serializes to).
-pub fn json_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
 }
 
 fn itoa(v: u64) -> String {
@@ -708,17 +679,6 @@ mod tests {
         assert!(json.contains("\"io_shards\":[{\"read_reqs\":3,"));
         // escaping: the label's quotes must be escaped
         assert!(json.contains("mapply:Add \\\"x\\\""));
-        // crude structural check: balanced braces/brackets
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count() == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}') && balance('[', ']'));
-    }
-
-    #[test]
-    fn json_escape_control_chars() {
-        let mut s = String::new();
-        json_escape("a\"b\\c\nd\u{1}", &mut s);
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        crate::json::parse(&json).expect("strict JSON");
     }
 }

@@ -21,8 +21,8 @@
 //! process-wide monotonic clock the SAFS threads stamp their spans with,
 //! so merged exports line up across layers.
 
+use flashr_safs::sync::Mutex;
 use flashr_safs::{now_nanos, SpanArgs, SpanSink};
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,10 +7,12 @@ use flashr_core::dag::{MapInput, MapOp, Node, NodeKind};
 use flashr_core::dtype::DType;
 use flashr_core::exec::{Target, TargetStorage};
 use flashr_core::fm::FM;
+use flashr_core::json;
 use flashr_core::ops::{BinaryOp, UnaryOp};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_linalg::Dense;
 use flashr_safs::SafsConfig;
+use flashr_testkit::cases;
 use std::sync::Arc;
 
 fn im_ctx() -> FlashCtx {
@@ -40,29 +42,14 @@ fn tall_node(fm: &FM) -> Arc<Node> {
     }
 }
 
-/// Tiny deterministic PRNG so the "property" tests are reproducible
-/// without a proptest dependency.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// Property (a): for randomized DAGs, the analyzer's inferred signature
 /// matches both the recorded node signature and the shape the eager
 /// engine actually produces.
 #[test]
 fn inference_matches_eager_execution_shapes() {
     let ctx = im_ctx().with_mode(ExecMode::Eager);
-    for seed in 0..12u64 {
-        let mut rng = Lcg(0x9e3779b97f4a7c15 ^ seed);
+    cases(12, |rng, seed| {
+        let seed = seed as u64;
         let nrows = 64 * (1 + rng.below(4));
         let ncols = (1 + rng.below(3)) as usize;
         // Pool of same-height tall matrices the generator draws operands from.
@@ -101,7 +88,7 @@ fn inference_matches_eager_execution_shapes() {
             assert_eq!(m.nrow(), sig.nrows, "seed {seed}: rows diverge from inference");
             assert_eq!(m.ncol(), sig.ncols as u64, "seed {seed}: cols diverge from inference");
         }
-    }
+    });
 }
 
 /// Property (b): the CSE rewrite changes neither a single bit of the
@@ -431,12 +418,12 @@ fn w004_flags_em_rescans_beyond_cache_budget() {
 /// Property: `FM::check_json` always emits strict JSON. Randomized
 /// chains — including non-finite scalar constants, reuse diamonds,
 /// reductions and gramians, on both in-memory and EM contexts — must
-/// parse under serde_json (which rejects bare `NaN`/`Infinity` tokens,
+/// parse under `json::parse` (which rejects bare `NaN`/`Infinity` tokens,
 /// so every float either renders finite or as `null`), carry the
 /// `report.lints` / `report.footprint` sections, and keep the cost
 /// object's key set stable.
 #[test]
-fn check_json_round_trips_through_serde() {
+fn check_json_round_trips_through_the_strict_reader() {
     const COST_KEYS: [&str; 20] = [
         "cache_capacity",
         "calibrated",
@@ -461,11 +448,10 @@ fn check_json_round_trips_through_serde() {
     ];
     let im = im_ctx();
     let em = em_ctx("check-json");
-    let mut rng = Lcg(0xC0FFEE);
     let consts = [0.5, -1.5, f64::NAN, f64::INFINITY];
-    for case in 0..24u64 {
+    cases(24, |rng, case| {
         let ctx = if case % 2 == 0 { &im } else { &em };
-        let x = FM::rnorm(ctx, 256, 4, 0.0, 1.0, case + 1).materialize(ctx);
+        let x = FM::rnorm(ctx, 256, 4, 0.0, 1.0, case as u64 + 1).materialize(ctx);
         let mut y = &x + 0.0;
         for _ in 0..1 + rng.below(5) {
             y = match rng.below(4) {
@@ -482,24 +468,23 @@ fn check_json_round_trips_through_serde() {
             _ => y,
         };
         let doc = fm.check_json(ctx);
-        let v: serde_json::Value = serde_json::from_str(&doc)
+        let v = json::parse(&doc)
             .unwrap_or_else(|e| panic!("case {case}: check_json is not strict JSON ({e}): {doc}"));
         assert_eq!(v["ok"].as_bool(), Some(true), "case {case}: {doc}");
-        let report = v["report"].as_object().unwrap_or_else(|| panic!("case {case}: no report"));
         for key in ["nodes_before", "nodes_after", "merged", "collapsed", "lints", "footprint"] {
-            assert!(report.contains_key(key), "case {case}: report lost key {key}");
+            assert!(v["report"].get(key).is_some(), "case {case}: report lost key {key}");
         }
         for lint in v["report"]["lints"].as_array().expect("lints is an array") {
             for key in ["code", "node", "message"] {
                 assert!(lint.get(key).is_some(), "case {case}: lint lost key {key}");
             }
         }
-        let fp = v["report"]["footprint"].as_object().expect("footprint is an object");
+        let fp = &v["report"]["footprint"];
         for key in ["read_bytes", "gen_bytes", "write_bytes", "working_set_bytes"] {
-            assert!(fp.contains_key(key), "case {case}: footprint lost key {key}");
+            assert!(fp.get(key).is_some(), "case {case}: footprint lost key {key}");
         }
-        let cost = v["cost"].as_object().unwrap_or_else(|| panic!("case {case}: no cost"));
+        let json::Value::Object(cost) = &v["cost"] else { panic!("case {case}: no cost") };
         let got: Vec<&str> = cost.keys().map(|s| s.as_str()).collect();
         assert_eq!(got, COST_KEYS, "case {case}: cost key set drifted");
-    }
+    });
 }

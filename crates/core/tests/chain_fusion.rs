@@ -8,14 +8,7 @@ use flashr_core::dtype::DType;
 use flashr_core::fm::FM;
 use flashr_core::ops::{BinaryOp, UnaryOp};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx};
-
-/// Deterministic xorshift64 — no external RNG dependency.
-fn xorshift(s: &mut u64) -> u64 {
-    *s ^= *s << 13;
-    *s ^= *s >> 7;
-    *s ^= *s << 17;
-    *s
-}
+use flashr_testkit::{cases, Rng};
 
 fn ctx(mode: ExecMode, nthreads: usize, fuse_chains: bool) -> FlashCtx {
     let cfg = CtxConfig {
@@ -54,23 +47,23 @@ const CASTS: &[DType] = &[DType::F32, DType::I32, DType::I64, DType::F64];
 /// same-shape operand (exercises chunk-operand links); the predicate arm
 /// crosses the U8 dtype boundary mid-chain. Ends on a cast back to F64
 /// so `to_vec` comparisons are uniform (elided when already F64).
-fn random_chain(rng: &mut u64, x: &FM, y: &FM, len: usize) -> FM {
+fn random_chain(rng: &mut Rng, x: &FM, y: &FM, len: usize) -> FM {
     let mut cur = x.clone();
     for _ in 0..len {
-        cur = match xorshift(rng) % 6 {
+        cur = match rng.below(6) {
             0 => {
-                let u = UNARIES[(xorshift(rng) as usize) % UNARIES.len()];
+                let u = UNARIES[rng.usize(0..UNARIES.len())];
                 cur.unary(u)
             }
             1 => {
-                let (op, s) = SCALAR_OPS[(xorshift(rng) as usize) % SCALAR_OPS.len()];
-                cur.binary_scalar(op, s, xorshift(rng).is_multiple_of(2))
+                let (op, s) = SCALAR_OPS[rng.usize(0..SCALAR_OPS.len())];
+                cur.binary_scalar(op, s, rng.bool())
             }
             2 => {
                 let stats: Vec<f64> = (0..cur.ncol()).map(|c| 0.25 + 0.5 * c as f64).collect();
                 cur.sweep_cols(&stats, BinaryOp::Sub)
             }
-            3 => cur.cast(CASTS[(xorshift(rng) as usize) % CASTS.len()]),
+            3 => cur.cast(CASTS[rng.usize(0..CASTS.len())]),
             4 => cur.binary(BinaryOp::Add, y, false),
             _ => cur.binary_scalar(BinaryOp::Gt, 0.4, false),
         };
@@ -90,18 +83,18 @@ fn random_chains_bit_identical_fused_vs_unfused_vs_eager() {
     let fused = ctx(ExecMode::CacheFuse, 2, true);
     let unfused = ctx(ExecMode::CacheFuse, 2, false);
     let eager = ctx(ExecMode::Eager, 2, true); // fuse flag is inert in eager mode
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-    for trial in 0..20u64 {
+    cases(20, |rng, trial| {
+        let trial = trial as u64;
         let x = FM::runif(&fused, 500, 3, -1.0, 1.0, 100 + trial);
         let y = FM::runif(&fused, 500, 3, 0.0, 1.0, 200 + trial).materialize(&fused);
-        let len = 2 + (xorshift(&mut rng) % 7) as usize;
-        let chain = random_chain(&mut rng, &x, &y, len);
+        let len = rng.usize(2..9);
+        let chain = random_chain(rng, &x, &y, len);
         let a = chain.materialize(&fused).to_vec(&fused);
         let b = chain.materialize(&unfused).to_vec(&unfused);
         let c = chain.materialize(&eager).to_vec(&eager);
         assert_bits_eq(&a, &b, &format!("trial {trial} fused vs unfused"));
         assert_bits_eq(&a, &c, &format!("trial {trial} fused vs eager"));
-    }
+    });
 }
 
 #[test]
@@ -115,19 +108,19 @@ fn random_chains_feeding_sinks_bit_identical() {
     let unfused = ctx(ExecMode::CacheFuse, 1, false);
     let mf_fused = ctx(ExecMode::MemFuse, 1, true);
     let eager = ctx(ExecMode::Eager, 1, false);
-    let mut rng = 0xDEAD_BEEF_CAFE_F00Du64;
-    for trial in 0..10u64 {
+    cases(10, |rng, trial| {
+        let trial = trial as u64;
         let x = FM::runif(&fused, 700, 2, 0.0, 1.0, 300 + trial);
         let y = FM::runif(&fused, 700, 2, 0.0, 1.0, 400 + trial).materialize(&fused);
-        let len = 3 + (xorshift(&mut rng) % 5) as usize;
-        let chain = random_chain(&mut rng, &x, &y, len);
+        let len = rng.usize(3..8);
+        let chain = random_chain(rng, &x, &y, len);
         let s_f = chain.sum().value(&fused);
         let s_u = chain.sum().value(&unfused);
         assert_eq!(s_f.to_bits(), s_u.to_bits(), "trial {trial}: {s_f} vs {s_u}");
         let s_m = chain.clone().sum().value(&mf_fused);
         let s_e = chain.sum().value(&eager);
         assert_eq!(s_m.to_bits(), s_e.to_bits(), "trial {trial}: {s_m} vs {s_e}");
-    }
+    });
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! once-only dump (or this panic would dump theirs).
 
 use flashr_core::fm::FM;
+use flashr_core::json::{self, Value};
 use flashr_core::ops::BinaryOp;
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx};
-use serde_json::Value;
 
 #[test]
 fn panic_dumps_recent_exec_spans_and_metrics() {
@@ -34,23 +34,23 @@ fn panic_dumps_recent_exec_spans_and_metrics() {
     assert!(unwound.is_err());
     assert!(ctx.flight_recorder().dumped(), "panic hook should have dumped");
 
-    let doc: Value = serde_json::from_str(&std::fs::read_to_string(&path).expect("dump written"))
+    let doc = json::parse(&std::fs::read_to_string(&path).expect("dump written"))
         .expect("dump parses as JSON");
-    assert_eq!(doc["reason"], "panic");
-    assert!(doc["ts_ns"].as_u64().is_some(), "{doc}");
+    assert_eq!(doc["reason"].as_str(), Some("panic"));
+    assert!(doc["ts_ns"].as_u64().is_some(), "{doc:?}");
     let lanes = doc["lanes"].as_array().expect("lanes array");
     let exec_events: Vec<&Value> = lanes
         .iter()
         .flat_map(|l| l["events"].as_array().map(|e| e.iter()).into_iter().flatten())
-        .filter(|e| e["cat"] == "exec")
+        .filter(|e| e["cat"].as_str() == Some("exec"))
         .collect();
-    assert!(!exec_events.is_empty(), "expected at least one exec span in {doc}");
+    assert!(!exec_events.is_empty(), "expected at least one exec span in {doc:?}");
     // Task spans carry their partition and pass ids for post-mortems.
     assert!(
         exec_events
             .iter()
-            .any(|e| e["name"] == "task" && e["args"]["pass"].as_u64() == Some(1)),
-        "{doc}"
+            .any(|e| e["name"].as_str() == Some("task") && e["args"]["pass"].as_u64() == Some(1)),
+        "{doc:?}"
     );
     // The dump embeds a full metrics snapshot taken at dump time.
     let metrics_text = doc["metrics_text"].as_str().expect("metrics snapshot embedded");

@@ -4,9 +4,9 @@
 //! retry budget is exhausted — never for a retry that went on to
 //! succeed.
 
+use flashr_core::json;
 use flashr_core::session::{CtxConfig, FlashCtx, StorageClass};
 use flashr_safs::{RetryCfg, Safs, SafsConfig, SafsError};
-use serde_json::Value;
 
 fn em_ctx(tag: &str, retry: RetryCfg) -> (FlashCtx, Safs) {
     let dir = std::env::temp_dir().join(format!("flashr-io-retry-{tag}-{}", std::process::id()));
@@ -54,9 +54,9 @@ fn recovered_retries_count_but_do_not_dump() {
     assert!(text.contains("flashr_io_shard_retries_total{shard="), "{text}");
 
     // …and in the profile-report JSON.
-    let doc: Value = serde_json::from_str(&ctx.profile_report().to_json()).unwrap();
-    assert_eq!(doc["io"]["io_retries"].as_u64(), Some(2), "{doc}");
-    assert_eq!(doc["io_shards"].as_array().map(Vec::len), Some(2), "{doc}");
+    let doc = json::parse(&ctx.profile_report().to_json()).unwrap();
+    assert_eq!(doc["io"]["io_retries"].as_u64(), Some(2), "{doc:?}");
+    assert_eq!(doc["io_shards"].as_array().map(Vec::len), Some(2), "{doc:?}");
 
     // A recovered retry is not a fault: no flight-recorder dump.
     assert!(!ctx.flight_recorder().dumped());
@@ -78,9 +78,8 @@ fn exhausted_retries_error_and_dump_flight_recorder() {
     assert!(matches!(f.read_part(0), Err(SafsError::Io { .. })));
     assert!(ctx.flight_recorder().dumped(), "final failure must dump");
 
-    let doc: Value =
-        serde_json::from_str(&std::fs::read_to_string(&path).expect("dump written")).unwrap();
-    assert_eq!(doc["reason"], "io-error");
+    let doc = json::parse(&std::fs::read_to_string(&path).expect("dump written")).unwrap();
+    assert_eq!(doc["reason"].as_str(), Some("io-error"));
     // The embedded metrics snapshot carries the retry counter: one retry
     // happened between the two failed attempts.
     let metrics = doc["metrics_text"].as_str().expect("metrics embedded");

@@ -15,8 +15,8 @@
 //!   `ε` (Higham, *Accuracy and Stability of Numerical Algorithms*,
 //!   §4.2). Anything beyond that bound is a kernel bug, not rounding.
 //!
-//! Chains are generated with a deterministic LCG, not proptest, so a
-//! failure reproduces from the seed printed in the assert message.
+//! Inputs come from `flashr_testkit`, so a failure reproduces from the
+//! case seed its runner prints.
 
 use flashr_core::chunk::{BufPool, Chunk};
 use flashr_core::dtype::{DType, Scalar};
@@ -25,16 +25,7 @@ use flashr_core::ops::simd::fold_col;
 use flashr_core::ops::{AggOp, BinaryOp, UnaryOp};
 use flashr_linalg::simd::{dot_f64, SimdLevel};
 use flashr_linalg::gemm_strided_level;
-
-/// Deterministic LCG (same multiplier as the bench probes).
-fn lcg(s: &mut u64) -> u64 {
-    *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    *s
-}
-
-fn lcg_f64(s: &mut u64) -> f64 {
-    (lcg(s) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-}
+use flashr_testkit::{cases, Rng};
 
 /// Levels to exercise: every one the host supports. `available()`
 /// always contains Off and Scalar; Avx2 joins when the CPU has it.
@@ -62,13 +53,14 @@ fn run_chain_all_levels(links: &[ChainLink], base: &Chunk) -> Vec<(SimdLevel, Ve
         .collect()
 }
 
-fn assert_all_levels_identical(links: &[ChainLink], base: &Chunk, seed: u64) {
+fn assert_all_levels_identical(links: &[ChainLink], base: &Chunk) {
     let outs = run_chain_all_levels(links, base);
     let (l0, ref want) = outs[0];
     for (level, got) in &outs[1..] {
         assert_eq!(
-            got, want,
-            "chain output differs between {} and {} (seed {seed:#x}, links {links:?})",
+            got,
+            want,
+            "chain output differs between {} and {} (links {links:?})",
             level.name(),
             l0.name(),
         );
@@ -77,26 +69,26 @@ fn assert_all_levels_identical(links: &[ChainLink], base: &Chunk, seed: u64) {
 
 /// Random integer chain: every op here is exact on integers, so the
 /// *values* (not just the rounding) must match across levels.
-fn random_int_links(s: &mut u64, dtype: DType) -> Vec<ChainLink> {
-    let n_links = 1 + (lcg(s) % 5) as usize;
+fn random_int_links(rng: &mut Rng, dtype: DType) -> Vec<ChainLink> {
+    let n_links = rng.usize(1..6);
     let mut links = Vec::with_capacity(n_links);
     for _ in 0..n_links {
-        let c = (lcg(s) % 7) as i64 - 3;
+        let c = rng.below(7) as i64 - 3;
         let scalar = match dtype {
             DType::I32 => Scalar::I32(c as i32),
             _ => Scalar::I64(c),
         };
-        let op = match lcg(s) % 6 {
+        let op = match rng.below(6) {
             0 => ChainOpSpec::Unary(UnaryOp::Neg),
             1 => ChainOpSpec::Unary(UnaryOp::Abs),
             2 => ChainOpSpec::Binary {
                 op: BinaryOp::Add,
-                swapped: lcg(s) & 1 == 0,
+                swapped: rng.bool(),
                 operand: ChainOperand::Scalar(scalar),
             },
             3 => ChainOpSpec::Binary {
                 op: BinaryOp::Mul,
-                swapped: lcg(s) & 1 == 0,
+                swapped: rng.bool(),
                 operand: ChainOperand::Scalar(scalar),
             },
             4 => ChainOpSpec::Binary {
@@ -117,32 +109,30 @@ fn random_int_links(s: &mut u64, dtype: DType) -> Vec<ChainLink> {
 
 #[test]
 fn integer_chains_bit_identical_across_levels() {
-    let mut s = 0x5eed_0001u64;
-    for trial in 0..32 {
+    cases(32, |rng, _| {
         for &dtype in &[DType::I32, DType::I64] {
-            let rows = 1 + (lcg(&mut s) % 2000) as usize; // odd sizes exercise tails
-            let links = random_int_links(&mut s, dtype);
+            let rows = rng.usize(1..2001); // odd sizes exercise tails
+            let links = random_int_links(rng, dtype);
             let base = match dtype {
                 DType::I32 => {
-                    let v: Vec<i32> = (0..rows).map(|_| (lcg(&mut s) % 1000) as i32 - 500).collect();
+                    let v: Vec<i32> = (0..rows).map(|_| rng.below(1000) as i32 - 500).collect();
                     Chunk::from_slice::<i32>(rows, 1, &v)
                 }
                 _ => {
-                    let v: Vec<i64> = (0..rows).map(|_| (lcg(&mut s) % 1000) as i64 - 500).collect();
+                    let v: Vec<i64> = (0..rows).map(|_| rng.below(1000) as i64 - 500).collect();
                     Chunk::from_slice::<i64>(rows, 1, &v)
                 }
             };
-            assert_all_levels_identical(&links, &base, s ^ trial);
+            assert_all_levels_identical(&links, &base);
         }
-    }
+    });
 }
 
 #[test]
 fn integer_reductions_bit_identical_across_levels() {
-    let mut s = 0x5eed_0002u64;
-    for _ in 0..32 {
-        let rows = 1 + (lcg(&mut s) % 5000) as usize;
-        let v: Vec<i64> = (0..rows).map(|_| (lcg(&mut s) % 2001) as i64 - 1000).collect();
+    cases(32, |rng, _| {
+        let rows = rng.usize(1..5001);
+        let v: Vec<i64> = (0..rows).map(|_| rng.below(2001) as i64 - 1000).collect();
         for &op in &[AggOp::Sum, AggOp::Min, AggOp::Max] {
             let want = fold_col::<i64>(SimdLevel::Off, op, op.identity(), &v);
             for level in levels() {
@@ -155,34 +145,33 @@ fn integer_reductions_bit_identical_across_levels() {
                 );
             }
         }
-    }
+    });
 }
 
 #[test]
 fn float_elementwise_bit_identical_across_levels() {
     // Covers the AVX2 explicit paths (mul/add/abs/sqrt/min/max/neg…):
     // all exactly-rounded, so float chains are bit-identical too.
-    let mut s = 0x5eed_0003u64;
     let f = |op, in_dtype, out_dtype| ChainLink { op, in_dtype, out_dtype };
-    for trial in 0..32 {
-        let rows = 1 + (lcg(&mut s) % 3000) as usize;
-        let n_links = 1 + (lcg(&mut s) % 5) as usize;
+    cases(32, |rng, _| {
+        let rows = rng.usize(1..3001);
+        let n_links = rng.usize(1..6);
         let mut links = Vec::new();
         for _ in 0..n_links {
-            let c = lcg_f64(&mut s) * 4.0;
-            let op = match lcg(&mut s) % 8 {
+            let c = rng.f64(-2.0..2.0);
+            let op = match rng.below(8) {
                 0 => ChainOpSpec::Unary(UnaryOp::Neg),
                 1 => ChainOpSpec::Unary(UnaryOp::Abs),
                 2 => ChainOpSpec::Unary(UnaryOp::Sqrt),
                 3 => ChainOpSpec::Unary(UnaryOp::Square),
                 4 => ChainOpSpec::Binary {
                     op: BinaryOp::Add,
-                    swapped: lcg(&mut s) & 1 == 0,
+                    swapped: rng.bool(),
                     operand: ChainOperand::Scalar(Scalar::F64(c)),
                 },
                 5 => ChainOpSpec::Binary {
                     op: BinaryOp::Mul,
-                    swapped: lcg(&mut s) & 1 == 0,
+                    swapped: rng.bool(),
                     operand: ChainOperand::Scalar(Scalar::F64(c)),
                 },
                 6 => ChainOpSpec::Binary {
@@ -198,37 +187,33 @@ fn float_elementwise_bit_identical_across_levels() {
             };
             links.push(f(op, DType::F64, DType::F64));
         }
-        let v: Vec<f64> = (0..rows).map(|_| lcg_f64(&mut s) * 100.0).collect();
-        let base = Chunk::from_slice::<f64>(rows, 1, &v);
-        assert_all_levels_identical(&links, &base, s ^ trial);
-    }
+        let base = Chunk::from_slice::<f64>(rows, 1, &rng.vec_f64(rows, -50.0..50.0));
+        assert_all_levels_identical(&links, &base);
+    });
 }
 
 #[test]
 fn float_cast_chains_bit_identical_across_levels() {
     // Casts round; rounding is exact per element, so they too must be
     // bit-identical. f64 → f32 → f64 and f64 → i32 → f64 round trips.
-    let mut s = 0x5eed_0004u64;
-    for trial in 0..16 {
-        let rows = 1 + (lcg(&mut s) % 2000) as usize;
+    cases(16, |rng, _| {
+        let rows = rng.usize(1..2001);
         let links = vec![
             ChainLink { op: ChainOpSpec::Cast, in_dtype: DType::F64, out_dtype: DType::F32 },
             ChainLink { op: ChainOpSpec::Cast, in_dtype: DType::F32, out_dtype: DType::F64 },
             ChainLink { op: ChainOpSpec::Cast, in_dtype: DType::F64, out_dtype: DType::I32 },
             ChainLink { op: ChainOpSpec::Cast, in_dtype: DType::I32, out_dtype: DType::F64 },
         ];
-        let v: Vec<f64> = (0..rows).map(|_| lcg_f64(&mut s) * 1000.0).collect();
-        let base = Chunk::from_slice::<f64>(rows, 1, &v);
-        assert_all_levels_identical(&links, &base, s ^ trial);
-    }
+        let base = Chunk::from_slice::<f64>(rows, 1, &rng.vec_f64(rows, -500.0..500.0));
+        assert_all_levels_identical(&links, &base);
+    });
 }
 
 #[test]
 fn float_sum_within_reassociation_bound() {
-    let mut s = 0x5eed_0005u64;
-    for _ in 0..32 {
-        let rows = 1 + (lcg(&mut s) % 20_000) as usize;
-        let v: Vec<f64> = (0..rows).map(|_| lcg_f64(&mut s) * 1e6).collect();
+    cases(32, |rng, _| {
+        let rows = rng.usize(1..20_001);
+        let v = rng.vec_f64(rows, -5e5..5e5);
         let abs_sum: f64 = v.iter().map(|x| x.abs()).sum();
         let bound = sum_bound(rows, abs_sum);
         let want = fold_col::<f64>(SimdLevel::Off, AggOp::Sum, 0.0, &v);
@@ -250,16 +235,15 @@ fn float_sum_within_reassociation_bound() {
                 assert_eq!(got.to_bits(), lanes.to_bits(), "lane sum differs at {}", level.name());
             }
         }
-    }
+    });
 }
 
 #[test]
 fn float_min_max_exact_across_levels() {
     // Min/max never round: every level must agree bit-for-bit.
-    let mut s = 0x5eed_0006u64;
-    for _ in 0..32 {
-        let rows = 1 + (lcg(&mut s) % 20_000) as usize;
-        let v: Vec<f64> = (0..rows).map(|_| lcg_f64(&mut s) * 1e6).collect();
+    cases(32, |rng, _| {
+        let rows = rng.usize(1..20_001);
+        let v = rng.vec_f64(rows, -5e5..5e5);
         for &op in &[AggOp::Min, AggOp::Max] {
             let want = fold_col::<f64>(SimdLevel::Off, op, op.identity(), &v);
             for level in levels() {
@@ -267,16 +251,15 @@ fn float_min_max_exact_across_levels() {
                 assert_eq!(got.to_bits(), want.to_bits(), "{op:?} differs at {}", level.name());
             }
         }
-    }
+    });
 }
 
 #[test]
 fn dot_within_reassociation_bound() {
-    let mut s = 0x5eed_0007u64;
-    for _ in 0..16 {
-        let n = 1 + (lcg(&mut s) % 10_000) as usize;
-        let a: Vec<f64> = (0..n).map(|_| lcg_f64(&mut s) * 100.0).collect();
-        let b: Vec<f64> = (0..n).map(|_| lcg_f64(&mut s) * 100.0).collect();
+    cases(16, |rng, _| {
+        let n = rng.usize(1..10_001);
+        let a = rng.vec_f64(n, -50.0..50.0);
+        let b = rng.vec_f64(n, -50.0..50.0);
         let abs_sum: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
         let bound = sum_bound(n, abs_sum);
         let want = dot_f64(SimdLevel::Off, &a, &b);
@@ -288,7 +271,7 @@ fn dot_within_reassociation_bound() {
                 level.name()
             );
         }
-    }
+    });
 }
 
 #[test]
@@ -296,10 +279,10 @@ fn gemm_within_reassociation_bound() {
     // Each output element is a length-k dot product; the register-blocked
     // kernel re-associates it, so per-element error vs the naive triple
     // loop is bounded by `k · ε · Σ|a_il · b_lj|`.
-    let mut s = 0x5eed_0008u64;
+    let mut rng = Rng::new(8);
     for &(m, n, k) in &[(17usize, 13usize, 29usize), (64, 64, 64), (33, 47, 5)] {
-        let a: Vec<f64> = (0..m * k).map(|_| lcg_f64(&mut s) * 10.0).collect();
-        let b: Vec<f64> = (0..k * n).map(|_| lcg_f64(&mut s) * 10.0).collect();
+        let a = rng.vec_f64(m * k, -5.0..5.0);
+        let b = rng.vec_f64(k * n, -5.0..5.0);
         // Column-major: rs = 1, cs = rows.
         let naive = |i: usize, j: usize| -> (f64, f64) {
             let mut acc = 0.0;

@@ -2,14 +2,14 @@
 //! nesting invariants, per-lane monotonic timestamps, the event budget,
 //! allocation-free operation when tracing is off, span emission across
 //! the exec/io/cache categories on an external-memory run, and the
-//! Chrome-trace / profile-report JSON validated against a real parser.
+//! Chrome-trace / profile-report JSON validated against the strict reader.
 
 use flashr_core::fm::FM;
+use flashr_core::json::{self, Value};
 use flashr_core::ops::{BinaryOp, UnaryOp};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_core::trace::{json_escape, json_f64, EventKind, Timeline, TraceLevel};
 use flashr_safs::{CacheCfg, SafsConfig};
-use serde_json::Value;
 
 fn ctx_with(mode: ExecMode, trace: TraceLevel) -> FlashCtx {
     let cfg = CtxConfig {
@@ -41,7 +41,7 @@ fn off_level_records_zero_events() {
     assert_eq!(ctx.tracer().dropped_events(), 0);
     // The Chrome export is still a valid (empty) document.
     let doc = ctx.export_chrome_trace();
-    let v: Value = serde_json::from_str(&doc).expect("empty trace doc parses");
+    let v = json::parse(&doc).expect("empty trace doc parses");
     assert_eq!(v["traceEvents"].as_array().expect("traceEvents array").len(), 0);
     // No recorded passes => no critical-path rows either.
     let report = ctx.profile_report();
@@ -178,7 +178,7 @@ fn em_run_emits_spans_across_categories() {
 
     // The merged Chrome export parses and has >= 1 span per category.
     let doc = ctx.export_chrome_trace();
-    let v: Value = serde_json::from_str(&doc).expect("chrome trace parses");
+    let v = json::parse(&doc).expect("chrome trace parses");
     let evs = v["traceEvents"].as_array().expect("traceEvents");
     for cat in ["exec", "io", "cache"] {
         assert!(
@@ -186,8 +186,8 @@ fn em_run_emits_spans_across_categories() {
             "no {cat} span in exported trace"
         );
     }
-    // Report JSON also parses with a real parser, breakdown rows intact.
-    let rj: Value = serde_json::from_str(&report.to_json()).expect("report json parses");
+    // Report JSON also parses, breakdown rows intact.
+    let rj = json::parse(&report.to_json()).expect("report json parses");
     let rows = rj["critical_path"].as_array().expect("critical_path array");
     assert!(!rows.is_empty());
     assert!(rows[0]["bound"].as_str().is_some());
@@ -200,7 +200,7 @@ fn em_run_emits_spans_across_categories() {
 #[test]
 fn json_escape_edge_cases_roundtrip() {
     // Control chars, quotes/backslashes, DEL, and non-BMP scalars must
-    // all survive a real parser round-trip.
+    // all survive a round-trip through the reader.
     for s in [
         "a\"b\\c\nd\u{1}e\u{7f}",
         "emoji \u{1F600} and beyond \u{10FFFF}",
@@ -210,8 +210,8 @@ fn json_escape_edge_cases_roundtrip() {
     ] {
         let mut out = String::new();
         json_escape(s, &mut out);
-        let v: Value = serde_json::from_str(&out)
-            .unwrap_or_else(|e| panic!("escaped {s:?} -> {out} unparsable: {e}"));
+        let v =
+            json::parse(&out).unwrap_or_else(|e| panic!("escaped {s:?} -> {out} unparsable: {e}"));
         assert_eq!(v.as_str(), Some(s), "round-trip of {s:?}");
     }
 }
@@ -225,11 +225,13 @@ fn json_f64_nonfinite_becomes_null() {
         (0.55, false),
         (-3.25, false),
         (0.0, false),
+        (1e300, false),
+        (f64::MIN_POSITIVE, false),
     ] {
         let mut out = String::new();
         json_f64(x, &mut out);
-        let v: Value = serde_json::from_str(&out).expect("json_f64 output parses");
-        assert_eq!(v.is_null(), null, "value {x}");
+        let v = json::parse(&out).expect("json_f64 output parses");
+        assert_eq!(v == Value::Null, null, "value {x}");
         if !null {
             assert!((v.as_f64().expect("number") - x).abs() < 1e-12);
         }

@@ -272,130 +272,10 @@ fn profile_report_json_parses() {
     let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Op);
     four_op_sum(&ctx);
     let json = ctx.profile_report().to_json();
-    let mut p = JsonParser { s: json.as_bytes(), i: 0 };
-    p.skip_ws();
-    assert!(p.value(), "invalid JSON at byte {}: {json}", p.i);
-    p.skip_ws();
-    assert_eq!(p.i, p.s.len(), "trailing garbage in JSON: {json}");
+    if let Err(e) = flashr_core::json::parse(&json) {
+        panic!("{e}: {json}");
+    }
     assert!(json.contains("\"engine\":\"fused\""));
     assert!(json.contains("\"io\":null"));
     assert!(json.contains("\"ops\":["));
-}
-
-/// A minimal recursive-descent JSON syntax checker (tests only — the
-/// point is validating the hand-rolled serializer without serde).
-struct JsonParser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && (self.s[self.i] as char).is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        self.skip_ws();
-        if self.i < self.s.len() && self.s[self.i] == c {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> bool {
-        self.skip_ws();
-        if self.i >= self.s.len() {
-            return false;
-        }
-        match self.s[self.i] {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string(),
-            b't' => self.lit(b"true"),
-            b'f' => self.lit(b"false"),
-            b'n' => self.lit(b"null"),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, w: &[u8]) -> bool {
-        if self.s[self.i..].starts_with(w) {
-            self.i += w.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn object(&mut self) -> bool {
-        if !self.eat(b'{') {
-            return false;
-        }
-        if self.eat(b'}') {
-            return true;
-        }
-        loop {
-            self.skip_ws();
-            if !self.string() || !self.eat(b':') || !self.value() {
-                return false;
-            }
-            if self.eat(b'}') {
-                return true;
-            }
-            if !self.eat(b',') {
-                return false;
-            }
-        }
-    }
-
-    fn array(&mut self) -> bool {
-        if !self.eat(b'[') {
-            return false;
-        }
-        if self.eat(b']') {
-            return true;
-        }
-        loop {
-            if !self.value() {
-                return false;
-            }
-            if self.eat(b']') {
-                return true;
-            }
-            if !self.eat(b',') {
-                return false;
-            }
-        }
-    }
-
-    fn string(&mut self) -> bool {
-        if !self.eat(b'"') {
-            return false;
-        }
-        while self.i < self.s.len() {
-            match self.s[self.i] {
-                b'"' => {
-                    self.i += 1;
-                    return true;
-                }
-                b'\\' => self.i += 2,
-                _ => self.i += 1,
-            }
-        }
-        false
-    }
-
-    fn number(&mut self) -> bool {
-        let start = self.i;
-        while self.i < self.s.len()
-            && matches!(self.s[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.i += 1;
-        }
-        self.i > start
-    }
 }

@@ -55,11 +55,8 @@ mod tests {
     use crate::syrk::syrk;
 
     fn spd(n: usize, seed: u64) -> Dense {
-        let mut s = seed;
-        let b = Dense::from_fn(n + 3, n, |_, _| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        });
+        let mut rng = flashr_testkit::Rng::new(seed);
+        let b = Dense::from_fn(n + 3, n, |_, _| rng.f64(-1.0..1.0));
         let mut g = syrk(&b);
         for i in 0..n {
             let v = g.at(i, i);

@@ -105,11 +105,8 @@ mod tests {
     use crate::syrk::syrk;
 
     fn sym(n: usize, seed: u64) -> Dense {
-        let mut s = seed;
-        let b = Dense::from_fn(n, n, |_, _| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        });
+        let mut rng = flashr_testkit::Rng::new(seed);
+        let b = Dense::from_fn(n, n, |_, _| rng.f64(-1.0..1.0));
         Dense::from_fn(n, n, |r, c| 0.5 * (b.at(r, c) + b.at(c, r)))
     }
 
@@ -155,11 +152,8 @@ mod tests {
 
     #[test]
     fn gramian_eigenvalues_are_nonnegative_and_sorted() {
-        let mut s = 5u64;
-        let b = Dense::from_fn(50, 8, |_, _| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        });
+        let mut rng = flashr_testkit::Rng::new(5);
+        let b = Dense::from_fn(50, 8, |_, _| rng.f64(-1.0..1.0));
         let g = syrk(&b);
         let e = eigen_sym(&g);
         for w in e.values.windows(2) {

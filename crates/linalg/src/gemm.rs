@@ -2,7 +2,7 @@
 //!
 //! Two entry points:
 //!
-//! * [`gemm`] / [`matmul`] on [`Dense`] — rayon-parallel over row panels;
+//! * [`gemm`] / [`matmul`] on [`Dense`] — parallel over row panels ([`par`]);
 //!   used for in-memory p×p and p×k work (the role ATLAS plays in the
 //!   paper).
 //! * [`gemm_strided`] on raw strided buffers — single-threaded, used inside
@@ -11,13 +11,13 @@
 //!   buffers in either row- or column-major layout without copies.
 
 use crate::dense::Dense;
+use crate::par;
 use crate::simd::{self, SimdLevel};
-use rayon::prelude::*;
 
 /// Panel size along the k dimension; 64×8-byte elements keep a k-panel of
 /// A and B inside L1.
 const KC: usize = 256;
-/// Row-panel height processed per rayon task.
+/// Row-panel height processed per [`par`] chunk.
 const MC: usize = 64;
 
 /// `C = alpha * op(A) * op(B) + beta * C` where `op` is optional transpose.
@@ -36,29 +36,26 @@ pub fn gemm(alpha: f64, a: &Dense, ta: bool, b: &Dense, tb: bool, beta: f64, c: 
     let bdata = b.as_slice();
     let ncols = c.cols();
 
-    c.as_mut_slice()
-        .par_chunks_mut(MC * ncols)
-        .enumerate()
-        .for_each(|(chunk_idx, cchunk)| {
-            let r0 = chunk_idx * MC;
-            let rows_here = cchunk.len() / ncols;
-            gemm_strided(
-                rows_here,
-                n,
-                k,
-                alpha,
-                &adata[r0 * rsa..],
-                rsa,
-                csa,
-                bdata,
-                rsb,
-                csb,
-                beta,
-                cchunk,
-                ncols,
-                1,
-            );
-        });
+    par::for_each_chunk_mut(c.as_mut_slice(), MC * ncols, |chunk_idx, cchunk| {
+        let r0 = chunk_idx * MC;
+        let rows_here = cchunk.len() / ncols;
+        gemm_strided(
+            rows_here,
+            n,
+            k,
+            alpha,
+            &adata[r0 * rsa..],
+            rsa,
+            csa,
+            bdata,
+            rsb,
+            csb,
+            beta,
+            cchunk,
+            ncols,
+            1,
+        );
+    });
 }
 
 /// `A * B` as a fresh matrix.
@@ -229,16 +226,16 @@ mod tests {
     }
 
     fn pseudo(r: usize, c: usize, seed: u64) -> Dense {
-        let mut s = seed;
-        Dense::from_fn(r, c, |_, _| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
+        let mut rng = flashr_testkit::Rng::new(seed);
+        Dense::from_fn(r, c, |_, _| rng.f64(-1.0..1.0))
     }
 
     #[test]
     fn matches_naive_all_transpose_combos() {
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 5, 2), (17, 9, 13), (70, 33, 41)] {
+        // (3, 2, 0): a zero-width product is an m × 0 result, not a panic.
+        for &(m, k, n) in
+            &[(1usize, 1usize, 1usize), (3, 5, 2), (17, 9, 13), (70, 33, 41), (3, 2, 0)]
+        {
             for &(ta, tb) in &[(false, false), (true, false), (false, true), (true, true)] {
                 let a = if ta { pseudo(k, m, 7) } else { pseudo(m, k, 7) };
                 let b = if tb { pseudo(n, k, 11) } else { pseudo(k, n, 11) };

@@ -9,9 +9,9 @@
 //!   (Gramians, cluster centers, covariances, ...). These are the matrices
 //!   the paper keeps in memory because they are small (§3.4).
 //! * [`gemm()`](gemm())/[`gemm_strided`] — cache-blocked general matrix multiply;
-//!   the `Dense` front-end is rayon-parallel, the strided raw kernel is
-//!   single-threaded because the FlashR executor already parallelizes
-//!   across I/O partitions.
+//!   the `Dense` front-end is parallel over row panels ([`par`]), the
+//!   strided raw kernel is single-threaded because the FlashR executor
+//!   already parallelizes across I/O partitions.
 //! * [`syrk()`](syrk()) — symmetric rank-k update (`crossprod`).
 //! * [`chol`] — Cholesky factorization, SPD solves, inverse, log-determinant.
 //! * [`lu`] — LU with partial pivoting, general solves, determinant.
@@ -24,6 +24,7 @@ pub mod dense;
 pub mod eigen;
 pub mod gemm;
 pub mod lu;
+pub mod par;
 pub mod simd;
 pub mod syrk;
 pub mod tri;

@@ -114,11 +114,8 @@ mod tests {
     use crate::gemm::matmul;
 
     fn pseudo(n: usize, seed: u64) -> Dense {
-        let mut s = seed;
-        Dense::from_fn(n, n, |_, _| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
+        let mut rng = flashr_testkit::Rng::new(seed);
+        Dense::from_fn(n, n, |_, _| rng.f64(-1.0..1.0))
     }
 
     #[test]

@@ -474,13 +474,7 @@ mod tests {
     use super::*;
 
     fn pseudo(n: usize, seed: u64) -> Vec<f64> {
-        let mut s = seed;
-        (0..n)
-            .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-            .collect()
+        flashr_testkit::Rng::new(seed).vec_f64(n, -1.0..1.0)
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Symmetric rank-k update: the `crossprod` kernel.
 
 use crate::dense::Dense;
+use crate::par;
 use crate::simd::{axpy_f64, SimdLevel};
-use rayon::prelude::*;
 
 /// `C = A^T A` for a (possibly tall) row-major `A`, exploiting symmetry.
 ///
@@ -15,27 +15,24 @@ pub fn syrk(a: &Dense) -> Dense {
     // Accumulate per row-panel in parallel, then reduce.
     let level = SimdLevel::active();
     let panel = 512usize;
-    let partials: Vec<Vec<f64>> = (0..m.div_ceil(panel))
-        .into_par_iter()
-        .map(|p| {
-            let r0 = p * panel;
-            let r1 = (r0 + panel).min(m);
-            let mut acc = vec![0.0f64; n * n];
-            for r in r0..r1 {
-                let row = a.row(r);
-                for i in 0..n {
-                    let v = row[i];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    let dst = &mut acc[i * n..(i + 1) * n];
-                    // Upper triangle only: dst[i..n] += v * row[i..n].
-                    axpy_f64(level, &mut dst[i..], &row[i..], v);
+    let partials: Vec<Vec<f64>> = par::map_range(m.div_ceil(panel), |p| {
+        let r0 = p * panel;
+        let r1 = (r0 + panel).min(m);
+        let mut acc = vec![0.0f64; n * n];
+        for r in r0..r1 {
+            let row = a.row(r);
+            for i in 0..n {
+                let v = row[i];
+                if v == 0.0 {
+                    continue;
                 }
+                let dst = &mut acc[i * n..(i + 1) * n];
+                // Upper triangle only: dst[i..n] += v * row[i..n].
+                axpy_f64(level, &mut dst[i..], &row[i..], v);
             }
-            acc
-        })
-        .collect();
+        }
+        acc
+    });
     let mut c = vec![0.0f64; n * n];
     for part in partials {
         for (cv, pv) in c.iter_mut().zip(part) {
@@ -57,11 +54,8 @@ mod tests {
     use crate::gemm::gemm;
 
     fn pseudo(r: usize, c: usize, seed: u64) -> Dense {
-        let mut s = seed;
-        Dense::from_fn(r, c, |_, _| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
+        let mut rng = flashr_testkit::Rng::new(seed);
+        Dense::from_fn(r, c, |_, _| rng.f64(-1.0..1.0))
     }
 
     #[test]

@@ -96,10 +96,9 @@ mod tests {
     use crate::gemm::matmul;
 
     fn lower(n: usize, seed: u64) -> Dense {
-        let mut s = seed;
+        let mut rng = flashr_testkit::Rng::new(seed);
         Dense::from_fn(n, n, |r, c| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
+            let v = rng.f64(-1.0..1.0);
             if r == c {
                 2.0 + v.abs()
             } else if r > c {

@@ -3,69 +3,75 @@
 //! matrices of arbitrary shape.
 
 use flashr_linalg::*;
-use proptest::prelude::*;
+use flashr_testkit::{cases, Rng};
 
-fn dense_strategy(max_n: usize) -> impl Strategy<Value = Dense> {
-    (1..=max_n, 1..=max_n).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(-10.0f64..10.0, r * c)
-            .prop_map(move |v| Dense::from_vec(r, c, v))
-    })
+const CASES: usize = 32;
+
+fn arb_dense(rng: &mut Rng, max_n: usize) -> Dense {
+    let (r, c) = (rng.usize(1..max_n + 1), rng.usize(1..max_n + 1));
+    Dense::from_vec(r, c, rng.vec_f64(r * c, -10.0..10.0))
 }
 
-fn spd_strategy(max_n: usize) -> impl Strategy<Value = Dense> {
-    (1..=max_n).prop_flat_map(|n| {
-        proptest::collection::vec(-1.0f64..1.0, (n + 2) * n).prop_map(move |v| {
-            let b = Dense::from_vec(n + 2, n, v);
-            let mut g = syrk(&b);
-            for i in 0..n {
-                let d = g.at(i, i);
-                g.set(i, i, d + 0.5);
-            }
-            g
-        })
-    })
+fn arb_spd(rng: &mut Rng, max_n: usize) -> Dense {
+    let n = rng.usize(1..max_n + 1);
+    let b = Dense::from_vec(n + 2, n, rng.vec_f64((n + 2) * n, -1.0..1.0));
+    let mut g = syrk(&b);
+    for i in 0..n {
+        let d = g.at(i, i);
+        g.set(i, i, d + 0.5);
+    }
+    g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    #[test]
-    fn gemm_is_associative_with_scalars(a in dense_strategy(8), s in -3.0f64..3.0) {
+#[test]
+fn gemm_is_associative_with_scalars() {
+    cases(CASES, |rng, _| {
+        let a = arb_dense(rng, 8);
+        let s = rng.f64(-3.0..3.0);
         // (s·A)ᵀ (s·A) == s² · AᵀA
         let mut sa = a.clone();
         sa.scale(s);
         let left = syrk(&sa);
         let mut right = syrk(&a);
         right.scale(s * s);
-        prop_assert!(left.max_abs_diff(&right) < 1e-8);
-    }
+        assert!(left.max_abs_diff(&right) < 1e-8);
+    });
+}
 
-    #[test]
-    fn cholesky_reconstructs(a in spd_strategy(12)) {
+#[test]
+fn cholesky_reconstructs() {
+    cases(CASES, |rng, _| {
+        let a = arb_spd(rng, 12);
         let l = cholesky(&a).expect("SPD inputs must factor");
         let mut rec = Dense::zeros(a.rows(), a.cols());
         gemm(1.0, &l, false, &l, true, 0.0, &mut rec);
-        prop_assert!(rec.max_abs_diff(&a) < 1e-8, "LLᵀ ≠ A (diff {})", rec.max_abs_diff(&a));
-    }
+        assert!(rec.max_abs_diff(&a) < 1e-8, "LLᵀ ≠ A (diff {})", rec.max_abs_diff(&a));
+    });
+}
 
-    #[test]
-    fn chol_solve_inverts(a in spd_strategy(10)) {
+#[test]
+fn chol_solve_inverts() {
+    cases(CASES, |rng, _| {
+        let a = arb_spd(rng, 10);
         let n = a.rows();
         let l = cholesky(&a).unwrap();
         let x0 = Dense::from_fn(n, 2, |r, c| (r as f64 + 1.0) * (c as f64 - 0.5));
         let b = matmul(&a, &x0);
         let x = chol_solve(&l, &b);
-        prop_assert!(x.max_abs_diff(&x0) < 1e-6);
-    }
+        assert!(x.max_abs_diff(&x0) < 1e-6);
+    });
+}
 
-    #[test]
-    fn eigen_reconstructs_and_is_orthonormal(a in spd_strategy(10)) {
+#[test]
+fn eigen_reconstructs_and_is_orthonormal() {
+    cases(CASES, |rng, _| {
+        let a = arb_spd(rng, 10);
         let n = a.rows();
         let e = eigen_sym(&a);
         // Orthonormal vectors.
         let mut vtv = Dense::zeros(n, n);
         gemm(1.0, &e.vectors, true, &e.vectors, false, 0.0, &mut vtv);
-        prop_assert!(vtv.max_abs_diff(&Dense::eye(n)) < 1e-8);
+        assert!(vtv.max_abs_diff(&Dense::eye(n)) < 1e-8);
         // Reconstruction.
         let mut vd = e.vectors.clone();
         for r in 0..n {
@@ -76,43 +82,51 @@ proptest! {
         }
         let mut rec = Dense::zeros(n, n);
         gemm(1.0, &vd, false, &e.vectors, true, 0.0, &mut rec);
-        prop_assert!(rec.max_abs_diff(&a) < 1e-7);
+        assert!(rec.max_abs_diff(&a) < 1e-7);
         // SPD ⇒ positive eigenvalues, sorted descending.
         for w in e.values.windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-10);
+            assert!(w[0] >= w[1] - 1e-10);
         }
-        prop_assert!(*e.values.last().unwrap() > 0.0);
-    }
+        assert!(*e.values.last().unwrap() > 0.0);
+    });
+}
 
-    #[test]
-    fn lu_solves_random_systems(n in 1usize..12, seed in 0u64..1000) {
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+#[test]
+fn lu_solves_random_systems() {
+    cases(CASES, |rng, _| {
+        let n = rng.usize(1..12);
         let a = Dense::from_fn(n, n, |r, c| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
+            let v = rng.f64(-1.0..1.0);
             // Diagonal dominance keeps the system well-conditioned.
-            if r == c { v + 3.0 } else { v * 0.5 }
+            if r == c {
+                v + 3.0
+            } else {
+                v * 0.5
+            }
         });
         let x0 = Dense::from_fn(n, 1, |r, _| r as f64 - 1.5);
         let b = matmul(&a, &x0);
         let f = lu_factor(&a).expect("diagonally dominant ⇒ nonsingular");
         let x = lu_solve(&f, &b);
-        prop_assert!(x.max_abs_diff(&x0) < 1e-7);
+        assert!(x.max_abs_diff(&x0) < 1e-7);
         // det(A) from LU is consistent with det(Aᵀ).
         let dt = lu_det(&a.transpose());
         let d = lu_det(&a);
-        prop_assert!((d - dt).abs() <= 1e-6 * d.abs().max(1.0));
-    }
+        assert!((d - dt).abs() <= 1e-6 * d.abs().max(1.0));
+    });
+}
 
-    #[test]
-    fn triangular_solves_roundtrip(a in spd_strategy(9)) {
+#[test]
+fn triangular_solves_roundtrip() {
+    cases(CASES, |rng, _| {
+        let a = arb_spd(rng, 9);
         let l = cholesky(&a).unwrap();
         let n = a.rows();
         let x0 = Dense::from_fn(n, 3, |r, c| ((r * 3 + c) as f64).sin());
         let b = matmul(&l, &x0);
-        prop_assert!(solve_lower(&l, &b).max_abs_diff(&x0) < 1e-7);
+        assert!(solve_lower(&l, &b).max_abs_diff(&x0) < 1e-7);
         let bu = matmul(&l.transpose(), &x0);
-        prop_assert!(solve_lower_transpose(&l, &bu).max_abs_diff(&x0) < 1e-7);
-        prop_assert!(solve_upper(&l.transpose(), &bu).max_abs_diff(&x0) < 1e-7);
-    }
+        assert!(solve_lower_transpose(&l, &bu).max_abs_diff(&x0) < 1e-7);
+        assert!(solve_upper(&l.transpose(), &bu).max_abs_diff(&x0) < 1e-7);
+    });
 }

@@ -8,22 +8,22 @@ use flashr_core::ops::{AggOp, BinaryOp};
 use flashr_core::session::{CtxConfig, FlashCtx};
 use flashr_linalg::Dense;
 use flashr_ml::*;
-use proptest::prelude::*;
+use flashr_testkit::cases;
+
+const CASES: usize = 12;
 
 fn ctx() -> FlashCtx {
     FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    #[test]
-    fn ridge_recovers_noiseless_weights(
-        p in 1usize..6,
-        seed in 0u64..1000,
-        weights in proptest::collection::vec(-3.0f64..3.0, 1..6),
-        intercept in -5.0f64..5.0,
-    ) {
+#[test]
+fn ridge_recovers_noiseless_weights() {
+    cases(CASES, |rng, _| {
+        let p = rng.usize(1..6);
+        let seed = rng.u64(0..1000);
+        let nweights = rng.usize(1..6);
+        let weights = rng.vec_f64(nweights, -3.0..3.0);
+        let intercept = rng.f64(-5.0..5.0);
         let p = p.min(weights.len());
         let w = &weights[..p];
         let ctx = ctx();
@@ -33,30 +33,35 @@ proptest! {
         let y = &x.matmul(&FM::from_dense(wd)) + intercept;
         let m = ridge_regression(&ctx, &x, &y, 0.0);
         for (got, want) in m.weights.iter().zip(w) {
-            prop_assert!((got - want).abs() < 1e-7, "weight {got} vs {want}");
+            assert!((got - want).abs() < 1e-7, "weight {got} vs {want}");
         }
-        prop_assert!((m.intercept - intercept).abs() < 1e-7);
-    }
+        assert!((m.intercept - intercept).abs() < 1e-7);
+    });
+}
 
-    #[test]
-    fn correlation_matrix_is_always_valid(p in 2usize..6, seed in 0u64..1000) {
+#[test]
+fn correlation_matrix_is_always_valid() {
+    cases(CASES, |rng, _| {
+        let p = rng.usize(2..6);
+        let seed = rng.u64(0..1000);
         let ctx = ctx();
         let x = FM::rnorm(&ctx, 3000, p, 1.0, 2.0, seed);
         let c = correlation(&ctx, &x);
         for i in 0..p {
-            prop_assert!((c.at(i, i) - 1.0).abs() < 1e-9);
+            assert!((c.at(i, i) - 1.0).abs() < 1e-9);
             for j in 0..p {
-                prop_assert!(c.at(i, j) >= -1.0 - 1e-12 && c.at(i, j) <= 1.0 + 1e-12);
-                prop_assert!((c.at(i, j) - c.at(j, i)).abs() < 1e-12);
+                assert!(c.at(i, j) >= -1.0 - 1e-12 && c.at(i, j) <= 1.0 + 1e-12);
+                assert!((c.at(i, j) - c.at(j, i)).abs() < 1e-12);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn kmeans_centers_are_the_means_of_their_clusters(
-        k in 1usize..4,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn kmeans_centers_are_the_means_of_their_clusters() {
+    cases(CASES, |rng, _| {
+        let k = rng.usize(1..4);
+        let seed = rng.u64(0..500);
         let ctx = ctx();
         let n = 1500u64;
         let x = FM::runif(&ctx, n, 2, -10.0, 10.0, seed).materialize(&ctx);
@@ -74,7 +79,7 @@ proptest! {
                 }
                 for j in 0..2 {
                     let centroid = sums.at(g, j) / cnt;
-                    prop_assert!(
+                    assert!(
                         (centroid - r.centers.at(g, j)).abs() < 1e-9,
                         "cluster {g} center not the centroid"
                     );
@@ -90,23 +95,27 @@ proptest! {
             .sum()
             .value(&ctx);
         if *r.moves.last().unwrap() == 0 {
-            prop_assert_eq!(disagree, 0.0, "assignments are not nearest-center");
+            assert_eq!(disagree, 0.0, "assignments are not nearest-center");
         }
-    }
+    });
+}
 
-    #[test]
-    fn naive_bayes_priors_sum_to_one(k in 2usize..5, seed in 0u64..500) {
+#[test]
+fn naive_bayes_priors_sum_to_one() {
+    cases(CASES, |rng, _| {
+        let k = rng.usize(2..5);
+        let seed = rng.u64(0..500);
         let ctx = ctx();
         let n = 3000u64;
         let labels = FM::seq(n, 0.0, 1.0).binary_scalar(BinaryOp::Rem, k as f64, false);
         let x = FM::rnorm(&ctx, n, 2, 0.0, 1.0, seed);
         let m = naive_bayes(&ctx, &x, &labels, k);
         let total: f64 = m.priors.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-12);
+        assert!((total - 1.0).abs() < 1e-12);
         for v in 0..k {
             for j in 0..2 {
-                prop_assert!(m.vars.at(v, j) > 0.0, "variance must stay positive");
+                assert!(m.vars.at(v, j) > 0.0, "variance must stay positive");
             }
         }
-    }
+    });
 }

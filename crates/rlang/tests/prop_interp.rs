@@ -4,7 +4,9 @@
 
 use flashr_core::session::{CtxConfig, FlashCtx};
 use flashr_rlang::{Interp, Value};
-use proptest::prelude::*;
+use flashr_testkit::{cases, Rng};
+
+const CASES: usize = 64;
 
 /// A tiny arithmetic AST we can both print as R and evaluate directly.
 #[derive(Debug, Clone)]
@@ -47,17 +49,20 @@ impl E {
     }
 }
 
-fn arb_expr() -> impl Strategy<Value = E> {
-    let leaf = (-50.0f64..50.0).prop_map(E::Lit);
-    leaf.prop_recursive(4, 32, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Sub(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Mul(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Div(Box::new(a), Box::new(b))),
-            inner.prop_map(|a| E::Neg(Box::new(a))),
-        ]
-    })
+/// A random expression at most `depth` operators deep (the suite uses 4).
+fn arb_expr(rng: &mut Rng, depth: usize) -> E {
+    if depth == 0 || rng.below(3) == 0 {
+        return E::Lit(rng.f64(-50.0..50.0));
+    }
+    let kind = rng.below(5);
+    let mut sub = || Box::new(arb_expr(rng, depth - 1));
+    match kind {
+        0 => E::Add(sub(), sub()),
+        1 => E::Sub(sub(), sub()),
+        2 => E::Mul(sub(), sub()),
+        3 => E::Div(sub(), sub()),
+        _ => E::Neg(sub()),
+    }
 }
 
 fn interp() -> Interp {
@@ -71,22 +76,25 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    #[test]
-    fn scalar_expressions_match_reference(e in arb_expr()) {
+#[test]
+fn scalar_expressions_match_reference() {
+    cases(CASES, |rng, _| {
+        let e = arb_expr(rng, 4);
         let mut r = interp();
         let got = r.eval_str(&e.render()).unwrap();
         let want = e.eval();
         match got {
-            Value::Num(v) => prop_assert!(close(v, want), "{} => {v} vs {want}", e.render()),
-            other => prop_assert!(false, "non-numeric result {other:?}"),
+            Value::Num(v) => assert!(close(v, want), "{} => {v} vs {want}", e.render()),
+            other => panic!("non-numeric result {other:?}"),
         }
-    }
+    });
+}
 
-    #[test]
-    fn expressions_match_through_the_engine(e in arb_expr(), n in 1u64..300) {
+#[test]
+fn expressions_match_through_the_engine() {
+    cases(CASES, |rng, _| {
+        let e = arb_expr(rng, 4);
+        let n = rng.u64(1..300);
         // Evaluate `expr + 0·X` as a matrix expression: every element of
         // the result must equal the scalar value.
         let mut r = interp();
@@ -96,27 +104,28 @@ proptest! {
         );
         let want = e.eval();
         if !want.is_finite() {
-            return Ok(()); // NaN/Inf propagate; covered by the scalar test
+            return; // NaN/Inf propagate; covered by the scalar test
         }
         let spread = r.eval_str(&src).unwrap();
         match spread {
-            Value::Num(v) => prop_assert!(v.abs() < 1e-9, "constant matrix has spread {v}"),
-            other => prop_assert!(false, "unexpected {other:?}"),
+            Value::Num(v) => assert!(v.abs() < 1e-9, "constant matrix has spread {v}"),
+            other => panic!("unexpected {other:?}"),
         }
         let through = r
-            .eval_str(&format!(
-                "as.vector(sum(({expr}) + X * 0)) / (2 * {n})",
-                expr = e.render()
-            ))
+            .eval_str(&format!("as.vector(sum(({expr}) + X * 0)) / (2 * {n})", expr = e.render()))
             .unwrap();
         match through {
-            Value::Num(v) => prop_assert!(close(v, want), "engine mean {v} vs {want}"),
-            other => prop_assert!(false, "unexpected {other:?}"),
+            Value::Num(v) => assert!(close(v, want), "engine mean {v} vs {want}"),
+            other => panic!("unexpected {other:?}"),
         }
-    }
+    });
+}
 
-    #[test]
-    fn vector_sums_match(vals in proptest::collection::vec(-100.0f64..100.0, 1..20)) {
+#[test]
+fn vector_sums_match() {
+    cases(CASES, |rng, _| {
+        let len = rng.usize(1..20);
+        let vals = rng.vec_f64(len, -100.0..100.0);
         let mut r = interp();
         let src = format!(
             "sum(c({}))",
@@ -125,25 +134,39 @@ proptest! {
         let got = r.eval_str(&src).unwrap();
         let want: f64 = vals.iter().sum();
         match got {
-            Value::Num(v) => prop_assert!(close(v, want)),
-            other => prop_assert!(false, "unexpected {other:?}"),
+            Value::Num(v) => assert!(close(v, want)),
+            other => panic!("unexpected {other:?}"),
         }
-    }
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_random_text(s in "[ -~\n]{0,80}") {
+#[test]
+fn parser_never_panics_on_random_text() {
+    cases(CASES, |rng, _| {
+        // Up to 80 characters of printable ASCII and newlines.
+        let s: String = (0..rng.usize(0..81))
+            .map(|_| match rng.below(96) {
+                95 => '\n',
+                c => (b' ' + c as u8) as char,
+            })
+            .collect();
         // Arbitrary printable text must produce Ok or Err, never a panic.
         let _ = flashr_rlang::parse_program(&s);
-    }
+    });
+}
 
-    #[test]
-    fn ranges_match_reference(a in -20i64..20, b in -20i64..20) {
+#[test]
+fn ranges_match_reference() {
+    cases(CASES, |rng, _| {
+        let a = rng.below(40) as i64 - 20;
+        let b = rng.below(40) as i64 - 20;
         let mut r = interp();
         let got = r.eval_str(&format!("sum(({a}):({b}))")).unwrap();
-        let want: f64 = if a <= b { (a..=b).sum::<i64>() as f64 } else { (b..=a).sum::<i64>() as f64 };
+        let want: f64 =
+            if a <= b { (a..=b).sum::<i64>() as f64 } else { (b..=a).sum::<i64>() as f64 };
         match got {
-            Value::Num(v) => prop_assert!(close(v, want), "{a}:{b} sum {v} vs {want}"),
-            other => prop_assert!(false, "unexpected {other:?}"),
+            Value::Num(v) => assert!(close(v, want), "{a}:{b} sum {v} vs {want}"),
+            other => panic!("unexpected {other:?}"),
         }
-    }
+    });
 }

@@ -10,8 +10,8 @@
 
 use crate::error::{SafsError, SafsResult};
 use crate::iobuf::IoBuf;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::fs::File;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 /// What a backend worker is asked to do with the byte range.
@@ -32,7 +32,7 @@ pub struct IoReq {
     pub(crate) file: Arc<File>,
     pub(crate) offset: u64,
     pub(crate) op: IoOp,
-    pub(crate) done: Sender<SafsResult<IoBuf>>,
+    pub(crate) done: SyncSender<SafsResult<IoBuf>>,
     pub(crate) context: String,
     /// Submission timestamp ([`now_nanos`](crate::now_nanos)); stamped
     /// at submit time only while a span sink is installed, 0 otherwise.
@@ -48,10 +48,6 @@ pub struct IoTicket {
 }
 
 impl IoTicket {
-    pub(crate) fn new(rx: Receiver<SafsResult<IoBuf>>) -> Self {
-        IoTicket { rx }
-    }
-
     /// Block until the request completes. Returns the buffer: the data for
     /// reads, the original buffer back for writes (for reuse).
     pub fn wait(self) -> SafsResult<IoBuf> {
@@ -59,15 +55,11 @@ impl IoTicket {
             Err(SafsError::io("I/O engine shut down", std::io::Error::other("channel closed")))
         })
     }
-
-    /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_wait(&mut self) -> Option<SafsResult<IoBuf>> {
-        self.rx.try_recv().ok()
-    }
 }
 
-/// Create a completion channel for one request.
-pub(crate) fn completion() -> (Sender<SafsResult<IoBuf>>, IoTicket) {
-    let (tx, rx) = bounded(1);
-    (tx, IoTicket::new(rx))
+/// Create a completion channel for one request. Capacity 1 and exactly
+/// one send per request, so the worker never blocks on delivery.
+pub(crate) fn completion() -> (SyncSender<SafsResult<IoBuf>>, IoTicket) {
+    let (tx, rx) = sync_channel(1);
+    (tx, IoTicket { rx })
 }

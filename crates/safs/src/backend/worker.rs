@@ -23,11 +23,11 @@ use crate::config::SafsConfig;
 use crate::error::{SafsError, SafsResult};
 use crate::span::{now_nanos, SpanSinkCell};
 use crate::stats::IoStats;
+use crate::sync::Mutex;
 use crate::throttle::Throttle;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -80,7 +80,10 @@ impl ShardSet {
         let mut shard_stats = Vec::with_capacity(nshards);
         let mut threads = Vec::new();
         for shard in 0..nshards {
-            let (tx, rx) = unbounded::<IoReq>();
+            let (tx, rx) = channel::<IoReq>();
+            // `mpsc` is single-consumer: the shard's workers take turns on
+            // the one receiver.
+            let rx = Arc::new(Mutex::new(rx));
             let stats = Arc::new(ShardStats::default());
             let throttle =
                 if throttled { cfg.throttle.map(|t| Arc::new(Throttle::new(t))) } else { None };
@@ -158,8 +161,12 @@ fn take_fault(faults: &AtomicU64) -> bool {
 
 /// Body of one worker thread: drain the shard queue until all senders
 /// drop.
-fn worker_main(rx: Receiver<IoReq>, ctx: WorkerCtx) {
-    while let Ok(req) = rx.recv() {
+fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
+    loop {
+        // Own statement: the receiver lock is released before the I/O, so
+        // the shard's other workers dequeue while this one is on the device.
+        let next = rx.lock().recv();
+        let Ok(req) = next else { break };
         let sink = ctx.span_sink.get();
         let device_ns = sink.as_ref().map(|_| now_nanos());
         let started = Instant::now();
@@ -268,5 +275,69 @@ fn worker_main(rx: Receiver<IoReq>, ctx: WorkerCtx) {
         let _ = req.done.send(result);
         ctx.shard_stats.queue_exit();
         ctx.stats.queue_exit();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aio::completion;
+    use crate::iobuf::IoBuf;
+
+    /// One shard drained by two workers sharing the receiver: every
+    /// request completes exactly once, a request whose ticket is already
+    /// gone is still serviced and does not stop the queue, and shutdown
+    /// joins every worker.
+    #[test]
+    fn two_workers_share_one_shard_queue() {
+        const N: usize = 200;
+        const SLOT: usize = 64;
+        let fill = |slot: usize| [slot as u8 + 1; SLOT];
+        let dir = std::env::temp_dir().join(format!("safs-shardq-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("strip");
+        let file = Arc::new(std::fs::File::create(&path).unwrap());
+        let env = WorkerEnv {
+            stats: Arc::new(IoStats::default()),
+            span_sink: Arc::new(SpanSinkCell::default()),
+            faults: Arc::new(AtomicU64::new(0)),
+        };
+        let cfg = SafsConfig::single_dir(&dir).with_io_threads(2);
+        let set = ShardSet::open(&cfg, false, &env, "test").unwrap();
+        // env + the set + one clone per worker.
+        assert_eq!(Arc::strong_count(&env.stats), 2 + 2);
+
+        let mut tickets = Vec::new();
+        for slot in 0..N {
+            let (done, ticket) = completion();
+            if slot % 10 != 3 {
+                tickets.push((slot, ticket));
+            } // else: the receiver is gone before the worker can deliver.
+            let req = IoReq {
+                file: file.clone(),
+                offset: (slot * SLOT) as u64,
+                op: IoOp::Write { buf: IoBuf::from_bytes(&fill(slot)) },
+                done,
+                context: format!("test write {slot}"),
+                submit_ns: 0,
+            };
+            set.submit(0, req);
+        }
+        for (slot, ticket) in tickets {
+            assert_eq!(ticket.wait().unwrap().as_bytes(), &fill(slot), "ticket {slot}");
+        }
+        set.flush();
+        assert_eq!(set.shard_stats()[0].write_reqs, N as u64, "each request serviced once");
+        assert_eq!(env.stats.snapshot().write_reqs, N as u64);
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!(on_disk.len(), N * SLOT);
+        for (slot, bytes) in on_disk.chunks(SLOT).enumerate() {
+            assert_eq!(bytes, &fill(slot), "slot {slot}");
+        }
+
+        set.shutdown();
+        assert!(set.threads.lock().is_empty());
+        assert_eq!(Arc::strong_count(&env.stats), 2, "a joined worker has dropped its context");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

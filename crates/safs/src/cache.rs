@@ -42,10 +42,10 @@
 use crate::aio::IoTicket;
 use crate::error::SafsResult;
 use crate::iobuf::IoBuf;
-use parking_lot::{Condvar, Mutex};
+use crate::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 
 /// Cache key: (per-process file uid, partition index). The uid is minted
 /// per `FileInner` instance (see `file.rs`), so independently opened
@@ -377,7 +377,7 @@ impl PageCache {
                 }
                 None => return SharedOutcome::Gone,
             }
-            shard.cond.wait(&mut g);
+            g = shard.cond.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
 

@@ -46,6 +46,7 @@ pub mod metrics;
 mod runtime;
 mod span;
 mod stats;
+pub mod sync;
 mod throttle;
 
 pub use aio::{IoReq, IoTicket};

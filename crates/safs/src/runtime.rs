@@ -9,7 +9,7 @@ use crate::file::{FileInner, SafsFile};
 use crate::layout::Striping;
 use crate::span::{SpanSink, SpanSinkCell};
 use crate::stats::{IoStats, IoStatsSnapshot};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -20,7 +20,7 @@
 //! when the request reaches it, and completed intervals stay valid under
 //! the out-of-order completion an async engine produces.
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;

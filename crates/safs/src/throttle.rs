@@ -8,7 +8,7 @@
 //! until its window closes.
 
 use crate::config::ThrottleCfg;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::time::{Duration, Instant};
 
 #[derive(Debug)]

@@ -6,7 +6,9 @@
 //! read path.
 
 use flashr_safs::{BackendKind, CacheCfg, IoBuf, Safs, SafsConfig};
-use proptest::prelude::*;
+use flashr_testkit::cases;
+
+const CASES: usize = 8;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const BACKENDS: [BackendKind; 2] = [BackendKind::Sim, BackendKind::Direct];
@@ -49,35 +51,30 @@ fn write_and_read_back(safs: &Safs, part_bytes: u64, total: u64, seed: u64) -> V
     (0..f.nparts()).map(|p| f.read_part(p).unwrap().as_bytes().to_vec()).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
-    #[test]
-    fn all_shard_and_backend_combinations_are_bit_identical(
-        part_bytes in 64u64..2048,
-        nparts in 1u64..24,
-        tail in 0u64..2048,
-        seed in 0u64..u64::MAX,
-    ) {
+#[test]
+fn all_shard_and_backend_combinations_are_bit_identical() {
+    cases(CASES, |rng, _| {
+        let part_bytes = rng.u64(64..2048);
+        let nparts = rng.u64(1..24);
+        let tail = rng.u64(0..2048);
+        let seed = rng.next_u64();
         let total = (part_bytes * nparts + tail % part_bytes).max(1);
         let reference = payload_matrix(part_bytes, total, seed);
         for shards in SHARD_COUNTS {
             for backend in BACKENDS {
                 let safs = fresh("grid", shards, backend);
                 let got = write_and_read_back(&safs, part_bytes, total, seed);
-                prop_assert_eq!(
-                    &got, &reference,
-                    "shards={} backend={}", shards, backend.as_str()
-                );
+                assert_eq!(&got, &reference, "shards={} backend={}", shards, backend.as_str());
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn cached_reads_survive_eviction_churn_on_every_combination(
-        nparts in 4u64..32,
-        seed in 0u64..u64::MAX,
-    ) {
+#[test]
+fn cached_reads_survive_eviction_churn_on_every_combination() {
+    cases(CASES, |rng, _| {
+        let nparts = rng.u64(4..32);
+        let seed = rng.next_u64();
         let part_bytes = 1024u64;
         let total = part_bytes * nparts;
         let reference = payload_matrix(part_bytes, total, seed);
@@ -98,16 +95,20 @@ proptest! {
                     for p in 0..f.nparts() {
                         let p = if pass == 0 { p } else { (p * 7) % f.nparts() };
                         let got = f.read_part_cached(p).unwrap();
-                        prop_assert_eq!(
-                            got.as_bytes(), reference[p as usize].as_slice(),
+                        assert_eq!(
+                            got.as_bytes(),
+                            reference[p as usize].as_slice(),
                             "pass={} part={} shards={} backend={}",
-                            pass, p, shards, backend.as_str()
+                            pass,
+                            p,
+                            shards,
+                            backend.as_str()
                         );
                     }
                 }
             }
         }
-    }
+    });
 }
 
 /// The reference bytes for every partition of the matrix.
@@ -127,8 +128,8 @@ fn payload_matrix(part_bytes: u64, total: u64, seed: u64) -> Vec<Vec<u8>> {
 
 /// Reopening under a *different* shard count must not silently produce
 /// garbage: the on-disk layout is owned by the shard set that wrote it,
-/// and the metadata pins the geometry. This is a plain unit test (no
-/// proptest) because the scenario is fixed.
+/// and the metadata pins the geometry. One fixed scenario, so no generated
+/// cases.
 #[test]
 fn reopen_under_same_layout_is_identical_across_backends() {
     let part_bytes = 512u64;

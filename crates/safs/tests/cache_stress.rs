@@ -4,6 +4,7 @@
 //! passthrough, admission bypass, readahead, and write invalidation.
 
 use flashr_safs::{CacheCfg, Safs, SafsConfig, ThrottleCfg};
+use flashr_testkit::Rng;
 use std::sync::Arc;
 
 fn tmp_root(tag: &str) -> std::path::PathBuf {
@@ -25,20 +26,6 @@ fn make_file(safs: &Safs, name: &str, part_bytes: u64, nparts: u64) -> flashr_sa
     f
 }
 
-/// A small deterministic PRNG (xorshift) — the stress test must not
-/// depend on the `rand` crate's exact stream.
-struct XorShift(u64);
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
-
 #[test]
 fn concurrent_reads_are_bit_identical_and_evict() {
     const PART: u64 = 4096;
@@ -57,10 +44,10 @@ fn concurrent_reads_are_bit_identical_and_evict() {
         for t in 0..8u64 {
             let files = &files;
             scope.spawn(move || {
-                let mut rng = XorShift(0x9E3779B97F4A7C15 ^ (t + 1));
+                let mut rng = Rng::new(t);
                 for _ in 0..400 {
-                    let file = &files[(rng.next() % NFILES) as usize];
-                    let part = rng.next() % NPARTS;
+                    let file = &files[rng.below(NFILES) as usize];
+                    let part = rng.below(NPARTS);
                     let buf = file.read_part_cached(part).unwrap();
                     assert_eq!(buf.as_bytes(), &pattern(part, PART as usize)[..]);
                 }

@@ -2,7 +2,9 @@
 //! payloads across arbitrary disk counts.
 
 use flashr_safs::{IoBuf, Safs, SafsConfig};
-use proptest::prelude::*;
+use flashr_testkit::cases;
+
+const CASES: usize = 16;
 
 fn fresh(tag: u64, ndisks: usize) -> Safs {
     let dir = std::env::temp_dir().join(format!("safs-prop-{tag}-{}", std::process::id()));
@@ -15,21 +17,18 @@ fn payload(p: u64, len: usize, salt: u8) -> Vec<u8> {
     (0..len).map(|i| ((i as u64 * 131 + p * 31 + salt as u64) % 251) as u8).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    #[test]
-    fn roundtrip_any_geometry(
-        ndisks in 1usize..6,
-        part_bytes in 1u64..5000,
-        total_mult in 1u64..40,
-        tail in 0u64..5000,
-        seed in 0u64..u64::MAX,
-    ) {
+#[test]
+fn roundtrip_any_geometry() {
+    cases(CASES, |rng, _| {
+        let ndisks = rng.usize(1..6);
+        let part_bytes = rng.u64(1..5000);
+        let total_mult = rng.u64(1..40);
+        let tail = rng.u64(0..5000);
+        let seed = rng.next_u64();
         let total = (part_bytes * total_mult + tail % part_bytes.max(1)).max(1);
         let safs = fresh(seed, ndisks);
         let f = safs.create_bytes("prop", part_bytes, total).unwrap();
-        prop_assert_eq!(f.nparts(), total.div_ceil(part_bytes));
+        assert_eq!(f.nparts(), total.div_ceil(part_bytes));
 
         // Write all partitions (async), read them back (async).
         let mut writes = Vec::new();
@@ -44,14 +43,17 @@ proptest! {
             let len = f.part_len(p).unwrap();
             let got = f.read_part(p).unwrap();
             let want = payload(p, len, 7);
-            prop_assert_eq!(got.as_bytes(), want.as_slice(), "partition {}", p);
+            assert_eq!(got.as_bytes(), want.as_slice(), "partition {}", p);
         }
         f.delete().unwrap();
-    }
+    });
+}
 
-    #[test]
-    fn rewrites_are_last_writer_wins(parts in 1u64..20, seed in 0u64..u64::MAX) {
-        let safs = fresh(seed ^ 0xABCD, 3);
+#[test]
+fn rewrites_are_last_writer_wins() {
+    cases(CASES, |rng, _| {
+        let parts = rng.u64(1..20);
+        let safs = fresh(rng.next_u64() ^ 0xABCD, 3);
         let f = safs.create("rw", 256, parts).unwrap();
         for p in 0..parts {
             f.write_part(p, &payload(p, 256, 1)).unwrap();
@@ -64,14 +66,17 @@ proptest! {
             let want_salt = if p % 2 == 0 { 2 } else { 1 };
             let got = f.read_part(p).unwrap();
             let want = payload(p, 256, want_salt);
-            prop_assert_eq!(got.as_bytes(), want.as_slice());
+            assert_eq!(got.as_bytes(), want.as_slice());
         }
         f.delete().unwrap();
-    }
+    });
+}
 
-    #[test]
-    fn reopen_sees_identical_content(parts in 1u64..12, seed in 0u64..u64::MAX) {
-        let safs = fresh(seed ^ 0x1234, 2);
+#[test]
+fn reopen_sees_identical_content() {
+    cases(CASES, |rng, _| {
+        let parts = rng.u64(1..12);
+        let safs = fresh(rng.next_u64() ^ 0x1234, 2);
         {
             let f = safs.create("persist", 128, parts).unwrap();
             for p in 0..parts {
@@ -79,12 +84,12 @@ proptest! {
             }
         }
         let f = safs.open_file("persist").unwrap();
-        prop_assert_eq!(f.nparts(), parts);
+        assert_eq!(f.nparts(), parts);
         for p in 0..parts {
             let got = f.read_part(p).unwrap();
             let want = payload(p, 128, 9);
-            prop_assert_eq!(got.as_bytes(), want.as_slice());
+            assert_eq!(got.as_bytes(), want.as_slice());
         }
         f.delete().unwrap();
-    }
+    });
 }

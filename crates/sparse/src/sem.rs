@@ -15,9 +15,8 @@
 //! blocks).
 
 use crate::csr::CsrMatrix;
-use flashr_linalg::Dense;
+use flashr_linalg::{par, Dense};
 use flashr_safs::{IoBuf, Safs, SafsFile};
-use rayon::prelude::*;
 
 /// A CSR matrix stored on the SSD array in row-block partitions.
 pub struct SemCsr {
@@ -137,33 +136,30 @@ impl SemCsr {
     }
 
     /// Semi-external `C = A · B`: row blocks stream from the array (the
-    /// per-disk I/O threads overlap reads across rayon workers) while `B`
+    /// per-disk I/O threads overlap reads across `par` threads) while `B`
     /// and `C` stay in memory.
     pub fn spmm(&self, b: &Dense) -> Dense {
         assert_eq!(self.ncols, b.rows(), "inner dimension mismatch");
         let k = b.cols();
         let mut c = Dense::zeros(self.nrows, k);
         let rows_per_part = self.rows_per_part;
-        c.as_mut_slice()
-            .par_chunks_mut(rows_per_part * k)
-            .enumerate()
-            .for_each(|(p, cchunk)| {
-                let buf = self.file.read_part(p as u64).expect("SEM read failed");
-                let (indptr, indices, values) = self.decode(p, &buf);
-                let rows = cchunk.len() / k;
-                for r in 0..rows {
-                    let s = indptr[r] as usize;
-                    let e = indptr[r + 1] as usize;
-                    let crow = &mut cchunk[r * k..(r + 1) * k];
-                    for i in s..e {
-                        let v = values[i];
-                        let brow = b.row(indices[i] as usize);
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += v * bv;
-                        }
+        par::for_each_chunk_mut(c.as_mut_slice(), rows_per_part * k, |p, cchunk| {
+            let buf = self.file.read_part(p as u64).expect("SEM read failed");
+            let (indptr, indices, values) = self.decode(p, &buf);
+            let rows = cchunk.len() / k;
+            for r in 0..rows {
+                let s = indptr[r] as usize;
+                let e = indptr[r + 1] as usize;
+                let crow = &mut cchunk[r * k..(r + 1) * k];
+                for i in s..e {
+                    let v = values[i];
+                    let brow = b.row(indices[i] as usize);
+                    for (cv, bv) in crow.iter_mut().zip(brow) {
+                        *cv += v * bv;
                     }
                 }
-            });
+            }
+        });
         c
     }
 
@@ -211,11 +207,15 @@ mod tests {
     fn sem_spmm_matches_in_memory() {
         let safs = safs("spmm");
         let m = CsrMatrix::random(400, 400, 8, 3);
-        let b = Dense::from_fn(400, 8, |r, c| ((r + c) % 5) as f64 - 2.0);
-        let want = crate::spmm::spmm(&m, &b);
         let sem = SemCsr::store(&safs, "g", &m, 32);
-        let got = sem.spmm(&b);
-        assert!(got.max_abs_diff(&want) < 1e-10);
+        // k = 0: a zero-width product is a 400 × 0 result, not a panic.
+        for k in [8, 0] {
+            let b = Dense::from_fn(400, k, |r, c| ((r + c) % 5) as f64 - 2.0);
+            let want = crate::spmm::spmm(&m, &b);
+            let got = sem.spmm(&b);
+            assert_eq!((got.rows(), got.cols()), (400, k));
+            assert!(got.max_abs_diff(&want) < 1e-10);
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! In-memory parallel sparse × dense multiplication.
 
 use crate::csr::CsrMatrix;
-use flashr_linalg::Dense;
-use rayon::prelude::*;
+use flashr_linalg::{par, Dense};
 
 /// `C = A · B` with sparse `A` (n×m) and dense `B` (m×k), parallel over
 /// row panels of `A` (row results are disjoint, so no synchronization).
@@ -11,18 +10,15 @@ pub fn spmm(a: &CsrMatrix, b: &Dense) -> Dense {
     let n = a.nrows();
     let k = b.cols();
     let mut c = Dense::zeros(n, k);
-    c.as_mut_slice()
-        .par_chunks_mut(k)
-        .enumerate()
-        .for_each(|(r, crow)| {
-            let (cols, vals) = a.row(r);
-            for (&col, &v) in cols.iter().zip(vals) {
-                let brow = b.row(col as usize);
-                for (cv, bv) in crow.iter_mut().zip(brow) {
-                    *cv += v * bv;
-                }
+    par::for_each_chunk_mut(c.as_mut_slice(), k, |r, crow| {
+        let (cols, vals) = a.row(r);
+        for (&col, &v) in cols.iter().zip(vals) {
+            let brow = b.row(col as usize);
+            for (cv, bv) in crow.iter_mut().zip(brow) {
+                *cv += v * bv;
             }
-        });
+        }
+    });
     c
 }
 
@@ -34,10 +30,14 @@ mod tests {
     #[test]
     fn matches_dense_reference() {
         let a = CsrMatrix::random(200, 150, 6, 5);
-        let b = Dense::from_fn(150, 4, |r, c| ((r * 3 + c) % 7) as f64 - 3.0);
-        let got = spmm(&a, &b);
-        let want = matmul(&a.to_dense(), &b);
-        assert!(got.max_abs_diff(&want) < 1e-10);
+        // k = 0: a zero-width product is a 200 × 0 result, not a panic.
+        for k in [4, 0] {
+            let b = Dense::from_fn(150, k, |r, c| ((r * 3 + c) % 7) as f64 - 3.0);
+            let got = spmm(&a, &b);
+            assert_eq!((got.rows(), got.cols()), (200, k));
+            let want = matmul(&a.to_dense(), &b);
+            assert!(got.max_abs_diff(&want) < 1e-10);
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 use flashr::core::analysis::cost;
 use flashr::core::exec::Target;
 use flashr::prelude::*;
-use proptest::prelude::*;
+use flashr_testkit::{cases, Rng};
+
+const CASES: usize = 24;
 
 /// A naive row-major reference matrix.
 #[derive(Debug, Clone)]
@@ -16,25 +18,19 @@ struct Ref {
     data: Vec<f64>,
 }
 
-fn arb_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Ref> {
-    (8..=max_rows, 1..=max_cols).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(-100.0f64..100.0, r * c)
-            .prop_map(move |data| Ref { rows: r, cols: c, data })
-    })
+fn arb_matrix(rng: &mut Rng, max_rows: usize, max_cols: usize) -> Ref {
+    let (rows, cols) = (rng.usize(8..max_rows + 1), rng.usize(1..max_cols + 1));
+    Ref { rows, cols, data: rng.vec_f64(rows * cols, -100.0..100.0) }
 }
 
 /// Two matrices sharing a row count (tall nodes in one DAG must agree
 /// on the partition dimension).
-fn arb_matrix_pair(max_rows: usize, max_cols: usize) -> impl Strategy<Value = (Ref, Ref)> {
-    (8..=max_rows, 1..=max_cols, 1..=max_cols).prop_flat_map(|(r, c1, c2)| {
-        (
-            proptest::collection::vec(-100.0f64..100.0, r * c1),
-            proptest::collection::vec(-100.0f64..100.0, r * c2),
-        )
-            .prop_map(move |(d1, d2)| {
-                (Ref { rows: r, cols: c1, data: d1 }, Ref { rows: r, cols: c2, data: d2 })
-            })
-    })
+fn arb_matrix_pair(rng: &mut Rng, max_rows: usize, max_cols: usize) -> (Ref, Ref) {
+    let rows = rng.usize(8..max_rows + 1);
+    let (c1, c2) = (rng.usize(1..max_cols + 1), rng.usize(1..max_cols + 1));
+    let mut with_cols =
+        |cols: usize| Ref { rows, cols, data: rng.vec_f64(rows * cols, -100.0..100.0) };
+    (with_cols(c1), with_cols(c2))
 }
 
 /// A random elementwise program applied to X.
@@ -46,16 +42,15 @@ enum Step {
     Square,
 }
 
-fn arb_program() -> impl Strategy<Value = Vec<Step>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (-10.0f64..10.0).prop_map(Step::AddConst),
-            (-3.0f64..3.0).prop_map(Step::MulConst),
-            Just(Step::Abs),
-            Just(Step::Square),
-        ],
-        1..6,
-    )
+fn arb_program(rng: &mut Rng) -> Vec<Step> {
+    (0..rng.usize(1..6))
+        .map(|_| match rng.below(4) {
+            0 => Step::AddConst(rng.f64(-10.0..10.0)),
+            1 => Step::MulConst(rng.f64(-3.0..3.0)),
+            2 => Step::Abs,
+            _ => Step::Square,
+        })
+        .collect()
 }
 
 fn apply_program(x: &FM, prog: &[Step]) -> FM {
@@ -91,48 +86,46 @@ fn target_of(fm: &FM) -> Target {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// The cost model's predicted chunk bytes must track the engine's
-    /// `node_chunk_bytes` counter within a bounded factor on random
-    /// fused plans (the estimate is an upper bound, not an equality).
-    #[test]
-    fn predicted_chunk_bytes_within_bounded_factor(
-        m in arb_matrix(200, 4),
-        prog in arb_program(),
-    ) {
+/// The cost model's predicted chunk bytes must track the engine's
+/// `node_chunk_bytes` counter within a bounded factor on random
+/// fused plans (the estimate is an upper bound, not an equality).
+#[test]
+fn predicted_chunk_bytes_within_bounded_factor() {
+    cases(CASES, |rng, _| {
+        let m = arb_matrix(rng, 200, 4);
+        let prog = arb_program(rng);
         let ctx = ctx_with(ExecMode::CacheFuse, false);
         let x = FM::from_row_major(&ctx, m.rows as u64, m.cols, &m.data);
         let y = apply_program(&x, &prog);
         let s = y.sum();
 
         let est = cost::estimate(&ctx, &[target_of(&s)]);
-        prop_assert!(est.chunk_bytes > 0, "plan must move bytes");
+        assert!(est.chunk_bytes > 0, "plan must move bytes");
 
         let before = ctx.stats().snapshot();
         let _ = s.value(&ctx);
         let actual = before.delta(&ctx.stats().snapshot()).node_chunk_bytes;
-        prop_assert!(actual > 0, "pass must produce chunks");
+        assert!(actual > 0, "pass must produce chunks");
 
         let (hi, lo) = (est.chunk_bytes.max(actual), est.chunk_bytes.min(actual));
-        prop_assert!(
+        assert!(
             hi / lo.max(1) <= 8,
             "predicted {} vs actual {} drifted past 8x",
             est.chunk_bytes,
             actual
         );
-    }
+    });
+}
 
-    /// `cost_optimize` must be invisible in results: for random programs
-    /// over shared and disjoint leaves, every output (tall and sink,
-    /// fused and eager — including the optimizer's eager pass
-    /// reordering) is bit-identical with the optimizer on and off.
-    #[test]
-    fn cost_optimize_is_bit_identical(
-        (m1, m2) in arb_matrix_pair(150, 3),
-        prog in arb_program(),
-    ) {
+/// `cost_optimize` must be invisible in results: for random programs
+/// over shared and disjoint leaves, every output (tall and sink,
+/// fused and eager — including the optimizer's eager pass
+/// reordering) is bit-identical with the optimizer on and off.
+#[test]
+fn cost_optimize_is_bit_identical() {
+    cases(CASES, |rng, _| {
+        let (m1, m2) = arb_matrix_pair(rng, 150, 3);
+        let prog = arb_program(rng);
         for mode in [ExecMode::CacheFuse, ExecMode::MemFuse, ExecMode::Eager] {
             let mut outs: Vec<Vec<u64>> = Vec::new();
             for cost_optimize in [false, true] {
@@ -153,15 +146,19 @@ proptest! {
                 bits.extend(done[3].to_vec(&ctx).iter().map(|v| v.to_bits()));
                 outs.push(bits);
             }
-            prop_assert_eq!(&outs[0], &outs[1], "mode {:?} not bit-identical", mode);
+            assert_eq!(&outs[0], &outs[1], "mode {:?} not bit-identical", mode);
         }
-    }
+    });
+}
 
-    /// Governor admission is exact at the boundary: a pin of exactly the
-    /// remaining budget is admitted, one byte more is rejected — and the
-    /// optimizer's auto-cache decision follows the same line end to end.
-    #[test]
-    fn governor_budget_boundary_is_exact(m in arb_matrix(100, 3), slack in 0u64..2) {
+/// Governor admission is exact at the boundary: a pin of exactly the
+/// remaining budget is admitted, one byte more is rejected — and the
+/// optimizer's auto-cache decision follows the same line end to end.
+#[test]
+fn governor_budget_boundary_is_exact() {
+    cases(CASES, |rng, _| {
+        let m = arb_matrix(rng, 100, 3);
+        let slack = rng.u64(0..2);
         let reused_bytes = (m.rows * m.cols * 8) as u64;
         // slack 0: budget one byte short; slack 1: budget exactly fits.
         let budget = reused_bytes + slack - 1;
@@ -169,8 +166,8 @@ proptest! {
             .with_mem_budget(MemBudget::new(budget).with_cache_fraction(0.0));
 
         let gov = ctx.governor();
-        prop_assert!(gov.would_admit(budget), "exactly-at-budget pin must be admitted");
-        prop_assert!(!gov.would_admit(budget + 1), "one-byte-over pin must be rejected");
+        assert!(gov.would_admit(budget), "exactly-at-budget pin must be admitted");
+        assert!(!gov.would_admit(budget + 1), "one-byte-over pin must be rejected");
 
         let x = FM::from_row_major(&ctx, m.rows as u64, m.cols, &m.data);
         let y = &x + 1.0;
@@ -180,11 +177,11 @@ proptest! {
         let _ = FM::materialize_multi(&ctx, &[&a, &b]);
         let d = before.delta(&ctx.stats().snapshot());
         if slack == 1 {
-            prop_assert_eq!(d.opt_cache_bytes, reused_bytes, "fit: y must be auto-cached");
-            prop_assert_eq!(d.opt_decisions, 1);
+            assert_eq!(d.opt_cache_bytes, reused_bytes, "fit: y must be auto-cached");
+            assert_eq!(d.opt_decisions, 1);
         } else {
-            prop_assert_eq!(d.opt_cache_bytes, 0, "one byte short: y must not be cached");
-            prop_assert_eq!(d.opt_decisions, 0);
+            assert_eq!(d.opt_cache_bytes, 0, "one byte short: y must not be cached");
+            assert_eq!(d.opt_decisions, 0);
         }
-    }
+    });
 }

@@ -3,7 +3,9 @@
 //! naive in-memory reference must agree.
 
 use flashr::prelude::*;
-use proptest::prelude::*;
+use flashr_testkit::{cases, Rng};
+
+const CASES: usize = 24;
 
 /// A naive row-major reference matrix for oracle computations.
 #[derive(Debug, Clone)]
@@ -27,11 +29,9 @@ fn ctx_with(threads: usize, rows_per_part: u64, mode: ExecMode) -> FlashCtx {
 }
 
 /// Random matrix as both a Ref and the flat row-major data.
-fn arb_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Ref> {
-    (1..=max_rows, 1..=max_cols).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(-100.0f64..100.0, r * c)
-            .prop_map(move |data| Ref { rows: r, cols: c, data })
-    })
+fn arb_matrix(rng: &mut Rng, max_rows: usize, max_cols: usize) -> Ref {
+    let (rows, cols) = (rng.usize(1..max_rows + 1), rng.usize(1..max_cols + 1));
+    Ref { rows, cols, data: rng.vec_f64(rows * cols, -100.0..100.0) }
 }
 
 /// A random elementwise program: a sequence of ops applied to X.
@@ -44,17 +44,16 @@ enum Step {
     PminConst(f64),
 }
 
-fn arb_program() -> impl Strategy<Value = Vec<Step>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (-10.0f64..10.0).prop_map(Step::AddConst),
-            (-3.0f64..3.0).prop_map(Step::MulConst),
-            Just(Step::Abs),
-            Just(Step::Square),
-            (-50.0f64..50.0).prop_map(Step::PminConst),
-        ],
-        0..5,
-    )
+fn arb_program(rng: &mut Rng) -> Vec<Step> {
+    (0..rng.usize(0..5))
+        .map(|_| match rng.below(5) {
+            0 => Step::AddConst(rng.f64(-10.0..10.0)),
+            1 => Step::MulConst(rng.f64(-3.0..3.0)),
+            2 => Step::Abs,
+            3 => Step::Square,
+            _ => Step::PminConst(rng.f64(-50.0..50.0)),
+        })
+        .collect()
 }
 
 fn apply_program_fm(x: &FM, prog: &[Step]) -> FM {
@@ -85,13 +84,13 @@ fn apply_program_ref(v: f64, prog: &[Step]) -> f64 {
     cur
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    #[test]
-    fn engine_modes_match_reference(m in arb_matrix(300, 5), prog in arb_program(),
-                                    threads in 1usize..5, rpp_pow in 4u32..9) {
-        let rows_per_part = 1u64 << rpp_pow;
+#[test]
+fn engine_modes_match_reference() {
+    cases(CASES, |rng, _| {
+        let m = arb_matrix(rng, 300, 5);
+        let prog = arb_program(rng);
+        let threads = rng.usize(1..5);
+        let rows_per_part = 1u64 << rng.u64(4..9);
         for mode in [ExecMode::Eager, ExecMode::MemFuse, ExecMode::CacheFuse] {
             let ctx = ctx_with(threads, rows_per_part, mode);
             let x = FM::from_row_major(&ctx, m.rows as u64, m.cols, &m.data);
@@ -112,29 +111,38 @@ proptest! {
             let total = out[0].value(&ctx);
             let cols = out[1].to_vec(&ctx);
             let scale = want_total.abs().max(1.0);
-            prop_assert!((total - want_total).abs() / scale < 1e-9,
-                "{mode:?}: total {total} vs {want_total}");
+            assert!(
+                (total - want_total).abs() / scale < 1e-9,
+                "{mode:?}: total {total} vs {want_total}"
+            );
             for (a, b) in cols.iter().zip(&want_cols) {
-                prop_assert!((a - b).abs() / b.abs().max(1.0) < 1e-9, "{mode:?} col sums");
+                assert!((a - b).abs() / b.abs().max(1.0) < 1e-9, "{mode:?} col sums");
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn gramian_matches_naive(m in arb_matrix(200, 4)) {
+#[test]
+fn gramian_matches_naive() {
+    cases(CASES, |rng, _| {
+        let m = arb_matrix(rng, 200, 4);
         let ctx = ctx_with(4, 64, ExecMode::CacheFuse);
         let x = FM::from_row_major(&ctx, m.rows as u64, m.cols, &m.data);
         let g = x.crossprod().to_dense(&ctx);
         for i in 0..m.cols {
             for j in 0..m.cols {
                 let want: f64 = (0..m.rows).map(|r| m.at(r, i) * m.at(r, j)).sum();
-                prop_assert!((g.at(i, j) - want).abs() / want.abs().max(1.0) < 1e-9);
+                assert!((g.at(i, j) - want).abs() / want.abs().max(1.0) < 1e-9);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn cumsum_matches_scan(m in arb_matrix(400, 3), rpp_pow in 4u32..8) {
+#[test]
+fn cumsum_matches_scan() {
+    cases(CASES, |rng, _| {
+        let m = arb_matrix(rng, 400, 3);
+        let rpp_pow = rng.u64(4..8);
         let ctx = ctx_with(3, 1u64 << rpp_pow, ExecMode::CacheFuse);
         let x = FM::from_row_major(&ctx, m.rows as u64, m.cols, &m.data);
         let cs = x.cumsum_col().materialize(&ctx);
@@ -149,14 +157,20 @@ proptest! {
             for c in 0..m.cols {
                 let want: f64 = (0..=r).map(|rr| m.at(rr, c)).sum();
                 let got = cs.get(&ctx, r as u64, c as u64);
-                prop_assert!((got - want).abs() / want.abs().max(1.0) < 1e-9,
-                    "cumsum({r},{c}) {got} vs {want}");
+                assert!(
+                    (got - want).abs() / want.abs().max(1.0) < 1e-9,
+                    "cumsum({r},{c}) {got} vs {want}"
+                );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn groupby_matches_naive(m in arb_matrix(300, 3), k in 1usize..6) {
+#[test]
+fn groupby_matches_naive() {
+    cases(CASES, |rng, _| {
+        let m = arb_matrix(rng, 300, 3);
+        let k = rng.usize(1..6);
         let ctx = ctx_with(4, 64, ExecMode::CacheFuse);
         let x = FM::from_row_major(&ctx, m.rows as u64, m.cols, &m.data);
         let labels = FM::seq(m.rows as u64, 0.0, 1.0)
@@ -166,27 +180,30 @@ proptest! {
         for grp in 0..k {
             for c in 0..m.cols {
                 let want: f64 = (0..m.rows).filter(|r| r % k == grp).map(|r| m.at(r, c)).sum();
-                prop_assert!((g.at(grp, c) - want).abs() / want.abs().max(1.0) < 1e-9);
+                assert!((g.at(grp, c) - want).abs() / want.abs().max(1.0) < 1e-9);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn transpose_laws_hold(m in arb_matrix(150, 4)) {
+#[test]
+fn transpose_laws_hold() {
+    cases(CASES, |rng, _| {
+        let m = arb_matrix(rng, 150, 4);
         let ctx = ctx_with(2, 64, ExecMode::CacheFuse);
         let x = FM::from_row_major(&ctx, m.rows as u64, m.cols, &m.data);
         // t(t(x)) == x
         let d = x.t().t().to_dense(&ctx);
         for r in 0..m.rows {
             for c in 0..m.cols {
-                prop_assert_eq!(d.at(r, c), m.at(r, c));
+                assert_eq!(d.at(r, c), m.at(r, c));
             }
         }
         // rowSums(t(x)) == colSums(x)
         let a = x.t().row_sums().to_vec(&ctx);
         let b = x.col_sums().to_vec(&ctx);
         for (p, q) in a.iter().zip(&b) {
-            prop_assert!((p - q).abs() < 1e-9);
+            assert!((p - q).abs() < 1e-9);
         }
-    }
+    });
 }

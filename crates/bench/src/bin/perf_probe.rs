@@ -15,6 +15,7 @@
 //! python3 -m json.tool BENCH_perf_probe.json
 //! ```
 
+use flashr::core::json::Writer;
 use flashr::prelude::*;
 use flashr_bench::{
     bench_artifact_json_sections, bench_trace_level, host_section_json, maybe_dump_flight,
@@ -221,8 +222,9 @@ fn main() {
         "cache:               {} hits, {} misses, {} evictions, {} readahead",
         cache.hits, cache.misses, cache.evictions, cache.readahead_issued
     );
-    let mut cache_section = String::new();
+    let mut cache_section = Writer::new();
     flashr::core::trace::cache_json(&cache, &mut cache_section);
+    let cache_section = cache_section.finish();
 
     // Cost-optimizer A/B probe: two EM workloads where a reused
     // intermediate feeds both a reduction pass and a later gramian
@@ -291,19 +293,13 @@ fn main() {
                 d.opt_cache_bytes
             );
             if cost_optimize {
-                let mut dj = String::from("[");
-                let mut first = true;
-                for pass in octx.tracer().passes() {
-                    for dec in &pass.optimizer {
-                        if !first {
-                            dj.push(',');
-                        }
-                        first = false;
-                        dec.write_json(&mut dj);
+                let mut dj = Writer::new();
+                dj.arr(|w| {
+                    for pass in octx.tracer().passes() {
+                        pass.optimizer.iter().for_each(|dec| dec.write_json(w));
                     }
-                }
-                dj.push(']');
-                decisions_json = dj;
+                });
+                decisions_json = dj.finish();
             }
         }
         // Pass 1 (reductions) must be bit-identical: the optimizer's

@@ -19,7 +19,7 @@
 //!
 //! ```sh
 //! cargo run --release -p flashr-bench --bin shard_sweep
-//! FLASHR_SCALE=full cargo run --release -p flashr-bench --bin shard_sweep
+//! FLASHR_BENCH_SCALE=full cargo run --release -p flashr-bench --bin shard_sweep
 //! ```
 
 use flashr::prelude::*;

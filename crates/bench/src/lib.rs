@@ -12,7 +12,7 @@
 //! * timing, table printing, JSON result recording (under
 //!   `target/flashr-results/`), and peak-RSS sampling for Table 6.
 
-use flashr::core::json::{json_escape, json_f64};
+use flashr::core::json;
 use flashr::prelude::*;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -66,17 +66,14 @@ pub fn trace_out_arg() -> Option<PathBuf> {
         .map(PathBuf::from)
 }
 
-/// Trace level for the bench binaries: at least [`TraceLevel::Pass`] (the
-/// artifacts embed pass profiles), raised to [`TraceLevel::Timeline`] when
-/// a trace export was requested via `--trace-out` or `FLASHR_TRACE_OUT`,
-/// or explicitly via `FLASHR_TRACE=timeline`.
+/// Trace level for the bench binaries: the environment's
+/// ([`TraceLevel::from_env`], which `FLASHR_TRACE_OUT` raises to
+/// timeline) but at least [`TraceLevel::Pass`] (the artifacts embed pass
+/// profiles), raised to [`TraceLevel::Timeline`] when a trace export was
+/// requested via `--trace-out`.
 pub fn bench_trace_level() -> TraceLevel {
-    let mut level = TraceLevel::from_env().max(TraceLevel::Pass);
-    let env_out = std::env::var_os("FLASHR_TRACE_OUT").is_some_and(|v| !v.is_empty());
-    if trace_out_arg().is_some() || env_out {
-        level = level.max(TraceLevel::Timeline);
-    }
-    level
+    let floor = if trace_out_arg().is_some() { TraceLevel::Timeline } else { TraceLevel::Pass };
+    TraceLevel::from_env().max(floor)
 }
 
 /// Print one context's per-pass critical-path breakdown — the uniform
@@ -94,10 +91,12 @@ pub fn print_critical_path(label: &str, report: &ProfileReport) {
 }
 
 /// Export a merged Chrome trace covering every listed context, if an
-/// output path was requested: `--trace-out <path>` wins, else the
-/// process-wide `FLASHR_TRACE_OUT` claim (consumed here so the contexts'
-/// own drop-exports don't overwrite the merged file). No-op when no
-/// context carries a timeline.
+/// output path was requested: `--trace-out <path>` wins, else
+/// `FLASHR_TRACE_OUT`. The process-wide claim on that path is consumed
+/// here so contexts dropped later don't overwrite the merged file, and
+/// the file is written even when a context dropped earlier already took
+/// the claim for its own export: the merged view supersedes it. No-op
+/// when no context carries a timeline.
 pub fn maybe_export_trace(parts: &[(&str, &FlashCtx)]) {
     use flashr::core::trace::timeline::claim_trace_out;
     let tls: Vec<(&str, &Timeline)> = parts
@@ -107,7 +106,8 @@ pub fn maybe_export_trace(parts: &[(&str, &FlashCtx)]) {
     if tls.is_empty() {
         return;
     }
-    let Some(path) = trace_out_arg().or_else(claim_trace_out) else { return };
+    let env_out = || claim_trace_out().or_else(flashr::core::env::trace_out);
+    let Some(path) = trace_out_arg().or_else(env_out) else { return };
     let json = flashr::core::trace::chrome::export_chrome_trace(&tls);
     match std::fs::write(&path, &json) {
         Ok(()) => println!("chrome trace written to {} ({} bytes)", path.display(), json.len()),
@@ -202,8 +202,6 @@ impl BenchStage {
 /// {"bench": "...", "stages": [{"name", "wall_nanos", "gib_per_s"}, ...],
 ///  "profile": {"exec": ..., "io": ..., "passes": [...]}}
 /// ```
-///
-/// Built on the core's hand-rolled JSON (`ProfileReport::to_json`).
 pub fn bench_artifact_json(bench: &str, stages: &[BenchStage], profile: &ProfileReport) -> String {
     bench_artifact_json_sections(bench, stages, profile, &[])
 }
@@ -217,37 +215,27 @@ pub fn bench_artifact_json_sections(
     profile: &ProfileReport,
     sections: &[(&str, String)],
 ) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"bench\":");
-    json_escape(bench, &mut out);
-    out.push_str(",\"stages\":[");
-    for (i, s) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    json::object(|w| {
+        w.key("bench").str(bench);
+        w.key("stages").arr(|w| {
+            for s in stages {
+                w.obj(|w| {
+                    w.key("name").str(&s.name);
+                    w.key("wall_nanos").u64(s.wall_nanos);
+                    // NaN/inf (zero-duration stages) are not valid JSON numbers.
+                    if s.gib_per_s.is_finite() {
+                        w.key("gib_per_s").raw(&format!("{:.3}", s.gib_per_s));
+                    } else {
+                        w.key("gib_per_s").null();
+                    }
+                });
+            }
+        });
+        w.key("profile").raw(&profile.to_json());
+        for (key, value) in sections {
+            w.key(key).raw(value);
         }
-        out.push_str("{\"name\":");
-        json_escape(&s.name, &mut out);
-        out.push_str(",\"wall_nanos\":");
-        out.push_str(&s.wall_nanos.to_string());
-        out.push_str(",\"gib_per_s\":");
-        // NaN/inf (zero-duration stages) are not valid JSON numbers.
-        if s.gib_per_s.is_finite() {
-            out.push_str(&format!("{:.3}", s.gib_per_s));
-        } else {
-            out.push_str("null");
-        }
-        out.push('}');
-    }
-    out.push_str("],\"profile\":");
-    out.push_str(&profile.to_json());
-    for (key, value) in sections {
-        out.push_str(",\"");
-        out.push_str(key);
-        out.push_str("\":");
-        out.push_str(value);
-    }
-    out.push('}');
-    out
+    })
 }
 
 /// The `"host"` section for bench artifacts: the machine and build facts
@@ -295,7 +283,7 @@ pub fn scrape_own_metrics(ctx: &FlashCtx) -> Option<PathBuf> {
 /// is set, so CI archives a real dump as a workflow artifact even on a
 /// healthy run.
 pub fn maybe_dump_flight(ctx: &FlashCtx) {
-    if std::env::var_os("FLASHR_FLIGHT_OUT").is_some_and(|v| !v.is_empty()) {
+    if flashr::core::env::flight_out().is_some() {
         let _ = ctx.flight_recorder().dump_now("bench-exit");
     }
 }
@@ -447,23 +435,16 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut o = String::from("[");
         for (i, r) in self.rows.iter().enumerate() {
-            o.push_str(if i == 0 { "\n  {" } else { ",\n  {" });
-            for (key, text) in [
-                ("experiment", &r.experiment),
-                ("algorithm", &r.algorithm),
-                ("system", &r.system),
-                ("params", &r.params),
-            ] {
-                o.push_str(&format!("\"{key}\":"));
-                json_escape(text, &mut o);
-                o.push(',');
-            }
-            o.push_str("\"seconds\":");
-            json_f64(r.seconds, &mut o);
-            o.push_str(",\"extra\":");
-            // `None`, like a non-finite value, is written as null.
-            json_f64(r.extra.unwrap_or(f64::NAN), &mut o);
-            o.push('}');
+            o.push_str(if i == 0 { "\n  " } else { ",\n  " });
+            o.push_str(&json::object(|w| {
+                w.key("experiment").str(&r.experiment);
+                w.key("algorithm").str(&r.algorithm);
+                w.key("system").str(&r.system);
+                w.key("params").str(&r.params);
+                w.key("seconds").f64(r.seconds);
+                // `None`, like a non-finite value, is written as null.
+                w.key("extra").f64(r.extra.unwrap_or(f64::NAN));
+            }));
         }
         o.push_str("\n]\n");
         o
@@ -512,7 +493,7 @@ mod tests {
         assert!(json.contains("\"name\":\"warm\\\"up\""));
         assert!(json.contains("\"gib_per_s\":null"), "non-finite rate must become null");
         assert!(json.contains("\"passes\":["));
-        flashr::core::json::parse(&json).expect("strict JSON");
+        json::parse(&json).expect("strict JSON");
     }
 
     #[test]

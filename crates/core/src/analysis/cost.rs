@@ -31,9 +31,9 @@
 
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::exec::Target;
+use crate::json;
 use crate::part::pcache_rows;
 use crate::session::{ExecMode, FlashCtx};
-use crate::trace::json_escape;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -376,69 +376,45 @@ fn subtree_bytes(root: &Arc<Node>) -> u64 {
 }
 
 impl CostEstimate {
-    /// Hand-rolled JSON (flashr-core takes no serialization dependency);
-    /// embedded in `FM::check_json` output and bench artifacts.
+    /// JSON form, embedded in `FM::check_json` output and bench artifacts.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(512);
-        o.push_str("{\"mode\":");
-        json_escape(
-            match self.mode {
-                ExecMode::Eager => "Eager",
-                ExecMode::MemFuse => "MemFuse",
-                ExecMode::CacheFuse => "CacheFuse",
-            },
-            &mut o,
-        );
-        let fields: [(&str, u64); 16] = [
-            ("pcache_step", self.pcache_step as u64),
-            ("pcache_step_live", self.pcache_step_live as u64),
-            ("row_bytes_total", self.row_bytes_total as u64),
-            ("row_bytes_live", self.row_bytes_live as u64),
-            ("chunk_bytes", self.chunk_bytes),
-            ("device_read_bytes", self.device_read_bytes),
-            ("device_read_bytes_raw", self.device_read_bytes_raw),
-            ("leaf_read_bytes", self.leaf_read_bytes),
-            ("gen_bytes", self.gen_bytes),
-            ("write_bytes", self.write_bytes),
-            ("cache_capacity", self.cache_capacity),
-            ("em_leaves", self.em_leaves as u64),
-            ("predicted_read_nanos", self.predicted_read_nanos),
-            ("predicted_write_nanos", self.predicted_write_nanos),
-            ("predicted_compute_nanos", self.predicted_compute_nanos),
-            ("predicted_wall_nanos", self.predicted_wall_nanos),
-        ];
-        for (k, v) in fields {
-            o.push_str(",\"");
-            o.push_str(k);
-            o.push_str("\":");
-            o.push_str(&v.to_string());
-        }
-        o.push_str(",\"calibrated\":");
-        o.push_str(if self.calibrated { "true" } else { "false" });
-        o.push_str(",\"has_sink\":");
-        o.push_str(if self.has_sink { "true" } else { "false" });
-        o.push_str(",\"reuse\":[");
-        for (i, r) in self.reuse.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
+        json::object(|w| {
+            w.key("mode").str(self.mode.name());
+            for (key, v) in [
+                ("pcache_step", self.pcache_step as u64),
+                ("pcache_step_live", self.pcache_step_live as u64),
+                ("row_bytes_total", self.row_bytes_total as u64),
+                ("row_bytes_live", self.row_bytes_live as u64),
+                ("chunk_bytes", self.chunk_bytes),
+                ("device_read_bytes", self.device_read_bytes),
+                ("device_read_bytes_raw", self.device_read_bytes_raw),
+                ("leaf_read_bytes", self.leaf_read_bytes),
+                ("gen_bytes", self.gen_bytes),
+                ("write_bytes", self.write_bytes),
+                ("cache_capacity", self.cache_capacity),
+                ("em_leaves", self.em_leaves as u64),
+                ("predicted_read_nanos", self.predicted_read_nanos),
+                ("predicted_write_nanos", self.predicted_write_nanos),
+                ("predicted_compute_nanos", self.predicted_compute_nanos),
+                ("predicted_wall_nanos", self.predicted_wall_nanos),
+            ] {
+                w.key(key).u64(v);
             }
-            o.push_str("{\"node\":");
-            o.push_str(&r.node.id.to_string());
-            o.push_str(",\"label\":");
-            json_escape(&r.node.label(), &mut o);
-            o.push_str(",\"consumers\":");
-            o.push_str(&r.consumers.to_string());
-            o.push_str(",\"bytes\":");
-            o.push_str(&r.bytes.to_string());
-            o.push_str(",\"subtree_bytes\":");
-            o.push_str(&r.subtree_bytes.to_string());
-            o.push_str(",\"feeds_gemm\":");
-            o.push_str(if r.feeds_gemm { "true" } else { "false" });
-            o.push_str(",\"would_fuse\":");
-            o.push_str(if r.would_fuse { "true" } else { "false" });
-            o.push('}');
-        }
-        o.push_str("]}");
-        o
+            w.key("calibrated").bool(self.calibrated);
+            w.key("has_sink").bool(self.has_sink);
+            w.key("reuse").arr(|w| {
+                for r in &self.reuse {
+                    w.obj(|w| {
+                        w.key("node").u64(r.node.id);
+                        w.key("label").str(&r.node.label());
+                        w.key("consumers").u64(r.consumers as u64);
+                        w.key("bytes").u64(r.bytes);
+                        w.key("subtree_bytes").u64(r.subtree_bytes);
+                        w.key("feeds_gemm").bool(r.feeds_gemm);
+                        w.key("would_fuse").bool(r.would_fuse);
+                    });
+                }
+            });
+        })
     }
 }

@@ -38,8 +38,8 @@ pub mod optimize;
 
 use crate::dag::Node;
 use crate::exec::Target;
+use crate::json;
 use crate::session::FlashCtx;
-use crate::trace::json_escape;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -108,39 +108,22 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 impl PlanError {
-    /// Hand-rolled JSON object form (for `FM::check_json`).
+    /// JSON object form (for `FM::check_json`).
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(128);
-        o.push_str("{\"node\":");
-        o.push_str(&self.node.to_string());
-        o.push_str(",\"op\":");
-        json_escape(&self.op, &mut o);
-        o.push_str(",\"kind\":");
-        json_escape(&self.kind.to_string(), &mut o);
-        o.push_str(",\"detail\":");
-        json_escape(&self.detail, &mut o);
-        o.push('}');
-        o
+        json::object(|w| {
+            w.key("node").u64(self.node);
+            w.key("op").str(&self.op);
+            w.key("kind").str(&self.kind.to_string());
+            w.key("detail").str(&self.detail);
+        })
     }
-}
-
-/// Lint codes named in the `FLASHR_DENY_LINTS` environment variable
-/// (comma/space separated, e.g. `W001,W004`; `all` denies every code).
-/// Parsed per call so tests and long-lived sessions see updates.
-pub fn denied_lint_codes() -> Vec<String> {
-    std::env::var("FLASHR_DENY_LINTS")
-        .unwrap_or_default()
-        .split([',', ' '])
-        .map(|s| s.trim().to_ascii_uppercase())
-        .filter(|s| !s.is_empty())
-        .collect()
 }
 
 /// Promote denied lints to hard [`PlanError`]s. `exempt` holds node ids
 /// the optimizer already acted on (an auto-cached W001 node is fixed,
 /// not denied). Returns the first offending lint as an error.
 pub fn deny_gate(lints: &[Lint], exempt: &HashSet<u64>) -> Result<(), PlanError> {
-    let denied = denied_lint_codes();
+    let denied = crate::env::deny_lints();
     if denied.is_empty() {
         return Ok(());
     }
@@ -217,41 +200,30 @@ impl AnalysisReport {
         out
     }
 
-    /// Hand-rolled JSON (flashr-core takes no serialization dependency);
-    /// embedded in bench artifacts and trace exports.
+    /// JSON form, embedded in bench artifacts and trace exports.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(256);
-        o.push_str("{\"nodes_before\":");
-        o.push_str(&self.nodes_before.to_string());
-        o.push_str(",\"nodes_after\":");
-        o.push_str(&self.nodes_after.to_string());
-        o.push_str(",\"merged\":");
-        o.push_str(&self.merged.to_string());
-        o.push_str(",\"collapsed\":");
-        o.push_str(&self.collapsed.to_string());
-        o.push_str(",\"lints\":[");
-        for (i, l) in self.lints.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"code\":");
-            json_escape(l.code, &mut o);
-            o.push_str(",\"node\":");
-            o.push_str(&l.node.to_string());
-            o.push_str(",\"message\":");
-            json_escape(&l.message, &mut o);
-            o.push('}');
-        }
-        o.push_str("],\"footprint\":{\"read_bytes\":");
-        o.push_str(&self.footprint.read_bytes.to_string());
-        o.push_str(",\"gen_bytes\":");
-        o.push_str(&self.footprint.gen_bytes.to_string());
-        o.push_str(",\"write_bytes\":");
-        o.push_str(&self.footprint.write_bytes.to_string());
-        o.push_str(",\"working_set_bytes\":");
-        o.push_str(&self.footprint.working_set_bytes.to_string());
-        o.push_str("}}");
-        o
+        json::object(|w| {
+            w.key("nodes_before").u64(self.nodes_before as u64);
+            w.key("nodes_after").u64(self.nodes_after as u64);
+            w.key("merged").u64(self.merged as u64);
+            w.key("collapsed").u64(self.collapsed as u64);
+            w.key("lints").arr(|w| {
+                for l in &self.lints {
+                    w.obj(|w| {
+                        w.key("code").str(l.code);
+                        w.key("node").u64(l.node);
+                        w.key("message").str(&l.message);
+                    });
+                }
+            });
+            w.key("footprint").obj(|w| {
+                let f = &self.footprint;
+                w.key("read_bytes").u64(f.read_bytes);
+                w.key("gen_bytes").u64(f.gen_bytes);
+                w.key("write_bytes").u64(f.write_bytes);
+                w.key("working_set_bytes").u64(f.working_set_bytes);
+            });
+        })
     }
 }
 

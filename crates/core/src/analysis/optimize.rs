@@ -34,8 +34,8 @@
 //! [`MemGovernor`]: crate::session::MemGovernor
 
 use crate::exec::Target;
+use crate::json::Writer;
 use crate::session::{ExecMode, FlashCtx};
-use crate::trace::json_escape;
 use std::collections::{HashMap, HashSet};
 
 use super::cost::CostEstimate;
@@ -91,22 +91,18 @@ pub struct Decision {
 }
 
 impl Decision {
-    /// Append this decision as a JSON object to `out`.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"kind\":");
-        json_escape(self.kind.as_str(), out);
-        out.push_str(",\"node\":");
-        out.push_str(&self.node.to_string());
-        out.push_str(",\"detail\":");
-        json_escape(&self.detail, out);
-        out.push_str(",\"predicted_bytes\":");
-        out.push_str(&self.predicted_bytes.to_string());
-        out.push_str(",\"actual_bytes\":");
-        match self.actual_bytes {
-            Some(b) => out.push_str(&b.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push('}');
+    /// Write this decision as a JSON object.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.key("kind").str(self.kind.as_str());
+            w.key("node").u64(self.node);
+            w.key("detail").str(&self.detail);
+            w.key("predicted_bytes").u64(self.predicted_bytes);
+            match self.actual_bytes {
+                Some(b) => w.key("actual_bytes").u64(b),
+                None => w.key("actual_bytes").null(),
+            }
+        });
     }
 }
 

@@ -66,20 +66,11 @@ pub fn run(ctx: &FlashCtx, targets: &[Target], opts: &PlanOpts) -> Vec<TargetRes
         if node.is_effective_leaf() || node.is_sink() || resolved.contains_key(&node.id) {
             continue;
         }
-        if let Some(tl) = ctx.tracer().timeline() {
-            // Mark each per-op materialization step; the pass spans the
-            // step drives through the fused machinery nest under it in
-            // the timeline view.
-            tl.named_lane("coordinator").instant(
-                "exec",
-                format!("eager-step:{}", node.label()),
-                [("node", node.id), ("", 0)],
-            );
-        }
-        // The flight recorder keeps the same marker in its bounded ring
-        // regardless of trace level, so a post-mortem dump shows which
-        // step the eager engine was in.
-        ctx.flight_recorder().named_lane("coordinator").instant(
+        // Mark each per-op materialization step: the pass spans the step
+        // drives through the fused machinery nest under it in the
+        // timeline view, and at every trace level a post-mortem dump
+        // shows which step the eager engine was in.
+        ctx.tracer().log().named_lane("coordinator").instant(
             "exec",
             format!("eager-step:{}", node.label()),
             [("node", node.id), ("", 0)],

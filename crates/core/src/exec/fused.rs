@@ -14,14 +14,13 @@ use crate::exec::cumcoord::CumCoord;
 use crate::exec::plan::{Plan, PlanOpts};
 use crate::exec::{SinkAcc, Target, TargetResult};
 use crate::mat::{Layout, PartFetch, TasMat};
-use crate::metrics::FlightRecorder;
 use crate::ops;
 use crate::part::pcache_ranges;
-use crate::session::{ExecMode, FlashCtx, StorageClass};
+use crate::session::{FlashCtx, StorageClass};
 use crate::stats::ExecStats;
 use crate::trace::{Lane, OpProfile, PassProfile, Timeline, TraceLevel, WorkerProfile};
 use flashr_safs::sync::Mutex;
-use flashr_safs::{now_nanos, IoBuf, IoTicket, SafsFile, NO_ARGS};
+use flashr_safs::{IoBuf, IoTicket, SafsFile, NO_ARGS};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -51,8 +50,7 @@ struct OpAgg {
 type OpMap = HashMap<u64, OpAgg>;
 
 /// Trace collection shared by one pass's workers. Only allocated when
-/// the context's tracer is at [`TraceLevel::Pass`] or above; when it is
-/// absent the engine takes no timestamps beyond the pass wall clock.
+/// the context's tracer is at [`TraceLevel::Pass`] or above.
 #[derive(Default)]
 struct PassAgg {
     workers: Mutex<Vec<WorkerProfile>>,
@@ -76,10 +74,8 @@ struct Shared<'a> {
     /// worker claimed which partition (thread-finish order is not).
     merged: Mutex<Vec<Option<Vec<SinkAcc>>>>,
     trace: Option<&'a PassAgg>,
-    /// Span timeline; `Some` only at [`TraceLevel::Timeline`].
-    timeline: Option<&'a Timeline>,
-    /// Always-on bounded ring of recent task/pass spans.
-    flight: &'a FlightRecorder,
+    /// The context's span log; what it keeps follows the trace level.
+    log: &'a Timeline,
     pass_id: u64,
 }
 
@@ -110,7 +106,7 @@ pub(crate) fn run_labeled(
     let started = Instant::now();
     let plan = Plan::build_with(ctx, targets, resolved, opts);
     let stats = ctx.stats();
-    let pass_id = stats.passes.fetch_add(1, Ordering::Relaxed) + 1;
+    let pass_id = stats.passes.add(1);
     let tracer = ctx.tracer();
     let agg = tracer.enabled(TraceLevel::Pass).then(|| PassAgg {
         trace_ops: tracer.enabled(TraceLevel::Op),
@@ -177,18 +173,15 @@ pub(crate) fn run_labeled(
         batch,
         merged: Mutex::new((0..plan.nparts as usize).map(|_| None).collect()),
         trace: agg.as_ref(),
-        timeline: tracer.timeline().map(|t| t.as_ref()),
-        flight: ctx.flight_recorder(),
+        log: tracer.log(),
         pass_id,
     };
 
     // The whole parallel section is one "pass" span on the coordinator
     // lane; the critical-path analyzer windows task spans by it.
-    let coord = shared.timeline.map(|tl| tl.named_lane("coordinator"));
-    if let Some(l) = coord.as_ref() {
-        l.begin("exec", "pass", [("pass", pass_id), ("nparts", nparts)]);
-    }
-    let pass_begin_ns = now_nanos();
+    let coord = shared.log.named_lane("coordinator");
+    let pass_args = [("pass", pass_id), ("nparts", nparts)];
+    let pass_begin_ns = coord.open("exec", "pass", pass_args);
     std::thread::scope(|scope| {
         for tid in 0..nthreads {
             let shared = &shared;
@@ -201,16 +194,7 @@ pub(crate) fn run_labeled(
                 .expect("spawn worker thread");
         }
     });
-    if let Some(l) = coord.as_ref() {
-        l.end("exec", "pass");
-    }
-    shared.flight.named_lane("coordinator").complete(
-        "exec",
-        "pass",
-        pass_begin_ns,
-        now_nanos(),
-        [("pass", pass_id), ("nparts", nparts)],
-    );
+    coord.close("exec", "pass", pass_begin_ns, pass_args);
 
     // Finalize. Sink partials are folded in partition order — never in
     // worker-finish order — so floating-point reductions are
@@ -270,7 +254,7 @@ pub(crate) fn run_labeled(
         }
     }
 
-    stats.add(&stats.exec_nanos, started.elapsed().as_nanos() as u64);
+    stats.exec_nanos.add(started.elapsed().as_nanos() as u64);
 
     if let Some(agg) = agg {
         let mut workers = agg.workers.into_inner();
@@ -292,11 +276,7 @@ pub(crate) fn run_labeled(
         tracer.record_pass(PassProfile {
             pass_id,
             engine,
-            mode: match ctx.cfg().mode {
-                ExecMode::Eager => "Eager",
-                ExecMode::MemFuse => "MemFuse",
-                ExecMode::CacheFuse => "CacheFuse",
-            },
+            mode: ctx.cfg().mode.name(),
             nodes: plan.nnodes,
             nodes_pre_cse: nodes_pre_cse.unwrap_or(plan.nnodes),
             nparts: plan.nparts,
@@ -348,13 +328,12 @@ fn worker(tid: usize, shared: &Shared<'_>) {
     let stats = shared.ctx.stats();
     // `wp` is None unless the tracer is at `pass` level; the time
     // breakdown itself is always taken (two clock reads per phase) and
-    // feeds the `ExecStats` nanos counters and the flight recorder.
+    // feeds the `ExecStats` nanos counters.
     let mut wp = shared.trace.map(|_| WorkerProfile { tid, ..WorkerProfile::default() });
-    // Timeline lane for this worker, resolved once by thread name.
-    let lane = shared.timeline.map(|tl| tl.lane());
-    let lane = lane.as_deref();
-    // Always-on bounded ring for the same thread name.
-    let flane = shared.flight.lane();
+    // This worker's lane of the span log, resolved once by thread name.
+    // `begin`/`end` record at `FLASHR_TRACE=timeline` only.
+    let lane = shared.log.lane();
+    let lane = lane.as_ref();
 
     loop {
         let (parts, local) = claim(shared, my_node);
@@ -362,9 +341,9 @@ fn worker(tid: usize, shared: &Shared<'_>) {
             break;
         }
         if local {
-            stats.add(&stats.local_parts, parts.len() as u64);
+            stats.local_parts.add(parts.len() as u64);
         } else {
-            stats.add(&stats.remote_parts, parts.len() as u64);
+            stats.remote_parts.add(parts.len() as u64);
         }
         if let Some(wp) = wp.as_mut() {
             wp.parts += parts.len() as u64;
@@ -390,34 +369,26 @@ fn worker(tid: usize, shared: &Shared<'_>) {
             .collect();
 
         for (idx, &part) in parts.iter().enumerate() {
-            let task_begin_ns = now_nanos();
-            if let Some(l) = lane {
-                l.begin("exec", "task", [("part", part), ("pass", shared.pass_id)]);
-            }
+            let task_args = [("part", part), ("pass", shared.pass_id)];
+            let task_begin_ns = lane.open("exec", "task", task_args);
             // Bound the in-flight writes: wait for the *oldest* ticket
             // only, so the remaining slots keep streaming instead of
             // stalling the worker behind every outstanding write.
             if pending_writes.len() >= max_pending {
                 let ws_t0 = Instant::now();
-                if let Some(l) = lane {
-                    l.begin("exec", "write-stall", NO_ARGS);
-                }
+                lane.begin("exec", "write-stall", NO_ARGS);
                 while pending_writes.len() >= max_pending {
                     pending_writes.remove(0).wait().expect("EM output write failed");
                 }
-                if let Some(l) = lane {
-                    l.end("exec", "write-stall");
-                }
+                lane.end("exec", "write-stall");
                 let nanos = ws_t0.elapsed().as_nanos() as u64;
-                stats.add(&stats.write_stall_nanos, nanos);
+                stats.write_stall_nanos.add(nanos);
                 if let Some(wp) = wp.as_mut() {
                     wp.write_stall_nanos += nanos;
                 }
             }
             let io_t0 = Instant::now();
-            if let Some(l) = lane {
-                l.begin("exec", "io-wait", NO_ARGS);
-            }
+            lane.begin("exec", "io-wait", NO_ARGS);
             let mut leaf_bufs: HashMap<u64, Arc<IoBuf>> = HashMap::new();
             for (nid, mat) in &shared.plan.leaves {
                 let buf = match fetches[idx].remove(nid) {
@@ -426,18 +397,14 @@ fn worker(tid: usize, shared: &Shared<'_>) {
                 };
                 leaf_bufs.insert(*nid, buf);
             }
-            if let Some(l) = lane {
-                l.end("exec", "io-wait");
-            }
+            lane.end("exec", "io-wait");
             let nanos = io_t0.elapsed().as_nanos() as u64;
-            stats.add(&stats.io_wait_nanos, nanos);
+            stats.io_wait_nanos.add(nanos);
             if let Some(wp) = wp.as_mut() {
                 wp.io_wait_nanos += nanos;
             }
             let compute_t0 = Instant::now();
-            if let Some(l) = lane {
-                l.begin("exec", "compute", NO_ARGS);
-            }
+            lane.begin("exec", "compute", NO_ARGS);
             // Fresh accumulators per partition: partials deposit into the
             // partition's slot and fold in partition order at finalize,
             // keeping reductions independent of worker scheduling.
@@ -455,26 +422,15 @@ fn worker(tid: usize, shared: &Shared<'_>) {
             if !sink_accs.is_empty() {
                 shared.merged.lock()[part as usize] = Some(sink_accs);
             }
-            if let Some(l) = lane {
-                l.end("exec", "compute");
-            }
+            lane.end("exec", "compute");
             let nanos = compute_t0.elapsed().as_nanos() as u64;
-            stats.add(&stats.compute_nanos, nanos);
+            stats.compute_nanos.add(nanos);
             if let Some(wp) = wp.as_mut() {
                 wp.compute_nanos += nanos;
                 wp.pcache_chunks += chunks;
             }
-            if let Some(l) = lane {
-                l.end("exec", "task");
-            }
-            flane.complete(
-                "exec",
-                "task",
-                task_begin_ns,
-                now_nanos(),
-                [("part", part), ("pass", shared.pass_id)],
-            );
-            stats.add(&stats.parts, 1);
+            lane.close("exec", "task", task_begin_ns, task_args);
+            stats.parts.add(1);
         }
     }
 
@@ -482,17 +438,13 @@ fn worker(tid: usize, shared: &Shared<'_>) {
     // I/O wait.
     if !pending_writes.is_empty() {
         let ws_t0 = Instant::now();
-        if let Some(l) = lane {
-            l.begin("exec", "write-stall", NO_ARGS);
-        }
+        lane.begin("exec", "write-stall", NO_ARGS);
         for t in pending_writes {
             t.wait().expect("EM output write failed");
         }
-        if let Some(l) = lane {
-            l.end("exec", "write-stall");
-        }
+        lane.end("exec", "write-stall");
         let nanos = ws_t0.elapsed().as_nanos() as u64;
-        stats.add(&stats.write_stall_nanos, nanos);
+        stats.write_stall_nanos.add(nanos);
         if let Some(wp) = wp.as_mut() {
             wp.write_stall_nanos += nanos;
         }
@@ -514,9 +466,9 @@ struct PartEnv<'a> {
     stats: &'a ExecStats,
     /// Per-node accumulation; `Some` only at `FLASHR_TRACE=op`.
     op_trace: Option<&'a RefCell<OpMap>>,
-    /// This worker's timeline lane; `Some` only at `FLASHR_TRACE=timeline`
-    /// (per-chunk op spans ride on the op-trace timestamps).
-    lane: Option<&'a Lane>,
+    /// This worker's lane of the span log (per-chunk op spans ride on
+    /// the op-trace timestamps).
+    lane: &'a Lane,
 }
 
 type Memo = HashMap<(u64, usize, usize), Rc<Chunk>>;
@@ -529,7 +481,7 @@ fn process_part(
     pool: &mut BufPool,
     sink_accs: &mut [SinkAcc],
     pending_writes: &mut Vec<IoTicket>,
-    lane: Option<&Lane>,
+    lane: &Lane,
 ) -> u64 {
     let plan = shared.plan;
     let part_rows = plan.parter.part_rows(part, plan.nrows);
@@ -572,7 +524,7 @@ fn process_part(
     let mut memo: Memo = HashMap::new();
     let step = plan.pcache_step;
     for (r0, r1) in pcache_ranges(part_rows, step) {
-        stats.add(&stats.pcache_chunks, 1);
+        stats.pcache_chunks.add(1);
         nchunks += 1;
         // Per-range consumer counters (paper §3.5.1): once every consumer
         // of a node's chunk has run, the buffer recycles immediately so
@@ -649,8 +601,8 @@ fn process_part(
                     let rows = (r1 - r0) as u64;
                     let root_bytes = rows * (t.node.ncols * t.node.dtype.size()) as u64;
                     let saved = rows * chain.saved_bytes_per_row + root_bytes;
-                    stats.add(&stats.fused_chains, 1);
-                    stats.add(&stats.fused_saved_bytes, saved);
+                    stats.fused_chains.add(1);
+                    stats.fused_saved_bytes.add(saved);
                     if let (Some(cell), Some(t0)) = (env.op_trace, t0) {
                         let mut ops = cell.borrow_mut();
                         let e = ops.entry(t.node.id).or_insert_with(|| OpAgg {
@@ -662,16 +614,8 @@ fn process_part(
                         e.nanos += nanos;
                         e.chain_len = chain.len as u64;
                         e.saved_bytes += saved;
-                        if let Some(l) = env.lane {
-                            let end = now_nanos();
-                            l.complete(
-                                "exec",
-                                e.label.clone(),
-                                end.saturating_sub(nanos),
-                                end,
-                                [("node", t.node.id), ("", 0)],
-                            );
-                        }
+                        let args = [("node", t.node.id), ("", 0)];
+                        env.lane.complete_detail("exec", &e.label, nanos, args);
                     }
                     consume(&mut memo, &mut remaining, pool, &t.node, r0, r1);
                     continue;
@@ -817,11 +761,8 @@ fn eval(
     }
     let t0 = env.op_trace.map(|_| Instant::now());
     let chunk = eval_uncached(env, memo, remaining, pool, node, r0, r1);
-    env.stats.add(&env.stats.node_chunks, 1);
-    env.stats.add(
-        &env.stats.node_chunk_bytes,
-        (chunk.rows() * chunk.cols() * chunk.dtype().size()) as u64,
-    );
+    env.stats.node_chunks.add(1);
+    env.stats.node_chunk_bytes.add((chunk.rows() * chunk.cols() * chunk.dtype().size()) as u64);
     if let (Some(cell), Some(t0)) = (env.op_trace, t0) {
         let mut ops = cell.borrow_mut();
         let chain = env.plan.chains.get(&node.id);
@@ -836,18 +777,9 @@ fn eval(
             e.chain_len = c.len as u64;
             e.saved_bytes += (r1 - r0) as u64 * c.saved_bytes_per_row;
         }
-        if let Some(l) = env.lane {
-            // Per-chunk op span (inclusive of inputs computed on the way,
-            // like the aggregate above).
-            let end = now_nanos();
-            l.complete(
-                "exec",
-                e.label.clone(),
-                end.saturating_sub(nanos),
-                end,
-                [("node", node.id), ("", 0)],
-            );
-        }
+        // Per-chunk op span (inclusive of inputs computed on the way,
+        // like the aggregate above).
+        env.lane.complete_detail("exec", &e.label, nanos, [("node", node.id), ("", 0)]);
     }
     chunk
 }
@@ -904,9 +836,8 @@ fn eval_uncached(
             let base = eval(env, memo, remaining, pool, &chain.base, r0, r1);
             Rc::new(chain.kernel.run(&base, &aux_refs, pool))
         };
-        env.stats.add(&env.stats.fused_chains, 1);
-        env.stats
-            .add(&env.stats.fused_saved_bytes, (r1 - r0) as u64 * chain.saved_bytes_per_row);
+        env.stats.fused_chains.add(1);
+        env.stats.fused_saved_bytes.add((r1 - r0) as u64 * chain.saved_bytes_per_row);
         memo.insert(key, out.clone());
         return out;
     }

@@ -113,7 +113,7 @@ pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
         if let Err(e) = crate::analysis::deny_gate(&analysis.report.lints, &outcome.auto_cache) {
             panic!("{e}");
         }
-        ctx.flight_recorder().named_lane("coordinator").instant(
+        ctx.tracer().log().named_lane("coordinator").instant(
             "optimize",
             format!("cost-optimize:{} decisions", outcome.decisions.len()),
             [("decisions", outcome.decisions.len() as u64), ("", 0)],
@@ -217,13 +217,13 @@ pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
             .iter()
             .filter(|d| !matches!(d.kind, crate::analysis::optimize::DecisionKind::Calibration))
             .count();
-        stats.add(&stats.opt_decisions, actionable as u64);
+        stats.opt_decisions.add(actionable as u64);
         let cached: u64 = decisions
             .iter()
             .filter(|d| matches!(d.kind, crate::analysis::optimize::DecisionKind::AutoCache))
             .map(|d| d.actual_bytes.unwrap_or(0))
             .sum();
-        stats.add(&stats.opt_cache_bytes, cached);
+        stats.opt_cache_bytes.add(cached);
         ctx.tracer().attach_optimizer(decisions);
     }
 

@@ -849,12 +849,23 @@ impl FM {
     /// `FLASHR_DENY_LINTS` promotes a lint. Already-materialized
     /// matrices report `{"ok":true,"report":null,"cost":null}`.
     pub fn check_json(&self, ctx: &FlashCtx) -> String {
+        use crate::json::object;
+        let failed = |e: PlanError| {
+            object(|w| {
+                w.key("ok").bool(false);
+                w.key("error").raw(&e.to_json());
+            })
+        };
         let Some(t) = self.pending_target() else {
-            return "{\"ok\":true,\"report\":null,\"cost\":null}".to_string();
+            return object(|w| {
+                w.key("ok").bool(true);
+                w.key("report").null();
+                w.key("cost").null();
+            });
         };
         let analysis = match crate::analysis::analyze(ctx, std::slice::from_ref(&t)) {
             Ok(a) => a,
-            Err(e) => return format!("{{\"ok\":false,\"error\":{}}}", e.to_json()),
+            Err(e) => return failed(e),
         };
         let run_targets: &[Target] =
             if ctx.cfg().optimize { &analysis.targets } else { std::slice::from_ref(&t) };
@@ -865,13 +876,13 @@ impl FM {
             Default::default()
         };
         if let Err(e) = crate::analysis::deny_gate(&analysis.report.lints, &exempt) {
-            return format!("{{\"ok\":false,\"error\":{}}}", e.to_json());
+            return failed(e);
         }
-        format!(
-            "{{\"ok\":true,\"report\":{},\"cost\":{}}}",
-            analysis.report.to_json(),
-            cost.to_json()
-        )
+        object(|w| {
+            w.key("ok").bool(true);
+            w.key("report").raw(&analysis.report.to_json());
+            w.key("cost").raw(&cost.to_json());
+        })
     }
 
     /// Render the pending DAG as an indented text tree (R's `explain()`):

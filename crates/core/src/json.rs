@@ -1,9 +1,10 @@
-//! JSON without a dependency: the two primitives every hand-rolled writer
-//! in the workspace shares ([`json_escape`], [`json_f64`]) and one strict
-//! reader ([`parse`]) for the profile store, `flashr-prof` and the tests
-//! that check those writers.
+//! JSON without a dependency: one [`Writer`] every serializer in the
+//! workspace builds its document with (on the [`json_escape`] and
+//! [`json_f64`] primitives) and one strict reader ([`parse`]) for the
+//! profile store, `flashr-prof` and the tests that check those documents.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Append a JSON string literal (with escaping) to `out`.
 pub fn json_escape(s: &str, out: &mut String) {
@@ -32,6 +33,100 @@ pub fn json_f64(v: f64, out: &mut String) {
     } else {
         out.push_str("null");
     }
+}
+
+/// A JSON document under construction. The writer owns the commas: a
+/// value is preceded by one unless it opens its scope or follows its
+/// [`key`](Writer::key), so callers only say what the members are.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// Whether the next key or value needs a `,` before it.
+    comma: bool,
+}
+
+impl Writer {
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Name the next value: inside an object, every value follows a key.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.sep();
+        json_escape(key, &mut self.out);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    pub fn str(&mut self, v: &str) {
+        self.sep();
+        json_escape(v, &mut self.out);
+    }
+
+    pub fn u64(&mut self, v: u64) {
+        self.sep();
+        write!(self.out, "{v}").expect("writing to a String cannot fail");
+    }
+
+    /// A non-finite value is written as `null`.
+    pub fn f64(&mut self, v: f64) {
+        self.sep();
+        json_f64(v, &mut self.out);
+    }
+
+    pub fn bool(&mut self, v: bool) {
+        self.raw(if v { "true" } else { "false" });
+    }
+
+    pub fn null(&mut self) {
+        self.raw("null");
+    }
+
+    /// A value that is JSON text already: a document built elsewhere, or
+    /// a number in a spelling of the caller's choosing.
+    pub fn raw(&mut self, json: &str) {
+        self.sep();
+        self.out.push_str(json);
+    }
+
+    /// An object whose members `members` writes, each a key then a value.
+    pub fn obj(&mut self, members: impl FnOnce(&mut Writer)) {
+        self.scope('{', '}', members);
+    }
+
+    /// An array whose items `items` writes.
+    pub fn arr(&mut self, items: impl FnOnce(&mut Writer)) {
+        self.scope('[', ']', items);
+    }
+
+    fn scope(&mut self, open: char, close: char, body: impl FnOnce(&mut Writer)) {
+        self.sep();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+    }
+}
+
+/// A document that is one object.
+pub fn object(members: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::new();
+    w.obj(members);
+    w.finish()
 }
 
 /// A parsed JSON document.
@@ -299,6 +394,38 @@ mod tests {
         let mut s = String::new();
         json_escape("a\"b\\c\nd\u{1}", &mut s);
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    #[test]
+    fn writer_round_trips_every_value_kind() {
+        let tricky = "q\"b\\c\u{1}";
+        let doc = object(|w| {
+            w.key(tricky).str(tricky);
+            w.key("max").u64(u64::MAX);
+            w.key("f").f64(-1.5);
+            w.key("nan").f64(f64::NAN);
+            w.key("t").bool(true);
+            w.key("z").null();
+            w.key("raw").raw("0.250");
+            w.key("empty").obj(|_| {});
+            w.key("a").arr(|w| {
+                w.u64(1);
+                w.obj(|w| w.key("k").arr(|_| {}));
+                w.str("s");
+            });
+        });
+        let v = parse(&doc).expect("the writer's output is strict JSON");
+        assert_eq!(v[tricky].as_str(), Some(tricky), "{doc}");
+        assert_eq!(v["max"].as_u64(), Some(u64::MAX));
+        assert_eq!((v["f"].as_f64(), v["raw"].as_f64()), (Some(-1.5), Some(0.25)));
+        assert_eq!((&v["nan"], &v["z"]), (&Value::Null, &Value::Null));
+        assert_eq!(v["t"].as_bool(), Some(true));
+        assert_eq!(v["empty"], Value::Object(BTreeMap::new()));
+        let a = v["a"].as_array().expect("array");
+        assert_eq!((a.len(), a[0].as_u64(), a[2].as_str()), (3, Some(1), Some("s")));
+        assert_eq!(a[1]["k"], Value::Array(Vec::new()));
+        // Commas sit between members and nowhere else.
+        assert!(doc.ends_with(r#""a":[1,{"k":[]},"s"]}"#), "{doc}");
     }
 
     #[test]

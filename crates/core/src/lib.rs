@@ -37,6 +37,7 @@ pub mod chunk;
 pub mod dag;
 pub mod dtype;
 pub mod element;
+pub mod env;
 pub mod exec;
 pub mod fm;
 pub mod gen;

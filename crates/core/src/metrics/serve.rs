@@ -29,12 +29,11 @@ static CLAIMED: AtomicBool = AtomicBool::new(false);
 /// released when the claiming context drops ([`release_metrics_addr`]),
 /// so sequentially-created contexts each get a listener.
 pub fn claim_metrics_addr() -> Option<String> {
-    let addr = std::env::var("FLASHR_METRICS_ADDR").ok()?;
-    let addr = addr.trim();
-    if addr.is_empty() || CLAIMED.swap(true, Ordering::SeqCst) {
+    let addr = crate::env::metrics_addr()?;
+    if CLAIMED.swap(true, Ordering::SeqCst) {
         return None;
     }
-    Some(addr.to_string())
+    Some(addr)
 }
 
 /// Return the address claim after the claiming listener has shut down.

@@ -13,12 +13,26 @@
 //! (`op="read"|"write"`, `numa="local"|"remote"`, `shard="<n>"`,
 //! `event="<cache event>"`).
 
-use super::{MetricSource, Sample};
+use super::{MetricSource, Sample, SampleValue};
 use crate::analysis::calibrate::CalibState;
 use crate::session::MemGovernor;
 use crate::stats::ExecStats;
-use flashr_safs::Safs;
+use flashr_safs::{Safs, Stat};
 use std::sync::Arc;
+
+/// One sample per declared statistic: its family, help and fixed label
+/// come from the stat struct's declaration, `shard` (when given) goes in
+/// front as the `shard="<n>"` label.
+fn push_stats(out: &mut Vec<Sample>, shard: Option<usize>, stats: Vec<Stat>) {
+    for s in stats {
+        let labels = shard
+            .map(|i| ("shard", i.to_string()))
+            .into_iter()
+            .chain(s.label.map(|(k, v)| (k, v.to_string())))
+            .collect();
+        out.push(Sample { name: s.family, help: s.help, labels, value: s.value });
+    }
+}
 
 /// Executor counters: passes, partitions, NUMA locality, fused-chain
 /// savings and the worker time breakdown.
@@ -26,103 +40,13 @@ pub struct ExecStatsSource(pub Arc<ExecStats>);
 
 impl MetricSource for ExecStatsSource {
     fn collect(&self, out: &mut Vec<Sample>) {
-        let s = self.0.snapshot();
-        out.push(Sample::counter(
-            "flashr_exec_passes_total",
-            "Materialization passes over the data.",
-            vec![],
-            s.passes,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_parts_total",
-            "I/O partitions processed across all passes and workers.",
-            vec![],
-            s.parts,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_pcache_chunks_total",
-            "Pcache chunks evaluated.",
-            vec![],
-            s.pcache_chunks,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_parts_numa_total",
-            "Partitions by whether the worker's NUMA node matched the partition's.",
-            vec![("numa", "local".into())],
-            s.local_parts,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_parts_numa_total",
-            "Partitions by whether the worker's NUMA node matched the partition's.",
-            vec![("numa", "remote".into())],
-            s.remote_parts,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_nanos_total",
-            "Wall nanoseconds spent inside materialization.",
-            vec![],
-            s.exec_nanos,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_node_chunks_total",
-            "Chunks freshly produced by node evaluation (memo hits excluded).",
-            vec![],
-            s.node_chunks,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_node_chunk_bytes_total",
-            "Bytes of freshly produced chunks.",
-            vec![],
-            s.node_chunk_bytes,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_fused_chains_total",
-            "Fused chain kernels executed.",
-            vec![],
-            s.fused_chains,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_fused_saved_bytes_total",
-            "Bytes of intermediate chunks chain fusion skipped allocating.",
-            vec![],
-            s.fused_saved_bytes,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_io_wait_nanos_total",
-            "Worker nanoseconds blocked waiting for partition reads.",
-            vec![],
-            s.io_wait_nanos,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_compute_nanos_total",
-            "Worker nanoseconds spent evaluating kernels.",
-            vec![],
-            s.compute_nanos,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_write_stall_nanos_total",
-            "Worker nanoseconds stalled on result write-back.",
-            vec![],
-            s.write_stall_nanos,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_opt_decisions_total",
-            "Plan decisions taken by the cost-based optimizer.",
-            vec![],
-            s.opt_decisions,
-        ));
-        out.push(Sample::counter(
-            "flashr_exec_opt_cache_bytes_total",
-            "Bytes of reused subtrees the optimizer auto-cached.",
-            vec![],
-            s.opt_cache_bytes,
-        ));
+        push_stats(out, None, self.0.snapshot().stats());
         let level = crate::ops::simd::SimdLevel::active();
-        out.push(Sample::gauge(
+        out.push(Sample::new(
             "flashr_simd_level",
             "Active SIMD dispatch level (0=off, 1=scalar, 2=avx2); the label names it.",
             vec![("level", level.name().into())],
-            level as u64,
+            SampleValue::Gauge(level as u64),
         ));
     }
 }
@@ -132,29 +56,29 @@ pub struct GovernorSource(pub MemGovernor);
 
 impl MetricSource for GovernorSource {
     fn collect(&self, out: &mut Vec<Sample>) {
-        out.push(Sample::gauge(
+        out.push(Sample::new(
             "flashr_mem_budget_bytes",
             "Configured memory budget (0 = unlimited).",
             vec![],
-            self.0.budget_bytes(),
+            SampleValue::Gauge(self.0.budget_bytes()),
         ));
-        out.push(Sample::gauge(
+        out.push(Sample::new(
             "flashr_mem_pinned_bytes",
             "Bytes currently pinned by materializations.",
             vec![],
-            self.0.pinned_bytes(),
+            SampleValue::Gauge(self.0.pinned_bytes()),
         ));
-        out.push(Sample::counter(
+        out.push(Sample::new(
             "flashr_mem_spills_total",
             "Chunks the governor pushed to external storage.",
             vec![],
-            self.0.spills(),
+            SampleValue::Counter(self.0.spills()),
         ));
-        out.push(Sample::counter(
+        out.push(Sample::new(
             "flashr_mem_overcommits_total",
             "Pins admitted above budget because nothing was evictable.",
             vec![],
-            self.0.overcommits(),
+            SampleValue::Counter(self.0.overcommits()),
         ));
     }
 }
@@ -165,138 +89,22 @@ pub struct SafsSource(pub Safs);
 
 impl MetricSource for SafsSource {
     fn collect(&self, out: &mut Vec<Sample>) {
-        let io = self.0.stats_snapshot();
-        for (op, bytes, reqs, nanos, lat) in [
-            ("read", io.read_bytes, io.read_reqs, io.read_nanos, &io.read_lat),
-            ("write", io.write_bytes, io.write_reqs, io.write_nanos, &io.write_lat),
-        ] {
-            let l = || vec![("op", op.to_string())];
-            out.push(Sample::counter(
-                "flashr_io_bytes_total",
-                "Bytes moved through the (emulated) SSD array.",
-                l(),
-                bytes,
-            ));
-            out.push(Sample::counter(
-                "flashr_io_requests_total",
-                "Requests completed by the I/O threads.",
-                l(),
-                reqs,
-            ));
-            out.push(Sample::counter(
-                "flashr_io_nanos_total",
-                "Device-side nanoseconds summed over requests.",
-                l(),
-                nanos,
-            ));
-            out.push(Sample::histogram(
-                "flashr_io_latency_ns",
-                "Per-request device latency (log2 buckets, nanoseconds).",
-                l(),
-                *lat,
-            ));
-        }
-        out.push(Sample::counter(
-            "flashr_io_throttle_wait_nanos_total",
-            "Nanoseconds I/O threads slept in the bandwidth throttle.",
-            vec![],
-            io.throttle_wait_nanos,
-        ));
-        out.push(Sample::counter(
-            "flashr_io_retries_total",
-            "Transient I/O errors retried by the backend workers.",
-            vec![],
-            io.io_retries,
-        ));
-        out.push(Sample::gauge(
-            "flashr_io_queue_depth",
-            "Requests currently in flight across the I/O queues.",
-            vec![],
-            io.cur_queue_depth,
-        ));
-        out.push(Sample::gauge(
-            "flashr_io_queue_depth_max",
-            "Deepest the I/O queues have run since the runtime started.",
-            vec![],
-            io.max_queue_depth,
-        ));
+        push_stats(out, None, self.0.stats_snapshot().stats());
         // Per-shard (emulated device) lanes of the storage backend. The
         // `shard` label here names a *storage* shard — a SAFS root
         // directory — not a page-cache NUMA shard (those label the
         // `flashr_cache_*` families below).
         for (i, s) in self.0.shard_stats_snapshots().iter().enumerate() {
-            let shard = i.to_string();
-            let l = |op: &str| vec![("shard", shard.clone()), ("op", op.to_string())];
-            for (op, reqs, bytes) in
-                [("read", s.read_reqs, s.read_bytes), ("write", s.write_reqs, s.write_bytes)]
-            {
-                out.push(Sample::counter(
-                    "flashr_io_shard_requests_total",
-                    "Requests completed, by storage shard and direction.",
-                    l(op),
-                    reqs,
-                ));
-                out.push(Sample::counter(
-                    "flashr_io_shard_bytes_total",
-                    "Bytes moved, by storage shard and direction.",
-                    l(op),
-                    bytes,
-                ));
-            }
-            out.push(Sample::counter(
-                "flashr_io_shard_retries_total",
-                "Transient I/O errors retried, by storage shard.",
-                vec![("shard", shard.clone())],
-                s.retries,
-            ));
-            out.push(Sample::histogram(
-                "flashr_io_shard_latency_ns",
-                "Per-request device latency by storage shard (log2 buckets, ns).",
-                vec![("shard", shard.clone())],
-                s.lat,
-            ));
-            out.push(Sample::gauge(
-                "flashr_io_shard_queue_depth",
-                "Requests in flight on this storage shard's queue.",
-                vec![("shard", shard.clone())],
-                s.cur_queue_depth,
-            ));
-            out.push(Sample::gauge(
-                "flashr_io_shard_queue_depth_max",
-                "Deepest this storage shard's queue has run.",
-                vec![("shard", shard.clone())],
-                s.max_queue_depth,
-            ));
+            push_stats(out, Some(i), s.stats());
         }
-        out.push(Sample::gauge(
+        out.push(Sample::new(
             "flashr_cache_capacity_bytes",
             "Configured page-cache capacity (0 = no cache).",
             vec![],
-            self.0.page_cache_capacity(),
+            SampleValue::Gauge(self.0.page_cache_capacity()),
         ));
         for (i, c) in self.0.cache_shard_snapshots().iter().enumerate() {
-            let shard = i.to_string();
-            let l = |event: &str| vec![("shard", shard.clone()), ("event", event.to_string())];
-            const HELP: &str = "Page-cache events by shard and kind.";
-            for (event, v) in [
-                ("hit", c.hits),
-                ("miss", c.misses),
-                ("coalesced", c.coalesced),
-                ("bypass", c.bypasses),
-                ("insert", c.inserts),
-                ("evict", c.evictions),
-                ("invalidate", c.invalidations),
-                ("readahead_issued", c.readahead_issued),
-                ("readahead_hit", c.readahead_hits),
-            ] {
-                out.push(Sample::counter("flashr_cache_events_total", HELP, l(event), v));
-            }
-            out.push(Sample::gauge(
-                "flashr_cache_resident_bytes",
-                "Resident page-cache bytes by shard.",
-                vec![("shard", shard.clone())],
-                c.resident_bytes,
-            ));
+            push_stats(out, Some(i), c.stats());
         }
     }
 }
@@ -315,17 +123,17 @@ impl MetricSource for CalibrationSource {
         };
         let cal = self.0.calibration.as_ref();
         let mib = |gib_s: f64| (gib_s * 1024.0).round() as u64;
-        out.push(Sample::gauge(
+        out.push(Sample::new(
             "flashr_calib_enabled",
             "1 when cost-model constants were fitted from profile history.",
             vec![],
-            cal.is_some() as u64,
+            SampleValue::Gauge(cal.is_some() as u64),
         ));
-        out.push(Sample::gauge(
+        out.push(Sample::new(
             "flashr_calib_records",
             "History records the calibration fit consumed.",
             vec![],
-            cal.map(|c| c.records as u64).unwrap_or(0),
+            SampleValue::Gauge(cal.map(|c| c.records as u64).unwrap_or(0)),
         ));
         let (read, write, stream, gemm) = match cal {
             Some(c) => (
@@ -349,32 +157,34 @@ impl MetricSource for CalibrationSource {
             ("compute_stream", stream),
             ("compute_gemm", gemm),
         ] {
-            out.push(Sample::gauge(
+            out.push(Sample::new(
                 "flashr_calib_throughput_mib_s",
                 TP_HELP,
                 vec![("kind", kind.into())],
-                mib(v),
+                SampleValue::Gauge(mib(v)),
             ));
         }
-        out.push(Sample::gauge(
+        out.push(Sample::new(
             "flashr_calib_read_factor_milli",
             "Global device-read absorption factor (actual/predicted, thousandths).",
             vec![],
-            cal.and_then(|c| c.read_factor_global)
-                .map(|f| (f * 1000.0).round() as u64)
-                .unwrap_or(1000),
+            SampleValue::Gauge(
+                cal.and_then(|c| c.read_factor_global)
+                    .map(|f| (f * 1000.0).round() as u64)
+                    .unwrap_or(1000),
+            ),
         ));
-        out.push(Sample::counter(
+        out.push(Sample::new(
             "flashr_calib_predictions_total",
             "Materializations scored against their device-read prediction.",
             vec![],
-            self.0.predictions(),
+            SampleValue::Counter(self.0.predictions()),
         ));
-        out.push(Sample::gauge(
+        out.push(Sample::new(
             "flashr_calib_prediction_error_bytes",
             "Rolling mean |predicted - actual| device-read bytes.",
             vec![],
-            self.0.mean_error_bytes(),
+            SampleValue::Gauge(self.0.mean_error_bytes()),
         ));
     }
 }
@@ -387,10 +197,10 @@ mod tests {
     #[test]
     fn exec_source_exports_every_counter() {
         let stats = Arc::new(ExecStats::default());
-        stats.add(&stats.passes, 2);
-        stats.add(&stats.local_parts, 5);
-        stats.add(&stats.remote_parts, 1);
-        stats.add(&stats.io_wait_nanos, 77);
+        stats.passes.add(2);
+        stats.local_parts.add(5);
+        stats.remote_parts.add(1);
+        stats.io_wait_nanos.add(77);
         let hub = MetricsHub::new();
         hub.register_source(Box::new(ExecStatsSource(stats)));
         let text = hub.render_text();

@@ -16,34 +16,24 @@
 //!
 //! Costs nothing when the env var is unset (one `var_os` probe per
 //! materialization, no allocation). When set, one record is one
-//! `String` built with the core's hand-rolled JSON helpers and one
-//! appending write; a per-file byte cap bounds the store, with overflow
-//! counted in [`dropped_records`] instead of growing without bound.
+//! `String` built with [`crate::json::Writer`] and one appending write;
+//! a per-file byte cap bounds the store, with overflow counted in
+//! [`dropped_records`] instead of growing without bound.
 
 use crate::analysis::cost::CostEstimate;
 use crate::analysis::optimize::Decision;
 use crate::dag::{MapOp, Node, NodeKind};
 use crate::exec::Target;
-use crate::session::{ExecMode, FlashCtx};
+use crate::json;
+use crate::session::FlashCtx;
 use crate::stats::ExecStatsSnapshot;
 use crate::trace::critical::WallAttribution;
-use crate::trace::json_escape;
 use flashr_safs::IoStatsSnapshot;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Environment variable naming the store directory. Unset (or empty)
-/// disables the store entirely.
-pub const PROFILE_DIR_ENV: &str = "FLASHR_PROFILE_DIR";
-
-/// Optional workload tag stamped into each record (`"label"` field);
-/// bench binaries set it around named workloads so `flashr-prof` can
-/// group records by what they measured.
-pub const PROFILE_LABEL_ENV: &str = "FLASHR_PROFILE_LABEL";
 
 /// Per-run file cap. A run whose file reaches this stops appending and
 /// counts [`dropped_records`] instead (an iterative algorithm can
@@ -54,13 +44,9 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 static RUN_ID: OnceLock<String> = OnceLock::new();
 
-/// The store directory, when the env var is set and non-empty.
-pub fn store_dir() -> Option<PathBuf> {
-    match std::env::var_os(PROFILE_DIR_ENV) {
-        Some(v) if !v.is_empty() => Some(PathBuf::from(v)),
-        _ => None,
-    }
-}
+/// The store directory: `FLASHR_PROFILE_DIR`, when set and non-empty
+/// (unset disables the store entirely).
+pub use crate::env::profile_dir as store_dir;
 
 /// Whether the profile store is enabled for this process right now.
 pub fn enabled() -> bool {
@@ -170,23 +156,16 @@ pub fn host_json(ctx: &FlashCtx) -> String {
         Some(s) => (s.backend_kind().as_str(), s.nshards(), s.page_cache_capacity()),
         None => ("none", 0, 0),
     };
-    format!(
-        "{{\"cpus\":{cpus},\"workers\":{},\"numa_nodes\":{},\
-         \"page_cache_capacity_bytes\":{cache},\"build_profile\":\"{}\",\
-         \"simd\":\"{}\",\"backend\":\"{backend}\",\"shards\":{shards}}}",
-        ctx.cfg().nthreads,
-        ctx.cfg().numa_nodes,
-        if cfg!(debug_assertions) { "debug" } else { "release" },
-        flashr_linalg::SimdLevel::active().name(),
-    )
-}
-
-pub(crate) fn mode_str(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Eager => "Eager",
-        ExecMode::MemFuse => "MemFuse",
-        ExecMode::CacheFuse => "CacheFuse",
-    }
+    json::object(|w| {
+        w.key("cpus").u64(cpus as u64);
+        w.key("workers").u64(ctx.cfg().nthreads as u64);
+        w.key("numa_nodes").u64(ctx.cfg().numa_nodes as u64);
+        w.key("page_cache_capacity_bytes").u64(cache);
+        w.key("build_profile").str(if cfg!(debug_assertions) { "debug" } else { "release" });
+        w.key("simd").str(flashr_linalg::SimdLevel::active().name());
+        w.key("backend").str(backend);
+        w.key("shards").u64(shards as u64);
+    })
 }
 
 /// Everything one materialization hands the store.
@@ -213,79 +192,56 @@ fn render_record(ctx: &FlashCtx, rec: &Record<'_>) -> String {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
-    let label = std::env::var(PROFILE_LABEL_ENV).unwrap_or_default();
-    let mut o = String::with_capacity(2048);
-    o.push_str("{\"v\":1,\"run\":");
-    json_escape(run_id(), &mut o);
-    o.push_str(",\"seq\":");
-    o.push_str(&SEQ.fetch_add(1, Ordering::Relaxed).to_string());
-    o.push_str(",\"ts_ms\":");
-    o.push_str(&ts_ms.to_string());
-    o.push_str(",\"label\":");
-    json_escape(&label, &mut o);
-    o.push_str(&format!(",\"fingerprint\":\"{:016x}\"", plan_fingerprint(rec.targets)));
-    o.push_str(",\"op_class\":");
-    json_escape(op_class(rec.targets), &mut o);
-    o.push_str(",\"mode\":");
-    json_escape(mode_str(ctx.cfg().mode), &mut o);
-    o.push_str(",\"cost_optimize\":");
-    o.push_str(if ctx.cfg().cost_optimize { "true" } else { "false" });
-    o.push_str(",\"calibrate\":");
-    o.push_str(if ctx.cfg().calibrate { "true" } else { "false" });
-    o.push_str(",\"host\":");
-    o.push_str(&host_json(ctx));
+    let mut line = json::object(|w| {
+        w.key("v").u64(1);
+        w.key("run").str(run_id());
+        w.key("seq").u64(SEQ.fetch_add(1, Ordering::Relaxed));
+        w.key("ts_ms").u64(ts_ms);
+        w.key("label").str(&crate::env::profile_label());
+        w.key("fingerprint").str(&format!("{:016x}", plan_fingerprint(rec.targets)));
+        w.key("op_class").str(op_class(rec.targets));
+        w.key("mode").str(ctx.cfg().mode.name());
+        w.key("cost_optimize").bool(ctx.cfg().cost_optimize);
+        w.key("calibrate").bool(ctx.cfg().calibrate);
+        w.key("host").raw(&host_json(ctx));
 
-    // Flat summary: what the calibration loader reads.
-    let (rb, rn, wb, wn) = match rec.io_delta {
-        Some(io) => (io.read_bytes, io.read_nanos, io.write_bytes, io.write_nanos),
-        None => (0, 0, 0, 0),
-    };
-    o.push_str(&format!(
-        ",\"summary\":{{\"wall_nanos\":{},\"sum_read_bytes\":{rb},\"sum_read_nanos\":{rn},\
-         \"sum_write_bytes\":{wb},\"sum_write_nanos\":{wn},\"sum_chunk_bytes\":{},\
-         \"sum_compute_nanos\":{},\"sum_pred_read_bytes\":{},\"sum_pred_read_bytes_raw\":{}}}",
-        rec.wall_nanos,
-        rec.exec_delta.node_chunk_bytes,
-        rec.exec_delta.compute_nanos,
-        rec.cost.device_read_bytes,
-        rec.cost.device_read_bytes_raw,
-    ));
+        // Flat summary: what the calibration loader reads.
+        let io = rec.io_delta.copied().unwrap_or_default();
+        w.key("summary").obj(|w| {
+            w.key("wall_nanos").u64(rec.wall_nanos);
+            w.key("sum_read_bytes").u64(io.read_bytes);
+            w.key("sum_read_nanos").u64(io.read_nanos);
+            w.key("sum_write_bytes").u64(io.write_bytes);
+            w.key("sum_write_nanos").u64(io.write_nanos);
+            w.key("sum_chunk_bytes").u64(rec.exec_delta.node_chunk_bytes);
+            w.key("sum_compute_nanos").u64(rec.exec_delta.compute_nanos);
+            w.key("sum_pred_read_bytes").u64(rec.cost.device_read_bytes);
+            w.key("sum_pred_read_bytes_raw").u64(rec.cost.device_read_bytes_raw);
+        });
 
-    let v = rec.verdict;
-    o.push_str(",\"verdict\":{\"source\":");
-    json_escape(v.source, &mut o);
-    o.push_str(",\"bound\":");
-    json_escape(v.bound, &mut o);
-    o.push_str(&format!(
-        ",\"compute_nanos\":{},\"io_wait_nanos\":{},\"write_stall_nanos\":{},\
-         \"idle_nanos\":{},\"stragglers\":{},\"readahead_late\":{},\"passes\":{}}}",
-        v.compute_nanos,
-        v.io_wait_nanos,
-        v.write_stall_nanos,
-        v.idle_nanos,
-        v.stragglers,
-        v.readahead_late,
-        v.passes,
-    ));
+        let v = rec.verdict;
+        w.key("verdict").obj(|w| {
+            w.key("source").str(v.source);
+            w.key("bound").str(v.bound);
+            w.key("compute_nanos").u64(v.compute_nanos);
+            w.key("io_wait_nanos").u64(v.io_wait_nanos);
+            w.key("write_stall_nanos").u64(v.write_stall_nanos);
+            w.key("idle_nanos").u64(v.idle_nanos);
+            w.key("stragglers").u64(v.stragglers);
+            w.key("readahead_late").u64(v.readahead_late);
+            w.key("passes").u64(v.passes as u64);
+        });
 
-    o.push_str(",\"cost\":");
-    o.push_str(&rec.cost.to_json());
-    o.push_str(",\"decisions\":[");
-    for (i, d) in rec.decisions.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
+        w.key("cost").raw(&rec.cost.to_json());
+        w.key("decisions").arr(|w| rec.decisions.iter().for_each(|d| d.write_json(w)));
+        crate::trace::exec_json(rec.exec_delta, w.key("exec"));
+        match rec.io_delta {
+            Some(io) => crate::trace::io_json(io, w.key("io")),
+            None => w.key("io").null(),
         }
-        d.write_json(&mut o);
-    }
-    o.push_str("],\"exec\":");
-    crate::trace::exec_json(rec.exec_delta, &mut o);
-    o.push_str(",\"io\":");
-    match rec.io_delta {
-        Some(io) => crate::trace::io_json(io, &mut o),
-        None => o.push_str("null"),
-    }
-    o.push_str("}\n");
-    o
+    });
+    line.push('\n');
+    line
 }
 
 fn append_line(dir: &std::path::Path, line: &str) {

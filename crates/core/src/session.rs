@@ -3,7 +3,7 @@
 
 use crate::analysis::calibrate::{self, CalibState, Calibration};
 use crate::mat::TasMat;
-use crate::metrics::flight::{self, TeeSink};
+use crate::metrics::flight;
 use crate::metrics::serve::claim_metrics_addr;
 use crate::metrics::sources::{CalibrationSource, ExecStatsSource, GovernorSource, SafsSource};
 use crate::metrics::{FlightRecorder, MetricsHub, MetricsServer};
@@ -29,6 +29,17 @@ pub enum ExecMode {
     /// "+cache-fuse" (default): Pcache partitioning with depth-first
     /// chaining through the CPU cache.
     CacheFuse,
+}
+
+impl ExecMode {
+    /// The variant's name, as profiles and store records spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecMode::Eager => "Eager",
+            ExecMode::MemFuse => "MemFuse",
+            ExecMode::CacheFuse => "CacheFuse",
+        }
+    }
 }
 
 /// Where materialized matrices are placed.
@@ -58,8 +69,8 @@ pub struct CtxConfig {
     /// Placement of `set.cache` byproducts (the paper caches reused
     /// vectors in memory by default but supports caching on SSDs).
     pub cache_storage: StorageClass,
-    /// Tracing level (defaults to the `FLASHR_TRACE` environment
-    /// variable; off when unset).
+    /// Tracing level (defaults to [`TraceLevel::from_env`]: the
+    /// `FLASHR_TRACE` environment variable, off when unset).
     pub trace: TraceLevel,
     /// Whether the static analyzer's DAG rewrites (CSE, cast/cbind
     /// collapsing) are applied before execution. Verification and lints
@@ -329,6 +340,10 @@ impl Drop for CtxInner {
             drop(srv);
             crate::metrics::serve::release_metrics_addr();
         }
+        // This context's spans end here; others on the runtime go on.
+        if let Some(s) = &self.safs {
+            s.remove_span_sink(&self.span_sink());
+        }
         // `FLASHR_TRACE_OUT=<path>`: dump the Chrome trace when the last
         // clone of the context goes away. First context wins the path
         // (claimed once per process) so multi-context programs don't
@@ -341,6 +356,13 @@ impl Drop for CtxInner {
         if let Some(path) = claim_trace_out() {
             let _ = std::fs::write(&path, crate::trace::chrome::export_single("flashr", tl));
         }
+    }
+}
+
+impl CtxInner {
+    /// The context's span log as the SAFS runtime addresses it.
+    fn span_sink(&self) -> Arc<dyn SpanSink> {
+        self.tracer.log().clone()
     }
 }
 
@@ -366,18 +388,6 @@ impl FlashCtx {
             assert!(safs.is_some(), "EM storage requires a SAFS runtime");
         }
         let tracer = Tracer::new(cfg.trace);
-        let flight = Arc::new(FlightRecorder::with_env_budget());
-        flight::register_panic_dump(&flight);
-        if let Some(s) = &safs {
-            // The SAFS I/O threads record request lifecycle and cache
-            // spans on their own (thread-named) lanes: always into the
-            // flight recorder's bounded rings, and — when tracing at
-            // timeline level — into the full timeline as well.
-            s.set_span_sink(Some(Arc::new(TeeSink {
-                flight: flight.clone(),
-                timeline: tracer.timeline().cloned(),
-            }) as Arc<dyn SpanSink>));
-        }
         let governor = match (&cfg.mem_budget, &safs) {
             (Some(b), Some(s)) if b.total_bytes > 0 => {
                 // Hand the cache share to the SAFS page cache (sharded
@@ -410,7 +420,8 @@ impl FlashCtx {
         if let Some(s) = &safs {
             metrics.register_source(Box::new(SafsSource(s.clone())));
         }
-        flight.set_metrics(metrics.clone());
+        let flight = FlightRecorder::new(tracer.log().clone(), Some(metrics.clone()));
+        flight::register_panic_dump(&flight);
         let metrics_server = claim_metrics_addr().and_then(|addr| {
             let hub = metrics.clone();
             match MetricsServer::start(&addr, Arc::new(move || hub.render_text())) {
@@ -424,20 +435,26 @@ impl FlashCtx {
                 }
             }
         });
-        FlashCtx {
-            inner: Arc::new(CtxInner {
-                cfg,
-                safs,
-                stats,
-                tracer,
-                governor,
-                metrics,
-                flight,
-                metrics_server,
-                part_bufs: Arc::new(crate::chunk::PartBufPool::new()),
-                calib,
-            }),
+        let inner = Arc::new(CtxInner {
+            cfg,
+            safs,
+            stats,
+            tracer,
+            governor,
+            metrics,
+            flight,
+            metrics_server,
+            part_bufs: Arc::new(crate::chunk::PartBufPool::new()),
+            calib,
+        });
+        if let Some(s) = &inner.safs {
+            // The SAFS I/O threads record request lifecycle and cache
+            // spans on their own (thread-named) lanes of this context's
+            // log, beside those of every other context on the runtime;
+            // `CtxInner::drop` takes the registration back.
+            s.add_span_sink(inner.span_sink());
         }
+        FlashCtx { inner }
     }
 
     /// The configuration.
@@ -465,7 +482,7 @@ impl FlashCtx {
         &self.inner.tracer
     }
 
-    /// The always-on metrics registry (shared by all clones).
+    /// The always-on metrics renderer (shared by all clones).
     pub fn metrics(&self) -> &Arc<MetricsHub> {
         &self.inner.metrics
     }

@@ -4,120 +4,61 @@
 //! bytes through the memory hierarchy, locality of NUMA accesses); these
 //! counters make those quantities observable to tests and benchmarks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+const NUMA_PARTS: &str = "Partitions by whether the worker's NUMA node matched the partition's.";
 
-/// Monotonic engine counters.
-#[derive(Debug, Default)]
-pub struct ExecStats {
-    /// Materialization passes over the data (a fused DAG counts one; the
-    /// eager engine counts one per operation).
-    pub passes: AtomicU64,
-    /// I/O partitions processed (across all passes and threads).
-    pub parts: AtomicU64,
-    /// Pcache chunks evaluated.
-    pub pcache_chunks: AtomicU64,
-    /// Partitions whose (simulated) NUMA node matched the worker's node.
-    pub local_parts: AtomicU64,
-    /// Partitions processed by a worker on a different node.
-    pub remote_parts: AtomicU64,
-    /// Nanoseconds spent inside materialization.
-    pub exec_nanos: AtomicU64,
-    /// Chunks freshly produced by node evaluation (memo hits excluded;
-    /// one fused chain produces one chunk however long it is).
-    pub node_chunks: AtomicU64,
-    /// Bytes of those freshly produced chunks — the data-movement
-    /// quantity chain fusion reduces.
-    pub node_chunk_bytes: AtomicU64,
-    /// Fused chain kernels executed (one count per chunk produced by a
-    /// chain, not per chain discovered).
-    pub fused_chains: AtomicU64,
-    /// Bytes of intermediate chunks chain fusion skipped allocating.
-    pub fused_saved_bytes: AtomicU64,
-    /// Worker nanoseconds spent blocked waiting for partition reads.
-    pub io_wait_nanos: AtomicU64,
-    /// Worker nanoseconds spent evaluating kernels.
-    pub compute_nanos: AtomicU64,
-    /// Worker nanoseconds spent stalled on result write-back.
-    pub write_stall_nanos: AtomicU64,
-    /// Plan decisions taken by the cost-based optimizer
-    /// ([`crate::session::CtxConfig::cost_optimize`]).
-    pub opt_decisions: AtomicU64,
-    /// Bytes of reused subtrees the optimizer auto-cached.
-    pub opt_cache_bytes: AtomicU64,
-}
-
-/// Point-in-time copy of [`ExecStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecStatsSnapshot {
-    pub passes: u64,
-    pub parts: u64,
-    pub pcache_chunks: u64,
-    pub local_parts: u64,
-    pub remote_parts: u64,
-    pub exec_nanos: u64,
-    pub node_chunks: u64,
-    pub node_chunk_bytes: u64,
-    pub fused_chains: u64,
-    pub fused_saved_bytes: u64,
-    pub io_wait_nanos: u64,
-    pub compute_nanos: u64,
-    pub write_stall_nanos: u64,
-    pub opt_decisions: u64,
-    pub opt_cache_bytes: u64,
-}
-
-impl ExecStats {
-    /// Copy out the counters.
-    pub fn snapshot(&self) -> ExecStatsSnapshot {
-        ExecStatsSnapshot {
-            passes: self.passes.load(Ordering::Relaxed),
-            parts: self.parts.load(Ordering::Relaxed),
-            pcache_chunks: self.pcache_chunks.load(Ordering::Relaxed),
-            local_parts: self.local_parts.load(Ordering::Relaxed),
-            remote_parts: self.remote_parts.load(Ordering::Relaxed),
-            exec_nanos: self.exec_nanos.load(Ordering::Relaxed),
-            node_chunks: self.node_chunks.load(Ordering::Relaxed),
-            node_chunk_bytes: self.node_chunk_bytes.load(Ordering::Relaxed),
-            fused_chains: self.fused_chains.load(Ordering::Relaxed),
-            fused_saved_bytes: self.fused_saved_bytes.load(Ordering::Relaxed),
-            io_wait_nanos: self.io_wait_nanos.load(Ordering::Relaxed),
-            compute_nanos: self.compute_nanos.load(Ordering::Relaxed),
-            write_stall_nanos: self.write_stall_nanos.load(Ordering::Relaxed),
-            opt_decisions: self.opt_decisions.load(Ordering::Relaxed),
-            opt_cache_bytes: self.opt_cache_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn add(&self, field: &AtomicU64, v: u64) {
-        field.fetch_add(v, Ordering::Relaxed);
-    }
-}
-
-impl ExecStatsSnapshot {
-    /// Counter movement between two snapshots (`later - self`).
-    ///
-    /// Ordering contract: `self` must be the *earlier* snapshot. The
-    /// counters are monotonic, so in-order arguments yield exact deltas;
-    /// accidentally swapped arguments saturate to 0 instead of panicking
-    /// on underflow.
-    pub fn delta(&self, later: &ExecStatsSnapshot) -> ExecStatsSnapshot {
-        ExecStatsSnapshot {
-            passes: later.passes.saturating_sub(self.passes),
-            parts: later.parts.saturating_sub(self.parts),
-            pcache_chunks: later.pcache_chunks.saturating_sub(self.pcache_chunks),
-            local_parts: later.local_parts.saturating_sub(self.local_parts),
-            remote_parts: later.remote_parts.saturating_sub(self.remote_parts),
-            exec_nanos: later.exec_nanos.saturating_sub(self.exec_nanos),
-            node_chunks: later.node_chunks.saturating_sub(self.node_chunks),
-            node_chunk_bytes: later.node_chunk_bytes.saturating_sub(self.node_chunk_bytes),
-            fused_chains: later.fused_chains.saturating_sub(self.fused_chains),
-            fused_saved_bytes: later.fused_saved_bytes.saturating_sub(self.fused_saved_bytes),
-            io_wait_nanos: later.io_wait_nanos.saturating_sub(self.io_wait_nanos),
-            compute_nanos: later.compute_nanos.saturating_sub(self.compute_nanos),
-            write_stall_nanos: later.write_stall_nanos.saturating_sub(self.write_stall_nanos),
-            opt_decisions: later.opt_decisions.saturating_sub(self.opt_decisions),
-            opt_cache_bytes: later.opt_cache_bytes.saturating_sub(self.opt_cache_bytes),
-        }
+flashr_safs::stat_struct! {
+    /// Monotonic engine counters.
+    pub struct ExecStats;
+    /// Point-in-time copy of [`ExecStats`].
+    pub struct ExecStatsSnapshot {
+        /// Materialization passes over the data (a fused DAG counts one;
+        /// the eager engine counts one per operation).
+        pub passes: counter => "flashr_exec_passes_total",
+            "Materialization passes over the data.";
+        /// I/O partitions processed (across all passes and threads).
+        pub parts: counter => "flashr_exec_parts_total",
+            "I/O partitions processed across all passes and workers.";
+        /// Pcache chunks evaluated.
+        pub pcache_chunks: counter => "flashr_exec_pcache_chunks_total",
+            "Pcache chunks evaluated.";
+        /// Partitions whose (simulated) NUMA node matched the worker's node.
+        pub local_parts: counter => "flashr_exec_parts_numa_total", NUMA_PARTS, "numa" = "local";
+        /// Partitions processed by a worker on a different node.
+        pub remote_parts: counter => "flashr_exec_parts_numa_total", NUMA_PARTS, "numa" = "remote";
+        /// Nanoseconds spent inside materialization.
+        pub exec_nanos: counter => "flashr_exec_nanos_total",
+            "Wall nanoseconds spent inside materialization.";
+        /// Chunks freshly produced by node evaluation (memo hits excluded;
+        /// one fused chain produces one chunk however long it is).
+        pub node_chunks: counter => "flashr_exec_node_chunks_total",
+            "Chunks freshly produced by node evaluation (memo hits excluded).";
+        /// Bytes of those freshly produced chunks — the data-movement
+        /// quantity chain fusion reduces.
+        pub node_chunk_bytes: counter => "flashr_exec_node_chunk_bytes_total",
+            "Bytes of freshly produced chunks.";
+        /// Fused chain kernels executed (one count per chunk produced by a
+        /// chain, not per chain discovered).
+        pub fused_chains: counter => "flashr_exec_fused_chains_total",
+            "Fused chain kernels executed.";
+        /// Bytes of intermediate chunks chain fusion skipped allocating.
+        pub fused_saved_bytes: counter => "flashr_exec_fused_saved_bytes_total",
+            "Bytes of intermediate chunks chain fusion skipped allocating.";
+        /// Worker nanoseconds spent blocked waiting for partition reads.
+        pub io_wait_nanos: counter => "flashr_exec_io_wait_nanos_total",
+            "Worker nanoseconds blocked waiting for partition reads.";
+        /// Worker nanoseconds spent evaluating kernels.
+        pub compute_nanos: counter => "flashr_exec_compute_nanos_total",
+            "Worker nanoseconds spent evaluating kernels.";
+        /// Worker nanoseconds spent stalled on result write-back.
+        pub write_stall_nanos: counter => "flashr_exec_write_stall_nanos_total",
+            "Worker nanoseconds stalled on result write-back.";
+        /// Plan decisions taken by the cost-based optimizer
+        /// ([`crate::session::CtxConfig::cost_optimize`]).
+        pub opt_decisions: counter => "flashr_exec_opt_decisions_total",
+            "Plan decisions taken by the cost-based optimizer.";
+        /// Bytes of reused subtrees the optimizer auto-cached.
+        pub opt_cache_bytes: counter => "flashr_exec_opt_cache_bytes_total",
+            "Bytes of reused subtrees the optimizer auto-cached.";
     }
 }
 
@@ -128,10 +69,10 @@ mod tests {
     #[test]
     fn snapshot_and_delta() {
         let s = ExecStats::default();
-        s.add(&s.passes, 1);
+        s.passes.add(1);
         let a = s.snapshot();
-        s.add(&s.passes, 2);
-        s.add(&s.parts, 10);
+        s.passes.add(2);
+        s.parts.add(10);
         let d = a.delta(&s.snapshot());
         assert_eq!(d.passes, 2);
         assert_eq!(d.parts, 10);
@@ -140,9 +81,9 @@ mod tests {
     #[test]
     fn swapped_delta_saturates_instead_of_panicking() {
         let s = ExecStats::default();
-        s.add(&s.passes, 1);
+        s.passes.add(1);
         let a = s.snapshot();
-        s.add(&s.passes, 1);
+        s.passes.add(1);
         let b = s.snapshot();
         // Wrong order: later.delta(&earlier) must not underflow.
         let d = b.delta(&a);

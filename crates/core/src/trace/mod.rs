@@ -13,20 +13,18 @@
 //!   local/remote claims, Pcache chunk counts, and (at `op` level)
 //!   per-node operator timings.
 //! * [`ProfileReport`] — everything a context observed, serialized to
-//!   JSON by a hand-rolled writer (flashr-core takes no serialization
-//!   dependency).
-//! * [`timeline`] — at `FLASHR_TRACE=timeline`, per-thread tracks of
+//!   JSON with [`crate::json::Writer`].
+//! * [`timeline`] — the context's one span log: per-thread tracks of
 //!   timestamped spans (executor tasks, I/O request lifecycles, cache
-//!   waits), exportable as a Chrome/Perfetto trace ([`chrome`],
-//!   [`Tracer::export_chrome_trace`], `FLASHR_TRACE_OUT=<path>`) and
-//!   mined by the [`critical`] analyzer for per-pass
-//!   compute/io-wait/write-stall/idle attribution.
+//!   waits). Below `FLASHR_TRACE=timeline` it keeps a short summary for
+//!   the flight recorder; at it, the full task stream, exportable as a
+//!   Chrome/Perfetto trace ([`chrome`], [`Tracer::export_chrome_trace`],
+//!   `FLASHR_TRACE_OUT=<path>`) and mined by the [`critical`] analyzer
+//!   for per-pass compute/io-wait/write-stall/idle attribution.
 //!
-//! Cost model: when tracing is `off` the engine pays one branch per
-//! pass and nothing per partition or chunk — `Instant::now()` is only
-//! reached behind an `Option` that is `None` when disabled, and the
-//! timeline collector is not even allocated below
-//! [`TraceLevel::Timeline`].
+//! Cost model: when tracing is `off` the engine pays, beside the
+//! always-on counters, two summary events per pass and one per
+//! partition into pre-allocated lane buffers, and nothing per chunk.
 
 pub mod chrome;
 pub mod critical;
@@ -36,10 +34,12 @@ pub use crate::json::{json_escape, json_f64};
 pub use critical::{CriticalPath, PassBreakdown, WallAttribution};
 pub use timeline::{EventKind, Lane, LaneSnapshot, SpanEvent, Timeline};
 
+use crate::json::{self, Writer};
 use crate::stats::ExecStatsSnapshot;
 use flashr_safs::sync::Mutex;
 use flashr_safs::{
-    CacheStatsSnapshot, IoStatsSnapshot, LatencyHistoSnapshot, ShardStatsSnapshot, LAT_BUCKETS,
+    CacheStatsSnapshot, IoStatsSnapshot, LatencyHistoSnapshot, ShardStatsSnapshot, Stat, StatValue,
+    LAT_BUCKETS,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,10 +78,24 @@ impl TraceLevel {
         }
     }
 
-    /// Read `FLASHR_TRACE` from the environment (unset or unparsable
-    /// values mean [`TraceLevel::Off`]).
+    /// The default level of a context, from the environment.
     pub fn from_env() -> TraceLevel {
-        std::env::var("FLASHR_TRACE").ok().and_then(|v| TraceLevel::parse(&v)).unwrap_or(TraceLevel::Off)
+        let out = crate::env::trace_out().map(|p| p.to_string_lossy().into_owned());
+        TraceLevel::from_vars(crate::env::trace().as_deref(), out.as_deref())
+    }
+
+    /// The rule behind [`TraceLevel::from_env`]: `trace` is the value of
+    /// `FLASHR_TRACE` (unset or unparsable means [`TraceLevel::Off`]),
+    /// and a non-empty `out` (`FLASHR_TRACE_OUT`) raises the level to
+    /// [`TraceLevel::Timeline`], since only that level has a trace to
+    /// write.
+    pub fn from_vars(trace: Option<&str>, out: Option<&str>) -> TraceLevel {
+        let level = trace.and_then(TraceLevel::parse).unwrap_or(TraceLevel::Off);
+        if out.is_some_and(|o| !o.is_empty()) {
+            level.max(TraceLevel::Timeline)
+        } else {
+            level
+        }
     }
 }
 
@@ -204,37 +218,46 @@ pub struct Tracer {
     level: TraceLevel,
     passes: Mutex<Vec<PassProfile>>,
     dropped: AtomicU64,
-    /// Allocated only at [`TraceLevel::Timeline`]; below that the span
-    /// layer costs nothing.
-    timeline: Option<Arc<Timeline>>,
+    /// The context's span log, at the detail `level` asks for.
+    log: Arc<Timeline>,
 }
 
 impl Tracer {
     pub fn new(level: TraceLevel) -> Tracer {
-        let timeline =
-            (level >= TraceLevel::Timeline).then(|| Arc::new(Timeline::with_env_budget()));
-        Tracer { level, passes: Mutex::new(Vec::new()), dropped: AtomicU64::new(0), timeline }
+        Tracer {
+            level,
+            passes: Mutex::new(Vec::new()),
+            dropped: AtomicU64::new(0),
+            log: Arc::new(Timeline::for_level(level)),
+        }
     }
 
     pub fn level(&self) -> TraceLevel {
         self.level
     }
 
-    /// The span collector; `None` below [`TraceLevel::Timeline`].
-    pub fn timeline(&self) -> Option<&Arc<Timeline>> {
-        self.timeline.as_ref()
+    /// The span log every level records into (see [`timeline`] for what
+    /// each level keeps).
+    pub fn log(&self) -> &Arc<Timeline> {
+        &self.log
     }
 
-    /// Events discarded because a timeline lane hit its budget (0 when
-    /// the timeline is off).
+    /// The span log when it holds the full-detail timeline; `None`
+    /// below [`TraceLevel::Timeline`].
+    pub fn timeline(&self) -> Option<&Arc<Timeline>> {
+        self.enabled(TraceLevel::Timeline).then_some(&self.log)
+    }
+
+    /// Events evicted because a timeline lane hit its budget (0 when
+    /// the timeline is off: the summary below it evicts by design).
     pub fn dropped_events(&self) -> u64 {
-        self.timeline.as_ref().map(|t| t.dropped_events()).unwrap_or(0)
+        self.timeline().map(|t| t.dropped_events()).unwrap_or(0)
     }
 
     /// Export the recorded span timeline as Chrome `trace_event` JSON
     /// (an empty but valid document when the timeline is off).
     pub fn export_chrome_trace(&self) -> String {
-        match &self.timeline {
+        match self.timeline() {
             Some(tl) => chrome::export_single("flashr", tl),
             None => chrome::export_chrome_trace(&[]),
         }
@@ -280,9 +303,7 @@ impl Tracer {
     pub fn clear(&self) {
         self.passes.lock().clear();
         self.dropped.store(0, Ordering::Relaxed);
-        if let Some(tl) = &self.timeline {
-            tl.clear();
-        }
+        self.log.clear();
     }
 }
 
@@ -307,46 +328,21 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Serialize to JSON. Hand-rolled: flashr-core takes no
-    /// serialization dependency.
+    /// Serialize to JSON.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(1024);
-        o.push('{');
-        o.push_str("\"exec\":");
-        exec_json(&self.exec, &mut o);
-        o.push_str(",\"io\":");
-        match &self.io {
-            Some(io) => io_json(io, &mut o),
-            None => o.push_str("null"),
-        }
-        o.push_str(",\"io_shards\":[");
-        for (i, s) in self.io_shards.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
+        json::object(|w| {
+            exec_json(&self.exec, w.key("exec"));
+            match &self.io {
+                Some(io) => io_json(io, w.key("io")),
+                None => w.key("io").null(),
             }
-            shard_json(s, &mut o);
-        }
-        o.push(']');
-        o.push_str(",\"dropped_passes\":");
-        push_u64(self.dropped_passes, &mut o);
-        o.push_str(",\"dropped_events\":");
-        push_u64(self.dropped_events, &mut o);
-        o.push_str(",\"passes\":[");
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            pass_json(p, &mut o);
-        }
-        o.push_str("],\"critical_path\":[");
-        for (i, b) in self.critical_path.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            breakdown_json(b, &mut o);
-        }
-        o.push_str("]}");
-        o
+            w.key("io_shards").arr(|w| self.io_shards.iter().for_each(|s| shard_json(s, w)));
+            w.key("dropped_passes").u64(self.dropped_passes);
+            w.key("dropped_events").u64(self.dropped_events);
+            w.key("passes").arr(|w| self.passes.iter().for_each(|p| pass_json(p, w)));
+            w.key("critical_path")
+                .arr(|w| self.critical_path.iter().for_each(|b| breakdown_json(b, w)));
+        })
     }
 
     /// The per-pass critical-path table (same rendering in every bench
@@ -359,210 +355,152 @@ impl ProfileReport {
     }
 }
 
-fn push_u64(v: u64, out: &mut String) {
-    out.push_str(itoa(v).as_str());
-}
-
-fn itoa(v: u64) -> String {
-    format!("{v}")
-}
-
-fn field_u64(name: &str, v: u64, first: bool, out: &mut String) {
-    if !first {
-        out.push(',');
-    }
-    json_escape(name, out);
-    out.push(':');
-    push_u64(v, out);
-}
-
-pub(crate) fn exec_json(e: &ExecStatsSnapshot, out: &mut String) {
-    out.push('{');
-    field_u64("passes", e.passes, true, out);
-    field_u64("parts", e.parts, false, out);
-    field_u64("pcache_chunks", e.pcache_chunks, false, out);
-    field_u64("local_parts", e.local_parts, false, out);
-    field_u64("remote_parts", e.remote_parts, false, out);
-    field_u64("exec_nanos", e.exec_nanos, false, out);
-    field_u64("node_chunks", e.node_chunks, false, out);
-    field_u64("node_chunk_bytes", e.node_chunk_bytes, false, out);
-    field_u64("fused_chains", e.fused_chains, false, out);
-    field_u64("fused_saved_bytes", e.fused_saved_bytes, false, out);
-    field_u64("io_wait_nanos", e.io_wait_nanos, false, out);
-    field_u64("compute_nanos", e.compute_nanos, false, out);
-    field_u64("write_stall_nanos", e.write_stall_nanos, false, out);
-    field_u64("opt_decisions", e.opt_decisions, false, out);
-    field_u64("opt_cache_bytes", e.opt_cache_bytes, false, out);
-    out.push('}');
-}
-
-fn histo_json(h: &LatencyHistoSnapshot, out: &mut String) {
-    out.push('{');
-    field_u64("count", h.count(), true, out);
-    field_u64("p50_ns", h.quantile_upper_ns(0.50), false, out);
-    field_u64("p95_ns", h.quantile_upper_ns(0.95), false, out);
-    field_u64("p99_ns", h.quantile_upper_ns(0.99), false, out);
-    // Sparse bucket list: [[lower_bound_ns, count], ...]
-    out.push_str(",\"buckets\":[");
-    let mut first = true;
-    for i in 0..LAT_BUCKETS {
-        if h.buckets[i] == 0 {
-            continue;
+/// The scalar statistics as members, in declaration order.
+fn scalar_members(stats: &[Stat], w: &mut Writer) {
+    for s in stats {
+        if let StatValue::Counter(v) | StatValue::Gauge(v) = s.value {
+            w.key(s.field).u64(v);
         }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let (lo, _) = flashr_safs::LatencyHisto::bucket_bounds(i);
-        out.push('[');
-        push_u64(lo, out);
-        out.push(',');
-        push_u64(h.buckets[i], out);
-        out.push(']');
     }
-    out.push_str("]}");
 }
 
-pub(crate) fn io_json(io: &IoStatsSnapshot, out: &mut String) {
-    out.push('{');
-    field_u64("read_bytes", io.read_bytes, true, out);
-    field_u64("write_bytes", io.write_bytes, false, out);
-    field_u64("read_reqs", io.read_reqs, false, out);
-    field_u64("write_reqs", io.write_reqs, false, out);
-    field_u64("read_nanos", io.read_nanos, false, out);
-    field_u64("write_nanos", io.write_nanos, false, out);
-    field_u64("throttle_wait_nanos", io.throttle_wait_nanos, false, out);
-    field_u64("io_retries", io.io_retries, false, out);
-    field_u64("cur_queue_depth", io.cur_queue_depth, false, out);
-    field_u64("max_queue_depth", io.max_queue_depth, false, out);
-    out.push_str(",\"cache\":");
-    cache_json(&io.cache, out);
-    out.push_str(",\"read_lat\":");
-    histo_json(&io.read_lat, out);
-    out.push_str(",\"write_lat\":");
-    histo_json(&io.write_lat, out);
-    out.push('}');
+/// The histogram statistics as members, in declaration order.
+fn histo_members(stats: &[Stat], w: &mut Writer) {
+    for s in stats {
+        if let StatValue::Histogram(h) = &s.value {
+            histo_json(h, w.key(s.field));
+        }
+    }
+}
+
+pub(crate) fn exec_json(e: &ExecStatsSnapshot, w: &mut Writer) {
+    w.obj(|w| scalar_members(&e.stats(), w));
+}
+
+fn histo_json(h: &LatencyHistoSnapshot, w: &mut Writer) {
+    w.obj(|w| {
+        w.key("count").u64(h.count());
+        w.key("p50_ns").u64(h.quantile_upper_ns(0.50));
+        w.key("p95_ns").u64(h.quantile_upper_ns(0.95));
+        w.key("p99_ns").u64(h.quantile_upper_ns(0.99));
+        // Sparse bucket list: [[lower_bound_ns, count], ...]
+        w.key("buckets").arr(|w| {
+            for i in (0..LAT_BUCKETS).filter(|&i| h.buckets[i] != 0) {
+                w.arr(|w| {
+                    w.u64(flashr_safs::LatencyHisto::bucket_bounds(i).0);
+                    w.u64(h.buckets[i]);
+                });
+            }
+        });
+    });
+}
+
+pub(crate) fn io_json(io: &IoStatsSnapshot, w: &mut Writer) {
+    w.obj(|w| {
+        let stats = io.stats();
+        scalar_members(&stats, w);
+        cache_json(&io.cache, w.key("cache"));
+        histo_members(&stats, w);
+    });
 }
 
 /// Serialize one storage shard's counters (also used by benchmark
 /// artifacts).
-pub fn shard_json(s: &ShardStatsSnapshot, out: &mut String) {
-    out.push('{');
-    field_u64("read_reqs", s.read_reqs, true, out);
-    field_u64("write_reqs", s.write_reqs, false, out);
-    field_u64("read_bytes", s.read_bytes, false, out);
-    field_u64("write_bytes", s.write_bytes, false, out);
-    field_u64("retries", s.retries, false, out);
-    field_u64("cur_queue_depth", s.cur_queue_depth, false, out);
-    field_u64("max_queue_depth", s.max_queue_depth, false, out);
-    out.push_str(",\"lat\":");
-    histo_json(&s.lat, out);
-    out.push('}');
+pub fn shard_json(s: &ShardStatsSnapshot, w: &mut Writer) {
+    w.obj(|w| {
+        let stats = s.stats();
+        scalar_members(&stats, w);
+        histo_members(&stats, w);
+    });
 }
 
 /// Serialize page-cache counters (also used by benchmark artifacts).
-pub fn cache_json(c: &CacheStatsSnapshot, out: &mut String) {
-    out.push('{');
-    field_u64("hits", c.hits, true, out);
-    field_u64("misses", c.misses, false, out);
-    field_u64("coalesced", c.coalesced, false, out);
-    field_u64("bypasses", c.bypasses, false, out);
-    field_u64("inserts", c.inserts, false, out);
-    field_u64("evictions", c.evictions, false, out);
-    field_u64("invalidations", c.invalidations, false, out);
-    field_u64("readahead_issued", c.readahead_issued, false, out);
-    field_u64("readahead_hits", c.readahead_hits, false, out);
-    field_u64("resident_bytes", c.resident_bytes, false, out);
-    out.push('}');
+pub fn cache_json(c: &CacheStatsSnapshot, w: &mut Writer) {
+    w.obj(|w| scalar_members(&c.stats(), w));
 }
 
-fn pass_json(p: &PassProfile, out: &mut String) {
-    out.push('{');
-    field_u64("pass_id", p.pass_id, true, out);
-    out.push_str(",\"engine\":");
-    json_escape(p.engine, out);
-    out.push_str(",\"mode\":");
-    json_escape(p.mode, out);
-    out.push_str(",\"simd\":");
-    json_escape(p.simd, out);
-    field_u64("nodes", p.nodes as u64, false, out);
-    field_u64("nodes_pre_cse", p.nodes_pre_cse as u64, false, out);
-    field_u64("nparts", p.nparts, false, out);
-    field_u64("pcache_step", p.pcache_step as u64, false, out);
-    field_u64("sinks", p.sinks as u64, false, out);
-    field_u64("talls", p.talls as u64, false, out);
-    field_u64("wall_nanos", p.wall_nanos, false, out);
-    field_u64("io_wait_nanos", p.io_wait_nanos(), false, out);
-    field_u64("compute_nanos", p.compute_nanos(), false, out);
-    field_u64("write_stall_nanos", p.write_stall_nanos(), false, out);
-    field_u64("pcache_chunks", p.pcache_chunks(), false, out);
-    let (local, remote) = p.numa_split();
-    field_u64("local_parts", local, false, out);
-    field_u64("remote_parts", remote, false, out);
-    field_u64("cache_hits", p.cache.hits, false, out);
-    field_u64("cache_misses", p.cache.misses, false, out);
-    field_u64("cache_readahead", p.cache.readahead_issued, false, out);
-    out.push_str(",\"workers\":[");
-    for (i, w) in p.workers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+fn pass_json(p: &PassProfile, w: &mut Writer) {
+    w.obj(|w| {
+        w.key("pass_id").u64(p.pass_id);
+        w.key("engine").str(p.engine);
+        w.key("mode").str(p.mode);
+        w.key("simd").str(p.simd);
+        let (local, remote) = p.numa_split();
+        for (key, v) in [
+            ("nodes", p.nodes as u64),
+            ("nodes_pre_cse", p.nodes_pre_cse as u64),
+            ("nparts", p.nparts),
+            ("pcache_step", p.pcache_step as u64),
+            ("sinks", p.sinks as u64),
+            ("talls", p.talls as u64),
+            ("wall_nanos", p.wall_nanos),
+            ("io_wait_nanos", p.io_wait_nanos()),
+            ("compute_nanos", p.compute_nanos()),
+            ("write_stall_nanos", p.write_stall_nanos()),
+            ("pcache_chunks", p.pcache_chunks()),
+            ("local_parts", local),
+            ("remote_parts", remote),
+            ("cache_hits", p.cache.hits),
+            ("cache_misses", p.cache.misses),
+            ("cache_readahead", p.cache.readahead_issued),
+        ] {
+            w.key(key).u64(v);
         }
-        out.push('{');
-        field_u64("tid", w.tid as u64, true, out);
-        field_u64("parts", w.parts, false, out);
-        field_u64("local_parts", w.local_parts, false, out);
-        field_u64("remote_parts", w.remote_parts, false, out);
-        field_u64("io_wait_nanos", w.io_wait_nanos, false, out);
-        field_u64("compute_nanos", w.compute_nanos, false, out);
-        field_u64("write_stall_nanos", w.write_stall_nanos, false, out);
-        field_u64("pcache_chunks", w.pcache_chunks, false, out);
-        out.push('}');
-    }
-    out.push_str("],\"ops\":[");
-    for (i, op) in p.ops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        field_u64("node_id", op.node_id, true, out);
-        out.push_str(",\"label\":");
-        json_escape(&op.label, out);
-        field_u64("chunks", op.chunks, false, out);
-        field_u64("nanos", op.nanos, false, out);
-        field_u64("chain_len", op.chain_len, false, out);
-        field_u64("saved_bytes", op.saved_bytes, false, out);
-        out.push('}');
-    }
-    out.push_str("],\"optimizer\":[");
-    for (i, d) in p.optimizer.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        d.write_json(out);
-    }
-    out.push_str("]}");
+        w.key("workers").arr(|w| {
+            for wp in &p.workers {
+                w.obj(|w| {
+                    for (key, v) in [
+                        ("tid", wp.tid as u64),
+                        ("parts", wp.parts),
+                        ("local_parts", wp.local_parts),
+                        ("remote_parts", wp.remote_parts),
+                        ("io_wait_nanos", wp.io_wait_nanos),
+                        ("compute_nanos", wp.compute_nanos),
+                        ("write_stall_nanos", wp.write_stall_nanos),
+                        ("pcache_chunks", wp.pcache_chunks),
+                    ] {
+                        w.key(key).u64(v);
+                    }
+                });
+            }
+        });
+        w.key("ops").arr(|w| {
+            for op in &p.ops {
+                w.obj(|w| {
+                    w.key("node_id").u64(op.node_id);
+                    w.key("label").str(&op.label);
+                    w.key("chunks").u64(op.chunks);
+                    w.key("nanos").u64(op.nanos);
+                    w.key("chain_len").u64(op.chain_len);
+                    w.key("saved_bytes").u64(op.saved_bytes);
+                });
+            }
+        });
+        w.key("optimizer").arr(|w| p.optimizer.iter().for_each(|d| d.write_json(w)));
+    });
 }
 
-fn breakdown_json(b: &PassBreakdown, out: &mut String) {
-    out.push('{');
-    field_u64("pass_id", b.pass_id, true, out);
-    out.push_str(",\"engine\":");
-    json_escape(b.engine, out);
-    field_u64("nworkers", b.nworkers as u64, false, out);
-    field_u64("wall_nanos", b.wall_nanos, false, out);
-    field_u64("compute_nanos", b.compute_nanos, false, out);
-    field_u64("io_wait_nanos", b.io_wait_nanos, false, out);
-    field_u64("write_stall_nanos", b.write_stall_nanos, false, out);
-    field_u64("idle_nanos", b.idle_nanos, false, out);
-    field_u64("tasks", b.tasks, false, out);
-    field_u64("median_task_nanos", b.median_task_nanos, false, out);
-    field_u64("stragglers", b.stragglers, false, out);
-    field_u64("readahead_late", b.readahead_late, false, out);
-    out.push_str(",\"bound\":");
-    json_escape(b.bound, out);
-    out.push_str(",\"utilization\":");
-    json_f64(b.utilization(), out);
-    out.push('}');
+fn breakdown_json(b: &PassBreakdown, w: &mut Writer) {
+    w.obj(|w| {
+        w.key("pass_id").u64(b.pass_id);
+        w.key("engine").str(b.engine);
+        for (key, v) in [
+            ("nworkers", b.nworkers as u64),
+            ("wall_nanos", b.wall_nanos),
+            ("compute_nanos", b.compute_nanos),
+            ("io_wait_nanos", b.io_wait_nanos),
+            ("write_stall_nanos", b.write_stall_nanos),
+            ("idle_nanos", b.idle_nanos),
+            ("tasks", b.tasks),
+            ("median_task_nanos", b.median_task_nanos),
+            ("stragglers", b.stragglers),
+            ("readahead_late", b.readahead_late),
+        ] {
+            w.key(key).u64(v);
+        }
+        w.key("bound").str(b.bound);
+        w.key("utilization").f64(b.utilization());
+    });
 }
 
 #[cfg(test)]
@@ -582,6 +520,19 @@ mod tests {
         assert!(TraceLevel::Op > TraceLevel::Pass);
         assert!(TraceLevel::Pass > TraceLevel::Summary);
         assert!(TraceLevel::Summary > TraceLevel::Off);
+    }
+
+    #[test]
+    fn trace_out_raises_the_default_level_to_timeline() {
+        use TraceLevel::{Off, Pass, Timeline};
+        assert_eq!(TraceLevel::from_vars(None, None), Off);
+        assert_eq!(TraceLevel::from_vars(Some("pass"), None), Pass);
+        assert_eq!(TraceLevel::from_vars(Some("bogus"), None), Off);
+        // README: `FLASHR_TRACE_OUT` "raises the level to `timeline`".
+        assert_eq!(TraceLevel::from_vars(None, Some("t.json")), Timeline);
+        assert_eq!(TraceLevel::from_vars(Some("pass"), Some("t.json")), Timeline);
+        assert_eq!(TraceLevel::from_vars(Some("off"), Some("t.json")), Timeline);
+        assert_eq!(TraceLevel::from_vars(Some("pass"), Some("")), Pass, "empty means unset");
     }
 
     #[test]
@@ -679,6 +630,6 @@ mod tests {
         assert!(json.contains("\"io_shards\":[{\"read_reqs\":3,"));
         // escaping: the label's quotes must be escaped
         assert!(json.contains("mapply:Add \\\"x\\\""));
-        crate::json::parse(&json).expect("strict JSON");
+        json::parse(&json).expect("strict JSON");
     }
 }

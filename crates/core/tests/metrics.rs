@@ -1,8 +1,9 @@
 //! Integration tests for the always-on metrics layer: engine counters
-//! surfacing in the Prometheus exposition after a materialization,
-//! allocation-free hot-path recording (checked with a counting global
-//! allocator), the HTTP scrape listener end-to-end, and a forced flight
-//! recorder dump carrying exec spans plus a metrics snapshot.
+//! surfacing in the Prometheus exposition after a materialization, the
+//! exposition's family list, allocation-free hot-path recording (checked
+//! with a counting global allocator), the HTTP scrape listener
+//! end-to-end, and a forced flight recorder dump carrying exec spans
+//! plus a metrics snapshot.
 //!
 //! The panic-triggered dump lives in its own binary
 //! (`tests/flight_recorder.rs`): the panic hook dumps every live
@@ -13,7 +14,10 @@ use flashr_core::fm::FM;
 use flashr_core::json;
 use flashr_core::metrics::serve::{MetricsServer, RenderFn};
 use flashr_core::ops::BinaryOp;
-use flashr_core::session::{CtxConfig, ExecMode, FlashCtx};
+use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
+use flashr_core::trace::timeline::RECENT_EVENTS_PER_LANE;
+use flashr_core::trace::{Timeline, TraceLevel};
+use flashr_safs::{CacheCfg, Safs, SafsConfig, NO_ARGS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
@@ -66,29 +70,6 @@ fn run_once(ctx: &FlashCtx) -> f64 {
 }
 
 #[test]
-fn handle_updates_are_visible_in_metrics_text() {
-    let ctx = small_ctx();
-    let reqs = ctx.metrics().counter("test_requests_total", "test counter", &[("op", "read")]);
-    let depth = ctx.metrics().gauge("test_depth", "test gauge", &[]);
-    let lat = ctx.metrics().histogram("test_latency_ns", "test histogram", &[]);
-    reqs.add(3);
-    depth.set(7);
-    lat.record(100);
-    lat.record(200_000);
-    let text = ctx.metrics_text();
-    assert!(text.contains("# TYPE test_requests_total counter"), "{text}");
-    assert!(text.contains("test_requests_total{op=\"read\"} 3\n"), "{text}");
-    assert!(text.contains("test_depth 7\n"), "{text}");
-    assert!(text.contains("# TYPE test_latency_ns histogram"), "{text}");
-    assert!(text.contains("test_latency_ns_count 2\n"), "{text}");
-    assert!(text.contains("test_latency_ns_sum 200100\n"), "{text}");
-    // Later updates show up on the next render without re-registering.
-    reqs.inc();
-    let text = ctx.metrics_text();
-    assert!(text.contains("test_requests_total{op=\"read\"} 4\n"), "{text}");
-}
-
-#[test]
 fn engine_counters_flow_into_the_exposition() {
     let ctx = small_ctx();
     run_once(&ctx);
@@ -124,26 +105,95 @@ fn engine_counters_flow_into_the_exposition() {
     }
 }
 
+/// What `scripts/check_prometheus` and dashboards key on: every family
+/// an external-memory context exposes, with its type. The list is
+/// generated from the stat structs' declarations, so it is pinned here.
+#[test]
+fn exposition_families_are_a_fixed_contract() {
+    let dir = std::env::temp_dir().join(format!("flashr-metrics-families-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cached = SafsConfig::striped_under(&dir, 2).with_cache(CacheCfg::with_capacity(1 << 20));
+    let cfg = CtxConfig { storage: StorageClass::Em, ..small_ctx().cfg().clone() };
+    let ctx = FlashCtx::with_config(cfg, Some(Safs::open(cached).unwrap()));
+    let x = FM::runif(&ctx, 1000, 4, 0.0, 1.0, 7).materialize(&ctx);
+    assert!(x.sum().value(&ctx).is_finite());
+    let text = ctx.metrics_text();
+    let mut families: Vec<&str> = text.lines().filter_map(|l| l.strip_prefix("# TYPE ")).collect();
+    families.sort_unstable();
+    let expected = "\
+        flashr_cache_capacity_bytes gauge
+        flashr_cache_events_total counter
+        flashr_cache_resident_bytes gauge
+        flashr_calib_enabled gauge
+        flashr_calib_prediction_error_bytes gauge
+        flashr_calib_predictions_total counter
+        flashr_calib_read_factor_milli gauge
+        flashr_calib_records gauge
+        flashr_calib_throughput_mib_s gauge
+        flashr_exec_compute_nanos_total counter
+        flashr_exec_fused_chains_total counter
+        flashr_exec_fused_saved_bytes_total counter
+        flashr_exec_io_wait_nanos_total counter
+        flashr_exec_nanos_total counter
+        flashr_exec_node_chunk_bytes_total counter
+        flashr_exec_node_chunks_total counter
+        flashr_exec_opt_cache_bytes_total counter
+        flashr_exec_opt_decisions_total counter
+        flashr_exec_parts_numa_total counter
+        flashr_exec_parts_total counter
+        flashr_exec_passes_total counter
+        flashr_exec_pcache_chunks_total counter
+        flashr_exec_write_stall_nanos_total counter
+        flashr_io_bytes_total counter
+        flashr_io_latency_ns histogram
+        flashr_io_nanos_total counter
+        flashr_io_queue_depth gauge
+        flashr_io_queue_depth_max gauge
+        flashr_io_requests_total counter
+        flashr_io_retries_total counter
+        flashr_io_shard_bytes_total counter
+        flashr_io_shard_latency_ns histogram
+        flashr_io_shard_queue_depth gauge
+        flashr_io_shard_queue_depth_max gauge
+        flashr_io_shard_requests_total counter
+        flashr_io_shard_retries_total counter
+        flashr_io_throttle_wait_nanos_total counter
+        flashr_mem_budget_bytes gauge
+        flashr_mem_overcommits_total counter
+        flashr_mem_pinned_bytes gauge
+        flashr_mem_spills_total counter
+        flashr_metrics_scrapes_total counter
+        flashr_simd_level gauge";
+    assert_eq!(families, expected.lines().map(str::trim).collect::<Vec<_>>());
+    // Labels ride along: the shard index in front, the declared one after.
+    assert!(text.contains("flashr_io_shard_bytes_total{shard=\"1\",op=\"write\"} "), "{text}");
+    assert!(text.contains("flashr_cache_events_total{shard=\"0\",event=\"evict\"} "), "{text}");
+    drop(ctx);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The path every pass pays at `FLASHR_TRACE=off`: once a thread's lane
+/// exists, recording into the span log touches no allocator — its buffer
+/// is allocated whole and evicts in place.
 #[test]
 fn hot_path_recording_does_not_allocate() {
-    let ctx = small_ctx();
-    // Registration (interning, label clones) pays its allocations here.
-    let c = ctx.metrics().counter("hot_total", "hot-path counter", &[("lane", "w0")]);
-    let g = ctx.metrics().gauge("hot_depth", "hot-path gauge", &[]);
-    let h = ctx.metrics().histogram("hot_ns", "hot-path histogram", &[]);
-    // Warm up so lazy TLS or one-time setup is done.
-    c.inc();
-    g.set(1);
-    h.record(1);
+    let log = Timeline::for_level(TraceLevel::Off);
+    // Lane creation (name, pre-allocated buffer) pays its allocations here.
+    let lane = log.named_lane("flashr-w0");
     let before = allocs_on_this_thread();
-    for i in 0..10_000u64 {
-        c.inc();
-        c.add(2);
-        g.set(i);
-        h.record(i);
+    for part in 0..4 * RECENT_EVENTS_PER_LANE as u64 {
+        let args = [("part", part), ("pass", 1)];
+        let t0 = lane.open("exec", "task", args);
+        lane.begin("exec", "compute", NO_ARGS);
+        lane.end("exec", "compute");
+        lane.complete_detail("exec", "mapply:Add", 10, NO_ARGS);
+        lane.close("exec", "task", t0, args);
+        // Finding the lane again by name does not allocate either.
+        log.named_lane("flashr-w0").counter("io-queue-depth", t0, part);
     }
     let after = allocs_on_this_thread();
     assert_eq!(after - before, 0, "hot-path recording must not allocate");
+    assert_eq!(lane.len(), RECENT_EVENTS_PER_LANE, "full, evicting its oldest");
 }
 
 #[test]
@@ -210,11 +260,7 @@ fn flight_recorder_is_bounded_at_off_trace_level() {
     let fr = ctx.flight_recorder();
     // Events were recorded even though tracing is off…
     assert!(fr.total_events() > 0);
-    // …but every lane stays within the ring budget.
-    let budget = std::env::var("FLASHR_FLIGHT_EVENTS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(flashr_core::metrics::flight::DEFAULT_EVENTS_PER_LANE);
-    // 3 lanes max here (2 workers + coordinator).
-    assert!(fr.total_events() <= budget * 3, "{} events", fr.total_events());
+    // …but every lane stays within the summary budget: 3 lanes max
+    // here (2 workers + coordinator).
+    assert!(fr.total_events() <= RECENT_EVENTS_PER_LANE * 3, "{} events", fr.total_events());
 }

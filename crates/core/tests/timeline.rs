@@ -1,8 +1,9 @@
-//! Integration tests for the span-timeline layer: begin/end pairing and
-//! nesting invariants, per-lane monotonic timestamps, the event budget,
-//! allocation-free operation when tracing is off, span emission across
-//! the exec/io/cache categories on an external-memory run, and the
-//! Chrome-trace / profile-report JSON validated against the strict reader.
+//! Integration tests for the span log: begin/end pairing and nesting
+//! invariants, per-lane monotonic timestamps, the event budget, what
+//! each trace level keeps (and that none keeps a span twice), span
+//! emission across the exec/io/cache categories on an external-memory
+//! run — to every context on the runtime — and the Chrome-trace /
+//! profile-report JSON validated against the strict reader.
 
 use flashr_core::fm::FM;
 use flashr_core::json::{self, Value};
@@ -128,6 +129,103 @@ fn event_budget_enforces_cap_and_counts_drops() {
     }
     assert_eq!(tl.total_events(), 8, "lane capped at its budget");
     assert_eq!(tl.dropped_events(), 12, "overflow counted, not silently lost");
+    let kept: Vec<u64> = tl.snapshot()[0].events.iter().map(|e| e.ts_ns).collect();
+    assert_eq!(kept, (12..20).collect::<Vec<u64>>(), "the oldest are evicted, the newest kept");
+}
+
+/// How many events called `name` of `kind` the context's span log
+/// holds, every one of them on a lane whose name starts with `lane`.
+fn count(ctx: &FlashCtx, name: &str, kind: EventKind, lane: &str) -> usize {
+    let mut n = 0;
+    for l in ctx.tracer().log().snapshot() {
+        let here = l.events.iter().filter(|e| e.name == name && e.kind == kind).count();
+        assert!(here == 0 || l.name.starts_with(lane), "{name} {kind:?} on lane {}", l.name);
+        n += here;
+    }
+    n
+}
+
+#[test]
+fn no_level_records_a_span_twice() {
+    use EventKind::{Begin, Complete, End};
+    // 1000 rows in 64-row partitions: 16 tasks per pass; two passes.
+    for level in [TraceLevel::Off, TraceLevel::Op] {
+        let ctx = ctx_with(ExecMode::CacheFuse, level);
+        four_op_sum(&ctx);
+        four_op_sum(&ctx);
+        assert_eq!(count(&ctx, "pass", Complete, "coordinator"), 2, "{level:?}");
+        assert_eq!(count(&ctx, "task", Complete, "flashr-w"), 32, "{level:?}");
+        let lanes = ctx.tracer().log().snapshot();
+        let mut kinds = lanes.iter().flat_map(|l| &l.events).map(|e| e.kind);
+        assert!(!kinds.any(|k| matches!(k, Begin | End)), "{level:?}: pairs are timeline detail");
+    }
+    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Timeline);
+    four_op_sum(&ctx);
+    for (name, lane, n) in [("pass", "coordinator", 1), ("task", "flashr-w", 16)] {
+        assert_eq!(count(&ctx, name, Begin, lane), n);
+        assert_eq!(count(&ctx, name, End, lane), n);
+        assert_eq!(count(&ctx, name, Complete, lane), 0, "{name}: a pair, not also an interval");
+    }
+}
+
+/// `{:?}` on the log, the recorder and a timeline-level tracer used to
+/// take the lane registry's lock twice on one thread. A deadlock cannot
+/// fail an assertion, so a watchdog waits for the formatting thread.
+#[test]
+fn debug_formatting_returns() {
+    let (done, watchdog) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Timeline);
+        four_op_sum(&ctx);
+        let log = ctx.tracer().timeline().expect("timeline level");
+        let text = format!("{log:?} {:?} {:?}", ctx.flight_recorder(), ctx.tracer());
+        let _ = done.send(text);
+    });
+    let text = watchdog
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("formatting the span log deadlocked");
+    assert!(text.starts_with("Timeline(4 lanes, "), "{text}");
+    assert!(text.contains(" FlightRecorder(Timeline(4 lanes, "), "{text}");
+    assert!(text.contains(" Tracer {"), "{text}");
+}
+
+fn em_ctx(tag: &str, trace: TraceLevel) -> (FlashCtx, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("flashr-timeline-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
+    safs.set_page_cache(Some(CacheCfg::with_capacity(8 << 20)));
+    let cfg = CtxConfig { nthreads: 2, rows_per_part: 64, trace, ..CtxConfig::default() };
+    (FlashCtx::with_config(CtxConfig { storage: StorageClass::Em, ..cfg }, Some(safs)), dir)
+}
+
+#[test]
+fn derived_contexts_share_the_runtimes_spans() {
+    let (parent, dir) = em_ctx("derived", TraceLevel::Timeline);
+    let safs_events = |ctx: &FlashCtx| {
+        let lanes = ctx.tracer().log().snapshot();
+        lanes.iter().flat_map(|l| &l.events).filter(|e| matches!(e.cat, "io" | "cache")).count()
+    };
+    let x = FM::runif(&parent, 2000, 4, 0.0, 1.0, 11).materialize(&parent);
+    let seen = safs_events(&parent);
+    assert!(seen > 0, "the parent records its own I/O");
+
+    // A derived context (what `with_mode`, `with_trace`, … build) shares
+    // the runtime: a pass on either is seen by both.
+    let derived = parent.with_mode(ExecMode::Eager);
+    assert!(x.sum().value(&derived).is_finite());
+    assert!(safs_events(&derived) > 0, "the derived context records the pass it ran");
+    assert!(safs_events(&parent) > seen, "…and so does the parent");
+    let seen = safs_events(&parent);
+    assert!(x.sum().value(&parent).is_finite());
+    assert!(safs_events(&parent) > seen);
+
+    // Dropping the derived context takes only its own registration back.
+    let seen = safs_events(&parent);
+    drop(derived);
+    assert!(x.sum().value(&parent).is_finite());
+    assert!(safs_events(&parent) > seen, "the parent lost its SAFS spans to a dropped context");
+    drop((x, parent));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

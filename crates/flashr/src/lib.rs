@@ -60,3 +60,41 @@ pub mod prelude {
     pub use flashr_linalg::Dense;
     pub use flashr_safs::{CacheCfg, CacheStatsSnapshot, Safs, SafsConfig, ThrottleCfg};
 }
+
+#[cfg(test)]
+mod tests {
+    /// Every `FLASHR_<NAME>` spelled in `text` (not the bare `FLASHR_*`).
+    fn flashr_vars(text: &str) -> std::collections::BTreeSet<&str> {
+        let name_char = |c: char| c.is_ascii_uppercase() || c == '_';
+        let end = |s: &str| s.find(|c| !name_char(c)).unwrap_or(s.len());
+        let names = text.match_indices("FLASHR_").map(|(i, _)| &text[i..i + end(&text[i..])]);
+        names.filter(|n| *n != "FLASHR_").collect()
+    }
+
+    /// README.md's "Environment variables" table has a row for every
+    /// `FLASHR_*` variable named in a source file that reads one, and no
+    /// row for a variable nothing reads.
+    #[test]
+    fn readme_table_lists_every_environment_variable() {
+        let sources = [
+            include_str!("../../core/src/env.rs"),
+            include_str!("../../safs/src/config.rs"),
+            include_str!("../../safs/src/backend/mod.rs"),
+            include_str!("../../linalg/src/simd.rs"),
+            include_str!("../../bench/src/lib.rs"),
+            include_str!("../../bench/src/bin/ablate.rs"),
+            include_str!("../../bench/src/bin/flashr-prof.rs"),
+            include_str!("../../bench/src/bin/perf_probe.rs"),
+            include_str!("../../bench/src/bin/shard_sweep.rs"),
+        ]
+        .concat();
+        let read = flashr_vars(&sources);
+        let rows: String = include_str!("../../../README.md")
+            .lines()
+            .filter(|l| l.starts_with("| `FLASHR_"))
+            .flat_map(|l| l.split('|').nth(1))
+            .collect();
+        assert_eq!(read, flashr_vars(&rows), "left: named in the sources, right: README rows");
+        assert_eq!(read.len(), 13);
+    }
+}

@@ -25,7 +25,7 @@
 //! or the `FLASHR_BACKEND` environment variable (`sim` | `direct`).
 //!
 //! Every shard keeps its own [`ShardStats`] — request/byte counters, a
-//! [`LatencyHisto`] and queue-depth gauges — on top of the aggregate
+//! [`LatencyHisto`](crate::LatencyHisto) and queue-depth gauges — on top of the aggregate
 //! [`IoStats`](crate::IoStats), so the timeline, the flight recorder
 //! and the Prometheus exposition all see per-shard lanes.
 //!
@@ -45,10 +45,7 @@ pub(crate) use worker::WorkerEnv;
 use crate::aio::IoReq;
 use crate::config::SafsConfig;
 use crate::error::SafsResult;
-use crate::metrics::{Counter, Gauge};
-use crate::stats::{LatencyHisto, LatencyHistoSnapshot};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Which storage backend a runtime drives its shards with.
@@ -142,18 +139,32 @@ pub(crate) fn with_retries<T>(
     unreachable!("loop returns on the final attempt")
 }
 
-/// Per-shard I/O counters: one instance per shard, updated by that
-/// shard's workers only (plus queue-depth bumps from submitters).
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    read_reqs: Counter,
-    write_reqs: Counter,
-    read_bytes: Counter,
-    write_bytes: Counter,
-    retries: Counter,
-    lat: LatencyHisto,
-    queue_depth: Gauge,
-    max_queue_depth: AtomicU64,
+const SHARD_REQS: &str = "Requests completed, by storage shard and direction.";
+const SHARD_BYTES: &str = "Bytes moved, by storage shard and direction.";
+
+crate::stat_struct! {
+    /// Per-shard I/O counters: one instance per shard, updated by that
+    /// shard's workers only (plus queue-depth bumps from submitters).
+    pub struct ShardStats;
+    /// Point-in-time copy of one shard's [`ShardStats`].
+    pub struct ShardStatsSnapshot {
+        read_reqs: counter => "flashr_io_shard_requests_total", SHARD_REQS, "op" = "read";
+        write_reqs: counter => "flashr_io_shard_requests_total", SHARD_REQS, "op" = "write";
+        read_bytes: counter => "flashr_io_shard_bytes_total", SHARD_BYTES, "op" = "read";
+        write_bytes: counter => "flashr_io_shard_bytes_total", SHARD_BYTES, "op" = "write";
+        /// Transient errors this shard's workers retried.
+        retries: counter => "flashr_io_shard_retries_total",
+            "Transient I/O errors retried, by storage shard.";
+        /// Device latency of this shard's requests (reads and writes).
+        lat: histogram => "flashr_io_shard_latency_ns",
+            "Per-request device latency by storage shard (log2 buckets, ns).";
+        /// Requests in flight on this shard's queue.
+        cur_queue_depth: gauge => "flashr_io_shard_queue_depth",
+            "Requests in flight on this storage shard's queue.";
+        /// Deepest this shard's queue has run.
+        max_queue_depth: gauge => "flashr_io_shard_queue_depth_max",
+            "Deepest this storage shard's queue has run.";
+    }
 }
 
 impl ShardStats {
@@ -174,69 +185,22 @@ impl ShardStats {
     }
 
     pub(crate) fn queue_enter(&self) {
-        let depth = self.queue_depth.inc();
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+        self.max_queue_depth.fetch_max(self.cur_queue_depth.inc());
     }
 
     pub(crate) fn queue_exit(&self) {
-        self.queue_depth.dec();
+        self.cur_queue_depth.dec();
     }
 
     pub(crate) fn depth(&self) -> u64 {
-        self.queue_depth.get()
+        self.cur_queue_depth.get()
     }
-
-    pub fn snapshot(&self) -> ShardStatsSnapshot {
-        ShardStatsSnapshot {
-            read_reqs: self.read_reqs.get(),
-            write_reqs: self.write_reqs.get(),
-            read_bytes: self.read_bytes.get(),
-            write_bytes: self.write_bytes.get(),
-            retries: self.retries.get(),
-            lat: self.lat.snapshot(),
-            cur_queue_depth: self.queue_depth.get(),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of one shard's [`ShardStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStatsSnapshot {
-    pub read_reqs: u64,
-    pub write_reqs: u64,
-    pub read_bytes: u64,
-    pub write_bytes: u64,
-    /// Transient errors this shard's workers retried.
-    pub retries: u64,
-    /// Device latency of this shard's requests (reads and writes).
-    pub lat: LatencyHistoSnapshot,
-    /// In-flight requests at snapshot time (gauge, not delta-able).
-    pub cur_queue_depth: u64,
-    /// Deepest this shard's queue has run (gauge).
-    pub max_queue_depth: u64,
 }
 
 impl ShardStatsSnapshot {
     /// Requests completed in either direction.
     pub fn requests(&self) -> u64 {
         self.read_reqs + self.write_reqs
-    }
-
-    /// Counter movement between two snapshots (`later - self`); same
-    /// contract as [`IoStatsSnapshot::delta`](crate::IoStatsSnapshot::delta):
-    /// gauges carry `later`'s values unchanged.
-    pub fn delta(&self, later: &ShardStatsSnapshot) -> ShardStatsSnapshot {
-        ShardStatsSnapshot {
-            read_reqs: later.read_reqs.saturating_sub(self.read_reqs),
-            write_reqs: later.write_reqs.saturating_sub(self.write_reqs),
-            read_bytes: later.read_bytes.saturating_sub(self.read_bytes),
-            write_bytes: later.write_bytes.saturating_sub(self.write_bytes),
-            retries: later.retries.saturating_sub(self.retries),
-            lat: self.lat.delta(&later.lat),
-            cur_queue_depth: later.cur_queue_depth,
-            max_queue_depth: later.max_queue_depth,
-        }
     }
 }
 
@@ -298,7 +262,7 @@ pub(crate) fn open_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn backend_kind_parsing() {

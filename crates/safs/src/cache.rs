@@ -87,103 +87,47 @@ impl CacheCfg {
     }
 }
 
-/// Monotonic page-cache counters (relaxed atomics, like [`IoStats`](crate::IoStats)).
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    bypasses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    readahead_issued: AtomicU64,
-    readahead_hits: AtomicU64,
-}
+const CACHE_EVENTS: &str = "Page-cache events by shard and kind.";
 
-/// Point-in-time copy of [`CacheStats`] plus the resident-bytes gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStatsSnapshot {
-    /// Lookups served from a resident entry.
-    pub hits: u64,
-    /// Lookups that became the owning device read.
-    pub misses: u64,
-    /// Lookups that blocked on another reader's in-flight I/O.
-    pub coalesced: u64,
-    /// Reads that skipped the cache via the admission filter.
-    pub bypasses: u64,
-    /// Buffers published into the cache.
-    pub inserts: u64,
-    /// Entries evicted by the CLOCK hand.
-    pub evictions: u64,
-    /// Entries dropped because their partition was rewritten or the
-    /// file was deleted/dropped.
-    pub invalidations: u64,
-    /// Readahead requests submitted to the device.
-    pub readahead_issued: u64,
-    /// Parked readahead tickets adopted by a subsequent reader.
-    pub readahead_hits: u64,
-    /// Resident bytes at snapshot time (gauge, not delta-able).
-    pub resident_bytes: u64,
-}
-
-impl CacheStats {
-    fn snapshot(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            readahead_issued: self.readahead_issued.load(Ordering::Relaxed),
-            readahead_hits: self.readahead_hits.load(Ordering::Relaxed),
-            resident_bytes: 0,
-        }
+crate::stat_struct! {
+    /// Monotonic page-cache counters (relaxed atomics, like
+    /// [`IoStats`](crate::IoStats)) plus the resident-bytes gauge; one
+    /// instance per shard.
+    pub struct CacheStats;
+    /// Point-in-time copy of [`CacheStats`].
+    pub struct CacheStatsSnapshot {
+        /// Lookups served from a resident entry.
+        hits: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "hit";
+        /// Lookups that became the owning device read.
+        misses: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "miss";
+        /// Lookups that blocked on another reader's in-flight I/O.
+        coalesced: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "coalesced";
+        /// Reads that skipped the cache via the admission filter.
+        bypasses: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "bypass";
+        /// Buffers published into the cache.
+        inserts: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "insert";
+        /// Entries evicted by the CLOCK hand.
+        evictions: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "evict";
+        /// Entries dropped because their partition was rewritten or the
+        /// file was deleted/dropped.
+        invalidations: counter =>
+            "flashr_cache_events_total", CACHE_EVENTS, "event" = "invalidate";
+        /// Readahead requests submitted to the device.
+        readahead_issued: counter =>
+            "flashr_cache_events_total", CACHE_EVENTS, "event" = "readahead_issued";
+        /// Parked readahead tickets adopted by a subsequent reader.
+        readahead_hits: counter =>
+            "flashr_cache_events_total", CACHE_EVENTS, "event" = "readahead_hit";
+        /// Bytes resident in the shard; only changed under its lock.
+        resident_bytes: gauge =>
+            "flashr_cache_resident_bytes", "Resident page-cache bytes by shard.";
     }
 }
 
 impl CacheStatsSnapshot {
-    /// Counter movement between two snapshots (`later - self`; same
-    /// ordering contract as [`IoStatsSnapshot::delta`](crate::IoStatsSnapshot::delta):
-    /// swapped arguments saturate to 0). The resident-bytes gauge
-    /// carries `later`'s value unchanged.
-    pub fn delta(&self, later: &CacheStatsSnapshot) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: later.hits.saturating_sub(self.hits),
-            misses: later.misses.saturating_sub(self.misses),
-            coalesced: later.coalesced.saturating_sub(self.coalesced),
-            bypasses: later.bypasses.saturating_sub(self.bypasses),
-            inserts: later.inserts.saturating_sub(self.inserts),
-            evictions: later.evictions.saturating_sub(self.evictions),
-            invalidations: later.invalidations.saturating_sub(self.invalidations),
-            readahead_issued: later.readahead_issued.saturating_sub(self.readahead_issued),
-            readahead_hits: later.readahead_hits.saturating_sub(self.readahead_hits),
-            resident_bytes: later.resident_bytes,
-        }
-    }
-
     /// Total lookups that did not bypass the cache.
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses + self.coalesced
-    }
-
-    /// Pointwise sum of two snapshots (shard aggregation; associative
-    /// and commutative, so shards can be folded in any order).
-    pub fn merge(&self, other: &CacheStatsSnapshot) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            coalesced: self.coalesced + other.coalesced,
-            bypasses: self.bypasses + other.bypasses,
-            inserts: self.inserts + other.inserts,
-            evictions: self.evictions + other.evictions,
-            invalidations: self.invalidations + other.invalidations,
-            readahead_issued: self.readahead_issued + other.readahead_issued,
-            readahead_hits: self.readahead_hits + other.readahead_hits,
-            resident_bytes: self.resident_bytes + other.resident_bytes,
-        }
     }
 }
 
@@ -204,7 +148,6 @@ struct ShardInner {
     /// are discarded when the hand meets them.
     ring: Vec<CacheKey>,
     hand: usize,
-    bytes: u64,
 }
 
 #[derive(Default)]
@@ -213,7 +156,7 @@ struct Shard {
     cond: Condvar,
     /// Per-shard counters; shard-scoped so concurrent workers on
     /// different partitions never share a counter cache line, and so the
-    /// metrics registry can expose per-shard series (`shard="0"`).
+    /// metrics exposition can carry per-shard series (`shard="0"`).
     /// Admission-filter bypasses are not shard-scoped and are accounted
     /// on shard 0.
     stats: CacheStats,
@@ -303,17 +246,10 @@ impl PageCache {
     }
 
     /// Per-shard counters, in shard order, each with that shard's
-    /// resident bytes (the metrics registry exposes these as
+    /// resident bytes (the metrics exposition has these as
     /// `shard="<i>"` series).
     pub fn shard_snapshots(&self) -> Vec<CacheStatsSnapshot> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let mut snap = s.stats.snapshot();
-                snap.resident_bytes = s.inner.lock().bytes;
-                snap
-            })
-            .collect()
+        self.shards.iter().map(|s| s.stats.snapshot()).collect()
     }
 
     fn shard(&self, key: CacheKey) -> &Shard {
@@ -329,7 +265,7 @@ impl PageCache {
     /// Count one admission-filter bypass (not shard-scoped; accounted on
     /// shard 0).
     pub(crate) fn note_bypass(&self) {
-        self.shards[0].stats.bypasses.fetch_add(1, Ordering::Relaxed);
+        self.shards[0].stats.bypasses.inc();
     }
 
     /// Resolve `key`: hit, owned miss, adopted readahead, or shared wait.
@@ -339,22 +275,22 @@ impl PageCache {
         match g.map.get_mut(&key) {
             Some(Slot::Resident { buf, referenced }) => {
                 *referenced = true;
-                shard.stats.hits.fetch_add(1, Ordering::Relaxed);
+                shard.stats.hits.inc();
                 Lookup::Hit(buf.clone())
             }
             Some(Slot::InFlight { ticket }) => match ticket.take() {
                 Some(t) => {
-                    shard.stats.readahead_hits.fetch_add(1, Ordering::Relaxed);
+                    shard.stats.readahead_hits.inc();
                     Lookup::Adopted(t)
                 }
                 None => {
-                    shard.stats.coalesced.fetch_add(1, Ordering::Relaxed);
+                    shard.stats.coalesced.inc();
                     Lookup::Shared
                 }
             },
             None => {
                 g.map.insert(key, Slot::InFlight { ticket: None });
-                shard.stats.misses.fetch_add(1, Ordering::Relaxed);
+                shard.stats.misses.inc();
                 Lookup::MustRead
             }
         }
@@ -391,14 +327,12 @@ impl PageCache {
             match g.map.insert(key, Slot::Resident { buf: arc.clone(), referenced: false }) {
                 Some(Slot::Resident { buf: old, .. }) => {
                     // Replaced in place (benign race); the ring slot stands.
-                    g.bytes = g.bytes - old.len() as u64 + len;
+                    shard.stats.resident_bytes.sub(old.len() as u64);
                 }
-                _ => {
-                    g.bytes += len;
-                    g.ring.push(key);
-                }
+                _ => g.ring.push(key),
             }
-            shard.stats.inserts.fetch_add(1, Ordering::Relaxed);
+            shard.stats.resident_bytes.add(len);
+            shard.stats.inserts.inc();
             self.evict_locked(&mut g, key, &shard.stats);
         }
         shard.cond.notify_all();
@@ -410,7 +344,7 @@ impl PageCache {
     /// over-budget single partition overshoots instead of spinning.
     fn evict_locked(&self, g: &mut ShardInner, protect: CacheKey, stats: &CacheStats) {
         let mut sweeps = 0usize;
-        while g.bytes > self.shard_budget && !g.ring.is_empty() {
+        while stats.resident_bytes.get() > self.shard_budget && !g.ring.is_empty() {
             if sweeps > 2 * g.ring.len() + 1 {
                 break;
             }
@@ -445,9 +379,9 @@ impl PageCache {
                 }
                 Some(len) => {
                     g.map.remove(&k);
-                    g.bytes -= len;
+                    stats.resident_bytes.sub(len);
                     g.ring.swap_remove(g.hand);
-                    stats.evictions.fetch_add(1, Ordering::Relaxed);
+                    stats.evictions.inc();
                 }
             }
         }
@@ -513,7 +447,7 @@ impl PageCache {
             if let Some(Slot::InFlight { ticket: slot }) = g.map.get_mut(&key) {
                 if slot.is_none() {
                     *slot = Some(ticket);
-                    shard.stats.readahead_issued.fetch_add(1, Ordering::Relaxed);
+                    shard.stats.readahead_issued.inc();
                 }
             }
         }
@@ -532,8 +466,8 @@ impl PageCache {
         };
         if let Some(len) = len {
             g.map.remove(&key);
-            g.bytes -= len;
-            shard.stats.invalidations.fetch_add(1, Ordering::Relaxed);
+            shard.stats.resident_bytes.sub(len);
+            shard.stats.invalidations.inc();
             // The stale ring slot is discarded by the next clock sweep.
         }
     }
@@ -559,9 +493,9 @@ impl PageCache {
                     .collect();
                 for k in doomed {
                     if let Some(Slot::Resident { buf, .. }) = g.map.remove(&k) {
-                        g.bytes -= buf.len() as u64;
+                        shard.stats.resident_bytes.sub(buf.len() as u64);
                     }
-                    shard.stats.invalidations.fetch_add(1, Ordering::Relaxed);
+                    shard.stats.invalidations.inc();
                 }
             }
             shard.cond.notify_all();
@@ -608,7 +542,7 @@ pub struct PendingRead {
     /// When tracing: where to report the blocking wait, and what to call
     /// it ("miss-wait" for demand misses, "ra-wait" for adopted
     /// readahead — the latter flags readahead that arrived late).
-    span: Option<(Arc<dyn crate::span::SpanSink>, &'static str)>,
+    span: Option<(Arc<crate::span::SinkSet>, &'static str)>,
 }
 
 impl PendingRead {
@@ -620,7 +554,7 @@ impl PendingRead {
     /// it as a completed `cache`/`kind` span.
     pub(crate) fn with_span(
         mut self,
-        sink: Option<Arc<dyn crate::span::SpanSink>>,
+        sink: Option<Arc<crate::span::SinkSet>>,
         kind: &'static str,
     ) -> PendingRead {
         self.span = sink.map(|s| (s, kind));

@@ -60,7 +60,7 @@ pub use error::{SafsError, SafsResult};
 pub use file::SafsFile;
 pub use iobuf::{IoBuf, Pod};
 pub use layout::Striping;
-pub use metrics::{Counter, Gauge, Log2Histogram, Log2HistogramSnapshot};
+pub use metrics::{Counter, Gauge, Log2Histogram, Log2HistogramSnapshot, Stat, StatValue};
 pub use runtime::Safs;
 pub use span::{now_nanos, SpanArgs, SpanSink, NO_ARGS};
 pub use stats::{IoStats, IoStatsSnapshot, LatencyHisto, LatencyHistoSnapshot, LAT_BUCKETS};

@@ -1,24 +1,151 @@
-//! Lock-free metric primitives: typed counter/gauge handles and a
-//! log2-bucketed histogram generic over its bucket count.
+//! Lock-free metric primitives — counter, gauge, log2-bucketed histogram
+//! — and [`stat_struct!`](crate::stat_struct), which declares a statistics struct from them.
 //!
-//! These are the storage cells behind both the SAFS-internal statistics
-//! ([`IoStats`](crate::IoStats) latency histograms are
-//! [`Log2Histogram`]s) and the engine-wide metrics registry in
-//! `flashr_core::metrics`. They live in this crate — the bottom of the
-//! dependency stack — so every layer can record into them; the registry,
-//! exposition and scrape surface live upstream in core.
+//! These are the storage cells of every counter the workspace keeps
+//! ([`IoStats`](crate::IoStats), the page cache's and the shards'
+//! counters here, `ExecStats` in `flashr_core`). They live in this crate
+//! — the bottom of the dependency stack — so every layer can record into
+//! them; exposition and the scrape surface live upstream in core.
 //!
 //! Every recording operation is a handful of relaxed atomic ops with no
 //! allocation and no locking, cheap enough to stay enabled in release
 //! builds on the hottest paths (per-request I/O accounting, per-partition
 //! executor bookkeeping).
 
+use crate::stats::LatencyHistoSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A monotonically increasing counter.
+/// One statistic of a snapshot, with everything a renderer needs: the
+/// JSON member name, and the Prometheus family, help text and fixed
+/// label. Produced by the `stats()` method [`stat_struct!`](crate::stat_struct) generates.
+#[derive(Debug, Clone)]
+pub struct Stat {
+    pub field: &'static str,
+    pub family: &'static str,
+    pub help: &'static str,
+    pub label: Option<(&'static str, &'static str)>,
+    pub value: StatValue,
+}
+
+/// A statistic's value; the variant is its Prometheus type.
+#[derive(Debug, Clone)]
+pub enum StatValue {
+    Counter(u64),
+    Gauge(u64),
+    // Boxed: the 40-bucket snapshot is ~an order of magnitude larger
+    // than the scalar variants, and most statistics are scalars.
+    Histogram(Box<LatencyHistoSnapshot>),
+}
+
+/// Declare a statistics struct once: the live struct of atomic cells,
+/// its `Copy` snapshot struct, `snapshot()`, the saturating `delta()`
+/// (gauges carry the later value, histograms subtract bucket-wise), the
+/// pointwise `merge()` and the `stats()` list every renderer (JSON,
+/// Prometheus) loops over, all in declaration order.
 ///
-/// Handles are shared by reference (typically `Arc<Counter>` handed out
-/// by the registry); recording is one relaxed `fetch_add`.
+/// Each field is `name: kind => "family", help, "label" = "value";`
+/// with `kind` one of `counter` ([`Counter`]), `gauge` ([`Gauge`]) or
+/// `histogram` ([`LatencyHisto`](crate::LatencyHisto)); the label is
+/// optional. Fields after `plus` exist in the snapshot only: its owner
+/// fills them in, and their type supplies `delta` and `merge`.
+#[macro_export]
+macro_rules! stat_struct {
+    (
+        $(#[$live_meta:meta])*
+        pub struct $Live:ident;
+        $(#[$snap_meta:meta])*
+        pub struct $Snap:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident : $kind:ident =>
+                    $family:literal, $help:expr $(, $lk:literal = $lv:literal)?
+            );* $(;)?
+        }
+        $(plus { $( $(#[$pmeta:meta])* $pfield:ident : $pty:ty ),* $(,)? })?
+    ) => {
+        $(#[$live_meta])*
+        #[derive(Debug, Default)]
+        pub struct $Live {
+            $( $(#[$fmeta])* $fvis $field: $crate::stat_struct!(@cell $kind), )*
+        }
+
+        $(#[$snap_meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $Snap {
+            $( $(#[$fmeta])* pub $field: $crate::stat_struct!(@value $kind), )*
+            $($( $(#[$pmeta])* pub $pfield: $pty, )*)?
+        }
+
+        impl $Live {
+            /// Copy out the current values.
+            pub fn snapshot(&self) -> $Snap {
+                $Snap {
+                    $( $field: $crate::stat_struct!(@read $kind self.$field), )*
+                    $($( $pfield: Default::default(), )*)?
+                }
+            }
+        }
+
+        impl $Snap {
+            /// Movement between two snapshots (`later - self`).
+            ///
+            /// Ordering contract: `self` must be the *earlier* snapshot.
+            /// Counters are monotonic, so in-order arguments yield exact
+            /// deltas; accidentally swapped arguments saturate to 0
+            /// instead of panicking on underflow. Gauges are not deltas:
+            /// the result carries `later`'s values unchanged.
+            pub fn delta(&self, later: &$Snap) -> $Snap {
+                $Snap {
+                    $( $field: $crate::stat_struct!(@delta $kind self.$field, later.$field), )*
+                    $($( $pfield: self.$pfield.delta(&later.$pfield), )*)?
+                }
+            }
+
+            /// Pointwise sum of two snapshots (shard aggregation;
+            /// associative and commutative, so shards fold in any order).
+            pub fn merge(&self, other: &$Snap) -> $Snap {
+                $Snap {
+                    $( $field: $crate::stat_struct!(@merge $kind self.$field, other.$field), )*
+                    $($( $pfield: self.$pfield.merge(&other.$pfield), )*)?
+                }
+            }
+
+            /// Every declared statistic with its rendering metadata, in
+            /// declaration order (`plus` fields are not included).
+            pub fn stats(&self) -> Vec<$crate::Stat> {
+                vec![$(
+                    $crate::Stat {
+                        field: stringify!($field),
+                        family: $family,
+                        help: $help,
+                        label: $crate::stat_struct!(@label $($lk $lv)?),
+                        value: $crate::stat_struct!(@stat $kind self.$field),
+                    },
+                )*]
+            }
+        }
+    };
+    (@cell counter) => { $crate::Counter };
+    (@cell gauge) => { $crate::Gauge };
+    (@cell histogram) => { $crate::LatencyHisto };
+    (@value histogram) => { $crate::LatencyHistoSnapshot };
+    (@value $scalar:ident) => { u64 };
+    (@read histogram $cell:expr) => { $cell.snapshot() };
+    (@read $scalar:ident $cell:expr) => { $cell.get() };
+    (@delta counter $a:expr, $b:expr) => { $b.saturating_sub($a) };
+    (@delta gauge $a:expr, $b:expr) => { $b };
+    (@delta histogram $a:expr, $b:expr) => { $a.delta(&$b) };
+    (@merge histogram $a:expr, $b:expr) => { $a.merge(&$b) };
+    (@merge $scalar:ident $a:expr, $b:expr) => { $a + $b };
+    (@label) => { None };
+    (@label $k:literal $v:literal) => { Some(($k, $v)) };
+    (@stat counter $v:expr) => { $crate::StatValue::Counter($v) };
+    (@stat gauge $v:expr) => { $crate::StatValue::Gauge($v) };
+    (@stat histogram $v:expr) => { $crate::StatValue::Histogram(Box::new($v)) };
+}
+
+/// A monotonically increasing counter; recording is one relaxed
+/// `fetch_add`.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -33,10 +160,10 @@ impl Counter {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Add `n`.
+    /// Add `n`; returns the new value.
     #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, Ordering::Relaxed) + n
     }
 
     /// Current value.
@@ -110,8 +237,7 @@ impl Gauge {
 /// computation — cheap enough to stay always-on in the I/O threads.
 ///
 /// The SAFS latency histograms are `Log2Histogram<40>` (≈ 9-minute
-/// ceiling); the general-purpose registry histograms use `N = 64`, which
-/// covers the full `u64` range exactly.
+/// ceiling); `N = 64` covers the full `u64` range exactly.
 #[derive(Debug)]
 pub struct Log2Histogram<const N: usize> {
     buckets: [AtomicU64; N],

@@ -7,7 +7,7 @@ use crate::config::SafsConfig;
 use crate::error::{SafsError, SafsResult};
 use crate::file::{FileInner, SafsFile};
 use crate::layout::Striping;
-use crate::span::{SpanSink, SpanSinkCell};
+use crate::span::{SinkSet, SpanSink, SpanSinkCell};
 use crate::stats::{IoStats, IoStatsSnapshot};
 use crate::sync::Mutex;
 use std::fs;
@@ -60,9 +60,9 @@ impl RtInner {
         self.page_cache.lock().clone()
     }
 
-    /// The installed span sink, if any (one relaxed load when tracing is
-    /// off).
-    pub(crate) fn span_sink(&self) -> Option<Arc<dyn SpanSink>> {
+    /// The registered span sinks, if any (one relaxed load when there
+    /// are none).
+    pub(crate) fn span_sink(&self) -> Option<Arc<SinkSet>> {
         self.span_sink.get()
     }
 }
@@ -115,12 +115,18 @@ impl Safs {
         *self.inner.page_cache.lock() = cache;
     }
 
-    /// Install (or, with `None`, remove) a receiver for I/O and cache
-    /// lifecycle spans. The sink is shared with the backend workers, so it
-    /// takes effect immediately; with no sink installed the hot paths pay
-    /// one relaxed atomic load.
-    pub fn set_span_sink(&self, sink: Option<Arc<dyn SpanSink>>) {
-        self.inner.span_sink.set(sink);
+    /// Register a receiver for I/O and cache lifecycle spans, beside
+    /// any already registered: every context on this runtime has its
+    /// own. The sinks are shared with the backend workers, so this takes
+    /// effect immediately; with none registered the hot paths pay one
+    /// relaxed atomic load.
+    pub fn add_span_sink(&self, sink: Arc<dyn SpanSink>) {
+        self.inner.span_sink.add(sink);
+    }
+
+    /// Unregister a sink passed to [`Safs::add_span_sink`].
+    pub fn remove_span_sink(&self, sink: &Arc<dyn SpanSink>) {
+        self.inner.span_sink.remove(sink);
     }
 
     /// Capacity of the installed page cache in bytes (0 when none).
@@ -155,7 +161,7 @@ impl Safs {
     }
 
     /// Per-shard page-cache counters in shard order (empty when no cache
-    /// is installed). Feeds the metrics registry's `shard="<i>"` series.
+    /// is installed). Feeds the metrics exposition's `shard="<i>"` series.
     pub fn cache_shard_snapshots(&self) -> Vec<CacheStatsSnapshot> {
         self.inner
             .page_cache

@@ -11,8 +11,9 @@
 //!   is timestamped against the same origin so the merged timeline
 //!   lines up.
 //! * [`SpanSink`] — the trait a collector implements. The SAFS runtime
-//!   holds an optional sink ([`Safs::set_span_sink`](crate::Safs::set_span_sink));
-//!   when none is installed the hot paths pay one relaxed atomic load.
+//!   delivers every span to the sink of each live context on it
+//!   ([`Safs::add_span_sink`](crate::Safs::add_span_sink)); when none is
+//!   registered the hot paths pay one relaxed atomic load.
 //!
 //! SAFS-side spans are reported as *completed* intervals (begin + end
 //! timestamps delivered together at completion time) rather than
@@ -54,28 +55,74 @@ pub trait SpanSink: Send + Sync {
     fn counter(&self, name: &'static str, ts_ns: u64, value: u64);
 }
 
-/// Shared slot holding the installed sink. The `on` flag keeps the
-/// disabled path to one relaxed load — no lock is touched until a sink
-/// is installed.
+/// The sinks registered on one runtime: a context derived from another
+/// shares its runtime, and each must see the spans of a pass run on
+/// either. The `on` flag keeps the no-sink path to one relaxed load — no
+/// lock is touched until a sink is registered.
 #[derive(Default)]
 pub(crate) struct SpanSinkCell {
     on: AtomicBool,
-    sink: Mutex<Option<Arc<dyn SpanSink>>>,
+    sinks: Mutex<Arc<SinkSet>>,
+}
+
+/// Every registered sink, addressed as one (the [`SpanSink`] methods,
+/// delivered to each).
+#[derive(Default)]
+pub(crate) struct SinkSet(Vec<Arc<dyn SpanSink>>);
+
+impl SinkSet {
+    pub(crate) fn span(
+        &self,
+        cat: &'static str,
+        name: &'static str,
+        begin_ns: u64,
+        end_ns: u64,
+        args: SpanArgs,
+    ) {
+        self.0.iter().for_each(|s| s.span(cat, name, begin_ns, end_ns, args));
+    }
+
+    pub(crate) fn instant(
+        &self,
+        cat: &'static str,
+        name: &'static str,
+        ts_ns: u64,
+        args: SpanArgs,
+    ) {
+        self.0.iter().for_each(|s| s.instant(cat, name, ts_ns, args));
+    }
+
+    pub(crate) fn counter(&self, name: &'static str, ts_ns: u64, value: u64) {
+        self.0.iter().for_each(|s| s.counter(name, ts_ns, value));
+    }
 }
 
 impl SpanSinkCell {
-    /// The installed sink, or `None` (cheaply) when tracing is off.
-    pub(crate) fn get(&self) -> Option<Arc<dyn SpanSink>> {
+    /// The registered sinks, or `None` (cheaply) when there are none.
+    pub(crate) fn get(&self) -> Option<Arc<SinkSet>> {
         if !self.on.load(Ordering::Relaxed) {
             return None;
         }
-        self.sink.lock().clone()
+        Some(self.sinks.lock().clone())
     }
 
-    pub(crate) fn set(&self, sink: Option<Arc<dyn SpanSink>>) {
-        let mut g = self.sink.lock();
-        self.on.store(sink.is_some(), Ordering::Relaxed);
-        *g = sink;
+    pub(crate) fn add(&self, sink: Arc<dyn SpanSink>) {
+        self.update(|sinks| sinks.push(sink));
+    }
+
+    /// Unregister `sink` (matched by address); unknown sinks are ignored.
+    pub(crate) fn remove(&self, sink: &Arc<dyn SpanSink>) {
+        self.update(|sinks| {
+            sinks.retain(|s| !std::ptr::addr_eq(Arc::as_ptr(s), Arc::as_ptr(sink)));
+        });
+    }
+
+    fn update(&self, change: impl FnOnce(&mut Vec<Arc<dyn SpanSink>>)) {
+        let mut g = self.sinks.lock();
+        let mut sinks = g.0.clone();
+        change(&mut sinks);
+        self.on.store(!sinks.is_empty(), Ordering::Relaxed);
+        *g = Arc::new(SinkSet(sinks));
     }
 }
 
@@ -113,12 +160,17 @@ mod tests {
     fn cell_install_and_clear() {
         let cell = SpanSinkCell::default();
         assert!(cell.get().is_none());
-        let sink = Arc::new(CountSink(std::sync::atomic::AtomicU64::new(0)));
-        cell.set(Some(sink.clone()));
-        let got = cell.get().expect("sink installed");
-        got.counter("q", now_nanos(), 1);
-        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
-        cell.set(None);
+        let sinks = [0, 1].map(|_| Arc::new(CountSink(std::sync::atomic::AtomicU64::new(0))));
+        let [a, b] = sinks.clone().map(|s| s as Arc<dyn SpanSink>);
+        cell.add(a.clone());
+        cell.add(b.clone());
+        cell.get().expect("sinks registered").counter("q", now_nanos(), 1);
+        assert_eq!(sinks.each_ref().map(|s| s.0.load(Ordering::Relaxed)), [1, 1], "both see it");
+        // Removing one leaves the other registered.
+        cell.remove(&b);
+        cell.get().expect("one sink left").counter("q", now_nanos(), 1);
+        assert_eq!(sinks.each_ref().map(|s| s.0.load(Ordering::Relaxed)), [2, 1]);
+        cell.remove(&a);
         assert!(cell.get().is_none());
     }
 }

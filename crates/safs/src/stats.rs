@@ -8,7 +8,6 @@
 
 use crate::cache::CacheStatsSnapshot;
 use crate::metrics::{Log2Histogram, Log2HistogramSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 latency buckets. Bucket `i` counts requests whose
 /// latency in nanoseconds falls in `[2^i, 2^(i+1))` (bucket 0 also
@@ -24,143 +23,91 @@ pub type LatencyHisto = Log2Histogram<LAT_BUCKETS>;
 /// Point-in-time copy of a [`LatencyHisto`].
 pub type LatencyHistoSnapshot = Log2HistogramSnapshot<LAT_BUCKETS>;
 
-/// Monotonic counters, updated by the I/O threads, plus queue-depth
-/// gauges updated at submit/complete time.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    read_bytes: AtomicU64,
-    write_bytes: AtomicU64,
-    read_reqs: AtomicU64,
-    write_reqs: AtomicU64,
-    read_nanos: AtomicU64,
-    write_nanos: AtomicU64,
-    read_lat: LatencyHisto,
-    write_lat: LatencyHisto,
-    /// Nanoseconds I/O threads spent blocked in the bandwidth throttle.
-    throttle_wait_nanos: AtomicU64,
-    /// Transient I/O errors the backend workers retried.
-    io_retries: AtomicU64,
-    /// Requests submitted but not yet completed (gauge).
-    queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth` since the runtime started.
-    max_queue_depth: AtomicU64,
-}
+const IO_BYTES: &str = "Bytes moved through the (emulated) SSD array.";
+const IO_REQS: &str = "Requests completed by the I/O threads.";
+const IO_NANOS: &str = "Device-side nanoseconds summed over requests.";
+const IO_LAT: &str = "Per-request device latency (log2 buckets, nanoseconds).";
 
-/// A point-in-time copy of [`IoStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoStatsSnapshot {
-    pub read_bytes: u64,
-    pub write_bytes: u64,
-    pub read_reqs: u64,
-    pub write_reqs: u64,
-    pub read_nanos: u64,
-    pub write_nanos: u64,
-    pub read_lat: LatencyHistoSnapshot,
-    pub write_lat: LatencyHistoSnapshot,
-    /// Nanoseconds I/O threads spent blocked in the bandwidth throttle
-    /// (0 when no throttle is configured).
-    pub throttle_wait_nanos: u64,
-    /// Transient I/O errors the backend workers retried (each eventual
-    /// success or final failure is one request; this counts the extra
-    /// attempts).
-    pub io_retries: u64,
-    /// In-flight requests at snapshot time (gauge, not delta-able).
-    pub cur_queue_depth: u64,
-    /// Deepest the queues have run since the runtime started (gauge).
-    pub max_queue_depth: u64,
-    /// Page-cache counters (all zero when no cache is installed).
-    /// Populated by [`Safs::stats_snapshot`](crate::Safs::stats_snapshot);
-    /// [`IoStats::snapshot`] itself knows nothing about the cache.
-    pub cache: CacheStatsSnapshot,
+crate::stat_struct! {
+    /// Monotonic counters, updated by the I/O threads, plus queue-depth
+    /// gauges updated at submit/complete time.
+    pub struct IoStats;
+    /// A point-in-time copy of [`IoStats`].
+    pub struct IoStatsSnapshot {
+        read_bytes: counter => "flashr_io_bytes_total", IO_BYTES, "op" = "read";
+        write_bytes: counter => "flashr_io_bytes_total", IO_BYTES, "op" = "write";
+        read_reqs: counter => "flashr_io_requests_total", IO_REQS, "op" = "read";
+        write_reqs: counter => "flashr_io_requests_total", IO_REQS, "op" = "write";
+        read_nanos: counter => "flashr_io_nanos_total", IO_NANOS, "op" = "read";
+        write_nanos: counter => "flashr_io_nanos_total", IO_NANOS, "op" = "write";
+        read_lat: histogram => "flashr_io_latency_ns", IO_LAT, "op" = "read";
+        write_lat: histogram => "flashr_io_latency_ns", IO_LAT, "op" = "write";
+        /// Nanoseconds I/O threads spent blocked in the bandwidth
+        /// throttle (0 when no throttle is configured).
+        throttle_wait_nanos: counter => "flashr_io_throttle_wait_nanos_total",
+            "Nanoseconds I/O threads slept in the bandwidth throttle.";
+        /// Transient I/O errors the backend workers retried (each
+        /// eventual success or final failure is one request; this counts
+        /// the extra attempts).
+        io_retries: counter => "flashr_io_retries_total",
+            "Transient I/O errors retried by the backend workers.";
+        /// Requests submitted but not yet completed.
+        cur_queue_depth: gauge => "flashr_io_queue_depth",
+            "Requests currently in flight across the I/O queues.";
+        /// Deepest the queues have run since the runtime started.
+        max_queue_depth: gauge => "flashr_io_queue_depth_max",
+            "Deepest the I/O queues have run since the runtime started.";
+    }
+    plus {
+        /// Page-cache counters (all zero when no cache is installed).
+        /// Populated by [`Safs::stats_snapshot`](crate::Safs::stats_snapshot);
+        /// [`IoStats::snapshot`] itself knows nothing about the cache.
+        cache: CacheStatsSnapshot,
+    }
 }
 
 impl IoStats {
     pub(crate) fn record_read(&self, bytes: u64, nanos: u64) {
-        self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.read_reqs.fetch_add(1, Ordering::Relaxed);
-        self.read_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.read_bytes.add(bytes);
+        self.read_reqs.inc();
+        self.read_nanos.add(nanos);
         self.read_lat.record(nanos);
     }
 
     pub(crate) fn record_write(&self, bytes: u64, nanos: u64) {
-        self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.write_reqs.fetch_add(1, Ordering::Relaxed);
-        self.write_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.write_bytes.add(bytes);
+        self.write_reqs.inc();
+        self.write_nanos.add(nanos);
         self.write_lat.record(nanos);
     }
 
     /// The I/O thread slept in the throttle for this long.
     pub(crate) fn record_throttle_wait(&self, nanos: u64) {
-        self.throttle_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.throttle_wait_nanos.add(nanos);
     }
 
     /// A transient I/O error was retried.
     pub(crate) fn record_retry(&self) {
-        self.io_retries.fetch_add(1, Ordering::Relaxed);
+        self.io_retries.inc();
     }
 
     /// A request entered an I/O queue.
     pub(crate) fn queue_enter(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+        self.max_queue_depth.fetch_max(self.cur_queue_depth.inc());
     }
 
     /// A request left an I/O queue (completed or failed).
     pub(crate) fn queue_exit(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.cur_queue_depth.dec();
     }
 
     /// Current in-flight request count (for queue-depth counter spans).
     pub(crate) fn depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Copy out the current counter values.
-    pub fn snapshot(&self) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            read_bytes: self.read_bytes.load(Ordering::Relaxed),
-            write_bytes: self.write_bytes.load(Ordering::Relaxed),
-            read_reqs: self.read_reqs.load(Ordering::Relaxed),
-            write_reqs: self.write_reqs.load(Ordering::Relaxed),
-            read_nanos: self.read_nanos.load(Ordering::Relaxed),
-            write_nanos: self.write_nanos.load(Ordering::Relaxed),
-            read_lat: self.read_lat.snapshot(),
-            write_lat: self.write_lat.snapshot(),
-            throttle_wait_nanos: self.throttle_wait_nanos.load(Ordering::Relaxed),
-            io_retries: self.io_retries.load(Ordering::Relaxed),
-            cur_queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            cache: CacheStatsSnapshot::default(),
-        }
+        self.cur_queue_depth.get()
     }
 }
 
 impl IoStatsSnapshot {
-    /// Counter movement between two snapshots (`later - self`).
-    ///
-    /// Ordering contract: `self` must be the *earlier* snapshot. Counters
-    /// are monotonic, so passing them in order yields exact deltas; if the
-    /// arguments are accidentally swapped the subtraction saturates to 0
-    /// instead of panicking. The queue-depth gauges are not deltas: the
-    /// result carries `later`'s values unchanged.
-    pub fn delta(&self, later: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            read_bytes: later.read_bytes.saturating_sub(self.read_bytes),
-            write_bytes: later.write_bytes.saturating_sub(self.write_bytes),
-            read_reqs: later.read_reqs.saturating_sub(self.read_reqs),
-            write_reqs: later.write_reqs.saturating_sub(self.write_reqs),
-            read_nanos: later.read_nanos.saturating_sub(self.read_nanos),
-            write_nanos: later.write_nanos.saturating_sub(self.write_nanos),
-            read_lat: self.read_lat.delta(&later.read_lat),
-            write_lat: self.write_lat.delta(&later.write_lat),
-            throttle_wait_nanos: later.throttle_wait_nanos.saturating_sub(self.throttle_wait_nanos),
-            io_retries: later.io_retries.saturating_sub(self.io_retries),
-            cur_queue_depth: later.cur_queue_depth,
-            max_queue_depth: later.max_queue_depth,
-            cache: self.cache.delta(&later.cache),
-        }
-    }
-
     /// Total bytes moved in either direction.
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes

@@ -38,16 +38,11 @@ fn main() {
     ];
 
     for (mode_name, mode) in modes {
-        // Cost optimizer on for every arm (auto-cache/readahead apply
-        // uniformly; the ablation compares engine modes), and a page
-        // cache sized over the widest leaf so the eager baseline's
-        // re-scans hit RAM. Both also keep the bin clean under CI's
-        // `FLASHR_DENY_LINTS=W001,W004` gate: W001 nodes are fixed by
-        // the optimizer (exempt), W004 needs the cache budget.
+        // A page cache sized over the widest leaf, so the eager
+        // baseline's re-scans hit RAM (and W004 stays quiet under CI's
+        // `FLASHR_DENY_LINTS=W004` gate).
         let cache_bytes = 2 * n_criteo * 40 * 8;
-        let em = em_ctx_local_cached(&format!("fig10-{mode_name}"), cache_bytes)
-            .with_mode(mode)
-            .with_cost_optimize(true);
+        let em = em_ctx_local_cached(&format!("fig10-{mode_name}"), cache_bytes).with_mode(mode);
         let d = criteo_like(&em, n_criteo, 40, 7);
         let x = d.x.materialize(&em);
         let y = d.y.materialize(&em);

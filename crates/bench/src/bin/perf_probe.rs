@@ -29,22 +29,6 @@ fn main() {
     // pass-profile summary is the point of the probe. `--trace-out` or
     // `FLASHR_TRACE_OUT` raise it to timeline spans.
     let level = bench_trace_level();
-    // Self-provision the profile history store when the caller didn't:
-    // the calibration A/B below needs the records this run writes, and a
-    // stable (non-pid) path lets consecutive probe runs accumulate the
-    // history that `flashr-prof report`/`diff` and the calibrated arm
-    // feed on.
-    if std::env::var_os("FLASHR_PROFILE_DIR").is_none_or(|v| v.is_empty()) {
-        std::env::set_var("FLASHR_PROFILE_DIR", std::env::temp_dir().join("flashr-profile"));
-    }
-    let store_dir = flashr::core::obs::store_dir().expect("profile store dir just set");
-    println!(
-        "profile store:       {} (run {})",
-        store_dir.display(),
-        flashr::core::obs::run_id()
-    );
-    let set_label = |l: &str| std::env::set_var("FLASHR_PROFILE_LABEL", l);
-    set_label("perf_probe_main");
     // One-step construction (not `in_memory().with_trace(..)`): builder
     // methods make a throwaway context, and the first context to exist
     // claims `FLASHR_METRICS_ADDR` — the scrape listener must live on
@@ -226,189 +210,6 @@ fn main() {
     flashr::core::trace::cache_json(&cache, &mut cache_section);
     let cache_section = cache_section.finish();
 
-    // Cost-optimizer A/B probe: two EM workloads where a reused
-    // intermediate feeds both a reduction pass and a later gramian
-    // re-scan. With `cost_optimize` on, the W001 lint becomes an
-    // auto-cache decision and the re-scan reads RAM instead of the
-    // device; the section records device bytes per mode plus the
-    // decision log (predicted vs. actual bytes) for bench_check to gate.
-    let mut opt_workloads = String::from("[");
-    let mut opt_dropped = 0u64;
-    for (wi, (name, n_w, p_w, seed)) in
-        [("reuse_rescan", 300_000u64, 16usize, 11u64), ("norm_rescan", 400_000, 8, 12)]
-            .into_iter()
-            .enumerate()
-    {
-        set_label(name);
-        let mut per_mode = [String::new(), String::new()];
-        let mut reads = [0u64; 2];
-        let mut pass1_bits: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        let mut grams: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        let mut decisions_json = String::from("[]");
-        for (mi, cost_optimize) in [false, true].into_iter().enumerate() {
-            let input_bytes = n_w * p_w as u64 * 8;
-            let tag = format!("perf-probe-opt-{name}-{}", if cost_optimize { "on" } else { "off" });
-            let opt_cfg = SafsConfig::striped_under(scratch_dir(&tag), 4)
-                .with_cache(CacheCfg::with_capacity(input_bytes / 4));
-            let octx = FlashCtx::with_config(
-                CtxConfig {
-                    storage: StorageClass::Em,
-                    trace: level,
-                    cost_optimize,
-                    mem_budget: Some(MemBudget::new(4 * input_bytes).with_cache_fraction(0.0)),
-                    ..Default::default()
-                },
-                Some(Safs::open(opt_cfg).expect("SAFS open failed")),
-            );
-            let xw = FM::rnorm(&octx, n_w, p_w, 0.0, 1.0, seed).materialize(&octx);
-            let y = if wi == 0 {
-                &(&xw * 2.0) + 1.0
-            } else {
-                (&xw + 3.0).abs().sqrt()
-            };
-            let io0 = octx.safs().unwrap().stats_snapshot();
-            let s0 = octx.stats().snapshot();
-            let t = Instant::now();
-            let pass1 = FM::materialize_multi(&octx, &[&y.sum(), &y.col_sums()]);
-            let gram = y.crossprod().to_dense(&octx);
-            let wall = t.elapsed();
-            let io = io0.delta(&octx.safs().unwrap().stats_snapshot());
-            let d = s0.delta(&octx.stats().snapshot());
-            let dropped = octx.profile_report().dropped_events;
-            opt_dropped += dropped;
-            reads[mi] = io.read_bytes;
-            pass1_bits[mi].push(pass1[0].value(&octx).to_bits());
-            pass1_bits[mi].extend(pass1[1].to_vec(&octx).iter().map(|v| v.to_bits()));
-            for r in 0..p_w {
-                for c in 0..p_w {
-                    grams[mi].push(gram.at(r, c));
-                }
-            }
-            per_mode[mi] = format!(
-                "{{\"device_read_bytes\":{},\"wall_nanos\":{},\"opt_decisions\":{},\
-                 \"opt_cache_bytes\":{},\"dropped_events\":{dropped}}}",
-                io.read_bytes,
-                wall.as_nanos(),
-                d.opt_decisions,
-                d.opt_cache_bytes
-            );
-            if cost_optimize {
-                let mut dj = Writer::new();
-                dj.arr(|w| {
-                    for pass in octx.tracer().passes() {
-                        pass.optimizer.iter().for_each(|dec| dec.write_json(w));
-                    }
-                });
-                decisions_json = dj.finish();
-            }
-        }
-        // Pass 1 (reductions) must be bit-identical: the optimizer's
-        // byproduct never changes the pass's chunking. The gramian runs
-        // as a separate pass whose chunk height legitimately differs
-        // once the reused node is cached, so it gets a relative bound.
-        let sums_identical = pass1_bits[0] == pass1_bits[1];
-        let gram_close = grams[0]
-            .iter()
-            .zip(&grams[1])
-            .all(|(a, b)| (a - b).abs() <= 1e-12 * a.abs().max(1.0));
-        assert!(sums_identical, "{name}: cost_optimize changed reduction results");
-        assert!(gram_close, "{name}: cost_optimize changed the gramian past 1e-12");
-        println!(
-            "optimizer {name:<13} {:>12} B read (off) vs {:>12} B (on), saved {} B",
-            reads[0],
-            reads[1],
-            reads[0].saturating_sub(reads[1])
-        );
-        if wi > 0 {
-            opt_workloads.push(',');
-        }
-        opt_workloads.push_str(&format!(
-            "{{\"name\":\"{name}\",\"off\":{},\"on\":{},\"read_bytes_saved\":{},\
-             \"outputs_match\":{},\"decisions\":{decisions_json}}}",
-            per_mode[0],
-            per_mode[1],
-            reads[0].saturating_sub(reads[1]),
-            sums_identical && gram_close
-        ));
-    }
-    opt_workloads.push(']');
-    let optimizer_section =
-        format!("{{\"workloads\":{opt_workloads},\"dropped_events\":{opt_dropped}}}");
-
-    // Calibration A/B probe: the same two workload shapes as the
-    // optimizer A/B, but as repeated scans under a page cache sized to
-    // hold the whole input — the regime where the cost model's
-    // cold-cache bound is systematically wrong (it predicts a full
-    // device read for every scan; only the first one is). The first arm
-    // (`calibrate` off) seeds the profile store with those raw
-    // mispredictions; the second arm fits a per-fingerprint read factor
-    // from that history at context build and must predict device reads
-    // strictly better. Outputs stay bit-identical because calibration
-    // only reprices the estimate, never changes the plan.
-    let mut calib_workloads = String::from("[");
-    for (wi, (name, n_w, p_w, seed)) in
-        [("reuse_rescan", 200_000u64, 16usize, 21u64), ("norm_rescan", 240_000, 8, 22)]
-            .into_iter()
-            .enumerate()
-    {
-        set_label(&format!("calib_{name}"));
-        let mut errs = [0u64; 2];
-        let mut preds = [0u64; 2];
-        let mut fitted = [false; 2];
-        let mut scan_bits: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        for (mi, calibrate) in [false, true].into_iter().enumerate() {
-            let input_bytes = n_w * p_w as u64 * 8;
-            let tag = format!("perf-probe-calib-{name}-{}", if calibrate { "on" } else { "off" });
-            let opt_cfg = SafsConfig::striped_under(scratch_dir(&tag), 4)
-                .with_cache(CacheCfg::with_capacity(2 * input_bytes));
-            let octx = FlashCtx::with_config(
-                CtxConfig {
-                    storage: StorageClass::Em,
-                    trace: level,
-                    cost_optimize: true,
-                    calibrate,
-                    ..Default::default()
-                },
-                Some(Safs::open(opt_cfg).expect("SAFS open failed")),
-            );
-            let xw = FM::rnorm(&octx, n_w, p_w, 0.0, 1.0, seed).materialize(&octx);
-            let y = if wi == 0 { &(&xw * 2.0) + 1.0 } else { (&xw + 3.0).abs().sqrt() };
-            for _ in 0..3 {
-                scan_bits[mi].push(y.sum().value(&octx).to_bits());
-            }
-            errs[mi] = octx.calib_state().mean_error_bytes();
-            preds[mi] = octx.calib_state().predictions();
-            fitted[mi] = octx.calibration().is_some();
-        }
-        let pass1_bits = scan_bits;
-        let outputs_match = pass1_bits[0] == pass1_bits[1];
-        assert!(outputs_match, "{name}: calibrate changed reduction results");
-        assert!(fitted[1], "{name}: calibrated context found no usable history");
-        println!(
-            "calibration {name:<11} mean |pred-actual| {:>12} B (off) vs {:>12} B (on)",
-            errs[0], errs[1]
-        );
-        if wi > 0 {
-            calib_workloads.push(',');
-        }
-        calib_workloads.push_str(&format!(
-            "{{\"name\":\"{name}\",\
-             \"off\":{{\"mean_error_bytes\":{},\"predictions\":{},\"fitted\":{}}},\
-             \"on\":{{\"mean_error_bytes\":{},\"predictions\":{},\"fitted\":{}}},\
-             \"outputs_match\":{outputs_match}}}",
-            errs[0], preds[0], fitted[0], errs[1], preds[1], fitted[1]
-        ));
-    }
-    calib_workloads.push(']');
-    set_label("perf_probe_main");
-    let calibration_section = format!(
-        "{{\"workloads\":{calib_workloads},\"store_dir\":{:?},\"run_id\":\"{}\",\
-         \"dropped_records\":{}}}",
-        store_dir.display().to_string(),
-        flashr::core::obs::run_id(),
-        flashr::core::obs::dropped_records()
-    );
-
     let kernel_bw_section = kernel_bw_section();
 
     let report = ctx.profile_report();
@@ -416,11 +217,9 @@ fn main() {
     let sections = [
         ("analysis", analysis.to_json()),
         ("cache", cache_section),
-        ("calibration", calibration_section),
         ("host", host_section),
         ("kernel_bw", kernel_bw_section),
         ("map_chain", map_chain_section),
-        ("optimizer", optimizer_section),
     ];
     let path = save_bench_artifact(
         "perf_probe",

@@ -241,11 +241,10 @@ pub fn bench_artifact_json_sections(
 /// The `"host"` section for bench artifacts: the machine and build facts
 /// needed to interpret absolute throughput numbers (and printed by
 /// `scripts/bench_check` when a gate fails). Delegates to the core's
-/// [`obs::host_json`](flashr::core::obs::host_json) — the same stamp the
-/// profile history store writes — so `BENCH_*.json`, `perf_probe`,
-/// `ablate` and `shard_sweep` can never drift from what the calibration
-/// loop matches records by (cpus, workers, NUMA nodes, page-cache
-/// capacity, build profile, SIMD level, storage backend, shard count).
+/// [`obs::host_json`](flashr::core::obs::host_json), so `perf_probe`,
+/// `ablate` and `shard_sweep` stamp the same facts (cpus, workers, NUMA
+/// nodes, page-cache capacity, build profile, SIMD level, storage
+/// backend, shard count).
 pub fn host_section_json(ctx: &FlashCtx) -> String {
     flashr::core::obs::host_json(ctx)
 }

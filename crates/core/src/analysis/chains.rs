@@ -96,64 +96,14 @@ fn link_of(node: &Node, is_mat: &dyn Fn(&Node) -> bool) -> Option<(RawOp, Arc<No
     Some((raw, spine.clone()))
 }
 
-/// Passes 1–2 of discovery without compiling anything: the set of node
-/// ids fusion would swallow as chain interiors. The cost model
-/// ([`crate::analysis::cost`]) prices plans with this before the real
-/// plan is built.
-pub fn fusible_interiors(
-    nodes: &[Arc<Node>],
-    consumers: &HashMap<u64, usize>,
-    is_mat: &dyn Fn(&Node) -> bool,
-    barriers: &HashSet<u64>,
-) -> HashSet<u64> {
-    let mut fusible: HashMap<u64, (RawOp, Arc<Node>)> = HashMap::new();
-    for n in nodes {
-        if let Some(link) = link_of(n, is_mat) {
-            fusible.insert(n.id, link);
-        }
-    }
-    interiors_of(nodes, &fusible, consumers, barriers)
-}
-
-/// Pass 2: interior nodes — fusible, sole-consumer, not wanted
-/// independently and not declared a barrier. `consumers` counts every
-/// edge (spine + aux) plus one extra for tall targets, sink
-/// registrations and `set.cache` byproducts, so `== 1` certifies "only
-/// my chain parent reads me".
-fn interiors_of(
-    nodes: &[Arc<Node>],
-    fusible: &HashMap<u64, (RawOp, Arc<Node>)>,
-    consumers: &HashMap<u64, usize>,
-    barriers: &HashSet<u64>,
-) -> HashSet<u64> {
-    let mut interior: HashSet<u64> = HashSet::new();
-    for n in nodes {
-        if !fusible.contains_key(&n.id) {
-            continue;
-        }
-        let (_, spine) = &fusible[&n.id];
-        if fusible.contains_key(&spine.id)
-            && !spine.cache_requested()
-            && !barriers.contains(&spine.id)
-            && consumers.get(&spine.id).copied().unwrap_or(0) == 1
-        {
-            interior.insert(spine.id);
-        }
-    }
-    interior
-}
-
 /// Discover and compile all chains among `nodes` (the plan's reachable
 /// tall nodes). `consumers` is the plan's consumer-count map (every DAG
 /// edge plus target/cache registrations); `is_mat` says whether a node
-/// already has materialized data this pass can read; `barriers` are
-/// node ids the optimizer has pinned out of fusion (they materialize,
-/// e.g. as auto-cache byproducts, so chains stop at them).
+/// already has materialized data this pass can read.
 pub fn discover(
     nodes: &[Arc<Node>],
     consumers: &HashMap<u64, usize>,
     is_mat: &dyn Fn(&Node) -> bool,
-    barriers: &HashSet<u64>,
 ) -> ChainSet {
     // Pass 1: which nodes are fusible links at all?
     let mut fusible: HashMap<u64, (RawOp, Arc<Node>)> = HashMap::new();
@@ -163,8 +113,23 @@ pub fn discover(
         }
     }
 
-    // Pass 2.
-    let interior = interiors_of(nodes, &fusible, consumers, barriers);
+    // Pass 2: interior nodes — fusible, sole-consumer, not wanted
+    // independently. `consumers` counts every edge (spine + aux) plus
+    // one extra for tall targets, sink registrations and `set.cache`
+    // byproducts, so `== 1` certifies "only my chain parent reads me".
+    let mut interior: HashSet<u64> = HashSet::new();
+    for n in nodes {
+        if !fusible.contains_key(&n.id) {
+            continue;
+        }
+        let (_, spine) = &fusible[&n.id];
+        if fusible.contains_key(&spine.id)
+            && !spine.cache_requested()
+            && consumers.get(&spine.id).copied().unwrap_or(0) == 1
+        {
+            interior.insert(spine.id);
+        }
+    }
 
     // Pass 3: assemble chains from each root (fusible, not interior),
     // walking the spine down through interior links.

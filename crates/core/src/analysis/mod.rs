@@ -28,13 +28,10 @@
 //! [`crate::session::CtxConfig::optimize`] for A/B ablation), and
 //! [`crate::fm::FM::check`] exposes it without executing anything.
 
-pub mod calibrate;
 pub mod chains;
-pub mod cost;
 pub mod cse;
 pub mod infer;
 pub mod lint;
-pub mod optimize;
 
 use crate::dag::Node;
 use crate::exec::Target;
@@ -61,8 +58,8 @@ pub enum PlanErrorKind {
     /// An operation was applied to a sink that must be materialized
     /// first (the `FM::Sink` misuse family).
     NotMaterialized,
-    /// A lint named in `FLASHR_DENY_LINTS` fired and the optimizer did
-    /// not act on it — the warning is promoted to a hard error.
+    /// A lint named in `FLASHR_DENY_LINTS` fired — the warning is
+    /// promoted to a hard error.
     LintDenied,
 }
 
@@ -119,26 +116,27 @@ impl PlanError {
     }
 }
 
-/// Promote denied lints to hard [`PlanError`]s. `exempt` holds node ids
-/// the optimizer already acted on (an auto-cached W001 node is fixed,
-/// not denied). Returns the first offending lint as an error.
-pub fn deny_gate(lints: &[Lint], exempt: &HashSet<u64>) -> Result<(), PlanError> {
-    let denied = crate::env::deny_lints();
-    if denied.is_empty() {
-        return Ok(());
-    }
+/// Promote the lints `FLASHR_DENY_LINTS` names to hard [`PlanError`]s:
+/// the one gate [`crate::exec::materialize`], [`crate::fm::FM::check`]
+/// and [`crate::fm::FM::check_json`] all pass through.
+pub fn deny_gate(lints: &[Lint]) -> Result<(), PlanError> {
+    promote_denied(lints, &crate::env::deny_lints())
+}
+
+/// The first lint whose code is in `denied` (upper-case codes; `ALL`
+/// names every code), as a [`PlanErrorKind::LintDenied`] error on the
+/// lint's node. An empty list promotes nothing.
+pub fn promote_denied(lints: &[Lint], denied: &[String]) -> Result<(), PlanError> {
     let deny_all = denied.iter().any(|c| c == "ALL");
-    for l in lints {
-        if (deny_all || denied.iter().any(|c| c == l.code)) && !exempt.contains(&l.node) {
-            return Err(PlanError {
-                node: l.node,
-                op: l.code.to_string(),
-                kind: PlanErrorKind::LintDenied,
-                detail: format!("FLASHR_DENY_LINTS promotes {}: {}", l.code, l.message),
-            });
-        }
+    match lints.iter().find(|l| deny_all || denied.iter().any(|c| c == l.code)) {
+        None => Ok(()),
+        Some(l) => Err(PlanError {
+            node: l.node,
+            op: l.code.to_string(),
+            kind: PlanErrorKind::LintDenied,
+            detail: format!("FLASHR_DENY_LINTS promotes {}: {}", l.code, l.message),
+        }),
     }
-    Ok(())
 }
 
 /// One diagnostic from the lint pass. Codes are stable and documented in

@@ -39,18 +39,6 @@ pub fn metrics_addr() -> Option<String> {
     var("FLASHR_METRICS_ADDR").map(|a| a.trim().to_string()).filter(|a| !a.is_empty())
 }
 
-/// `FLASHR_PROFILE_DIR`: directory of the profile history store. Read
-/// per call, so a process can point the store somewhere after start-up.
-pub fn profile_dir() -> Option<PathBuf> {
-    path("FLASHR_PROFILE_DIR")
-}
-
-/// `FLASHR_PROFILE_LABEL`: workload tag stamped into each store record
-/// (read per call; bench binaries set it around named workloads).
-pub fn profile_label() -> String {
-    var("FLASHR_PROFILE_LABEL").unwrap_or_default()
-}
-
 /// `FLASHR_DENY_LINTS`: lint codes promoted to errors (comma/space
 /// separated, e.g. `W001,W004`; `all` denies every code). Read per call
 /// so tests and long-lived sessions see updates.

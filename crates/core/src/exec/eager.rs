@@ -9,7 +9,7 @@
 //! exactly the I/O amplification the ablation measures.
 
 use crate::dag::Node;
-use crate::exec::{fused, PlanOpts, Target, TargetResult, TargetStorage};
+use crate::exec::{fused, Target, TargetResult, TargetStorage};
 use crate::mat::TasMat;
 use crate::session::FlashCtx;
 use std::collections::{HashMap, HashSet};
@@ -55,12 +55,9 @@ fn topo_order(targets: &[Target]) -> Vec<Arc<Node>> {
     order
 }
 
-/// Run targets under the eager engine. `opts.auto_cache` ids are
-/// cached after their per-op pass exactly like user `set.cache`
-/// requests; the other plan options don't apply to single-op passes.
-pub fn run(ctx: &FlashCtx, targets: &[Target], opts: &PlanOpts) -> Vec<TargetResult> {
+/// Run targets under the eager engine.
+pub fn run(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
     let mut resolved: HashMap<u64, TasMat> = HashMap::new();
-    let sub_opts = PlanOpts::default();
 
     for node in topo_order(targets) {
         if node.is_effective_leaf() || node.is_sink() || resolved.contains_key(&node.id) {
@@ -83,13 +80,12 @@ pub fn run(ctx: &FlashCtx, targets: &[Target], opts: &PlanOpts) -> Vec<TargetRes
             &resolved,
             "eager-step",
             None,
-            &sub_opts,
         );
         let mat = match result.into_iter().next().expect("one target, one result") {
             TargetResult::Mat(m) => m,
             TargetResult::Dense(_) => unreachable!("tall target yields a matrix"),
         };
-        if node.cache_requested() || opts.auto_cache.contains(&node.id) {
+        if node.cache_requested() {
             let (cached, pin) = ctx.admit_cache(mat.clone());
             node.install_cache_pinned(cached, pin);
         }
@@ -106,7 +102,6 @@ pub fn run(ctx: &FlashCtx, targets: &[Target], opts: &PlanOpts) -> Vec<TargetRes
                 &resolved,
                 "eager-target",
                 None,
-                &sub_opts,
             )
             .into_iter()
             .next()
@@ -122,7 +117,6 @@ pub fn run(ctx: &FlashCtx, targets: &[Target], opts: &PlanOpts) -> Vec<TargetRes
                         &resolved,
                         "eager-target",
                         None,
-                        &sub_opts,
                     )
                     .into_iter()
                     .next()

@@ -11,7 +11,7 @@
 use crate::chunk::{BufPool, Chunk};
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::exec::cumcoord::CumCoord;
-use crate::exec::plan::{Plan, PlanOpts};
+use crate::exec::plan::Plan;
 use crate::exec::{SinkAcc, Target, TargetResult};
 use crate::mat::{Layout, PartFetch, TasMat};
 use crate::ops;
@@ -87,9 +87,8 @@ pub fn run(
     targets: &[Target],
     resolved: &HashMap<u64, TasMat>,
     nodes_pre_cse: Option<usize>,
-    opts: &PlanOpts,
 ) -> Vec<TargetResult> {
-    run_labeled(ctx, targets, resolved, "fused", nodes_pre_cse, opts)
+    run_labeled(ctx, targets, resolved, "fused", nodes_pre_cse)
 }
 
 /// Like [`run`], with an engine label for the pass profile (the eager
@@ -101,10 +100,9 @@ pub(crate) fn run_labeled(
     resolved: &HashMap<u64, TasMat>,
     engine: &'static str,
     nodes_pre_cse: Option<usize>,
-    opts: &PlanOpts,
 ) -> Vec<TargetResult> {
     let started = Instant::now();
-    let plan = Plan::build_with(ctx, targets, resolved, opts);
+    let plan = Plan::build(ctx, targets, resolved);
     let stats = ctx.stats();
     let pass_id = stats.passes.add(1);
     let tracer = ctx.tracer();
@@ -289,7 +287,6 @@ pub(crate) fn run_labeled(
                 .unwrap_or_default(),
             workers,
             ops,
-            optimizer: Vec::new(),
             simd: ops::simd::SimdLevel::active().name(),
         });
     }

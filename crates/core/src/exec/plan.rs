@@ -10,20 +10,6 @@ use crate::session::{ExecMode, FlashCtx, StorageClass};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Plan-build inputs from the cost-based optimizer
-/// ([`crate::analysis::optimize`]); [`Default`] is "no decisions", the
-/// behaviour of [`Plan::build`].
-#[derive(Debug, Clone, Default)]
-pub struct PlanOpts {
-    /// Node ids to materialize as `set.cache` byproducts even though
-    /// the nodes carry no user `set.cache` request.
-    pub auto_cache: HashSet<u64>,
-    /// Node ids chain discovery must not swallow as interiors.
-    pub fuse_barriers: HashSet<u64>,
-    /// Pcache chunk-height override in rows (CacheFuse mode only).
-    pub pcache_step: Option<usize>,
-}
-
 /// A tall matrix the pass must produce.
 #[derive(Debug, Clone)]
 pub struct TallOut {
@@ -83,19 +69,8 @@ impl Plan {
         }
     }
 
-    /// Build and validate the plan with no optimizer decisions.
+    /// Build and validate the plan.
     pub fn build(ctx: &FlashCtx, targets: &[Target], resolved: &HashMap<u64, TasMat>) -> Plan {
-        Plan::build_with(ctx, targets, resolved, &PlanOpts::default())
-    }
-
-    /// Build and validate the plan, applying the optimizer's decisions
-    /// ([`PlanOpts`]).
-    pub fn build_with(
-        ctx: &FlashCtx,
-        targets: &[Target],
-        resolved: &HashMap<u64, TasMat>,
-        opts: &PlanOpts,
-    ) -> Plan {
         let build_t0 = ctx.tracer().timeline().map(|_| flashr_safs::now_nanos());
         let mut sinks = Vec::new();
         let mut talls: Vec<TallOut> = Vec::new();
@@ -193,10 +168,8 @@ impl Plan {
                 cum_nodes.push(node.clone());
             }
 
-            // set.cache: materialize as a byproduct of this pass. The
-            // optimizer's auto-cache decisions join the user's explicit
-            // requests here (and count the same extra consumer read).
-            if (node.cache_requested() || opts.auto_cache.contains(&node.id))
+            // set.cache: materialize as a byproduct of this pass.
+            if node.cache_requested()
                 && !node.is_sink()
                 && !is_resolved_leaf
                 && !matches!(node.kind, NodeKind::Leaf(_) | NodeKind::Gen(_))
@@ -234,7 +207,7 @@ impl Plan {
         if ctx.cfg().fuse_chains {
             let is_mat =
                 |n: &Node| resolved.contains_key(&n.id) || n.is_effective_leaf();
-            chain_set = chains::discover(&reach, &consumers, &is_mat, &opts.fuse_barriers);
+            chain_set = chains::discover(&reach, &consumers, &is_mat);
             for id in &chain_set.interior {
                 consumers.remove(id);
             }
@@ -246,15 +219,7 @@ impl Plan {
 
         let full_rows = parter.rows_per_part() as usize;
         let pcache_step = match ctx.cfg().mode {
-            // The optimizer may raise the step for sink-free plans whose
-            // chain interiors hold no live chunk; without an override the
-            // step is sized over *all* tall rows (including interiors) so
-            // `fuse_chains` on/off stays bit-comparable for sinks.
-            ExecMode::CacheFuse => opts
-                .pcache_step
-                .unwrap_or_else(|| pcache_rows(ctx.cfg().pcache_bytes, row_bytes_total, full_rows))
-                .min(full_rows)
-                .max(1),
+            ExecMode::CacheFuse => pcache_rows(ctx.cfg().pcache_bytes, row_bytes_total, full_rows),
             // MemFuse (and the per-op passes of Eager) work on whole
             // I/O partitions.
             ExecMode::MemFuse | ExecMode::Eager => full_rows,

@@ -825,63 +825,32 @@ impl FM {
             None => Ok(AnalysisReport::default()),
             Some(t) => {
                 let analysis = crate::analysis::analyze(ctx, std::slice::from_ref(&t))?;
-                let exempt = if ctx.cfg().cost_optimize {
-                    // Dry-run the optimizer: a lint it would fix (an
-                    // auto-cached W001/W004 node) is not a deniable
-                    // offence under FLASHR_DENY_LINTS.
-                    let run_targets: &[Target] =
-                        if ctx.cfg().optimize { &analysis.targets } else { std::slice::from_ref(&t) };
-                    let cost = crate::analysis::cost::estimate(ctx, run_targets);
-                    crate::analysis::optimize::plan(ctx, run_targets, &cost).auto_cache
-                } else {
-                    Default::default()
-                };
-                crate::analysis::deny_gate(&analysis.report.lints, &exempt)?;
+                crate::analysis::deny_gate(&analysis.report.lints)?;
                 Ok(analysis.report)
             }
         }
     }
 
-    /// Machine-readable form of [`FM::check`] plus the cost model's
-    /// estimate, as one JSON object:
-    /// `{"ok":true,"report":{...},"cost":{...}}` on success,
+    /// Machine-readable form of [`FM::check`], as one JSON object:
+    /// `{"ok":true,"report":{...}}` on success,
     /// `{"ok":false,"error":{...}}` when verification fails or
     /// `FLASHR_DENY_LINTS` promotes a lint. Already-materialized
-    /// matrices report `{"ok":true,"report":null,"cost":null}`.
+    /// matrices report `{"ok":true,"report":null}`.
     pub fn check_json(&self, ctx: &FlashCtx) -> String {
-        use crate::json::object;
-        let failed = |e: PlanError| {
-            object(|w| {
+        let pending = self.pending_target().is_some();
+        crate::json::object(|w| match self.check(ctx) {
+            Ok(report) => {
+                w.key("ok").bool(true);
+                if pending {
+                    w.key("report").raw(&report.to_json());
+                } else {
+                    w.key("report").null();
+                }
+            }
+            Err(e) => {
                 w.key("ok").bool(false);
                 w.key("error").raw(&e.to_json());
-            })
-        };
-        let Some(t) = self.pending_target() else {
-            return object(|w| {
-                w.key("ok").bool(true);
-                w.key("report").null();
-                w.key("cost").null();
-            });
-        };
-        let analysis = match crate::analysis::analyze(ctx, std::slice::from_ref(&t)) {
-            Ok(a) => a,
-            Err(e) => return failed(e),
-        };
-        let run_targets: &[Target] =
-            if ctx.cfg().optimize { &analysis.targets } else { std::slice::from_ref(&t) };
-        let cost = crate::analysis::cost::estimate(ctx, run_targets);
-        let exempt = if ctx.cfg().cost_optimize {
-            crate::analysis::optimize::plan(ctx, run_targets, &cost).auto_cache
-        } else {
-            Default::default()
-        };
-        if let Err(e) = crate::analysis::deny_gate(&analysis.report.lints, &exempt) {
-            return failed(e);
-        }
-        object(|w| {
-            w.key("ok").bool(true);
-            w.key("report").raw(&analysis.report.to_json());
-            w.key("cost").raw(&cost.to_json());
+            }
         })
     }
 

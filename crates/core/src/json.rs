@@ -1,7 +1,7 @@
 //! JSON without a dependency: one [`Writer`] every serializer in the
 //! workspace builds its document with (on the [`json_escape`] and
 //! [`json_f64`] primitives) and one strict reader ([`parse`]) for the
-//! profile store, `flashr-prof` and the tests that check those documents.
+//! tests that check those documents.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -14,7 +14,6 @@
 //! `event="<cache event>"`).
 
 use super::{MetricSource, Sample, SampleValue};
-use crate::analysis::calibrate::CalibState;
 use crate::session::MemGovernor;
 use crate::stats::ExecStats;
 use flashr_safs::{Safs, Stat};
@@ -109,86 +108,6 @@ impl MetricSource for SafsSource {
     }
 }
 
-/// Cost-model calibration: the fitted throughput constants (defaults
-/// when no history matched) and the context's rolling prediction error.
-/// Registered on every context so the family set is stable whether or
-/// not the knob is on; gauges are integer-valued, so rates export in
-/// MiB/s and the absorption factor in thousandths.
-pub struct CalibrationSource(pub Arc<CalibState>);
-
-impl MetricSource for CalibrationSource {
-    fn collect(&self, out: &mut Vec<Sample>) {
-        use crate::analysis::calibrate::{
-            DEFAULT_COMPUTE_GIB_S, DEFAULT_READ_GIB_S, DEFAULT_WRITE_GIB_S,
-        };
-        let cal = self.0.calibration.as_ref();
-        let mib = |gib_s: f64| (gib_s * 1024.0).round() as u64;
-        out.push(Sample::new(
-            "flashr_calib_enabled",
-            "1 when cost-model constants were fitted from profile history.",
-            vec![],
-            SampleValue::Gauge(cal.is_some() as u64),
-        ));
-        out.push(Sample::new(
-            "flashr_calib_records",
-            "History records the calibration fit consumed.",
-            vec![],
-            SampleValue::Gauge(cal.map(|c| c.records as u64).unwrap_or(0)),
-        ));
-        let (read, write, stream, gemm) = match cal {
-            Some(c) => (
-                c.read_gib_s(),
-                c.write_gib_s(),
-                c.compute_gib_s_for("stream"),
-                c.compute_gib_s_for("gemm"),
-            ),
-            None => (
-                DEFAULT_READ_GIB_S,
-                DEFAULT_WRITE_GIB_S,
-                DEFAULT_COMPUTE_GIB_S,
-                DEFAULT_COMPUTE_GIB_S,
-            ),
-        };
-        const TP_HELP: &str =
-            "Calibrated (or default) throughput constant by category, MiB/s.";
-        for (kind, v) in [
-            ("device_read", read),
-            ("device_write", write),
-            ("compute_stream", stream),
-            ("compute_gemm", gemm),
-        ] {
-            out.push(Sample::new(
-                "flashr_calib_throughput_mib_s",
-                TP_HELP,
-                vec![("kind", kind.into())],
-                SampleValue::Gauge(mib(v)),
-            ));
-        }
-        out.push(Sample::new(
-            "flashr_calib_read_factor_milli",
-            "Global device-read absorption factor (actual/predicted, thousandths).",
-            vec![],
-            SampleValue::Gauge(
-                cal.and_then(|c| c.read_factor_global)
-                    .map(|f| (f * 1000.0).round() as u64)
-                    .unwrap_or(1000),
-            ),
-        ));
-        out.push(Sample::new(
-            "flashr_calib_predictions_total",
-            "Materializations scored against their device-read prediction.",
-            vec![],
-            SampleValue::Counter(self.0.predictions()),
-        ));
-        out.push(Sample::new(
-            "flashr_calib_prediction_error_bytes",
-            "Rolling mean |predicted - actual| device-read bytes.",
-            vec![],
-            SampleValue::Gauge(self.0.mean_error_bytes()),
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,22 +129,5 @@ mod tests {
         assert!(text.contains("flashr_exec_io_wait_nanos_total 77\n"), "{text}");
         // One TYPE header even though the numa family has two series.
         assert_eq!(text.matches("# TYPE flashr_exec_parts_numa_total").count(), 1, "{text}");
-    }
-
-    #[test]
-    fn calibration_source_exports_defaults_when_unfitted() {
-        let hub = MetricsHub::new();
-        hub.register_source(Box::new(CalibrationSource(Arc::new(CalibState::default()))));
-        let text = hub.render_text();
-        assert!(text.contains("flashr_calib_enabled 0\n"), "{text}");
-        assert!(text.contains("flashr_calib_records 0\n"), "{text}");
-        // 0.5 GiB/s default read rate → 512 MiB/s.
-        assert!(
-            text.contains("flashr_calib_throughput_mib_s{kind=\"device_read\"} 512\n"),
-            "{text}"
-        );
-        assert!(text.contains("flashr_calib_read_factor_milli 1000\n"), "{text}");
-        assert!(text.contains("flashr_calib_predictions_total 0\n"), "{text}");
-        assert_eq!(text.matches("# TYPE flashr_calib_throughput_mib_s").count(), 1, "{text}");
     }
 }

@@ -1,11 +1,10 @@
 //! The FlashR execution context: threads, engine mode, partitioning,
 //! simulated NUMA topology and the optional SSD array.
 
-use crate::analysis::calibrate::{self, CalibState, Calibration};
 use crate::mat::TasMat;
 use crate::metrics::flight;
 use crate::metrics::serve::claim_metrics_addr;
-use crate::metrics::sources::{CalibrationSource, ExecStatsSource, GovernorSource, SafsSource};
+use crate::metrics::sources::{ExecStatsSource, GovernorSource, SafsSource};
 use crate::metrics::{FlightRecorder, MetricsHub, MetricsServer};
 use crate::part::Partitioner;
 use crate::stats::ExecStats;
@@ -83,25 +82,6 @@ pub struct CtxConfig {
     /// [`optimize`](CtxConfig::optimize); results are bit-identical
     /// either way.
     pub fuse_chains: bool,
-    /// Whether the cost-based plan optimizer runs before execution:
-    /// auto-`set.cache` of reused subtrees the [`MemGovernor`] admits,
-    /// matmul-aware fusion boundaries, per-plan Pcache-step and
-    /// readahead-depth choices, and eager pass reordering for leaf
-    /// sharing. Off by default — the analyzer then only *warns* (W001/
-    /// W004); the figure bins and benches opt in. The third A/B knob
-    /// alongside [`optimize`](CtxConfig::optimize) and
-    /// [`fuse_chains`](CtxConfig::fuse_chains).
-    pub cost_optimize: bool,
-    /// Whether the cost model's constants are calibrated from the
-    /// profile history store (`FLASHR_PROFILE_DIR`) at context build:
-    /// per-category throughput rates and the device-read absorption
-    /// factor are fitted as medians over records matching this host's
-    /// `(cpus, build, backend, simd)` stamp and used to re-price
-    /// estimates. Estimates only — no plan *action* consults the
-    /// re-priced value, so outputs stay bit-identical with the knob on
-    /// or off. The fourth A/B knob alongside
-    /// [`cost_optimize`](CtxConfig::cost_optimize).
-    pub calibrate: bool,
     /// Upper bound on in-flight asynchronous external-memory output
     /// writes per worker. When the bound is reached the worker waits for
     /// the *oldest* write only, keeping the remaining slots streaming.
@@ -126,8 +106,6 @@ impl Default for CtxConfig {
             trace: TraceLevel::from_env(),
             optimize: true,
             fuse_chains: true,
-            cost_optimize: false,
-            calibrate: false,
             max_pending_writes: 8,
             mem_budget: None,
         }
@@ -240,21 +218,6 @@ impl MemGovernor {
         self.inner.spills.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Whether a pin of `bytes` would currently succeed, without
-    /// reserving anything. The plan optimizer's admission probe: racy by
-    /// design (a concurrent pin can invalidate the answer), so the
-    /// actual reservation still goes through [`try_pin`](Self::try_pin)
-    /// at materialization time and falls back to spilling.
-    pub fn would_admit(&self, bytes: u64) -> bool {
-        if self.inner.budget == 0 {
-            return true;
-        }
-        match self.inner.pinned.load(Ordering::Relaxed).checked_add(bytes) {
-            Some(next) => next <= self.inner.budget,
-            None => false,
-        }
-    }
-
     /// The pinnable budget in bytes (0 = unlimited).
     pub fn budget_bytes(&self) -> u64 {
         self.inner.budget
@@ -326,9 +289,6 @@ struct CtxInner {
     metrics_server: Option<MetricsServer>,
     /// Cross-pass recycler for tall-output partition buffers.
     part_bufs: Arc<crate::chunk::PartBufPool>,
-    /// Fitted cost-model constants (when [`CtxConfig::calibrate`] found
-    /// matching history) plus this context's rolling prediction error.
-    calib: Arc<CalibState>,
 }
 
 impl Drop for CtxInner {
@@ -403,20 +363,9 @@ impl FlashCtx {
             _ => MemGovernor::new(0),
         };
         let stats = Arc::new(ExecStats::default());
-        // Calibration: replay the profile history store (if the knob is
-        // on and `FLASHR_PROFILE_DIR` holds matching records) into
-        // fitted cost-model constants. The state object always exists so
-        // the metrics source exports a stable gauge family set.
-        let calib = Arc::new(CalibState::new(if cfg.calibrate {
-            let backend = safs.as_ref().map(|s| s.backend_kind().as_str()).unwrap_or("none");
-            calibrate::load(backend, flashr_linalg::SimdLevel::active().name())
-        } else {
-            None
-        }));
         let metrics = Arc::new(MetricsHub::new());
         metrics.register_source(Box::new(ExecStatsSource(stats.clone())));
         metrics.register_source(Box::new(GovernorSource(governor.clone())));
-        metrics.register_source(Box::new(CalibrationSource(calib.clone())));
         if let Some(s) = &safs {
             metrics.register_source(Box::new(SafsSource(s.clone())));
         }
@@ -445,7 +394,6 @@ impl FlashCtx {
             flight,
             metrics_server,
             part_bufs: Arc::new(crate::chunk::PartBufPool::new()),
-            calib,
         });
         if let Some(s) = &inner.safs {
             // The SAFS I/O threads record request lifecycle and cache
@@ -568,33 +516,6 @@ impl FlashCtx {
         FlashCtx::with_config(cfg, self.inner.safs.clone())
     }
 
-    /// A copy of this context with the cost-based plan optimizer
-    /// switched on or off (see [`CtxConfig::cost_optimize`]).
-    pub fn with_cost_optimize(&self, cost_optimize: bool) -> FlashCtx {
-        let cfg = CtxConfig { cost_optimize, ..self.inner.cfg.clone() };
-        FlashCtx::with_config(cfg, self.inner.safs.clone())
-    }
-
-    /// A copy of this context with history calibration switched on or
-    /// off (see [`CtxConfig::calibrate`]; the store is re-read at
-    /// build).
-    pub fn with_calibrate(&self, calibrate: bool) -> FlashCtx {
-        let cfg = CtxConfig { calibrate, ..self.inner.cfg.clone() };
-        FlashCtx::with_config(cfg, self.inner.safs.clone())
-    }
-
-    /// The fitted cost-model constants, when [`CtxConfig::calibrate`] is
-    /// on and the history store held records matching this host.
-    pub fn calibration(&self) -> Option<&Calibration> {
-        self.inner.calib.calibration.as_ref()
-    }
-
-    /// Calibration state: fitted constants plus the rolling
-    /// |predicted − actual| device-read error this context accumulates.
-    pub fn calib_state(&self) -> &CalibState {
-        &self.inner.calib
-    }
-
     /// A copy of this context with a memory budget (resizes the SAFS
     /// page cache and starts fresh pin accounting).
     pub fn with_mem_budget(&self, budget: MemBudget) -> FlashCtx {
@@ -672,6 +593,27 @@ mod tests {
         assert_eq!(eager.cfg().mode, ExecMode::Eager);
         // original untouched
         assert_eq!(ctx.cfg().mode, ExecMode::CacheFuse);
+    }
+
+    #[test]
+    fn try_pin_admits_up_to_the_budget_exactly() {
+        let gov = MemGovernor::new(1024);
+        let held = gov.try_pin(1000).expect("within budget");
+        assert!(gov.try_pin(25).is_none(), "one byte over the remaining 24");
+        let rest = gov.try_pin(24).expect("exactly the remaining bytes");
+        assert_eq!(gov.pinned_bytes(), 1024);
+        assert!(gov.try_pin(1).is_none(), "budget is full");
+        drop(held);
+        assert_eq!(gov.pinned_bytes(), 24, "dropping a pin restores its headroom");
+        assert!(gov.try_pin(1001).is_none());
+        assert!(gov.try_pin(1000).is_some());
+        drop(rest);
+
+        let unlimited = MemGovernor::new(0);
+        let pin = unlimited.try_pin(u64::MAX / 2).expect("budget 0 admits anything");
+        assert_eq!(unlimited.pinned_bytes(), u64::MAX / 2);
+        drop(pin);
+        assert_eq!(unlimited.pinned_bytes(), 0);
     }
 
     #[test]

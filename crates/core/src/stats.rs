@@ -52,13 +52,6 @@ flashr_safs::stat_struct! {
         /// Worker nanoseconds spent stalled on result write-back.
         pub write_stall_nanos: counter => "flashr_exec_write_stall_nanos_total",
             "Worker nanoseconds stalled on result write-back.";
-        /// Plan decisions taken by the cost-based optimizer
-        /// ([`crate::session::CtxConfig::cost_optimize`]).
-        pub opt_decisions: counter => "flashr_exec_opt_decisions_total",
-            "Plan decisions taken by the cost-based optimizer.";
-        /// Bytes of reused subtrees the optimizer auto-cached.
-        pub opt_cache_bytes: counter => "flashr_exec_opt_cache_bytes_total",
-            "Bytes of reused subtrees the optimizer auto-cached.";
     }
 }
 

@@ -60,32 +60,6 @@ impl PassBreakdown {
     }
 }
 
-/// Aggregate wall-clock attribution over a group of passes — the
-/// compute-vs-I/O verdict the calibration loop and the profile store
-/// consume. Falls back to the always-on `ExecStats` worker counters
-/// when no pass profiles were recorded (trace level below `pass`), so
-/// the verdict is never silently absent.
-#[derive(Debug, Clone)]
-pub struct WallAttribution {
-    /// `"critical-path"` when derived from recorded pass profiles,
-    /// `"exec-counters"` for the always-on fallback.
-    pub source: &'static str,
-    pub compute_nanos: u64,
-    pub io_wait_nanos: u64,
-    pub write_stall_nanos: u64,
-    /// Zero under the exec-counter fallback (idle needs per-pass wall).
-    pub idle_nanos: u64,
-    /// Straggler tasks summed over the passes (timeline level only).
-    pub stragglers: u64,
-    /// Late-readahead waits summed over the passes (timeline level only).
-    pub readahead_late: u64,
-    /// Passes the attribution covers (0 under the fallback).
-    pub passes: usize,
-    /// The dominant component: `"compute"`, `"io-wait"`,
-    /// `"write-stall"` or `"idle"`.
-    pub bound: &'static str,
-}
-
 /// The analyzer. Stateless; groups the entry points.
 pub struct CriticalPath;
 
@@ -95,53 +69,6 @@ impl CriticalPath {
     /// read zero.
     pub fn analyze(passes: &[PassProfile], lanes: &[LaneSnapshot]) -> Vec<PassBreakdown> {
         passes.iter().map(|p| analyze_pass(p, lanes)).collect()
-    }
-
-    /// Attribute a group of passes' wall-clock in aggregate. `fallback`
-    /// carries the always-on `ExecStats` deltas
-    /// `(compute_nanos, io_wait_nanos, write_stall_nanos)` used when
-    /// `passes` is empty (trace level below `pass`).
-    pub fn attribute(
-        passes: &[PassProfile],
-        lanes: &[LaneSnapshot],
-        fallback: (u64, u64, u64),
-    ) -> WallAttribution {
-        let rows = CriticalPath::analyze(passes, lanes);
-        let (source, compute, io_wait, write_stall, idle, stragglers, ra_late) = if rows.is_empty()
-        {
-            ("exec-counters", fallback.0, fallback.1, fallback.2, 0, 0, 0)
-        } else {
-            (
-                "critical-path",
-                rows.iter().map(|b| b.compute_nanos).sum(),
-                rows.iter().map(|b| b.io_wait_nanos).sum(),
-                rows.iter().map(|b| b.write_stall_nanos).sum(),
-                rows.iter().map(|b| b.idle_nanos).sum(),
-                rows.iter().map(|b| b.stragglers).sum(),
-                rows.iter().map(|b| b.readahead_late).sum(),
-            )
-        };
-        let bound = [
-            ("compute", compute),
-            ("io-wait", io_wait),
-            ("write-stall", write_stall),
-            ("idle", idle),
-        ]
-        .into_iter()
-        .max_by_key(|&(_, v)| v)
-        .map(|(name, _)| name)
-        .unwrap_or("compute");
-        WallAttribution {
-            source,
-            compute_nanos: compute,
-            io_wait_nanos: io_wait,
-            write_stall_nanos: write_stall,
-            idle_nanos: idle,
-            stragglers,
-            readahead_late: ra_late,
-            passes: if rows.is_empty() { passes.len() } else { rows.len() },
-            bound,
-        }
     }
 
     /// Render breakdowns as the fixed-width table the bench bins print.
@@ -318,7 +245,6 @@ mod tests {
             cache: CacheStatsSnapshot::default(),
             workers,
             ops: Vec::new(),
-            optimizer: Vec::new(),
             simd: "off",
         }
     }

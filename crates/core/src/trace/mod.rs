@@ -31,7 +31,7 @@ pub mod critical;
 pub mod timeline;
 
 pub use crate::json::{json_escape, json_f64};
-pub use critical::{CriticalPath, PassBreakdown, WallAttribution};
+pub use critical::{CriticalPath, PassBreakdown};
 pub use timeline::{EventKind, Lane, LaneSnapshot, SpanEvent, Timeline};
 
 use crate::json::{self, Writer};
@@ -168,9 +168,6 @@ pub struct PassProfile {
     pub workers: Vec<WorkerProfile>,
     /// Per-node timings; empty below [`TraceLevel::Op`].
     pub ops: Vec<OpProfile>,
-    /// Cost-optimizer decisions applied to this pass (predicted vs.
-    /// actual bytes); empty when `cost_optimize` is off.
-    pub optimizer: Vec<crate::analysis::optimize::Decision>,
     /// SIMD dispatch level the pass's kernels were compiled at
     /// (`"off"`, `"scalar"` or `"avx2"`).
     pub simd: &'static str,
@@ -283,15 +280,6 @@ impl Tracer {
     /// Copy out the recorded profiles.
     pub fn passes(&self) -> Vec<PassProfile> {
         self.passes.lock().clone()
-    }
-
-    /// Attach the cost-optimizer's decision log (with actuals scraped
-    /// post-pass) to the most recently recorded pass. No-op when no pass
-    /// was recorded (trace level below `Pass`).
-    pub(crate) fn attach_optimizer(&self, decisions: Vec<crate::analysis::optimize::Decision>) {
-        if let Some(last) = self.passes.lock().last_mut() {
-            last.optimizer = decisions;
-        }
     }
 
     /// Profiles dropped because the per-context cap was reached.
@@ -476,7 +464,6 @@ fn pass_json(p: &PassProfile, w: &mut Writer) {
                 });
             }
         });
-        w.key("optimizer").arr(|w| p.optimizer.iter().for_each(|d| d.write_json(w)));
     });
 }
 
@@ -562,7 +549,6 @@ mod tests {
             cache: CacheStatsSnapshot::default(),
             workers: Vec::new(),
             ops: Vec::new(),
-            optimizer: Vec::new(),
             simd: "off",
         };
         for _ in 0..(MAX_PASSES + 10) {
@@ -608,7 +594,6 @@ mod tests {
                 chain_len: 0,
                 saved_bytes: 0,
             }],
-            optimizer: Vec::new(),
             simd: "avx2",
         });
         let report = ProfileReport {

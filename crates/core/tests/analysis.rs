@@ -2,7 +2,7 @@
 //! CSE equivalence and pass reduction, rewrite idempotence, pre-flight
 //! rejection of forged plans, and the lint catalogue.
 
-use flashr_core::analysis::{cse, infer, PlanErrorKind};
+use flashr_core::analysis::{cse, infer, promote_denied, PlanErrorKind};
 use flashr_core::dag::{MapInput, MapOp, Node, NodeKind};
 use flashr_core::dtype::DType;
 use flashr_core::exec::{Target, TargetStorage};
@@ -415,37 +415,85 @@ fn w004_flags_em_rescans_beyond_cache_budget() {
     assert!(!report.lints.iter().any(|l| l.code == "W004"));
 }
 
+/// `promote_denied` is the whole deny policy: only listed codes are
+/// promoted, `ALL` lists every code, and the error names the lint's node.
+#[test]
+fn denied_lints_become_plan_errors_on_their_node() {
+    let ctx = im_ctx();
+    let x = FM::runif(&ctx, 256, 2, 0.0, 1.0, 5);
+    let shared = x.sqrt();
+    let mut lints = (&shared + &shared).check(&ctx).unwrap().lints;
+    lints.extend(x.cast(DType::I32).cast(DType::F64).check(&ctx).unwrap().lints);
+    let codes: Vec<&str> = lints.iter().map(|l| l.code).collect();
+    assert_eq!(codes, ["W001", "W003"]);
+    let deny = |codes: &[&str]| {
+        let denied: Vec<String> = codes.iter().map(|c| c.to_string()).collect();
+        promote_denied(&lints, &denied)
+    };
+
+    let e = deny(&["W001"]).unwrap_err();
+    assert_eq!(e.kind, PlanErrorKind::LintDenied);
+    assert_eq!((e.node, e.op.as_str()), (tall_node(&shared).id, "W001"));
+    // The list is consulted, not just "any lint fired".
+    assert_eq!(deny(&["W003"]).unwrap_err().op, "W003");
+    assert!(deny(&["W002", "W004"]).is_ok());
+    assert!(deny(&[]).is_ok(), "an empty list promotes nothing");
+    for l in &lints {
+        let e = promote_denied(std::slice::from_ref(l), &["ALL".to_string()]).unwrap_err();
+        assert_eq!((e.node, e.op.as_str()), (l.node, l.code), "ALL promotes every code");
+    }
+}
+
+/// One deny path: under `FLASHR_DENY_LINTS=W001`, `FM::check`,
+/// `FM::check_json` and `materialize` refuse the same plan with the same
+/// error, and all three accept a plan without the lint. The variable is
+/// only ever set on a child process (this test, re-run alone).
+#[test]
+fn deny_lints_env_reaches_check_check_json_and_materialize() {
+    const CHILD: &str = "DENY_LINTS_TEST_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "deny_lints_env_reaches_check_check_json_and_materialize"])
+            .env("FLASHR_DENY_LINTS", "w001")
+            .env(CHILD, "1")
+            .output()
+            .expect("re-run this test binary");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success() && text.contains("1 passed"), "child failed:\n{text}");
+        return;
+    }
+    let ctx = im_ctx();
+    let x = FM::runif(&ctx, 256, 2, 0.0, 1.0, 5);
+    let shared = x.sqrt();
+    let reused = &shared + &shared;
+
+    let err = reused.check(&ctx).unwrap_err();
+    assert_eq!((err.kind, err.node), (PlanErrorKind::LintDenied, tall_node(&shared).id));
+    let v = json::parse(&reused.check_json(&ctx)).expect("strict JSON");
+    assert_eq!(v["ok"].as_bool(), Some(false));
+    assert_eq!(v["error"]["kind"].as_str(), Some("lint-denied"));
+    assert_eq!(v["error"]["node"].as_u64(), Some(err.node));
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reused.materialize(&ctx)))
+        .unwrap_err();
+    assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+
+    let clean = x.sqrt().sum();
+    assert!(clean.check(&ctx).is_ok());
+    assert!(clean.check_json(&ctx).starts_with("{\"ok\":true"));
+    assert!(clean.value(&ctx).is_finite());
+}
+
 /// Property: `FM::check_json` always emits strict JSON. Randomized
 /// chains — including non-finite scalar constants, reuse diamonds,
 /// reductions and gramians, on both in-memory and EM contexts — must
 /// parse under `json::parse` (which rejects bare `NaN`/`Infinity` tokens,
 /// so every float either renders finite or as `null`), carry the
-/// `report.lints` / `report.footprint` sections, and keep the cost
-/// object's key set stable.
+/// `report.lints` / `report.footprint` sections, and keep the
+/// footprint's key set stable.
 #[test]
 fn check_json_round_trips_through_the_strict_reader() {
-    const COST_KEYS: [&str; 20] = [
-        "cache_capacity",
-        "calibrated",
-        "chunk_bytes",
-        "device_read_bytes",
-        "device_read_bytes_raw",
-        "em_leaves",
-        "gen_bytes",
-        "has_sink",
-        "leaf_read_bytes",
-        "mode",
-        "pcache_step",
-        "pcache_step_live",
-        "predicted_compute_nanos",
-        "predicted_read_nanos",
-        "predicted_wall_nanos",
-        "predicted_write_nanos",
-        "reuse",
-        "row_bytes_live",
-        "row_bytes_total",
-        "write_bytes",
-    ];
+    const FOOTPRINT_KEYS: [&str; 4] =
+        ["gen_bytes", "read_bytes", "working_set_bytes", "write_bytes"];
     let im = im_ctx();
     let em = em_ctx("check-json");
     let consts = [0.5, -1.5, f64::NAN, f64::INFINITY];
@@ -479,12 +527,10 @@ fn check_json_round_trips_through_the_strict_reader() {
                 assert!(lint.get(key).is_some(), "case {case}: lint lost key {key}");
             }
         }
-        let fp = &v["report"]["footprint"];
-        for key in ["read_bytes", "gen_bytes", "write_bytes", "working_set_bytes"] {
-            assert!(fp.get(key).is_some(), "case {case}: footprint lost key {key}");
-        }
-        let json::Value::Object(cost) = &v["cost"] else { panic!("case {case}: no cost") };
-        let got: Vec<&str> = cost.keys().map(|s| s.as_str()).collect();
-        assert_eq!(got, COST_KEYS, "case {case}: cost key set drifted");
+        let json::Value::Object(fp) = &v["report"]["footprint"] else {
+            panic!("case {case}: no footprint")
+        };
+        let got: Vec<&str> = fp.keys().map(|s| s.as_str()).collect();
+        assert_eq!(got, FOOTPRINT_KEYS, "case {case}: footprint key set drifted");
     });
 }

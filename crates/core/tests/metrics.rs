@@ -124,12 +124,6 @@ fn exposition_families_are_a_fixed_contract() {
         flashr_cache_capacity_bytes gauge
         flashr_cache_events_total counter
         flashr_cache_resident_bytes gauge
-        flashr_calib_enabled gauge
-        flashr_calib_prediction_error_bytes gauge
-        flashr_calib_predictions_total counter
-        flashr_calib_read_factor_milli gauge
-        flashr_calib_records gauge
-        flashr_calib_throughput_mib_s gauge
         flashr_exec_compute_nanos_total counter
         flashr_exec_fused_chains_total counter
         flashr_exec_fused_saved_bytes_total counter
@@ -137,8 +131,6 @@ fn exposition_families_are_a_fixed_contract() {
         flashr_exec_nanos_total counter
         flashr_exec_node_chunk_bytes_total counter
         flashr_exec_node_chunks_total counter
-        flashr_exec_opt_cache_bytes_total counter
-        flashr_exec_opt_decisions_total counter
         flashr_exec_parts_numa_total counter
         flashr_exec_parts_total counter
         flashr_exec_passes_total counter

@@ -82,8 +82,6 @@ mod tests {
             include_str!("../../safs/src/backend/mod.rs"),
             include_str!("../../linalg/src/simd.rs"),
             include_str!("../../bench/src/lib.rs"),
-            include_str!("../../bench/src/bin/ablate.rs"),
-            include_str!("../../bench/src/bin/flashr-prof.rs"),
             include_str!("../../bench/src/bin/perf_probe.rs"),
             include_str!("../../bench/src/bin/shard_sweep.rs"),
         ]
@@ -95,6 +93,6 @@ mod tests {
             .flat_map(|l| l.split('|').nth(1))
             .collect();
         assert_eq!(read, flashr_vars(&rows), "left: named in the sources, right: README rows");
-        assert_eq!(read.len(), 13);
+        assert_eq!(read.len(), 10);
     }
 }

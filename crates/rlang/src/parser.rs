@@ -421,7 +421,7 @@ mod tests {
         let e = one("1 + 2 * 3");
         match e {
             Expr::Binary(BinOp::Add, _, rhs) => {
-                assert!(matches!(*rhs, Expr::Binary(BinOp::Mul, _, _)))
+                assert!(matches!(*rhs, Expr::Binary(BinOp::Mul, _, _)));
             }
             other => panic!("{other:?}"),
         }
@@ -440,7 +440,7 @@ mod tests {
         let e = one("-2^2");
         match e {
             Expr::Unary(UnOp::Neg, inner) => {
-                assert!(matches!(*inner, Expr::Binary(BinOp::Pow, _, _)))
+                assert!(matches!(*inner, Expr::Binary(BinOp::Pow, _, _)));
             }
             other => panic!("{other:?}"),
         }

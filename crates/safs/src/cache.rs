@@ -44,7 +44,6 @@ use crate::error::SafsResult;
 use crate::iobuf::IoBuf;
 use crate::sync::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 
 /// Cache key: (per-process file uid, partition index). The uid is minted
@@ -199,11 +198,6 @@ pub struct PageCache {
     shard_budget: u64,
     shards: Vec<Shard>,
     seq: Mutex<HashMap<u64, SeqState>>,
-    /// Live per-plan readahead-window override (`u64::MAX` = none).
-    /// Unlike replacing the cache via `set_page_cache`, flipping this
-    /// keeps resident data, so a plan optimizer can tune the window for
-    /// one pass and restore it afterwards.
-    readahead_override: AtomicU64,
 }
 
 impl PageCache {
@@ -215,7 +209,6 @@ impl PageCache {
             shards: (0..nshards).map(|_| Shard::default()).collect(),
             seq: Mutex::new(HashMap::new()),
             cfg: CacheCfg { shards: nshards, ..cfg },
-            readahead_override: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -224,19 +217,9 @@ impl PageCache {
         self.cfg.capacity_bytes
     }
 
-    /// Override (or, with `None`, restore) the readahead window without
-    /// touching resident data.
-    pub fn set_readahead_override(&self, parts: Option<u64>) {
-        self.readahead_override.store(parts.unwrap_or(u64::MAX), Ordering::Relaxed);
-    }
-
-    /// The readahead window currently in force: the live override if one
-    /// is set, else the configured `readahead_parts`.
-    pub fn effective_readahead(&self) -> u64 {
-        match self.readahead_override.load(Ordering::Relaxed) {
-            u64::MAX => self.cfg.readahead_parts,
-            n => n,
-        }
+    /// Configured readahead window in partitions.
+    pub fn readahead_parts(&self) -> u64 {
+        self.cfg.readahead_parts
     }
 
     /// Aggregate counters across all shards plus the resident-bytes
@@ -405,8 +388,7 @@ impl PageCache {
     /// the returned partitions are already inserted; the caller submits
     /// the reads and parks each ticket with [`park_readahead`](Self::park_readahead).
     pub(crate) fn plan_readahead(&self, uid: u64, part: u64, nparts: u64) -> Vec<u64> {
-        let depth = self.effective_readahead();
-        if depth == 0 {
+        if self.cfg.readahead_parts == 0 {
             return Vec::new();
         }
         let window = {
@@ -419,7 +401,7 @@ impl PageCache {
             }
             st.next = part + 1;
             if st.run >= self.cfg.seq_run {
-                depth
+                self.cfg.readahead_parts
             } else {
                 0
             }

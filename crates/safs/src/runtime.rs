@@ -134,20 +134,10 @@ impl Safs {
         self.inner.page_cache.lock().as_ref().map(|c| c.capacity_bytes()).unwrap_or(0)
     }
 
-    /// Override (or, with `None`, restore) the page cache's readahead
-    /// window without discarding resident data. No-op when no cache is
-    /// installed. Meant for per-plan tuning: set before a pass, clear
-    /// after.
-    pub fn set_readahead_override(&self, parts: Option<u64>) {
-        if let Some(c) = self.inner.page_cache.lock().as_ref() {
-            c.set_readahead_override(parts);
-        }
-    }
-
-    /// The readahead window currently in force (override if set, else the
-    /// configured depth; 0 when no cache is installed).
+    /// The page cache's readahead window in partitions (0 when no cache
+    /// is installed).
     pub fn readahead_parts(&self) -> u64 {
-        self.inner.page_cache.lock().as_ref().map(|c| c.effective_readahead()).unwrap_or(0)
+        self.inner.page_cache.lock().as_ref().map(|c| c.readahead_parts()).unwrap_or(0)
     }
 
     /// Page-cache counters (all zero when no cache is installed).

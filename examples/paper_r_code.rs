@@ -14,10 +14,7 @@ fn run_script(title: &str, path: &str) {
     println!("=== {title} ({path}) ===");
     let src = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run from the repo root)"));
-    // Cost optimizer on: reused uncached subtrees (W001) are auto-cached
-    // rather than recomputed, which also keeps the scripts clean under a
-    // `FLASHR_DENY_LINTS` gate (fixed lints are exempt from promotion).
-    let mut interp = Interp::new(FlashCtx::in_memory().with_cost_optimize(true));
+    let mut interp = Interp::new(FlashCtx::in_memory());
     let t = Instant::now();
     match interp.eval_str(&src) {
         Ok(_) => println!("--- completed in {:?}\n", t.elapsed()),

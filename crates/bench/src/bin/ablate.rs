@@ -89,10 +89,8 @@ fn main() {
         };
         let mut secs = [0.0f64; 2];
         for (i, fuse) in [true, false].into_iter().enumerate() {
-            let ctx = FlashCtx::with_config(
-                CtxConfig { fuse_chains: fuse, ..Default::default() },
-                None,
-            );
+            let ctx =
+                FlashCtx::with_config(CtxConfig { fuse_chains: fuse, ..Default::default() }, None);
             let x = FM::rnorm(&ctx, n, p, 0.0, 1.0, 3).materialize(&ctx);
             build(&x).sum().value(&ctx); // warm
             let (_, t) = time(|| build(&x).sum().value(&ctx));
@@ -111,7 +109,10 @@ fn main() {
     let n_em = scale.rows(100_000, 1_000_000);
     let data_bytes = n_em * p as u64 * 8;
     println!("\nSA-cache size sweep (5-iteration EM re-scan, input {data_bytes} bytes):");
-    println!("{:>12} {:>10} {:>12} {:>12} {:>9}", "cache", "seconds", "dev reads", "dev bytes", "hit rate");
+    println!(
+        "{:>12} {:>10} {:>12} {:>12} {:>9}",
+        "cache", "seconds", "dev reads", "dev bytes", "hit rate"
+    );
     for (label, cache_bytes) in
         [("0", 0u64), ("half-input", data_bytes / 2), ("2x-input", data_bytes * 2)]
     {

@@ -133,9 +133,8 @@ fn main() {
     // Stamp the Pcache step and readahead depth each configuration
     // actually ran with: the fused/unfused gap can only be interpreted
     // knowing whether both sides chunked the data identically.
-    let last_step = |ctx: &FlashCtx| {
-        ctx.tracer().passes().last().map(|p| p.pcache_step).unwrap_or(0)
-    };
+    let last_step =
+        |ctx: &FlashCtx| ctx.tracer().passes().last().map(|p| p.pcache_step).unwrap_or(0);
     let step_fused = last_step(&fused_ctx);
     let step_unfused = last_step(&unfused_ctx);
     let readahead = fused_ctx.safs().map(|s| s.readahead_parts()).unwrap_or(0);

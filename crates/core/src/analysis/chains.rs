@@ -180,10 +180,7 @@ pub fn discover(
                     ChainOpSpec::Binary {
                         op: *op,
                         swapped: *swapped,
-                        operand: ChainOperand::Chunk {
-                            aux: aux.len() - 1,
-                            recycle: a.ncols == 1,
-                        },
+                        operand: ChainOperand::Chunk { aux: aux.len() - 1, recycle: a.ncols == 1 },
                     }
                 }
             };

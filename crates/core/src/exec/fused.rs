@@ -106,13 +106,11 @@ pub(crate) fn run_labeled(
     let stats = ctx.stats();
     let pass_id = stats.passes.add(1);
     let tracer = ctx.tracer();
-    let agg = tracer.enabled(TraceLevel::Pass).then(|| PassAgg {
-        trace_ops: tracer.enabled(TraceLevel::Op),
-        ..PassAgg::default()
-    });
+    let agg = tracer
+        .enabled(TraceLevel::Pass)
+        .then(|| PassAgg { trace_ops: tracer.enabled(TraceLevel::Op), ..PassAgg::default() });
     // Snapshot page-cache counters so the pass profile carries deltas.
-    let cache_before =
-        agg.as_ref().and_then(|_| ctx.safs().map(|s| s.stats_snapshot().cache));
+    let cache_before = agg.as_ref().and_then(|_| ctx.safs().map(|s| s.stats_snapshot().cache));
 
     // Prepare tall outputs.
     let tall_states: Vec<TallState> = plan
@@ -135,7 +133,11 @@ pub(crate) fn run_labeled(
                         .create_bytes(&safs.unique_name("fm"), part_bytes, total)
                         .expect("EM output create failed");
                     file.set_delete_on_drop(true);
-                    TallState { storage: t.storage, file: Some(file), parts: Mutex::new(Vec::new()) }
+                    TallState {
+                        storage: t.storage,
+                        file: Some(file),
+                        parts: Mutex::new(Vec::new()),
+                    }
                 }
             }
         })
@@ -151,13 +153,9 @@ pub(crate) fn run_labeled(
     // need globally sequential dispatch.
     let use_affinity = plan.cum_nodes.is_empty() && nthreads >= nnodes && nnodes > 1;
 
-    let any_em = plan.leaves.iter().any(|(_, m)| m.is_em())
-        || tall_states.iter().any(|t| t.file.is_some());
-    let batch = if any_em {
-        ctx.safs().map(|s| s.dispatch_batch()).unwrap_or(4) as u64
-    } else {
-        2
-    };
+    let any_em =
+        plan.leaves.iter().any(|(_, m)| m.is_em()) || tall_states.iter().any(|t| t.file.is_some());
+    let batch = if any_em { ctx.safs().map(|s| s.dispatch_batch()).unwrap_or(4) as u64 } else { 2 };
 
     let shared = Shared {
         ctx,
@@ -483,10 +481,7 @@ fn process_part(
     let plan = shared.plan;
     let part_rows = plan.parter.part_rows(part, plan.nrows);
     let grow0 = part * plan.parter.rows_per_part();
-    let op_cell = shared
-        .trace
-        .filter(|agg| agg.trace_ops)
-        .map(|_| RefCell::new(OpMap::new()));
+    let op_cell = shared.trace.filter(|agg| agg.trace_ops).map(|_| RefCell::new(OpMap::new()));
     let stats = shared.ctx.stats();
     let env = PartEnv {
         plan,
@@ -677,7 +672,13 @@ fn process_part(
 }
 
 /// Copy a chunk into a column-major partition buffer at row offset `r0`.
-fn write_rows(buf: &mut IoBuf, dtype: crate::dtype::DType, part_rows: usize, r0: usize, chunk: &Chunk) {
+fn write_rows(
+    buf: &mut IoBuf,
+    dtype: crate::dtype::DType,
+    part_rows: usize,
+    r0: usize,
+    chunk: &Chunk,
+) {
     let rows = chunk.rows();
     // A chunk covering the whole partition has the destination's exact
     // column-major layout: one flat copy instead of a copy per column.
@@ -813,11 +814,8 @@ fn eval_uncached(
     // the whole fused program in one strip-mined sweep. The chain's
     // interior nodes are never evaluated and never allocate chunks.
     if let Some(chain) = env.plan.chains.get(&node.id) {
-        let auxes: Vec<Rc<Chunk>> = chain
-            .aux
-            .iter()
-            .map(|a| eval(env, memo, remaining, pool, a, r0, r1))
-            .collect();
+        let auxes: Vec<Rc<Chunk>> =
+            chain.aux.iter().map(|a| eval(env, memo, remaining, pool, a, r0, r1)).collect();
         let aux_refs: Vec<&Chunk> = auxes.iter().map(|c| c.as_ref()).collect();
         let out = if let Some((bytes, stride, off)) = chain_base_stride(env, &chain.base, r0, r1) {
             Rc::new(chain.kernel.run_strided(
@@ -841,9 +839,13 @@ fn eval_uncached(
 
     let chunk = match &node.kind {
         NodeKind::Leaf(_) => unreachable!("handled by leaf_mat"),
-        NodeKind::Gen(spec) => {
-            Rc::new(spec.fill_chunk_as(node.dtype, env.grow0 + r0 as u64, r1 - r0, node.ncols, pool))
-        }
+        NodeKind::Gen(spec) => Rc::new(spec.fill_chunk_as(
+            node.dtype,
+            env.grow0 + r0 as u64,
+            r1 - r0,
+            node.ncols,
+            pool,
+        )),
         NodeKind::Map { op, inputs } => {
             let out = match op {
                 MapOp::Unary(u) => {
@@ -912,8 +914,7 @@ fn eval_uncached(
                 let input_full = eval(env, memo, remaining, pool, input, 0, env.part_rows);
                 let coord = &env.cums[&node.id];
                 let carry = coord.wait_carry(env.part);
-                let (out, new_carry) =
-                    ops::cum_col_chunk(*op, &input_full, carry.as_deref(), pool);
+                let (out, new_carry) = ops::cum_col_chunk(*op, &input_full, carry.as_deref(), pool);
                 coord.publish(env.part, new_carry);
                 memo.insert(full_key, Rc::new(out));
             }

@@ -105,7 +105,12 @@ impl Plan {
                     };
                     // The output copy reads the node's chunk once.
                     *consumers.entry(node.id).or_default() += 1;
-                    talls.push(TallOut { node: node.clone(), storage, slot: Some(slot), is_cache: false });
+                    talls.push(TallOut {
+                        node: node.clone(),
+                        storage,
+                        slot: Some(slot),
+                        is_cache: false,
+                    });
                     stack.push(node.clone());
                 }
             }
@@ -144,10 +149,8 @@ impl Plan {
                 row_bytes_total += node.ncols * node.dtype.size();
             }
 
-            if let Some(mat) = resolved
-                .get(&node.id)
-                .or_else(|| node.cached())
-                .or(match &node.kind {
+            if let Some(mat) =
+                resolved.get(&node.id).or_else(|| node.cached()).or(match &node.kind {
                     NodeKind::Leaf(m) => Some(m),
                     _ => None,
                 })
@@ -205,8 +208,7 @@ impl Plan {
         // so `fuse_chains` on/off stays bit-comparable for sinks.
         let mut chain_set = chains::ChainSet::default();
         if ctx.cfg().fuse_chains {
-            let is_mat =
-                |n: &Node| resolved.contains_key(&n.id) || n.is_effective_leaf();
+            let is_mat = |n: &Node| resolved.contains_key(&n.id) || n.is_effective_leaf();
             chain_set = chains::discover(&reach, &consumers, &is_mat);
             for id in &chain_set.interior {
                 consumers.remove(id);
@@ -286,7 +288,15 @@ impl Plan {
         } else {
             ""
         };
-        format!("n{}: {} [{}x{} {:?}]{}", node.id, node.label(), node.nrows, node.ncols, node.dtype, mat)
+        format!(
+            "n{}: {} [{}x{} {:?}]{}",
+            node.id,
+            node.label(),
+            node.nrows,
+            node.ncols,
+            node.dtype,
+            mat
+        )
     }
 
     /// Render the plan as an indented text tree — what R's `explain()`

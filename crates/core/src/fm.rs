@@ -61,12 +61,18 @@ impl std::fmt::Debug for FM {
 impl FM {
     /// `runif.matrix`: uniform random matrix on `[lo, hi)` (lazy).
     pub fn runif(_ctx: &FlashCtx, nrows: u64, ncols: usize, lo: f64, hi: f64, seed: u64) -> FM {
-        FM::Tall { node: Node::gen(GenSpec::Runif { seed, lo, hi }, nrows, ncols), transposed: false }
+        FM::Tall {
+            node: Node::gen(GenSpec::Runif { seed, lo, hi }, nrows, ncols),
+            transposed: false,
+        }
     }
 
     /// `rnorm.matrix`: normal random matrix (lazy).
     pub fn rnorm(_ctx: &FlashCtx, nrows: u64, ncols: usize, mean: f64, sd: f64, seed: u64) -> FM {
-        FM::Tall { node: Node::gen(GenSpec::Rnorm { seed, mean, sd }, nrows, ncols), transposed: false }
+        FM::Tall {
+            node: Node::gen(GenSpec::Rnorm { seed, mean, sd }, nrows, ncols),
+            transposed: false,
+        }
     }
 
     /// Constant-filled tall matrix (lazy).
@@ -307,7 +313,10 @@ impl FM {
             }
             (FM::Tall { node, transposed }, FM::Small(d)) => {
                 let input = small_to_input(d, node, *transposed);
-                FM::Tall { node: Node::map_binary(op, node.clone(), input, swapped), transposed: *transposed }
+                FM::Tall {
+                    node: Node::map_binary(op, node.clone(), input, swapped),
+                    transposed: *transposed,
+                }
             }
             (FM::Small(d), FM::Tall { node, transposed }) => {
                 // a ⊕ B with small a: swap operand order.
@@ -398,7 +407,12 @@ impl FM {
         let node = self.untransposed("sweep");
         assert_eq!(stats.len(), node.ncols, "sweep stats length mismatch");
         FM::Tall {
-            node: Node::map_binary(op, node.clone(), MapInput::RowVec(Arc::new(stats.to_vec())), false),
+            node: Node::map_binary(
+                op,
+                node.clone(),
+                MapInput::RowVec(Arc::new(stats.to_vec())),
+                false,
+            ),
             transposed: false,
         }
     }
@@ -420,7 +434,8 @@ fn small_binary(op: BinaryOp, a: &Dense, b: &Dense, swapped: bool) -> Dense {
     let mut pool = BufPool::new();
     let ca = Chunk::from_slice::<f64>(n, 1, a.as_slice());
     let cb = Chunk::from_slice::<f64>(n, 1, b.as_slice());
-    let out = crate::ops::apply_binary(op, &ca, crate::ops::BinOperand::Chunk(&cb), swapped, &mut pool);
+    let out =
+        crate::ops::apply_binary(op, &ca, crate::ops::BinOperand::Chunk(&cb), swapped, &mut pool);
     let vals: Vec<f64> = if out.dtype() == DType::U8 {
         out.slice::<u8>().iter().map(|&v| v as f64).collect()
     } else {
@@ -678,8 +693,7 @@ impl FM {
 
     /// `cbind(...)` (lazy).
     pub fn cbind(parts: &[&FM]) -> FM {
-        let nodes: Vec<Arc<Node>> =
-            parts.iter().map(|p| p.untransposed("cbind").clone()).collect();
+        let nodes: Vec<Arc<Node>> = parts.iter().map(|p| p.untransposed("cbind").clone()).collect();
         FM::Tall { node: Node::bind_cols(nodes), transposed: false }
     }
 
@@ -762,7 +776,10 @@ impl FM {
                         mapping.push(None); // already materialized
                     } else {
                         mapping.push(Some(targets.len()));
-                        targets.push(Target::Tall { node: node.clone(), storage: TargetStorage::Default });
+                        targets.push(Target::Tall {
+                            node: node.clone(),
+                            storage: TargetStorage::Default,
+                        });
                     }
                 }
             }
@@ -1257,7 +1274,8 @@ mod tests {
     fn groupby_row_sums() {
         let ctx = ctx();
         let x = FM::constant(90, 2, 1.0);
-        let labels = FM::seq(90, 0.0, 1.0).binary_scalar(BinaryOp::Rem, 3.0, false).cast(DType::I64);
+        let labels =
+            FM::seq(90, 0.0, 1.0).binary_scalar(BinaryOp::Rem, 3.0, false).cast(DType::I64);
         let g = x.groupby_row(&labels, AggOp::Sum, 3).to_dense(&ctx);
         for grp in 0..3 {
             assert_eq!(g.at(grp, 0), 30.0);
@@ -1420,7 +1438,7 @@ mod tests {
         let d = g.to_dense(&ctx);
         assert_eq!(d.at(0, 0), 4.0); // 1 + 3
         assert_eq!(d.at(0, 1), 6.0); // 2 + 4
-        // Fuses: one pass with a downstream sink.
+                                     // Fuses: one pass with a downstream sink.
         let before = ctx.stats().snapshot();
         let total = x.groupby_col(&[0, 0, 1, 1], AggOp::Max, 2).sum().value(&ctx);
         assert_eq!(before.delta(&ctx.stats().snapshot()).passes, 1);

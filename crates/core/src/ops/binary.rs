@@ -389,10 +389,12 @@ mod tests {
     fn scalar_broadcast() {
         let mut pool = BufPool::new();
         let a = c_f64(3, 1, &[1.0, 2.0, 3.0]);
-        let m = apply_binary(BinaryOp::Mul, &a, BinOperand::Scalar(Scalar::F64(2.0)), false, &mut pool);
+        let m =
+            apply_binary(BinaryOp::Mul, &a, BinOperand::Scalar(Scalar::F64(2.0)), false, &mut pool);
         assert_eq!(m.slice::<f64>(), &[2.0, 4.0, 6.0]);
         // swapped: 10 / a
-        let q = apply_binary(BinaryOp::Div, &a, BinOperand::Scalar(Scalar::F64(6.0)), true, &mut pool);
+        let q =
+            apply_binary(BinaryOp::Div, &a, BinOperand::Scalar(Scalar::F64(6.0)), true, &mut pool);
         assert_eq!(q.slice::<f64>(), &[6.0, 3.0, 2.0]);
     }
 
@@ -441,7 +443,13 @@ mod tests {
     fn euclid_sq() {
         let mut pool = BufPool::new();
         let a = c_f64(2, 1, &[3.0, -1.0]);
-        let e = apply_binary(BinaryOp::EuclidSq, &a, BinOperand::Scalar(Scalar::F64(1.0)), false, &mut pool);
+        let e = apply_binary(
+            BinaryOp::EuclidSq,
+            &a,
+            BinOperand::Scalar(Scalar::F64(1.0)),
+            false,
+            &mut pool,
+        );
         assert_eq!(e.slice::<f64>(), &[4.0, 4.0]);
     }
 
@@ -460,9 +468,11 @@ mod tests {
     fn integer_pow_and_rem() {
         let mut pool = BufPool::new();
         let a = Chunk::from_slice::<i32>(3, 1, &[2, 3, 7]);
-        let p = apply_binary(BinaryOp::Pow, &a, BinOperand::Scalar(Scalar::I32(2)), false, &mut pool);
+        let p =
+            apply_binary(BinaryOp::Pow, &a, BinOperand::Scalar(Scalar::I32(2)), false, &mut pool);
         assert_eq!(p.slice::<i32>(), &[4, 9, 49]);
-        let r = apply_binary(BinaryOp::Rem, &a, BinOperand::Scalar(Scalar::I32(3)), false, &mut pool);
+        let r =
+            apply_binary(BinaryOp::Rem, &a, BinOperand::Scalar(Scalar::I32(3)), false, &mut pool);
         assert_eq!(r.slice::<i32>(), &[2, 0, 1]);
     }
 }

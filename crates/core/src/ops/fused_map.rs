@@ -66,7 +66,11 @@ pub enum ChainOpSpec {
     Unary(UnaryOp),
     /// Convert `in_dtype` → `out_dtype` (the link dtypes carry the pair).
     Cast,
-    Binary { op: BinaryOp, swapped: bool, operand: ChainOperand },
+    Binary {
+        op: BinaryOp,
+        swapped: bool,
+        operand: ChainOperand,
+    },
 }
 
 /// One micro-op of a chain program, with its dtype transition.
@@ -189,12 +193,7 @@ fn step_not<T: Element>(_ctx: &StripCtx<'_>, src: &[u8], dst: &mut [u8], len: us
     }
 }
 
-fn step_cast<S: Element, D: Element>(
-    _ctx: &StripCtx<'_>,
-    src: &[u8],
-    dst: &mut [u8],
-    len: usize,
-) {
+fn step_cast<S: Element, D: Element>(_ctx: &StripCtx<'_>, src: &[u8], dst: &mut [u8], len: usize) {
     cast_slice::<S, D>(in_slice::<S>(src, len), out_slice::<D>(dst, len));
 }
 
@@ -226,12 +225,7 @@ fn step_arith_simd<T: Element, const OP: u8>(
     );
 }
 
-fn step_pred<T: Element, const OP: u8>(
-    ctx: &StripCtx<'_>,
-    src: &[u8],
-    dst: &mut [u8],
-    len: usize,
-) {
+fn step_pred<T: Element, const OP: u8>(ctx: &StripCtx<'_>, src: &[u8], dst: &mut [u8], len: usize) {
     let b = operand::<T>(ctx, len);
     pred_col::<T, OP>(out_slice::<u8>(dst, len), in_slice::<T>(src, len), b, ctx.swapped);
 }
@@ -478,7 +472,18 @@ impl FusedMapKernel {
     ) {
         debug_assert_eq!(base.dtype(), self.in_dtype, "chain base dtype mismatch");
         let (rows, cols) = (base.rows(), base.cols());
-        self.run_strided_into(base.as_bytes(), rows, 0, rows, cols, auxes, dst, col_stride, row_off, pool);
+        self.run_strided_into(
+            base.as_bytes(),
+            rows,
+            0,
+            rows,
+            cols,
+            auxes,
+            dst,
+            col_stride,
+            row_off,
+            pool,
+        );
     }
 
     /// The fully strided sweep both entry points lower to: read the base
@@ -598,8 +603,13 @@ mod tests {
 
         let s1 =
             apply_binary(BinaryOp::Mul, &x, BinOperand::Scalar(Scalar::F64(2.5)), false, &mut pool);
-        let s2 =
-            apply_binary(BinaryOp::Add, &s1, BinOperand::Scalar(Scalar::F64(1.0)), false, &mut pool);
+        let s2 = apply_binary(
+            BinaryOp::Add,
+            &s1,
+            BinOperand::Scalar(Scalar::F64(1.0)),
+            false,
+            &mut pool,
+        );
         let s3 = apply_unary(UnaryOp::Abs, &s2, &mut pool);
         let want = apply_unary(UnaryOp::Sqrt, &s3, &mut pool);
         let f = fused.slice::<f64>();
@@ -617,11 +627,14 @@ mod tests {
         // exactly-rounded ops.
         let mut pool = BufPool::new();
         let x = f64_chunk(3000, 3);
-        let want = FusedMapKernel::compile_with_level(SimdLevel::Off, &demo_links())
-            .run(&x, &[], &mut pool);
+        let want = FusedMapKernel::compile_with_level(SimdLevel::Off, &demo_links()).run(
+            &x,
+            &[],
+            &mut pool,
+        );
         for level in SimdLevel::available() {
-            let got = FusedMapKernel::compile_with_level(level, &demo_links())
-                .run(&x, &[], &mut pool);
+            let got =
+                FusedMapKernel::compile_with_level(level, &demo_links()).run(&x, &[], &mut pool);
             for (a, b) in want.slice::<f64>().iter().zip(got.slice::<f64>()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "level={}", level.name());
             }

@@ -460,10 +460,14 @@ mod x86 {
         };
     }
 
-    bin_f64!(bin_f64_add_ss, bin_f64_add_sc, bin_f64_add_cs, |a, b| _mm256_add_pd(a, b), |x, y| x + y);
-    bin_f64!(bin_f64_sub_ss, bin_f64_sub_sc, bin_f64_sub_cs, |a, b| _mm256_sub_pd(a, b), |x, y| x - y);
-    bin_f64!(bin_f64_mul_ss, bin_f64_mul_sc, bin_f64_mul_cs, |a, b| _mm256_mul_pd(a, b), |x, y| x * y);
-    bin_f64!(bin_f64_div_ss, bin_f64_div_sc, bin_f64_div_cs, |a, b| _mm256_div_pd(a, b), |x, y| x / y);
+    bin_f64!(bin_f64_add_ss, bin_f64_add_sc, bin_f64_add_cs, |a, b| _mm256_add_pd(a, b), |x, y| x
+        + y);
+    bin_f64!(bin_f64_sub_ss, bin_f64_sub_sc, bin_f64_sub_cs, |a, b| _mm256_sub_pd(a, b), |x, y| x
+        - y);
+    bin_f64!(bin_f64_mul_ss, bin_f64_mul_sc, bin_f64_mul_cs, |a, b| _mm256_mul_pd(a, b), |x, y| x
+        * y);
+    bin_f64!(bin_f64_div_ss, bin_f64_div_sc, bin_f64_div_cs, |a, b| _mm256_div_pd(a, b), |x, y| x
+        / y);
     bin_f64!(
         bin_f64_euclid_ss,
         bin_f64_euclid_sc,
@@ -534,10 +538,14 @@ mod x86 {
         };
     }
 
-    bin_f32!(bin_f32_add_ss, bin_f32_add_sc, bin_f32_add_cs, |a, b| _mm256_add_ps(a, b), |x, y| x + y);
-    bin_f32!(bin_f32_sub_ss, bin_f32_sub_sc, bin_f32_sub_cs, |a, b| _mm256_sub_ps(a, b), |x, y| x - y);
-    bin_f32!(bin_f32_mul_ss, bin_f32_mul_sc, bin_f32_mul_cs, |a, b| _mm256_mul_ps(a, b), |x, y| x * y);
-    bin_f32!(bin_f32_div_ss, bin_f32_div_sc, bin_f32_div_cs, |a, b| _mm256_div_ps(a, b), |x, y| x / y);
+    bin_f32!(bin_f32_add_ss, bin_f32_add_sc, bin_f32_add_cs, |a, b| _mm256_add_ps(a, b), |x, y| x
+        + y);
+    bin_f32!(bin_f32_sub_ss, bin_f32_sub_sc, bin_f32_sub_cs, |a, b| _mm256_sub_ps(a, b), |x, y| x
+        - y);
+    bin_f32!(bin_f32_mul_ss, bin_f32_mul_sc, bin_f32_mul_cs, |a, b| _mm256_mul_ps(a, b), |x, y| x
+        * y);
+    bin_f32!(bin_f32_div_ss, bin_f32_div_sc, bin_f32_div_cs, |a, b| _mm256_div_ps(a, b), |x, y| x
+        / y);
     bin_f32!(
         bin_f32_euclid_ss,
         bin_f32_euclid_sc,
@@ -680,9 +688,7 @@ mod tests {
         }
         let a = pseudo(709, 11);
         let b = pseudo(709, 13);
-        for op in
-            [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div, BinaryOp::EuclidSq]
-        {
+        for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div, BinaryOp::EuclidSq] {
             let reference = crate::ops::binary::arith_col_fn::<f64>(op);
             for swapped in [false, true] {
                 // slice operand

@@ -457,8 +457,7 @@ impl FlashCtx {
     /// pass profiles — ready for [`ProfileReport::to_json`].
     pub fn profile_report(&self) -> ProfileReport {
         let passes = self.inner.tracer.passes();
-        let lanes =
-            self.inner.tracer.timeline().map(|t| t.snapshot()).unwrap_or_default();
+        let lanes = self.inner.tracer.timeline().map(|t| t.snapshot()).unwrap_or_default();
         ProfileReport {
             exec: self.inner.stats.snapshot(),
             io: self.inner.safs.as_ref().map(|s| s.stats_snapshot()),

@@ -53,8 +53,7 @@ fn inference_matches_eager_execution_shapes() {
         let nrows = 64 * (1 + rng.below(4));
         let ncols = (1 + rng.below(3)) as usize;
         // Pool of same-height tall matrices the generator draws operands from.
-        let mut pool: Vec<FM> =
-            vec![FM::runif(&ctx, nrows, ncols, 0.5, 2.0, 1000 + seed)];
+        let mut pool: Vec<FM> = vec![FM::runif(&ctx, nrows, ncols, 0.5, 2.0, 1000 + seed)];
         for step in 0..10 {
             let a = pool[rng.below(pool.len() as u64) as usize].clone();
             let next = match rng.below(6) {
@@ -122,10 +121,7 @@ fn cse_is_bit_identical_and_saves_passes_and_bytes() {
         passes_opt < passes_raw,
         "CSE must execute strictly fewer eager passes ({passes_opt} vs {passes_raw})"
     );
-    assert!(
-        read_opt < read_raw,
-        "CSE must read strictly fewer bytes ({read_opt} vs {read_raw})"
-    );
+    assert!(read_opt < read_raw, "CSE must read strictly fewer bytes ({read_opt} vs {read_raw})");
 }
 
 /// Property (c): the rewrite is idempotent — a second application finds
@@ -164,10 +160,7 @@ fn check_rejects_mismatched_mapply_before_any_io() {
     let forged = Node::raw(
         NodeKind::Map {
             op: MapOp::Binary { op: BinaryOp::Add, swapped: false },
-            inputs: vec![
-                MapInput::Node(tall_node(&a)),
-                MapInput::Node(tall_node(&b)),
-            ],
+            inputs: vec![MapInput::Node(tall_node(&a)), MapInput::Node(tall_node(&b))],
         },
         512,
         3,
@@ -262,11 +255,7 @@ fn lints_fire_on_fusion_unfriendly_patterns() {
     let shared = x.sqrt();
     let reused = &shared + &shared;
     let report = reused.check(&ctx).unwrap();
-    assert!(
-        report.lints.iter().any(|l| l.code == "W001"),
-        "expected W001, got {:?}",
-        report.lints
-    );
+    assert!(report.lints.iter().any(|l| l.code == "W001"), "expected W001, got {:?}", report.lints);
     // set.cache silences it.
     shared.set_cache(true);
     let report = reused.check(&ctx).unwrap();
@@ -277,20 +266,12 @@ fn lints_fire_on_fusion_unfriendly_patterns() {
     let row = FM::Small(Dense::filled(1, 20_000, 2.0));
     let broadcast = &wide + &row;
     let report = broadcast.check(&ctx).unwrap();
-    assert!(
-        report.lints.iter().any(|l| l.code == "W002"),
-        "expected W002, got {:?}",
-        report.lints
-    );
+    assert!(report.lints.iter().any(|l| l.code == "W002"), "expected W002, got {:?}", report.lints);
 
     // W003: a lossy f64 → i32 → f64 chain survives the rewrite and lints.
     let chained = x.cast(DType::I32).cast(DType::F64);
     let report = chained.check(&ctx).unwrap();
-    assert!(
-        report.lints.iter().any(|l| l.code == "W003"),
-        "expected W003, got {:?}",
-        report.lints
-    );
+    assert!(report.lints.iter().any(|l| l.code == "W003"), "expected W003, got {:?}", report.lints);
 }
 
 /// The footprint estimate tracks leaf bytes and target bytes.
@@ -322,10 +303,7 @@ fn redundant_casts_collapse() {
     // The FM layer already refuses to build identity casts, so forge one
     // (as a corrupted plan would contain) and let the rewriter erase it.
     let forged = Node::raw(
-        NodeKind::Map {
-            op: MapOp::Cast(DType::F64),
-            inputs: vec![MapInput::Node(tall_node(&x))],
-        },
+        NodeKind::Map { op: MapOp::Cast(DType::F64), inputs: vec![MapInput::Node(tall_node(&x))] },
         256,
         2,
         DType::F64,

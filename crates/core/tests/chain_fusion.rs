@@ -11,13 +11,7 @@ use flashr_core::session::{CtxConfig, ExecMode, FlashCtx};
 use flashr_testkit::{cases, Rng};
 
 fn ctx(mode: ExecMode, nthreads: usize, fuse_chains: bool) -> FlashCtx {
-    let cfg = CtxConfig {
-        nthreads,
-        mode,
-        rows_per_part: 64,
-        fuse_chains,
-        ..CtxConfig::default()
-    };
+    let cfg = CtxConfig { nthreads, mode, rows_per_part: 64, fuse_chains, ..CtxConfig::default() };
     FlashCtx::with_config(cfg, None)
 }
 
@@ -169,8 +163,11 @@ fn chain_crossing_predicate_boundary_fuses() {
     let fused = ctx(ExecMode::CacheFuse, 2, true);
     let unfused = ctx(ExecMode::CacheFuse, 2, false);
     let x = FM::runif(&fused, 1000, 3, 0.0, 1.0, 7);
-    let chain =
-        x.binary_scalar(BinaryOp::Gt, 0.5, false).cast(DType::F64).binary_scalar(BinaryOp::Mul, 3.0, false);
+    let chain = x.binary_scalar(BinaryOp::Gt, 0.5, false).cast(DType::F64).binary_scalar(
+        BinaryOp::Mul,
+        3.0,
+        false,
+    );
 
     let before = fused.stats().snapshot();
     let a = chain.materialize(&fused).to_vec(&fused);
@@ -189,19 +186,16 @@ fn chain_root_feeding_both_tall_and_sink() {
     let fused = ctx(ExecMode::CacheFuse, 2, true);
     let unfused = ctx(ExecMode::CacheFuse, 2, false);
     let x = FM::runif(&fused, 900, 2, 0.0, 1.0, 13);
-    let chain = x
-        .binary_scalar(BinaryOp::Add, 0.25, false)
-        .unary(UnaryOp::Sqrt)
-        .binary_scalar(BinaryOp::Mul, 0.5, false);
+    let chain = x.binary_scalar(BinaryOp::Add, 0.25, false).unary(UnaryOp::Sqrt).binary_scalar(
+        BinaryOp::Mul,
+        0.5,
+        false,
+    );
     let total = chain.sum();
 
     let outs_f = FM::materialize_multi(&fused, &[&chain, &total]);
     let outs_u = FM::materialize_multi(&unfused, &[&chain, &total]);
-    assert_bits_eq(
-        &outs_f[0].to_vec(&fused),
-        &outs_u[0].to_vec(&unfused),
-        "tall output",
-    );
+    assert_bits_eq(&outs_f[0].to_vec(&fused), &outs_u[0].to_vec(&unfused), "tall output");
     assert_eq!(
         outs_f[1].value(&fused).to_bits(),
         outs_u[1].value(&unfused).to_bits(),

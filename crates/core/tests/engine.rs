@@ -219,7 +219,9 @@ fn set_cache_can_target_the_ssds() {
     let s2 = y.sum().value(&ctx);
     assert!((s1 - s2).abs() < 1e-9);
     match &y {
-        FM::Tall { node, .. } => assert!(node.cached().unwrap().is_em(), "cache should live on SSDs"),
+        FM::Tall { node, .. } => {
+            assert!(node.cached().unwrap().is_em(), "cache should live on SSDs");
+        }
         _ => unreachable!(),
     }
 }

@@ -9,13 +9,7 @@ use flashr_core::trace::TraceLevel;
 use flashr_safs::SafsConfig;
 
 fn ctx_with(mode: ExecMode, trace: TraceLevel) -> FlashCtx {
-    let cfg = CtxConfig {
-        nthreads: 2,
-        mode,
-        rows_per_part: 64,
-        trace,
-        ..CtxConfig::default()
-    };
+    let cfg = CtxConfig { nthreads: 2, mode, rows_per_part: 64, trace, ..CtxConfig::default() };
     FlashCtx::with_config(cfg, None)
 }
 

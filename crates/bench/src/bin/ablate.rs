@@ -74,11 +74,11 @@ fn main() {
     }
 
     // ---------------------------------------------- map-chain length sweep
-    // Chains of 1/4/16 alternating scalar ops feeding a sum, with chain
-    // fusion on and off. Length 1 cannot fuse (both columns agree);
-    // longer chains show the intermediate-chunk traffic fusion removes.
+    // Chains of 1/4/16 alternating scalar ops feeding a sum, under the
+    // fused engine and the eager one (one pass and one whole matrix per
+    // op): the intermediate traffic fusion removes grows with the chain.
     println!("\nmap-chain fusion sweep (alternating +0.5 / *0.99 ops):");
-    println!("{:>12} {:>10} {:>11} {:>9}", "chain len", "fused s", "unfused s", "speedup");
+    println!("{:>12} {:>10} {:>11} {:>9}", "chain len", "fused s", "eager s", "speedup");
     for len in [1usize, 4, 16] {
         let build = |x: &FM| {
             let mut cur = x.clone();
@@ -88,14 +88,13 @@ fn main() {
             cur
         };
         let mut secs = [0.0f64; 2];
-        for (i, fuse) in [true, false].into_iter().enumerate() {
-            let ctx =
-                FlashCtx::with_config(CtxConfig { fuse_chains: fuse, ..Default::default() }, None);
+        for (i, mode) in [ExecMode::CacheFuse, ExecMode::Eager].into_iter().enumerate() {
+            let ctx = FlashCtx::with_config(CtxConfig { mode, ..Default::default() }, None);
             let x = FM::rnorm(&ctx, n, p, 0.0, 1.0, 3).materialize(&ctx);
             build(&x).sum().value(&ctx); // warm
             let (_, t) = time(|| build(&x).sum().value(&ctx));
             secs[i] = t.as_secs_f64();
-            let label = format!("{len}-{}", if fuse { "fused" } else { "unfused" });
+            let label = format!("{len}-{}", if i == 0 { "fused" } else { "eager" });
             report.push("ablate", "chain-len", &label, "", secs[i]);
         }
         println!("{len:>12} {:>10.3} {:>11.3} {:>8.2}x", secs[0], secs[1], secs[1] / secs[0]);

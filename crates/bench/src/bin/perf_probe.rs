@@ -62,98 +62,72 @@ fn main() {
     let _ = ((&(&x + 1.0) * 2.0).abs().sqrt()).sum().value(&ctx);
     stage(&mut stages, "4-op chain sum:", "four_op_chain_sum", t.elapsed());
 
-    // Map-chain fusion probe: the same 4-op elementwise chain
-    // materialized with fusion on and off. The JSON section records the
-    // chunk allocations and bytes each configuration moved plus a
-    // bit-identity check — fused must be strictly lower and identical.
+    // Map-chain fusion probe: a 4-op elementwise chain materialized by
+    // the fused engine, timed warm. The JSON section records the chunk
+    // allocations and bytes the pass moved plus a bit-identity check
+    // against the eager engine, which runs the same four ops as four
+    // passes with a whole matrix between each.
     let n_chain = 500_000u64;
     let p_chain = 8usize;
     let chain_bytes = (n_chain * p_chain as u64 * 8) as f64;
     let fused_ctx = FlashCtx::in_memory().with_trace(level);
-    let unfused_ctx = fused_ctx.with_fuse_chains(false);
     let xc = FM::rnorm(&fused_ctx, n_chain, p_chain, 0.0, 1.0, 9).materialize(&fused_ctx);
     let chain = |x: &FM| (&(x * 2.0) + 1.0).abs().sqrt();
 
     // Measure steady state, not the first pass: early passes on a fresh
     // context absorb one-time process state (allocator growth, page
-    // faults, empty partition-buffer pool), and whichever arm ran first
-    // ate it — the committed baseline once showed "fused 2x slower"
-    // purely from that ordering bias. Three warm passes let the
+    // faults, empty partition-buffer pool). Three warm passes let the
     // context's buffer recycler fill and the heap settle; the timed
     // figure is the best of three passes, which is what the engine
-    // delivers once warm. Timing covers materialize only; the
-    // single-threaded `to_vec` copy-out (used below for the
-    // bit-identity check) would otherwise dominate both arms
-    // identically and flatten the ratio. Stats deltas cover exactly one
-    // pass so chunk counts stay comparable across runs.
-    let steady = |ctx: &FlashCtx| {
-        for _ in 0..3 {
-            let _ = chain(&xc).materialize(ctx);
-        }
-        let before = ctx.stats().snapshot();
-        let mut best = None;
-        let mut mat = None;
-        for i in 0..3 {
-            let t = Instant::now();
-            let m = chain(&xc).materialize(ctx);
-            let d = t.elapsed();
-            if i == 0 {
-                best = Some((d, before.delta(&ctx.stats().snapshot())));
-            }
-            if let Some((b, _)) = &mut best {
-                *b = (*b).min(d);
-            }
-            mat = Some(m);
-        }
-        let (d, delta) = best.expect("timed at least one pass");
-        (d, delta, mat.expect("timed at least one pass"))
-    };
-    let (d_fused, delta_fused, mf) = steady(&fused_ctx);
+    // delivers once warm. Timing covers materialize only, not the
+    // single-threaded `to_vec` copy-out the bit-identity check needs.
+    // The stats delta covers exactly one pass so chunk counts stay
+    // comparable across runs.
+    for _ in 0..3 {
+        let _ = chain(&xc).materialize(&fused_ctx);
+    }
+    let before = fused_ctx.stats().snapshot();
+    let t = Instant::now();
+    let mf = chain(&xc).materialize(&fused_ctx);
+    let mut d_fused = t.elapsed();
+    let delta_fused = before.delta(&fused_ctx.stats().snapshot());
+    for _ in 0..2 {
+        let t = Instant::now();
+        let _ = chain(&xc).materialize(&fused_ctx);
+        d_fused = d_fused.min(t.elapsed());
+    }
     let vf = mf.to_vec(&fused_ctx);
-    let (d_unfused, delta_unfused, mu) = steady(&unfused_ctx);
-    let vu = mu.to_vec(&unfused_ctx);
-
+    let eager_ctx = FlashCtx::in_memory().with_mode(ExecMode::Eager);
+    let ve = chain(&xc).materialize(&eager_ctx).to_vec(&eager_ctx);
     let bit_identical =
-        vf.len() == vu.len() && vf.iter().zip(&vu).all(|(a, b)| a.to_bits() == b.to_bits());
+        vf.len() == ve.len() && vf.iter().zip(&ve).all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(bit_identical, "chain fusion changed the data");
-    drop((vf, vu));
+    drop((vf, ve));
     let g = chain_bytes / d_fused.as_secs_f64() / (1u64 << 30) as f64;
     println!("map chain (fused):   {d_fused:>12.3?}  ({g:.2} GiB/s)");
     stages.push(BenchStage::new("map_chain_fused", d_fused, g));
-    let g = chain_bytes / d_unfused.as_secs_f64() / (1u64 << 30) as f64;
-    println!("map chain (unfused): {d_unfused:>12.3?}  ({g:.2} GiB/s)");
-    stages.push(BenchStage::new("map_chain_unfused", d_unfused, g));
+    let eager = eager_ctx.stats().snapshot();
     println!(
-        "map chain chunks:    {} fused vs {} unfused ({} B vs {} B)",
+        "map chain chunks:    {} ({} B), {} chains saving {} B; eager: {} passes over {} partitions",
         delta_fused.node_chunks,
-        delta_unfused.node_chunks,
         delta_fused.node_chunk_bytes,
-        delta_unfused.node_chunk_bytes
+        delta_fused.fused_chains,
+        delta_fused.fused_saved_bytes,
+        eager.passes,
+        eager.parts
     );
-    // Stamp the Pcache step and readahead depth each configuration
-    // actually ran with: the fused/unfused gap can only be interpreted
-    // knowing whether both sides chunked the data identically.
-    let last_step =
-        |ctx: &FlashCtx| ctx.tracer().passes().last().map(|p| p.pcache_step).unwrap_or(0);
-    let step_fused = last_step(&fused_ctx);
-    let step_unfused = last_step(&unfused_ctx);
+    // Stamp the Pcache step and readahead depth the pass ran with.
+    let step_fused = fused_ctx.tracer().passes().last().map(|p| p.pcache_step).unwrap_or(0);
     let readahead = fused_ctx.safs().map(|s| s.readahead_parts()).unwrap_or(0);
-    println!(
-        "map chain pcache:    step {} fused vs {} unfused, readahead {} parts",
-        step_fused, step_unfused, readahead
-    );
-    let mc = |d: &ExecStatsSnapshot| {
-        format!(
-            "{{\"node_chunks\":{},\"node_chunk_bytes\":{},\"fused_chains\":{},\"fused_saved_bytes\":{}}}",
-            d.node_chunks, d.node_chunk_bytes, d.fused_chains, d.fused_saved_bytes
-        )
-    };
+    println!("map chain pcache:    step {step_fused}, readahead {readahead} parts");
     let map_chain_section = format!(
-        "{{\"fused\":{},\"unfused\":{},\"pcache_step_fused\":{step_fused},\
-         \"pcache_step_unfused\":{step_unfused},\"readahead_parts\":{readahead},\
-         \"bit_identical\":{bit_identical}}}",
-        mc(&delta_fused),
-        mc(&delta_unfused)
+        "{{\"fused\":{{\"node_chunks\":{},\"node_chunk_bytes\":{},\"fused_chains\":{},\
+         \"fused_saved_bytes\":{}}},\"pcache_step_fused\":{step_fused},\
+         \"readahead_parts\":{readahead},\"bit_identical\":{bit_identical}}}",
+        delta_fused.node_chunks,
+        delta_fused.node_chunk_bytes,
+        delta_fused.fused_chains,
+        delta_fused.fused_saved_bytes
     );
 
     // Static-analyzer probe: a plan with a duplicated subexpression, run
@@ -227,14 +201,8 @@ fn main() {
 
     print_critical_path("main", &report);
     print_critical_path("map-chain fused", &fused_ctx.profile_report());
-    print_critical_path("map-chain unfused", &unfused_ctx.profile_report());
     print_critical_path("em-cache", &em_ctx.profile_report());
-    maybe_export_trace(&[
-        ("main", &ctx),
-        ("map-chain-fused", &fused_ctx),
-        ("map-chain-unfused", &unfused_ctx),
-        ("em-cache", &em_ctx),
-    ]);
+    maybe_export_trace(&[("main", &ctx), ("map-chain-fused", &fused_ctx), ("em-cache", &em_ctx)]);
 
     // With FLASHR_METRICS_ADDR set, the main context bound the scrape
     // listener at startup; save one exposition for CI to validate. With

@@ -1,18 +1,19 @@
-//! Map-chain discovery: find maximal single-consumer chains of
-//! element-wise `Map` nodes and compile them into
-//! [`FusedMapKernel`]s (paper §3.4–3.5; the compiled counterpart of the
-//! interpreter in `exec::fused`).
+//! Map-chain discovery: compile every element-wise `Map` node into a
+//! [`FusedMapKernel`], fusing maximal single-consumer chains into one
+//! kernel (paper §3.4–3.5). This is the only way the executor runs a
+//! unary, binary or cast map.
 //!
-//! A node is a *fusible link* when it is an element-wise `Map` whose
-//! spine input (operand 0) is a tall node and whose other operand, if
-//! any, is a scalar, a row vector, or an **already materialized** chunk
-//! source (leaf / generator / cached node / prior-pass result). A link
-//! is *interior* to a chain when its only consumer is the fusible node
-//! above it and it is not independently wanted (`set.cache`, tall
-//! target, sink input — all of which show up as extra consumer counts).
-//! Everything else — `Select`, `Bind`, `MatMul`, cumulative ops,
-//! aggregations, multi-consumer nodes — is a fusion barrier; chains
-//! simply stop there and the interpreter path takes over.
+//! A node is a *link* when it is an element-wise `Map` that is not
+//! already materialized: its spine input (operand 0) is a tall node and
+//! its other operand, if any, is a scalar, a row vector, or another tall
+//! node — materialized or lazy — which the executor evaluates like any
+//! other node and hands to the kernel as an auxiliary chunk. A link is
+//! *interior* to a chain when its only consumer is the link above it,
+//! through the spine, and it is not independently wanted (`set.cache`,
+//! tall target, sink input — all of which show up as extra consumer
+//! counts). Everything else — `Select`, `Bind`, `MatMul`, cumulative
+//! ops, aggregations, multi-consumer nodes — ends a chain; a link with
+//! no interior below it compiles to a one-step kernel.
 //!
 //! Discovery runs at plan-build time, after the CSE rewrite
 //! ([`crate::analysis::cse`]) has merged duplicate subtrees: CSE can
@@ -34,16 +35,17 @@ pub struct CompiledChain {
     pub kernel: FusedMapKernel,
     /// The chain's spine input (evaluated like any other node).
     pub base: Arc<Node>,
-    /// Materialized chunk operands of `BinChunk` links.
+    /// Tall operands of `BinChunk` links (evaluated before the sweep).
     pub aux: Vec<Arc<Node>>,
-    /// Number of fused ops (≥ 2).
+    /// Number of ops in the kernel; a chain proper has ≥ 2.
     pub len: usize,
     /// Ids of the chain's interior nodes (never materialized).
     pub interior: Vec<u64>,
     /// Bytes of intermediate chunks skipped per matrix row — the sum of
     /// `ncols × dtype.size` over interior nodes.
     pub saved_bytes_per_row: u64,
-    /// Display label, e.g. `chain[mapply:Add->sapply:Sqrt]`.
+    /// Display label: `chain[mapply:Add->sapply:Sqrt]`, or the node's
+    /// own label for a one-op kernel.
     pub label: String,
 }
 
@@ -65,8 +67,9 @@ enum RawOp {
     BinChunk { op: BinaryOp, swapped: bool, aux: Arc<Node> },
 }
 
-/// Classify `node` as a fusible link: returns the micro-op and the
-/// spine input it applies to, or `None` if the node is a barrier.
+/// Classify `node` as a link: returns the micro-op and the spine input
+/// it applies to, or `None` if the node is materialized or not an
+/// element-wise map.
 fn link_of(node: &Node, is_mat: &dyn Fn(&Node) -> bool) -> Option<(RawOp, Arc<Node>)> {
     if is_mat(node) {
         return None;
@@ -79,14 +82,9 @@ fn link_of(node: &Node, is_mat: &dyn Fn(&Node) -> bool) -> Option<(RawOp, Arc<No
         MapOp::Binary { op, swapped } => match inputs.get(1)? {
             MapInput::Scalar(s) => RawOp::BinScalar { op: *op, swapped: *swapped, s: *s },
             MapInput::RowVec(v) => RawOp::BinRowVec { op: *op, swapped: *swapped, v: v.clone() },
-            MapInput::Node(b) if is_mat(b) => {
-                RawOp::BinChunk { op: *op, swapped: *swapped, aux: b.clone() }
-            }
-            // A lazily computed second operand is a barrier: strip
-            // execution can only stream one spine.
-            MapInput::Node(_) => return None,
+            MapInput::Node(b) => RawOp::BinChunk { op: *op, swapped: *swapped, aux: b.clone() },
         },
-        // Shape-changing / non-element-wise maps are barriers.
+        // Shape-changing / non-element-wise maps end a chain.
         MapOp::MatMul(_)
         | MapOp::InnerProd { .. }
         | MapOp::Select(_)
@@ -149,10 +147,6 @@ pub fn discover(
             }
             spine_nodes.push(spine);
         }
-        if spine_nodes.len() < 2 {
-            continue; // single ops stay on the interpreter path
-        }
-
         // Compile bottom-up (base → root).
         let mut links: Vec<ChainLink> = Vec::with_capacity(spine_nodes.len());
         let mut aux: Vec<Arc<Node>> = Vec::new();
@@ -193,7 +187,10 @@ pub fn discover(
             }
         }
 
-        let label = format!("chain[{}]", labels.join("->"));
+        let label = match labels.len() {
+            1 => labels.remove(0),
+            _ => format!("chain[{}]", labels.join("->")),
+        };
         chains.insert(
             n.id,
             CompiledChain {

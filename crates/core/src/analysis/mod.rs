@@ -21,11 +21,10 @@
 //! A fourth layer, **chain compilation** ([`chains`]), runs at
 //! plan-build time rather than here: it needs the plan's consumer
 //! counts and leaf-resolution map, so `exec::plan` invokes it after the
-//! CSE rewrite (gated by [`crate::session::CtxConfig::fuse_chains`]).
+//! CSE rewrite, on every plan.
 //!
 //! [`analyze`] runs all three; [`crate::exec::materialize`] calls it on
-//! every plan (the rewrite is gated by
-//! [`crate::session::CtxConfig::optimize`] for A/B ablation), and
+//! every plan and runs the rewritten targets, and
 //! [`crate::fm::FM::check`] exposes it without executing anything.
 
 pub mod chains;
@@ -264,9 +263,8 @@ pub(crate) fn count_nodes(targets: &[Target]) -> usize {
 /// Run the full pipeline: verify → rewrite → lint.
 ///
 /// Verification failures return the [`PlanError`]; the rewrite and lint
-/// layers always run on a verified DAG. The caller decides whether to
-/// execute the rewritten targets (`CtxConfig::optimize`) or the
-/// originals.
+/// layers always run on a verified DAG, and the rewritten targets are
+/// what [`crate::exec::materialize`] executes.
 pub fn analyze(ctx: &FlashCtx, targets: &[Target]) -> Result<Analysis, PlanError> {
     infer::verify(targets)?;
     let rw = cse::rewrite(targets);

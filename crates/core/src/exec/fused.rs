@@ -8,6 +8,7 @@
 //! accumulators thread-locally, and write tall outputs back as whole
 //! partitions.
 
+use crate::analysis::chains::CompiledChain;
 use crate::chunk::{BufPool, Chunk};
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::exec::cumcoord::CumCoord;
@@ -35,9 +36,10 @@ struct TallState {
     parts: Mutex<Vec<Option<Arc<IoBuf>>>>,
 }
 
-/// Per-node accumulation for op-level tracing. A fused chain root
-/// carries the chain's label, length and saved-intermediate bytes; the
-/// interior nodes it covers never appear (they are never evaluated).
+/// Per-node accumulation for op-level tracing. A kernel's root carries
+/// its label and, for a chain of ≥ 2 ops, the chain's length and
+/// saved-intermediate bytes; the interior nodes it covers never appear
+/// (they are never evaluated).
 #[derive(Default)]
 struct OpAgg {
     label: String,
@@ -79,21 +81,17 @@ struct Shared<'a> {
     pass_id: u64,
 }
 
-/// Run one fused pass and return one result per target. `nodes_pre_cse`
-/// is the submitted DAG's node count before the analyzer's rewrite, for
-/// the pass profile (`None` when the pass was not analyzed).
-pub fn run(
-    ctx: &FlashCtx,
-    targets: &[Target],
-    resolved: &HashMap<u64, TasMat>,
-    nodes_pre_cse: Option<usize>,
-) -> Vec<TargetResult> {
-    run_labeled(ctx, targets, resolved, "fused", nodes_pre_cse)
+/// Run one fused pass over the analyzed targets and return one result
+/// per target. `nodes_pre_cse` is the submitted DAG's node count before
+/// the analyzer's rewrite, for the pass profile.
+pub fn run(ctx: &FlashCtx, targets: &[Target], nodes_pre_cse: usize) -> Vec<TargetResult> {
+    run_labeled(ctx, targets, &HashMap::new(), "fused", Some(nodes_pre_cse))
 }
 
-/// Like [`run`], with an engine label for the pass profile (the eager
-/// engine drives the same machinery one operation at a time and labels
-/// its sub-passes accordingly).
+/// Like [`run`], with an engine label for the pass profile: the eager
+/// engine drives the same machinery one operation at a time, with the
+/// operation's inputs in `resolved`, labels its sub-passes accordingly
+/// and has no pre-rewrite count for them (`None`).
 pub(crate) fn run_labeled(
     ctx: &FlashCtx,
     targets: &[Target],
@@ -179,15 +177,24 @@ pub(crate) fn run_labeled(
     let pass_args = [("pass", pass_id), ("nparts", nparts)];
     let pass_begin_ns = coord.open("exec", "pass", pass_args);
     std::thread::scope(|scope| {
-        for tid in 0..nthreads {
-            let shared = &shared;
-            // Workers carry stable names so timeline lanes are reused
-            // across passes (and SAFS cache spans taken on a worker
-            // thread land on the same lane as its task spans).
-            std::thread::Builder::new()
-                .name(format!("flashr-w{tid}"))
-                .spawn_scoped(scope, move || worker(tid, shared))
-                .expect("spawn worker thread");
+        let handles: Vec<_> = (0..nthreads)
+            .map(|tid| {
+                let shared = &shared;
+                // Workers carry stable names so timeline lanes are reused
+                // across passes (and SAFS cache spans taken on a worker
+                // thread land on the same lane as its task spans).
+                std::thread::Builder::new()
+                    .name(format!("flashr-w{tid}"))
+                    .spawn_scoped(scope, move || worker(tid, shared))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        // Join every worker, then re-raise the first failure with its own
+        // payload: the scope's implicit join would replace a message like
+        // "group label 5 outside [0, 2)" with "a scoped thread panicked".
+        let failed: Vec<_> = handles.into_iter().filter_map(|h| h.join().err()).collect();
+        if let Some(payload) = failed.into_iter().next() {
+            std::panic::resume_unwind(payload);
         }
     });
     coord.close("exec", "pass", pass_begin_ns, pass_args);
@@ -552,63 +559,16 @@ fn process_part(
         }
 
         for (ti, t) in plan.talls.iter().enumerate() {
-            // A chain root that nothing else reads writes straight into
+            // A kernel root that nothing else reads writes straight into
             // the tall output buffer — even the root's chunk is skipped.
             if !memo.contains_key(&(t.node.id, r0, r1))
                 && remaining.get(&t.node.id).copied() == Some(1)
             {
                 if let Some(chain) = plan.chains.get(&t.node.id) {
                     let t0 = env.op_trace.map(|_| Instant::now());
-                    let auxes: Vec<Rc<Chunk>> = chain
-                        .aux
-                        .iter()
-                        .map(|a| eval(&env, &mut memo, &mut remaining, pool, a, r0, r1))
-                        .collect();
-                    let aux_refs: Vec<&Chunk> = auxes.iter().map(|c| c.as_ref()).collect();
-                    if let Some((bytes, stride, off)) = chain_base_stride(&env, &chain.base, r0, r1)
-                    {
-                        chain.kernel.run_strided_into(
-                            bytes,
-                            stride,
-                            off,
-                            r1 - r0,
-                            t.node.ncols,
-                            &aux_refs,
-                            &mut tall_bufs[ti],
-                            part_rows,
-                            r0,
-                            pool,
-                        );
-                    } else {
-                        let base = eval(&env, &mut memo, &mut remaining, pool, &chain.base, r0, r1);
-                        chain.kernel.run_into(
-                            &base,
-                            &aux_refs,
-                            &mut tall_bufs[ti],
-                            part_rows,
-                            r0,
-                            pool,
-                        );
-                    }
-                    let rows = (r1 - r0) as u64;
-                    let root_bytes = rows * (t.node.ncols * t.node.dtype.size()) as u64;
-                    let saved = rows * chain.saved_bytes_per_row + root_bytes;
-                    stats.fused_chains.add(1);
-                    stats.fused_saved_bytes.add(saved);
-                    if let (Some(cell), Some(t0)) = (env.op_trace, t0) {
-                        let mut ops = cell.borrow_mut();
-                        let e = ops.entry(t.node.id).or_insert_with(|| OpAgg {
-                            label: chain.label.clone(),
-                            ..OpAgg::default()
-                        });
-                        e.chunks += 1;
-                        let nanos = t0.elapsed().as_nanos() as u64;
-                        e.nanos += nanos;
-                        e.chain_len = chain.len as u64;
-                        e.saved_bytes += saved;
-                        let args = [("node", t.node.id), ("", 0)];
-                        env.lane.complete_detail("exec", &e.label, nanos, args);
-                    }
+                    let dst = Some(&mut tall_bufs[ti]);
+                    run_chain(&env, &mut memo, &mut remaining, pool, chain, &t.node, r0, r1, dst);
+                    trace_op(&env, &t.node, t0, r0, r1, true);
                     consume(&mut memo, &mut remaining, pool, &t.node, r0, r1);
                     continue;
                 }
@@ -712,6 +672,95 @@ fn chain_base_stride<'a>(
     Some((buf.as_bytes(), stride, off))
 }
 
+/// Run the compiled kernel rooted at `node` over `[r0, r1)`. Auxiliary
+/// operands, materialized or lazy, are evaluated like any other node;
+/// the base is read in place when it is a prefetched column-major leaf
+/// and evaluated otherwise. With `dst` — a tall output's partition
+/// buffer — the kernel writes its rows there and the root's chunk is
+/// never allocated; without, the root's chunk is returned.
+#[allow(clippy::too_many_arguments)]
+fn run_chain(
+    env: &PartEnv<'_>,
+    memo: &mut Memo,
+    remaining: &mut HashMap<u64, usize>,
+    pool: &mut BufPool,
+    chain: &CompiledChain,
+    node: &Arc<Node>,
+    r0: usize,
+    r1: usize,
+    dst: Option<&mut IoBuf>,
+) -> Option<Rc<Chunk>> {
+    let rows = r1 - r0;
+    let auxes: Vec<Rc<Chunk>> =
+        chain.aux.iter().map(|a| eval(env, memo, remaining, pool, a, r0, r1)).collect();
+    let aux_refs: Vec<&Chunk> = auxes.iter().map(|c| c.as_ref()).collect();
+    let into_tall = dst.is_some();
+    let mut own = None;
+    let (out, col_stride, row_off) = match dst {
+        Some(buf) => (buf, env.part_rows, r0),
+        None => (own.insert(pool.take(rows * node.ncols * node.dtype.size())), rows, 0),
+    };
+    if let Some((bytes, stride, off)) = chain_base_stride(env, &chain.base, r0, r1) {
+        chain.kernel.run_strided_into(
+            bytes, stride, off, rows, node.ncols, &aux_refs, out, col_stride, row_off, pool,
+        );
+    } else {
+        let base = eval(env, memo, remaining, pool, &chain.base, r0, r1);
+        chain.kernel.run_into(&base, &aux_refs, out, col_stride, row_off, pool);
+    }
+    if chain.len >= 2 {
+        env.stats.fused_chains.add(1);
+    }
+    env.stats.fused_saved_bytes.add(chain_saved_bytes(chain, node, r0, r1, into_tall));
+    own.map(|buf| Rc::new(Chunk::from_iobuf(buf, node.dtype, rows, node.ncols)))
+}
+
+/// Chunk bytes a kernel run over `[r0, r1)` never allocated: the chain's
+/// interior nodes, plus the root's own chunk when it wrote straight into
+/// a tall output.
+fn chain_saved_bytes(
+    chain: &CompiledChain,
+    node: &Node,
+    r0: usize,
+    r1: usize,
+    into_tall: bool,
+) -> u64 {
+    let root_bytes = if into_tall { (node.ncols * node.dtype.size()) as u64 } else { 0 };
+    (r1 - r0) as u64 * (chain.saved_bytes_per_row + root_bytes)
+}
+
+/// Account one freshly produced chunk of `node` over `[r0, r1)` (or,
+/// with `into_tall`, its direct write into a tall output) to the op
+/// trace — *inclusive* of any inputs computed on the way (see
+/// [`crate::trace::OpProfile`]) — and emit its per-chunk op span. `t0`
+/// is `Some` exactly when op tracing is on.
+fn trace_op(
+    env: &PartEnv<'_>,
+    node: &Node,
+    t0: Option<Instant>,
+    r0: usize,
+    r1: usize,
+    into_tall: bool,
+) {
+    let (Some(cell), Some(t0)) = (env.op_trace, t0) else { return };
+    let mut ops = cell.borrow_mut();
+    let chain = env.plan.chains.get(&node.id);
+    let e = ops.entry(node.id).or_insert_with(|| OpAgg {
+        label: chain.map_or_else(|| node.label(), |c| c.label.clone()),
+        ..OpAgg::default()
+    });
+    e.chunks += 1;
+    let nanos = t0.elapsed().as_nanos() as u64;
+    e.nanos += nanos;
+    if let Some(c) = chain {
+        if c.len >= 2 {
+            e.chain_len = c.len as u64;
+        }
+        e.saved_bytes += chain_saved_bytes(c, node, r0, r1, into_tall);
+    }
+    env.lane.complete_detail("exec", &e.label, nanos, [("node", node.id), ("", 0)]);
+}
+
 /// Decrement a node's per-range consumer counter; when it reaches zero,
 /// drop the memo entry and recycle its buffer (paper §3.5.1).
 fn consume(
@@ -761,24 +810,7 @@ fn eval(
     let chunk = eval_uncached(env, memo, remaining, pool, node, r0, r1);
     env.stats.node_chunks.add(1);
     env.stats.node_chunk_bytes.add((chunk.rows() * chunk.cols() * chunk.dtype().size()) as u64);
-    if let (Some(cell), Some(t0)) = (env.op_trace, t0) {
-        let mut ops = cell.borrow_mut();
-        let chain = env.plan.chains.get(&node.id);
-        let e = ops.entry(node.id).or_insert_with(|| OpAgg {
-            label: chain.map_or_else(|| node.label(), |c| c.label.clone()),
-            ..OpAgg::default()
-        });
-        e.chunks += 1;
-        let nanos = t0.elapsed().as_nanos() as u64;
-        e.nanos += nanos;
-        if let Some(c) = chain {
-            e.chain_len = c.len as u64;
-            e.saved_bytes += (r1 - r0) as u64 * c.saved_bytes_per_row;
-        }
-        // Per-chunk op span (inclusive of inputs computed on the way,
-        // like the aggregate above).
-        env.lane.complete_detail("exec", &e.label, nanos, [("node", node.id), ("", 0)]);
-    }
+    trace_op(env, node, t0, r0, r1, false);
     chunk
 }
 
@@ -810,29 +842,11 @@ fn eval_uncached(
         return chunk;
     }
 
-    // A compiled map chain: evaluate the base and aux inputs, then run
-    // the whole fused program in one strip-mined sweep. The chain's
-    // interior nodes are never evaluated and never allocate chunks.
+    // Every element-wise map runs as a compiled kernel (a chain's
+    // interior nodes are never evaluated and never allocate chunks).
     if let Some(chain) = env.plan.chains.get(&node.id) {
-        let auxes: Vec<Rc<Chunk>> =
-            chain.aux.iter().map(|a| eval(env, memo, remaining, pool, a, r0, r1)).collect();
-        let aux_refs: Vec<&Chunk> = auxes.iter().map(|c| c.as_ref()).collect();
-        let out = if let Some((bytes, stride, off)) = chain_base_stride(env, &chain.base, r0, r1) {
-            Rc::new(chain.kernel.run_strided(
-                bytes,
-                stride,
-                off,
-                r1 - r0,
-                node.ncols,
-                &aux_refs,
-                pool,
-            ))
-        } else {
-            let base = eval(env, memo, remaining, pool, &chain.base, r0, r1);
-            Rc::new(chain.kernel.run(&base, &aux_refs, pool))
-        };
-        env.stats.fused_chains.add(1);
-        env.stats.fused_saved_bytes.add((r1 - r0) as u64 * chain.saved_bytes_per_row);
+        let out = run_chain(env, memo, remaining, pool, chain, node, r0, r1, None)
+            .expect("a kernel without a destination returns its chunk");
         memo.insert(key, out.clone());
         return out;
     }
@@ -848,29 +862,11 @@ fn eval_uncached(
         )),
         NodeKind::Map { op, inputs } => {
             let out = match op {
-                MapOp::Unary(u) => {
-                    let input = eval_input(env, memo, remaining, pool, &inputs[0], r0, r1);
-                    ops::apply_unary(*u, &input, pool)
-                }
-                MapOp::Binary { op, swapped } => {
-                    let a = eval_input(env, memo, remaining, pool, &inputs[0], r0, r1);
-                    match &inputs[1] {
-                        MapInput::Node(bn) => {
-                            let b = eval(env, memo, remaining, pool, bn, r0, r1);
-                            ops::apply_binary(*op, &a, ops::BinOperand::Chunk(&b), *swapped, pool)
-                        }
-                        MapInput::Scalar(s) => {
-                            ops::apply_binary(*op, &a, ops::BinOperand::Scalar(*s), *swapped, pool)
-                        }
-                        MapInput::RowVec(v) => {
-                            ops::apply_binary(*op, &a, ops::BinOperand::RowVec(v), *swapped, pool)
-                        }
-                    }
-                }
-                MapOp::Cast(to) => {
-                    let input = eval_input(env, memo, remaining, pool, &inputs[0], r0, r1);
-                    ops::cast_chunk(&input, *to, pool)
-                }
+                MapOp::Unary(_) | MapOp::Binary { .. } | MapOp::Cast(_) => unreachable!(
+                    "plan-build bug: element-wise map n{} ({}) has no compiled kernel",
+                    node.id,
+                    node.label()
+                ),
                 MapOp::MatMul(b) => {
                     let input = eval_input(env, memo, remaining, pool, &inputs[0], r0, r1);
                     ops::matmul_chunk(&input, b, pool)

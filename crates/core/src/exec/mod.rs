@@ -22,7 +22,6 @@ use crate::dag::Node;
 use crate::mat::TasMat;
 use crate::session::{ExecMode, FlashCtx};
 use flashr_linalg::Dense;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Storage request for a tall target.
@@ -73,11 +72,10 @@ impl TargetResult {
 /// Materialize the targets under the context's engine mode.
 ///
 /// Every plan first goes through the static analyzer
-/// ([`crate::analysis::analyze`]): verification always runs (an
-/// inconsistent DAG fails here, before any partition is read — use
-/// [`crate::fm::FM::check`] for the non-panicking form), and the CSE
-/// rewrite is applied unless [`crate::session::CtxConfig::optimize`] is
-/// off.
+/// ([`crate::analysis::analyze`]): an inconsistent DAG fails here, before
+/// any partition is read (use [`crate::fm::FM::check`] for the
+/// non-panicking form), and what runs is the analyzer's rewritten plan
+/// (CSE, cast/cbind collapsing).
 pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
     if targets.is_empty() {
         return Vec::new();
@@ -86,32 +84,23 @@ pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
         Ok(a) => a,
         Err(e) => panic!("{e}"),
     };
-    let optimize = ctx.cfg().optimize;
-    let (run_targets, nodes_pre) = if optimize {
-        (&analysis.targets[..], Some(analysis.report.nodes_before))
-    } else {
-        (targets, None)
-    };
-
     if let Err(e) = crate::analysis::deny_gate(&analysis.report.lints) {
         panic!("{e}");
     }
 
     let results = match ctx.cfg().mode {
-        ExecMode::Eager => eager::run(ctx, run_targets),
+        ExecMode::Eager => eager::run(ctx, &analysis.targets),
         ExecMode::MemFuse | ExecMode::CacheFuse => {
-            fused::run(ctx, run_targets, &HashMap::new(), nodes_pre)
+            fused::run(ctx, &analysis.targets, analysis.report.nodes_before)
         }
     };
 
-    if optimize {
-        // `set.cache` requests on merged originals were honoured on their
-        // canonical representatives; copy the installed caches back so the
-        // user's handles become effective leaves too.
-        for (orig, canon) in &analysis.cache_pairs {
-            if let Some(m) = canon.cached() {
-                orig.install_cache(m.clone());
-            }
+    // `set.cache` requests on merged originals were honoured on their
+    // canonical representatives; copy the installed caches back so the
+    // user's handles become effective leaves too.
+    for (orig, canon) in &analysis.cache_pairs {
+        if let Some(m) = canon.cached() {
+            orig.install_cache(m.clone());
         }
     }
     results

@@ -7,7 +7,7 @@ use crate::exec::{Target, TargetStorage};
 use crate::mat::TasMat;
 use crate::part::{pcache_rows, Partitioner};
 use crate::session::{ExecMode, FlashCtx, StorageClass};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A tall matrix the pass must produce.
@@ -43,12 +43,9 @@ pub struct Plan {
     /// recycling). Counts DAG parents plus target/sink reads. Interior
     /// nodes of compiled chains are removed — they never materialize.
     pub consumers: HashMap<u64, usize>,
-    /// Compiled map chains, root node id → kernel + inputs (empty when
-    /// `CtxConfig::fuse_chains` is off).
+    /// Compiled map kernels, root node id → kernel + inputs: one per
+    /// element-wise map that is not interior to a longer chain.
     pub chains: HashMap<u64, CompiledChain>,
-    /// Interior node ids of all compiled chains: skipped by the memo,
-    /// absent from `consumers`, folded into their root's trace profile.
-    pub fused_interior: HashSet<u64>,
     /// Distinct DAG nodes the pass covers (including leaves).
     pub nnodes: usize,
 }
@@ -99,6 +96,10 @@ impl Plan {
                 Target::Tall { node, storage } => {
                     assert!(!node.is_sink(), "Target::Tall on a sink node");
                     let storage = match storage {
+                        // A zero-width result (`x %*% B` with a p×0 `B`,
+                        // `x[, integer(0)]`) has no bytes to put on the
+                        // array, and SAFS has no zero-length file.
+                        _ if node.ncols == 0 => StorageClass::InMem,
                         TargetStorage::Default => ctx.cfg().storage,
                         TargetStorage::InMem => StorageClass::InMem,
                         TargetStorage::Em => StorageClass::Em,
@@ -199,20 +200,16 @@ impl Plan {
             }
         }
 
-        // Chain compilation (tentpole of the map-chain compiler): find
-        // maximal single-consumer map chains and compile each into a
-        // strip-mined kernel. Interior nodes lose their consumer
-        // entries — nothing ever materializes or recycles them. Note
-        // the Pcache step is still sized over *all* tall nodes
-        // (including interior ones): fusion must not change chunking,
-        // so `fuse_chains` on/off stays bit-comparable for sinks.
-        let mut chain_set = chains::ChainSet::default();
-        if ctx.cfg().fuse_chains {
-            let is_mat = |n: &Node| resolved.contains_key(&n.id) || n.is_effective_leaf();
-            chain_set = chains::discover(&reach, &consumers, &is_mat);
-            for id in &chain_set.interior {
-                consumers.remove(id);
-            }
+        // Kernel compilation: every element-wise map becomes a
+        // strip-mined kernel, maximal single-consumer chains one kernel
+        // each. Interior nodes lose their consumer entries — nothing ever
+        // materializes or recycles them. The Pcache step below is still
+        // sized over *all* tall nodes (including interior ones), so how
+        // far a chain fuses never changes the chunking a sink folds over.
+        let is_mat = |n: &Node| resolved.contains_key(&n.id) || n.is_effective_leaf();
+        let chain_set = chains::discover(&reach, &consumers, &is_mat);
+        for id in &chain_set.interior {
+            consumers.remove(id);
         }
 
         let nrows = tall_nrows.expect("DAG contains no tall matrices");
@@ -248,7 +245,6 @@ impl Plan {
             resolved: resolved.clone(),
             consumers,
             chains: chain_set.chains,
-            fused_interior: chain_set.interior,
             nnodes: visited.len(),
         }
     }
@@ -316,6 +312,9 @@ impl Plan {
         roots.sort();
         for root in roots {
             let c = &self.chains[root];
+            if c.len < 2 {
+                continue; // a one-op kernel is the node itself, shown in the tree
+            }
             out.push_str(&format!(
                 "fused at n{root}: {} ({} ops, {} interior, saves {} B/row)\n",
                 c.label,

@@ -418,29 +418,32 @@ impl FM {
     }
 }
 
+/// One element of a small matrix through the f64 element function the
+/// map kernels run.
 fn unary_f64(op: UnaryOp, x: f64) -> f64 {
-    use crate::chunk::BufPool;
-    // Reuse the chunk kernel on a 1×1 chunk for exact parity.
-    let mut pool = BufPool::new();
-    let c = crate::chunk::Chunk::from_slice::<f64>(1, 1, &[x]);
-    let out = crate::ops::apply_unary(op, &c, &mut pool);
-    out.get_f64(0, 0)
+    match op {
+        // The one unary op with a logical result, which `eval_f64` leaves
+        // to its callers.
+        UnaryOp::Not => f64::from(u8::from(x == 0.0)),
+        _ => op.eval_f64(x),
+    }
 }
 
 fn small_binary(op: BinaryOp, a: &Dense, b: &Dense, swapped: bool) -> Dense {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "small matrix shape mismatch");
-    use crate::chunk::{BufPool, Chunk};
-    let n = a.rows() * a.cols();
-    let mut pool = BufPool::new();
-    let ca = Chunk::from_slice::<f64>(n, 1, a.as_slice());
-    let cb = Chunk::from_slice::<f64>(n, 1, b.as_slice());
-    let out =
-        crate::ops::apply_binary(op, &ca, crate::ops::BinOperand::Chunk(&cb), swapped, &mut pool);
-    let vals: Vec<f64> = if out.dtype() == DType::U8 {
-        out.slice::<u8>().iter().map(|&v| v as f64).collect()
-    } else {
-        out.slice::<f64>().to_vec()
-    };
+    let vals = a
+        .as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .map(|(&x, &y)| {
+            let (x, y) = if swapped { (y, x) } else { (x, y) };
+            if op.is_predicate() {
+                f64::from(op.eval_pred(x, y))
+            } else {
+                op.eval(x, y)
+            }
+        })
+        .collect();
     Dense::from_vec(a.rows(), a.cols(), vals)
 }
 

@@ -10,8 +10,7 @@
 //! Mixed dtypes never reach these kernels: the FM layer inserts casts so
 //! both operands share a dtype.
 
-use crate::chunk::{BufPool, Chunk};
-use crate::dtype::{DType, Scalar};
+use crate::dtype::DType;
 use crate::element::Element;
 
 /// Predefined binary element functions.
@@ -129,34 +128,11 @@ impl BinaryOp {
     }
 }
 
-/// The right-hand operand of a broadcasting binary op.
-#[derive(Debug, Clone, Copy)]
-pub enum BinOperand<'a> {
-    /// Another chunk: same shape, or a single column recycled.
-    Chunk(&'a Chunk),
-    /// A scalar constant.
-    Scalar(Scalar),
-    /// A per-column constant (length = `a.cols()`).
-    RowVec(&'a [f64]),
-}
-
 /// One column's worth of right-hand operand, resolved to either a
 /// slice (chunk operand) or a per-column constant (scalar / row vector).
 pub(crate) enum ColSrc<'a, T> {
     Slice(&'a [T]),
     Const(T),
-}
-
-fn col_src<'a, T: Element>(b: &BinOperand<'a>, col: usize, a_rows: usize) -> ColSrc<'a, T> {
-    match b {
-        BinOperand::Chunk(ch) => {
-            assert_eq!(ch.rows(), a_rows, "binary operand row mismatch");
-            let c = if ch.cols() == 1 { 0 } else { col };
-            ColSrc::Slice(ch.col::<T>(c))
-        }
-        BinOperand::Scalar(s) => ColSrc::Const(T::from_scalar(*s)),
-        BinOperand::RowVec(v) => ColSrc::Const(T::from_f64(v[col])),
-    }
 }
 
 /// One whole arithmetic column, monomorphized over `(OP, T)`: the
@@ -243,7 +219,6 @@ pub(crate) fn arith_col_simd<T: Element, const OP: u8>(
 }
 
 pub(crate) type ArithColFn<T> = fn(&mut [T], &[T], ColSrc<'_, T>, bool);
-pub(crate) type PredColFn<T> = fn(&mut [u8], &[T], ColSrc<'_, T>, bool);
 
 /// Resolve an arithmetic op to its monomorphized column kernel once, so
 /// callers dispatch per column (or per strip) instead of per element.
@@ -263,7 +238,7 @@ pub(crate) fn arith_col_fn<T: Element>(op: BinaryOp) -> ArithColFn<T> {
         BinaryOp::Min => arm!(Min),
         BinaryOp::Max => arm!(Max),
         BinaryOp::EuclidSq => arm!(EuclidSq),
-        _ => unreachable!("predicate ops use pred_col_fn"),
+        _ => unreachable!("predicates have no arithmetic column kernel"),
     }
 }
 
@@ -296,79 +271,12 @@ pub(crate) fn arith_col_fn_level<T: Element>(
     arith_col_fn::<T>(op)
 }
 
-/// Predicate twin of [`arith_col_fn`].
-pub(crate) fn pred_col_fn<T: Element>(op: BinaryOp) -> PredColFn<T> {
-    macro_rules! arm {
-        ($v:ident) => {
-            pred_col::<T, { BinaryOp::$v as u8 }>
-        };
-    }
-    match op {
-        BinaryOp::Eq => arm!(Eq),
-        BinaryOp::Ne => arm!(Ne),
-        BinaryOp::Lt => arm!(Lt),
-        BinaryOp::Le => arm!(Le),
-        BinaryOp::Gt => arm!(Gt),
-        BinaryOp::Ge => arm!(Ge),
-        BinaryOp::And => arm!(And),
-        BinaryOp::Or => arm!(Or),
-        _ => unreachable!("arithmetic ops use arith_col_fn"),
-    }
-}
-
-/// Apply `op(a, b)` (or `op(b, a)` when `swapped`) over a chunk with
-/// broadcasting; returns a fresh chunk.
-pub fn apply_binary(
-    op: BinaryOp,
-    a: &Chunk,
-    b: BinOperand<'_>,
-    swapped: bool,
-    pool: &mut BufPool,
-) -> Chunk {
-    let rows = a.rows();
-    let cols = a.cols();
-    if let BinOperand::Chunk(ch) = &b {
-        assert!(
-            ch.cols() == cols || ch.cols() == 1,
-            "binary operand col mismatch: {} vs {}",
-            ch.cols(),
-            cols
-        );
-        assert_eq!(ch.dtype(), a.dtype(), "binary operands must share a dtype");
-    }
-    if let BinOperand::RowVec(v) = &b {
-        assert_eq!(v.len(), cols, "row-vector operand length mismatch");
-    }
-
-    if op.is_predicate() {
-        let mut out = Chunk::alloc(DType::U8, rows, cols, pool);
-        crate::dispatch!(a.dtype(), T, {
-            let f = pred_col_fn::<T>(op);
-            for c in 0..cols {
-                let acol = a.col::<T>(c);
-                let dst_all = out.slice_mut::<u8>();
-                f(&mut dst_all[c * rows..(c + 1) * rows], acol, col_src::<T>(&b, c, rows), swapped);
-            }
-        });
-        return out;
-    }
-
-    let mut out = Chunk::alloc(a.dtype(), rows, cols, pool);
-    let level = crate::ops::simd::SimdLevel::active();
-    crate::dispatch!(a.dtype(), T, {
-        let f = arith_col_fn_level::<T>(op, level);
-        for c in 0..cols {
-            let acol = a.col::<T>(c);
-            let dst_all = out.slice_mut::<T>();
-            f(&mut dst_all[c * rows..(c + 1) * rows], acol, col_src::<T>(&b, c, rows), swapped);
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::Chunk;
+    use crate::dtype::Scalar;
+    use crate::ops::fused_map::one_link::{binary, Rhs};
 
     fn c_f64(rows: usize, cols: usize, vals: &[f64]) -> Chunk {
         Chunk::from_slice::<f64>(rows, cols, vals)
@@ -376,103 +284,84 @@ mod tests {
 
     #[test]
     fn same_shape_arithmetic() {
-        let mut pool = BufPool::new();
         let a = c_f64(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let b = c_f64(2, 2, &[10.0, 20.0, 30.0, 40.0]);
-        let s = apply_binary(BinaryOp::Add, &a, BinOperand::Chunk(&b), false, &mut pool);
+        let s = binary(BinaryOp::Add, &a, Rhs::Chunk(&b), false);
         assert_eq!(s.slice::<f64>(), &[11.0, 22.0, 33.0, 44.0]);
-        let d = apply_binary(BinaryOp::Sub, &a, BinOperand::Chunk(&b), true, &mut pool);
+        let d = binary(BinaryOp::Sub, &a, Rhs::Chunk(&b), true);
         assert_eq!(d.slice::<f64>(), &[9.0, 18.0, 27.0, 36.0]);
     }
 
     #[test]
     fn scalar_broadcast() {
-        let mut pool = BufPool::new();
         let a = c_f64(3, 1, &[1.0, 2.0, 3.0]);
-        let m =
-            apply_binary(BinaryOp::Mul, &a, BinOperand::Scalar(Scalar::F64(2.0)), false, &mut pool);
+        let m = binary(BinaryOp::Mul, &a, Rhs::Scalar(Scalar::F64(2.0)), false);
         assert_eq!(m.slice::<f64>(), &[2.0, 4.0, 6.0]);
         // swapped: 10 / a
-        let q =
-            apply_binary(BinaryOp::Div, &a, BinOperand::Scalar(Scalar::F64(6.0)), true, &mut pool);
+        let q = binary(BinaryOp::Div, &a, Rhs::Scalar(Scalar::F64(6.0)), true);
         assert_eq!(q.slice::<f64>(), &[6.0, 3.0, 2.0]);
     }
 
     #[test]
     fn column_recycling() {
-        let mut pool = BufPool::new();
         let a = c_f64(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let y = c_f64(2, 1, &[10.0, 100.0]);
-        let s = apply_binary(BinaryOp::Add, &a, BinOperand::Chunk(&y), false, &mut pool);
+        let s = binary(BinaryOp::Add, &a, Rhs::Chunk(&y), false);
         assert_eq!(s.slice::<f64>(), &[11.0, 102.0, 13.0, 104.0, 15.0, 106.0]);
     }
 
     #[test]
     fn row_vector_sweep() {
-        let mut pool = BufPool::new();
         let a = c_f64(2, 2, &[2.0, 4.0, 9.0, 12.0]);
         let stats = [2.0, 3.0];
-        let s = apply_binary(BinaryOp::Div, &a, BinOperand::RowVec(&stats), false, &mut pool);
+        let s = binary(BinaryOp::Div, &a, Rhs::RowVec(&stats), false);
         assert_eq!(s.slice::<f64>(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn predicates_output_u8() {
-        let mut pool = BufPool::new();
         let a = Chunk::from_slice::<i64>(3, 1, &[1, 5, 3]);
         let b = Chunk::from_slice::<i64>(3, 1, &[2, 5, 1]);
-        let lt = apply_binary(BinaryOp::Lt, &a, BinOperand::Chunk(&b), false, &mut pool);
+        let lt = binary(BinaryOp::Lt, &a, Rhs::Chunk(&b), false);
         assert_eq!(lt.dtype(), DType::U8);
         assert_eq!(lt.slice::<u8>(), &[1, 0, 0]);
-        let eq = apply_binary(BinaryOp::Eq, &a, BinOperand::Chunk(&b), false, &mut pool);
+        let eq = binary(BinaryOp::Eq, &a, Rhs::Chunk(&b), false);
         assert_eq!(eq.slice::<u8>(), &[0, 1, 0]);
     }
 
     #[test]
     fn logical_ops_on_nonzero_semantics() {
-        let mut pool = BufPool::new();
         let a = Chunk::from_slice::<u8>(4, 1, &[0, 1, 0, 1]);
         let b = Chunk::from_slice::<u8>(4, 1, &[0, 0, 1, 1]);
-        let and = apply_binary(BinaryOp::And, &a, BinOperand::Chunk(&b), false, &mut pool);
+        let and = binary(BinaryOp::And, &a, Rhs::Chunk(&b), false);
         assert_eq!(and.slice::<u8>(), &[0, 0, 0, 1]);
-        let or = apply_binary(BinaryOp::Or, &a, BinOperand::Chunk(&b), false, &mut pool);
+        let or = binary(BinaryOp::Or, &a, Rhs::Chunk(&b), false);
         assert_eq!(or.slice::<u8>(), &[0, 1, 1, 1]);
     }
 
     #[test]
     fn euclid_sq() {
-        let mut pool = BufPool::new();
         let a = c_f64(2, 1, &[3.0, -1.0]);
-        let e = apply_binary(
-            BinaryOp::EuclidSq,
-            &a,
-            BinOperand::Scalar(Scalar::F64(1.0)),
-            false,
-            &mut pool,
-        );
+        let e = binary(BinaryOp::EuclidSq, &a, Rhs::Scalar(Scalar::F64(1.0)), false);
         assert_eq!(e.slice::<f64>(), &[4.0, 4.0]);
     }
 
     #[test]
     fn min_max_pmin_pmax() {
-        let mut pool = BufPool::new();
         let a = c_f64(3, 1, &[1.0, 5.0, 3.0]);
         let b = c_f64(3, 1, &[2.0, 4.0, 3.0]);
-        let mn = apply_binary(BinaryOp::Min, &a, BinOperand::Chunk(&b), false, &mut pool);
+        let mn = binary(BinaryOp::Min, &a, Rhs::Chunk(&b), false);
         assert_eq!(mn.slice::<f64>(), &[1.0, 4.0, 3.0]);
-        let mx = apply_binary(BinaryOp::Max, &a, BinOperand::Chunk(&b), false, &mut pool);
+        let mx = binary(BinaryOp::Max, &a, Rhs::Chunk(&b), false);
         assert_eq!(mx.slice::<f64>(), &[2.0, 5.0, 3.0]);
     }
 
     #[test]
     fn integer_pow_and_rem() {
-        let mut pool = BufPool::new();
         let a = Chunk::from_slice::<i32>(3, 1, &[2, 3, 7]);
-        let p =
-            apply_binary(BinaryOp::Pow, &a, BinOperand::Scalar(Scalar::I32(2)), false, &mut pool);
+        let p = binary(BinaryOp::Pow, &a, Rhs::Scalar(Scalar::I32(2)), false);
         assert_eq!(p.slice::<i32>(), &[4, 9, 49]);
-        let r =
-            apply_binary(BinaryOp::Rem, &a, BinOperand::Scalar(Scalar::I32(3)), false, &mut pool);
+        let r = binary(BinaryOp::Rem, &a, Rhs::Scalar(Scalar::I32(3)), false);
         assert_eq!(r.slice::<i32>(), &[2, 0, 1]);
     }
 }

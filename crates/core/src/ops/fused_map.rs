@@ -1,20 +1,19 @@
-//! Strip-mined fused kernels for element-wise map chains.
+//! Strip-mined kernels for element-wise maps — the one way a unary,
+//! binary or cast `Map` node executes (paper §3.4–3.5).
 //!
-//! The fused engine historically *interpreted* the DAG: every
-//! element-wise node allocated a full intermediate [`Chunk`], so a chain
-//! like `sqrt((x - mu) / sd)^2` moved 4× the bytes it needed to. This
-//! module is the compiled alternative (paper §3.4–3.5): the plan layer
-//! discovers maximal single-consumer chains of `Map` nodes
-//! ([`crate::analysis::chains`]) and compiles each into a
-//! [`FusedMapKernel`] — a short program of micro-ops ([`ChainLink`]s)
-//! executed strip-mined over each Pcache chunk. A strip is
+//! The plan layer compiles every element-wise map, fusing maximal
+//! single-consumer chains ([`crate::analysis::chains`]), into a
+//! [`FusedMapKernel`]: a short program of micro-ops ([`ChainLink`]s)
+//! executed strip-mined over each Pcache chunk, so a chain like
+//! `sqrt((x - mu) / sd)^2` moves one chunk instead of four. A strip is
 //! [`STRIP_ELEMS`] elements (8 KiB at f64), small enough that the
 //! ping-pong scratch buffers stay in L1 while every op of the chain runs
 //! over it; only the final result is written back, producing **one**
-//! output chunk per chain instead of one per node. Step functions take
+//! output chunk per kernel instead of one per node. Step functions take
 //! raw byte slices, so the first micro-op reads the source chunk in
 //! place and the last writes the destination partition in place — a
-//! chain of `n` steps touches `n + 1` strips of memory, not `n + 3`.
+//! chain of `n` steps touches `n + 1` strips of memory, not `n + 3`, and
+//! a single op touches two.
 //!
 //! Dispatch discipline: each link is resolved **once at compile time**
 //! to a monomorphized step function over `(op, dtype)` (const-generic
@@ -24,13 +23,13 @@
 //! exactly-rounded AVX2 kernel ([`crate::ops::simd`]) get the vector
 //! step when the level allows, all others keep the portable step. The
 //! strip loop calls through bare `fn` pointers; inner loops contain zero
-//! enum matching. The portable step bodies reuse the interpreter's own
-//! element kernels ([`crate::ops::unary::unary_typed`],
+//! enum matching. The portable step bodies are the element kernels
+//! ([`crate::ops::unary::unary_typed`],
 //! [`crate::ops::binary::arith_col`] / [`pred_col`],
 //! [`crate::ops::misc::cast_slice`]) and the AVX2 steps are
 //! bit-identical to them by construction (only exactly-rounded
-//! instructions qualify for a vector column), so fused results are
-//! bit-identical to the unfused path at **every** dispatch level.
+//! instructions qualify for a vector column), so results are the same
+//! bits at **every** dispatch level and however far a chain fuses.
 
 use crate::chunk::{BufPool, Chunk};
 use crate::dtype::{DType, Scalar};
@@ -50,7 +49,7 @@ pub const STRIP_ELEMS: usize = 1024;
 #[derive(Debug, Clone)]
 pub enum ChainOperand {
     /// A scalar constant (kept as the original [`Scalar`] so integer
-    /// chains convert exactly as the interpreter does).
+    /// chains convert it through `i64`, not `f64`).
     Scalar(Scalar),
     /// A per-column constant row vector (`sweep`).
     RowVec(Arc<Vec<f64>>),
@@ -85,11 +84,10 @@ pub struct ChainLink {
 #[derive(Clone, Copy)]
 enum KonstVal {
     None,
-    /// Scalar operand: converted via `T::from_scalar`, like the
-    /// interpreter's `BinOperand::Scalar` path.
+    /// Scalar operand: converted via `T::from_scalar`.
     Scalar(Scalar),
     /// Row-vector operand for the current column: converted via
-    /// `T::from_f64`, like the interpreter's `BinOperand::RowVec` path.
+    /// `T::from_f64`.
     F64(f64),
 }
 
@@ -183,8 +181,7 @@ fn step_unary_simd<T: Element, const OP: u8>(
     simd::unary_simd::<T>(UnaryOp::from_u8(OP), in_slice::<T>(src, len), out_slice::<T>(dst, len));
 }
 
-/// `Not` is the one unary op that changes dtype (`T` → U8); mirrors the
-/// special case in [`crate::ops::unary::apply_unary`].
+/// `Not` is the one unary op that changes dtype (`T` → U8).
 fn step_not<T: Element>(_ctx: &StripCtx<'_>, src: &[u8], dst: &mut [u8], len: usize) {
     let s = in_slice::<T>(src, len);
     let d = out_slice::<u8>(dst, len);
@@ -394,62 +391,11 @@ impl FusedMapKernel {
         }
     }
 
-    /// Number of fused micro-ops.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// A compiled kernel is never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Dtype of the chain's result.
-    pub fn out_dtype(&self) -> DType {
-        self.out_dtype
-    }
-
-    /// The dtype the chain's base input must have.
-    pub fn in_dtype(&self) -> DType {
-        self.in_dtype
-    }
-
     /// Run the whole chain over `base`, producing the root's chunk.
     pub fn run(&self, base: &Chunk, auxes: &[&Chunk], pool: &mut BufPool) -> Chunk {
         let (rows, cols) = (base.rows(), base.cols());
         let mut out = pool.take(rows * cols * self.out_dtype.size());
         self.run_into(base, auxes, &mut out, rows, 0, pool);
-        Chunk::from_iobuf(out, self.out_dtype, rows, cols)
-    }
-
-    /// [`Self::run`] reading the base in place from a column-major
-    /// buffer (stride `base_stride` rows, first row `base_off`) — the
-    /// executor hands chain kernels the leaf's partition buffer
-    /// directly, skipping the Pcache chunk copy.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_strided(
-        &self,
-        base_bytes: &[u8],
-        base_stride: usize,
-        base_off: usize,
-        rows: usize,
-        cols: usize,
-        auxes: &[&Chunk],
-        pool: &mut BufPool,
-    ) -> Chunk {
-        let mut out = pool.take(rows * cols * self.out_dtype.size());
-        self.run_strided_into(
-            base_bytes,
-            base_stride,
-            base_off,
-            rows,
-            cols,
-            auxes,
-            &mut out,
-            rows,
-            0,
-            pool,
-        );
         Chunk::from_iobuf(out, self.out_dtype, rows, cols)
     }
 
@@ -550,10 +496,56 @@ impl FusedMapKernel {
     }
 }
 
+/// One-op kernels over whole chunks: how the unit tests of the element
+/// kernels (`ops::{unary, binary, misc}`) reach them the way the
+/// executor does.
+#[cfg(test)]
+pub(crate) mod one_link {
+    use super::*;
+
+    /// The second operand of [`binary`].
+    pub(crate) enum Rhs<'a> {
+        /// Same shape, or a single column recycled.
+        Chunk(&'a Chunk),
+        Scalar(Scalar),
+        /// One constant per column.
+        RowVec(&'a [f64]),
+    }
+
+    fn run(op: ChainOpSpec, input: &Chunk, out_dtype: DType, auxes: &[&Chunk]) -> Chunk {
+        let link = ChainLink { op, in_dtype: input.dtype(), out_dtype };
+        FusedMapKernel::compile(&[link]).run(input, auxes, &mut BufPool::new())
+    }
+
+    pub(crate) fn unary(op: UnaryOp, input: &Chunk) -> Chunk {
+        run(ChainOpSpec::Unary(op), input, op.out_dtype(input.dtype()), &[])
+    }
+
+    pub(crate) fn cast(input: &Chunk, to: DType) -> Chunk {
+        run(ChainOpSpec::Cast, input, to, &[])
+    }
+
+    pub(crate) fn binary(op: BinaryOp, a: &Chunk, b: Rhs<'_>, swapped: bool) -> Chunk {
+        let (operand, auxes) = match b {
+            Rhs::Chunk(ch) => {
+                assert_eq!(ch.dtype(), a.dtype(), "binary operands must share a dtype");
+                assert!(ch.cols() == a.cols() || ch.cols() == 1, "binary operand col mismatch");
+                (ChainOperand::Chunk { aux: 0, recycle: ch.cols() == 1 }, vec![ch])
+            }
+            Rhs::Scalar(s) => (ChainOperand::Scalar(s), vec![]),
+            Rhs::RowVec(v) => {
+                assert_eq!(v.len(), a.cols(), "row-vector operand length mismatch");
+                (ChainOperand::RowVec(Arc::new(v.to_vec())), vec![])
+            }
+        };
+        run(ChainOpSpec::Binary { op, swapped, operand }, a, op.out_dtype(a.dtype()), &auxes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::one_link::{binary, cast, unary, Rhs};
     use super::*;
-    use crate::ops::{apply_binary, apply_unary, cast_chunk, BinOperand};
 
     fn f64_chunk(rows: usize, cols: usize) -> Chunk {
         let vals: Vec<f64> = (0..rows * cols).map(|i| (i as f64) * 0.37 - 40.0).collect();
@@ -593,6 +585,10 @@ mod tests {
         ]
     }
 
+    /// (Named for the per-node chunk interpreter this test once compared
+    /// against; the reference is now the same four ops as four one-op
+    /// kernels with a whole chunk between each, and the arithmetic
+    /// written out.)
     #[test]
     fn chain_matches_interpreter_bit_for_bit() {
         let mut pool = BufPool::new();
@@ -601,22 +597,15 @@ mod tests {
         let kernel = FusedMapKernel::compile(&demo_links());
         let fused = kernel.run(&x, &[], &mut pool);
 
-        let s1 =
-            apply_binary(BinaryOp::Mul, &x, BinOperand::Scalar(Scalar::F64(2.5)), false, &mut pool);
-        let s2 = apply_binary(
-            BinaryOp::Add,
-            &s1,
-            BinOperand::Scalar(Scalar::F64(1.0)),
-            false,
-            &mut pool,
-        );
-        let s3 = apply_unary(UnaryOp::Abs, &s2, &mut pool);
-        let want = apply_unary(UnaryOp::Sqrt, &s3, &mut pool);
+        let s1 = binary(BinaryOp::Mul, &x, Rhs::Scalar(Scalar::F64(2.5)), false);
+        let s2 = binary(BinaryOp::Add, &s1, Rhs::Scalar(Scalar::F64(1.0)), false);
+        let s3 = unary(UnaryOp::Abs, &s2);
+        let stepwise = unary(UnaryOp::Sqrt, &s3);
         let f = fused.slice::<f64>();
-        let w = want.slice::<f64>();
-        assert_eq!(f.len(), w.len());
-        for (a, b) in f.iter().zip(w) {
+        assert_eq!(f.len(), x.slice::<f64>().len());
+        for ((a, b), v) in f.iter().zip(stepwise.slice::<f64>()).zip(x.slice::<f64>()) {
             assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), (v * 2.5 + 1.0).abs().sqrt().to_bits());
         }
     }
 
@@ -663,11 +652,12 @@ mod tests {
         let kernel = FusedMapKernel::compile(&links);
         let fused = kernel.run(&x, &[], &mut pool);
 
-        let s1 = cast_chunk(&x, DType::F64, &mut pool);
-        let s2 =
-            apply_binary(BinaryOp::Gt, &s1, BinOperand::Scalar(Scalar::F64(0.0)), false, &mut pool);
-        let want = cast_chunk(&s2, DType::I32, &mut pool);
-        assert_eq!(fused.slice::<i32>(), want.slice::<i32>());
+        let s1 = cast(&x, DType::F64);
+        let s2 = binary(BinaryOp::Gt, &s1, Rhs::Scalar(Scalar::F64(0.0)), false);
+        let stepwise = cast(&s2, DType::I32);
+        assert_eq!(fused.slice::<i32>(), stepwise.slice::<i32>());
+        let want: Vec<i32> = vals.iter().map(|&v| i32::from(v > 0)).collect();
+        assert_eq!(fused.slice::<i32>(), &want[..]);
     }
 
     #[test]
@@ -686,8 +676,10 @@ mod tests {
         }];
         let kernel = FusedMapKernel::compile(&links);
         let fused = kernel.run(&x, &[&y], &mut pool);
-        let want = apply_binary(BinaryOp::Sub, &x, BinOperand::Chunk(&y), true, &mut pool);
-        assert_eq!(fused.slice::<f64>(), want.slice::<f64>());
+        // swapped: y - x, with y's one column recycled across x's four.
+        let (xs, ys) = (x.slice::<f64>(), y.slice::<f64>());
+        let want: Vec<f64> = xs.iter().enumerate().map(|(i, xv)| ys[i % 2000] - xv).collect();
+        assert_eq!(fused.slice::<f64>(), &want[..]);
     }
 
     #[test]
@@ -706,8 +698,9 @@ mod tests {
         }];
         let kernel = FusedMapKernel::compile(&links);
         let fused = kernel.run(&x, &[], &mut pool);
-        let want = apply_binary(BinaryOp::Div, &x, BinOperand::RowVec(&v), false, &mut pool);
-        assert_eq!(fused.slice::<f64>(), want.slice::<f64>());
+        let want: Vec<f64> =
+            x.slice::<f64>().iter().enumerate().map(|(i, xv)| xv / v[i / 1500]).collect();
+        assert_eq!(fused.slice::<f64>(), &want[..]);
     }
 
     #[test]

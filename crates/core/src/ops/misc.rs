@@ -1,31 +1,14 @@
-//! Structural chunk kernels: dtype casts, column selection and column
-//! binding (`cbind`). All keep the partition dimension, so they fuse like
-//! any other map operation.
+//! Structural chunk kernels: the element cast, column selection and
+//! column binding (`cbind`). All keep the partition dimension, so they
+//! fuse like any other map operation.
 
 use crate::chunk::{BufPool, Chunk};
-use crate::dtype::DType;
 use crate::element::Element;
 use crate::ops::agg::AggOp;
 
-/// Cast a chunk to another dtype.
-pub fn cast_chunk(input: &Chunk, to: DType, pool: &mut BufPool) -> Chunk {
-    if input.dtype() == to {
-        return input.clone();
-    }
-    let rows = input.rows();
-    let cols = input.cols();
-    let mut out = Chunk::alloc(to, rows, cols, pool);
-    crate::dispatch!(input.dtype(), S, {
-        crate::dispatch!(to, D, {
-            cast_slice::<S, D>(input.slice::<S>(), out.slice_mut::<D>());
-        });
-    });
-    out
-}
-
-/// Slice-level cast shared by [`cast_chunk`] and the fused map kernels:
-/// float sources round-trip through `f64`, integer sources through `i64`
-/// (R promotion semantics, exact for same-family conversions).
+/// Slice-level cast behind the map kernels' cast step: float sources
+/// round-trip through `f64`, integer sources through `i64` (R promotion
+/// semantics, exact for same-family conversions).
 pub(crate) fn cast_slice<S: Element, D: Element>(src: &[S], dst: &mut [D]) {
     if S::DTYPE.is_float() {
         for (d, s) in dst.iter_mut().zip(src) {
@@ -138,38 +121,38 @@ pub fn group_cols(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtype::DType;
+    use crate::ops::fused_map::one_link::cast;
 
     #[test]
     fn cast_float_to_int_truncates() {
-        let mut pool = BufPool::new();
         let c = Chunk::from_slice::<f64>(3, 1, &[1.9, -2.7, 3.0]);
-        let i = cast_chunk(&c, DType::I64, &mut pool);
+        let i = cast(&c, DType::I64);
         assert_eq!(i.slice::<i64>(), &[1, -2, 3]);
     }
 
     #[test]
     fn cast_int_to_float_is_exact() {
-        let mut pool = BufPool::new();
         let c = Chunk::from_slice::<i32>(2, 2, &[1, 2, 3, 4]);
-        let f = cast_chunk(&c, DType::F32, &mut pool);
+        let f = cast(&c, DType::F32);
         assert_eq!(f.slice::<f32>(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn cast_same_dtype_preserves_values() {
-        // (The DAG layer elides same-dtype casts entirely; the kernel just
-        // has to stay correct.)
-        let mut pool = BufPool::new();
-        let c = Chunk::from_slice::<f64>(2, 1, &[1.0, 2.0]);
-        let same = cast_chunk(&c, DType::F64, &mut pool);
-        assert_eq!(same.slice::<f64>(), c.slice::<f64>());
+        // A same-dtype cast never reaches a kernel (compiling one is
+        // refused): the DAG layer hands back the input node itself.
+        use crate::dag::Node;
+        use crate::mat::TasMat;
+        use crate::part::Partitioner;
+        let x = Node::leaf(TasMat::from_fn::<f64>(2, 1, Partitioner::new(64), |r, _| r as f64));
+        assert!(std::sync::Arc::ptr_eq(&Node::cast(x.clone(), DType::F64), &x));
     }
 
     #[test]
     fn big_i64_to_i32_wraps_not_saturates_via_f64() {
-        let mut pool = BufPool::new();
         let c = Chunk::from_slice::<i64>(1, 1, &[1i64 << 40]);
-        let d = cast_chunk(&c, DType::F64, &mut pool);
+        let d = cast(&c, DType::F64);
         assert_eq!(d.get_f64(0, 0), (1i64 << 40) as f64);
     }
 

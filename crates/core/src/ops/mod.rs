@@ -15,9 +15,9 @@ pub mod simd;
 pub mod unary;
 
 pub use agg::{agg_row, AggOp};
-pub use binary::{apply_binary, BinOperand, BinaryOp};
+pub use binary::BinaryOp;
 pub use cum::{cum_col_chunk, cum_row_chunk};
 pub use matmul::{inner_prod_chunk, matmul_chunk};
-pub use misc::{bind_cols, cast_chunk, group_cols, select_cols};
+pub use misc::{bind_cols, group_cols, select_cols};
 pub use simd::SimdLevel;
-pub use unary::{apply_unary, UnaryOp};
+pub use unary::UnaryOp;

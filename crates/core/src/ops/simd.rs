@@ -16,8 +16,8 @@
 //!   `is_x86_feature_detected!`, used **only** for operations whose
 //!   vector instructions are exactly rounded (add/sub/mul/div/sqrt,
 //!   sign-bit ops, floor/ceil), so element-wise AVX2 results are
-//!   bit-identical to the scalar loops by construction — the fused-vs-
-//!   interpreter bit-identity tests hold at every level. `f32` sqrt and
+//!   bit-identical to the scalar loops by construction — the kernel-vs-
+//!   oracle bit-identity tests hold at every level. `f32` sqrt and
 //!   reciprocal match the engine's promote-to-`f64` scalar path by the
 //!   2p+2 double-rounding theorem (53 ≥ 2·24+2). Sum reductions use the
 //!   same lane association as `Scalar` (bit-identical Scalar↔Avx2;
@@ -141,8 +141,8 @@ pub(crate) fn unary_simd<T: Element>(op: UnaryOp, src: &[T], dst: &mut [T]) {
 
 // -------------------------------------------------------------- binary
 
-/// Apply an AVX2 binary-arithmetic kernel with the interpreter's operand
-/// semantics (`swapped` puts the column on the right-hand side).
+/// Apply an AVX2 binary-arithmetic kernel with the portable column
+/// kernel's operand semantics (`swapped` puts the column on the right-hand side).
 #[inline]
 pub(crate) fn arith_simd<T: Element>(
     op: BinaryOp,

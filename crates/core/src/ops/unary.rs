@@ -1,6 +1,5 @@
 //! Element-wise unary operations (`sapply` GenOp).
 
-use crate::chunk::{BufPool, Chunk};
 use crate::dtype::DType;
 use crate::element::Element;
 
@@ -113,25 +112,6 @@ impl UnaryOp {
     }
 }
 
-/// [`unary_typed`] with the per-ISA variant column: exactly-rounded ops
-/// take the AVX2 kernel when `level` allows (bit-identical results by
-/// construction), everything else runs the portable loop.
-pub(crate) fn unary_typed_level<T: Element>(
-    level: crate::ops::simd::SimdLevel,
-    op: UnaryOp,
-    src: &[T],
-    dst: &mut [T],
-) {
-    if level >= crate::ops::simd::SimdLevel::Avx2
-        && crate::ops::simd::SimdLevel::avx2_supported()
-        && crate::ops::simd::unary_simd_available(op, T::DTYPE)
-    {
-        crate::ops::simd::unary_simd::<T>(op, src, dst);
-        return;
-    }
-    unary_typed(op, src, dst);
-}
-
 pub(crate) fn unary_typed<T: Element>(op: UnaryOp, src: &[T], dst: &mut [T]) {
     match op {
         // Ops with exact native implementations stay in T.
@@ -160,32 +140,11 @@ pub(crate) fn unary_typed<T: Element>(op: UnaryOp, src: &[T], dst: &mut [T]) {
     }
 }
 
-/// Apply a unary op over a whole chunk.
-pub fn apply_unary(op: UnaryOp, input: &Chunk, pool: &mut BufPool) -> Chunk {
-    let rows = input.rows();
-    let cols = input.cols();
-    if op == UnaryOp::Not {
-        let mut out = Chunk::alloc(DType::U8, rows, cols, pool);
-        crate::dispatch!(input.dtype(), T, {
-            let src = input.slice::<T>();
-            let dst = out.slice_mut::<u8>();
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = u8::from(*s == T::zero());
-            }
-        });
-        return out;
-    }
-    let mut out = Chunk::alloc(input.dtype(), rows, cols, pool);
-    let level = crate::ops::simd::SimdLevel::active();
-    crate::dispatch!(input.dtype(), T, {
-        unary_typed_level::<T>(level, op, input.slice::<T>(), out.slice_mut::<T>());
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::Chunk;
+    use crate::ops::fused_map::one_link::unary;
 
     fn chunk_f64(vals: &[f64]) -> Chunk {
         Chunk::from_slice::<f64>(vals.len(), 1, vals)
@@ -193,45 +152,41 @@ mod tests {
 
     #[test]
     fn float_ops() {
-        let mut pool = BufPool::new();
         let c = chunk_f64(&[4.0, 9.0, 0.25]);
-        let s = apply_unary(UnaryOp::Sqrt, &c, &mut pool);
+        let s = unary(UnaryOp::Sqrt, &c);
         assert_eq!(s.slice::<f64>(), &[2.0, 3.0, 0.5]);
 
-        let e = apply_unary(UnaryOp::Exp, &chunk_f64(&[0.0, 1.0]), &mut pool);
+        let e = unary(UnaryOp::Exp, &chunk_f64(&[0.0, 1.0]));
         assert!((e.get_f64(1, 0) - std::f64::consts::E).abs() < 1e-15);
 
-        let sig = apply_unary(UnaryOp::Sigmoid, &chunk_f64(&[0.0]), &mut pool);
+        let sig = unary(UnaryOp::Sigmoid, &chunk_f64(&[0.0]));
         assert_eq!(sig.get_f64(0, 0), 0.5);
     }
 
     #[test]
     fn neg_abs_square_native_on_ints() {
-        let mut pool = BufPool::new();
         let c = Chunk::from_slice::<i64>(4, 1, &[-3, 0, 5, -7]);
-        let n = apply_unary(UnaryOp::Neg, &c, &mut pool);
+        let n = unary(UnaryOp::Neg, &c);
         assert_eq!(n.slice::<i64>(), &[3, 0, -5, 7]);
-        let a = apply_unary(UnaryOp::Abs, &c, &mut pool);
+        let a = unary(UnaryOp::Abs, &c);
         assert_eq!(a.slice::<i64>(), &[3, 0, 5, 7]);
-        let q = apply_unary(UnaryOp::Square, &c, &mut pool);
+        let q = unary(UnaryOp::Square, &c);
         assert_eq!(q.slice::<i64>(), &[9, 0, 25, 49]);
     }
 
     #[test]
     fn sign_and_round_family() {
-        let mut pool = BufPool::new();
         let c = chunk_f64(&[-2.7, 0.0, 1.2]);
-        assert_eq!(apply_unary(UnaryOp::Sign, &c, &mut pool).slice::<f64>(), &[-1.0, 0.0, 1.0]);
-        assert_eq!(apply_unary(UnaryOp::Floor, &c, &mut pool).slice::<f64>(), &[-3.0, 0.0, 1.0]);
-        assert_eq!(apply_unary(UnaryOp::Ceil, &c, &mut pool).slice::<f64>(), &[-2.0, 0.0, 2.0]);
-        assert_eq!(apply_unary(UnaryOp::Round, &c, &mut pool).slice::<f64>(), &[-3.0, 0.0, 1.0]);
+        assert_eq!(unary(UnaryOp::Sign, &c).slice::<f64>(), &[-1.0, 0.0, 1.0]);
+        assert_eq!(unary(UnaryOp::Floor, &c).slice::<f64>(), &[-3.0, 0.0, 1.0]);
+        assert_eq!(unary(UnaryOp::Ceil, &c).slice::<f64>(), &[-2.0, 0.0, 2.0]);
+        assert_eq!(unary(UnaryOp::Round, &c).slice::<f64>(), &[-3.0, 0.0, 1.0]);
     }
 
     #[test]
     fn not_outputs_u8() {
-        let mut pool = BufPool::new();
         let c = Chunk::from_slice::<i32>(3, 1, &[0, 2, -1]);
-        let n = apply_unary(UnaryOp::Not, &c, &mut pool);
+        let n = unary(UnaryOp::Not, &c);
         assert_eq!(n.dtype(), DType::U8);
         assert_eq!(n.slice::<u8>(), &[1, 0, 0]);
     }

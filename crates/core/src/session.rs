@@ -71,17 +71,6 @@ pub struct CtxConfig {
     /// Tracing level (defaults to [`TraceLevel::from_env`]: the
     /// `FLASHR_TRACE` environment variable, off when unset).
     pub trace: TraceLevel,
-    /// Whether the static analyzer's DAG rewrites (CSE, cast/cbind
-    /// collapsing) are applied before execution. Verification and lints
-    /// always run; disabling this executes the original DAG — the A/B
-    /// knob for measuring what the rewrite saves.
-    pub optimize: bool,
-    /// Whether maximal single-consumer chains of element-wise maps are
-    /// compiled into strip-mined fused kernels at plan-build time
-    /// (skipping the per-op intermediate chunks). The A/B knob mirroring
-    /// [`optimize`](CtxConfig::optimize); results are bit-identical
-    /// either way.
-    pub fuse_chains: bool,
     /// Upper bound on in-flight asynchronous external-memory output
     /// writes per worker. When the bound is reached the worker waits for
     /// the *oldest* write only, keeping the remaining slots streaming.
@@ -104,8 +93,6 @@ impl Default for CtxConfig {
             storage: StorageClass::InMem,
             cache_storage: StorageClass::InMem,
             trace: TraceLevel::from_env(),
-            optimize: true,
-            fuse_chains: true,
             max_pending_writes: 8,
             mem_budget: None,
         }
@@ -497,21 +484,6 @@ impl FlashCtx {
     /// tracer; the original's recordings are untouched).
     pub fn with_trace(&self, trace: TraceLevel) -> FlashCtx {
         let cfg = CtxConfig { trace, ..self.inner.cfg.clone() };
-        FlashCtx::with_config(cfg, self.inner.safs.clone())
-    }
-
-    /// A copy of this context with the analyzer's DAG rewrites switched
-    /// on or off (verification and lints always run).
-    pub fn with_optimize(&self, optimize: bool) -> FlashCtx {
-        let cfg = CtxConfig { optimize, ..self.inner.cfg.clone() };
-        FlashCtx::with_config(cfg, self.inner.safs.clone())
-    }
-
-    /// A copy of this context with map-chain fusion switched on or off
-    /// (single-op interpretation is used when off; results are
-    /// bit-identical either way).
-    pub fn with_fuse_chains(&self, fuse_chains: bool) -> FlashCtx {
-        let cfg = CtxConfig { fuse_chains, ..self.inner.cfg.clone() };
         FlashCtx::with_config(cfg, self.inner.safs.clone())
     }
 

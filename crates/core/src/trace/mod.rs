@@ -133,11 +133,14 @@ pub struct OpProfile {
     pub chunks: u64,
     pub nanos: u64,
     /// When the node is the root of a fused map chain: number of ops the
-    /// chain covers (0 for ordinary nodes). A ≥ 2 value means this one
-    /// profile stands in for `chain_len` interpreter ops.
+    /// chain covers, always ≥ 2 — this one profile stands in for
+    /// `chain_len` nodes. 0 for every other node, a map that runs as a
+    /// one-op kernel included.
     pub chain_len: u64,
-    /// Bytes of intermediate chunks the chain skipped allocating across
-    /// all evaluations (0 for ordinary nodes).
+    /// Bytes of chunks the node's kernel skipped allocating across all
+    /// evaluations: a chain's interior nodes, and the root's own chunk
+    /// when it wrote straight into a tall output (0 for nodes that are
+    /// not element-wise maps).
     pub saved_bytes: u64,
 }
 

@@ -8,11 +8,12 @@ use flashr_core::dtype::DType;
 use flashr_core::exec::{Target, TargetStorage};
 use flashr_core::fm::FM;
 use flashr_core::json;
-use flashr_core::ops::{BinaryOp, UnaryOp};
+use flashr_core::ops::{AggOp, BinaryOp, UnaryOp};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_linalg::Dense;
 use flashr_safs::SafsConfig;
 use flashr_testkit::cases;
+use flashr_testkit::oracle::{assert_close, assert_same, Mat};
 use std::sync::Arc;
 
 fn im_ctx() -> FlashCtx {
@@ -90,38 +91,47 @@ fn inference_matches_eager_execution_shapes() {
     });
 }
 
-/// Property (b): the CSE rewrite changes neither a single bit of the
-/// results, while strictly reducing eager pass counts and EM bytes read.
+/// Property (b): the CSE rewrite changes no bit of the results (held to
+/// the oracle), and a program that spells a subtree twice costs what the
+/// program that spells it once costs — in eager passes and EM bytes read.
 #[test]
 fn cse_is_bit_identical_and_saves_passes_and_bytes() {
     let em = em_ctx("cse-ab").with_mode(ExecMode::Eager);
     let x = FM::runif(&em, 1000, 2, 0.0, 1.0, 42).materialize(&em);
 
-    let run = |ctx: &FlashCtx| {
-        let dup = &x.sqrt() + &x.sqrt();
-        let before_exec = ctx.stats().snapshot();
-        let before_io = ctx.safs().unwrap().stats_snapshot();
-        let total = dup.sum().value(ctx);
-        let tall = (&x.sqrt() + &x.sqrt()).to_vec(ctx);
-        let exec = before_exec.delta(&ctx.stats().snapshot());
-        let io = before_io.delta(&ctx.safs().unwrap().stats_snapshot());
+    let run = |build: &dyn Fn() -> FM| {
+        let before_exec = em.stats().snapshot();
+        let before_io = em.safs().unwrap().stats_snapshot();
+        let total = build().sum().value(&em);
+        let tall = build().to_vec(&em);
+        let exec = before_exec.delta(&em.stats().snapshot());
+        let io = before_io.delta(&em.safs().unwrap().stats_snapshot());
         (total, tall, exec.passes, io.read_bytes)
     };
+    let twice = || &x.sqrt() + &x.sqrt();
+    let once = || {
+        let s = x.sqrt();
+        &s + &s
+    };
 
-    let (t_opt, v_opt, passes_opt, read_opt) = run(&em);
-    let baseline = em.with_optimize(false);
-    let (t_raw, v_raw, passes_raw, read_raw) = run(&baseline);
+    let report = twice().check(&em).expect("the plan verifies");
+    assert_eq!(report.merged, 1, "the second sqrt(x) merges into the first");
+    assert_eq!(report.nodes_before, report.nodes_after + 1);
 
-    assert_eq!(t_opt.to_bits(), t_raw.to_bits(), "CSE must be bit-identical");
-    assert_eq!(v_opt.len(), v_raw.len());
-    for (a, b) in v_opt.iter().zip(&v_raw) {
-        assert_eq!(a.to_bits(), b.to_bits(), "CSE must be bit-identical");
-    }
-    assert!(
-        passes_opt < passes_raw,
-        "CSE must execute strictly fewer eager passes ({passes_opt} vs {passes_raw})"
-    );
-    assert!(read_opt < read_raw, "CSE must read strictly fewer bytes ({read_opt} vs {read_raw})");
+    let (t_twice, v_twice, passes_twice, read_twice) = run(&twice);
+    let (t_once, v_once, passes_once, read_once) = run(&once);
+
+    let xr = Mat::from_row_major(2, 1000, x.to_vec(&em)).t();
+    let want = xr.unary(UnaryOp::Sqrt).binary(BinaryOp::Add, &xr.unary(UnaryOp::Sqrt), false);
+    assert_same(&v_twice, &want, false, "CSE'd plan vs oracle");
+    assert_close(t_twice, want.agg_all(AggOp::Sum), 2000, want.abs_sum(), "CSE'd sum vs oracle");
+    assert_eq!(t_twice.to_bits(), t_once.to_bits(), "CSE must be bit-identical");
+    assert_eq!(v_twice, v_once, "CSE must be bit-identical");
+    // sqrt, add and the sink for the sum; sqrt and add for the tall: the
+    // merged sqrt is one pass and one read of `x` less in each.
+    assert_eq!(passes_once, 5);
+    assert_eq!(passes_twice, passes_once, "the duplicate subtree must cost no pass");
+    assert_eq!(read_twice, read_once, "the duplicate subtree must cost no byte");
 }
 
 /// Property (c): the rewrite is idempotent — a second application finds

@@ -255,3 +255,21 @@ fn more_threads_than_partitions_is_fine() {
     let x = FM::seq(100, 1.0, 1.0); // one partition, 32 workers
     assert_eq!(x.sum().value(&ctx), 5050.0);
 }
+
+#[test]
+fn a_worker_panic_reaches_the_caller_with_its_message() {
+    // A label outside the declared groups is bad data, found by a worker
+    // mid-pass. The caller must see that message, not the scope's "a
+    // scoped thread panicked".
+    for mode in [ExecMode::Eager, ExecMode::MemFuse, ExecMode::CacheFuse] {
+        let ctx = im_ctx(3).with_mode(mode);
+        let x = FM::runif(&ctx, 1000, 2, 0.0, 1.0, 5);
+        let labels = FM::constant(1000, 1, 5.0);
+        let sums = x.groupby_row(&labels, AggOp::Sum, 2);
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sums.to_dense(&ctx)))
+                .expect_err("a label of 5 in 2 groups must fail");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(msg.contains("group label 5 outside [0, 2)"), "{mode:?}: {msg}");
+    }
+}

@@ -127,23 +127,30 @@ fn trace_op_records_per_node_timings() {
 
 #[test]
 fn trace_op_unfused_shows_every_node() {
-    // With chain fusion off the interpreter path evaluates each map
-    // separately — the historical per-node trace shape.
-    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Op).with_fuse_chains(false);
-    four_op_sum(&ctx);
+    // Give every map a second consumer (its own sum) and nothing fuses:
+    // each node is its own one-op kernel and the trace shows each under
+    // its node's label, none of them a chain.
+    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Op);
+    let x = FM::runif(&ctx, 1000, 4, 0.0, 1.0, 7);
+    let scale = x.binary_scalar(BinaryOp::Mul, 2.0, false);
+    let shift = scale.binary_scalar(BinaryOp::Add, 1.0, false);
+    let root = shift.unary(UnaryOp::Sqrt);
+    FM::materialize_multi(&ctx, &[&scale.sum(), &shift.sum(), &root.sum()]);
     let passes = ctx.tracer().passes();
     assert_eq!(passes.len(), 1);
     let ops = &passes[0].ops;
-    // gen, scale, shift, sqrt (the sink accumulates outside eval()).
-    assert_eq!(ops.len(), 4);
-    let labels: Vec<&str> = ops.iter().map(|o| o.label.as_str()).collect();
-    assert!(labels.contains(&"gen"), "labels: {labels:?}");
-    assert!(labels.iter().filter(|l| l.starts_with("mapply:")).count() >= 2, "labels: {labels:?}");
-    assert!(labels.iter().any(|l| l.starts_with("sapply:")), "labels: {labels:?}");
+    // gen, scale, shift, sqrt (the sinks accumulate outside eval()).
+    let mut labels: Vec<&str> = ops.iter().map(|o| o.label.as_str()).collect();
+    labels.sort_unstable();
+    assert_eq!(labels, ["gen", "mapply:Add", "mapply:Mul", "sapply:Sqrt"]);
     for op in ops {
         assert_eq!(op.chunks, 16, "each node evaluates once per chunk range");
-        assert_eq!(op.chain_len, 0, "no chains when fusion is off");
+        assert_eq!(op.chain_len, 0, "a one-op kernel is not a chain");
+        assert_eq!(op.saved_bytes, 0, "nothing was skipped");
     }
+    assert_eq!(ctx.stats().snapshot().fused_chains, 0);
+    // And `explain()` announces no fusion for such a plan.
+    assert!(!scale.explain(&ctx).contains("fused at"), "{}", scale.explain(&ctx));
 }
 
 #[test]

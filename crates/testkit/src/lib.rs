@@ -7,6 +7,8 @@
 //! rebuilds exactly that case's inputs under a debugger. There is no
 //! shrinking: the failing case is reported as generated.
 
+pub mod oracle;
+
 use std::ops::Range;
 
 /// splitmix64 (Steele, Lea & Flood 2014): every seed, 0 included, gives a

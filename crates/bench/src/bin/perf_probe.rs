@@ -219,11 +219,14 @@ fn main() {
 }
 
 /// Single-core micro-kernel bandwidth at every SIMD dispatch level the
-/// host supports: the fused 4-op map chain, sum/min reductions, dot and
-/// the register-blocked gemm, each timed directly against the kernel
-/// entry points (no executor, no I/O). The section lets `bench_check`
-/// gate "avx2 beats off on every vectorized op" and gives absolute
-/// throughput context for the stage-level numbers above.
+/// host supports: the fused 4-op map chain, one F32 `Sqrt` link and one
+/// I32 `Add` link, sum/min reductions, dot and the register-blocked
+/// gemm, each timed directly against the kernel entry points (no
+/// executor, no I/O). `bench_check` gates ratios between the rows of one
+/// run — a kernel body left out of line, dispatching its op per element,
+/// shows as a `scalar` row several times below its `avx2` one — and the
+/// section gives absolute throughput context for the stage-level numbers
+/// above.
 ///
 /// Convention: elementwise/reduction rates are *input* GiB/s (matching
 /// the stage table's `bytes / wall`); gemm reports GFLOP/s (`2mnk / t`).
@@ -262,23 +265,30 @@ fn kernel_bw_section() -> String {
     let a: Vec<f64> = (0..n).map(|_| next()).collect();
     let b: Vec<f64> = (0..n).map(|_| next()).collect();
 
-    // The probe's 4-op chain (`(x * 2 + 1).abs().sqrt()`) as chain links.
-    let f64f64 = |op: ChainOpSpec| ChainLink { op, in_dtype: DType::F64, out_dtype: DType::F64 };
-    let links = vec![
-        f64f64(ChainOpSpec::Binary {
-            op: BinaryOp::Mul,
-            swapped: false,
-            operand: ChainOperand::Scalar(Scalar::F64(2.0)),
-        }),
-        f64f64(ChainOpSpec::Binary {
-            op: BinaryOp::Add,
-            swapped: false,
-            operand: ChainOperand::Scalar(Scalar::F64(1.0)),
-        }),
-        f64f64(ChainOpSpec::Unary(UnaryOp::Abs)),
-        f64f64(ChainOpSpec::Unary(UnaryOp::Sqrt)),
+    // The probe's 4-op chain (`(x * 2 + 1).abs().sqrt()`), and one-link
+    // kernels on the narrow dtypes, whose bodies go through the generic
+    // `Element` conversions.
+    let link = |op: ChainOpSpec, dt: DType| ChainLink { op, in_dtype: dt, out_dtype: dt };
+    let with = |op: BinaryOp, c: Scalar| ChainOpSpec::Binary {
+        op,
+        swapped: false,
+        operand: ChainOperand::Scalar(c),
+    };
+    let chain = [
+        link(with(BinaryOp::Mul, Scalar::F64(2.0)), DType::F64),
+        link(with(BinaryOp::Add, Scalar::F64(1.0)), DType::F64),
+        link(ChainOpSpec::Unary(UnaryOp::Abs), DType::F64),
+        link(ChainOpSpec::Unary(UnaryOp::Sqrt), DType::F64),
     ];
-    let base = Chunk::from_slice::<f64>(rows, cols, &a);
+    let sqrt_f32 = [link(ChainOpSpec::Unary(UnaryOp::Sqrt), DType::F32)];
+    let add_i32 = [link(with(BinaryOp::Add, Scalar::I32(3)), DType::I32)];
+    let a_f32: Vec<f32> = a.iter().map(|&v| (v + 0.5) as f32).collect();
+    let a_i32: Vec<i32> = a.iter().map(|&v| (v * 1e6) as i32).collect();
+    let maps: [(&'static str, &[ChainLink], Chunk); 3] = [
+        ("map_chain", &chain, Chunk::from_slice::<f64>(rows, cols, &a)),
+        ("map_sqrt_f32", &sqrt_f32, Chunk::from_slice::<f32>(rows, cols, &a_f32)),
+        ("map_add_i32", &add_i32, Chunk::from_slice::<i32>(rows, cols, &a_i32)),
+    ];
     let mut dst = IoBuf::zeroed(n * 8);
     let mut pool = BufPool::new();
 
@@ -289,78 +299,59 @@ fn kernel_bw_section() -> String {
 
     let levels = SimdLevel::available();
     let gib = (1u64 << 30) as f64;
-    // (op name, unit, per-level (level name, throughput) figures).
-    type OpRow = (&'static str, &'static str, Vec<(&'static str, f64)>);
-    let mut ops: Vec<OpRow> = vec![
-        ("map_chain", "GiB/s", Vec::new()),
-        ("reduce_sum", "GiB/s", Vec::new()),
-        ("reduce_min", "GiB/s", Vec::new()),
-        ("dot", "GiB/s", Vec::new()),
-        ("gemm", "GFLOP/s", Vec::new()),
-    ];
+    // (op name, unit, one throughput figure per level), in first-seen order.
+    let mut ops: Vec<(&'static str, &'static str, Vec<f64>)> = Vec::new();
+    let mut put = |name, unit, v| match ops.iter_mut().find(|op| op.0 == name) {
+        Some(op) => op.2.push(v),
+        None => ops.push((name, unit, vec![v])),
+    };
     for &level in &levels {
-        let kernel = FusedMapKernel::compile_with_level(level, &links);
-        let t = time_op(|| {
-            kernel.run_into(black_box(&base), &[], &mut dst, rows, 0, &mut pool);
-            black_box(dst.as_bytes().first());
-        });
-        ops[0].2.push((level.name(), (n * 8) as f64 / t / gib));
+        for (name, links, base) in &maps {
+            let kernel = FusedMapKernel::compile_with_level(level, links);
+            let t = time_op(|| {
+                kernel.run_into(black_box(base), &[], &mut dst, rows, 0, &mut pool);
+                black_box(dst.as_bytes().first());
+            });
+            put(name, "GiB/s", base.as_bytes().len() as f64 / t / gib);
+        }
         let t = time_op(|| {
             black_box(fold_col::<f64>(level, AggOp::Sum, 0.0, black_box(&a)));
         });
-        ops[1].2.push((level.name(), (n * 8) as f64 / t / gib));
+        put("reduce_sum", "GiB/s", (n * 8) as f64 / t / gib);
         let t = time_op(|| {
             black_box(fold_col::<f64>(level, AggOp::Min, f64::INFINITY, black_box(&a)));
         });
-        ops[2].2.push((level.name(), (n * 8) as f64 / t / gib));
+        put("reduce_min", "GiB/s", (n * 8) as f64 / t / gib);
         let t = time_op(|| {
             black_box(dot_f64(level, black_box(&a), black_box(&b)));
         });
-        ops[3].2.push((level.name(), (2 * n * 8) as f64 / t / gib));
+        put("dot", "GiB/s", (2 * n * 8) as f64 / t / gib);
+        let (ga, gb) = (black_box(&ga), black_box(&gb));
         let t = time_op(|| {
-            gemm_strided_level(
-                level,
-                gm,
-                gm,
-                gm,
-                1.0,
-                black_box(&ga),
-                1,
-                gm,
-                black_box(&gb),
-                1,
-                gm,
-                0.0,
-                &mut gc,
-                1,
-                gm,
-            );
+            gemm_strided_level(level, gm, gm, gm, 1.0, ga, 1, gm, gb, 1, gm, 0.0, &mut gc, 1, gm);
             black_box(gc.first());
         });
-        ops[4].2.push((level.name(), 2.0 * (gm * gm * gm) as f64 / t / 1e9));
+        put("gemm", "GFLOP/s", 2.0 * (gm * gm * gm) as f64 / t / 1e9);
     }
 
-    let mut json = String::from("{\"levels\":[");
-    for (i, l) in levels.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!("\"{}\"", l.name()));
+    for (name, unit, vals) in &ops {
+        let figures: Vec<String> =
+            levels.iter().zip(vals).map(|(l, v)| format!("{} {v:7.2}", l.name())).collect();
+        println!("kernel {name:<12}  {} {unit}", figures.join("  "));
     }
-    json.push_str(&format!("],\"active\":\"{}\",\"ops\":[", SimdLevel::active().name()));
-    for (i, (name, unit, vals)) in ops.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!("{{\"name\":\"{name}\",\"unit\":\"{unit}\""));
-        let mut line = format!("kernel {name:<11}");
-        for (lname, v) in vals {
-            json.push_str(&format!(",\"{lname}\":{v:.3}"));
-            line.push_str(&format!("  {lname} {v:7.2}"));
-        }
-        println!("{line} {unit}");
-        json.push('}');
-    }
-    json.push_str("]}");
-    json
+    flashr::core::json::object(|w| {
+        w.key("levels").arr(|w| levels.iter().for_each(|l| w.str(l.name())));
+        w.key("active").str(SimdLevel::active().name());
+        w.key("ops").arr(|w| {
+            for (name, unit, vals) in &ops {
+                w.obj(|w| {
+                    w.key("name").str(name);
+                    w.key("unit").str(unit);
+                    for (l, v) in levels.iter().zip(vals) {
+                        w.key(l.name()).raw(&format!("{v:.3}"));
+                    }
+                });
+            }
+        });
+    })
 }

@@ -53,12 +53,7 @@ impl SinkAcc {
     /// * `Col`/`Gramian` pass the data chunk(s);
     /// * `GroupBy` additionally passes the labels chunk (i64, one column).
     pub fn update(&mut self, chunks: &[&Chunk]) {
-        self.update_level(SimdLevel::active(), chunks);
-    }
-
-    /// [`SinkAcc::update`] with an explicit SIMD dispatch level — used by
-    /// the kernel-bandwidth probe and cross-level tests.
-    pub fn update_level(&mut self, level: SimdLevel, chunks: &[&Chunk]) {
+        let level = SimdLevel::active();
         match self {
             SinkAcc::Col { op, vals, count, elems } => {
                 let input = chunks[0];
@@ -269,9 +264,8 @@ mod tests {
     #[test]
     fn groupby_sum_and_counts() {
         let data = leaf(6, 2);
-        let labels = Node::leaf(TasMat::from_fn::<i64>(6, 1, Partitioner::new(64), |r, _| {
-            (r % 2) as i64
-        }));
+        let labels =
+            Node::leaf(TasMat::from_fn::<i64>(6, 1, Partitioner::new(64), |r, _| (r % 2) as i64));
         let node = Node::sink_groupby(data, labels, AggOp::Sum, 2);
         let mut acc = SinkAcc::new_for(&node);
         let d = Chunk::from_slice::<f64>(4, 2, &[1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0]);

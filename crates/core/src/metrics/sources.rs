@@ -43,7 +43,7 @@ impl MetricSource for ExecStatsSource {
         let level = crate::ops::simd::SimdLevel::active();
         out.push(Sample::new(
             "flashr_simd_level",
-            "Active SIMD dispatch level (0=off, 1=scalar, 2=avx2); the label names it.",
+            "Active SIMD dispatch level (1=scalar, 2=avx2); the label names it.",
             vec![("level", level.name().into())],
             SampleValue::Gauge(level as u64),
         ));

@@ -12,6 +12,7 @@
 
 use crate::dtype::DType;
 use crate::element::Element;
+use crate::ops::simd::{pick, versioned, SimdLevel};
 
 /// Predefined binary element functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,7 +41,7 @@ pub enum BinaryOp {
 impl BinaryOp {
     /// Every variant in declaration (discriminant) order; keeps
     /// [`BinaryOp::from_u8`] in sync with `as u8` casts.
-    pub(crate) const ALL: [BinaryOp; 17] = [
+    pub const ALL: [BinaryOp; 17] = [
         BinaryOp::Add,
         BinaryOp::Sub,
         BinaryOp::Mul,
@@ -138,7 +139,10 @@ pub(crate) enum ColSrc<'a, T> {
 /// One whole arithmetic column, monomorphized over `(OP, T)`: the
 /// `BinaryOp::from_u8` match constant-folds under the const generic, so
 /// the `for` loops contain zero enum dispatch. The `swapped` branch is
-/// resolved once per column, outside the element loop.
+/// resolved once per column, outside the element loop. Inlined into the
+/// monomorphic shim that names `OP` (and into its AVX2 compilation), or
+/// the match would run per element.
+#[inline(always)]
 pub(crate) fn arith_col<T: Element, const OP: u8>(
     dst: &mut [T],
     a: &[T],
@@ -173,6 +177,7 @@ pub(crate) fn arith_col<T: Element, const OP: u8>(
 }
 
 /// Predicate twin of [`arith_col`]: writes the logical (U8) column.
+#[inline(always)]
 pub(crate) fn pred_col<T: Element, const OP: u8>(
     dst: &mut [u8],
     a: &[T],
@@ -206,26 +211,29 @@ pub(crate) fn pred_col<T: Element, const OP: u8>(
     }
 }
 
-/// AVX2 variant-column twin of [`arith_col`]: same signature, same
-/// results bit-for-bit (the SIMD layer only implements exactly-rounded
-/// ops), but the strip body runs 4/8 elements per instruction.
-pub(crate) fn arith_col_simd<T: Element, const OP: u8>(
+pub(crate) type ArithColFn<T> = fn(&mut [T], &[T], ColSrc<'_, T>, bool);
+
+/// [`arith_col`] as compiled for AVX2 (`VEX`) or for the baseline.
+pub(crate) fn arith_col_at<T: Element, const OP: u8, const VEX: bool>(
     dst: &mut [T],
     a: &[T],
     b: ColSrc<'_, T>,
     swapped: bool,
 ) {
-    crate::ops::simd::arith_simd::<T>(BinaryOp::from_u8(OP), dst, a, b, swapped);
+    versioned::<VEX, _>(
+        #[inline(always)]
+        || arith_col::<T, OP>(dst, a, b, swapped),
+    );
 }
 
-pub(crate) type ArithColFn<T> = fn(&mut [T], &[T], ColSrc<'_, T>, bool);
-
 /// Resolve an arithmetic op to its monomorphized column kernel once, so
-/// callers dispatch per column (or per strip) instead of per element.
-pub(crate) fn arith_col_fn<T: Element>(op: BinaryOp) -> ArithColFn<T> {
+/// callers dispatch per column instead of per element; the AVX2
+/// compilation is handed out only when `level` runs it on this host.
+pub(crate) fn arith_col_fn_level<T: Element>(op: BinaryOp, level: SimdLevel) -> ArithColFn<T> {
+    let vex = level.vex();
     macro_rules! arm {
         ($v:ident) => {
-            arith_col::<T, { BinaryOp::$v as u8 }>
+            pick!(vex, arith_col_at::<T, { BinaryOp::$v as u8 }>)
         };
     }
     match op {
@@ -240,35 +248,6 @@ pub(crate) fn arith_col_fn<T: Element>(op: BinaryOp) -> ArithColFn<T> {
         BinaryOp::EuclidSq => arm!(EuclidSq),
         _ => unreachable!("predicates have no arithmetic column kernel"),
     }
-}
-
-/// [`arith_col_fn`] with the per-ISA variant column: ops whose AVX2
-/// kernels exist (and are exactly rounded) resolve to them when `level`
-/// allows, everything else falls back to the portable kernel. Resolved
-/// once per chunk/strip — the returned pointer is still a bare fn.
-pub(crate) fn arith_col_fn_level<T: Element>(
-    op: BinaryOp,
-    level: crate::ops::simd::SimdLevel,
-) -> ArithColFn<T> {
-    if level >= crate::ops::simd::SimdLevel::Avx2
-        && crate::ops::simd::SimdLevel::avx2_supported()
-        && crate::ops::simd::arith_simd_available(op, T::DTYPE)
-    {
-        macro_rules! arm {
-            ($v:ident) => {
-                arith_col_simd::<T, { BinaryOp::$v as u8 }>
-            };
-        }
-        return match op {
-            BinaryOp::Add => arm!(Add),
-            BinaryOp::Sub => arm!(Sub),
-            BinaryOp::Mul => arm!(Mul),
-            BinaryOp::Div => arm!(Div),
-            BinaryOp::EuclidSq => arm!(EuclidSq),
-            _ => unreachable!("arith_simd_available admitted {op:?}"),
-        };
-    }
-    arith_col_fn::<T>(op)
 }
 
 #[cfg(test)]

@@ -57,16 +57,15 @@ fn cum_col_fn<T: Element>(op: BinaryOp) -> CumColFn<T> {
 /// `cum.row`: `out[r, c] = f(out[r, c-1], in[r, c])`, entirely inside one
 /// chunk. Column `c` is an element-wise fold of output column `c-1` with
 /// input column `c` — exactly the binary column kernel, so the resolver
-/// hands us the monomorphized (and, for Add/Mul, AVX2) kernel once
-/// instead of dispatching the op per element.
+/// hands us the monomorphized kernel, compiled for the active level,
+/// once instead of dispatching the op per element.
 pub fn cum_row_chunk(op: BinaryOp, input: &Chunk, pool: &mut BufPool) -> Chunk {
     check_assoc(op);
     let rows = input.rows();
     let cols = input.cols();
     let mut out = Chunk::alloc(input.dtype(), rows, cols, pool);
-    let level = SimdLevel::active();
     crate::dispatch!(input.dtype(), T, {
-        let f = arith_col_fn_level::<T>(op, level);
+        let f = arith_col_fn_level::<T>(op, SimdLevel::active());
         let src = input.slice::<T>();
         let dst = out.slice_mut::<T>();
         // Column 0 copies; column c folds with column c-1 of the output.
@@ -144,7 +143,8 @@ mod tests {
     #[test]
     fn cum_col_chains_partitions() {
         let mut pool = BufPool::new();
-        let full = Chunk::from_slice::<f64>(6, 2, &[1., 2., 3., 4., 5., 6., 1., 1., 1., 1., 1., 1.]);
+        let full =
+            Chunk::from_slice::<f64>(6, 2, &[1., 2., 3., 4., 5., 6., 1., 1., 1., 1., 1., 1.]);
         let (whole, _) = cum_col_chunk(BinaryOp::Add, &full, None, &mut pool);
 
         let first = full.slice_rows(0, 3, &mut pool);

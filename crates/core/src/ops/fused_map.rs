@@ -18,25 +18,23 @@
 //! Dispatch discipline: each link is resolved **once at compile time**
 //! to a monomorphized step function over `(op, dtype)` (const-generic
 //! `OP`, concrete element type via [`crate::dispatch!`]), collected into
-//! a function-pointer row. The SIMD dispatch level adds a per-ISA
-//! *variant column* to that resolution: links whose `(op, dtype)` has an
-//! exactly-rounded AVX2 kernel ([`crate::ops::simd`]) get the vector
-//! step when the level allows, all others keep the portable step. The
-//! strip loop calls through bare `fn` pointers; inner loops contain zero
-//! enum matching. The portable step bodies are the element kernels
-//! ([`crate::ops::unary::unary_typed`],
+//! a function-pointer row. The strip loop calls through bare `fn`
+//! pointers; inner loops contain zero enum matching. The step bodies are
+//! the element kernels ([`crate::ops::unary::unary_typed`],
 //! [`crate::ops::binary::arith_col`] / [`pred_col`],
-//! [`crate::ops::misc::cast_slice`]) and the AVX2 steps are
-//! bit-identical to them by construction (only exactly-rounded
-//! instructions qualify for a vector column), so results are the same
-//! bits at **every** dispatch level and however far a chain fuses.
+//! [`crate::ops::misc::cast_slice`]), each inlined into its step so the
+//! const generics fold. The SIMD dispatch level picks, per link and at
+//! the same moment, which *compilation* of that one body the row points
+//! at — the baseline one or the AVX2 one ([`crate::ops::simd`]) — so
+//! results are the same bits at **every** dispatch level and however far
+//! a chain fuses.
 
 use crate::chunk::{BufPool, Chunk};
 use crate::dtype::{DType, Scalar};
 use crate::element::Element;
-use crate::ops::binary::{arith_col, pred_col, BinaryOp, ColSrc};
+use crate::ops::binary::{arith_col_at, pred_col, BinaryOp, ColSrc};
 use crate::ops::misc::cast_slice;
-use crate::ops::simd::{self, SimdLevel};
+use crate::ops::simd::{pick, versioned, SimdLevel};
 use crate::ops::unary::{unary_typed, UnaryOp};
 use flashr_safs::IoBuf;
 use std::sync::Arc;
@@ -161,86 +159,85 @@ fn operand<'a, T: Element>(ctx: &StripCtx<'a>, len: usize) -> ColSrc<'a, T> {
     }
 }
 
-fn step_unary<T: Element, const OP: u8>(
+// Every step takes `VEX`: whether its body runs as compiled for AVX2
+// (`versioned`). The builders below choose it, once per link.
+
+fn step_unary<T: Element, const OP: u8, const VEX: bool>(
     _ctx: &StripCtx<'_>,
     src: &[u8],
     dst: &mut [u8],
     len: usize,
 ) {
-    unary_typed::<T>(UnaryOp::from_u8(OP), in_slice::<T>(src, len), out_slice::<T>(dst, len));
-}
-
-/// AVX2 variant column of [`step_unary`]; only reachable for `(op, T)`
-/// pairs [`simd::unary_simd_available`] admits.
-fn step_unary_simd<T: Element, const OP: u8>(
-    _ctx: &StripCtx<'_>,
-    src: &[u8],
-    dst: &mut [u8],
-    len: usize,
-) {
-    simd::unary_simd::<T>(UnaryOp::from_u8(OP), in_slice::<T>(src, len), out_slice::<T>(dst, len));
-}
-
-/// `Not` is the one unary op that changes dtype (`T` → U8).
-fn step_not<T: Element>(_ctx: &StripCtx<'_>, src: &[u8], dst: &mut [u8], len: usize) {
-    let s = in_slice::<T>(src, len);
-    let d = out_slice::<u8>(dst, len);
-    for (d, s) in d.iter_mut().zip(s) {
-        *d = u8::from(*s == T::zero());
-    }
-}
-
-fn step_cast<S: Element, D: Element>(_ctx: &StripCtx<'_>, src: &[u8], dst: &mut [u8], len: usize) {
-    cast_slice::<S, D>(in_slice::<S>(src, len), out_slice::<D>(dst, len));
-}
-
-fn step_arith<T: Element, const OP: u8>(
-    ctx: &StripCtx<'_>,
-    src: &[u8],
-    dst: &mut [u8],
-    len: usize,
-) {
-    let b = operand::<T>(ctx, len);
-    arith_col::<T, OP>(out_slice::<T>(dst, len), in_slice::<T>(src, len), b, ctx.swapped);
-}
-
-/// AVX2 variant column of [`step_arith`]; only reachable for `(op, T)`
-/// pairs [`simd::arith_simd_available`] admits.
-fn step_arith_simd<T: Element, const OP: u8>(
-    ctx: &StripCtx<'_>,
-    src: &[u8],
-    dst: &mut [u8],
-    len: usize,
-) {
-    let b = operand::<T>(ctx, len);
-    simd::arith_simd::<T>(
-        BinaryOp::from_u8(OP),
-        out_slice::<T>(dst, len),
-        in_slice::<T>(src, len),
-        b,
-        ctx.swapped,
+    let (s, d) = (in_slice::<T>(src, len), out_slice::<T>(dst, len));
+    versioned::<VEX, _>(
+        #[inline(always)]
+        || unary_typed::<T>(UnaryOp::from_u8(OP), s, d),
     );
 }
 
-fn step_pred<T: Element, const OP: u8>(ctx: &StripCtx<'_>, src: &[u8], dst: &mut [u8], len: usize) {
+/// `Not` is the one unary op that changes dtype (`T` → U8).
+fn step_not<T: Element, const VEX: bool>(
+    _ctx: &StripCtx<'_>,
+    src: &[u8],
+    dst: &mut [u8],
+    len: usize,
+) {
+    let (s, d) = (in_slice::<T>(src, len), out_slice::<u8>(dst, len));
+    versioned::<VEX, _>(
+        #[inline(always)]
+        || {
+            for (d, s) in d.iter_mut().zip(s) {
+                *d = u8::from(*s == T::zero());
+            }
+        },
+    );
+}
+
+fn step_cast<S: Element, D: Element, const VEX: bool>(
+    _ctx: &StripCtx<'_>,
+    src: &[u8],
+    dst: &mut [u8],
+    len: usize,
+) {
+    let (s, d) = (in_slice::<S>(src, len), out_slice::<D>(dst, len));
+    versioned::<VEX, _>(
+        #[inline(always)]
+        || cast_slice::<S, D>(s, d),
+    );
+}
+
+fn step_arith<T: Element, const OP: u8, const VEX: bool>(
+    ctx: &StripCtx<'_>,
+    src: &[u8],
+    dst: &mut [u8],
+    len: usize,
+) {
     let b = operand::<T>(ctx, len);
-    pred_col::<T, OP>(out_slice::<u8>(dst, len), in_slice::<T>(src, len), b, ctx.swapped);
+    arith_col_at::<T, OP, VEX>(out_slice::<T>(dst, len), in_slice::<T>(src, len), b, ctx.swapped);
+}
+
+fn step_pred<T: Element, const OP: u8, const VEX: bool>(
+    ctx: &StripCtx<'_>,
+    src: &[u8],
+    dst: &mut [u8],
+    len: usize,
+) {
+    let b = operand::<T>(ctx, len);
+    let (s, d) = (in_slice::<T>(src, len), out_slice::<u8>(dst, len));
+    versioned::<VEX, _>(
+        #[inline(always)]
+        || pred_col::<T, OP>(d, s, b, ctx.swapped),
+    );
 }
 
 // ---------------------------------------------------- step fn builders
 
 fn unary_step_fn(op: UnaryOp, dtype: DType, level: SimdLevel) -> StepFn {
-    let vex = level >= SimdLevel::Avx2
-        && SimdLevel::avx2_supported()
-        && simd::unary_simd_available(op, dtype);
+    let vex = level.vex();
     crate::dispatch!(dtype, T, {
         macro_rules! arm {
             ($v:ident) => {
-                if vex {
-                    step_unary_simd::<T, { UnaryOp::$v as u8 }>
-                } else {
-                    step_unary::<T, { UnaryOp::$v as u8 }>
-                }
+                pick!(vex, step_unary::<T, { UnaryOp::$v as u8 }>)
             };
         }
         let f: StepFn = match op {
@@ -259,33 +256,28 @@ fn unary_step_fn(op: UnaryOp, dtype: DType, level: SimdLevel) -> StepFn {
             UnaryOp::Recip => arm!(Recip),
             UnaryOp::Square => arm!(Square),
             UnaryOp::Sigmoid => arm!(Sigmoid),
-            UnaryOp::Not => step_not::<T>,
+            UnaryOp::Not => pick!(vex, step_not::<T>),
         };
         f
     })
 }
 
-fn cast_step_fn(from: DType, to: DType) -> StepFn {
+fn cast_step_fn(from: DType, to: DType, level: SimdLevel) -> StepFn {
+    let vex = level.vex();
     crate::dispatch!(from, S, {
         crate::dispatch!(to, D, {
-            let f: StepFn = step_cast::<S, D>;
+            let f: StepFn = pick!(vex, step_cast::<S, D>);
             f
         })
     })
 }
 
 fn arith_step_fn(op: BinaryOp, dtype: DType, level: SimdLevel) -> StepFn {
-    let vex = level >= SimdLevel::Avx2
-        && SimdLevel::avx2_supported()
-        && simd::arith_simd_available(op, dtype);
+    let vex = level.vex();
     crate::dispatch!(dtype, T, {
         macro_rules! arm {
             ($v:ident) => {
-                if vex {
-                    step_arith_simd::<T, { BinaryOp::$v as u8 }>
-                } else {
-                    step_arith::<T, { BinaryOp::$v as u8 }>
-                }
+                pick!(vex, step_arith::<T, { BinaryOp::$v as u8 }>)
             };
         }
         let f: StepFn = match op {
@@ -304,11 +296,12 @@ fn arith_step_fn(op: BinaryOp, dtype: DType, level: SimdLevel) -> StepFn {
     })
 }
 
-fn pred_step_fn(op: BinaryOp, dtype: DType) -> StepFn {
+fn pred_step_fn(op: BinaryOp, dtype: DType, level: SimdLevel) -> StepFn {
+    let vex = level.vex();
     crate::dispatch!(dtype, T, {
         macro_rules! arm {
             ($v:ident) => {
-                step_pred::<T, { BinaryOp::$v as u8 }>
+                pick!(vex, step_pred::<T, { BinaryOp::$v as u8 }>)
             };
         }
         let f: StepFn = match op {
@@ -338,7 +331,7 @@ impl FusedMapKernel {
     /// [`FusedMapKernel::compile`] with an explicit dispatch level — the
     /// entry point the kernel-bandwidth probe and the cross-level
     /// property tests use to compare levels within one process. All
-    /// `(op, dtype, ISA)` resolution happens here.
+    /// `(op, dtype, level)` resolution happens here.
     pub fn compile_with_level(level: SimdLevel, links: &[ChainLink]) -> FusedMapKernel {
         assert!(!links.is_empty(), "empty chain");
         let mut steps = Vec::with_capacity(links.len());
@@ -360,7 +353,7 @@ impl FusedMapKernel {
                 ChainOpSpec::Cast => {
                     assert_ne!(l.in_dtype, l.out_dtype, "identity cast in chain");
                     Step {
-                        f: cast_step_fn(l.in_dtype, l.out_dtype),
+                        f: cast_step_fn(l.in_dtype, l.out_dtype, level),
                         konst: Konst::None,
                         aux: None,
                         recycle: false,
@@ -370,7 +363,7 @@ impl FusedMapKernel {
                 ChainOpSpec::Binary { op, swapped, operand } => {
                     debug_assert_eq!(l.out_dtype, op.out_dtype(l.in_dtype));
                     let f = if op.is_predicate() {
-                        pred_step_fn(*op, l.in_dtype)
+                        pred_step_fn(*op, l.in_dtype, level)
                     } else {
                         arith_step_fn(*op, l.in_dtype, level)
                     };
@@ -612,11 +605,10 @@ mod tests {
     #[test]
     fn chain_bit_identical_across_simd_levels() {
         // The chain above compiled at every available dispatch level must
-        // agree to the bit: AVX2 element-wise kernels only exist for
-        // exactly-rounded ops.
+        // agree to the bit: the levels are two compilations of one body.
         let mut pool = BufPool::new();
         let x = f64_chunk(3000, 3);
-        let want = FusedMapKernel::compile_with_level(SimdLevel::Off, &demo_links()).run(
+        let want = FusedMapKernel::compile_with_level(SimdLevel::Scalar, &demo_links()).run(
             &x,
             &[],
             &mut pool,

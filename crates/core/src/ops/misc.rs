@@ -9,6 +9,7 @@ use crate::ops::agg::AggOp;
 /// Slice-level cast behind the map kernels' cast step: float sources
 /// round-trip through `f64`, integer sources through `i64` (R promotion
 /// semantics, exact for same-family conversions).
+#[inline(always)]
 pub(crate) fn cast_slice<S: Element, D: Element>(src: &[S], dst: &mut [D]) {
     if S::DTYPE.is_float() {
         for (d, s) in dst.iter_mut().zip(src) {

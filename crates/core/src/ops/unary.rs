@@ -31,7 +31,7 @@ pub enum UnaryOp {
 impl UnaryOp {
     /// Every variant in declaration (discriminant) order; keeps
     /// [`UnaryOp::from_u8`] in sync with `as u8` casts.
-    pub(crate) const ALL: [UnaryOp; 16] = [
+    pub const ALL: [UnaryOp; 16] = [
         UnaryOp::Neg,
         UnaryOp::Abs,
         UnaryOp::Sqrt,
@@ -112,6 +112,10 @@ impl UnaryOp {
     }
 }
 
+/// One strip of a unary op. Inlined into the monomorphic step that names
+/// `op` as a const (and into its AVX2 compilation): out of line, `op` is
+/// a run-time argument and `eval_f64` dispatches per element.
+#[inline(always)]
 pub(crate) fn unary_typed<T: Element>(op: UnaryOp, src: &[T], dst: &mut [T]) {
     match op {
         // Ops with exact native implementations stay in T.

@@ -102,7 +102,10 @@ impl CriticalPath {
             ));
         }
         if rows.len() > shown {
-            o.push_str(&format!("({} more passes omitted; sorted by wall time)\n", rows.len() - shown));
+            o.push_str(&format!(
+                "({} more passes omitted; sorted by wall time)\n",
+                rows.len() - shown
+            ));
         }
         o
     }
@@ -113,8 +116,7 @@ fn analyze_pass(p: &PassProfile, lanes: &[LaneSnapshot]) -> PassBreakdown {
     let compute = p.compute_nanos();
     let io_wait = p.io_wait_nanos();
     let write_stall = p.write_stall_nanos();
-    let idle =
-        (nworkers as u64 * p.wall_nanos).saturating_sub(compute + io_wait + write_stall);
+    let idle = (nworkers as u64 * p.wall_nanos).saturating_sub(compute + io_wait + write_stall);
 
     let window = pass_window(p.pass_id, lanes);
     let mut task_durs: Vec<u64> = Vec::new();
@@ -141,20 +143,17 @@ fn analyze_pass(p: &PassProfile, lanes: &[LaneSnapshot]) -> PassBreakdown {
         task_durs.sort_unstable();
         let median = task_durs[task_durs.len() / 2];
         let stragglers =
-            task_durs.iter().filter(|&&d| median > 0 && d > STRAGGLER_FACTOR * median).count() as u64;
+            task_durs.iter().filter(|&&d| median > 0 && d > STRAGGLER_FACTOR * median).count()
+                as u64;
         (task_durs.len() as u64, median, stragglers)
     };
 
-    let bound = [
-        ("compute", compute),
-        ("io-wait", io_wait),
-        ("write-stall", write_stall),
-        ("idle", idle),
-    ]
-    .iter()
-    .max_by_key(|(_, v)| *v)
-    .map(|(n, _)| *n)
-    .unwrap_or("compute");
+    let bound =
+        [("compute", compute), ("io-wait", io_wait), ("write-stall", write_stall), ("idle", idle)]
+            .iter()
+            .max_by_key(|(_, v)| *v)
+            .map(|(n, _)| *n)
+            .unwrap_or("compute");
 
     PassBreakdown {
         pass_id: p.pass_id,
@@ -245,7 +244,7 @@ mod tests {
             cache: CacheStatsSnapshot::default(),
             workers,
             ops: Vec::new(),
-            simd: "off",
+            simd: "scalar",
         }
     }
 

@@ -172,7 +172,7 @@ pub struct PassProfile {
     /// Per-node timings; empty below [`TraceLevel::Op`].
     pub ops: Vec<OpProfile>,
     /// SIMD dispatch level the pass's kernels were compiled at
-    /// (`"off"`, `"scalar"` or `"avx2"`).
+    /// (`"scalar"` or `"avx2"`).
     pub simd: &'static str,
 }
 

@@ -150,18 +150,18 @@ pub fn gemm_strided_level(
         return;
     }
 
-    // Big-enough problems with SIMD enabled go through the packed
-    // register-blocked micro-kernel: packing makes the inner loops
-    // stride-oblivious, so the column-major partition buffers the
-    // executor hands us are as fast as row-major ones.
-    if level >= SimdLevel::Scalar && m >= simd::MR && n >= simd::NR {
+    // Big-enough problems go through the packed register-blocked
+    // micro-kernel: packing makes the inner loops stride-oblivious, so
+    // the column-major partition buffers the executor hands us are as
+    // fast as row-major ones.
+    if m >= simd::MR && n >= simd::NR {
         simd::gemm_packed_f64(level, m, n, k, alpha, a, rsa, csa, b, rsb, csb, c, rsc, csc);
         return;
     }
 
     // Tall-and-skinny (n < NR) with column-major A and C: axpy whole A
-    // columns into C columns — contiguous streams, level-aware FMA.
-    if level >= SimdLevel::Scalar && rsa == 1 && rsc == 1 {
+    // columns into C columns — contiguous streams.
+    if rsa == 1 && rsc == 1 {
         for j in 0..n {
             let cj = j * csc;
             for kk in 0..k {
@@ -175,8 +175,8 @@ pub fn gemm_strided_level(
         return;
     }
 
-    // Reference path (and the `FLASHR_SIMD=off` behavior): contiguous C
-    // rows and contiguous B rows get a vectorizable inner loop over j.
+    // Small shapes: contiguous C rows and contiguous B rows get a
+    // vectorizable inner loop over j.
     let fast = csc == 1 && csb == 1;
     let mut k0 = 0;
     while k0 < k {

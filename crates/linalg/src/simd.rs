@@ -1,40 +1,43 @@
-//! Runtime-dispatched SIMD micro-kernels for dense f64 math.
+//! The SIMD dispatch level and the one way a kernel gets compiled for it.
 //!
-//! This is the lowest layer of the SIMD kernel stack: the dispatch
-//! *level* ([`SimdLevel`], selected once per process from `FLASHR_SIMD`
-//! and CPU feature detection) plus the f64 micro-kernels the linalg
-//! crate and the FlashR executor share — a multi-accumulator FMA dot
-//! product, a fused-multiply-add axpy, and a register-blocked packed
-//! GEMM micro-kernel (4×8 f64 tile, eight `__m256d` accumulators).
+//! A kernel in this workspace is written once, as a portable loop over
+//! fixed-width lane blocks that LLVM vectorizes. [`SimdLevel`] — chosen
+//! once per process from `FLASHR_SIMD` and the CPU — says which
+//! *compilation* of that loop runs: the baseline x86-64 one (`Scalar`,
+//! SSE2 registers) or a second one with AVX2 and FMA enabled (`Avx2`).
+//! [`as_avx2`] is the whole mechanism: a `#[target_feature(enable =
+//! "avx2,fma")]` function the body it is given inlines into, reached
+//! through [`at_level`] (which checks the CPU per call) or through a
+//! function pointer resolved after that check. Nothing else in the
+//! workspace names an ISA, with two measured exceptions below.
 //!
 //! Numerics policy (documented once, relied on everywhere):
 //!
-//! * `Off` reproduces the pre-SIMD serial loops bit-for-bit — the
-//!   reference behavior for A/B and regression hunting.
-//! * `Scalar` uses fixed-width lane blocks written to autovectorize on
-//!   any target. Reductions carry eight independent f64 lane partials
-//!   (folded in a fixed sequential order), so results are *deterministic
-//!   per level* but differ from `Off` by reassociation.
-//! * `Avx2` uses explicit `std::arch` AVX2+FMA paths. Element-wise
-//!   kernels only use exactly-rounded instructions and are therefore
-//!   bit-identical to the scalar loops; dot/gemm use FMA and multiple
-//!   accumulators, which changes rounding within a documented ULP bound
-//!   (see the property tests in `flashr-core/tests/simd_levels.rs`).
+//! * Element-wise kernels, the lane folds behind `sum`/`min`/`max` and
+//!   the dot product are the same Rust at both levels. Rust never
+//!   contracts `a * b + c` into a fused multiply-add on its own, so the
+//!   two compilations produce the same bits.
+//! * Reductions carry eight independent `f64` lane partials folded in a
+//!   fixed order: deterministic, and within `n·ε·Σ|x|` of a strict
+//!   left-to-right fold.
+//! * The packed gemm micro-kernel and axpy are the exception. At `Avx2`
+//!   they are hand-written FMA bodies (`avx2::mk_4x8`, a 4×8 register
+//!   tile, and `avx2::axpy`), so `%*%` and `syrk` differ between the
+//!   levels within that same bound.
 //!
 //! Every kernel takes the level as an explicit argument so tests and
 //! benches can compare levels inside one process; production call sites
-//! resolve [`SimdLevel::active`] once at kernel-compile time.
+//! read [`SimdLevel::active`].
 
 use std::sync::OnceLock;
 
-/// SIMD dispatch level for the compute kernels.
+/// Which compilation of the portable kernels runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
-    /// Historic serial loops; the bit-exact reference.
-    Off = 0,
-    /// Portable fixed-width lane kernels (autovectorized).
+    /// The baseline compilation: whatever every x86-64 has (SSE2).
     Scalar = 1,
-    /// Explicit AVX2+FMA intrinsics.
+    /// The same kernels compiled with AVX2+FMA enabled, and the
+    /// hand-written gemm and axpy micro-kernels.
     Avx2 = 2,
 }
 
@@ -43,7 +46,6 @@ impl SimdLevel {
     /// `host` section, and Prometheus labels.
     pub fn name(self) -> &'static str {
         match self {
-            SimdLevel::Off => "off",
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
         }
@@ -61,90 +63,98 @@ impl SimdLevel {
         }
     }
 
-    /// Best level this host supports.
-    pub fn detect() -> SimdLevel {
-        if SimdLevel::avx2_supported() {
-            SimdLevel::Avx2
-        } else {
-            SimdLevel::Scalar
-        }
+    /// Whether a kernel at this level runs its AVX2+FMA compilation on
+    /// this host — the one test every resolver and [`at_level`] make.
+    pub fn vex(self) -> bool {
+        self == SimdLevel::Avx2 && SimdLevel::avx2_supported()
     }
 
     /// Every level runnable on this host, lowest first.
     pub fn available() -> Vec<SimdLevel> {
-        let mut v = vec![SimdLevel::Off, SimdLevel::Scalar];
+        let mut v = vec![SimdLevel::Scalar];
         if SimdLevel::avx2_supported() {
             v.push(SimdLevel::Avx2);
         }
         v
     }
 
-    /// Resolve `FLASHR_SIMD` (`off|scalar|avx2|auto`; unset = `auto`).
-    /// Forcing `avx2` on a host without it warns once and falls back to
+    /// The level a `FLASHR_SIMD` value (`scalar|avx2|auto`; unset =
+    /// `auto`) selects on a host that has (`avx2`) or lacks AVX2+FMA.
+    /// `off`, `none` and `0` — the retired third level — mean `scalar`.
+    /// Forcing `avx2` on a host without it warns and falls back to
     /// `scalar` rather than executing illegal instructions.
-    pub fn from_env() -> SimdLevel {
-        match std::env::var("FLASHR_SIMD") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "off" | "none" | "0" => SimdLevel::Off,
-                "scalar" => SimdLevel::Scalar,
-                "avx2" => {
-                    if SimdLevel::avx2_supported() {
-                        SimdLevel::Avx2
-                    } else {
-                        eprintln!(
-                            "flashr: FLASHR_SIMD=avx2 requested but the CPU lacks avx2+fma; \
-                             falling back to scalar"
-                        );
-                        SimdLevel::Scalar
-                    }
+    fn parse(value: Option<&str>, avx2: bool) -> SimdLevel {
+        let detected = if avx2 { SimdLevel::Avx2 } else { SimdLevel::Scalar };
+        match value.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
+            None | Some("auto" | "") => detected,
+            Some("scalar" | "off" | "none" | "0") => SimdLevel::Scalar,
+            Some("avx2") => {
+                if !avx2 {
+                    eprintln!(
+                        "flashr: FLASHR_SIMD=avx2 requested but the CPU lacks avx2+fma; \
+                         falling back to scalar"
+                    );
                 }
-                "auto" | "" => SimdLevel::detect(),
-                other => {
-                    eprintln!("flashr: unknown FLASHR_SIMD value {other:?}; using auto");
-                    SimdLevel::detect()
-                }
-            },
-            Err(_) => SimdLevel::detect(),
+                detected
+            }
+            Some(other) => {
+                eprintln!("flashr: unknown FLASHR_SIMD value {other:?}; using auto");
+                detected
+            }
         }
     }
 
-    /// Process-wide level, resolved once on first use.
+    /// Process-wide level, resolved from `FLASHR_SIMD` once on first use.
     pub fn active() -> SimdLevel {
         static ACTIVE: OnceLock<SimdLevel> = OnceLock::new();
-        *ACTIVE.get_or_init(SimdLevel::from_env)
+        *ACTIVE.get_or_init(|| {
+            let value = std::env::var("FLASHR_SIMD").ok();
+            SimdLevel::parse(value.as_deref(), SimdLevel::avx2_supported())
+        })
+    }
+}
+
+/// Run `body` as compiled with AVX2 and FMA enabled.
+///
+/// `body` is a closure around an `#[inline(always)]` portable kernel:
+/// inlined here, LLVM vectorizes the very same loop over `ymm`
+/// registers. Mark the closure `#[inline(always)]` too — a body left out
+/// of line is compiled for the baseline whatever calls it.
+///
+/// # Safety
+/// The CPU must have avx2 and fma: call only after
+/// [`SimdLevel::avx2_supported`] (or [`SimdLevel::vex`]) returned true.
+#[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), target_feature(enable = "avx2,fma"))]
+pub unsafe fn as_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
+/// Run `body` as compiled for `level`: through [`as_avx2`] at `Avx2` on
+/// a CPU that has it, inlined into the caller otherwise.
+#[inline(always)]
+pub fn at_level<R>(level: SimdLevel, body: impl FnOnce() -> R) -> R {
+    if level.vex() {
+        // SAFETY: `vex()` on the line above saw `SimdLevel::avx2_supported()`.
+        unsafe { as_avx2(body) }
+    } else {
+        body()
     }
 }
 
 // ------------------------------------------------------------------ dot
 
-/// `sum_i a[i] * b[i]` over `min(len)` elements.
-///
-/// `Off` is the serial fold the Gramian sink historically used; `Scalar`
-/// breaks the FP-add dependency chain with 8 lane partials; `Avx2` runs
-/// four independent FMA accumulators (16 elements in flight).
+/// `sum_i a[i] * b[i]` over `min(len)` elements: eight lane partials
+/// break the FP-add dependency chain, folded in a fixed order.
 pub fn dot_f64(level: SimdLevel, a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    match level {
-        SimdLevel::Off => {
-            let mut s = 0.0;
-            for (x, y) in a.iter().zip(b) {
-                s += x * y;
-            }
-            s
-        }
-        SimdLevel::Scalar => dot_lanes(a, b),
-        SimdLevel::Avx2 => {
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            if SimdLevel::avx2_supported() {
-                // SAFETY: avx2+fma presence checked above.
-                return unsafe { avx2::dot(a, b) };
-            }
-            dot_lanes(a, b)
-        }
-    }
+    at_level(
+        level,
+        #[inline(always)]
+        || dot_lanes(&a[..n], &b[..n]),
+    )
 }
 
+#[inline(always)]
 fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 8];
     let mut ca = a.chunks_exact(8);
@@ -166,18 +176,17 @@ fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
 
 // ----------------------------------------------------------------- axpy
 
-/// `dst[i] += alpha * src[i]`. Element-wise (no reassociation): `Off`
-/// and `Scalar` are bit-identical; `Avx2` fuses the multiply-add.
+/// `dst[i] += alpha * src[i]`, element-wise: two roundings at `Scalar`,
+/// one (a fused multiply-add, `avx2::axpy`) at `Avx2`.
 pub fn axpy_f64(level: SimdLevel, dst: &mut [f64], src: &[f64], alpha: f64) {
     let n = dst.len().min(src.len());
     let (dst, src) = (&mut dst[..n], &src[..n]);
-    if level == SimdLevel::Avx2 {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if SimdLevel::avx2_supported() {
-            // SAFETY: avx2+fma presence checked above.
-            unsafe { avx2::axpy(dst, src, alpha) };
-            return;
-        }
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if level.vex() {
+        // SAFETY: `vex()` on the line above saw `SimdLevel::avx2_supported()`;
+        // both slices are `n` long.
+        unsafe { avx2::axpy(dst, src, alpha) };
+        return;
     }
     for (d, s) in dst.iter_mut().zip(src) {
         *d += alpha * s;
@@ -228,7 +237,7 @@ pub fn gemm_packed_f64(
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
     }
-    let use_avx2 = level == SimdLevel::Avx2 && SimdLevel::avx2_supported();
+    let use_avx2 = level.vex();
     PACK.with(|p| {
         let (apack, bpack) = &mut *p.borrow_mut();
         apack.resize(MC * KC, 0.0);
@@ -247,11 +256,8 @@ pub fn gemm_packed_f64(
                     for kk in 0..kc {
                         for jj in 0..NR {
                             let j = j0 + jb * NR + jj;
-                            panel[kk * NR + jj] = if j < j0 + nc {
-                                b[(k0 + kk) * rsb + j * csb]
-                            } else {
-                                0.0
-                            };
+                            panel[kk * NR + jj] =
+                                if j < j0 + nc { b[(k0 + kk) * rsb + j * csb] } else { 0.0 };
                         }
                     }
                 }
@@ -265,11 +271,8 @@ pub fn gemm_packed_f64(
                         for kk in 0..kc {
                             for ii in 0..MR {
                                 let i = i0 + ib * MR + ii;
-                                panel[kk * MR + ii] = if i < i0 + mc {
-                                    a[i * rsa + (k0 + kk) * csa]
-                                } else {
-                                    0.0
-                                };
+                                panel[kk * MR + ii] =
+                                    if i < i0 + mc { a[i * rsa + (k0 + kk) * csa] } else { 0.0 };
                             }
                         }
                     }
@@ -282,9 +285,11 @@ pub fn gemm_packed_f64(
                             let coff = (i0 + ib * MR) * rsc + (j0 + jb * NR) * csc;
                             if use_avx2 {
                                 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                                // SAFETY: avx2+fma checked when computing
-                                // `use_avx2`; coff + strides stay inside
-                                // `c` for the real (mr, nr) tile.
+                                // SAFETY: `use_avx2` is `level.vex()`, which
+                                // checked `SimdLevel::avx2_supported()`; the
+                                // packed panels hold `kc` full-width steps and
+                                // coff + strides stay inside `c` for the real
+                                // (mr, nr) tile.
                                 unsafe {
                                     avx2::mk_4x8(
                                         kc,
@@ -313,8 +318,7 @@ pub fn gemm_packed_f64(
 }
 
 /// Portable micro-kernel: same `MR`×`NR` accumulator tile as the AVX2
-/// path, plain mul+add (autovectorizes; no FMA so `Scalar` rounding is
-/// independent of FMA availability).
+/// one, plain mul+add.
 #[allow(clippy::too_many_arguments)]
 #[allow(clippy::needless_range_loop)]
 fn mk_4x8_lanes(
@@ -346,8 +350,16 @@ fn mk_4x8_lanes(
     }
 }
 
-// --------------------------------------------------------- avx2 kernels
+// ------------------------------------------- the hand-written exception
 
+// The only `std::arch` in the workspace: the two kernels where a
+// measurement says the hand-written body pays. On a 256³ product
+// `mk_4x8_lanes` compiled under `avx2,fma` reaches 9–13 GFLOP/s as
+// written and 7.6–7.7 with `f64::mul_add` (LLVM emits 32 scalar
+// `vfmadd231sd` per k-step and spills the accumulators), against 18–26
+// for `mk_4x8`; the plain axpy loop compiled the same way runs `syrk` on
+// a 16 384×40 panel at 0.82× of `axpy` (7.5 against 9.1 GFLOP/s, medians
+// of ten alternating runs, lower in every one).
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
     #[cfg(target_arch = "x86")]
@@ -355,51 +367,10 @@ mod avx2 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// Four independent FMA accumulators; fixed combine order so the
-    /// result is deterministic for a given length.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len();
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 16 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 4)),
-                _mm256_loadu_pd(bp.add(i + 4)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 8)),
-                _mm256_loadu_pd(bp.add(i + 8)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 12)),
-                _mm256_loadu_pd(bp.add(i + 12)),
-                acc3,
-            );
-            i += 16;
-        }
-        while i + 4 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), acc0);
-            i += 4;
-        }
-        let acc = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-        let mut t = [0.0f64; 4];
-        _mm256_storeu_pd(t.as_mut_ptr(), acc);
-        let mut s = ((t[0] + t[1]) + t[2]) + t[3];
-        while i < n {
-            s += *ap.add(i) * *bp.add(i);
-            i += 1;
-        }
-        s
-    }
-
+    /// `dst[i] = fma(alpha, src[i], dst[i])`.
+    ///
+    /// # Safety
+    /// The CPU has avx2 and fma; `src` is at least as long as `dst`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn axpy(dst: &mut [f64], src: &[f64], alpha: f64) {
         let n = dst.len();
@@ -408,11 +379,8 @@ mod avx2 {
         let mut i = 0;
         while i + 8 <= n {
             let d0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(sp.add(i)), _mm256_loadu_pd(dp.add(i)));
-            let d1 = _mm256_fmadd_pd(
-                va,
-                _mm256_loadu_pd(sp.add(i + 4)),
-                _mm256_loadu_pd(dp.add(i + 4)),
-            );
+            let d1 =
+                _mm256_fmadd_pd(va, _mm256_loadu_pd(sp.add(i + 4)), _mm256_loadu_pd(dp.add(i + 4)));
             _mm256_storeu_pd(dp.add(i), d0);
             _mm256_storeu_pd(dp.add(i + 4), d1);
             i += 8;
@@ -433,6 +401,11 @@ mod avx2 {
     /// `MR` A values per k, `bp` holds `NR` B values per k, both
     /// zero-padded so the kernel is always full-width; the writeback
     /// masks to the real `(mr, nr)` tile.
+    ///
+    /// # Safety
+    /// The CPU has avx2 and fma; `ap` and `bp` point at `kc` steps of 4
+    /// and 8 values; `c + i * rsc + j * csc` is in bounds for every
+    /// `i < mr`, `j < nr`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn mk_4x8(
@@ -479,45 +452,70 @@ mod tests {
 
     #[test]
     fn level_names_and_order() {
-        assert_eq!(SimdLevel::Off.name(), "off");
         assert_eq!(SimdLevel::Scalar.name(), "scalar");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
-        assert!(SimdLevel::Off < SimdLevel::Scalar && SimdLevel::Scalar < SimdLevel::Avx2);
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2);
         let avail = SimdLevel::available();
-        assert!(avail.contains(&SimdLevel::Off) && avail.contains(&SimdLevel::Scalar));
+        assert_eq!(avail[0], SimdLevel::Scalar);
         assert_eq!(avail.contains(&SimdLevel::Avx2), SimdLevel::avx2_supported());
+        assert_eq!(SimdLevel::Avx2.vex(), SimdLevel::avx2_supported());
+        assert!(!SimdLevel::Scalar.vex());
+    }
+
+    #[test]
+    fn flashr_simd_values_parse() {
+        use SimdLevel::{Avx2, Scalar};
+        // (value, level on a host with AVX2+FMA, level on one without)
+        let table = [
+            (None, Avx2, Scalar),
+            (Some("auto"), Avx2, Scalar),
+            (Some(""), Avx2, Scalar),
+            (Some("  AUTO "), Avx2, Scalar),
+            (Some("scalar"), Scalar, Scalar),
+            (Some("Scalar\n"), Scalar, Scalar),
+            // The retired third level asked for less, never for more.
+            (Some("off"), Scalar, Scalar),
+            (Some("none"), Scalar, Scalar),
+            (Some("0"), Scalar, Scalar),
+            // Forced AVX2 falls back (with a note) where it cannot run.
+            (Some("avx2"), Avx2, Scalar),
+            // Garbage is `auto` (with a note).
+            (Some("sse9"), Avx2, Scalar),
+            (Some("1"), Avx2, Scalar),
+        ];
+        for (value, with, without) in table {
+            assert_eq!(SimdLevel::parse(value, true), with, "{value:?} with avx2");
+            assert_eq!(SimdLevel::parse(value, false), without, "{value:?} without avx2");
+        }
     }
 
     #[test]
     fn dot_matches_serial_within_bound() {
         // Reassociation bound: |Δ| ≤ n · ε · Σ|aᵢbᵢ| (conservative; see
-        // the numerics policy in the module docs).
+        // the numerics policy in the module docs). The levels share one
+        // body, so between themselves they agree to the bit.
         for n in [0usize, 1, 3, 7, 8, 15, 16, 17, 63, 64, 1000, 4097] {
             let a = pseudo(n, 3);
             let b = pseudo(n, 5);
-            let want = dot_f64(SimdLevel::Off, &a, &b);
+            let want = a.iter().zip(&b).fold(0.0, |s, (x, y)| s + x * y);
             let mag: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
             let bound = (n.max(1) as f64) * f64::EPSILON * mag + f64::MIN_POSITIVE;
-            for lvl in SimdLevel::available() {
-                let got = dot_f64(lvl, &a, &b);
-                assert!(
-                    (got - want).abs() <= bound,
-                    "n={n} level={} got={got} want={want}",
-                    lvl.name()
-                );
-            }
+            let scalar = dot_f64(SimdLevel::Scalar, &a, &b);
+            assert!((scalar - want).abs() <= bound, "n={n} got={scalar} want={want}");
+            let avx2 = dot_f64(SimdLevel::Avx2, &a, &b);
+            assert_eq!(avx2.to_bits(), scalar.to_bits(), "n={n}");
         }
     }
 
     #[test]
-    fn axpy_off_and_scalar_bit_identical() {
+    fn axpy_scalar_is_the_unfused_loop() {
+        let alpha = 1.37;
         let src = pseudo(1001, 7);
-        let mut d0 = pseudo(1001, 9);
-        let mut d1 = d0.clone();
-        axpy_f64(SimdLevel::Off, &mut d0, &src, 1.37);
-        axpy_f64(SimdLevel::Scalar, &mut d1, &src, 1.37);
-        for (x, y) in d0.iter().zip(&d1) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        let orig = pseudo(1001, 9);
+        let mut d = orig.clone();
+        axpy_f64(SimdLevel::Scalar, &mut d, &src, alpha);
+        for i in 0..src.len() {
+            assert_eq!(d[i].to_bits(), (orig[i] + alpha * src[i]).to_bits(), "i={i}");
         }
     }
 
@@ -531,7 +529,7 @@ mod tests {
         let orig = pseudo(517, 13);
         let mut d0 = orig.clone();
         let mut d1 = orig.clone();
-        axpy_f64(SimdLevel::Off, &mut d0, &src, alpha);
+        axpy_f64(SimdLevel::Scalar, &mut d0, &src, alpha);
         axpy_f64(SimdLevel::Avx2, &mut d1, &src, alpha);
         for i in 0..src.len() {
             // One fused rounding vs two: the absolute gap is bounded by a
@@ -540,12 +538,7 @@ mod tests {
             // `d ≈ -alpha*s` cancellation shrinks the result, not the gap.)
             let p = (alpha * src[i]).abs();
             let bound = f64::EPSILON * (p + d0[i].abs()) + f64::MIN_POSITIVE;
-            assert!(
-                (d0[i] - d1[i]).abs() <= bound,
-                "i={i} x={} y={}",
-                d0[i],
-                d1[i]
-            );
+            assert!((d0[i] - d1[i]).abs() <= bound, "i={i} x={} y={}", d0[i], d1[i]);
         }
     }
 
@@ -574,9 +567,6 @@ mod tests {
             }
             let mag: f64 = a.iter().map(|x| x.abs()).sum::<f64>().max(1.0);
             for lvl in SimdLevel::available() {
-                if lvl == SimdLevel::Off {
-                    continue; // packed path is only entered at >= Scalar
-                }
                 let mut c = vec![0.0f64; m * n];
                 gemm_packed_f64(lvl, m, n, k, 1.0, &a, k, 1, &b, n, 1, &mut c, n, 1);
                 for (got, w) in c.iter().zip(&want) {
@@ -595,12 +585,13 @@ mod tests {
         let (m, n, k) = (10usize, 11usize, 6usize);
         let a = pseudo(m * k, 31); // row-major m×k
         let b = pseudo(k * n, 32); // row-major k×n
-        for lvl in SimdLevel::available().into_iter().filter(|&l| l != SimdLevel::Off) {
+        for lvl in SimdLevel::available() {
             let mut c = vec![0.0f64; m * n]; // column-major: (i,j) at j*m+i
             gemm_packed_f64(lvl, m, n, k, 2.0, &a, k, 1, &b, n, 1, &mut c, 1, m);
             for i in 0..m {
                 for j in 0..n {
-                    let want: f64 = 2.0 * (0..k).map(|kk| a[i * k + kk] * b[kk * n + j]).sum::<f64>();
+                    let want: f64 =
+                        2.0 * (0..k).map(|kk| a[i * k + kk] * b[kk * n + j]).sum::<f64>();
                     assert!((c[j * m + i] - want).abs() < 1e-12, "({i},{j}) level={}", lvl.name());
                 }
             }

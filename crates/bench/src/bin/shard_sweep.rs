@@ -89,8 +89,17 @@ fn run_cell(
         read_bytes: io.read_bytes,
         per_shard,
     };
+    // What the throttled array is configured to deliver: the fraction
+    // says how much of it a scan through the executor reaches.
+    let device = match backend {
+        BackendKind::Sim => {
+            let configured = shards as f64 * ThrottleCfg::sata_ssd().bytes_per_sec;
+            format!("{:.2} of device   ", cell.read_gbps * 1e9 / configured)
+        }
+        BackendKind::Direct => String::new(),
+    };
     println!(
-        "  {:6} x{}  {:>7.3}s  {:>7.2} GB/s read   {}",
+        "  {:6} x{}  {:>7.3}s  {:>7.2} GB/s read   {device}{}",
         backend.as_str(),
         shards,
         secs,
@@ -200,8 +209,7 @@ fn main() {
     // The acceptance shape: with per-device throttling, more shards must
     // mean more aggregate bandwidth. Printed here; gated in CI by
     // `scripts/check_shard_sweep` against the JSON artifact.
-    let sim: Vec<&Cell> =
-        cells.iter().filter(|c| c.backend == BackendKind::Sim).collect();
+    let sim: Vec<&Cell> = cells.iter().filter(|c| c.backend == BackendKind::Sim).collect();
     for w in sim.windows(2) {
         let (a, b) = (w[0], w[1]);
         let ok = b.read_gbps > a.read_gbps;
@@ -217,18 +225,10 @@ fn main() {
 
     let last = &kept.last().expect("sim cells kept").1;
     print_critical_path("shard_sweep", &last.profile_report());
-    let sections = [
-        ("sweep", sweep_section(&cells)),
-        ("host", host_section_json(last)),
-    ];
+    let sections = [("sweep", sweep_section(&cells)), ("host", host_section_json(last))];
     save_bench_artifact(
         "shard_sweep",
-        &bench_artifact_json_sections(
-            "shard_sweep",
-            &stages,
-            &last.profile_report(),
-            &sections,
-        ),
+        &bench_artifact_json_sections("shard_sweep", &stages, &last.profile_report(), &sections),
     );
     report.print_raw();
     report.save_json("shard_sweep");
@@ -238,8 +238,7 @@ fn main() {
     if let Some(path) = &trace_out {
         std::env::set_var("FLASHR_TRACE_OUT", path);
     }
-    let parts: Vec<(&str, &FlashCtx)> =
-        kept.iter().map(|(l, c)| (l.as_str(), c)).collect();
+    let parts: Vec<(&str, &FlashCtx)> = kept.iter().map(|(l, c)| (l.as_str(), c)).collect();
     maybe_export_trace(&parts);
     maybe_dump_flight(last);
 }

@@ -1,12 +1,21 @@
 //! The fused single-pass engine (paper §3.5).
 //!
 //! One parallel pass over the I/O partitions materializes every target in
-//! the DAG: worker threads claim partitions (sequentially, in batches that
-//! mirror the SAFS block size), prefetch external-memory leaves
-//! asynchronously, stream Pcache chunks depth-first through the operation
-//! graph with per-chunk memoization and buffer recycling, fold sink
-//! accumulators thread-locally, and write tall outputs back as whole
-//! partitions.
+//! the DAG: worker threads claim partitions sequentially, one at a time,
+//! from a claim cursor whose shared read-ahead frontier
+//! ([`ReadAhead`]) already has the next partitions' leaf reads in flight,
+//! stream Pcache chunks depth-first through the operation graph with
+//! per-chunk memoization and buffer recycling, fold sink accumulators
+//! per partition, and write tall outputs back as whole partitions.
+//!
+//! Claiming and reading ahead are separate. Every claim, by whichever
+//! worker, tops its cursor's frontier up to `workers × (dispatch_batch −
+//! 1)` issued partitions beyond the one claimed, so the device queue
+//! never drains at a seam between batches, no worker owns partitions it
+//! is not computing, and the leaf-partition sets held by a pass — one in
+//! compute per worker plus the frontiers — never exceed `nthreads ×
+//! dispatch_batch`. In-memory leaves take the same path: their fetch is
+//! a ready clone.
 
 use crate::analysis::chains::CompiledChain;
 use crate::chunk::{BufPool, Chunk};
@@ -14,7 +23,7 @@ use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::exec::cumcoord::CumCoord;
 use crate::exec::plan::Plan;
 use crate::exec::{SinkAcc, Target, TargetResult};
-use crate::mat::{Layout, PartFetch, TasMat};
+use crate::mat::{Layout, PartFetch, ReadAhead, TasMat};
 use crate::ops;
 use crate::part::pcache_ranges;
 use crate::session::{FlashCtx, StorageClass};
@@ -23,9 +32,10 @@ use crate::trace::{Lane, OpProfile, PassProfile, Timeline, TraceLevel, WorkerPro
 use flashr_safs::sync::Mutex;
 use flashr_safs::{IoBuf, IoTicket, SafsFile, NO_ARGS};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::iter::StepBy;
+use std::ops::Range;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,17 +70,24 @@ struct PassAgg {
     trace_ops: bool,
 }
 
+/// The fetches of one partition of every plan leaf, in `Plan::leaves`
+/// order.
+type LeafFetches = Vec<PartFetch>;
+
+/// One claim cursor: the partitions it dispatches, in order, behind
+/// their shared read-ahead frontier.
+type Cursor = Mutex<ReadAhead<StepBy<Range<u64>>, LeafFetches>>;
+
 /// Everything the worker threads share.
 struct Shared<'a> {
     ctx: &'a FlashCtx,
     plan: &'a Plan,
     talls: &'a [TallState],
     cums: &'a HashMap<u64, CumCoord>,
-    node_cursors: Vec<AtomicU64>,
-    global_cursor: AtomicU64,
-    use_affinity: bool,
-    nnodes: usize,
-    batch: u64,
+    /// One cursor per NUMA node class under affine claiming (cursor `c`
+    /// dispatches partitions `c, c + nnodes, …`), else a single one over
+    /// every partition.
+    cursors: Vec<Cursor>,
     /// Per-partition sink partials, folded in partition order at
     /// finalize so reductions are bit-deterministic regardless of which
     /// worker claimed which partition (thread-finish order is not).
@@ -151,20 +168,30 @@ pub(crate) fn run_labeled(
     // need globally sequential dispatch.
     let use_affinity = plan.cum_nodes.is_empty() && nthreads >= nnodes && nnodes > 1;
 
-    let any_em =
-        plan.leaves.iter().any(|(_, m)| m.is_em()) || tall_states.iter().any(|t| t.file.is_some());
-    let batch = if any_em { ctx.safs().map(|s| s.dispatch_batch()).unwrap_or(4) as u64 } else { 2 };
+    // Read-ahead depth: each worker brings `dispatch_batch − 1` issued
+    // partitions to its home cursor's frontier, which with the one it
+    // computes bounds the pass at `nthreads × dispatch_batch` partition
+    // sets. Nothing is read ahead of an all-in-memory pass.
+    let ahead = match ctx.safs() {
+        Some(safs) if plan.leaves.iter().any(|(_, m)| m.is_em()) => {
+            safs.dispatch_batch().saturating_sub(1)
+        }
+        _ => 0,
+    };
+    let ncursors = if use_affinity { nnodes } else { 1 };
+    let cursors = (0..ncursors)
+        .map(|c| {
+            let homed = (0..nthreads).filter(|tid| tid % ncursors == c).count();
+            Mutex::new(ReadAhead::new((c as u64..nparts).step_by(ncursors), homed * ahead))
+        })
+        .collect();
 
     let shared = Shared {
         ctx,
         plan: &plan,
         talls: &tall_states,
         cums: &cums,
-        node_cursors: (0..nnodes).map(|_| AtomicU64::new(0)).collect(),
-        global_cursor: AtomicU64::new(0),
-        use_affinity,
-        nnodes,
-        batch,
+        cursors,
         merged: Mutex::new((0..plan.nparts as usize).map(|_| None).collect()),
         trace: agg.as_ref(),
         log: tracer.log(),
@@ -299,33 +326,33 @@ pub(crate) fn run_labeled(
     results.into_iter().map(|r| r.expect("target produced no result")).collect()
 }
 
-/// Claim the next batch of partitions. Returns the partitions and whether
-/// they came from the worker's own NUMA node.
-fn claim(shared: &Shared<'_>, my_node: usize) -> (Vec<u64>, bool) {
-    let nparts = shared.plan.nparts;
-    if shared.use_affinity {
-        for offset in 0..shared.nnodes {
-            let node = (my_node + offset) % shared.nnodes;
-            let k0 = shared.node_cursors[node].fetch_add(shared.batch, Ordering::Relaxed);
-            let parts: Vec<u64> = (k0..k0 + shared.batch)
-                .map(|k| node as u64 + k * shared.nnodes as u64)
-                .filter(|&p| p < nparts)
-                .collect();
-            if !parts.is_empty() {
-                return (parts, offset == 0);
-            }
-        }
-        (Vec::new(), true)
-    } else {
-        let p0 = shared.global_cursor.fetch_add(shared.batch, Ordering::Relaxed);
-        ((p0..p0 + shared.batch).filter(|&p| p < nparts).collect(), true)
-    }
+/// Claim the next partition — from the worker's own NUMA node's cursor
+/// while it has any, then from the others' — together with its leaf
+/// fetches, topping that cursor's frontier up under its lock. The flag
+/// says whether the partition came from the worker's own node.
+fn claim(shared: &Shared<'_>, my_node: usize) -> Option<(u64, LeafFetches, bool)> {
+    let leaves = &shared.plan.leaves;
+    let ncursors = shared.cursors.len();
+    (0..ncursors).find_map(|offset| {
+        let cursor = &shared.cursors[(my_node + offset) % ncursors];
+        let (part, fetches) = cursor.lock().claim(|part| {
+            leaves
+                .iter()
+                .map(|(nid, mat)| {
+                    mat.try_fetch_part(part).unwrap_or_else(|e| {
+                        panic!("read submit for partition {part} of leaf n{nid} failed: {e}")
+                    })
+                })
+                .collect()
+        })?;
+        Some((part, fetches, offset == 0))
+    })
 }
 
 fn worker(tid: usize, shared: &Shared<'_>) {
-    let my_node = tid % shared.nnodes;
+    let my_node = tid % shared.cursors.len();
     let mut pool = BufPool::new();
-    let mut pending_writes: Vec<IoTicket> = Vec::new();
+    let mut pending_writes: VecDeque<IoTicket> = VecDeque::new();
     let max_pending = shared.ctx.cfg().max_pending_writes.max(1);
     let stats = shared.ctx.stats();
     // `wp` is None unless the tracer is at `pass` level; the time
@@ -337,103 +364,88 @@ fn worker(tid: usize, shared: &Shared<'_>) {
     let lane = shared.log.lane();
     let lane = lane.as_ref();
 
-    loop {
-        let (parts, local) = claim(shared, my_node);
-        if parts.is_empty() {
-            break;
-        }
+    while let Some((part, fetches, local)) = claim(shared, my_node) {
         if local {
-            stats.local_parts.add(parts.len() as u64);
+            stats.local_parts.add(1);
         } else {
-            stats.remote_parts.add(parts.len() as u64);
+            stats.remote_parts.add(1);
         }
         if let Some(wp) = wp.as_mut() {
-            wp.parts += parts.len() as u64;
+            wp.parts += 1;
             if local {
-                wp.local_parts += parts.len() as u64;
+                wp.local_parts += 1;
             } else {
-                wp.remote_parts += parts.len() as u64;
+                wp.remote_parts += 1;
             }
         }
 
-        // Prefetch EM leaves for the whole batch (async, overlaps compute).
-        let mut fetches: Vec<HashMap<u64, PartFetch>> = parts
+        let task_args = [("part", part), ("pass", shared.pass_id)];
+        let task_begin_ns = lane.open("exec", "task", task_args);
+        // Bound the in-flight writes: wait for the *oldest* ticket
+        // only, so the remaining slots keep streaming instead of
+        // stalling the worker behind every outstanding write.
+        if pending_writes.len() >= max_pending {
+            let ws_t0 = Instant::now();
+            lane.begin("exec", "write-stall", NO_ARGS);
+            while pending_writes.len() >= max_pending {
+                let oldest = pending_writes.pop_front().expect("checked non-empty");
+                oldest.wait().expect("EM output write failed");
+            }
+            lane.end("exec", "write-stall");
+            let nanos = ws_t0.elapsed().as_nanos() as u64;
+            stats.write_stall_nanos.add(nanos);
+            if let Some(wp) = wp.as_mut() {
+                wp.write_stall_nanos += nanos;
+            }
+        }
+        let io_t0 = Instant::now();
+        lane.begin("exec", "io-wait", NO_ARGS);
+        let leaf_bufs: HashMap<u64, Arc<IoBuf>> = shared
+            .plan
+            .leaves
             .iter()
-            .map(|&part| {
-                shared
-                    .plan
-                    .leaves
-                    .iter()
-                    .filter(|(_, m)| m.is_em())
-                    .map(|(nid, m)| (*nid, m.fetch_part(part)))
-                    .collect()
+            .zip(fetches)
+            .map(|((nid, _), fetch)| {
+                let buf = fetch.try_wait().unwrap_or_else(|e| {
+                    panic!("read of partition {part} of leaf n{nid} failed: {e}")
+                });
+                (*nid, buf)
             })
             .collect();
-
-        for (idx, &part) in parts.iter().enumerate() {
-            let task_args = [("part", part), ("pass", shared.pass_id)];
-            let task_begin_ns = lane.open("exec", "task", task_args);
-            // Bound the in-flight writes: wait for the *oldest* ticket
-            // only, so the remaining slots keep streaming instead of
-            // stalling the worker behind every outstanding write.
-            if pending_writes.len() >= max_pending {
-                let ws_t0 = Instant::now();
-                lane.begin("exec", "write-stall", NO_ARGS);
-                while pending_writes.len() >= max_pending {
-                    pending_writes.remove(0).wait().expect("EM output write failed");
-                }
-                lane.end("exec", "write-stall");
-                let nanos = ws_t0.elapsed().as_nanos() as u64;
-                stats.write_stall_nanos.add(nanos);
-                if let Some(wp) = wp.as_mut() {
-                    wp.write_stall_nanos += nanos;
-                }
-            }
-            let io_t0 = Instant::now();
-            lane.begin("exec", "io-wait", NO_ARGS);
-            let mut leaf_bufs: HashMap<u64, Arc<IoBuf>> = HashMap::new();
-            for (nid, mat) in &shared.plan.leaves {
-                let buf = match fetches[idx].remove(nid) {
-                    Some(f) => f.wait(),
-                    None => mat.read_part(part),
-                };
-                leaf_bufs.insert(*nid, buf);
-            }
-            lane.end("exec", "io-wait");
-            let nanos = io_t0.elapsed().as_nanos() as u64;
-            stats.io_wait_nanos.add(nanos);
-            if let Some(wp) = wp.as_mut() {
-                wp.io_wait_nanos += nanos;
-            }
-            let compute_t0 = Instant::now();
-            lane.begin("exec", "compute", NO_ARGS);
-            // Fresh accumulators per partition: partials deposit into the
-            // partition's slot and fold in partition order at finalize,
-            // keeping reductions independent of worker scheduling.
-            let mut sink_accs: Vec<SinkAcc> =
-                shared.plan.sinks.iter().map(|(_, n)| SinkAcc::new_for(n)).collect();
-            let chunks = process_part(
-                shared,
-                part,
-                &leaf_bufs,
-                &mut pool,
-                &mut sink_accs,
-                &mut pending_writes,
-                lane,
-            );
-            if !sink_accs.is_empty() {
-                shared.merged.lock()[part as usize] = Some(sink_accs);
-            }
-            lane.end("exec", "compute");
-            let nanos = compute_t0.elapsed().as_nanos() as u64;
-            stats.compute_nanos.add(nanos);
-            if let Some(wp) = wp.as_mut() {
-                wp.compute_nanos += nanos;
-                wp.pcache_chunks += chunks;
-            }
-            lane.close("exec", "task", task_begin_ns, task_args);
-            stats.parts.add(1);
+        lane.end("exec", "io-wait");
+        let nanos = io_t0.elapsed().as_nanos() as u64;
+        stats.io_wait_nanos.add(nanos);
+        if let Some(wp) = wp.as_mut() {
+            wp.io_wait_nanos += nanos;
         }
+        let compute_t0 = Instant::now();
+        lane.begin("exec", "compute", NO_ARGS);
+        // Fresh accumulators per partition: partials deposit into the
+        // partition's slot and fold in partition order at finalize,
+        // keeping reductions independent of worker scheduling.
+        let mut sink_accs: Vec<SinkAcc> =
+            shared.plan.sinks.iter().map(|(_, n)| SinkAcc::new_for(n)).collect();
+        let chunks = process_part(
+            shared,
+            part,
+            &leaf_bufs,
+            &mut pool,
+            &mut sink_accs,
+            &mut pending_writes,
+            lane,
+        );
+        if !sink_accs.is_empty() {
+            shared.merged.lock()[part as usize] = Some(sink_accs);
+        }
+        lane.end("exec", "compute");
+        let nanos = compute_t0.elapsed().as_nanos() as u64;
+        stats.compute_nanos.add(nanos);
+        if let Some(wp) = wp.as_mut() {
+            wp.compute_nanos += nanos;
+            wp.pcache_chunks += chunks;
+        }
+        lane.close("exec", "task", task_begin_ns, task_args);
+        stats.parts.add(1);
     }
 
     // Drain the remaining EM output writes: a write stall, not leaf-read
@@ -482,7 +494,7 @@ fn process_part(
     leaf_bufs: &HashMap<u64, Arc<IoBuf>>,
     pool: &mut BufPool,
     sink_accs: &mut [SinkAcc],
-    pending_writes: &mut Vec<IoTicket>,
+    pending_writes: &mut VecDeque<IoTicket>,
     lane: &Lane,
 ) -> u64 {
     let plan = shared.plan;
@@ -611,7 +623,7 @@ fn process_part(
             StorageClass::Em => {
                 let file = shared.talls[ti].file.as_ref().expect("EM state without file");
                 pending_writes
-                    .push(file.write_part_async(part, buf).expect("EM output submit failed"));
+                    .push_back(file.write_part_async(part, buf).expect("EM output submit failed"));
             }
         }
     }

@@ -11,7 +11,8 @@ use crate::chunk::{BufPool, Chunk, PartBufPool};
 use crate::dtype::{DType, Scalar};
 use crate::element::Element;
 use crate::part::Partitioner;
-use flashr_safs::{CachedFetch, IoBuf, IoTicket, Safs, SafsFile};
+use flashr_safs::{CachedFetch, IoBuf, IoTicket, Safs, SafsFile, SafsResult};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Element order inside one I/O partition.
@@ -94,13 +95,57 @@ pub enum PartFetch {
 }
 
 impl PartFetch {
-    /// Block until the partition bytes are available.
-    pub fn wait(self) -> Arc<IoBuf> {
+    /// Block until the partition bytes are available. The I/O error goes
+    /// to the caller, who knows which partition of which matrix this
+    /// fetch was for.
+    pub fn try_wait(self) -> SafsResult<Arc<IoBuf>> {
         match self {
-            PartFetch::Ready(buf) => buf,
-            PartFetch::Pending(ticket) => Arc::new(ticket.wait().expect("partition read failed")),
-            PartFetch::Cached(fetch) => fetch.wait().expect("partition read failed"),
+            PartFetch::Ready(buf) => Ok(buf),
+            PartFetch::Pending(ticket) => ticket.wait().map(Arc::new),
+            PartFetch::Cached(fetch) => fetch.wait(),
         }
+    }
+}
+
+/// A bounded read-ahead window over an ordered sequence of partitions
+/// (paper §3.3: with sequential dispatch the next partitions' reads are
+/// already in flight while the current one computes).
+///
+/// Partitions are handed out strictly one at a time, and each claim tops
+/// the window up so that `depth` fetches beyond the claimed partition
+/// stay issued. Claiming and reading ahead are separate on purpose: a
+/// consumer only ever takes the next partition, so sharing one window
+/// (behind a lock) among several workers keeps the device queue full
+/// without letting any of them hoard partitions, and the fetches held —
+/// `depth` plus one per consumer — are the window's byte bound.
+pub struct ReadAhead<I, F> {
+    /// Partitions not yet issued, in dispatch order.
+    parts: I,
+    /// Issued and not yet claimed, oldest first.
+    issued: VecDeque<(u64, F)>,
+    depth: usize,
+}
+
+impl<I: Iterator<Item = u64>, F> ReadAhead<I, F> {
+    /// A window over `parts` that keeps `depth` fetches issued beyond
+    /// the partition last claimed (`0`: every claim issues its own).
+    pub fn new(parts: I, depth: usize) -> Self {
+        ReadAhead { parts, issued: VecDeque::new(), depth }
+    }
+
+    /// Claim the next partition with its fetch — issued by an earlier
+    /// claim, or now — and top the window up; `None` once the sequence
+    /// is exhausted. `issue` starts the fetch of one partition.
+    pub fn claim(&mut self, mut issue: impl FnMut(u64) -> F) -> Option<(u64, F)> {
+        let claimed = match self.issued.pop_front() {
+            Some(slot) => slot,
+            None => self.parts.next().map(|part| (part, issue(part)))?,
+        };
+        while self.issued.len() < self.depth {
+            let Some(part) = self.parts.next() else { break };
+            self.issued.push_back((part, issue(part)));
+        }
+        Some(claimed)
     }
 }
 
@@ -278,21 +323,27 @@ impl TasMat {
 
     /// Begin fetching partition `part` (asynchronous for EM stores).
     pub fn fetch_part(&self, part: u64) -> PartFetch {
-        match &self.inner.store {
+        self.try_fetch_part(part)
+            .unwrap_or_else(|e| panic!("read submit for partition {part} failed: {e}"))
+    }
+
+    /// [`Self::fetch_part`] with a failed submit handed to the caller.
+    pub fn try_fetch_part(&self, part: u64) -> SafsResult<PartFetch> {
+        Ok(match &self.inner.store {
             Store::InMem(parts) => PartFetch::Ready(parts[part as usize].clone()),
-            Store::Em(file) => {
-                match file.fetch_part_cached(part).expect("partition read submit failed") {
-                    // No cache installed (or bypassed): the plain async path.
-                    CachedFetch::Direct(ticket) => PartFetch::Pending(ticket),
-                    fetch => PartFetch::Cached(fetch),
-                }
-            }
-        }
+            Store::Em(file) => match file.fetch_part_cached(part)? {
+                // No cache installed (or bypassed): the plain async path.
+                CachedFetch::Direct(ticket) => PartFetch::Pending(ticket),
+                fetch => PartFetch::Cached(fetch),
+            },
+        })
     }
 
     /// Synchronously read partition `part`.
     pub fn read_part(&self, part: u64) -> Arc<IoBuf> {
-        self.fetch_part(part).wait()
+        self.fetch_part(part)
+            .try_wait()
+            .unwrap_or_else(|e| panic!("read of partition {part} failed: {e}"))
     }
 
     /// Strided in-place view parameters for the Pcache chunk `[r0, r1)`
@@ -433,6 +484,31 @@ mod tests {
 
     fn parter() -> Partitioner {
         Partitioner::new(64)
+    }
+
+    /// Claims come in sequence order, each partition is issued exactly
+    /// once, and after every claim the window holds `depth` issued
+    /// partitions (fewer only once the sequence runs out).
+    #[test]
+    fn read_ahead_hands_out_in_order_and_keeps_depth_issued() {
+        for depth in [0usize, 1, 3, 20] {
+            let mut issued = Vec::new();
+            let mut window = ReadAhead::new((1..30u64).step_by(2), depth);
+            let mut claimed = Vec::new();
+            while let Some((part, fetch)) = window.claim(|p| {
+                issued.push(p);
+                p * 10
+            }) {
+                assert_eq!(fetch, part * 10, "a claim gets its own partition's fetch");
+                claimed.push(part);
+                let want_ahead = depth.min(15 - claimed.len());
+                assert_eq!(issued.len() - claimed.len(), want_ahead, "depth {depth} after {part}");
+            }
+            let all: Vec<u64> = (1..30).step_by(2).collect();
+            assert_eq!(claimed, all, "depth {depth}");
+            assert_eq!(issued, all, "depth {depth}");
+            assert!(window.claim(|_| unreachable!("nothing left to issue")).is_none());
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! benchmarks) plus the gradient-descent-with-line-search variant of the
 //! paper's Figure 2 example.
 //!
-//! Every iteration is one fused pass computing the loss and the gradient
-//! together from the shared margin `X w`; line-search probes are
-//! loss-only passes.
+//! Every point either driver visits — the start and each line-search
+//! trial — costs exactly one fused pass over `X`, computing the loss and
+//! the gradient together from the shared margin `X w`: an accepted trial
+//! already holds the gradient the next iteration starts from, so a run
+//! makes `1 + iterations` passes plus one per rejected step.
 
 use crate::util::{dot, norm2};
 use flashr_core::fm::FM;
@@ -58,22 +60,28 @@ impl LogRegModel {
 /// Numerically stable softplus of a tall column: `ln(1 + e^m)`.
 fn softplus(m: &FM) -> FM {
     let zeros = FM::zeros(m.nrow(), 1);
-    m.pmax(&zeros).binary(
-        flashr_core::ops::BinaryOp::Add,
-        &(-&m.abs()).exp().log1p(),
-        false,
-    )
+    m.pmax(&zeros).binary(flashr_core::ops::BinaryOp::Add, &(-&m.abs()).exp().log1p(), false)
+}
+
+/// The lazy margin `X w` and the log-loss sink `Σ softplus(m) − y·m` over it.
+fn margin_and_loss(x: &FM, y: &FM, w: &[f64]) -> (FM, FM) {
+    let wd = Dense::from_vec(w.len(), 1, w.to_vec());
+    let margin = x.matmul(&FM::from_dense(wd));
+    let loss_sink = softplus(&margin)
+        .binary(
+            flashr_core::ops::BinaryOp::Sub,
+            &y.binary(flashr_core::ops::BinaryOp::Mul, &margin, false),
+            false,
+        )
+        .sum();
+    (margin, loss_sink)
 }
 
 /// One fused pass: (logloss, gradient) at `w`.
 fn loss_and_grad(ctx: &FlashCtx, x: &FM, y: &FM, w: &[f64]) -> (f64, Vec<f64>) {
     let n = x.nrow() as f64;
-    let wd = Dense::from_vec(w.len(), 1, w.to_vec());
-    let margin = x.matmul(&FM::from_dense(wd));
-    // loss = Σ softplus(m) − y·m, grad = Xᵀ (σ(m) − y), both over one DAG.
-    let loss_sink = softplus(&margin)
-        .binary(flashr_core::ops::BinaryOp::Sub, &y.binary(flashr_core::ops::BinaryOp::Mul, &margin, false), false)
-        .sum();
+    // grad = Xᵀ (σ(m) − y), over the same DAG as the loss.
+    let (margin, loss_sink) = margin_and_loss(x, y, w);
     let resid = margin.sigmoid().binary(flashr_core::ops::BinaryOp::Sub, y, false);
     let grad_sink = x.crossprod_with(&resid);
     let out = FM::materialize_multi(ctx, &[&loss_sink, &grad_sink]);
@@ -83,15 +91,10 @@ fn loss_and_grad(ctx: &FlashCtx, x: &FM, y: &FM, w: &[f64]) -> (f64, Vec<f64>) {
     (loss, grad)
 }
 
-/// Loss-only pass (line-search probe).
+/// Loss-only pass: the reference the tests hold [`loss_and_grad`] to.
+#[cfg(test)]
 fn loss_at(ctx: &FlashCtx, x: &FM, y: &FM, w: &[f64]) -> f64 {
-    let n = x.nrow() as f64;
-    let wd = Dense::from_vec(w.len(), 1, w.to_vec());
-    let margin = x.matmul(&FM::from_dense(wd));
-    let loss_sink = softplus(&margin)
-        .binary(flashr_core::ops::BinaryOp::Sub, &y.binary(flashr_core::ops::BinaryOp::Mul, &margin, false), false)
-        .sum();
-    loss_sink.value(ctx) / n
+    margin_and_loss(x, y, w).1.value(ctx) / x.nrow() as f64
 }
 
 /// L-BFGS training (the configuration the paper benchmarks).
@@ -130,21 +133,22 @@ pub fn logistic_regression(ctx: &FlashCtx, x: &FM, y: &FM, opts: &LogRegOptions)
         }
         let dir: Vec<f64> = q.iter().map(|v| -v).collect();
 
-        // Armijo backtracking.
+        // Armijo backtracking; the accepted trial's gradient is the next
+        // iteration's.
         let dg = dot(&dir, &grad);
         let mut step = 1.0;
         let mut new_w;
         let mut new_loss;
+        let mut new_grad;
         loop {
             new_w = w.iter().zip(&dir).map(|(wi, di)| wi + step * di).collect::<Vec<f64>>();
-            new_loss = loss_at(ctx, x, y, &new_w);
+            (new_loss, new_grad) = loss_and_grad(ctx, x, y, &new_w);
             if new_loss <= loss + 1e-4 * step * dg || step < 1e-12 {
                 break;
             }
             step *= 0.5;
         }
 
-        let (_, new_grad) = loss_and_grad(ctx, x, y, &new_w);
         let s: Vec<f64> = new_w.iter().zip(&w).map(|(a, b)| a - b).collect();
         let yv: Vec<f64> = new_grad.iter().zip(&grad).map(|(a, b)| a - b).collect();
         if dot(&s, &yv) > 1e-12 {
@@ -171,18 +175,18 @@ pub fn logistic_regression(ctx: &FlashCtx, x: &FM, y: &FM, opts: &LogRegOptions)
 pub fn logistic_regression_gd(ctx: &FlashCtx, x: &FM, y: &FM, opts: &LogRegOptions) -> LogRegModel {
     let p = x.ncol() as usize;
     let mut w = vec![0.0; p];
-    let mut loss = loss_at(ctx, x, y, &w);
+    let (mut loss, mut grad) = loss_and_grad(ctx, x, y, &w);
     let mut iterations = 0;
     for _ in 0..opts.max_iters {
         iterations += 1;
-        let (_, grad) = loss_and_grad(ctx, x, y, &w);
         let delta = -0.5 * dot(&grad, &grad);
         let mut eta = 1.0;
         let mut new_w;
         let mut new_loss;
+        let mut new_grad;
         loop {
             new_w = w.iter().zip(&grad).map(|(wi, gi)| wi - eta * gi).collect::<Vec<f64>>();
-            new_loss = loss_at(ctx, x, y, &new_w);
+            (new_loss, new_grad) = loss_and_grad(ctx, x, y, &new_w);
             if new_loss <= loss + delta * eta || eta < 1e-12 {
                 break;
             }
@@ -191,6 +195,7 @@ pub fn logistic_regression_gd(ctx: &FlashCtx, x: &FM, y: &FM, opts: &LogRegOptio
         let improvement = loss - new_loss;
         w = new_w;
         loss = new_loss;
+        grad = new_grad;
         if improvement.abs() < opts.tol {
             break;
         }
@@ -229,7 +234,12 @@ mod tests {
     fn lbfgs_reduces_loss_below_chance() {
         let ctx = ctx();
         let (x, y, _) = dataset(&ctx, 5000, 4);
-        let m = logistic_regression(&ctx, &x, &y, &LogRegOptions { max_iters: 30, ..Default::default() });
+        let m = logistic_regression(
+            &ctx,
+            &x,
+            &y,
+            &LogRegOptions { max_iters: 30, ..Default::default() },
+        );
         assert!(m.loss < 0.6, "loss {}", m.loss); // ln 2 ≈ 0.693 is chance
         assert!(m.iterations >= 2);
     }
@@ -284,6 +294,77 @@ mod tests {
             let fd = (loss_at(&ctx, &x, &y, &wp) - loss_at(&ctx, &x, &y, &wm)) / (2.0 * eps);
             assert!((fd - grad[j]).abs() < 1e-5, "grad[{j}]: fd {fd} vs {g}", g = grad[j]);
         }
+    }
+
+    /// The trial loss a line search reads out of the loss-and-gradient
+    /// pass is, bit for bit, the loss-only probe's: the sink is the same
+    /// DAG and partials fold in partition order. Every trial point, every
+    /// acceptance test and every gradient is therefore what the
+    /// probe-then-gradient drivers computed, rejected steps included.
+    #[test]
+    fn trial_loss_is_bitwise_the_probe_loss() {
+        let ctx = ctx();
+        let (x, y, _) = dataset(&ctx, 3000, 3);
+        for w in [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [-4.0, 7.5, 0.25]] {
+            let (loss, _) = loss_and_grad(&ctx, &x, &y, &w);
+            assert_eq!(loss.to_bits(), loss_at(&ctx, &x, &y, &w).to_bits(), "w = {w:?}");
+        }
+    }
+
+    fn passes_of(ctx: &FlashCtx, run: impl FnOnce() -> LogRegModel) -> (u64, LogRegModel) {
+        let before = ctx.stats().snapshot();
+        let model = run();
+        (before.delta(&ctx.stats().snapshot()).passes, model)
+    }
+
+    /// Steps the first line search from `w = 0` rejects, replayed with
+    /// loss-only probes: both drivers start down `−grad`.
+    fn first_search_rejections(ctx: &FlashCtx, x: &FM, y: &FM, shrink: f64, armijo: f64) -> u64 {
+        let w0 = vec![0.0; x.ncol() as usize];
+        let (loss, grad) = loss_and_grad(ctx, x, y, &w0);
+        let slope = -dot(&grad, &grad);
+        let mut step = 1.0;
+        let mut rejected = 0;
+        loop {
+            let trial: Vec<f64> = grad.iter().map(|g| -step * g).collect();
+            if loss_at(ctx, x, y, &trial) <= loss + armijo * step * slope {
+                return rejected;
+            }
+            rejected += 1;
+            step *= shrink;
+        }
+    }
+
+    /// One pass per point visited: the start, then one per trial — so
+    /// `1 + iterations` when every step is accepted at full length and
+    /// one more per rejection. The probe-then-gradient drivers made
+    /// `1 + 2·iterations + rejections` (L-BFGS) and one more still (GD).
+    #[test]
+    fn drivers_make_one_pass_per_point_visited() {
+        let ctx = ctx();
+        let (x, y, _) = dataset(&ctx, 3000, 3);
+        let one = LogRegOptions { max_iters: 1, tol: 0.0, ..Default::default() };
+        // Unit-scale features accept the full first step; features scaled
+        // by 40 overshoot and back off.
+        for (scale, rejects) in [(1.0, false), (40.0, true)] {
+            let xs = (&x * scale).materialize(&ctx);
+            let k = first_search_rejections(&ctx, &xs, &y, 0.5, 1e-4);
+            assert_eq!(k > 0, rejects, "L-BFGS, scale {scale}: {k} rejections");
+            let (passes, m) = passes_of(&ctx, || logistic_regression(&ctx, &xs, &y, &one));
+            assert_eq!((passes, m.iterations), (2 + k, 1), "L-BFGS, scale {scale}");
+
+            let k = first_search_rejections(&ctx, &xs, &y, 0.2, 0.5);
+            assert_eq!(k > 0, rejects, "GD, scale {scale}: {k} rejections");
+            let (passes, m) = passes_of(&ctx, || logistic_regression_gd(&ctx, &xs, &y, &one));
+            assert_eq!((passes, m.iterations), (2 + k, 1), "GD, scale {scale}");
+        }
+        // Several iterations: an iteration costs at least one pass, so
+        // equality says no step was rejected and none cost two.
+        let five = LogRegOptions { max_iters: 5, tol: 0.0, ..Default::default() };
+        let (passes, m) = passes_of(&ctx, || logistic_regression(&ctx, &x, &y, &five));
+        assert_eq!((passes, m.iterations), (6, 5), "L-BFGS");
+        let (passes, m) = passes_of(&ctx, || logistic_regression_gd(&ctx, &x, &y, &five));
+        assert_eq!((passes, m.iterations), (6, 5), "GD");
     }
 
     #[test]

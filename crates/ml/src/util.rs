@@ -1,8 +1,10 @@
 //! Shared helpers for the ML algorithms.
 
 use flashr_core::fm::FM;
+use flashr_core::mat::ReadAhead;
 use flashr_core::session::FlashCtx;
 use flashr_linalg::Dense;
+use std::collections::BTreeMap;
 
 /// Fraction of rows where `pred == truth` (both n×1).
 pub fn accuracy(ctx: &FlashCtx, pred: &FM, truth: &FM) -> f64 {
@@ -32,23 +34,29 @@ pub fn norm2(a: &[f64]) -> f64 {
 }
 
 /// Extract a set of rows as dense vectors, reading each I/O partition at
-/// most once when the matrix is materialized.
+/// most once when the matrix is materialized: the touched partitions are
+/// read in partition order through a [`ReadAhead`] window, so an
+/// external-memory matrix keeps `dispatch_batch` reads in flight (and as
+/// many partitions resident) instead of one.
 pub fn sample_rows(ctx: &FlashCtx, x: &FM, rows: &[u64]) -> Vec<Vec<f64>> {
     let p = x.ncol() as usize;
     if let Some(mat) = x.leaf_mat_opt() {
-        use std::collections::HashMap;
         let parter = mat.parter();
-        let mut by_part: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut by_part: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (i, &r) in rows.iter().enumerate() {
             by_part.entry(r / parter.rows_per_part()).or_default().push(i);
         }
         let mut out = vec![Vec::new(); rows.len()];
         let mut pool = flashr_core::chunk::BufPool::new();
-        for (part, idxs) in by_part {
-            let buf = mat.read_part(part);
+        let depth = ctx.safs().map_or(0, |s| s.dispatch_batch().saturating_sub(1));
+        let mut window = ReadAhead::new(by_part.keys().copied(), depth);
+        while let Some((part, fetch)) = window.claim(|part| mat.fetch_part(part)) {
+            let buf = fetch.try_wait().unwrap_or_else(|e| {
+                panic!("read of partition {part} for row sampling failed: {e}")
+            });
             let part_rows = parter.part_rows(part, mat.nrows());
             let chunk = mat.pcache_chunk(&buf, part, 0, part_rows, &mut pool);
-            for i in idxs {
+            for &i in &by_part[&part] {
                 let local = (rows[i] - part * parter.rows_per_part()) as usize;
                 out[i] = (0..p).map(|j| chunk.get_f64(local, j)).collect();
             }
@@ -104,7 +112,8 @@ mod tests {
 
     #[test]
     fn accuracy_counts_matches() {
-        let ctx = FlashCtx::with_config(CtxConfig { rows_per_part: 64, ..Default::default() }, None);
+        let ctx =
+            FlashCtx::with_config(CtxConfig { rows_per_part: 64, ..Default::default() }, None);
         let a = FM::from_vec(&ctx, &[1.0, 0.0, 1.0, 1.0]);
         let b = FM::from_vec(&ctx, &[1.0, 1.0, 1.0, 0.0]);
         assert_eq!(accuracy(&ctx, &a, &b), 0.5);

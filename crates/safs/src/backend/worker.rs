@@ -9,16 +9,17 @@
 //! 2. the positional read/write, retried under [`RetryCfg`] while the
 //!    error stays transient (each retry emits an `io-retry` span and
 //!    bumps the shard's and the aggregate retry counters),
-//! 3. optional throttle charge (Sim backend only),
+//! 3. optional throttle charge (Sim backend only): the emulated service
+//!    window opens at the dequeue of step 1 or when the device falls
+//!    free, whichever is later, so step 2's host time counts as part of
+//!    the window, not on top of it,
 //! 4. stats recording — aggregate [`IoStats`] *and* the shard's
 //!    [`ShardStats`] — plus the `read`/`write`/`io-error` device span
 //!    and per-shard queue-depth counter samples,
 //! 5. completion delivery to the ticket.
 
 use crate::aio::{IoOp, IoReq};
-use crate::backend::{
-    shard_depth_counter, with_retries, RetryCfg, ShardStats, ShardStatsSnapshot,
-};
+use crate::backend::{shard_depth_counter, with_retries, RetryCfg, ShardStats, ShardStatsSnapshot};
 use crate::config::SafsConfig;
 use crate::error::{SafsError, SafsResult};
 use crate::span::{now_nanos, SpanSinkCell};
@@ -126,7 +127,11 @@ impl ShardSet {
         if let Some(sink) = self.span_sink.get() {
             req.submit_ns = now_nanos();
             sink.counter("io-queue-depth", req.submit_ns, self.stats.depth());
-            sink.counter(shard_depth_counter(shard), req.submit_ns, self.shard_stats[shard].depth());
+            sink.counter(
+                shard_depth_counter(shard),
+                req.submit_ns,
+                self.shard_stats[shard].depth(),
+            );
         }
         // The queue only disconnects at shutdown, which cannot happen
         // while a file (which holds an Arc to the runtime) is submitting.
@@ -202,7 +207,7 @@ fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
                 match r {
                     Ok(()) => {
                         if let Some(t) = &ctx.throttle {
-                            let waited = t.charge(buf.len() as u64);
+                            let waited = t.charge(buf.len() as u64, started);
                             ctx.stats.record_throttle_wait(waited.as_nanos() as u64);
                         }
                         nbytes = buf.len() as u64;
@@ -223,7 +228,7 @@ fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
                 match r {
                     Ok(()) => {
                         if let Some(t) = &ctx.throttle {
-                            let waited = t.charge(buf.len() as u64);
+                            let waited = t.charge(buf.len() as u64, started);
                             ctx.stats.record_throttle_wait(waited.as_nanos() as u64);
                         }
                         nbytes = buf.len() as u64;
@@ -263,7 +268,13 @@ fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
             } else {
                 "io-error"
             };
-            sink.span("io", name, device_ns, end_ns, [("bytes", nbytes), ("shard", ctx.shard as u64)]);
+            sink.span(
+                "io",
+                name,
+                device_ns,
+                end_ns,
+                [("bytes", nbytes), ("shard", ctx.shard as u64)],
+            );
             sink.counter("io-queue-depth", end_ns, ctx.stats.depth().saturating_sub(1));
             sink.counter(
                 shard_depth_counter(ctx.shard),

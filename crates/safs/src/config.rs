@@ -50,8 +50,13 @@ pub struct SafsConfig {
     pub disks: Vec<PathBuf>,
     /// I/O threads servicing each shard's request queue.
     pub io_threads_per_disk: usize,
-    /// Number of contiguous partitions a scheduler should dispatch as one
-    /// batch (the "SAFS block size" of paper §3.3).
+    /// Read-ahead depth of a sequential scan, in partitions per reader
+    /// (the "SAFS block size" of paper §3.3): the executor claims
+    /// partitions one at a time and keeps `dispatch_batch − 1` reads per
+    /// worker in flight beyond those being computed, so a pass holds at
+    /// most `nthreads × dispatch_batch` partitions of each leaf; a
+    /// single-threaded scan (row sampling) keeps `dispatch_batch` reads
+    /// in flight. `1` reads nothing ahead.
     pub dispatch_batch: usize,
     /// Optional bandwidth emulation, one throttle per shard (applied by
     /// the `Sim` backend only).
@@ -119,7 +124,7 @@ impl SafsConfig {
         self
     }
 
-    /// Builder-style: set the dispatch batch ("block") size.
+    /// Builder-style: set the read-ahead depth ([`Self::dispatch_batch`]).
     pub fn with_dispatch_batch(mut self, n: usize) -> Self {
         self.dispatch_batch = n.max(1);
         self
@@ -177,7 +182,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_duplicate_shard_roots() {
-        let cfg = base(vec![PathBuf::from("/tmp/a"), PathBuf::from("/tmp/b"), PathBuf::from("/tmp/a")]);
+        let cfg =
+            base(vec![PathBuf::from("/tmp/a"), PathBuf::from("/tmp/b"), PathBuf::from("/tmp/a")]);
         match cfg.validate() {
             Err(SafsError::DuplicateShardRoot(p)) => assert_eq!(p, PathBuf::from("/tmp/a")),
             other => panic!("expected DuplicateShardRoot, got {other:?}"),

@@ -89,7 +89,11 @@ impl Safs {
         let faults = Arc::new(AtomicU64::new(0));
         let backend = open_backend(
             &cfg,
-            WorkerEnv { stats: stats.clone(), span_sink: span_sink.clone(), faults: faults.clone() },
+            WorkerEnv {
+                stats: stats.clone(),
+                span_sink: span_sink.clone(),
+                faults: faults.clone(),
+            },
         )?;
         let cache_cfg = cfg.cache;
         let safs = Safs {
@@ -142,33 +146,32 @@ impl Safs {
 
     /// Page-cache counters (all zero when no cache is installed).
     pub fn cache_stats_snapshot(&self) -> CacheStatsSnapshot {
-        self.inner
-            .page_cache
-            .lock()
-            .as_ref()
-            .map(|c| c.stats_snapshot())
-            .unwrap_or_default()
+        self.inner.page_cache.lock().as_ref().map(|c| c.stats_snapshot()).unwrap_or_default()
     }
 
     /// Per-shard page-cache counters in shard order (empty when no cache
     /// is installed). Feeds the metrics exposition's `shard="<i>"` series.
     pub fn cache_shard_snapshots(&self) -> Vec<CacheStatsSnapshot> {
-        self.inner
-            .page_cache
-            .lock()
-            .as_ref()
-            .map(|c| c.shard_snapshots())
-            .unwrap_or_default()
+        self.inner.page_cache.lock().as_ref().map(|c| c.shard_snapshots()).unwrap_or_default()
     }
 
     /// Create a file of `nparts` equally sized partitions.
     pub fn create(&self, name: &str, part_bytes: u64, nparts: u64) -> SafsResult<SafsFile> {
-        self.create_bytes(name, part_bytes, part_bytes.checked_mul(nparts).expect("file size overflow"))
+        self.create_bytes(
+            name,
+            part_bytes,
+            part_bytes.checked_mul(nparts).expect("file size overflow"),
+        )
     }
 
     /// Create a file of `total_bytes` split into `part_bytes` partitions
     /// (the last partition may be short).
-    pub fn create_bytes(&self, name: &str, part_bytes: u64, total_bytes: u64) -> SafsResult<SafsFile> {
+    pub fn create_bytes(
+        &self,
+        name: &str,
+        part_bytes: u64,
+        total_bytes: u64,
+    ) -> SafsResult<SafsFile> {
         if part_bytes == 0 {
             return Err(SafsError::Config("part_bytes must be > 0".into()));
         }
@@ -234,7 +237,8 @@ impl Safs {
         self.inner.faults.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Scheduler hint: how many contiguous partitions to dispatch per batch.
+    /// Read-ahead depth of a sequential scan, in partitions per reader
+    /// (see [`SafsConfig::dispatch_batch`]).
     pub fn dispatch_batch(&self) -> usize {
         self.inner.cfg.dispatch_batch
     }

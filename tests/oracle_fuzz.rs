@@ -20,6 +20,9 @@ const ROWS_PER_PART: [u64; 5] = [16, 32, 64, 128, 256];
 /// A Pcache budget of one byte clamps to the 16-row floor; the other is
 /// `CtxConfig::default()`'s.
 const PCACHE_BYTES: [usize; 2] = [1, 256 * 1024];
+/// Read-ahead depth of the two EM arrays: none (every claim issues its
+/// own reads) and `SafsConfig`'s default.
+const DISPATCH_BATCH: [usize; 2] = [1, 4];
 const DTYPES: [DType; 5] = [DType::F64, DType::F32, DType::I64, DType::I32, DType::U8];
 
 #[derive(Debug, Clone, Copy)]
@@ -30,11 +33,12 @@ enum Storage {
 }
 const STORAGES: [Storage; 3] = [Storage::InMem, Storage::EmSim, Storage::EmDirect];
 
-/// The two SSD arrays the EM points run on, under one scratch directory.
+/// The two SSD arrays the EM points run on, each opened once per
+/// [`DISPATCH_BATCH`] value, under one scratch directory.
 struct Arrays {
     dir: std::path::PathBuf,
-    sim: Safs,
-    direct: Safs,
+    sim: [Safs; 2],
+    direct: [Safs; 2],
 }
 
 impl Arrays {
@@ -44,15 +48,20 @@ impl Arrays {
         // Explicit layouts, so FLASHR_SAFS_SHARDS / FLASHR_BACKEND cannot
         // fold the two points into one.
         let array = |name: &str, shards: usize, backend| {
-            let disks = (0..shards).map(|d| dir.join(format!("{name}{d}"))).collect();
-            let cfg = SafsConfig { disks, ..SafsConfig::single_dir(&dir) }.with_backend(backend);
-            Safs::open(cfg).expect("open scratch SAFS array")
+            DISPATCH_BATCH.map(|batch| {
+                let disks = (0..shards).map(|d| dir.join(format!("{name}{batch}-{d}"))).collect();
+                let cfg = SafsConfig { disks, ..SafsConfig::single_dir(&dir) }
+                    .with_backend(backend)
+                    .with_dispatch_batch(batch);
+                Safs::open(cfg).expect("open scratch SAFS array")
+            })
         };
         let (sim, direct) =
             (array("sim", 2, BackendKind::Sim), array("direct", 4, BackendKind::Direct));
         Arrays { dir, sim, direct }
     }
 
+    /// `batch` indexes [`DISPATCH_BATCH`]; in-memory storage ignores it.
     fn ctx(
         &self,
         mode: ExecMode,
@@ -60,11 +69,12 @@ impl Arrays {
         rows_per_part: u64,
         pcache_bytes: usize,
         storage: Storage,
+        batch: usize,
     ) -> FlashCtx {
         let (class, safs) = match storage {
             Storage::InMem => (StorageClass::InMem, None),
-            Storage::EmSim => (StorageClass::Em, Some(self.sim.clone())),
-            Storage::EmDirect => (StorageClass::Em, Some(self.direct.clone())),
+            Storage::EmSim => (StorageClass::Em, Some(self.sim[batch].clone())),
+            Storage::EmDirect => (StorageClass::Em, Some(self.direct[batch].clone())),
         };
         let cfg = CtxConfig {
             nthreads,
@@ -399,10 +409,14 @@ fn random_programs_match_the_oracle_in_every_mode() {
             (pick(rng, &NTHREADS), pick(rng, &ROWS_PER_PART), pick(rng, &PCACHE_BYTES));
         let storage = STORAGES[case % 3];
         let seed = rng.next_u64();
+        // Drawn last, so the programs are the ones drawn before it existed.
+        let batch = rng.usize(0..DISPATCH_BATCH.len());
         for mode in MODES {
-            let ctx = arrays.ctx(mode, nthreads, rpp, pcache, storage);
-            let what =
-                format!("case {case}: {mode:?} {nthreads}t rpp={rpp} pcache={pcache} {storage:?}");
+            let ctx = arrays.ctx(mode, nthreads, rpp, pcache, storage, batch);
+            let what = format!(
+                "case {case}: {mode:?} {nthreads}t rpp={rpp} pcache={pcache} {storage:?} batch={}",
+                DISPATCH_BATCH[batch]
+            );
             run_case(&mut Rng::new(seed), &ctx, None, &what);
         }
     });
@@ -439,14 +453,18 @@ fn grid_program(ctx: &FlashCtx, what: &str) {
 #[test]
 fn one_program_at_every_configuration_point() {
     let arrays = Arrays::open("grid");
+    let mut rng = Rng::new(0x000B_A7C4);
     for mode in MODES {
         for nthreads in NTHREADS {
             for rows_per_part in ROWS_PER_PART {
                 for pcache_bytes in PCACHE_BYTES {
                     for storage in STORAGES {
-                        let ctx = arrays.ctx(mode, nthreads, rows_per_part, pcache_bytes, storage);
+                        let batch = rng.usize(0..DISPATCH_BATCH.len());
+                        let ctx =
+                            arrays.ctx(mode, nthreads, rows_per_part, pcache_bytes, storage, batch);
                         let what = format!(
-                            "{mode:?} {nthreads}t rpp={rows_per_part} pcache={pcache_bytes} {storage:?}"
+                            "{mode:?} {nthreads}t rpp={rows_per_part} pcache={pcache_bytes} {storage:?} batch={}",
+                            DISPATCH_BATCH[batch]
                         );
                         grid_program(&ctx, &what);
                     }
@@ -464,7 +482,7 @@ fn one_program_at_every_configuration_point() {
 fn at_small_partitions(arrays: &Arrays, body: impl Fn(&FlashCtx, &str)) {
     for mode in MODES {
         for storage in [Storage::InMem, Storage::EmDirect] {
-            let ctx = arrays.ctx(mode, 2, 16, PCACHE_BYTES[1], storage);
+            let ctx = arrays.ctx(mode, 2, 16, PCACHE_BYTES[1], storage, 1);
             body(&ctx, &format!("{mode:?} {storage:?}"));
         }
     }

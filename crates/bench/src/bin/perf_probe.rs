@@ -116,14 +116,14 @@ fn main() {
         eager.passes,
         eager.parts
     );
-    // Stamp the Pcache step and readahead depth the pass ran with.
+    // Stamp the Pcache step and read-ahead depth the pass ran with.
     let step_fused = fused_ctx.tracer().passes().last().map(|p| p.pcache_step).unwrap_or(0);
-    let readahead = fused_ctx.safs().map(|s| s.readahead_parts()).unwrap_or(0);
-    println!("map chain pcache:    step {step_fused}, readahead {readahead} parts");
+    let dispatch_batch = fused_ctx.safs().map_or(0, |s| s.dispatch_batch());
+    println!("map chain pcache:    step {step_fused}, dispatch_batch {dispatch_batch}");
     let map_chain_section = format!(
         "{{\"fused\":{{\"node_chunks\":{},\"node_chunk_bytes\":{},\"fused_chains\":{},\
          \"fused_saved_bytes\":{}}},\"pcache_step_fused\":{step_fused},\
-         \"readahead_parts\":{readahead},\"bit_identical\":{bit_identical}}}",
+         \"dispatch_batch\":{dispatch_batch},\"bit_identical\":{bit_identical}}}",
         delta_fused.node_chunks,
         delta_fused.node_chunk_bytes,
         delta_fused.fused_chains,
@@ -176,8 +176,8 @@ fn main() {
     assert!(cold_sum == warm_sum, "cache changed the data");
     let cache = em_ctx.safs().unwrap().stats_snapshot().cache;
     println!(
-        "cache:               {} hits, {} misses, {} evictions, {} readahead",
-        cache.hits, cache.misses, cache.evictions, cache.readahead_issued
+        "cache:               {} hits, {} misses, {} evictions",
+        cache.hits, cache.misses, cache.evictions
     );
     let mut cache_section = Writer::new();
     flashr::core::trace::cache_json(&cache, &mut cache_section);

@@ -23,14 +23,14 @@ use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::exec::cumcoord::CumCoord;
 use crate::exec::plan::Plan;
 use crate::exec::{SinkAcc, Target, TargetResult};
-use crate::mat::{Layout, PartFetch, ReadAhead, TasMat};
+use crate::mat::{Layout, ReadAhead, TasMat};
 use crate::ops;
 use crate::part::pcache_ranges;
 use crate::session::{FlashCtx, StorageClass};
 use crate::stats::ExecStats;
 use crate::trace::{Lane, OpProfile, PassProfile, Timeline, TraceLevel, WorkerProfile};
 use flashr_safs::sync::Mutex;
-use flashr_safs::{IoBuf, IoTicket, SafsFile, NO_ARGS};
+use flashr_safs::{CachedFetch, IoBuf, IoTicket, SafsFile, NO_ARGS};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::iter::StepBy;
@@ -72,7 +72,7 @@ struct PassAgg {
 
 /// The fetches of one partition of every plan leaf, in `Plan::leaves`
 /// order.
-type LeafFetches = Vec<PartFetch>;
+type LeafFetches = Vec<CachedFetch>;
 
 /// One claim cursor: the partitions it dispatches, in order, behind
 /// their shared read-ahead frontier.
@@ -406,7 +406,7 @@ fn worker(tid: usize, shared: &Shared<'_>) {
             .iter()
             .zip(fetches)
             .map(|((nid, _), fetch)| {
-                let buf = fetch.try_wait().unwrap_or_else(|e| {
+                let buf = fetch.wait().unwrap_or_else(|e| {
                     panic!("read of partition {part} of leaf n{nid} failed: {e}")
                 });
                 (*nid, buf)

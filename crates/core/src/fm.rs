@@ -23,7 +23,7 @@ use crate::mat::TasMat;
 use crate::ops::{AggOp, BinaryOp, UnaryOp};
 use crate::session::FlashCtx;
 use flashr_linalg::Dense;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A FlashR matrix handle (cheap to clone).
@@ -1017,9 +1017,8 @@ impl FM {
         };
         let mut counts: HashMap<u64, (f64, u64)> = HashMap::new();
         let mut pool = crate::chunk::BufPool::new();
-        for part in 0..mat.nparts() {
+        for (part, buf) in mat.scan(0..mat.nparts()) {
             let rows = mat.parter().part_rows(part, mat.nrows());
-            let buf = mat.read_part(part);
             let chunk = mat.pcache_chunk(&buf, part, 0, rows, &mut pool);
             for c in 0..chunk.cols() {
                 for r in 0..rows {
@@ -1081,25 +1080,26 @@ impl FM {
         cur
     }
 
-    /// Gather specific rows into a small dense matrix (reads each I/O
-    /// partition at most once). Intended for sampling-style access, not
-    /// bulk reshuffles.
+    /// Gather specific rows, in the order asked, into a small dense
+    /// matrix. Each touched I/O partition is read once, in partition
+    /// order through [`TasMat::scan`]'s read-ahead window. Intended for
+    /// sampling-style access, not bulk reshuffles.
     pub fn gather_rows(&self, ctx: &FlashCtx, rows: &[u64]) -> Dense {
+        self.untransposed("gather_rows");
         let p = self.ncol() as usize;
-        let mat = self.materialize(ctx).tall_mat(ctx);
+        let mat = self.tall_mat(ctx);
         let parter = mat.parter();
-        let mut by_part: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut by_part: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (i, &r) in rows.iter().enumerate() {
             assert!(r < mat.nrows(), "row {r} out of range");
             by_part.entry(r / parter.rows_per_part()).or_default().push(i);
         }
         let mut out = Dense::zeros(rows.len(), p);
         let mut pool = crate::chunk::BufPool::new();
-        for (part, idxs) in by_part {
-            let buf = mat.read_part(part);
+        for (part, buf) in mat.scan(by_part.keys().copied()) {
             let part_rows = parter.part_rows(part, mat.nrows());
             let chunk = mat.pcache_chunk(&buf, part, 0, part_rows, &mut pool);
-            for i in idxs {
+            for &i in &by_part[&part] {
                 let local = (rows[i] - part * parter.rows_per_part()) as usize;
                 for j in 0..p {
                     out.set(i, j, chunk.get_f64(local, j));
@@ -1485,6 +1485,13 @@ mod tests {
         let h = x.head(&ctx, 3);
         assert_eq!(h.rows(), 3);
         assert_eq!(h.at(2, 0), 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather_rows on a transposed matrix")]
+    fn head_of_a_transpose_names_the_operation() {
+        let ctx = ctx();
+        FM::seq(500, 0.0, 1.0).t().head(&ctx, 2);
     }
 
     #[test]

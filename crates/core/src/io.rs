@@ -33,7 +33,10 @@ pub fn read_csv(ctx: &FlashCtx, path: impl AsRef<Path>, sep: char) -> std::io::R
         let mut n = 0;
         for tok in line.split(sep) {
             let v: f64 = tok.trim().parse().map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad number '{tok}': {e}"))
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("bad number '{tok}': {e}"),
+                )
             })?;
             data.push(v);
             n += 1;
@@ -50,15 +53,19 @@ pub fn read_csv(ctx: &FlashCtx, path: impl AsRef<Path>, sep: char) -> std::io::R
             }
         }
     }
-    let ncols = ncols.ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "empty matrix file")
-    })?;
+    let ncols = ncols
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "empty matrix file"))?;
     let nrows = (data.len() / ncols) as u64;
     Ok(FM::from_row_major(ctx, nrows, ncols, &data))
 }
 
 /// Write a matrix as delimited text.
-pub fn write_csv(ctx: &FlashCtx, fm: &FM, path: impl AsRef<Path>, sep: char) -> std::io::Result<()> {
+pub fn write_csv(
+    ctx: &FlashCtx,
+    fm: &FM,
+    path: impl AsRef<Path>,
+    sep: char,
+) -> std::io::Result<()> {
     let d = fm.to_dense(ctx);
     let f = File::create(path.as_ref())?;
     let mut w = BufWriter::new(f);
@@ -92,9 +99,8 @@ pub fn save_binary(ctx: &FlashCtx, fm: &FM, path: impl AsRef<Path>) -> std::io::
     w.write_all(&(mat.ncols() as u64).to_le_bytes())?;
     w.write_all(&mat.parter().rows_per_part().to_le_bytes())?;
     let mut pool = crate::chunk::BufPool::new();
-    for part in 0..mat.nparts() {
+    for (part, buf) in mat.scan(0..mat.nparts()) {
         let rows = mat.parter().part_rows(part, mat.nrows());
-        let buf = mat.read_part(part);
         // Normalize to column-major on disk.
         let chunk = mat.pcache_chunk(&buf, part, 0, rows, &mut pool);
         w.write_all(chunk.as_bytes())?;
@@ -111,7 +117,10 @@ pub fn load_binary(ctx: &FlashCtx, path: impl AsRef<Path>) -> std::io::Result<FM
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "not a FlashR binary matrix"));
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "not a FlashR binary matrix",
+        ));
     }
     let mut u64buf = [0u8; 8];
     r.read_exact(&mut u64buf)?;

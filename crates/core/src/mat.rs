@@ -11,7 +11,7 @@ use crate::chunk::{BufPool, Chunk, PartBufPool};
 use crate::dtype::{DType, Scalar};
 use crate::element::Element;
 use crate::part::Partitioner;
-use flashr_safs::{CachedFetch, IoBuf, IoTicket, Safs, SafsFile, SafsResult};
+use flashr_safs::{CachedFetch, IoBuf, Safs, SafsFile, SafsResult};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -79,30 +79,6 @@ impl Drop for TasInner {
                     }
                 }
             }
-        }
-    }
-}
-
-/// A partition read that may still be in flight.
-pub enum PartFetch {
-    /// In-memory partition, available immediately.
-    Ready(Arc<IoBuf>),
-    /// External-memory partition, pending on the I/O engine.
-    Pending(IoTicket),
-    /// External-memory partition routed through the SAFS page cache
-    /// (hit, coalesced miss or readahead adoption).
-    Cached(CachedFetch),
-}
-
-impl PartFetch {
-    /// Block until the partition bytes are available. The I/O error goes
-    /// to the caller, who knows which partition of which matrix this
-    /// fetch was for.
-    pub fn try_wait(self) -> SafsResult<Arc<IoBuf>> {
-        match self {
-            PartFetch::Ready(buf) => Ok(buf),
-            PartFetch::Pending(ticket) => ticket.wait().map(Arc::new),
-            PartFetch::Cached(fetch) => fetch.wait(),
         }
     }
 }
@@ -321,29 +297,49 @@ impl TasMat {
         &self.inner.store
     }
 
-    /// Begin fetching partition `part` (asynchronous for EM stores).
-    pub fn fetch_part(&self, part: u64) -> PartFetch {
+    /// Begin fetching partition `part`: ready at once in memory, a device
+    /// read (through the page cache, when one admits the file) on EM.
+    pub fn fetch_part(&self, part: u64) -> CachedFetch {
         self.try_fetch_part(part)
             .unwrap_or_else(|e| panic!("read submit for partition {part} failed: {e}"))
     }
 
     /// [`Self::fetch_part`] with a failed submit handed to the caller.
-    pub fn try_fetch_part(&self, part: u64) -> SafsResult<PartFetch> {
+    pub fn try_fetch_part(&self, part: u64) -> SafsResult<CachedFetch> {
         Ok(match &self.inner.store {
-            Store::InMem(parts) => PartFetch::Ready(parts[part as usize].clone()),
-            Store::Em(file) => match file.fetch_part_cached(part)? {
-                // No cache installed (or bypassed): the plain async path.
-                CachedFetch::Direct(ticket) => PartFetch::Pending(ticket),
-                fetch => PartFetch::Cached(fetch),
-            },
+            Store::InMem(parts) => CachedFetch::Ready(parts[part as usize].clone()),
+            Store::Em(file) => file.fetch_part_cached(part)?,
         })
     }
 
     /// Synchronously read partition `part`.
     pub fn read_part(&self, part: u64) -> Arc<IoBuf> {
         self.fetch_part(part)
-            .try_wait()
+            .wait()
             .unwrap_or_else(|e| panic!("read of partition {part} failed: {e}"))
+    }
+
+    /// Read `parts`, in the order given, through a [`ReadAhead`] window:
+    /// while the caller works on one partition the next `dispatch_batch
+    /// − 1` (of the file's runtime) are already in flight, so a scan
+    /// outside the executor gets the executor's read-ahead and holds at
+    /// most `dispatch_batch` partitions. In memory nothing is read ahead.
+    pub fn scan<'a, I>(&'a self, parts: I) -> impl Iterator<Item = (u64, Arc<IoBuf>)> + 'a
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: 'a,
+    {
+        let depth = match &self.inner.store {
+            Store::InMem(_) => 0,
+            Store::Em(file) => file.dispatch_batch().saturating_sub(1),
+        };
+        let mut window = ReadAhead::new(parts.into_iter(), depth);
+        std::iter::from_fn(move || {
+            let (part, fetch) = window.claim(|part| self.fetch_part(part))?;
+            let buf =
+                fetch.wait().unwrap_or_else(|e| panic!("read of partition {part} failed: {e}"));
+            Some((part, buf))
+        })
     }
 
     /// Strided in-place view parameters for the Pcache chunk `[r0, r1)`
@@ -435,9 +431,8 @@ impl TasMat {
         let p = self.inner.ncols;
         let mut out = flashr_linalg::Dense::zeros(n, p);
         let mut pool = BufPool::new();
-        for part in 0..self.nparts() {
+        for (part, buf) in self.scan(0..self.nparts()) {
             let (g0, g1) = self.inner.parter.part_range(part, self.inner.nrows);
-            let buf = self.read_part(part);
             let chunk = self.pcache_chunk(&buf, part, 0, (g1 - g0) as usize, &mut pool);
             for c in 0..p {
                 for r in 0..chunk.rows() {
@@ -457,8 +452,7 @@ impl TasMat {
         let file = safs.create_bytes(&name, part_bytes, total).expect("EM matrix create failed");
         file.set_delete_on_drop(true);
         let mut pending = Vec::new();
-        for part in 0..self.nparts() {
-            let buf = self.read_part(part);
+        for (part, buf) in self.scan(0..self.nparts()) {
             pending.push(
                 file.write_part_async(part, IoBuf::from_bytes(buf.as_bytes()))
                     .expect("EM write submit failed"),

@@ -1,22 +1,17 @@
 //! Critical-path analysis: attribute each pass's wall-clock to
 //! compute / io-wait / write-stall / scheduler-idle, and mine the span
-//! timeline for stragglers and late readahead.
+//! timeline for stragglers.
 //!
 //! The paper's Fig. 10 argument is that the fused engine hides I/O
 //! behind compute; this module quantifies how well that held for each
 //! recorded pass. The aggregate split comes from the
 //! [`PassProfile`](super::PassProfile) worker sums (available from
 //! `FLASHR_TRACE=pass` up); the per-task columns (median task time,
-//! straggler count, readahead-late count) need the span timeline
+//! straggler count) need the span timeline
 //! (`FLASHR_TRACE=timeline`) and read as zero below it.
 
 use super::timeline::{EventKind, LaneSnapshot};
 use super::PassProfile;
-
-/// An adopted-readahead wait longer than this counts as "readahead
-/// arrived late": the prefetch was issued but the consumer still
-/// blocked materially on it.
-pub const READAHEAD_LATE_NS: u64 = 50_000;
 
 /// A task slower than `STRAGGLER_FACTOR` × the pass's median task time
 /// is flagged as a straggler.
@@ -45,8 +40,6 @@ pub struct PassBreakdown {
     pub median_task_nanos: u64,
     /// Tasks slower than [`STRAGGLER_FACTOR`] × median.
     pub stragglers: u64,
-    /// Adopted-readahead waits longer than [`READAHEAD_LATE_NS`].
-    pub readahead_late: u64,
     /// The dominant component: `"compute"`, `"io-wait"`,
     /// `"write-stall"` or `"idle"`.
     pub bound: &'static str,
@@ -75,7 +68,7 @@ impl CriticalPath {
     pub fn table(rows: &[PassBreakdown]) -> String {
         let mut o = String::new();
         o.push_str(
-            "pass  engine        wall_ms   comp%    io%    wr%  idle%  tasks  straggler  ra-late  bound\n",
+            "pass  engine        wall_ms   comp%    io%    wr%  idle%  tasks  straggler  bound\n",
         );
         // Iterative workloads record thousands of near-identical passes;
         // show the heaviest ones.
@@ -87,7 +80,7 @@ impl CriticalPath {
             let denom = (b.nworkers as u64 * b.wall_nanos).max(1) as f64;
             let pct = |n: u64| 100.0 * n as f64 / denom;
             o.push_str(&format!(
-                "{:>4}  {:<12} {:>8.2} {:>7.1} {:>6.1} {:>6.1} {:>6.1} {:>6} {:>10} {:>8}  {}\n",
+                "{:>4}  {:<12} {:>8.2} {:>7.1} {:>6.1} {:>6.1} {:>6.1} {:>6} {:>10}  {}\n",
                 b.pass_id,
                 b.engine,
                 b.wall_nanos as f64 / 1e6,
@@ -97,7 +90,6 @@ impl CriticalPath {
                 pct(b.idle_nanos),
                 b.tasks,
                 b.stragglers,
-                b.readahead_late,
                 b.bound,
             ));
         }
@@ -118,23 +110,9 @@ fn analyze_pass(p: &PassProfile, lanes: &[LaneSnapshot]) -> PassBreakdown {
     let write_stall = p.write_stall_nanos();
     let idle = (nworkers as u64 * p.wall_nanos).saturating_sub(compute + io_wait + write_stall);
 
-    let window = pass_window(p.pass_id, lanes);
     let mut task_durs: Vec<u64> = Vec::new();
-    let mut readahead_late = 0u64;
-    if let Some((w0, w1)) = window {
-        for lane in lanes {
-            collect_task_durations(lane, p.pass_id, &mut task_durs);
-            for ev in &lane.events {
-                if ev.kind == EventKind::Complete
-                    && ev.name == "ra-wait"
-                    && ev.ts_ns >= w0
-                    && ev.ts_ns < w1
-                    && ev.dur_ns > READAHEAD_LATE_NS
-                {
-                    readahead_late += 1;
-                }
-            }
-        }
+    for lane in lanes {
+        collect_task_durations(lane, p.pass_id, &mut task_durs);
     }
 
     let (tasks, median, stragglers) = if task_durs.is_empty() {
@@ -167,37 +145,8 @@ fn analyze_pass(p: &PassProfile, lanes: &[LaneSnapshot]) -> PassBreakdown {
         tasks,
         median_task_nanos: median,
         stragglers,
-        readahead_late,
         bound,
     }
-}
-
-/// Find the `[begin, end)` window of this pass's `pass` span on any
-/// lane (the coordinator thread records it).
-fn pass_window(pass_id: u64, lanes: &[LaneSnapshot]) -> Option<(u64, u64)> {
-    for lane in lanes {
-        let mut begin: Option<u64> = None;
-        for ev in &lane.events {
-            if ev.name != "pass" {
-                continue;
-            }
-            match ev.kind {
-                EventKind::Begin if ev.args.contains(&("pass", pass_id)) => begin = Some(ev.ts_ns),
-                EventKind::End => {
-                    if let Some(b) = begin.take() {
-                        return Some((b, ev.ts_ns));
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Unmatched begin (e.g. the pass is still running): open-ended
-        // window.
-        if let Some(b) = begin {
-            return Some((b, u64::MAX));
-        }
-    }
-    None
 }
 
 /// Stack-match `task` Begin/End pairs tagged with this pass id on one
@@ -276,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn stragglers_and_late_readahead_from_spans() {
+    fn stragglers_from_spans() {
         // Hand-build a lane snapshot with controlled timestamps: four
         // tasks of 100ns and one of 900ns → median 100, one straggler.
         let mk = |name: &'static str, kind, ts, dur, args| super::super::timeline::SpanEvent {
@@ -296,8 +245,6 @@ mod tests {
         }
         evs.push(mk("task", EventKind::Begin, 1000, 0, tagged));
         evs.push(mk("task", EventKind::End, 1900, 0, no));
-        evs.push(mk("ra-wait", EventKind::Complete, 500, READAHEAD_LATE_NS + 1, no));
-        evs.push(mk("ra-wait", EventKind::Complete, 600, 10, no)); // on time
         evs.push(mk("pass", EventKind::End, 2000, 0, no));
         let lanes = vec![LaneSnapshot { name: "w0".into(), events: evs }];
 
@@ -307,7 +254,6 @@ mod tests {
         assert_eq!(b.tasks, 5);
         assert_eq!(b.median_task_nanos, 100);
         assert_eq!(b.stragglers, 1);
-        assert_eq!(b.readahead_late, 1);
         assert_eq!(b.bound, "io-wait");
     }
 

@@ -311,7 +311,7 @@ pub struct ProfileReport {
     pub passes: Vec<PassProfile>,
     pub dropped_passes: u64,
     /// Per-pass wall-clock attribution (compute / io-wait / write-stall
-    /// / idle, stragglers, late readahead); one row per recorded pass.
+    /// / idle, stragglers); one row per recorded pass.
     pub critical_path: Vec<PassBreakdown>,
     /// Timeline events discarded at the per-lane budget (0 when the
     /// timeline is off).
@@ -433,7 +433,6 @@ fn pass_json(p: &PassProfile, w: &mut Writer) {
             ("remote_parts", remote),
             ("cache_hits", p.cache.hits),
             ("cache_misses", p.cache.misses),
-            ("cache_readahead", p.cache.readahead_issued),
         ] {
             w.key(key).u64(v);
         }
@@ -484,7 +483,6 @@ fn breakdown_json(b: &PassBreakdown, w: &mut Writer) {
             ("tasks", b.tasks),
             ("median_task_nanos", b.median_task_nanos),
             ("stragglers", b.stragglers),
-            ("readahead_late", b.readahead_late),
         ] {
             w.key(key).u64(v);
         }

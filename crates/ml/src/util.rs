@@ -1,10 +1,8 @@
 //! Shared helpers for the ML algorithms.
 
 use flashr_core::fm::FM;
-use flashr_core::mat::ReadAhead;
 use flashr_core::session::FlashCtx;
 use flashr_linalg::Dense;
-use std::collections::BTreeMap;
 
 /// Fraction of rows where `pred == truth` (both n×1).
 pub fn accuracy(ctx: &FlashCtx, pred: &FM, truth: &FM) -> f64 {
@@ -33,40 +31,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Extract a set of rows as dense vectors, reading each I/O partition at
-/// most once when the matrix is materialized: the touched partitions are
-/// read in partition order through a [`ReadAhead`] window, so an
-/// external-memory matrix keeps `dispatch_batch` reads in flight (and as
-/// many partitions resident) instead of one.
-pub fn sample_rows(ctx: &FlashCtx, x: &FM, rows: &[u64]) -> Vec<Vec<f64>> {
-    let p = x.ncol() as usize;
-    if let Some(mat) = x.leaf_mat_opt() {
-        let parter = mat.parter();
-        let mut by_part: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, &r) in rows.iter().enumerate() {
-            by_part.entry(r / parter.rows_per_part()).or_default().push(i);
-        }
-        let mut out = vec![Vec::new(); rows.len()];
-        let mut pool = flashr_core::chunk::BufPool::new();
-        let depth = ctx.safs().map_or(0, |s| s.dispatch_batch().saturating_sub(1));
-        let mut window = ReadAhead::new(by_part.keys().copied(), depth);
-        while let Some((part, fetch)) = window.claim(|part| mat.fetch_part(part)) {
-            let buf = fetch.try_wait().unwrap_or_else(|e| {
-                panic!("read of partition {part} for row sampling failed: {e}")
-            });
-            let part_rows = parter.part_rows(part, mat.nrows());
-            let chunk = mat.pcache_chunk(&buf, part, 0, part_rows, &mut pool);
-            for &i in &by_part[&part] {
-                let local = (rows[i] - part * parter.rows_per_part()) as usize;
-                out[i] = (0..p).map(|j| chunk.get_f64(local, j)).collect();
-            }
-        }
-        out
-    } else {
-        rows.iter().map(|&r| (0..p).map(|j| x.get(ctx, r, j as u64)).collect()).collect()
-    }
-}
-
 /// Pick `k` initial centers by farthest-first traversal over a hashed
 /// candidate sample of rows (a cheap kmeans++-style init that avoids the
 /// worst local optima of Lloyd/EM). Shared by k-means and GMM.
@@ -82,11 +46,12 @@ pub fn farthest_first_init(ctx: &FlashCtx, x: &FM, k: usize, seed: u64) -> Dense
         h ^= h >> 27;
         rows.push((g as u64 * stride + h % stride).min(n - 1));
     }
-    let cands = sample_rows(ctx, x, &rows);
+    let sample = x.gather_rows(ctx, &rows);
+    let cands: Vec<&[f64]> = (0..sample.rows()).map(|i| sample.row(i)).collect();
     let mut chosen: Vec<usize> = vec![0];
     let mut dist: Vec<f64> = cands
         .iter()
-        .map(|c| c.iter().zip(&cands[0]).map(|(a, b)| (a - b) * (a - b)).sum())
+        .map(|c| c.iter().zip(cands[0]).map(|(a, b)| (a - b) * (a - b)).sum())
         .collect();
     while chosen.len() < k {
         let (next, _) = dist
@@ -96,7 +61,7 @@ pub fn farthest_first_init(ctx: &FlashCtx, x: &FM, k: usize, seed: u64) -> Dense
             .expect("candidates non-empty");
         chosen.push(next);
         for (i, c) in cands.iter().enumerate() {
-            let d: f64 = c.iter().zip(&cands[next]).map(|(a, b)| (a - b) * (a - b)).sum();
+            let d: f64 = c.iter().zip(cands[next]).map(|(a, b)| (a - b) * (a - b)).sum();
             if d < dist[i] {
                 dist[i] = d;
             }

@@ -18,20 +18,16 @@
 //! * **Single-flight misses.** Concurrent readers of one partition
 //!   coalesce onto a single device read. The first becomes the
 //!   *completer* and owns the I/O; the rest block on the shard condvar
-//!   until the buffer is published (or adopt the in-flight ticket, see
-//!   readahead below).
-//! * **Readahead.** A per-file sequential-run detector grants a bounded
-//!   window of asynchronous readahead through the normal
-//!   [`IoTicket`](crate::IoTicket) path. Readahead tickets are *parked*
-//!   inside in-flight entries and adopted by the next reader of that
-//!   partition, which unifies readahead with the single-flight
-//!   protocol: a partition is never read twice because readahead and a
-//!   demand miss raced.
+//!   until the buffer is published.
 //! * **Admission.** Files larger than the cache capacity bypass the
 //!   cache entirely, so one streaming pass over a huge matrix cannot
 //!   evict an iterative hot set that fits. Capacity 0 means "no cache":
 //!   the runtime never installs one and every read goes straight to the
 //!   device, bit-identical to the pre-cache behaviour.
+//!
+//! The cache reads nothing ahead: the matrix engine's read-ahead window
+//! (`flashr_core::mat::ReadAhead`) already keeps the next partitions of
+//! a scan in flight, within the executor's byte bound.
 //!
 //! Throttle interaction: the emulated-bandwidth throttle is charged by
 //! the I/O threads when a request actually touches a device
@@ -59,29 +55,17 @@ pub struct CacheCfg {
     pub capacity_bytes: u64,
     /// Number of shards; match the context's simulated NUMA nodes.
     pub shards: usize,
-    /// Partitions to read ahead once a sequential run is detected;
-    /// 0 disables readahead.
-    pub readahead_parts: u64,
-    /// Consecutive in-order accesses before readahead triggers.
-    pub seq_run: u64,
 }
 
 impl CacheCfg {
-    /// A cache of `bytes` capacity with default sharding and readahead.
+    /// A cache of `bytes` capacity with default sharding.
     pub fn with_capacity(bytes: u64) -> CacheCfg {
-        CacheCfg { capacity_bytes: bytes, shards: 2, readahead_parts: 8, seq_run: 3 }
+        CacheCfg { capacity_bytes: bytes, shards: 2 }
     }
 
     /// Builder-style: set the shard count (clamped to ≥ 1).
     pub fn with_shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Builder-style: set the readahead window and trigger run length.
-    pub fn with_readahead(mut self, parts: u64, seq_run: u64) -> Self {
-        self.readahead_parts = parts;
-        self.seq_run = seq_run.max(1);
         self
     }
 }
@@ -111,10 +95,11 @@ crate::stat_struct! {
         /// file was deleted/dropped.
         invalidations: counter =>
             "flashr_cache_events_total", CACHE_EVENTS, "event" = "invalidate";
-        /// Readahead requests submitted to the device.
+        /// No longer incremented: the cache reads nothing ahead. Kept
+        /// only because the benchmark's ledger still reads it.
         readahead_issued: counter =>
             "flashr_cache_events_total", CACHE_EVENTS, "event" = "readahead_issued";
-        /// Parked readahead tickets adopted by a subsequent reader.
+        /// No longer incremented; see `readahead_issued`.
         readahead_hits: counter =>
             "flashr_cache_events_total", CACHE_EVENTS, "event" = "readahead_hit";
         /// Bytes resident in the shard; only changed under its lock.
@@ -134,10 +119,9 @@ impl CacheStatsSnapshot {
 enum Slot {
     /// Published data; `referenced` is the CLOCK second-chance bit.
     Resident { buf: Arc<IoBuf>, referenced: bool },
-    /// A device read is outstanding. `ticket` is `Some` only for parked
-    /// readahead — a demand reader keeps its own ticket and `complete`s
-    /// or `abort`s this placeholder.
-    InFlight { ticket: Option<IoTicket> },
+    /// A device read is outstanding; its reader `complete`s or `abort`s
+    /// this placeholder.
+    InFlight,
 }
 
 #[derive(Default)]
@@ -161,12 +145,6 @@ struct Shard {
     stats: CacheStats,
 }
 
-/// Per-file sequential-access detector state.
-struct SeqState {
-    next: u64,
-    run: u64,
-}
-
 /// What a [`PageCache::lookup`] resolved to.
 pub(crate) enum Lookup {
     /// Resident — serve from RAM.
@@ -174,21 +152,8 @@ pub(crate) enum Lookup {
     /// Absent — the caller owns the miss: an in-flight placeholder now
     /// holds the key, and the caller must `complete` or `abort` it.
     MustRead,
-    /// A parked readahead ticket was adopted — the caller waits on the
-    /// device completion and publishes the result.
-    Adopted(IoTicket),
     /// Another reader owns the in-flight read — call `wait_shared`.
     Shared,
-}
-
-/// How a [`PageCache::wait_shared`] ended.
-pub(crate) enum SharedOutcome {
-    /// The completer published the buffer.
-    Ready(Arc<IoBuf>),
-    /// A readahead ticket was parked while we waited; we adopted it.
-    Adopted(IoTicket),
-    /// The owning reader aborted — retry the lookup.
-    Gone,
 }
 
 /// The user-space page cache. One instance lives on a [`Safs`](crate::Safs)
@@ -197,7 +162,6 @@ pub struct PageCache {
     cfg: CacheCfg,
     shard_budget: u64,
     shards: Vec<Shard>,
-    seq: Mutex<HashMap<u64, SeqState>>,
 }
 
 impl PageCache {
@@ -207,7 +171,6 @@ impl PageCache {
         PageCache {
             shard_budget: cfg.capacity_bytes / nshards as u64,
             shards: (0..nshards).map(|_| Shard::default()).collect(),
-            seq: Mutex::new(HashMap::new()),
             cfg: CacheCfg { shards: nshards, ..cfg },
         }
     }
@@ -215,11 +178,6 @@ impl PageCache {
     /// Configured capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.cfg.capacity_bytes
-    }
-
-    /// Configured readahead window in partitions.
-    pub fn readahead_parts(&self) -> u64 {
-        self.cfg.readahead_parts
     }
 
     /// Aggregate counters across all shards plus the resident-bytes
@@ -251,7 +209,7 @@ impl PageCache {
         self.shards[0].stats.bypasses.inc();
     }
 
-    /// Resolve `key`: hit, owned miss, adopted readahead, or shared wait.
+    /// Resolve `key`: hit, owned miss, or shared wait.
     pub(crate) fn lookup(&self, key: CacheKey) -> Lookup {
         let shard = self.shard(key);
         let mut g = shard.inner.lock();
@@ -261,40 +219,32 @@ impl PageCache {
                 shard.stats.hits.inc();
                 Lookup::Hit(buf.clone())
             }
-            Some(Slot::InFlight { ticket }) => match ticket.take() {
-                Some(t) => {
-                    shard.stats.readahead_hits.inc();
-                    Lookup::Adopted(t)
-                }
-                None => {
-                    shard.stats.coalesced.inc();
-                    Lookup::Shared
-                }
-            },
+            Some(Slot::InFlight) => {
+                shard.stats.coalesced.inc();
+                Lookup::Shared
+            }
             None => {
-                g.map.insert(key, Slot::InFlight { ticket: None });
+                g.map.insert(key, Slot::InFlight);
                 shard.stats.misses.inc();
                 Lookup::MustRead
             }
         }
     }
 
-    /// Block until another reader's in-flight read resolves.
-    pub(crate) fn wait_shared(&self, key: CacheKey) -> SharedOutcome {
+    /// Block until another reader's in-flight read resolves: the
+    /// published buffer, or `None` when the owner aborted (retry the
+    /// lookup).
+    pub(crate) fn wait_shared(&self, key: CacheKey) -> Option<Arc<IoBuf>> {
         let shard = self.shard(key);
         let mut g = shard.inner.lock();
         loop {
             match g.map.get_mut(&key) {
                 Some(Slot::Resident { buf, referenced }) => {
                     *referenced = true;
-                    return SharedOutcome::Ready(buf.clone());
+                    return Some(buf.clone());
                 }
-                Some(Slot::InFlight { ticket }) => {
-                    if let Some(t) = ticket.take() {
-                        return SharedOutcome::Adopted(t);
-                    }
-                }
-                None => return SharedOutcome::Gone,
+                Some(Slot::InFlight) => {}
+                None => return None,
             }
             g = shard.cond.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
@@ -376,61 +326,8 @@ impl PageCache {
         let shard = self.shard(key);
         {
             let mut g = shard.inner.lock();
-            if matches!(g.map.get(&key), Some(Slot::InFlight { .. })) {
+            if matches!(g.map.get(&key), Some(Slot::InFlight)) {
                 g.map.remove(&key);
-            }
-        }
-        shard.cond.notify_all();
-    }
-
-    /// Feed the sequential detector with an access to `part` of file
-    /// `uid` and return the partitions to read ahead. Placeholders for
-    /// the returned partitions are already inserted; the caller submits
-    /// the reads and parks each ticket with [`park_readahead`](Self::park_readahead).
-    pub(crate) fn plan_readahead(&self, uid: u64, part: u64, nparts: u64) -> Vec<u64> {
-        if self.cfg.readahead_parts == 0 {
-            return Vec::new();
-        }
-        let window = {
-            let mut seq = self.seq.lock();
-            let st = seq.entry(uid).or_insert(SeqState { next: u64::MAX, run: 0 });
-            if part == st.next {
-                st.run += 1;
-            } else {
-                st.run = 1;
-            }
-            st.next = part + 1;
-            if st.run >= self.cfg.seq_run {
-                self.cfg.readahead_parts
-            } else {
-                0
-            }
-        };
-        let mut out = Vec::new();
-        for p in part + 1..(part + 1 + window).min(nparts) {
-            let key = (uid, p);
-            let shard = self.shard(key);
-            let mut g = shard.inner.lock();
-            if let std::collections::hash_map::Entry::Vacant(e) = g.map.entry(key) {
-                e.insert(Slot::InFlight { ticket: None });
-                out.push(p);
-            }
-        }
-        out
-    }
-
-    /// Park a submitted readahead ticket in its placeholder for the next
-    /// reader to adopt. If the placeholder vanished (aborted) the ticket
-    /// is dropped and the read completes into the void.
-    pub(crate) fn park_readahead(&self, key: CacheKey, ticket: IoTicket) {
-        let shard = self.shard(key);
-        {
-            let mut g = shard.inner.lock();
-            if let Some(Slot::InFlight { ticket: slot }) = g.map.get_mut(&key) {
-                if slot.is_none() {
-                    *slot = Some(ticket);
-                    shard.stats.readahead_issued.inc();
-                }
             }
         }
         shard.cond.notify_all();
@@ -454,45 +351,35 @@ impl PageCache {
         }
     }
 
-    /// Drop every resident entry and unclaimed readahead ticket of a
-    /// file (deleted, or its last handle dropped). Placeholders owned by
-    /// an active completer are left for it to resolve.
+    /// Drop every resident entry of a file (deleted, or its last handle
+    /// dropped). Placeholders are left for their readers to resolve.
     pub(crate) fn invalidate_file(&self, uid: u64) {
         for shard in &self.shards {
-            {
-                let mut g = shard.inner.lock();
-                let doomed: Vec<CacheKey> = g
-                    .map
-                    .iter()
-                    .filter(|(k, slot)| {
-                        k.0 == uid
-                            && match slot {
-                                Slot::Resident { .. } => true,
-                                Slot::InFlight { ticket } => ticket.is_some(),
-                            }
-                    })
-                    .map(|(k, _)| *k)
-                    .collect();
-                for k in doomed {
-                    if let Some(Slot::Resident { buf, .. }) = g.map.remove(&k) {
-                        shard.stats.resident_bytes.sub(buf.len() as u64);
-                    }
-                    shard.stats.invalidations.inc();
+            let mut g = shard.inner.lock();
+            let doomed: Vec<CacheKey> = g
+                .map
+                .iter()
+                .filter(|(k, slot)| k.0 == uid && matches!(slot, Slot::Resident { .. }))
+                .map(|(k, _)| *k)
+                .collect();
+            for k in doomed {
+                if let Some(Slot::Resident { buf, .. }) = g.map.remove(&k) {
+                    shard.stats.resident_bytes.sub(buf.len() as u64);
                 }
+                shard.stats.invalidations.inc();
             }
-            shard.cond.notify_all();
         }
-        self.seq.lock().remove(&uid);
     }
 }
 
-/// A cache-aware partition read in progress, returned by
-/// [`SafsFile::fetch_part_cached`](crate::SafsFile::fetch_part_cached).
+/// A partition read in progress — the one partition-fetch type, for
+/// in-memory partitions, cache hits and device reads alike.
 pub enum CachedFetch {
-    /// Served from the cache (hit, or coalesced onto another reader).
+    /// Available now: an in-memory partition, a cache hit, or a miss
+    /// coalesced onto another reader's device read.
     Ready(Arc<IoBuf>),
-    /// Bypassed the cache (no cache installed, or the admission filter
-    /// rejected the file).
+    /// A device read that bypasses the cache (no cache installed, or the
+    /// admission filter rejected the file).
     Direct(IoTicket),
     /// A device read this caller completes into the cache.
     Pending(PendingRead),
@@ -507,11 +394,6 @@ impl CachedFetch {
             CachedFetch::Pending(p) => p.wait(),
         }
     }
-
-    /// Whether the bytes are already available without blocking.
-    pub fn is_ready(&self) -> bool {
-        matches!(self, CachedFetch::Ready(_))
-    }
 }
 
 /// An owned in-flight read whose completion publishes the partition into
@@ -521,26 +403,19 @@ pub struct PendingRead {
     cache: Arc<PageCache>,
     key: CacheKey,
     ticket: Option<IoTicket>,
-    /// When tracing: where to report the blocking wait, and what to call
-    /// it ("miss-wait" for demand misses, "ra-wait" for adopted
-    /// readahead — the latter flags readahead that arrived late).
-    span: Option<(Arc<crate::span::SinkSet>, &'static str)>,
+    /// When tracing: where to report the blocking wait as a
+    /// `cache`/`miss-wait` span.
+    span: Option<Arc<crate::span::SinkSet>>,
 }
 
 impl PendingRead {
-    pub(crate) fn new(cache: Arc<PageCache>, key: CacheKey, ticket: IoTicket) -> PendingRead {
-        PendingRead { cache, key, ticket: Some(ticket), span: None }
-    }
-
-    /// Attach a span sink; the blocking part of `wait()` is reported to
-    /// it as a completed `cache`/`kind` span.
-    pub(crate) fn with_span(
-        mut self,
-        sink: Option<Arc<crate::span::SinkSet>>,
-        kind: &'static str,
+    pub(crate) fn new(
+        cache: Arc<PageCache>,
+        key: CacheKey,
+        ticket: IoTicket,
+        span: Option<Arc<crate::span::SinkSet>>,
     ) -> PendingRead {
-        self.span = sink.map(|s| (s, kind));
-        self
+        PendingRead { cache, key, ticket: Some(ticket), span }
     }
 
     /// Wait for the device, publish into the cache, wake coalesced
@@ -549,8 +424,9 @@ impl PendingRead {
         let ticket = self.ticket.take().expect("PendingRead waited twice");
         let t0 = self.span.as_ref().map(|_| crate::span::now_nanos());
         let result = ticket.wait();
-        if let (Some((sink, kind)), Some(t0)) = (&self.span, t0) {
-            sink.span("cache", kind, t0, crate::span::now_nanos(), [("part", self.key.1), ("", 0)]);
+        if let (Some(sink), Some(t0)) = (&self.span, t0) {
+            let end = crate::span::now_nanos();
+            sink.span("cache", "miss-wait", t0, end, [("part", self.key.1), ("", 0)]);
         }
         match result {
             Ok(buf) => Ok(self.cache.complete(self.key, buf)),
@@ -602,10 +478,7 @@ mod tests {
         // Second reader of the same partition shares the in-flight read.
         assert!(matches!(c.lookup(key), Lookup::Shared));
         c.complete(key, buf(32, 1));
-        match c.wait_shared(key) {
-            SharedOutcome::Ready(b) => assert_eq!(b.len(), 32),
-            _ => panic!("expected published buffer"),
-        }
+        assert_eq!(c.wait_shared(key).expect("the published buffer").len(), 32);
         let s = c.stats_snapshot();
         assert_eq!(s.misses, 1, "one owner per partition");
         assert_eq!(s.coalesced, 1);
@@ -617,7 +490,7 @@ mod tests {
         let key = (9, 0);
         assert!(matches!(c.lookup(key), Lookup::MustRead));
         c.abort(key);
-        assert!(matches!(c.wait_shared(key), SharedOutcome::Gone));
+        assert!(c.wait_shared(key).is_none());
         // The retry becomes the new owner.
         assert!(matches!(c.lookup(key), Lookup::MustRead));
     }
@@ -672,25 +545,6 @@ mod tests {
         let s = c.stats_snapshot();
         assert_eq!(s.resident_bytes, 16, "the other file's entry survives");
         assert!(matches!(c.lookup((8, 0)), Lookup::Hit(_)));
-    }
-
-    #[test]
-    fn readahead_triggers_after_sequential_run() {
-        let c = PageCache::new(CacheCfg::with_capacity(1 << 20).with_readahead(4, 3));
-        assert!(c.plan_readahead(1, 0, 100).is_empty());
-        assert!(c.plan_readahead(1, 1, 100).is_empty());
-        // Third in-order access grants the window.
-        assert_eq!(c.plan_readahead(1, 2, 100), vec![3, 4, 5, 6]);
-        // Next step only extends by the new tail partition.
-        assert_eq!(c.plan_readahead(1, 3, 100), vec![7]);
-        // A random jump resets the run.
-        assert!(c.plan_readahead(1, 42, 100).is_empty());
-    }
-
-    #[test]
-    fn readahead_respects_file_end() {
-        let c = PageCache::new(CacheCfg::with_capacity(1 << 20).with_readahead(8, 1));
-        assert_eq!(c.plan_readahead(1, 8, 10), vec![9]);
     }
 
     #[test]

@@ -51,12 +51,15 @@ pub struct SafsConfig {
     /// I/O threads servicing each shard's request queue.
     pub io_threads_per_disk: usize,
     /// Read-ahead depth of a sequential scan, in partitions per reader
-    /// (the "SAFS block size" of paper §3.3): the executor claims
+    /// (the "SAFS block size" of paper §3.3), and the only read-ahead
+    /// there is (the page cache reads nothing ahead). The executor claims
     /// partitions one at a time and keeps `dispatch_batch − 1` reads per
     /// worker in flight beyond those being computed, so a pass holds at
-    /// most `nthreads × dispatch_batch` partitions of each leaf; a
-    /// single-threaded scan (row sampling) keeps `dispatch_batch` reads
-    /// in flight. `1` reads nothing ahead.
+    /// most `nthreads × dispatch_batch` partitions of each leaf. The
+    /// single-threaded scans outside it (`TasMat::scan`: `to_dense_f64`,
+    /// `to_em`, `FM::table`, `FM::gather_rows` — k-means and GMM
+    /// initialisation — and `io::save_binary`) keep `dispatch_batch`
+    /// reads in flight. `1` reads nothing ahead.
     pub dispatch_batch: usize,
     /// Optional bandwidth emulation, one throttle per shard (applied by
     /// the `Sim` backend only).

@@ -1,9 +1,9 @@
 //! Striped, partition-granular files.
 
 use crate::aio::{completion, IoOp, IoReq, IoTicket};
-use crate::cache::{CachedFetch, Lookup, PageCache, PendingRead, SharedOutcome};
-use crate::iobuf::IoBuf;
+use crate::cache::{CachedFetch, Lookup, PendingRead};
 use crate::error::{SafsError, SafsResult};
+use crate::iobuf::IoBuf;
 use crate::layout::Striping;
 use crate::runtime::RtInner;
 use crate::span::now_nanos;
@@ -72,8 +72,7 @@ impl FileInner {
         let meta_path = Self::meta_path(&rt, name);
         let mut mf = File::create(&meta_path)
             .map_err(|e| SafsError::io(format!("creating meta {}", meta_path.display()), e))?;
-        mf.write_all(meta.as_bytes())
-            .map_err(|e| SafsError::io("writing meta", e))?;
+        mf.write_all(meta.as_bytes()).map_err(|e| SafsError::io("writing meta", e))?;
         Ok(SafsFile {
             inner: Arc::new(FileInner {
                 rt,
@@ -189,6 +188,12 @@ impl SafsFile {
         Ok((inner.total_bytes - start).min(inner.part_bytes) as usize)
     }
 
+    /// Read-ahead depth of a sequential scan on this file's runtime
+    /// ([`SafsConfig::dispatch_batch`](crate::SafsConfig::dispatch_batch)).
+    pub fn dispatch_batch(&self) -> usize {
+        self.inner.rt.dispatch_batch()
+    }
+
     /// Mark this file to be removed from the array when the last handle
     /// drops (used for anonymous temporaries).
     pub fn set_delete_on_drop(&self, v: bool) {
@@ -243,10 +248,9 @@ impl SafsFile {
     ///
     /// When the runtime has a page cache and the admission filter
     /// accepts this file, the read is served from — and published to —
-    /// the cache: hits return immediately, concurrent misses of one
-    /// partition coalesce onto a single device read, and sequential
-    /// scans trigger bounded readahead. Without a cache (or for files
-    /// too large to cache) this degrades to a plain
+    /// the cache: hits return immediately and concurrent misses of one
+    /// partition coalesce onto a single device read. Without a cache (or
+    /// for files too large to cache) this degrades to a plain
     /// [`read_part_async`](SafsFile::read_part_async).
     pub fn fetch_part_cached(&self, part: u64) -> SafsResult<CachedFetch> {
         let cache = match self.inner.rt.page_cache() {
@@ -258,7 +262,7 @@ impl SafsFile {
             return Ok(CachedFetch::Direct(self.read_part_async(part)?));
         }
         self.check_live()?;
-        // Validate the range up-front so no placeholder is ever parked
+        // Validate the range up-front so no placeholder is ever inserted
         // for a partition that cannot be read.
         self.part_len(part)?;
         let key = (self.inner.uid, part);
@@ -269,7 +273,6 @@ impl SafsFile {
                     if let Some(s) = &sink {
                         s.instant("cache", "hit", now_nanos(), [("part", part), ("", 0)]);
                     }
-                    self.issue_readahead(&cache, part);
                     return Ok(CachedFetch::Ready(buf));
                 }
                 Lookup::MustRead => {
@@ -283,19 +286,7 @@ impl SafsFile {
                             return Err(e);
                         }
                     };
-                    self.issue_readahead(&cache, part);
-                    return Ok(CachedFetch::Pending(
-                        PendingRead::new(cache, key, ticket).with_span(sink, "miss-wait"),
-                    ));
-                }
-                Lookup::Adopted(ticket) => {
-                    if let Some(s) = &sink {
-                        s.instant("cache", "ra-adopt", now_nanos(), [("part", part), ("", 0)]);
-                    }
-                    self.issue_readahead(&cache, part);
-                    return Ok(CachedFetch::Pending(
-                        PendingRead::new(cache, key, ticket).with_span(sink, "ra-wait"),
-                    ));
+                    return Ok(CachedFetch::Pending(PendingRead::new(cache, key, ticket, sink)));
                 }
                 Lookup::Shared => {
                     let t0 = sink.as_ref().map(|_| now_nanos());
@@ -303,15 +294,9 @@ impl SafsFile {
                     if let (Some(s), Some(t0)) = (&sink, t0) {
                         s.span("cache", "shared-wait", t0, now_nanos(), [("part", part), ("", 0)]);
                     }
-                    match outcome {
-                        SharedOutcome::Ready(buf) => return Ok(CachedFetch::Ready(buf)),
-                        SharedOutcome::Adopted(ticket) => {
-                            return Ok(CachedFetch::Pending(
-                                PendingRead::new(cache, key, ticket).with_span(sink, "ra-wait"),
-                            ))
-                        }
-                        // The owning reader aborted; race for ownership again.
-                        SharedOutcome::Gone => continue,
+                    // `None`: the owning reader aborted; race for ownership again.
+                    if let Some(buf) = outcome {
+                        return Ok(CachedFetch::Ready(buf));
                     }
                 }
             }
@@ -321,24 +306,6 @@ impl SafsFile {
     /// Synchronous cache-aware read of partition `part`.
     pub fn read_part_cached(&self, part: u64) -> SafsResult<Arc<IoBuf>> {
         self.fetch_part_cached(part)?.wait()
-    }
-
-    /// Feed the sequential-access detector and submit whatever readahead
-    /// it grants; each ticket is parked in the cache for the next reader
-    /// of that partition to adopt.
-    fn issue_readahead(&self, cache: &Arc<PageCache>, part: u64) {
-        for p in cache.plan_readahead(self.inner.uid, part, self.inner.nparts) {
-            let key = (self.inner.uid, p);
-            match self.read_part_async(p) {
-                Ok(ticket) => {
-                    if let Some(s) = self.inner.rt.span_sink() {
-                        s.instant("cache", "readahead", now_nanos(), [("part", p), ("", 0)]);
-                    }
-                    cache.park_readahead(key, ticket);
-                }
-                Err(_) => cache.abort(key),
-            }
-        }
     }
 
     /// Submit an asynchronous write of partition `part`. `buf` must be
@@ -455,7 +422,9 @@ mod tests {
         let f = safs.create("a", 4096, 32).unwrap();
         let mut writes = Vec::new();
         for p in 0..32u64 {
-            writes.push(f.write_part_async(p, IoBuf::from_bytes(&vec![(p % 251) as u8; 4096])).unwrap());
+            writes.push(
+                f.write_part_async(p, IoBuf::from_bytes(&vec![(p % 251) as u8; 4096])).unwrap(),
+            );
         }
         for w in writes {
             w.wait().unwrap();

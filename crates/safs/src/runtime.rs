@@ -55,6 +55,10 @@ impl RtInner {
         self.cfg.disks.len()
     }
 
+    pub(crate) fn dispatch_batch(&self) -> usize {
+        self.cfg.dispatch_batch
+    }
+
     /// The installed page cache, if any (cheap clone of an `Arc`).
     pub(crate) fn page_cache(&self) -> Option<Arc<PageCache>> {
         self.page_cache.lock().clone()
@@ -136,12 +140,6 @@ impl Safs {
     /// Capacity of the installed page cache in bytes (0 when none).
     pub fn page_cache_capacity(&self) -> u64 {
         self.inner.page_cache.lock().as_ref().map(|c| c.capacity_bytes()).unwrap_or(0)
-    }
-
-    /// The page cache's readahead window in partitions (0 when no cache
-    /// is installed).
-    pub fn readahead_parts(&self) -> u64 {
-        self.inner.page_cache.lock().as_ref().map(|c| c.readahead_parts()).unwrap_or(0)
     }
 
     /// Page-cache counters (all zero when no cache is installed).
@@ -240,7 +238,7 @@ impl Safs {
     /// Read-ahead depth of a sequential scan, in partitions per reader
     /// (see [`SafsConfig::dispatch_batch`]).
     pub fn dispatch_batch(&self) -> usize {
-        self.inner.cfg.dispatch_batch
+        self.inner.dispatch_batch()
     }
 
     /// Number of disks in the array.

@@ -2,8 +2,8 @@
 //!
 //! The timeline collector itself lives above this crate (in
 //! `flashr_core::trace::timeline`), but the events worth recording —
-//! I/O request lifecycles, cache misses, single-flight waits, readahead
-//! — happen down here. This module defines the narrow interface the two
+//! I/O request lifecycles, cache misses, single-flight waits — happen
+//! down here. This module defines the narrow interface the two
 //! layers share:
 //!
 //! * [`now_nanos`] — a process-wide monotonic clock. Every span in the
@@ -46,7 +46,14 @@ pub const NO_ARGS: SpanArgs = [("", 0), ("", 0)];
 /// events land on the calling thread's track.
 pub trait SpanSink: Send + Sync {
     /// A completed interval `[begin_ns, end_ns]` (from [`now_nanos`]).
-    fn span(&self, cat: &'static str, name: &'static str, begin_ns: u64, end_ns: u64, args: SpanArgs);
+    fn span(
+        &self,
+        cat: &'static str,
+        name: &'static str,
+        begin_ns: u64,
+        end_ns: u64,
+        args: SpanArgs,
+    );
 
     /// A zero-duration marker.
     fn instant(&self, cat: &'static str, name: &'static str, ts_ns: u64, args: SpanArgs);

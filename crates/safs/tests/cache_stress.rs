@@ -1,7 +1,7 @@
 //! Concurrency and correctness stress for the SA-cache page cache
 //! (ISSUE 3): bit-identical reads under contention, single-flight
 //! coalescing, warm-cache zero-device-read scans, capacity-0
-//! passthrough, admission bypass, readahead, and write invalidation.
+//! passthrough, admission bypass, and write invalidation.
 
 use flashr_safs::{CacheCfg, Safs, SafsConfig, ThrottleCfg};
 use flashr_testkit::Rng;
@@ -33,12 +33,11 @@ fn concurrent_reads_are_bit_identical_and_evict() {
     const NFILES: u64 = 8;
     // Each file fits (8 parts ≤ 8-part capacity) so admission accepts,
     // but the working set is 8 files — plenty of CLOCK eviction churn.
-    let cache = CacheCfg::with_capacity(NPARTS * PART).with_shards(2).with_readahead(0, u64::MAX);
-    let safs = Safs::open(SafsConfig::striped_under(tmp_root("concurrent"), 2).with_cache(cache))
-        .unwrap();
-    let files: Vec<Arc<flashr_safs::SafsFile>> = (0..NFILES)
-        .map(|i| Arc::new(make_file(&safs, &format!("x{i}"), PART, NPARTS)))
-        .collect();
+    let cache = CacheCfg::with_capacity(NPARTS * PART).with_shards(2);
+    let safs =
+        Safs::open(SafsConfig::striped_under(tmp_root("concurrent"), 2).with_cache(cache)).unwrap();
+    let files: Vec<Arc<flashr_safs::SafsFile>> =
+        (0..NFILES).map(|i| Arc::new(make_file(&safs, &format!("x{i}"), PART, NPARTS))).collect();
 
     std::thread::scope(|scope| {
         for t in 0..8u64 {
@@ -72,8 +71,7 @@ fn concurrent_reads_are_bit_identical_and_evict() {
 fn single_flight_coalesces_concurrent_misses() {
     const PART: u64 = 64 * 1024; // large enough that reads take a while
     const NPARTS: u64 = 8;
-    // Readahead disabled so device reads map 1:1 to demand misses.
-    let cache = CacheCfg::with_capacity(NPARTS * PART).with_readahead(0, u64::MAX);
+    let cache = CacheCfg::with_capacity(NPARTS * PART);
     let safs =
         Safs::open(SafsConfig::striped_under(tmp_root("coalesce"), 2).with_cache(cache)).unwrap();
     let file = Arc::new(make_file(&safs, "x", PART, NPARTS));
@@ -170,27 +168,6 @@ fn oversized_file_bypasses_admission() {
     let io = before.delta(&safs.stats_snapshot());
     assert_eq!(io.cache.bypasses, NPARTS, "oversized file must bypass: {:?}", io.cache);
     assert_eq!(io.cache.hits + io.cache.misses, 0);
-    assert_eq!(io.read_reqs, NPARTS);
-}
-
-#[test]
-fn sequential_scan_triggers_readahead() {
-    const PART: u64 = 4096;
-    const NPARTS: u64 = 32;
-    let cache = CacheCfg::with_capacity(NPARTS * PART).with_readahead(4, 3);
-    let safs =
-        Safs::open(SafsConfig::striped_under(tmp_root("readahead"), 2).with_cache(cache)).unwrap();
-    let file = make_file(&safs, "x", PART, NPARTS);
-
-    let before = safs.stats_snapshot();
-    for p in 0..NPARTS {
-        let buf = file.read_part_cached(p).unwrap();
-        assert_eq!(buf.as_bytes(), &pattern(p, PART as usize)[..]);
-    }
-    let io = before.delta(&safs.stats_snapshot());
-    assert!(io.cache.readahead_issued > 0, "sequential scan must issue readahead: {:?}", io.cache);
-    assert!(io.cache.readahead_hits > 0, "the scan must adopt readahead tickets: {:?}", io.cache);
-    // Readahead changes who issues the read, never how many bytes move.
     assert_eq!(io.read_reqs, NPARTS);
 }
 

@@ -10,7 +10,7 @@
 //! within `n·ε·Σ|x|`.
 
 use flashr::prelude::*;
-use flashr::safs::BackendKind;
+use flashr::safs::{BackendKind, CacheCfg};
 use flashr_testkit::oracle::{assert_close, assert_same, Mat};
 use flashr_testkit::{cases, Rng};
 
@@ -30,15 +30,23 @@ enum Storage {
     InMem,
     EmSim,
     EmDirect,
+    /// `EmSim` behind a page cache that admits every leaf, so partitions
+    /// arrive as cache hits, coalesced waits and owned misses.
+    EmSimCached,
 }
-const STORAGES: [Storage; 3] = [Storage::InMem, Storage::EmSim, Storage::EmDirect];
+const STORAGES: [Storage; 4] =
+    [Storage::InMem, Storage::EmSim, Storage::EmDirect, Storage::EmSimCached];
 
-/// The two SSD arrays the EM points run on, each opened once per
+/// A page cache larger than any leaf a case draws.
+const CACHE_BYTES: u64 = 16 << 20;
+
+/// The three SSD arrays the EM points run on, each opened once per
 /// [`DISPATCH_BATCH`] value, under one scratch directory.
 struct Arrays {
     dir: std::path::PathBuf,
     sim: [Safs; 2],
     direct: [Safs; 2],
+    sim_cached: [Safs; 2],
 }
 
 impl Arrays {
@@ -47,18 +55,20 @@ impl Arrays {
         let _ = std::fs::remove_dir_all(&dir);
         // Explicit layouts, so FLASHR_SAFS_SHARDS / FLASHR_BACKEND cannot
         // fold the two points into one.
-        let array = |name: &str, shards: usize, backend| {
+        let array = |name: &str, shards: usize, backend, cache_bytes| {
             DISPATCH_BATCH.map(|batch| {
                 let disks = (0..shards).map(|d| dir.join(format!("{name}{batch}-{d}"))).collect();
                 let cfg = SafsConfig { disks, ..SafsConfig::single_dir(&dir) }
                     .with_backend(backend)
-                    .with_dispatch_batch(batch);
+                    .with_dispatch_batch(batch)
+                    .with_cache(CacheCfg::with_capacity(cache_bytes));
                 Safs::open(cfg).expect("open scratch SAFS array")
             })
         };
-        let (sim, direct) =
-            (array("sim", 2, BackendKind::Sim), array("direct", 4, BackendKind::Direct));
-        Arrays { dir, sim, direct }
+        let sim = array("sim", 2, BackendKind::Sim, 0);
+        let direct = array("direct", 4, BackendKind::Direct, 0);
+        let sim_cached = array("cached", 2, BackendKind::Sim, CACHE_BYTES);
+        Arrays { dir, sim, direct, sim_cached }
     }
 
     /// `batch` indexes [`DISPATCH_BATCH`]; in-memory storage ignores it.
@@ -75,6 +85,7 @@ impl Arrays {
             Storage::InMem => (StorageClass::InMem, None),
             Storage::EmSim => (StorageClass::Em, Some(self.sim[batch].clone())),
             Storage::EmDirect => (StorageClass::Em, Some(self.direct[batch].clone())),
+            Storage::EmSimCached => (StorageClass::Em, Some(self.sim_cached[batch].clone())),
         };
         let cfg = CtxConfig {
             nthreads,
@@ -404,10 +415,10 @@ fn run_case(rng: &mut Rng, ctx: &FlashCtx, shape: Option<(usize, usize)>, what: 
 #[test]
 fn random_programs_match_the_oracle_in_every_mode() {
     let arrays = Arrays::open("random");
-    cases(60, |rng, case| {
+    cases(80, |rng, case| {
         let (nthreads, rpp, pcache) =
             (pick(rng, &NTHREADS), pick(rng, &ROWS_PER_PART), pick(rng, &PCACHE_BYTES));
-        let storage = STORAGES[case % 3];
+        let storage = STORAGES[case % STORAGES.len()];
         let seed = rng.next_u64();
         // Drawn last, so the programs are the ones drawn before it existed.
         let batch = rng.usize(0..DISPATCH_BATCH.len());
@@ -472,6 +483,9 @@ fn one_program_at_every_configuration_point() {
             }
         }
     }
+    let cache = arrays.sim_cached.iter().map(|s| s.cache_stats_snapshot());
+    assert!(cache.clone().all(|c| c.bypasses == 0), "the cache admits every leaf");
+    assert!(cache.map(|c| c.hits).sum::<u64>() > 0, "the cached points read through the cache");
 }
 
 // ------------------------------------------------------------ fixed cases

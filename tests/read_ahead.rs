@@ -1,9 +1,11 @@
 //! The executor's shared read-ahead frontier (DESIGN §4.4) and the
-//! windowed row sampler built on the same helper, observed from outside
-//! through pass profiles, the span log and the SAFS counters: who got
-//! partitions, how many partition sets a pass holds, whether the device
-//! queue drains between claims, and that `cum.col`'s carry chain still
-//! resolves under single-partition claims.
+//! partition scan built on the same helper (`TasMat::scan`, under
+//! `gather_rows`), observed from outside through pass profiles, the span
+//! log and the SAFS counters: who got partitions, how many partition
+//! sets a pass holds — with and without a page cache, which reads
+//! nothing ahead of its own — whether the device queue drains between
+//! claims, and that `cum.col`'s carry chain still resolves under
+//! single-partition claims.
 //!
 //! Every array here is the throttled `Sim` backend at a few MiB/s, so a
 //! partition read takes milliseconds while its compute takes
@@ -11,14 +13,16 @@
 //! makes the queue-depth properties deterministic.
 
 use flashr::core::trace::{EventKind, SpanEvent};
-use flashr::ml::util::sample_rows;
 use flashr::prelude::*;
-use flashr::safs::BackendKind;
+use flashr::safs::{BackendKind, CacheCfg};
 use flashr_testkit::oracle::{assert_same, Mat};
 use std::time::Duration;
 
 const ROWS_PER_PART: u64 = 256;
 const COLS: usize = 4;
+
+/// Bytes of one full partition of a [`COLS`]-column f64 leaf.
+const PART_BYTES: u64 = ROWS_PER_PART * COLS as u64 * 8;
 
 /// One scratch array: `Sim`, one I/O thread per shard, no page cache,
 /// every request `ms_per_part` long.
@@ -29,16 +33,27 @@ struct Array {
 
 impl Array {
     fn open(tag: &str, shards: usize, dispatch_batch: usize, ms_per_part: f64) -> Array {
+        Array::open_cached(tag, shards, dispatch_batch, ms_per_part, 0)
+    }
+
+    /// [`Array::open`] with a page cache of `cache_bytes` (0: none).
+    fn open_cached(
+        tag: &str,
+        shards: usize,
+        dispatch_batch: usize,
+        ms_per_part: f64,
+        cache_bytes: u64,
+    ) -> Array {
         let dir = std::env::temp_dir().join(format!("flashr-ra-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let part_bytes = (ROWS_PER_PART as usize * COLS * 8) as f64;
         let disks = (0..shards).map(|d| dir.join(format!("disk{d}"))).collect();
         let cfg = SafsConfig { disks, ..SafsConfig::single_dir(&dir) }
             .with_backend(BackendKind::Sim)
             .with_io_threads(1)
             .with_dispatch_batch(dispatch_batch)
+            .with_cache(CacheCfg::with_capacity(cache_bytes))
             .with_throttle(ThrottleCfg {
-                bytes_per_sec: part_bytes / (ms_per_part * 1e-3),
+                bytes_per_sec: PART_BYTES as f64 / (ms_per_part * 1e-3),
                 latency_us: 0.0,
             });
         Array { dir, safs: Safs::open(cfg).expect("open scratch SAFS array") }
@@ -120,12 +135,35 @@ fn every_worker_gets_partitions_on_a_short_pass() {
     }
 }
 
+/// The most partition sets of `nleaves` leaves the last pass on `ctx`
+/// held, counted from the span log as (requests submitted ÷ leaves) −
+/// (tasks finished) at every submit, after checking the pass read every
+/// leaf partition once.
+fn peak_sets_held(ctx: &FlashCtx, nleaves: usize, nparts: u64) -> usize {
+    let events = events(ctx);
+    let submits = submits(&events);
+    assert_eq!(submits.len() as u64, nleaves as u64 * nparts, "one request per leaf partition");
+    let task_ends: Vec<u64> = events
+        .iter()
+        .filter(|e| e.cat == "exec" && e.name == "task" && e.kind == EventKind::End)
+        .map(|e| e.ts_ns)
+        .collect();
+    assert_eq!(task_ends.len() as u64, nparts);
+    peak_held(&submits, nleaves, &task_ends)
+}
+
 /// (b) The byte bound: partition sets read ahead plus those in compute
-/// never exceed `nthreads × dispatch_batch`, counted from the span log as
-/// (requests submitted ÷ leaves) − (tasks finished) at every submit.
+/// never exceed `nthreads × dispatch_batch` — also over leaves a page
+/// cache admits, which must read nothing ahead of its own.
 #[test]
 fn a_pass_holds_at_most_nthreads_times_dispatch_batch_partition_sets() {
     const NPARTS: u64 = 64;
+    let check = |peak: usize, nthreads: usize, batch: usize, what: &str| {
+        let bound = nthreads * batch;
+        let at = format!("{what}, {nthreads} workers, batch {batch}");
+        assert!(peak <= bound, "{at}: {peak} sets held, bound {bound}");
+        assert!(peak >= bound.min(2), "{at}: only {peak} sets held");
+    };
     for (nthreads, batch) in [(2, 4), (3, 2), (1, 1)] {
         let array = Array::open(&format!("bound{nthreads}x{batch}"), 4, batch, 1.0);
         let ctx = array.ctx(nthreads, TraceLevel::Timeline);
@@ -134,23 +172,19 @@ fn a_pass_holds_at_most_nthreads_times_dispatch_batch_partition_sets() {
         ctx.tracer().clear();
         let got = a.binary(BinaryOp::Sub, &b, false).sum().value(&ctx);
         assert_eq!(got, 2.0 * ma.agg_all(AggOp::Sum));
-
-        let events = events(&ctx);
-        let submits = submits(&events);
-        assert_eq!(submits.len() as u64, 2 * NPARTS, "one request per leaf partition");
-        let task_ends: Vec<u64> = events
-            .iter()
-            .filter(|e| e.cat == "exec" && e.name == "task" && e.kind == EventKind::End)
-            .map(|e| e.ts_ns)
-            .collect();
-        assert_eq!(task_ends.len() as u64, NPARTS);
-        let peak = peak_held(&submits, 2, &task_ends);
-        let bound = nthreads * batch;
-        assert!(
-            peak <= bound,
-            "{nthreads} workers, batch {batch}: {peak} sets held, bound {bound}"
-        );
-        assert!(peak >= bound.min(2), "{nthreads} workers, batch {batch}: only {peak} sets held");
+        check(peak_sets_held(&ctx, 2, NPARTS), nthreads, batch, "two leaves");
+    }
+    for (nthreads, batch) in [(1, 1), (1, 2), (2, 4)] {
+        let tag = format!("bound-cached{nthreads}x{batch}");
+        let array = Array::open_cached(&tag, 4, batch, 1.0, NPARTS * PART_BYTES);
+        let ctx = array.ctx(nthreads, TraceLevel::Timeline);
+        let m = values(NPARTS);
+        let x = em_leaf(&ctx, &m);
+        ctx.tracer().clear();
+        assert_eq!(x.sum().value(&ctx), m.agg_all(AggOp::Sum));
+        check(peak_sets_held(&ctx, 1, NPARTS), nthreads, batch, "page cache");
+        let cache = array.safs.cache_stats_snapshot();
+        assert_eq!((cache.misses, cache.bypasses), (NPARTS, 0), "the cache admits the leaf");
     }
 }
 
@@ -177,7 +211,14 @@ fn the_device_queue_never_drains_before_the_last_claim() {
     assert!(depths.len() >= 32, "a sample per submit and per completion, got {}", depths.len());
     let drained: Vec<_> = depths.iter().filter(|&&(ts, d)| d == 0 && ts < last_submit).collect();
     assert!(drained.is_empty(), "queue empty before the last claim at {drained:?}");
-    assert_eq!(depths.last().expect("non-empty").1, 0, "the pass drains the queue at its end");
+    // Each shard's own counter ends at 0. The array-wide one can end at
+    // 1 when both shards finish together: each samples the depth before
+    // the other's request has left it.
+    for shard in ["io-queue-depth-s0", "io-queue-depth-s1"] {
+        let last = events.iter().rfind(|e| e.kind == EventKind::Counter && e.name == shard);
+        let last = last.unwrap_or_else(|| panic!("no {shard} samples"));
+        assert_eq!(last.args[0].1, 0, "the pass drains {shard} at its end");
+    }
 }
 
 /// (d) `cum.col` dispatches from one cursor, so a partition's carry
@@ -203,11 +244,11 @@ fn cumsum_over_an_em_leaf_resolves_under_interleaved_claims() {
     }
 }
 
-/// Row sampling reads the touched partitions through the same window:
+/// `gather_rows` reads the touched partitions through the same window:
 /// `dispatch_batch` requests in flight, never more, and the rows it
 /// returns are the matrix's.
 #[test]
-fn sample_rows_reads_through_a_bounded_window() {
+fn gather_rows_reads_through_a_bounded_window() {
     const NPARTS: u64 = 16;
     let array = Array::open("sample", 4, 4, 2.0);
     let ctx = array.ctx(2, TraceLevel::Timeline);
@@ -220,10 +261,10 @@ fn sample_rows_reads_through_a_bounded_window() {
         .collect();
     rows.push(rows[0]);
     ctx.tracer().clear();
-    let got = sample_rows(&ctx, &x, &rows);
-    for (r, row) in rows.iter().zip(&got) {
+    let got = x.gather_rows(&ctx, &rows);
+    for (i, r) in rows.iter().enumerate() {
         let want: Vec<f64> = (0..COLS).map(|c| m.at(*r as usize, c)).collect();
-        assert_eq!(row, &want, "row {r}");
+        assert_eq!(got.row(i), &want[..], "row {r}");
     }
 
     // In flight at a submit: requests submitted so far minus those whose
@@ -239,4 +280,27 @@ fn sample_rows_reads_through_a_bounded_window() {
         .collect();
     let peak = peak_held(&submits, 1, &done);
     assert_eq!(peak, 4, "requests in flight, want dispatch_batch = 4");
+}
+
+/// A scan reads the partitions it is asked for and no others, page
+/// cache or not: one row from each of partitions 0–2 of a 32-partition
+/// leaf the cache admits, gathered in partition order — a sequential
+/// run — is three device requests.
+#[test]
+fn gather_rows_reads_only_the_partitions_it_touches() {
+    const NPARTS: u64 = 32;
+    let array = Array::open_cached("touched", 2, 4, 0.5, NPARTS * PART_BYTES);
+    let ctx = array.ctx(1, TraceLevel::Timeline);
+    let m = values(NPARTS);
+    let x = em_leaf(&ctx, &m);
+    ctx.tracer().clear();
+    for r in (0..3).map(|p| p * ROWS_PER_PART + 5) {
+        let want: Vec<f64> = (0..COLS).map(|c| m.at(r as usize, c)).collect();
+        assert_eq!(x.gather_rows(&ctx, &[r]).row(0), &want[..], "row {r}");
+    }
+    // Anything submitted behind the caller's back completes (and logs
+    // its spans) before the count.
+    array.safs.flush();
+    assert_eq!(submits(&events(&ctx)).len(), 3, "device requests for three partitions");
+    assert_eq!(array.safs.cache_stats_snapshot().misses, 3, "the cache admits the leaf");
 }

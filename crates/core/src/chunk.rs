@@ -188,10 +188,12 @@ pub fn scalar_of<T: Element>(v: T) -> Scalar {
 ///
 /// Buffers are reused by exact byte length rounded up to the next power of
 /// two so a DAG with many same-shaped intermediates allocates only once per
-/// shape (the paper's Pcache buffer recycling).
+/// shape (the paper's Pcache buffer recycling). Each class keeps at most
+/// 16 idle buffers; [`BufPool::trim`] bounds the idle bytes as a whole.
 #[derive(Debug, Default)]
 pub struct BufPool {
     free: HashMap<usize, Vec<IoBuf>>,
+    idle_bytes: usize,
 }
 
 impl BufPool {
@@ -209,6 +211,7 @@ impl BufPool {
         let class = Self::class_of(bytes);
         match self.free.get_mut(&class).and_then(Vec::pop) {
             Some(mut b) => {
+                self.idle_bytes -= b.capacity();
                 b.resize(bytes);
                 b
             }
@@ -226,8 +229,29 @@ impl BufPool {
         let entry = self.free.entry(class).or_default();
         // Bound the pool to avoid retaining unbounded memory.
         if entry.len() < 16 {
+            self.idle_bytes += buf.capacity();
             entry.push(buf);
         }
+    }
+
+    /// Bytes allocated by the buffers waiting in the pool.
+    pub fn idle_bytes(&self) -> usize {
+        self.idle_bytes
+    }
+
+    /// Free idle buffers, largest class first, until at most `max_bytes`
+    /// stay allocated.
+    pub fn trim(&mut self, max_bytes: usize) {
+        let mut classes: Vec<usize> = self.free.keys().copied().collect();
+        classes.sort_unstable_by(|a, b| b.cmp(a));
+        for class in classes {
+            let Some(shelf) = self.free.get_mut(&class) else { continue };
+            while self.idle_bytes > max_bytes {
+                let Some(buf) = shelf.pop() else { break };
+                self.idle_bytes -= buf.capacity();
+            }
+        }
+        self.free.retain(|_, shelf| !shelf.is_empty());
     }
 }
 
@@ -378,6 +402,23 @@ mod tests {
         pool.put(IoBuf::zeroed(1024));
         let b = pool.take(1000);
         assert_eq!(b.len(), 1000);
+    }
+
+    #[test]
+    fn trim_bounds_the_idle_bytes_largest_first() {
+        let mut pool = BufPool::new();
+        for bytes in [64, 1000, 4096, 100_000] {
+            let b = pool.take(bytes);
+            pool.put(b);
+        }
+        assert_eq!(pool.idle_bytes(), 64 + 1024 + 4096 + 131_072);
+        pool.trim(8192);
+        assert_eq!(pool.idle_bytes(), 64 + 1024 + 4096, "the largest class goes first");
+        let b = pool.take(1000);
+        assert_eq!(pool.idle_bytes(), 64 + 4096);
+        pool.put(b);
+        pool.trim(0);
+        assert_eq!(pool.idle_bytes(), 0);
     }
 
     #[test]

@@ -16,11 +16,18 @@
 //! compute per worker plus the frontiers — never exceed `nthreads ×
 //! dispatch_batch`. In-memory leaves take the same path: their fetch is
 //! a ready clone.
+//!
+//! The workers are the participants of one [`par::run`] call on the
+//! process's one thread pool: the calling thread is worker 0, the rest
+//! are parked pool helpers, so a pass starts no thread, and a pass with
+//! one worker never leaves the caller. Each thread keeps its chunk
+//! buffers from one pass to the next, trimmed at every pass end to a
+//! bound derived from the pass's Pcache budget (`idle_chunk_bound`).
 
 use crate::analysis::chains::CompiledChain;
 use crate::chunk::{BufPool, Chunk};
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
-use crate::exec::cumcoord::CumCoord;
+use crate::exec::cumcoord::{CumCoord, Poisoned};
 use crate::exec::plan::Plan;
 use crate::exec::{SinkAcc, Target, TargetResult};
 use crate::mat::{Layout, ReadAhead, TasMat};
@@ -28,16 +35,35 @@ use crate::ops;
 use crate::part::pcache_ranges;
 use crate::session::{FlashCtx, StorageClass};
 use crate::stats::ExecStats;
+use crate::trace::timeline::as_worker;
 use crate::trace::{Lane, OpProfile, PassProfile, Timeline, TraceLevel, WorkerProfile};
+use flashr_linalg::par;
 use flashr_safs::sync::Mutex;
 use flashr_safs::{CachedFetch, IoBuf, IoTicket, SafsFile, NO_ARGS};
-use std::cell::RefCell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::iter::StepBy;
 use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
+
+thread_local! {
+    /// This thread's idle chunk buffers, kept from one pass it works in
+    /// to the next.
+    static CHUNK_BUFS: Cell<BufPool> = Cell::new(BufPool::new());
+}
+
+/// The idle chunk-buffer bytes a thread keeps after a pass: what one
+/// Pcache range holds live under the pass's budget (`pcache_bytes`),
+/// each buffer rounded up to its power-of-two class. Whole-partition
+/// chunks (`MemFuse`, `Eager`, `cum.col`) exceed it and are freed at
+/// pass end, as when every pass built its buffers afresh.
+fn idle_chunk_bound(ctx: &FlashCtx) -> usize {
+    2 * ctx.cfg().pcache_bytes
+}
 
 /// Per-tall-output shared state.
 struct TallState {
@@ -92,6 +118,10 @@ struct Shared<'a> {
     /// finalize so reductions are bit-deterministic regardless of which
     /// worker claimed which partition (thread-finish order is not).
     merged: Mutex<Vec<Option<Vec<SinkAcc>>>>,
+    /// The first failed worker's panic. Stored before the pass's carry
+    /// chains are poisoned, so it is the cause and not a waiter released
+    /// by it.
+    failure: Mutex<Option<Box<dyn Any + Send>>>,
     trace: Option<&'a PassAgg>,
     /// The context's span log; what it keeps follows the trace level.
     log: &'a Timeline,
@@ -193,6 +223,7 @@ pub(crate) fn run_labeled(
         cums: &cums,
         cursors,
         merged: Mutex::new((0..plan.nparts as usize).map(|_| None).collect()),
+        failure: Mutex::new(None),
         trace: agg.as_ref(),
         log: tracer.log(),
         pass_id,
@@ -203,28 +234,20 @@ pub(crate) fn run_labeled(
     let coord = shared.log.named_lane("coordinator");
     let pass_args = [("pass", pass_id), ("nparts", nparts)];
     let pass_begin_ns = coord.open("exec", "pass", pass_args);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..nthreads)
-            .map(|tid| {
-                let shared = &shared;
-                // Workers carry stable names so timeline lanes are reused
-                // across passes (and SAFS cache spans taken on a worker
-                // thread land on the same lane as its task spans).
-                std::thread::Builder::new()
-                    .name(format!("flashr-w{tid}"))
-                    .spawn_scoped(scope, move || worker(tid, shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        // Join every worker, then re-raise the first failure with its own
-        // payload: the scope's implicit join would replace a message like
-        // "group label 5 outside [0, 2)" with "a scoped thread panicked".
-        let failed: Vec<_> = handles.into_iter().filter_map(|h| h.join().err()).collect();
-        if let Some(payload) = failed.into_iter().next() {
-            std::panic::resume_unwind(payload);
+    // Worker `tid` is pool participant `tid`, the caller being worker 0.
+    // Whichever thread runs it, its spans land on its own lane.
+    par::run(nthreads, |tid| {
+        let work = AssertUnwindSafe(|| as_worker(tid, || worker(tid, &shared)));
+        if let Err(payload) = std::panic::catch_unwind(work) {
+            shared.fail(payload);
         }
     });
     coord.close("exec", "pass", pass_begin_ns, pass_args);
+    // Re-raise the first failure with its own payload, so the caller sees
+    // a message like "group label 5 outside [0, 2)".
+    if let Some(payload) = shared.failure.lock().take() {
+        std::panic::resume_unwind(payload);
+    }
 
     // Finalize. Sink partials are folded in partition order — never in
     // worker-finish order — so floating-point reductions are
@@ -315,7 +338,8 @@ pub(crate) fn run_labeled(
             talls: plan.talls.len(),
             wall_nanos: started.elapsed().as_nanos() as u64,
             cache: cache_before
-                .map(|before| before.delta(&ctx.safs().expect("had safs").stats_snapshot().cache))
+                .zip(ctx.safs())
+                .map(|(before, safs)| before.delta(&safs.stats_snapshot().cache))
                 .unwrap_or_default(),
             workers,
             ops,
@@ -324,6 +348,16 @@ pub(crate) fn run_labeled(
     }
 
     results.into_iter().map(|r| r.expect("target produced no result")).collect()
+}
+
+impl Shared<'_> {
+    /// Record a worker's failure — the pass's first is kept — and release
+    /// every `cum.col` waiter, which would otherwise wait for a carry the
+    /// failed worker will never publish.
+    fn fail(&self, payload: Box<dyn Any + Send>) {
+        self.failure.lock().get_or_insert(payload);
+        self.cums.values().for_each(CumCoord::poison);
+    }
 }
 
 /// Claim the next partition — from the worker's own NUMA node's cursor
@@ -351,7 +385,13 @@ fn claim(shared: &Shared<'_>, my_node: usize) -> Option<(u64, LeafFetches, bool)
 
 fn worker(tid: usize, shared: &Shared<'_>) {
     let my_node = tid % shared.cursors.len();
-    let mut pool = BufPool::new();
+    let plan = shared.plan;
+    let mut st = Scratch {
+        memo: Memo::new(plan.nnodes),
+        remaining: Vec::with_capacity(plan.nnodes),
+        pool: CHUNK_BUFS.take(),
+    };
+    let mut leaf_bufs: Vec<Option<Arc<IoBuf>>> = vec![None; plan.nnodes];
     let mut pending_writes: VecDeque<IoTicket> = VecDeque::new();
     let max_pending = shared.ctx.cfg().max_pending_writes.max(1);
     let stats = shared.ctx.stats();
@@ -359,9 +399,9 @@ fn worker(tid: usize, shared: &Shared<'_>) {
     // breakdown itself is always taken (two clock reads per phase) and
     // feeds the `ExecStats` nanos counters.
     let mut wp = shared.trace.map(|_| WorkerProfile { tid, ..WorkerProfile::default() });
-    // This worker's lane of the span log, resolved once by thread name.
+    // This worker's lane of the span log, resolved once per pass.
     // `begin`/`end` record at `FLASHR_TRACE=timeline` only.
-    let lane = shared.log.lane();
+    let lane = shared.log.worker_lane(tid);
     let lane = lane.as_ref();
 
     while let Some((part, fetches, local)) = claim(shared, my_node) {
@@ -388,7 +428,7 @@ fn worker(tid: usize, shared: &Shared<'_>) {
             let ws_t0 = Instant::now();
             lane.begin("exec", "write-stall", NO_ARGS);
             while pending_writes.len() >= max_pending {
-                let oldest = pending_writes.pop_front().expect("checked non-empty");
+                let Some(oldest) = pending_writes.pop_front() else { break };
                 oldest.wait().expect("EM output write failed");
             }
             lane.end("exec", "write-stall");
@@ -400,18 +440,12 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         }
         let io_t0 = Instant::now();
         lane.begin("exec", "io-wait", NO_ARGS);
-        let leaf_bufs: HashMap<u64, Arc<IoBuf>> = shared
-            .plan
-            .leaves
-            .iter()
-            .zip(fetches)
-            .map(|((nid, _), fetch)| {
-                let buf = fetch.wait().unwrap_or_else(|e| {
-                    panic!("read of partition {part} of leaf n{nid} failed: {e}")
-                });
-                (*nid, buf)
-            })
-            .collect();
+        for ((nid, _), fetch) in plan.leaves.iter().zip(fetches) {
+            let buf = fetch
+                .wait()
+                .unwrap_or_else(|e| panic!("read of partition {part} of leaf n{nid} failed: {e}"));
+            leaf_bufs[plan.slots[nid]] = Some(buf);
+        }
         lane.end("exec", "io-wait");
         let nanos = io_t0.elapsed().as_nanos() as u64;
         stats.io_wait_nanos.add(nanos);
@@ -424,16 +458,19 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         // partition's slot and fold in partition order at finalize,
         // keeping reductions independent of worker scheduling.
         let mut sink_accs: Vec<SinkAcc> =
-            shared.plan.sinks.iter().map(|(_, n)| SinkAcc::new_for(n)).collect();
+            plan.sinks.iter().map(|(_, n)| SinkAcc::new_for(n)).collect();
         let chunks = process_part(
             shared,
             part,
             &leaf_bufs,
-            &mut pool,
+            &mut st,
             &mut sink_accs,
             &mut pending_writes,
             lane,
         );
+        // The partition's leaf buffers go now, not at the next claim: the
+        // pass's partition-set bound counts them.
+        leaf_bufs.fill(None);
         if !sink_accs.is_empty() {
             shared.merged.lock()[part as usize] = Some(sink_accs);
         }
@@ -467,13 +504,16 @@ fn worker(tid: usize, shared: &Shared<'_>) {
     if let (Some(agg), Some(wp)) = (shared.trace, wp) {
         agg.workers.lock().push(wp);
     }
+    st.pool.trim(idle_chunk_bound(shared.ctx));
+    CHUNK_BUFS.set(st.pool);
 }
 
 /// Evaluation environment for one partition.
 struct PartEnv<'a> {
     plan: &'a Plan,
     cums: &'a HashMap<u64, CumCoord>,
-    leaf_bufs: &'a HashMap<u64, Arc<IoBuf>>,
+    /// This partition's fetched leaf buffers, by plan slot.
+    leaf_bufs: &'a [Option<Arc<IoBuf>>],
     part: u64,
     part_rows: usize,
     grow0: u64,
@@ -485,14 +525,62 @@ struct PartEnv<'a> {
     lane: &'a Lane,
 }
 
-type Memo = HashMap<(u64, usize, usize), Rc<Chunk>>;
+/// One partition's chunk memo, by plan slot: the current Pcache range's
+/// chunks, and the whole-partition ones (`cum.col` and its input), which
+/// live until the partition completes. A range that spans the whole
+/// partition keeps its chunks with the latter.
+struct Memo {
+    range: Vec<Option<Rc<Chunk>>>,
+    whole: Vec<Option<Rc<Chunk>>>,
+    /// The current partition's height.
+    part_rows: usize,
+}
+
+impl Memo {
+    fn new(nslots: usize) -> Memo {
+        Memo { range: vec![None; nslots], whole: vec![None; nslots], part_rows: 0 }
+    }
+
+    /// The entry of `slot` over `[r0, r1)`.
+    fn at(&mut self, slot: usize, r0: usize, r1: usize) -> &mut Option<Rc<Chunk>> {
+        if (r0, r1) == (0, self.part_rows) {
+            &mut self.whole[slot]
+        } else {
+            &mut self.range[slot]
+        }
+    }
+}
+
+/// A worker's mutable evaluation state, reused partition to partition.
+struct Scratch {
+    memo: Memo,
+    /// Per-range consumer counters, by plan slot (paper §3.5.1): once
+    /// every consumer of a node's chunk has run, the buffer recycles
+    /// immediately so the next operation writes into cache-hot memory.
+    remaining: Vec<usize>,
+    pool: BufPool,
+}
+
+impl Scratch {
+    /// Recycle the current range's chunks — with `whole`, the
+    /// whole-partition ones too — that nothing else still holds.
+    fn recycle(&mut self, whole: bool) {
+        let Scratch { memo, pool, .. } = self;
+        let nwhole = if whole { memo.whole.len() } else { 0 };
+        for rc in memo.range.iter_mut().chain(&mut memo.whole[..nwhole]).filter_map(Option::take) {
+            if let Ok(chunk) = Rc::try_unwrap(rc) {
+                chunk.recycle(pool);
+            }
+        }
+    }
+}
 
 /// Returns the number of Pcache chunk ranges evaluated.
 fn process_part(
     shared: &Shared<'_>,
     part: u64,
-    leaf_bufs: &HashMap<u64, Arc<IoBuf>>,
-    pool: &mut BufPool,
+    leaf_bufs: &[Option<Arc<IoBuf>>],
+    st: &mut Scratch,
     sink_accs: &mut [SinkAcc],
     pending_writes: &mut VecDeque<IoTicket>,
     lane: &Lane,
@@ -532,39 +620,36 @@ fn process_part(
         })
         .collect();
 
-    let mut memo: Memo = HashMap::new();
+    st.memo.part_rows = part_rows;
     let step = plan.pcache_step;
     for (r0, r1) in pcache_ranges(part_rows, step) {
         stats.pcache_chunks.add(1);
         nchunks += 1;
-        // Per-range consumer counters (paper §3.5.1): once every consumer
-        // of a node's chunk has run, the buffer recycles immediately so
-        // the next operation writes into cache-hot memory.
-        let mut remaining = plan.consumers.clone();
+        st.remaining.clone_from(&plan.consumers);
 
         for (i, (_, sink)) in plan.sinks.iter().enumerate() {
             match &sink.kind {
                 NodeKind::SinkFull { input, .. } | NodeKind::SinkCol { input, .. } => {
-                    let c = eval(&env, &mut memo, &mut remaining, pool, input, r0, r1);
+                    let c = eval(&env, st, input, r0, r1);
                     sink_accs[i].update(&[&c]);
                     drop(c);
-                    consume(&mut memo, &mut remaining, pool, input, r0, r1);
+                    consume(&env, st, input, r0, r1);
                 }
                 NodeKind::SinkGramian { a, b } => {
-                    let ca = eval(&env, &mut memo, &mut remaining, pool, a, r0, r1);
-                    let cb = eval(&env, &mut memo, &mut remaining, pool, b, r0, r1);
+                    let ca = eval(&env, st, a, r0, r1);
+                    let cb = eval(&env, st, b, r0, r1);
                     sink_accs[i].update(&[&ca, &cb]);
                     drop((ca, cb));
-                    consume(&mut memo, &mut remaining, pool, a, r0, r1);
-                    consume(&mut memo, &mut remaining, pool, b, r0, r1);
+                    consume(&env, st, a, r0, r1);
+                    consume(&env, st, b, r0, r1);
                 }
                 NodeKind::SinkGroupBy { data, labels, .. } => {
-                    let cd = eval(&env, &mut memo, &mut remaining, pool, data, r0, r1);
-                    let cl = eval(&env, &mut memo, &mut remaining, pool, labels, r0, r1);
+                    let cd = eval(&env, st, data, r0, r1);
+                    let cl = eval(&env, st, labels, r0, r1);
                     sink_accs[i].update(&[&cd, &cl]);
                     drop((cd, cl));
-                    consume(&mut memo, &mut remaining, pool, data, r0, r1);
-                    consume(&mut memo, &mut remaining, pool, labels, r0, r1);
+                    consume(&env, st, data, r0, r1);
+                    consume(&env, st, labels, r0, r1);
                 }
                 other => panic!("not a sink: {other:?}"),
             }
@@ -573,46 +658,28 @@ fn process_part(
         for (ti, t) in plan.talls.iter().enumerate() {
             // A kernel root that nothing else reads writes straight into
             // the tall output buffer — even the root's chunk is skipped.
-            if !memo.contains_key(&(t.node.id, r0, r1))
-                && remaining.get(&t.node.id).copied() == Some(1)
-            {
+            let slot = plan.slot(&t.node);
+            if st.memo.at(slot, r0, r1).is_none() && st.remaining[slot] == 1 {
                 if let Some(chain) = plan.chains.get(&t.node.id) {
                     let t0 = env.op_trace.map(|_| Instant::now());
                     let dst = Some(&mut tall_bufs[ti]);
-                    run_chain(&env, &mut memo, &mut remaining, pool, chain, &t.node, r0, r1, dst);
+                    run_chain(&env, st, chain, &t.node, r0, r1, dst);
                     trace_op(&env, &t.node, t0, r0, r1, true);
-                    consume(&mut memo, &mut remaining, pool, &t.node, r0, r1);
+                    consume(&env, st, &t.node, r0, r1);
                     continue;
                 }
             }
-            let c = eval(&env, &mut memo, &mut remaining, pool, &t.node, r0, r1);
+            let c = eval(&env, st, &t.node, r0, r1);
             write_rows(&mut tall_bufs[ti], t.node.dtype, part_rows, r0, &c);
             drop(c);
-            consume(&mut memo, &mut remaining, pool, &t.node, r0, r1);
+            consume(&env, st, &t.node, r0, r1);
         }
 
-        // Recycle this range's intermediates (full-partition entries for
-        // cum nodes persist until the partition completes).
-        let keys: Vec<_> = memo
-            .keys()
-            .filter(|(_, a, b)| (*a, *b) == (r0, r1) && !(r0 == 0 && r1 == part_rows))
-            .copied()
-            .collect();
-        for k in keys {
-            if let Some(rc) = memo.remove(&k) {
-                if let Ok(chunk) = Rc::try_unwrap(rc) {
-                    chunk.recycle(pool);
-                }
-            }
-        }
+        // Recycle this range's intermediates (whole-partition entries
+        // persist until the partition completes).
+        st.recycle(false);
     }
-
-    // Drain everything else (covers the full-partition entries).
-    for (_, rc) in memo.drain() {
-        if let Ok(chunk) = Rc::try_unwrap(rc) {
-            chunk.recycle(pool);
-        }
-    }
+    st.recycle(true);
 
     // Publish tall outputs.
     for (ti, buf) in tall_bufs.into_iter().enumerate() {
@@ -680,7 +747,7 @@ fn chain_base_stride<'a>(
 ) -> Option<(&'a [u8], usize, usize)> {
     let mat = env.plan.leaf_mat(base)?;
     let (stride, off) = mat.pcache_stride(env.part, r0, r1)?;
-    let buf = env.leaf_bufs.get(&base.id)?;
+    let buf = env.leaf_bufs[env.plan.slot(base)].as_ref()?;
     Some((buf.as_bytes(), stride, off))
 }
 
@@ -690,12 +757,9 @@ fn chain_base_stride<'a>(
 /// and evaluated otherwise. With `dst` — a tall output's partition
 /// buffer — the kernel writes its rows there and the root's chunk is
 /// never allocated; without, the root's chunk is returned.
-#[allow(clippy::too_many_arguments)]
 fn run_chain(
     env: &PartEnv<'_>,
-    memo: &mut Memo,
-    remaining: &mut HashMap<u64, usize>,
-    pool: &mut BufPool,
+    st: &mut Scratch,
     chain: &CompiledChain,
     node: &Arc<Node>,
     r0: usize,
@@ -703,22 +767,22 @@ fn run_chain(
     dst: Option<&mut IoBuf>,
 ) -> Option<Rc<Chunk>> {
     let rows = r1 - r0;
-    let auxes: Vec<Rc<Chunk>> =
-        chain.aux.iter().map(|a| eval(env, memo, remaining, pool, a, r0, r1)).collect();
+    let auxes: Vec<Rc<Chunk>> = chain.aux.iter().map(|a| eval(env, st, a, r0, r1)).collect();
     let aux_refs: Vec<&Chunk> = auxes.iter().map(|c| c.as_ref()).collect();
     let into_tall = dst.is_some();
     let mut own = None;
     let (out, col_stride, row_off) = match dst {
         Some(buf) => (buf, env.part_rows, r0),
-        None => (own.insert(pool.take(rows * node.ncols * node.dtype.size())), rows, 0),
+        None => (own.insert(st.pool.take(rows * node.ncols * node.dtype.size())), rows, 0),
     };
     if let Some((bytes, stride, off)) = chain_base_stride(env, &chain.base, r0, r1) {
+        let pool = &mut st.pool;
         chain.kernel.run_strided_into(
             bytes, stride, off, rows, node.ncols, &aux_refs, out, col_stride, row_off, pool,
         );
     } else {
-        let base = eval(env, memo, remaining, pool, &chain.base, r0, r1);
-        chain.kernel.run_into(&base, &aux_refs, out, col_stride, row_off, pool);
+        let base = eval(env, st, &chain.base, r0, r1);
+        chain.kernel.run_into(&base, &aux_refs, out, col_stride, row_off, &mut st.pool);
     }
     if chain.len >= 2 {
         env.stats.fused_chains.add(1);
@@ -774,27 +838,24 @@ fn trace_op(
 }
 
 /// Decrement a node's per-range consumer counter; when it reaches zero,
-/// drop the memo entry and recycle its buffer (paper §3.5.1).
-fn consume(
-    memo: &mut Memo,
-    remaining: &mut HashMap<u64, usize>,
-    pool: &mut BufPool,
-    node: &Arc<Node>,
-    r0: usize,
-    r1: usize,
-) {
+/// drop the memo entry and recycle its buffer (paper §3.5.1). A node
+/// whose counter is already 0 is not counted (a chain's interior).
+fn consume(env: &PartEnv<'_>, st: &mut Scratch, node: &Arc<Node>, r0: usize, r1: usize) {
     // Cumulative columns memoize at partition granularity and must
     // survive until the partition completes.
     if matches!(node.kind, NodeKind::CumCol { .. }) {
         return;
     }
-    if let Some(count) = remaining.get_mut(&node.id) {
-        *count = count.saturating_sub(1);
-        if *count == 0 {
-            if let Some(rc) = memo.remove(&(node.id, r0, r1)) {
-                if let Ok(chunk) = Rc::try_unwrap(rc) {
-                    chunk.recycle(pool);
-                }
+    let slot = env.plan.slot(node);
+    let count = &mut st.remaining[slot];
+    if *count == 0 {
+        return;
+    }
+    *count -= 1;
+    if *count == 0 {
+        if let Some(rc) = st.memo.at(slot, r0, r1).take() {
+            if let Ok(chunk) = Rc::try_unwrap(rc) {
+                chunk.recycle(&mut st.pool);
             }
         }
     }
@@ -805,132 +866,116 @@ fn consume(
 /// When op tracing is on, the time to produce each fresh (non-memoized)
 /// chunk accrues to its node — *inclusive* of any inputs computed on the
 /// way (see [`crate::trace::OpProfile`]).
-fn eval(
-    env: &PartEnv<'_>,
-    memo: &mut Memo,
-    remaining: &mut HashMap<u64, usize>,
-    pool: &mut BufPool,
-    node: &Arc<Node>,
-    r0: usize,
-    r1: usize,
-) -> Rc<Chunk> {
-    let key = (node.id, r0, r1);
-    if let Some(c) = memo.get(&key) {
+fn eval(env: &PartEnv<'_>, st: &mut Scratch, node: &Arc<Node>, r0: usize, r1: usize) -> Rc<Chunk> {
+    let slot = env.plan.slot(node);
+    if let Some(c) = st.memo.at(slot, r0, r1) {
         return c.clone();
     }
     let t0 = env.op_trace.map(|_| Instant::now());
-    let chunk = eval_uncached(env, memo, remaining, pool, node, r0, r1);
+    let chunk = eval_uncached(env, st, node, slot, r0, r1);
+    *st.memo.at(slot, r0, r1) = Some(chunk.clone());
     env.stats.node_chunks.add(1);
     env.stats.node_chunk_bytes.add((chunk.rows() * chunk.cols() * chunk.dtype().size()) as u64);
     trace_op(env, node, t0, r0, r1, false);
     chunk
 }
 
-/// [`eval`] minus memo hit and tracing: compute the chunk.
+/// [`eval`] minus memo and tracing: compute the chunk of `node`, plan
+/// slot `slot`.
 fn eval_uncached(
     env: &PartEnv<'_>,
-    memo: &mut Memo,
-    remaining: &mut HashMap<u64, usize>,
-    pool: &mut BufPool,
+    st: &mut Scratch,
     node: &Arc<Node>,
+    slot: usize,
     r0: usize,
     r1: usize,
 ) -> Rc<Chunk> {
-    let key = (node.id, r0, r1);
     // Materialized data (leaf / cached / eager-resolved)?
     if let Some(mat) = env.plan.leaf_mat(node) {
-        let chunk = match env.leaf_bufs.get(&node.id) {
-            Some(buf) => Rc::new(mat.pcache_chunk(buf, env.part, r0, r1, pool)),
-            // A leaf outside the prefetch set (e.g. discovered through a
-            // rewrite the planner didn't anticipate): degrade to a
+        return Rc::new(match &env.leaf_bufs[slot] {
+            Some(buf) => mat.pcache_chunk(buf, env.part, r0, r1, &mut st.pool),
+            // A leaf outside the prefetch set (a node whose cache another
+            // pass installed after this plan was built): degrade to a
             // synchronous read — which still goes through the page cache
             // and the typed SafsError path — instead of panicking.
-            None => {
-                let buf = mat.read_part(env.part);
-                Rc::new(mat.pcache_chunk(&buf, env.part, r0, r1, pool))
-            }
-        };
-        memo.insert(key, chunk.clone());
-        return chunk;
+            None => mat.pcache_chunk(&mat.read_part(env.part), env.part, r0, r1, &mut st.pool),
+        });
     }
 
     // Every element-wise map runs as a compiled kernel (a chain's
     // interior nodes are never evaluated and never allocate chunks).
     if let Some(chain) = env.plan.chains.get(&node.id) {
-        let out = run_chain(env, memo, remaining, pool, chain, node, r0, r1, None)
+        return run_chain(env, st, chain, node, r0, r1, None)
             .expect("a kernel without a destination returns its chunk");
-        memo.insert(key, out.clone());
-        return out;
     }
 
     let chunk = match &node.kind {
         NodeKind::Leaf(_) => unreachable!("handled by leaf_mat"),
-        NodeKind::Gen(spec) => Rc::new(spec.fill_chunk_as(
-            node.dtype,
-            env.grow0 + r0 as u64,
-            r1 - r0,
-            node.ncols,
-            pool,
-        )),
-        NodeKind::Map { op, inputs } => {
-            let out = match op {
-                MapOp::Unary(_) | MapOp::Binary { .. } | MapOp::Cast(_) => unreachable!(
-                    "plan-build bug: element-wise map n{} ({}) has no compiled kernel",
-                    node.id,
-                    node.label()
-                ),
-                MapOp::MatMul(b) => {
-                    let input = eval_input(env, memo, remaining, pool, &inputs[0], r0, r1);
-                    ops::matmul_chunk(&input, b, pool)
-                }
-                MapOp::InnerProd { b, f1, f2 } => {
-                    let input = eval_input(env, memo, remaining, pool, &inputs[0], r0, r1);
-                    ops::inner_prod_chunk(&input, b, *f1, *f2, pool)
-                }
-                MapOp::Select(idx) => {
-                    let input = eval_input(env, memo, remaining, pool, &inputs[0], r0, r1);
-                    ops::select_cols(&input, idx, pool)
-                }
-                MapOp::GroupCols { labels, op, ngroups } => {
-                    let input = eval_input(env, memo, remaining, pool, &inputs[0], r0, r1);
-                    ops::group_cols(&input, labels, *op, *ngroups, pool)
-                }
-                MapOp::Bind => {
-                    let chunks: Vec<Rc<Chunk>> = inputs
-                        .iter()
-                        .map(|i| eval_input(env, memo, remaining, pool, i, r0, r1))
-                        .collect();
-                    let refs: Vec<&Chunk> = chunks.iter().map(|c| c.as_ref()).collect();
-                    ops::bind_cols(&refs, pool)
-                }
-            };
-            Rc::new(out)
+        NodeKind::Gen(spec) => {
+            spec.fill_chunk_as(node.dtype, env.grow0 + r0 as u64, r1 - r0, node.ncols, &mut st.pool)
         }
+        NodeKind::Map { op, inputs } => match op {
+            MapOp::Unary(_) | MapOp::Binary { .. } | MapOp::Cast(_) => unreachable!(
+                "plan-build bug: element-wise map n{} ({}) has no compiled kernel",
+                node.id,
+                node.label()
+            ),
+            MapOp::MatMul(b) => {
+                let input = eval_input(env, st, &inputs[0], r0, r1);
+                ops::matmul_chunk(&input, b, &mut st.pool)
+            }
+            MapOp::InnerProd { b, f1, f2 } => {
+                let input = eval_input(env, st, &inputs[0], r0, r1);
+                ops::inner_prod_chunk(&input, b, *f1, *f2, &mut st.pool)
+            }
+            MapOp::Select(idx) => {
+                let input = eval_input(env, st, &inputs[0], r0, r1);
+                ops::select_cols(&input, idx, &mut st.pool)
+            }
+            MapOp::GroupCols { labels, op, ngroups } => {
+                let input = eval_input(env, st, &inputs[0], r0, r1);
+                ops::group_cols(&input, labels, *op, *ngroups, &mut st.pool)
+            }
+            MapOp::Bind => {
+                let chunks: Vec<Rc<Chunk>> =
+                    inputs.iter().map(|i| eval_input(env, st, i, r0, r1)).collect();
+                let refs: Vec<&Chunk> = chunks.iter().map(|c| c.as_ref()).collect();
+                ops::bind_cols(&refs, &mut st.pool)
+            }
+        },
         NodeKind::AggRow { op, input } => {
-            let c = eval(env, memo, remaining, pool, input, r0, r1);
-            Rc::new(ops::agg_row(*op, &c, pool))
+            let c = eval(env, st, input, r0, r1);
+            ops::agg_row(*op, &c, &mut st.pool)
         }
         NodeKind::CumRow { op, input } => {
-            let c = eval(env, memo, remaining, pool, input, r0, r1);
-            Rc::new(ops::cum_row_chunk(*op, &c, pool))
+            let c = eval(env, st, input, r0, r1);
+            ops::cum_row_chunk(*op, &c, &mut st.pool)
         }
         NodeKind::CumCol { op, input } => {
             // Pipeline breaker: evaluate at partition granularity, chain
             // the carry, then slice the requested range.
-            let full_key = (node.id, 0usize, env.part_rows);
-            if !memo.contains_key(&full_key) {
-                let input_full = eval(env, memo, remaining, pool, input, 0, env.part_rows);
-                let coord = &env.cums[&node.id];
-                let carry = coord.wait_carry(env.part);
-                let (out, new_carry) = ops::cum_col_chunk(*op, &input_full, carry.as_deref(), pool);
-                coord.publish(env.part, new_carry);
-                memo.insert(full_key, Rc::new(out));
-            }
-            let full = memo.get(&full_key).expect("just inserted").clone();
+            let full = match &st.memo.whole[slot] {
+                Some(full) => full.clone(),
+                None => {
+                    let input_full = eval(env, st, input, 0, env.part_rows);
+                    let coord = &env.cums[&node.id];
+                    // A poisoned chain means another worker failed: unwind
+                    // quietly, the pass reports that failure.
+                    let carry = coord
+                        .wait_carry(env.part)
+                        .unwrap_or_else(|p: Poisoned| std::panic::resume_unwind(Box::new(p)));
+                    let (out, new_carry) =
+                        ops::cum_col_chunk(*op, &input_full, carry.as_deref(), &mut st.pool);
+                    coord.publish(env.part, new_carry);
+                    let full = Rc::new(out);
+                    st.memo.whole[slot] = Some(full.clone());
+                    full
+                }
+            };
             if r0 == 0 && r1 == env.part_rows {
-                return full; // already memoized under full_key == key
+                return full;
             }
-            Rc::new(full.slice_rows(r0, r1, pool))
+            full.slice_rows(r0, r1, &mut st.pool)
         }
         sink @ (NodeKind::SinkFull { .. }
         | NodeKind::SinkCol { .. }
@@ -939,22 +984,81 @@ fn eval_uncached(
             panic!("sink node reached tall evaluation: {sink:?}")
         }
     };
-    memo.insert(key, chunk.clone());
-    chunk
+    Rc::new(chunk)
 }
 
 /// Evaluate a map input that must be a node.
 fn eval_input(
     env: &PartEnv<'_>,
-    memo: &mut Memo,
-    remaining: &mut HashMap<u64, usize>,
-    pool: &mut BufPool,
+    st: &mut Scratch,
     input: &MapInput,
     r0: usize,
     r1: usize,
 ) -> Rc<Chunk> {
     match input {
-        MapInput::Node(n) => eval(env, memo, remaining, pool, n, r0, r1),
+        MapInput::Node(n) => eval(env, st, n, r0, r1),
         other => panic!("first map input must be a matrix, got {other:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dtype::DType;
+    use crate::fm::FM;
+    use crate::ops::{BinaryOp, UnaryOp};
+    use crate::session::{CtxConfig, ExecMode};
+
+    /// Idle bytes in the calling thread's chunk-buffer pool.
+    fn idle_chunk_bytes() -> usize {
+        let pool = CHUNK_BUFS.take();
+        let bytes = pool.idle_bytes();
+        CHUNK_BUFS.set(pool);
+        bytes
+    }
+
+    fn ctx(nthreads: usize, mode: ExecMode) -> FlashCtx {
+        let cfg = CtxConfig {
+            nthreads,
+            rows_per_part: 1 << 11,
+            pcache_bytes: 16 << 10,
+            mode,
+            ..CtxConfig::default()
+        };
+        FlashCtx::with_config(cfg, None)
+    }
+
+    #[test]
+    fn a_one_partition_pass_runs_on_the_caller() {
+        // Four workers asked for, one partition: the pass is worker 0
+        // alone, and worker 0 is the calling thread, so the chunk buffers
+        // the pass recycled are this thread's.
+        CHUNK_BUFS.set(BufPool::new());
+        let ctx = ctx(4, ExecMode::CacheFuse);
+        let x = FM::runif(&ctx, 1000, 3, 0.0, 1.0, 1);
+        assert!(x.unary(UnaryOp::Sqrt).sum().value(&ctx) > 0.0);
+        assert!(idle_chunk_bytes() > 0, "the pass left no buffer on the calling thread");
+    }
+
+    #[test]
+    fn idle_chunk_buffers_stay_under_the_bound_across_mixed_passes() {
+        // One worker, so every pass runs on this thread and its pool is
+        // the one inspected. Shapes vary in width, dtype and chunk height:
+        // Pcache chunks, whole-partition chunks (`MemFuse`, `Eager`,
+        // `cum.col`) and rows wide enough to clamp the Pcache step.
+        for mode in [ExecMode::CacheFuse, ExecMode::MemFuse, ExecMode::Eager] {
+            let ctx = ctx(1, mode);
+            let bound = idle_chunk_bound(&ctx);
+            for (rows, cols) in [(5000u64, 1usize), (5000, 7), (2500, 90), (3, 2)] {
+                let x = FM::rnorm(&ctx, rows, cols, 0.0, 1.0, rows + cols as u64);
+                let y = x.binary_scalar(BinaryOp::Mul, 2.0, false).unary(UnaryOp::Abs);
+                assert!(y.sum().value(&ctx).is_finite());
+                assert_eq!(y.cast(DType::F32).col_sums().to_dense(&ctx).cols(), cols);
+                assert_eq!(x.cumsum_col().materialize(&ctx).nrow(), rows);
+                assert_eq!(x.crossprod().to_dense(&ctx).rows(), cols);
+                let idle = idle_chunk_bytes();
+                assert!(idle <= bound, "{mode:?} {rows}x{cols}: {idle} B idle, bound {bound}");
+            }
+        }
     }
 }

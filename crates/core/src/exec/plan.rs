@@ -38,11 +38,15 @@ pub struct Plan {
     pub cum_nodes: Vec<Arc<Node>>,
     /// Eager-engine substitutions: node id → already-materialized matrix.
     pub resolved: HashMap<u64, TasMat>,
-    /// How many consumers read each node's Pcache chunk within one range
-    /// (paper §3.5.1: the per-partition use counter driving buffer
+    /// Every node the pass covers, by id, to its dense index: the index
+    /// per-partition state (chunk memo, use counters, leaf buffers) is
+    /// kept under. Assigned in discovery order.
+    pub slots: HashMap<u64, usize>,
+    /// How many consumers read each node's Pcache chunk within one range,
+    /// by slot (paper §3.5.1: the per-partition use counter driving buffer
     /// recycling). Counts DAG parents plus target/sink reads. Interior
-    /// nodes of compiled chains are removed — they never materialize.
-    pub consumers: HashMap<u64, usize>,
+    /// nodes of compiled chains count 0 — they never materialize.
+    pub consumers: Vec<usize>,
     /// Compiled map kernels, root node id → kernel + inputs: one per
     /// element-wise map that is not interior to a longer chain.
     pub chains: HashMap<u64, CompiledChain>,
@@ -66,6 +70,12 @@ impl Plan {
         }
     }
 
+    /// `node`'s dense index. Every node an evaluation reaches was
+    /// discovered by [`Plan::build`], so every such node has one.
+    pub fn slot(&self, node: &Node) -> usize {
+        self.slots[&node.id]
+    }
+
     /// Build and validate the plan.
     pub fn build(ctx: &FlashCtx, targets: &[Target], resolved: &HashMap<u64, TasMat>) -> Plan {
         let build_t0 = ctx.tracer().timeline().map(|_| flashr_safs::now_nanos());
@@ -74,7 +84,7 @@ impl Plan {
         let mut leaves: Vec<(u64, TasMat)> = Vec::new();
         let mut cum_nodes = Vec::new();
         let mut consumers: HashMap<u64, usize> = HashMap::new();
-        let mut visited: HashMap<u64, ()> = HashMap::new();
+        let mut slots: HashMap<u64, usize> = HashMap::new();
         let mut tall_nrows: Option<u64> = None;
         let mut parter: Option<Partitioner> = None;
         let mut row_bytes_total = 0usize;
@@ -118,10 +128,10 @@ impl Plan {
         }
 
         while let Some(node) = stack.pop() {
-            if visited.contains_key(&node.id) {
+            if slots.contains_key(&node.id) {
                 continue;
             }
-            visited.insert(node.id, ());
+            slots.insert(node.id, reach.len());
             reach.push(node.clone());
 
             let is_resolved_leaf = resolved.contains_key(&node.id) || node.cached().is_some();
@@ -208,8 +218,11 @@ impl Plan {
         // far a chain fuses never changes the chunking a sink folds over.
         let is_mat = |n: &Node| resolved.contains_key(&n.id) || n.is_effective_leaf();
         let chain_set = chains::discover(&reach, &consumers, &is_mat);
-        for id in &chain_set.interior {
-            consumers.remove(id);
+        let mut uses = vec![0; reach.len()];
+        for (id, n) in consumers {
+            if !chain_set.interior.contains(&id) {
+                uses[slots[&id]] = n;
+            }
         }
 
         let nrows = tall_nrows.expect("DAG contains no tall matrices");
@@ -230,7 +243,7 @@ impl Plan {
                 "plan-build",
                 t0,
                 flashr_safs::now_nanos(),
-                [("nodes", visited.len() as u64), ("nparts", nparts)],
+                [("nodes", reach.len() as u64), ("nparts", nparts)],
             );
         }
         Plan {
@@ -243,9 +256,10 @@ impl Plan {
             leaves,
             cum_nodes,
             resolved: resolved.clone(),
-            consumers,
+            slots,
+            consumers: uses,
             chains: chain_set.chains,
-            nnodes: visited.len(),
+            nnodes: reach.len(),
         }
     }
 

@@ -34,6 +34,7 @@ use super::TraceLevel;
 use flashr_safs::sync::Mutex;
 use flashr_safs::{now_nanos, SpanArgs, SpanSink, NO_ARGS};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::thread::ThreadId;
@@ -262,11 +263,35 @@ pub struct Timeline {
 struct Lanes {
     /// In creation order (for stable export ordering).
     all: Vec<Arc<Lane>>,
-    /// Threads with stable names (executor workers, SAFS I/O threads)
-    /// share one lane across passes.
+    /// Threads with stable names (SAFS I/O threads) share one lane
+    /// across passes.
     by_name: HashMap<String, Arc<Lane>>,
+    /// Executor worker `tid`'s lane, `flashr-w<tid>`, whichever thread
+    /// runs it.
+    workers: Vec<Option<Arc<Lane>>>,
     /// Unnamed threads get one numbered lane each, for good.
     by_thread: HashMap<ThreadId, Arc<Lane>>,
+}
+
+thread_local! {
+    /// The executor worker this thread is running, if any.
+    static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Run `f` as executor worker `tid`: every span the calling thread
+/// records meanwhile — its own and the SAFS spans it takes — lands on
+/// the `flashr-w<tid>` lane, so a worker's lane does not depend on which
+/// pool thread ran it. Restores the previous identity on return or
+/// unwind.
+pub(crate) fn as_worker<R>(tid: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WORKER.set(self.0);
+        }
+    }
+    let _restore = Restore(WORKER.replace(Some(tid)));
+    f()
 }
 
 impl Timeline {
@@ -291,10 +316,13 @@ impl Timeline {
         }
     }
 
-    /// The calling thread's lane, named after the thread (or a numbered
-    /// fallback for unnamed threads). Hot paths should call this once
-    /// and keep the `Arc`.
+    /// The calling thread's lane: its worker's inside `as_worker`, else
+    /// named after the thread (or a numbered fallback for unnamed
+    /// threads). Hot paths should call this once and keep the `Arc`.
     pub fn lane(&self) -> Arc<Lane> {
+        if let Some(tid) = WORKER.get() {
+            return self.worker_lane(tid);
+        }
         let thread = std::thread::current();
         if let Some(name) = thread.name() {
             return self.named_lane(name);
@@ -306,6 +334,21 @@ impl Timeline {
         let name = format!("thread-{}", lanes.all.len());
         let lane = self.get_or_create(&mut lanes, &name);
         lanes.by_thread.insert(thread.id(), lane.clone());
+        lane
+    }
+
+    /// Executor worker `tid`'s lane, `flashr-w<tid>`; its name is
+    /// formatted once per log.
+    pub fn worker_lane(&self, tid: usize) -> Arc<Lane> {
+        let mut lanes = self.lanes.lock();
+        if let Some(Some(lane)) = lanes.workers.get(tid) {
+            return lane.clone();
+        }
+        let lane = self.get_or_create(&mut lanes, &format!("flashr-w{tid}"));
+        if lanes.workers.len() <= tid {
+            lanes.workers.resize(tid + 1, None);
+        }
+        lanes.workers[tid] = Some(lane.clone());
         lane
     }
 
@@ -478,6 +521,21 @@ mod tests {
         let lanes = tl.snapshot();
         assert_eq!(lanes.len(), 2, "{:?}", lanes.iter().map(|l| &l.name).collect::<Vec<_>>());
         assert_eq!((lanes[1].name.as_str(), lanes[1].events.len()), ("thread-1", 50));
+    }
+
+    #[test]
+    fn a_worker_keeps_its_lane_whichever_thread_runs_it() {
+        let tl = Timeline::new(64);
+        let mine = tl.lane();
+        let on = |tid| std::thread::scope(|s| s.spawn(|| as_worker(tid, || tl.lane())).join());
+        let (w1, again) = (on(1).ok(), on(1).ok());
+        assert_eq!(w1.as_ref().map(|l| l.name()), Some("flashr-w1"));
+        assert!(w1.zip(again).is_some_and(|(a, b)| Arc::ptr_eq(&a, &b)), "one lane per worker");
+        // SAFS spans taken as a worker land on the worker's lane too, and
+        // the thread's own lane comes back afterwards.
+        as_worker(2, || tl.span("cache", "hit", 1, 2, NO_ARGS));
+        assert_eq!(tl.worker_lane(2).len(), 1);
+        assert!(Arc::ptr_eq(&tl.lane(), &mine));
     }
 
     #[test]

@@ -35,6 +35,11 @@ impl IoBuf {
         self.len
     }
 
+    /// Bytes allocated, at least [`IoBuf::len`].
+    pub fn capacity(&self) -> usize {
+        self.words.capacity() * 8
+    }
+
     /// Whether the buffer holds zero bytes.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -101,7 +106,9 @@ impl IoBuf {
         );
         debug_assert!(self.words.len() * 8 >= self.len, "word storage must cover len");
         // SAFETY: as in `typed`, plus uniqueness from `&mut self`.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<T>(), self.len / size) }
+        unsafe {
+            std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<T>(), self.len / size)
+        }
     }
 }
 

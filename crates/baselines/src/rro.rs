@@ -6,6 +6,7 @@
 //! in-memory matrices, single-threaded element-wise/aggregation loops,
 //! and parallel GEMM (our `linalg::par` kernel standing in for MKL).
 
+use flashr_core::chunk::BufPool;
 use flashr_core::gen::GenSpec;
 use flashr_linalg::{chol_solve, cholesky, eigen_sym, gemm, Dense};
 
@@ -16,10 +17,13 @@ pub fn rro_crossprod(x: &Dense) -> Dense {
     g
 }
 
-/// Single-threaded standard-normal matrix (R's `rnorm` is sequential).
+/// Single-threaded standard-normal matrix (R's `rnorm` is sequential),
+/// generated column-major in one chunk and laid out row-major.
 pub fn rro_rnorm(n: usize, p: usize, seed: u64) -> Dense {
     let spec = GenSpec::Rnorm { seed, mean: 0.0, sd: 1.0 };
-    Dense::from_fn(n, p, |r, c| spec.value_at(r as u64, c))
+    let chunk = spec.fill_chunk(0, n, p, &mut BufPool::new());
+    let z = chunk.slice::<f64>();
+    Dense::from_fn(n, p, |r, c| z[c * n + r])
 }
 
 /// MASS `mvrnorm` in the RRO model: sequential rnorm + eigen, parallel
@@ -62,7 +66,8 @@ pub fn rro_correlation(x: &Dense) -> Dense {
     for m in &mut mu {
         *m /= n;
     }
-    let sd: Vec<f64> = (0..p).map(|j| (gram.at(j, j) / n - mu[j] * mu[j]).max(0.0).sqrt()).collect();
+    let sd: Vec<f64> =
+        (0..p).map(|j| (gram.at(j, j) / n - mu[j] * mu[j]).max(0.0).sqrt()).collect();
     Dense::from_fn(p, p, |i, j| {
         if sd[i] == 0.0 || sd[j] == 0.0 {
             if i == j {
@@ -204,7 +209,8 @@ mod tests {
     fn rro_lda_matches_fm_lda() {
         let ctx = ctx();
         let n = 4000u64;
-        let labels = FM::seq(n, 0.0, 1.0).binary_scalar(flashr_core::ops::BinaryOp::Rem, 2.0, false);
+        let labels =
+            FM::seq(n, 0.0, 1.0).binary_scalar(flashr_core::ops::BinaryOp::Rem, 2.0, false);
         let x = FM::rnorm(&ctx, n, 3, 0.0, 1.0, 19).binary(
             flashr_core::ops::BinaryOp::Add,
             &(&labels.cast(flashr_core::DType::F64) * 4.0),

@@ -73,6 +73,20 @@ fn from_f64(dt: DType, x: f64) -> f64 {
     }
 }
 
+/// The generators' counter uniform on [0, 1): the top 53 bits of the
+/// splitmix64 finalizer of a key mixing seed, row, column and stream.
+fn unit(seed: u64, row: usize, col: usize, stream: u64) -> f64 {
+    let mut z = seed
+        ^ (row as u64).wrapping_mul(0x2545_F491_4F6C_DD1D)
+        ^ (col as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ stream.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
 fn is_predicate(op: BinaryOp) -> bool {
     use BinaryOp::*;
     matches!(op, Eq | Ne | Lt | Le | Gt | Ge | And | Or)
@@ -175,6 +189,25 @@ impl Mat {
     pub fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Mat {
         assert_eq!(data.len(), rows * cols, "oracle: data length");
         Mat { rows, cols, dtype: DType::F64, data }
+    }
+
+    /// `runif.matrix` with seed `seed`: element (r, c) is `lo + (hi − lo)·u`
+    /// with `u` the counter uniform of `(seed, r, c)` on stream 0.
+    pub fn runif(rows: usize, cols: usize, seed: u64, lo: f64, hi: f64) -> Mat {
+        Mat::from_fn(rows, cols, DType::F64, |r, c| lo + (hi - lo) * unit(seed, r, c, 0))
+    }
+
+    /// `rnorm.matrix` with seed `seed`, by Box–Muller one element at a
+    /// time: rows 2k and 2k + 1 share the uniforms of `(seed, k, c)` on
+    /// streams 1 and 2; the even row is `r·cos θ`, the odd row `r·sin θ`.
+    pub fn rnorm(rows: usize, cols: usize, seed: u64, mean: f64, sd: f64) -> Mat {
+        Mat::from_fn(rows, cols, DType::F64, |r, c| {
+            let u1 = unit(seed, r / 2, c, 1).max(f64::MIN_POSITIVE);
+            let theta = std::f64::consts::TAU * unit(seed, r / 2, c, 2);
+            let radius = (-2.0 * u1.ln()).sqrt();
+            let z = if r % 2 == 0 { radius * theta.cos() } else { radius * theta.sin() };
+            mean + sd * z
+        })
     }
 
     pub fn at(&self, r: usize, c: usize) -> f64 {

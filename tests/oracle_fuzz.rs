@@ -126,6 +126,20 @@ impl Pair {
         Pair { fm, want, zero_sign_free: false }
     }
 
+    /// A generated leaf, `runif` or `rnorm` with drawn parameters.
+    fn generated(rng: &mut Rng, ctx: &FlashCtx, rows: usize, cols: usize) -> Pair {
+        let (seed, a, b) = (rng.next_u64(), rng.f64(-4.0..4.0), rng.f64(0.25..2.0));
+        let (fm, want) = if rng.bool() {
+            (
+                FM::runif(ctx, rows as u64, cols, a, a + b, seed),
+                Mat::runif(rows, cols, seed, a, a + b),
+            )
+        } else {
+            (FM::rnorm(ctx, rows as u64, cols, a, b, seed), Mat::rnorm(rows, cols, seed, a, b))
+        };
+        Pair { fm, want, zero_sign_free: false }
+    }
+
     /// The same operation on both sides — or on neither (`None`) when the
     /// oracle cannot hold the result exactly, so the caller draws again.
     fn then(&self, want: Mat, fm: impl FnOnce(&FM) -> FM) -> Option<Pair> {
@@ -396,7 +410,11 @@ fn run_case(rng: &mut Rng, ctx: &FlashCtx, shape: Option<(usize, usize)>, what: 
     let (rows, cols) = shape.unwrap_or_else(|| (rng.usize(1..300), rng.usize(1..6)));
     let mut sources = Vec::new();
     for _ in 0..2 {
-        let x = Pair::leaf(ctx, rows, cols, draw_values(rng, rows * cols), rng.bool());
+        let x = if rng.below(4) == 0 {
+            Pair::generated(rng, ctx, rows, cols)
+        } else {
+            Pair::leaf(ctx, rows, cols, draw_values(rng, rows * cols), rng.bool())
+        };
         let x = x.cast(pick(rng, &DTYPES)).expect("small values fit every dtype");
         sources.push(if rng.bool() { x.materialize(ctx) } else { x });
     }
@@ -429,6 +447,36 @@ fn random_programs_match_the_oracle_in_every_mode() {
                 DISPATCH_BATCH[batch]
             );
             run_case(&mut Rng::new(seed), &ctx, None, &what);
+        }
+    });
+}
+
+/// Generated leaves cut wherever a Box–Muller pair can be split: an odd
+/// height, so the last partition ends on a pair's even half, and a Pcache
+/// budget of an odd number of the leaf's rows, so in `CacheFuse` most
+/// chunks start or end inside a pair.
+#[test]
+fn generated_leaves_match_the_oracle() {
+    let arrays = Arrays::open("gen");
+    let storages = [Storage::InMem, Storage::EmSim, Storage::EmSimCached];
+    cases(24, |rng, case| {
+        let storage = storages[case % storages.len()];
+        let (rows, cols) = (2 * rng.usize(8..150) + 1, rng.usize(1..5));
+        let (nthreads, rpp) = (pick(rng, &NTHREADS), pick(rng, &ROWS_PER_PART));
+        let stride = 2 * rng.usize(8..40) + 1;
+        let (batch, seed) = (rng.usize(0..DISPATCH_BATCH.len()), rng.next_u64());
+        for mode in MODES {
+            let ctx = arrays.ctx(mode, nthreads, rpp, stride * cols * 8, storage, batch);
+            let what = format!(
+                "case {case}: {mode:?} {nthreads}t rpp={rpp} stride={stride} {storage:?} {rows}×{cols}"
+            );
+            let rng = &mut Rng::new(seed);
+            let x = Pair::generated(rng, &ctx, rows, cols);
+            x.check_tall(&ctx, &what);
+            let y = Pair::generated(rng, &ctx, rows, cols);
+            let sum = x.binary(BinaryOp::Add, &y, false).expect("F64 + F64");
+            sum.check_tall(&ctx, &what);
+            check_sink(Sink::Crossprod, rng, &ctx, &sum, &what);
         }
     });
 }

@@ -20,15 +20,15 @@
 //!   full device I/O. Raise the cache/memory budget or switch to a
 //!   fused mode (one pass).
 //!
-//! The footprint estimate mirrors the plan's sizing arithmetic
-//! ([`crate::part::pcache_rows`]): bytes read from materialized leaves,
-//! bytes produced by generators, bytes written by tall outputs, and the
-//! per-chunk working set the cache-fuse engine keeps L2-resident.
+//! The footprint estimate counts the bytes a pass moves: read from
+//! materialized leaves, produced by generators and written by tall
+//! outputs. What one Pcache range holds live depends on the compiled
+//! kernels, which only the plan has: `Plan::live_row_bytes` reports it,
+//! and `FM::explain` prints it with the step.
 
 use super::{FootprintEstimate, Lint};
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::exec::Target;
-use crate::part::pcache_rows;
 use crate::session::{ExecMode, FlashCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,15 +68,11 @@ pub fn run(ctx: &FlashCtx, targets: &[Target]) -> (Vec<Lint>, FootprintEstimate)
         }
     }
     let mut seen: HashMap<u64, ()> = HashMap::new();
-    let mut row_bytes_total = 0usize;
     while let Some(node) = stack.pop() {
         if seen.contains_key(&node.id) {
             continue;
         }
         seen.insert(node.id, ());
-        if !node.is_sink() {
-            row_bytes_total += node.ncols * node.dtype.size();
-        }
         if node.is_effective_leaf() {
             if node.cached().is_some() || matches!(node.kind, NodeKind::Leaf(_)) {
                 footprint.read_bytes += mat_bytes(&node);
@@ -97,15 +93,6 @@ pub fn run(ctx: &FlashCtx, targets: &[Target]) -> (Vec<Lint>, FootprintEstimate)
         }
         order.push(node);
     }
-
-    let part_rows = ctx.cfg().rows_per_part as usize;
-    footprint.working_set_bytes = match ctx.cfg().mode {
-        ExecMode::CacheFuse => {
-            (row_bytes_total * pcache_rows(ctx.cfg().pcache_bytes, row_bytes_total, part_rows))
-                as u64
-        }
-        ExecMode::MemFuse | ExecMode::Eager => (row_bytes_total * part_rows) as u64,
-    };
 
     for node in &order {
         if node.is_effective_leaf() {

@@ -159,9 +159,6 @@ pub struct FootprintEstimate {
     /// Bytes written for tall outputs (targets and `set.cache`
     /// byproducts) per pass.
     pub write_bytes: u64,
-    /// Bytes of intermediate state live per Pcache chunk step — the
-    /// working set the cache-fuse engine sizes against L2.
-    pub working_set_bytes: u64,
 }
 
 /// Everything the analyzer learned about one plan.
@@ -188,8 +185,8 @@ impl AnalysisReport {
         );
         let f = &self.footprint;
         out.push_str(&format!(
-            "footprint: read {} B, gen {} B, write {} B, working set {} B/chunk\n",
-            f.read_bytes, f.gen_bytes, f.write_bytes, f.working_set_bytes
+            "footprint: read {} B, gen {} B, write {} B\n",
+            f.read_bytes, f.gen_bytes, f.write_bytes
         ));
         for l in &self.lints {
             out.push_str(&format!("{} n{}: {}\n", l.code, l.node, l.message));
@@ -218,7 +215,6 @@ impl AnalysisReport {
                 w.key("read_bytes").u64(f.read_bytes);
                 w.key("gen_bytes").u64(f.gen_bytes);
                 w.key("write_bytes").u64(f.write_bytes);
-                w.key("working_set_bytes").u64(f.working_set_bytes);
             });
         })
     }

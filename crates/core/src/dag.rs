@@ -13,8 +13,8 @@
 use crate::dtype::{DType, Scalar};
 use crate::gen::GenSpec;
 use crate::mat::TasMat;
-use crate::session::CachePin;
 use crate::ops::{AggOp, BinaryOp, UnaryOp};
+use crate::session::CachePin;
 use flashr_linalg::Dense;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -143,7 +143,12 @@ impl Node {
         };
         let (nrows, ncols) = (input.nrows, input.ncols);
         let dtype = op.out_dtype(input.dtype);
-        Node::new(NodeKind::Map { op: MapOp::Unary(op), inputs: vec![MapInput::Node(input)] }, nrows, ncols, dtype)
+        Node::new(
+            NodeKind::Map { op: MapOp::Unary(op), inputs: vec![MapInput::Node(input)] },
+            nrows,
+            ncols,
+            dtype,
+        )
     }
 
     /// `mapply`: binary map with broadcasting. Operand dtypes are
@@ -188,7 +193,12 @@ impl Node {
             return input;
         }
         let (nrows, ncols) = (input.nrows, input.ncols);
-        Node::new(NodeKind::Map { op: MapOp::Cast(to), inputs: vec![MapInput::Node(input)] }, nrows, ncols, to)
+        Node::new(
+            NodeKind::Map { op: MapOp::Cast(to), inputs: vec![MapInput::Node(input)] },
+            nrows,
+            ncols,
+            to,
+        )
     }
 
     /// `X %*% B` with small dense `B` (input is cast to f64).
@@ -243,10 +253,7 @@ impl Node {
             dtype = DType::promote(dtype, n.dtype);
         }
         let ncols = inputs.iter().map(|n| n.ncols).sum();
-        let inputs = inputs
-            .into_iter()
-            .map(|n| MapInput::Node(Node::cast(n, dtype)))
-            .collect();
+        let inputs = inputs.into_iter().map(|n| MapInput::Node(Node::cast(n, dtype))).collect();
         Node::new(NodeKind::Map { op: MapOp::Bind, inputs }, nrows, ncols, dtype)
     }
 
@@ -318,13 +325,23 @@ impl Node {
 
     /// `groupby.row(data, labels, op)` → ngroups×p sink. Labels are cast
     /// to i64 and must hold values in `[0, ngroups)`.
-    pub fn sink_groupby(data: Arc<Node>, labels: Arc<Node>, op: AggOp, ngroups: usize) -> Arc<Node> {
+    pub fn sink_groupby(
+        data: Arc<Node>,
+        labels: Arc<Node>,
+        op: AggOp,
+        ngroups: usize,
+    ) -> Arc<Node> {
         assert_eq!(labels.ncols, 1, "groupby labels must be one column");
         assert_eq!(data.nrows, labels.nrows, "groupby label length mismatch");
         assert!(ngroups > 0, "ngroups must be positive");
         let labels = Node::cast(labels, DType::I64);
         let p = data.ncols;
-        Node::new(NodeKind::SinkGroupBy { data, labels, op, ngroups }, ngroups as u64, p, DType::F64)
+        Node::new(
+            NodeKind::SinkGroupBy { data, labels, op, ngroups },
+            ngroups as u64,
+            p,
+            DType::F64,
+        )
     }
 
     /// Whether the node changes the partition dimension (edge of a DAG).
@@ -340,22 +357,36 @@ impl Node {
 
     /// Tall-node child references (sinks report their tall inputs).
     pub fn children(&self) -> Vec<&Arc<Node>> {
+        let mut out = Vec::new();
+        self.for_each_child(|c| out.push(c));
+        out
+    }
+
+    /// [`Node::children`] without the vector: `f` on each child edge, in
+    /// order (an input read twice is passed twice).
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Arc<Node>)) {
         match &self.kind {
-            NodeKind::Leaf(_) | NodeKind::Gen(_) => vec![],
-            NodeKind::Map { inputs, .. } => inputs
-                .iter()
-                .filter_map(|i| match i {
-                    MapInput::Node(n) => Some(n),
-                    _ => None,
-                })
-                .collect(),
+            NodeKind::Leaf(_) | NodeKind::Gen(_) => {}
+            NodeKind::Map { inputs, .. } => {
+                for i in inputs {
+                    if let MapInput::Node(n) = i {
+                        f(n);
+                    }
+                }
+            }
             NodeKind::AggRow { input, .. }
             | NodeKind::CumRow { input, .. }
             | NodeKind::CumCol { input, .. }
             | NodeKind::SinkFull { input, .. }
-            | NodeKind::SinkCol { input, .. } => vec![input],
-            NodeKind::SinkGramian { a, b } => vec![a, b],
-            NodeKind::SinkGroupBy { data, labels, .. } => vec![data, labels],
+            | NodeKind::SinkCol { input, .. } => f(input),
+            NodeKind::SinkGramian { a, b } => {
+                f(a);
+                f(b);
+            }
+            NodeKind::SinkGroupBy { data, labels, .. } => {
+                f(data);
+                f(labels);
+            }
         }
     }
 
@@ -431,15 +462,11 @@ mod tests {
     use crate::part::Partitioner;
 
     fn leaf_f64(n: u64, p: usize) -> Arc<Node> {
-        Node::leaf(TasMat::from_fn::<f64>(n, p, Partitioner::new(64), |r, c| {
-            r as f64 + c as f64
-        }))
+        Node::leaf(TasMat::from_fn::<f64>(n, p, Partitioner::new(64), |r, c| r as f64 + c as f64))
     }
 
     fn leaf_i32(n: u64, p: usize) -> Arc<Node> {
-        Node::leaf(TasMat::from_fn::<i32>(n, p, Partitioner::new(64), |r, c| {
-            r as i32 + c as i32
-        }))
+        Node::leaf(TasMat::from_fn::<i32>(n, p, Partitioner::new(64), |r, c| r as i32 + c as i32))
     }
 
     #[test]
@@ -480,9 +507,8 @@ mod tests {
         let sc = Node::sink_col(AggOp::Sum, a.clone());
         assert_eq!((sc.nrows, sc.ncols), (1, 4));
 
-        let labels = Node::leaf(TasMat::from_fn::<i64>(100, 1, Partitioner::new(64), |r, _| {
-            (r % 5) as i64
-        }));
+        let labels =
+            Node::leaf(TasMat::from_fn::<i64>(100, 1, Partitioner::new(64), |r, _| (r % 5) as i64));
         let gb = Node::sink_groupby(a.clone(), labels, AggOp::Sum, 5);
         assert_eq!((gb.nrows, gb.ncols), (5, 4));
 

@@ -5,8 +5,10 @@
 //! from a claim cursor whose shared read-ahead frontier
 //! ([`ReadAhead`]) already has the next partitions' leaf reads in flight,
 //! stream Pcache chunks depth-first through the operation graph with
-//! per-chunk memoization and buffer recycling, fold sink accumulators
-//! per partition, and write tall outputs back as whole partitions.
+//! per-chunk memoization, recycle each chunk's buffer at its last read,
+//! fold sink accumulators per partition, and write tall outputs back as
+//! whole partitions. The Pcache step is sized by what that recycling
+//! leaves live at once ([`Plan::live_row_bytes`]).
 //!
 //! Claiming and reading ahead are separate. Every claim, by whichever
 //! worker, tops its cursor's frontier up to `workers × (dispatch_batch −
@@ -390,6 +392,11 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         memo: Memo::new(plan.nnodes),
         remaining: Vec::with_capacity(plan.nnodes),
         pool: CHUNK_BUFS.take(),
+        #[cfg(debug_assertions)]
+        tally: MemoTally {
+            bound: plan.pcache_step * plan.live_row_bytes(),
+            ..MemoTally::default()
+        },
     };
     let mut leaf_bufs: Vec<Option<Arc<IoBuf>>> = vec![None; plan.nnodes];
     let mut pending_writes: VecDeque<IoTicket> = VecDeque::new();
@@ -554,11 +561,52 @@ impl Memo {
 /// A worker's mutable evaluation state, reused partition to partition.
 struct Scratch {
     memo: Memo,
-    /// Per-range consumer counters, by plan slot (paper §3.5.1): once
-    /// every consumer of a node's chunk has run, the buffer recycles
-    /// immediately so the next operation writes into cache-hot memory.
+    /// Per-range read counters, by plan slot (paper §3.5.1): every read
+    /// of a node's chunk counts down its counter, and the last one
+    /// recycles the buffer at once, so the next operation writes into
+    /// cache-hot memory.
     remaining: Vec<usize>,
     pool: BufPool,
+    #[cfg(debug_assertions)]
+    tally: MemoTally,
+}
+
+/// Debug builds: the bytes of the current Pcache range's chunks the memo
+/// holds, checked at every insertion against what [`Plan::live_row_bytes`]
+/// says a range holds at most. Partition-lifetime chunks evaluated for a
+/// `cum.col` over a smaller range are not the range's.
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct MemoTally {
+    range: (usize, usize),
+    held: usize,
+    /// `pcache_step × live_row_bytes`.
+    bound: usize,
+}
+
+#[cfg(debug_assertions)]
+impl MemoTally {
+    fn add(&mut self, r0: usize, r1: usize, chunk: &Chunk) {
+        if (r0, r1) == self.range {
+            self.held += chunk_bytes(chunk);
+            assert!(
+                self.held <= self.bound,
+                "range [{r0}, {r1}) holds {} B of chunks, over the plan's live-set bound of {} B",
+                self.held,
+                self.bound
+            );
+        }
+    }
+
+    fn sub(&mut self, r0: usize, r1: usize, chunk: &Chunk) {
+        if (r0, r1) == self.range {
+            self.held -= chunk_bytes(chunk);
+        }
+    }
+}
+
+fn chunk_bytes(chunk: &Chunk) -> usize {
+    chunk.rows() * chunk.cols() * chunk.dtype().size()
 }
 
 impl Scratch {
@@ -626,6 +674,11 @@ fn process_part(
         stats.pcache_chunks.add(1);
         nchunks += 1;
         st.remaining.clone_from(&plan.consumers);
+        #[cfg(debug_assertions)]
+        {
+            st.tally.range = (r0, r1);
+            st.tally.held = 0;
+        }
 
         for (i, (_, sink)) in plan.sinks.iter().enumerate() {
             match &sink.kind {
@@ -675,8 +728,9 @@ fn process_part(
             consume(&env, st, &t.node, r0, r1);
         }
 
-        // Recycle this range's intermediates (whole-partition entries
-        // persist until the partition completes).
+        // Recycle what this range still holds, such as `cum.col` slices,
+        // which are never counted (whole-partition entries persist until
+        // the partition completes).
         st.recycle(false);
     }
     st.recycle(true);
@@ -768,6 +822,11 @@ fn run_chain(
 ) -> Option<Rc<Chunk>> {
     let rows = r1 - r0;
     let auxes: Vec<Rc<Chunk>> = chain.aux.iter().map(|a| eval(env, st, a, r0, r1)).collect();
+    let in_place = chain_base_stride(env, &chain.base, r0, r1);
+    let base = match in_place {
+        Some(_) => None,
+        None => Some(eval(env, st, &chain.base, r0, r1)),
+    };
     let aux_refs: Vec<&Chunk> = auxes.iter().map(|c| c.as_ref()).collect();
     let into_tall = dst.is_some();
     let mut own = None;
@@ -775,15 +834,20 @@ fn run_chain(
         Some(buf) => (buf, env.part_rows, r0),
         None => (own.insert(st.pool.take(rows * node.ncols * node.dtype.size())), rows, 0),
     };
-    if let Some((bytes, stride, off)) = chain_base_stride(env, &chain.base, r0, r1) {
-        let pool = &mut st.pool;
-        chain.kernel.run_strided_into(
+    let pool = &mut st.pool;
+    match (&base, in_place) {
+        (Some(base), _) => chain.kernel.run_into(base, &aux_refs, out, col_stride, row_off, pool),
+        (None, Some((bytes, stride, off))) => chain.kernel.run_strided_into(
             bytes, stride, off, rows, node.ncols, &aux_refs, out, col_stride, row_off, pool,
-        );
-    } else {
-        let base = eval(env, st, &chain.base, r0, r1);
-        chain.kernel.run_into(&base, &aux_refs, out, col_stride, row_off, &mut st.pool);
+        ),
+        (None, None) => unreachable!("a base is read in place or evaluated"),
     }
+    drop(aux_refs);
+    drop((auxes, base));
+    for a in &chain.aux {
+        consume(env, st, a, r0, r1);
+    }
+    consume(env, st, &chain.base, r0, r1);
     if chain.len >= 2 {
         env.stats.fused_chains.add(1);
     }
@@ -837,8 +901,11 @@ fn trace_op(
     env.lane.complete_detail("exec", &e.label, nanos, [("node", node.id), ("", 0)]);
 }
 
-/// Decrement a node's per-range consumer counter; when it reaches zero,
-/// drop the memo entry and recycle its buffer (paper §3.5.1). A node
+/// Count one read of `node`'s chunk over `[r0, r1)`, made by a reader
+/// that has already dropped its handle; the read that takes the counter
+/// to zero drops the memo entry and recycles its buffer (paper §3.5.1).
+/// Every evaluation, sink and tall output calls this once per input edge
+/// it read, so a chunk is recycled right after its last reader. A node
 /// whose counter is already 0 is not counted (a chain's interior).
 fn consume(env: &PartEnv<'_>, st: &mut Scratch, node: &Arc<Node>, r0: usize, r1: usize) {
     // Cumulative columns memoize at partition granularity and must
@@ -854,6 +921,8 @@ fn consume(env: &PartEnv<'_>, st: &mut Scratch, node: &Arc<Node>, r0: usize, r1:
     *count -= 1;
     if *count == 0 {
         if let Some(rc) = st.memo.at(slot, r0, r1).take() {
+            #[cfg(debug_assertions)]
+            st.tally.sub(r0, r1, &rc);
             if let Ok(chunk) = Rc::try_unwrap(rc) {
                 chunk.recycle(&mut st.pool);
             }
@@ -874,14 +943,16 @@ fn eval(env: &PartEnv<'_>, st: &mut Scratch, node: &Arc<Node>, r0: usize, r1: us
     let t0 = env.op_trace.map(|_| Instant::now());
     let chunk = eval_uncached(env, st, node, slot, r0, r1);
     *st.memo.at(slot, r0, r1) = Some(chunk.clone());
+    #[cfg(debug_assertions)]
+    st.tally.add(r0, r1, &chunk);
     env.stats.node_chunks.add(1);
-    env.stats.node_chunk_bytes.add((chunk.rows() * chunk.cols() * chunk.dtype().size()) as u64);
+    env.stats.node_chunk_bytes.add(chunk_bytes(&chunk) as u64);
     trace_op(env, node, t0, r0, r1, false);
     chunk
 }
 
 /// [`eval`] minus memo and tracing: compute the chunk of `node`, plan
-/// slot `slot`.
+/// slot `slot`, and count the reads of the inputs it used.
 fn eval_uncached(
     env: &PartEnv<'_>,
     st: &mut Scratch,
@@ -972,10 +1043,11 @@ fn eval_uncached(
                     full
                 }
             };
+            // The input keeps its partition lifetime: never counted.
             if r0 == 0 && r1 == env.part_rows {
                 return full;
             }
-            full.slice_rows(r0, r1, &mut st.pool)
+            return Rc::new(full.slice_rows(r0, r1, &mut st.pool));
         }
         sink @ (NodeKind::SinkFull { .. }
         | NodeKind::SinkCol { .. }
@@ -984,6 +1056,8 @@ fn eval_uncached(
             panic!("sink node reached tall evaluation: {sink:?}")
         }
     };
+    // Every input handle above is dropped: count the reads, one per edge.
+    node.for_each_child(|c| consume(env, st, c, r0, r1));
     Rc::new(chunk)
 }
 
@@ -1005,9 +1079,11 @@ fn eval_input(
 mod tests {
     use super::*;
     use crate::dtype::DType;
+    use crate::exec::test_dags;
     use crate::fm::FM;
     use crate::ops::{BinaryOp, UnaryOp};
     use crate::session::{CtxConfig, ExecMode};
+    use crate::trace::TraceLevel;
 
     /// Idle bytes in the calling thread's chunk-buffer pool.
     fn idle_chunk_bytes() -> usize {
@@ -1056,9 +1132,50 @@ mod tests {
                 assert_eq!(y.cast(DType::F32).col_sums().to_dense(&ctx).cols(), cols);
                 assert_eq!(x.cumsum_col().materialize(&ctx).nrow(), rows);
                 assert_eq!(x.crossprod().to_dense(&ctx).rows(), cols);
+                // Nine branches, each its own sink, and their cbind: a
+                // range of many small chunks, as a GMM E-step has.
+                let branches = test_dags::branches(&x, 9);
+                let outs = FM::materialize_multi(&ctx, &branches.iter().collect::<Vec<_>>());
+                assert_eq!(outs[9].ncol(), 9);
                 let idle = idle_chunk_bytes();
                 assert!(idle <= bound, "{mode:?} {rows}x{cols}: {idle} B idle, bound {bound}");
             }
+        }
+    }
+
+    #[test]
+    fn last_use_recycling_recomputes_nothing() {
+        // A one-byte budget pins the step to the 16-row floor whatever the
+        // sizing rule, so this pass evaluates what one that recycled only
+        // at range end would: every node's chunk once per range, and not
+        // again after its last reader recycled it. Debug builds also check
+        // every range's memo against `pcache_step × live_row_bytes`.
+        let cfg = CtxConfig {
+            nthreads: 1,
+            rows_per_part: 1 << 11,
+            pcache_bytes: 1,
+            trace: TraceLevel::Op,
+            ..CtxConfig::default()
+        };
+        let ctx = FlashCtx::with_config(cfg, None);
+        let x = FM::rnorm(&ctx, 3000, 8, 0.0, 1.0, 5).materialize(&ctx);
+        // The node chunks of a pass that recycles only at range end,
+        // measured on one.
+        for (name, fms, node_chunks) in [
+            ("gmm", test_dags::gmm_e_step(&x, 4), 7896),
+            ("branches", test_dags::branches(&x, 9), 6956),
+        ] {
+            ctx.tracer().clear();
+            let before = ctx.stats().snapshot();
+            FM::materialize_multi(&ctx, &fms.iter().collect::<Vec<_>>());
+            let d = before.delta(&ctx.stats().snapshot());
+            let passes = ctx.tracer().passes();
+            assert_eq!((passes.len(), passes[0].pcache_step, d.pcache_chunks), (1, 16, 128 + 60));
+            for op in &passes[0].ops {
+                assert_eq!(op.chunks, d.pcache_chunks, "{name}: n{} {}", op.node_id, op.label);
+            }
+            assert_eq!(d.node_chunks, d.pcache_chunks * passes[0].ops.len() as u64, "{name}");
+            assert_eq!(d.node_chunks, node_chunks, "{name}");
         }
     }
 }

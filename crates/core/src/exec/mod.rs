@@ -105,3 +105,58 @@ pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
     }
     results
 }
+
+/// Many-branch DAGs the planner's and the executor's tests share.
+#[cfg(test)]
+pub(crate) mod test_dags {
+    use crate::fm::FM;
+    use crate::ops::BinaryOp;
+    use flashr_linalg::Dense;
+
+    /// The sinks of one GMM E-step over `x` (n × p) with `k` components,
+    /// built as `ml::gmm` builds them: per component sweep → `%*%` →
+    /// square → `rowSums`, then `cbind` → log-sum-exp responsibilities
+    /// → the log-likelihood, the masses, the weighted means and one
+    /// `x * sqrt(r_c)` Gramian per component.
+    pub fn gmm_e_step(x: &FM, k: usize) -> Vec<FM> {
+        let p = x.ncol() as usize;
+        let logd: Vec<FM> = (0..k)
+            .map(|c| {
+                let mu: Vec<f64> = (0..p).map(|j| (c + j) as f64 * 0.01).collect();
+                let m =
+                    Dense::from_fn(p, p, |i, j| if i == j { 1.0 + c as f64 * 0.1 } else { 0.01 });
+                let maha =
+                    x.sweep_cols(&mu, BinaryOp::Sub).matmul(&FM::from_dense(m)).square().row_sums();
+                &(&maha * -0.5) + (c as f64 * 0.1 - 3.0)
+            })
+            .collect();
+        let logd = FM::cbind(&logd.iter().collect::<Vec<_>>());
+        let rowmax = logd.row_max();
+        let shifted = logd.binary(BinaryOp::Sub, &rowmax, false);
+        let lse = &rowmax + &shifted.exp().row_sums().ln();
+        let resp =
+            shifted.binary(BinaryOp::Sub, &lse.binary(BinaryOp::Sub, &rowmax, false), false).exp();
+        let mut sinks = vec![lse.sum(), resp.col_sums(), resp.crossprod_with(x)];
+        sinks.extend(
+            (0..k).map(|c| x.binary(BinaryOp::Mul, &resp.col(c).sqrt(), false).crossprod()),
+        );
+        sinks
+    }
+
+    /// `n` branches over `x`, each its own sink, and the `cbind` of the
+    /// branches beside them: `[sum(b_0), …, sum(b_{n-1}), cbind(b)]`,
+    /// where `b_i` is sweep → column selection → square → `rowSums`.
+    pub fn branches(x: &FM, n: usize) -> Vec<FM> {
+        let p = x.ncol() as usize;
+        let b: Vec<FM> = (0..n)
+            .map(|i| {
+                let mu: Vec<f64> = (0..p).map(|j| (i * p + j) as f64 * 0.1).collect();
+                let idx: Vec<usize> = (0..p).map(|j| (i + j) % p).collect();
+                x.sweep_cols(&mu, BinaryOp::Sub).cols(&idx).square().row_sums()
+            })
+            .collect();
+        let mut out: Vec<FM> = b.iter().map(FM::sum).collect();
+        out.push(FM::cbind(&b.iter().collect::<Vec<_>>()));
+        out
+    }
+}

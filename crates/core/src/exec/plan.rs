@@ -1,10 +1,17 @@
 //! Materialization planning: DAG discovery, validation, output layout and
 //! Pcache sizing.
+//!
+//! The Pcache step is sized by what one range actually holds live. The
+//! executor recycles a chunk as soon as its last consumer has read it
+//! (paper §3.5.1), so [`Plan::live_row_bytes`] replays the executor's
+//! evaluation order under the same consumer counts and takes the peak of
+//! the chunks held at once — not the sum over every node, which grows
+//! with the number of branches a plan has while the live set does not.
 
 use crate::analysis::chains::{self, CompiledChain};
 use crate::dag::{Node, NodeKind};
 use crate::exec::{Target, TargetStorage};
-use crate::mat::TasMat;
+use crate::mat::{Layout, TasMat};
 use crate::part::{pcache_rows, Partitioner};
 use crate::session::{ExecMode, FlashCtx, StorageClass};
 use std::collections::HashMap;
@@ -42,10 +49,13 @@ pub struct Plan {
     /// per-partition state (chunk memo, use counters, leaf buffers) is
     /// kept under. Assigned in discovery order.
     pub slots: HashMap<u64, usize>,
-    /// How many consumers read each node's Pcache chunk within one range,
-    /// by slot (paper §3.5.1: the per-partition use counter driving buffer
-    /// recycling). Counts DAG parents plus target/sink reads. Interior
-    /// nodes of compiled chains count 0 — they never materialize.
+    /// How many reads of each node's Pcache chunk one range makes, by slot
+    /// (paper §3.5.1: the per-use counter driving buffer recycling). One
+    /// per DAG edge — an input a node reads twice counts twice — plus one
+    /// per target, sink or `set.cache` read. Every evaluation that reads a
+    /// chunk counts its read once it is done, and the read that takes the
+    /// counter to 0 recycles the chunk. Interior nodes of compiled chains
+    /// count 0 — they never materialize.
     pub consumers: Vec<usize>,
     /// Compiled map kernels, root node id → kernel + inputs: one per
     /// element-wise map that is not interior to a longer chain.
@@ -87,7 +97,6 @@ impl Plan {
         let mut slots: HashMap<u64, usize> = HashMap::new();
         let mut tall_nrows: Option<u64> = None;
         let mut parter: Option<Partitioner> = None;
-        let mut row_bytes_total = 0usize;
 
         // Iterative DFS from all target roots.
         let mut reach: Vec<Arc<Node>> = Vec::new();
@@ -157,7 +166,6 @@ impl Plan {
                         }
                     }
                 }
-                row_bytes_total += node.ncols * node.dtype.size();
             }
 
             if let Some(mat) =
@@ -213,9 +221,8 @@ impl Plan {
         // Kernel compilation: every element-wise map becomes a
         // strip-mined kernel, maximal single-consumer chains one kernel
         // each. Interior nodes lose their consumer entries — nothing ever
-        // materializes or recycles them. The Pcache step below is still
-        // sized over *all* tall nodes (including interior ones), so how
-        // far a chain fuses never changes the chunking a sink folds over.
+        // materializes or recycles them, so they take no room in the live
+        // set the Pcache step is sized by.
         let is_mat = |n: &Node| resolved.contains_key(&n.id) || n.is_effective_leaf();
         let chain_set = chains::discover(&reach, &consumers, &is_mat);
         let mut uses = vec![0; reach.len()];
@@ -229,28 +236,15 @@ impl Plan {
         let parter = parter.unwrap_or_else(|| ctx.parter());
         let nparts = parter.nparts(nrows);
 
+        // MemFuse (and the per-op passes of Eager) work on whole I/O
+        // partitions; CacheFuse splits them into ranges whose live chunks
+        // fit the budget.
         let full_rows = parter.rows_per_part() as usize;
-        let pcache_step = match ctx.cfg().mode {
-            ExecMode::CacheFuse => pcache_rows(ctx.cfg().pcache_bytes, row_bytes_total, full_rows),
-            // MemFuse (and the per-op passes of Eager) work on whole
-            // I/O partitions.
-            ExecMode::MemFuse | ExecMode::Eager => full_rows,
-        };
-
-        if let (Some(tl), Some(t0)) = (ctx.tracer().timeline(), build_t0) {
-            tl.lane().complete(
-                "exec",
-                "plan-build",
-                t0,
-                flashr_safs::now_nanos(),
-                [("nodes", reach.len() as u64), ("nparts", nparts)],
-            );
-        }
-        Plan {
+        let mut plan = Plan {
             nrows,
             parter,
             nparts,
-            pcache_step,
+            pcache_step: full_rows,
             sinks,
             talls,
             leaves,
@@ -260,7 +254,60 @@ impl Plan {
             consumers: uses,
             chains: chain_set.chains,
             nnodes: reach.len(),
+        };
+        if ctx.cfg().mode == ExecMode::CacheFuse {
+            plan.pcache_step =
+                pcache_rows(ctx.cfg().pcache_bytes, plan.live_row_bytes(), full_rows);
         }
+
+        if let (Some(tl), Some(t0)) = (ctx.tracer().timeline(), build_t0) {
+            tl.lane().complete(
+                "exec",
+                "plan-build",
+                t0,
+                flashr_safs::now_nanos(),
+                [("nodes", plan.nnodes as u64), ("nparts", nparts)],
+            );
+        }
+        plan
+    }
+
+    /// The most chunk bytes per row one Pcache range holds at once.
+    ///
+    /// A replay of the executor's range (`exec::fused::process_part`):
+    /// the sinks' inputs, then the tall outputs, each evaluated
+    /// depth-first under the same consumer counts. A chunk is held from
+    /// its evaluation until the read that takes its counter to 0. A
+    /// kernel's interior nodes take no room, its output is produced while
+    /// its aux inputs and base are held, and a column-major leaf base is
+    /// read in place; a kernel root only a tall output reads writes into
+    /// that output. Everything evaluated for a `cum.col`, and the
+    /// `cum.col` itself, is held to the end of the range. Multiply by the
+    /// step for bytes.
+    pub fn live_row_bytes(&self) -> usize {
+        let mut walk = LiveWalk {
+            plan: self,
+            remaining: self.consumers.clone(),
+            live: vec![false; self.nnodes],
+            pinned: 0,
+            bytes: 0,
+            peak: 0,
+        };
+        for (_, sink) in &self.sinks {
+            sink.for_each_child(|c| walk.eval(c));
+            sink.for_each_child(|c| walk.consume(c));
+        }
+        for t in &self.talls {
+            let slot = self.slot(&t.node);
+            match self.chains.get(&t.node.id) {
+                Some(chain) if !walk.live[slot] && walk.remaining[slot] == 1 => {
+                    walk.kernel(chain, None);
+                }
+                _ => walk.eval(&t.node),
+            }
+            walk.consume(&t.node);
+        }
+        walk.peak
     }
 
     /// Every node the pass covers, in deterministic DFS order from the
@@ -314,11 +361,12 @@ impl Plan {
     pub fn explain(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "plan: {} nodes, {} parts x {} rows, pcache step {} rows, {} sink(s), {} tall output(s)\n",
+            "plan: {} nodes, {} parts x {} rows, pcache step {} rows ({} B/row live), {} sink(s), {} tall output(s)\n",
             self.nnodes,
             self.nparts,
             self.parter.rows_per_part(),
             self.pcache_step,
+            self.live_row_bytes(),
             self.sinks.len(),
             self.talls.len(),
         ));
@@ -417,10 +465,91 @@ impl Plan {
     }
 }
 
+/// [`Plan::live_row_bytes`]'s replay of one range.
+struct LiveWalk<'a> {
+    plan: &'a Plan,
+    /// Reads left per slot, as the executor counts them.
+    remaining: Vec<usize>,
+    /// Whether the range memo holds the slot's chunk.
+    live: Vec<bool>,
+    /// Depth under `cum.col` inputs, whose reads free nothing.
+    pinned: usize,
+    /// Bytes per row held now, and at most.
+    bytes: usize,
+    peak: usize,
+}
+
+impl LiveWalk<'_> {
+    fn eval(&mut self, node: &Arc<Node>) {
+        let slot = self.plan.slot(node);
+        if self.live[slot] {
+            return;
+        }
+        let plan = self.plan;
+        if plan.leaf_mat(node).is_some() {
+            self.produce(slot, node);
+        } else if let Some(chain) = plan.chains.get(&node.id) {
+            self.kernel(chain, Some((slot, node.as_ref())));
+        } else if let NodeKind::CumCol { input, .. } = &node.kind {
+            self.pinned += 1;
+            self.eval(input);
+            self.pinned -= 1;
+            self.produce(slot, node);
+        } else {
+            node.for_each_child(|c| self.eval(c));
+            self.produce(slot, node);
+            node.for_each_child(|c| self.consume(c));
+        }
+    }
+
+    /// One kernel run, producing `root`'s chunk or, with `None`, writing
+    /// into a tall output.
+    fn kernel(&mut self, chain: &CompiledChain, root: Option<(usize, &Node)>) {
+        for a in &chain.aux {
+            self.eval(a);
+        }
+        let in_place =
+            self.plan.leaf_mat(&chain.base).is_some_and(|m| m.layout() == Layout::ColMajor);
+        if !in_place {
+            self.eval(&chain.base);
+        }
+        if let Some((slot, node)) = root {
+            self.produce(slot, node);
+        }
+        for a in &chain.aux {
+            self.consume(a);
+        }
+        self.consume(&chain.base);
+    }
+
+    fn produce(&mut self, slot: usize, node: &Node) {
+        self.live[slot] = true;
+        self.bytes += node.ncols * node.dtype.size();
+        self.peak = self.peak.max(self.bytes);
+    }
+
+    fn consume(&mut self, node: &Node) {
+        if self.pinned > 0 || matches!(node.kind, NodeKind::CumCol { .. }) {
+            return;
+        }
+        let slot = self.plan.slot(node);
+        let count = &mut self.remaining[slot];
+        if *count == 0 {
+            return;
+        }
+        *count -= 1;
+        if *count == 0 && std::mem::take(&mut self.live[slot]) {
+            self.bytes -= node.ncols * node.dtype.size();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag::MapInput;
+    use crate::exec::test_dags;
+    use crate::fm::FM;
     use crate::ops::{AggOp, BinaryOp};
 
     fn ctx() -> FlashCtx {
@@ -479,6 +608,56 @@ mod tests {
         let s1 = Node::sink_full(AggOp::Sum, a);
         let s2 = Node::sink_full(AggOp::Sum, b);
         let _ = Plan::build(&ctx, &[Target::Sink(s1), Target::Sink(s2)], &HashMap::new());
+    }
+
+    /// The step of the CacheFuse plan over `fms`, at the default budget.
+    fn cache_fuse_step(ctx: &FlashCtx, fms: &[FM]) -> usize {
+        let targets: Vec<Target> = fms.iter().filter_map(FM::pending_target).collect();
+        Plan::build(ctx, &targets, &HashMap::new()).pcache_step
+    }
+
+    #[test]
+    fn the_pcache_step_does_not_shrink_with_the_branch_count() {
+        // A GMM E-step has a branch per component, but a range holds only
+        // a few branches' chunks at once: a sum over every node would cut
+        // the step about k-fold (23 rows at k = 10).
+        let cfg = crate::session::CtxConfig { rows_per_part: 4096, ..Default::default() };
+        let ctx = FlashCtx::with_config(cfg, None);
+        let x = FM::runif(&ctx, 4096, 32, 0.0, 1.0, 3).materialize(&ctx);
+        let steps: Vec<usize> = [2, 10, 20]
+            .iter()
+            .map(|&k| cache_fuse_step(&ctx, &test_dags::gmm_e_step(&x, k)))
+            .collect();
+        assert!(2 * steps[2] >= steps[0], "steps at k = 2, 10, 20: {steps:?}");
+        assert!(steps[1] > 100, "steps at k = 2, 10, 20: {steps:?}");
+    }
+
+    #[test]
+    fn the_live_set_counts_what_recycling_leaves() {
+        let ctx = ctx();
+        let a = leaf(100, 2);
+        // sum(sqrt(a)): the kernel reads `a` in place and its 2-column
+        // output is all the range holds.
+        let s = Node::sink_full(AggOp::Sum, Node::map_unary(crate::ops::UnaryOp::Sqrt, a.clone()));
+        let plan = Plan::build(&ctx, &[Target::Sink(s)], &HashMap::new());
+        assert_eq!(plan.live_row_bytes(), 16);
+        // Two rowSums of `a`, read by one sink each and by a cbind: the
+        // leaf chunk goes after the second rowSums, the rowSums stay for
+        // the cbind, so at most leaf + rowSums + rowSums = 32 B/row or
+        // rowSums + rowSums + cbind = 32 B/row are live.
+        let r1 = Node::agg_row(AggOp::Sum, a.clone());
+        let r2 = Node::agg_row(AggOp::Max, a);
+        let both = Node::bind_cols(vec![r1.clone(), r2.clone()]);
+        let plan = Plan::build(
+            &ctx,
+            &[
+                Target::Sink(Node::sink_full(AggOp::Sum, r1)),
+                Target::Sink(Node::sink_full(AggOp::Sum, r2)),
+                Target::Tall { node: both, storage: TargetStorage::InMem },
+            ],
+            &HashMap::new(),
+        );
+        assert_eq!(plan.live_row_bytes(), 32);
     }
 
     #[test]

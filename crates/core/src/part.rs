@@ -48,11 +48,11 @@ impl Partitioner {
     }
 }
 
-/// Choose the Pcache partition height: the largest row count such that one
-/// `widest_row_bytes`-wide block stays within `pcache_bytes`, clamped to
+/// Choose the Pcache partition height: the largest row count such that
+/// `row_bytes` per row stays within `pcache_bytes`, clamped to
 /// `[16, part_rows]`.
-pub fn pcache_rows(pcache_bytes: usize, widest_row_bytes: usize, part_rows: usize) -> usize {
-    let by_budget = pcache_bytes / widest_row_bytes.max(1);
+pub fn pcache_rows(pcache_bytes: usize, row_bytes: usize, part_rows: usize) -> usize {
+    let by_budget = pcache_bytes / row_bytes.max(1);
     by_budget.clamp(16, part_rows.max(1)).min(part_rows.max(1))
 }
 

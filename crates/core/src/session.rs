@@ -57,7 +57,8 @@ pub struct CtxConfig {
     pub nthreads: usize,
     /// Engine mode (Fig. 10 ablation axis).
     pub mode: ExecMode,
-    /// Per-matrix Pcache budget in bytes (sized against L2).
+    /// Pcache budget in bytes (sized against L2): what one Pcache range
+    /// holds live at once, which sets the step (`Plan::live_row_bytes`).
     pub pcache_bytes: usize,
     /// Rows per I/O partition (power of two).
     pub rows_per_part: u64,

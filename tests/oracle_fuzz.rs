@@ -536,6 +536,59 @@ fn one_program_at_every_configuration_point() {
     assert!(cache.map(|c| c.hits).sum::<u64>() > 0, "the cached points read through the cache");
 }
 
+/// A Pcache budget between the two above: a many-branch program runs at
+/// a step below the partition height, several times the one a sum over
+/// every node of the plan would give.
+const BRANCHES_PCACHE_BYTES: usize = 16 << 10;
+
+/// Many branches over one leaf, as a GMM E-step has: each branch a sweep,
+/// a column selection, a square and `rowSums`, summed by a sink of its own,
+/// and the `cbind` of every branch as the pass's tall result.
+fn many_branch_program(rng: &mut Rng, ctx: &FlashCtx, what: &str) {
+    let (rows, cols, nbranches) = (rng.usize(200..600), rng.usize(1..5), rng.usize(8..13));
+    let x = Pair::leaf(ctx, rows, cols, draw_values(rng, rows * cols), rng.bool());
+    let branches: Vec<Pair> = (0..nbranches)
+        .map(|_| {
+            let len = rng.usize(1..cols + 2);
+            let idx = draw_idx(rng, cols, len);
+            x.sweep(BinaryOp::Sub, &draw_values(rng, cols), false)
+                .map(|b| b.cols(&idx))
+                .and_then(|b| b.unary(UnaryOp::Square))
+                .and_then(|b| b.then(b.want.agg_rows(AggOp::Sum), |f| f.row_sums()))
+                .expect("F64 stays in the domain")
+        })
+        .collect();
+    let want = Mat::cbind(&branches.iter().map(|b| &b.want).collect::<Vec<_>>());
+    let all = FM::cbind(&branches.iter().map(|b| &b.fm).collect::<Vec<_>>());
+    let sums: Vec<FM> = branches.iter().map(|b| b.fm.sum()).collect();
+    let mut targets: Vec<&FM> = sums.iter().collect();
+    targets.push(&all);
+    let outs = FM::materialize_multi(ctx, &targets);
+    Pair { fm: outs[nbranches].clone(), want, zero_sign_free: false }.check_tall(ctx, what);
+    for (b, got) in branches.iter().zip(&outs) {
+        let want = b.want.agg_all(AggOp::Sum);
+        assert_close(got.value(ctx), want, rows, b.want.abs_sum(), what);
+    }
+}
+
+#[test]
+fn many_branch_programs_match_the_oracle() {
+    let arrays = Arrays::open("branches");
+    cases(4, |rng, case| {
+        let (nthreads, rpp) = (pick(rng, &NTHREADS), pick(rng, &[128, 256]));
+        let seed = rng.next_u64();
+        for (mode, storage) in MODES.into_iter().flat_map(|m| STORAGES.map(|s| (m, s))) {
+            for (batch, depth) in DISPATCH_BATCH.iter().enumerate() {
+                let ctx = arrays.ctx(mode, nthreads, rpp, BRANCHES_PCACHE_BYTES, storage, batch);
+                let what = format!(
+                    "case {case}: {mode:?} {nthreads}t rpp={rpp} {storage:?} batch={depth}"
+                );
+                many_branch_program(&mut Rng::new(seed), &ctx, &what);
+            }
+        }
+    });
+}
+
 // ------------------------------------------------------------ fixed cases
 //
 // The shapes and values a random draw rarely lands on, each at a 16-row

@@ -60,10 +60,7 @@ pub fn profile_arg() -> String {
 /// merged Chrome trace.
 pub fn trace_out_arg() -> Option<PathBuf> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+    args.iter().position(|a| a == "--trace-out").and_then(|i| args.get(i + 1)).map(PathBuf::from)
 }
 
 /// Trace level for the bench binaries: the environment's
@@ -242,9 +239,9 @@ pub fn bench_artifact_json_sections(
 /// needed to interpret absolute throughput numbers (and printed by
 /// `scripts/bench_check` when a gate fails). Delegates to the core's
 /// [`obs::host_json`](flashr::core::obs::host_json), so `perf_probe`,
-/// `ablate` and `shard_sweep` stamp the same facts (cpus, workers, NUMA
-/// nodes, page-cache capacity, build profile, SIMD level, storage
-/// backend, shard count).
+/// `ablate` and `shard_sweep` stamp the same facts (cpus, workers,
+/// page-cache capacity, build profile, SIMD level, storage backend,
+/// shard count).
 pub fn host_section_json(ctx: &FlashCtx) -> String {
     flashr::core::obs::host_json(ctx)
 }
@@ -297,15 +294,6 @@ pub fn save_bench_artifact(name: &str, json: &str) -> PathBuf {
     path
 }
 
-/// One-line summary of an [`ExecStatsSnapshot`] delta — the per-mode
-/// counters that make the Fig. 10 base-vs-fused ablation observable.
-pub fn exec_delta_line(d: &ExecStatsSnapshot) -> String {
-    format!(
-        "passes={} parts={} pcache_chunks={} numa_local/remote={}/{}",
-        d.passes, d.parts, d.pcache_chunks, d.local_parts, d.remote_parts
-    )
-}
-
 /// One-line SAFS I/O summary (volume, request counts, latency quantiles,
 /// queue high-water) for an EM context's [`ProfileReport`].
 pub fn io_summary_line(io: &flashr::safs::IoStatsSnapshot) -> String {
@@ -344,7 +332,14 @@ impl Report {
         Report::default()
     }
 
-    pub fn push(&mut self, experiment: &str, algorithm: &str, system: &str, params: &str, seconds: f64) {
+    pub fn push(
+        &mut self,
+        experiment: &str,
+        algorithm: &str,
+        system: &str,
+        params: &str,
+        seconds: f64,
+    ) {
         self.rows.push(Measurement {
             experiment: experiment.into(),
             algorithm: algorithm.into(),

@@ -255,8 +255,9 @@ impl BufPool {
     }
 }
 
-/// Cross-pass recycler for partition-sized output buffers, shared by all
-/// clones of a context.
+/// Recycler for partition-sized buffers. The context's one, shared by
+/// all its clones, recycles tall outputs across passes; each fused pass
+/// has one of its own for its leaf reads, dropped with the pass.
 ///
 /// Tall outputs used to be `IoBuf::zeroed` per partition per pass — and
 /// since every pass fully overwrites its output, the zeroing (a memset
@@ -310,9 +311,9 @@ impl PartBufPool {
     /// data from a previous pass, or zeros when freshly allocated). The
     /// caller must overwrite every byte before the buffer is read — tall
     /// output passes do, by construction: Pcache ranges tile the
-    /// partition and every column is written. Debug builds poison
-    /// recycled buffers so a missed write surfaces as loud garbage, not
-    /// silently-correct zeros.
+    /// partition and every column is written; a device read fills it.
+    /// Debug builds poison recycled buffers so a missed write surfaces as
+    /// loud garbage, not silently-correct zeros.
     pub fn take_for_overwrite(&self, bytes: usize) -> IoBuf {
         let hit = self.free.lock().get_mut(&bytes).and_then(Vec::pop);
         match hit {

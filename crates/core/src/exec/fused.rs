@@ -10,14 +10,18 @@
 //! whole partitions. The Pcache step is sized by what that recycling
 //! leaves live at once ([`Plan::live_row_bytes`]).
 //!
-//! Claiming and reading ahead are separate. Every claim, by whichever
-//! worker, tops its cursor's frontier up to `workers × (dispatch_batch −
-//! 1)` issued partitions beyond the one claimed, so the device queue
-//! never drains at a seam between batches, no worker owns partitions it
-//! is not computing, and the leaf-partition sets held by a pass — one in
-//! compute per worker plus the frontiers — never exceed `nthreads ×
+//! Claiming and reading ahead are separate. Every pass claims from one
+//! cursor, in partition order. Every claim, by whichever worker, tops the
+//! cursor's frontier up to `workers × (dispatch_batch − 1)` issued
+//! partitions beyond the one claimed, so the device queue never drains
+//! at a seam between batches, no worker owns partitions it is not
+//! computing, and the leaf-partition sets held by a pass — one in compute
+//! per worker plus the frontier — never exceed `nthreads ×
 //! dispatch_batch`. In-memory leaves take the same path: their fetch is
-//! a ready clone.
+//! a ready clone. Device reads land in buffers from the pass's own
+//! leaf-buffer pool, which a worker refills with each leaf buffer it
+//! holds alone once the partition is computed; the pool dies with the
+//! pass.
 //!
 //! The workers are the participants of one [`par::run`] call on the
 //! process's one thread pool: the calling thread is worker 0, the rest
@@ -27,7 +31,7 @@
 //! bound derived from the pass's Pcache budget (`idle_chunk_bound`).
 
 use crate::analysis::chains::CompiledChain;
-use crate::chunk::{BufPool, Chunk};
+use crate::chunk::{BufPool, Chunk, PartBufPool};
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::exec::cumcoord::{CumCoord, Poisoned};
 use crate::exec::plan::Plan;
@@ -45,7 +49,6 @@ use flashr_safs::{CachedFetch, IoBuf, IoTicket, SafsFile, NO_ARGS};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::iter::StepBy;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
@@ -68,10 +71,11 @@ fn idle_chunk_bound(ctx: &FlashCtx) -> usize {
 }
 
 /// Per-tall-output shared state.
-struct TallState {
-    storage: StorageClass,
-    file: Option<SafsFile>,
-    parts: Mutex<Vec<Option<Arc<IoBuf>>>>,
+enum TallState {
+    /// Each partition's output buffer, once a worker publishes it.
+    InMem(Mutex<Vec<Option<Arc<IoBuf>>>>),
+    /// The file the workers write partitions to.
+    Em(SafsFile),
 }
 
 /// Per-node accumulation for op-level tracing. A kernel's root carries
@@ -102,20 +106,19 @@ struct PassAgg {
 /// order.
 type LeafFetches = Vec<CachedFetch>;
 
-/// One claim cursor: the partitions it dispatches, in order, behind
-/// their shared read-ahead frontier.
-type Cursor = Mutex<ReadAhead<StepBy<Range<u64>>, LeafFetches>>;
-
 /// Everything the worker threads share.
 struct Shared<'a> {
     ctx: &'a FlashCtx,
     plan: &'a Plan,
     talls: &'a [TallState],
     cums: &'a HashMap<u64, CumCoord>,
-    /// One cursor per NUMA node class under affine claiming (cursor `c`
-    /// dispatches partitions `c, c + nnodes, …`), else a single one over
-    /// every partition.
-    cursors: Vec<Cursor>,
+    /// The claim cursor: the pass's partitions, in order, behind their
+    /// shared read-ahead frontier.
+    cursor: Mutex<ReadAhead<Range<u64>, LeafFetches>>,
+    /// Leaf-read buffers the workers are done with, for later claims'
+    /// device reads. Dropped with the pass, so nothing stays pooled
+    /// between passes.
+    leaf_bufs: PartBufPool,
     /// Per-partition sink partials, folded in partition order at
     /// finalize so reductions are bit-deterministic regardless of which
     /// worker claimed which partition (thread-finish order is not).
@@ -163,29 +166,18 @@ pub(crate) fn run_labeled(
     let tall_states: Vec<TallState> = plan
         .talls
         .iter()
-        .map(|t| {
-            let nparts = plan.nparts as usize;
-            match t.storage {
-                StorageClass::InMem => TallState {
-                    storage: t.storage,
-                    file: None,
-                    parts: Mutex::new(vec![None; nparts]),
-                },
-                StorageClass::Em => {
-                    let safs = ctx.safs().expect("EM output requires a SAFS runtime");
-                    let elem = t.node.dtype.size() as u64;
-                    let part_bytes = plan.parter.rows_per_part() * t.node.ncols as u64 * elem;
-                    let total = plan.nrows * t.node.ncols as u64 * elem;
-                    let file = safs
-                        .create_bytes(&safs.unique_name("fm"), part_bytes, total)
-                        .expect("EM output create failed");
-                    file.set_delete_on_drop(true);
-                    TallState {
-                        storage: t.storage,
-                        file: Some(file),
-                        parts: Mutex::new(Vec::new()),
-                    }
-                }
+        .map(|t| match t.storage {
+            StorageClass::InMem => TallState::InMem(Mutex::new(vec![None; plan.nparts as usize])),
+            StorageClass::Em => {
+                let safs = ctx.safs().expect("EM output requires a SAFS runtime");
+                let elem = t.node.dtype.size() as u64;
+                let part_bytes = plan.parter.rows_per_part() * t.node.ncols as u64 * elem;
+                let total = plan.nrows * t.node.ncols as u64 * elem;
+                let file = safs
+                    .create_bytes(&safs.unique_name("fm"), part_bytes, total)
+                    .expect("EM output create failed");
+                file.set_delete_on_drop(true);
+                TallState::Em(file)
             }
         })
         .collect();
@@ -195,35 +187,24 @@ pub(crate) fn run_labeled(
 
     let nparts = plan.nparts;
     let nthreads = ctx.cfg().nthreads.min(nparts as usize).max(1);
-    let nnodes = ctx.cfg().numa_nodes.min(nparts as usize).max(1);
-    // NUMA-affine claiming needs a worker per node class, and cum carries
-    // need globally sequential dispatch.
-    let use_affinity = plan.cum_nodes.is_empty() && nthreads >= nnodes && nnodes > 1;
 
-    // Read-ahead depth: each worker brings `dispatch_batch − 1` issued
-    // partitions to its home cursor's frontier, which with the one it
-    // computes bounds the pass at `nthreads × dispatch_batch` partition
-    // sets. Nothing is read ahead of an all-in-memory pass.
+    // Read-ahead depth: `dispatch_batch − 1` issued partitions per worker,
+    // which with the one each computes bounds the pass at `nthreads ×
+    // dispatch_batch` partition sets. Nothing is read ahead of an
+    // all-in-memory pass.
     let ahead = match ctx.safs() {
         Some(safs) if plan.leaves.iter().any(|(_, m)| m.is_em()) => {
             safs.dispatch_batch().saturating_sub(1)
         }
         _ => 0,
     };
-    let ncursors = if use_affinity { nnodes } else { 1 };
-    let cursors = (0..ncursors)
-        .map(|c| {
-            let homed = (0..nthreads).filter(|tid| tid % ncursors == c).count();
-            Mutex::new(ReadAhead::new((c as u64..nparts).step_by(ncursors), homed * ahead))
-        })
-        .collect();
-
     let shared = Shared {
         ctx,
         plan: &plan,
         talls: &tall_states,
         cums: &cums,
-        cursors,
+        cursor: Mutex::new(ReadAhead::new(0..nparts, nthreads * ahead)),
+        leaf_bufs: PartBufPool::new(),
         merged: Mutex::new((0..plan.nparts as usize).map(|_| None).collect()),
         failure: Mutex::new(None),
         trace: agg.as_ref(),
@@ -273,10 +254,9 @@ pub(crate) fn run_labeled(
         }
     }
     for (t, state) in plan.talls.iter().zip(tall_states) {
-        let mat = match state.storage {
-            StorageClass::InMem => {
-                let parts: Vec<Arc<IoBuf>> = state
-                    .parts
+        let mat = match state {
+            TallState::InMem(parts) => {
+                let parts: Vec<Arc<IoBuf>> = parts
                     .into_inner()
                     .into_iter()
                     .map(|p| p.expect("partition never produced"))
@@ -291,13 +271,13 @@ pub(crate) fn run_labeled(
                     Some(ctx.part_buf_pool().clone()),
                 )
             }
-            StorageClass::Em => TasMat::from_em_file(
+            TallState::Em(file) => TasMat::from_em_file(
                 plan.nrows,
                 t.node.ncols,
                 t.node.dtype,
                 Layout::ColMajor,
                 plan.parter,
-                state.file.expect("EM state without file"),
+                file,
             ),
         };
         if t.is_cache {
@@ -362,31 +342,25 @@ impl Shared<'_> {
     }
 }
 
-/// Claim the next partition — from the worker's own NUMA node's cursor
-/// while it has any, then from the others' — together with its leaf
-/// fetches, topping that cursor's frontier up under its lock. The flag
-/// says whether the partition came from the worker's own node.
-fn claim(shared: &Shared<'_>, my_node: usize) -> Option<(u64, LeafFetches, bool)> {
+/// Claim the next partition together with its leaf fetches, topping the
+/// cursor's frontier up under its lock. Device reads go into buffers
+/// from the pass's leaf-buffer pool.
+fn claim(shared: &Shared<'_>) -> Option<(u64, LeafFetches)> {
     let leaves = &shared.plan.leaves;
-    let ncursors = shared.cursors.len();
-    (0..ncursors).find_map(|offset| {
-        let cursor = &shared.cursors[(my_node + offset) % ncursors];
-        let (part, fetches) = cursor.lock().claim(|part| {
-            leaves
-                .iter()
-                .map(|(nid, mat)| {
-                    mat.try_fetch_part(part).unwrap_or_else(|e| {
-                        panic!("read submit for partition {part} of leaf n{nid} failed: {e}")
-                    })
+    let take = |len| shared.leaf_bufs.take_for_overwrite(len);
+    shared.cursor.lock().claim(|part| {
+        leaves
+            .iter()
+            .map(|(nid, mat)| {
+                mat.try_fetch_part(part, take).unwrap_or_else(|e| {
+                    panic!("read submit for partition {part} of leaf n{nid} failed: {e}")
                 })
-                .collect()
-        })?;
-        Some((part, fetches, offset == 0))
+            })
+            .collect()
     })
 }
 
 fn worker(tid: usize, shared: &Shared<'_>) {
-    let my_node = tid % shared.cursors.len();
     let plan = shared.plan;
     let mut st = Scratch {
         memo: Memo::new(plan.nnodes),
@@ -411,19 +385,9 @@ fn worker(tid: usize, shared: &Shared<'_>) {
     let lane = shared.log.worker_lane(tid);
     let lane = lane.as_ref();
 
-    while let Some((part, fetches, local)) = claim(shared, my_node) {
-        if local {
-            stats.local_parts.add(1);
-        } else {
-            stats.remote_parts.add(1);
-        }
+    while let Some((part, fetches)) = claim(shared) {
         if let Some(wp) = wp.as_mut() {
             wp.parts += 1;
-            if local {
-                wp.local_parts += 1;
-            } else {
-                wp.remote_parts += 1;
-            }
         }
 
         let task_args = [("part", part), ("pass", shared.pass_id)];
@@ -476,8 +440,14 @@ fn worker(tid: usize, shared: &Shared<'_>) {
             lane,
         );
         // The partition's leaf buffers go now, not at the next claim: the
-        // pass's partition-set bound counts them.
-        leaf_bufs.fill(None);
+        // pass's partition-set bound counts them. One this worker holds
+        // alone — a device read no cache kept — refills the pass's pool;
+        // in-memory and cache-held buffers are still shared and just drop.
+        for buf in leaf_bufs.iter_mut().filter_map(Option::take) {
+            if let Ok(buf) = Arc::try_unwrap(buf) {
+                shared.leaf_bufs.put(buf);
+            }
+        }
         if !sink_accs.is_empty() {
             shared.merged.lock()[part as usize] = Some(sink_accs);
         }
@@ -736,16 +706,11 @@ fn process_part(
     st.recycle(true);
 
     // Publish tall outputs.
-    for (ti, buf) in tall_bufs.into_iter().enumerate() {
-        match shared.talls[ti].storage {
-            StorageClass::InMem => {
-                shared.talls[ti].parts.lock()[part as usize] = Some(Arc::new(buf));
-            }
-            StorageClass::Em => {
-                let file = shared.talls[ti].file.as_ref().expect("EM state without file");
-                pending_writes
-                    .push_back(file.write_part_async(part, buf).expect("EM output submit failed"));
-            }
+    for (state, buf) in shared.talls.iter().zip(tall_bufs) {
+        match state {
+            TallState::InMem(parts) => parts.lock()[part as usize] = Some(Arc::new(buf)),
+            TallState::Em(file) => pending_writes
+                .push_back(file.write_part_async(part, buf).expect("EM output submit failed")),
         }
     }
 

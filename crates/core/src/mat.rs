@@ -2,10 +2,9 @@
 //!
 //! A [`TasMat`] is partitioned on its long dimension into I/O partitions
 //! whose elements are stored contiguously regardless of the element layout
-//! inside the partition. The store is either NUMA-tagged in-memory
-//! partition buffers or a striped SAFS file on the SSD array. Wide
-//! matrices are *views*: transposition never copies (handled a level up,
-//! in the `fm` API).
+//! inside the partition. The store is either in-memory partition buffers
+//! or a striped SAFS file on the SSD array. Wide matrices are *views*:
+//! transposition never copies (handled a level up, in the `fm` API).
 
 use crate::chunk::{BufPool, Chunk, PartBufPool};
 use crate::dtype::{DType, Scalar};
@@ -28,8 +27,7 @@ pub enum Layout {
 /// Where a matrix's partitions live.
 #[derive(Clone)]
 pub enum Store {
-    /// One buffer per I/O partition, tagged round-robin across simulated
-    /// NUMA nodes (node = partition index mod #nodes).
+    /// One buffer per I/O partition.
     InMem(Arc<Vec<Arc<IoBuf>>>),
     /// A striped file on the SSD array.
     Em(SafsFile),
@@ -300,15 +298,21 @@ impl TasMat {
     /// Begin fetching partition `part`: ready at once in memory, a device
     /// read (through the page cache, when one admits the file) on EM.
     pub fn fetch_part(&self, part: u64) -> CachedFetch {
-        self.try_fetch_part(part)
+        self.try_fetch_part(part, IoBuf::zeroed)
             .unwrap_or_else(|e| panic!("read submit for partition {part} failed: {e}"))
     }
 
-    /// [`Self::fetch_part`] with a failed submit handed to the caller.
-    pub fn try_fetch_part(&self, part: u64) -> SafsResult<CachedFetch> {
+    /// [`Self::fetch_part`] with a failed submit handed to the caller and
+    /// the buffer a device read lands in taken from `alloc(bytes)` (see
+    /// [`SafsFile::fetch_part_cached`]).
+    pub fn try_fetch_part(
+        &self,
+        part: u64,
+        alloc: impl FnOnce(usize) -> IoBuf,
+    ) -> SafsResult<CachedFetch> {
         Ok(match &self.inner.store {
             Store::InMem(parts) => CachedFetch::Ready(parts[part as usize].clone()),
-            Store::Em(file) => file.fetch_part_cached(part)?,
+            Store::Em(file) => file.fetch_part_cached(part, alloc)?,
         })
     }
 

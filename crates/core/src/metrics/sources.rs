@@ -10,8 +10,7 @@
 //!
 //! Naming follows Prometheus conventions: `flashr_` prefix, `_total`
 //! counters, `_bytes`/`_ns` unit markers, static label names
-//! (`op="read"|"write"`, `numa="local"|"remote"`, `shard="<n>"`,
-//! `event="<cache event>"`).
+//! (`op="read"|"write"`, `shard="<n>"`, `event="<cache event>"`).
 
 use super::{MetricSource, Sample, SampleValue};
 use crate::session::MemGovernor;
@@ -33,8 +32,8 @@ fn push_stats(out: &mut Vec<Sample>, shard: Option<usize>, stats: Vec<Stat>) {
     }
 }
 
-/// Executor counters: passes, partitions, NUMA locality, fused-chain
-/// savings and the worker time breakdown.
+/// Executor counters: passes, partitions, fused-chain savings and the
+/// worker time breakdown.
 pub struct ExecStatsSource(pub Arc<ExecStats>);
 
 impl MetricSource for ExecStatsSource {
@@ -91,7 +90,7 @@ impl MetricSource for SafsSource {
         push_stats(out, None, self.0.stats_snapshot().stats());
         // Per-shard (emulated device) lanes of the storage backend. The
         // `shard` label here names a *storage* shard — a SAFS root
-        // directory — not a page-cache NUMA shard (those label the
+        // directory — not a page-cache shard (those label the
         // `flashr_cache_*` families below).
         for (i, s) in self.0.shard_stats_snapshots().iter().enumerate() {
             push_stats(out, Some(i), s.stats());
@@ -117,17 +116,11 @@ mod tests {
     fn exec_source_exports_every_counter() {
         let stats = Arc::new(ExecStats::default());
         stats.passes.add(2);
-        stats.local_parts.add(5);
-        stats.remote_parts.add(1);
         stats.io_wait_nanos.add(77);
         let hub = MetricsHub::new();
         hub.register_source(Box::new(ExecStatsSource(stats)));
         let text = hub.render_text();
         assert!(text.contains("flashr_exec_passes_total 2\n"), "{text}");
-        assert!(text.contains("flashr_exec_parts_numa_total{numa=\"local\"} 5\n"), "{text}");
-        assert!(text.contains("flashr_exec_parts_numa_total{numa=\"remote\"} 1\n"), "{text}");
         assert!(text.contains("flashr_exec_io_wait_nanos_total 77\n"), "{text}");
-        // One TYPE header even though the numa family has two series.
-        assert_eq!(text.matches("# TYPE flashr_exec_parts_numa_total").count(), 1, "{text}");
     }
 }

@@ -61,7 +61,6 @@ pub fn host_json(ctx: &FlashCtx) -> String {
     json::object(|w| {
         w.key("cpus").u64(cpus as u64);
         w.key("workers").u64(ctx.cfg().nthreads as u64);
-        w.key("numa_nodes").u64(ctx.cfg().numa_nodes as u64);
         w.key("page_cache_capacity_bytes").u64(cache);
         w.key("build_profile").str(if cfg!(debug_assertions) { "debug" } else { "release" });
         w.key("simd").str(flashr_linalg::SimdLevel::active().name());
@@ -78,9 +77,8 @@ mod tests {
     #[test]
     fn fingerprint_is_structural_not_identity() {
         let ctx = FlashCtx::in_memory();
-        let mk = |rows| {
-            FM::runif(&ctx, rows, 4, 0.0, 1.0, 7).sqrt().sum().pending_target().unwrap()
-        };
+        let mk =
+            |rows| FM::runif(&ctx, rows, 4, 0.0, 1.0, 7).sqrt().sum().pending_target().unwrap();
         // Distinct node ids, same structure.
         let fa = plan_fingerprint(std::slice::from_ref(&mk(1024)));
         let fb = plan_fingerprint(std::slice::from_ref(&mk(1024)));

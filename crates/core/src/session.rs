@@ -1,5 +1,5 @@
-//! The FlashR execution context: threads, engine mode, partitioning,
-//! simulated NUMA topology and the optional SSD array.
+//! The FlashR execution context: threads, engine mode, partitioning and
+//! the optional SSD array.
 
 use crate::mat::TasMat;
 use crate::metrics::flight;
@@ -44,7 +44,7 @@ impl ExecMode {
 /// Where materialized matrices are placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageClass {
-    /// NUMA-tagged memory chunks.
+    /// One in-memory buffer per I/O partition.
     InMem,
     /// The SSD array (requires a [`Safs`] runtime on the context).
     Em,
@@ -62,8 +62,6 @@ pub struct CtxConfig {
     pub pcache_bytes: usize,
     /// Rows per I/O partition (power of two).
     pub rows_per_part: u64,
-    /// Simulated NUMA nodes.
-    pub numa_nodes: usize,
     /// Default placement of materialized tall matrices.
     pub storage: StorageClass,
     /// Placement of `set.cache` byproducts (the paper caches reused
@@ -90,7 +88,6 @@ impl Default for CtxConfig {
             mode: ExecMode::CacheFuse,
             pcache_bytes: 256 * 1024,
             rows_per_part: Partitioner::DEFAULT_ROWS,
-            numa_nodes: 2,
             storage: StorageClass::InMem,
             cache_storage: StorageClass::InMem,
             trace: TraceLevel::from_env(),
@@ -331,19 +328,15 @@ impl FlashCtx {
     /// Full control.
     pub fn with_config(cfg: CtxConfig, safs: Option<Safs>) -> FlashCtx {
         assert!(cfg.nthreads >= 1, "need at least one worker thread");
-        assert!(cfg.numa_nodes >= 1, "need at least one NUMA node");
         if cfg.storage == StorageClass::Em || cfg.cache_storage == StorageClass::Em {
             assert!(safs.is_some(), "EM storage requires a SAFS runtime");
         }
         let tracer = Tracer::new(cfg.trace);
         let governor = match (&cfg.mem_budget, &safs) {
             (Some(b), Some(s)) if b.total_bytes > 0 => {
-                // Hand the cache share to the SAFS page cache (sharded
-                // like the engine's NUMA tagging) and keep the rest as
-                // the pin budget.
-                s.set_page_cache(Some(
-                    CacheCfg::with_capacity(b.cache_bytes()).with_shards(cfg.numa_nodes),
-                ));
+                // Hand the cache share to the SAFS page cache and keep the
+                // rest as the pin budget.
+                s.set_page_cache(Some(CacheCfg::with_capacity(b.cache_bytes())));
                 MemGovernor::new(b.pin_bytes())
             }
             // No SSD array: the whole budget bounds pinning.

@@ -1,10 +1,8 @@
 //! Execution statistics: what the engine actually did.
 //!
 //! The paper's claims are about *data movement* (passes over the data,
-//! bytes through the memory hierarchy, locality of NUMA accesses); these
-//! counters make those quantities observable to tests and benchmarks.
-
-const NUMA_PARTS: &str = "Partitions by whether the worker's NUMA node matched the partition's.";
+//! bytes through the memory hierarchy); these counters make those
+//! quantities observable to tests and benchmarks.
 
 flashr_safs::stat_struct! {
     /// Monotonic engine counters.
@@ -21,10 +19,6 @@ flashr_safs::stat_struct! {
         /// Pcache chunks evaluated.
         pub pcache_chunks: counter => "flashr_exec_pcache_chunks_total",
             "Pcache chunks evaluated.";
-        /// Partitions whose (simulated) NUMA node matched the worker's node.
-        pub local_parts: counter => "flashr_exec_parts_numa_total", NUMA_PARTS, "numa" = "local";
-        /// Partitions processed by a worker on a different node.
-        pub remote_parts: counter => "flashr_exec_parts_numa_total", NUMA_PARTS, "numa" = "remote";
         /// Nanoseconds spent inside materialization.
         pub exec_nanos: counter => "flashr_exec_nanos_total",
             "Wall nanoseconds spent inside materialization.";

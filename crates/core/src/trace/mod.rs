@@ -9,9 +9,8 @@
 //!   once per context from the environment (or set explicitly on
 //!   [`crate::session::CtxConfig`]).
 //! * [`PassProfile`] — one record per materialization pass: engine, node
-//!   count, partitions, per-worker I/O-wait vs compute split, NUMA
-//!   local/remote claims, Pcache chunk counts, and (at `op` level)
-//!   per-node operator timings.
+//!   count, partitions, per-worker I/O-wait vs compute split, Pcache
+//!   chunk counts, and (at `op` level) per-node operator timings.
 //! * [`ProfileReport`] — everything a context observed, serialized to
 //!   JSON with [`crate::json::Writer`].
 //! * [`timeline`] — the context's one span log: per-thread tracks of
@@ -55,7 +54,7 @@ pub enum TraceLevel {
     /// but record no per-pass profiles.
     Summary,
     /// Record a [`PassProfile`] per materialization pass (per-worker
-    /// I/O-wait vs compute split, NUMA locality, chunk counts).
+    /// I/O-wait vs compute split, chunk counts).
     Pass,
     /// Additionally record per-node operator timings inside each pass.
     Op,
@@ -105,10 +104,6 @@ pub struct WorkerProfile {
     pub tid: usize,
     /// I/O partitions this worker processed.
     pub parts: u64,
-    /// Partitions claimed from the worker's own (simulated) NUMA node.
-    pub local_parts: u64,
-    /// Partitions stolen from another node.
-    pub remote_parts: u64,
     /// Nanoseconds blocked on leaf reads.
     pub io_wait_nanos: u64,
     /// Nanoseconds inside partition evaluation.
@@ -195,14 +190,6 @@ impl PassProfile {
     /// Summed Pcache chunks.
     pub fn pcache_chunks(&self) -> u64 {
         self.workers.iter().map(|w| w.pcache_chunks).sum()
-    }
-
-    /// Summed NUMA-local and NUMA-remote partition claims.
-    pub fn numa_split(&self) -> (u64, u64) {
-        (
-            self.workers.iter().map(|w| w.local_parts).sum(),
-            self.workers.iter().map(|w| w.remote_parts).sum(),
-        )
     }
 }
 
@@ -416,7 +403,6 @@ fn pass_json(p: &PassProfile, w: &mut Writer) {
         w.key("engine").str(p.engine);
         w.key("mode").str(p.mode);
         w.key("simd").str(p.simd);
-        let (local, remote) = p.numa_split();
         for (key, v) in [
             ("nodes", p.nodes as u64),
             ("nodes_pre_cse", p.nodes_pre_cse as u64),
@@ -429,8 +415,6 @@ fn pass_json(p: &PassProfile, w: &mut Writer) {
             ("compute_nanos", p.compute_nanos()),
             ("write_stall_nanos", p.write_stall_nanos()),
             ("pcache_chunks", p.pcache_chunks()),
-            ("local_parts", local),
-            ("remote_parts", remote),
             ("cache_hits", p.cache.hits),
             ("cache_misses", p.cache.misses),
         ] {
@@ -442,8 +426,6 @@ fn pass_json(p: &PassProfile, w: &mut Writer) {
                     for (key, v) in [
                         ("tid", wp.tid as u64),
                         ("parts", wp.parts),
-                        ("local_parts", wp.local_parts),
-                        ("remote_parts", wp.remote_parts),
                         ("io_wait_nanos", wp.io_wait_nanos),
                         ("compute_nanos", wp.compute_nanos),
                         ("write_stall_nanos", wp.write_stall_nanos),
@@ -580,8 +562,6 @@ mod tests {
             workers: vec![WorkerProfile {
                 tid: 0,
                 parts: 2,
-                local_parts: 2,
-                remote_parts: 0,
                 io_wait_nanos: 10,
                 compute_nanos: 100,
                 write_stall_nanos: 5,

@@ -1,5 +1,5 @@
-//! Engine-level tests: external memory, engine-mode equivalence, NUMA
-//! counters and pass accounting.
+//! Engine-level tests: external memory, engine-mode equivalence and pass
+//! accounting.
 
 use flashr_core::fm::FM;
 use flashr_core::ops::{AggOp, BinaryOp};
@@ -132,20 +132,6 @@ fn cache_fuse_em_moves_only_input_bytes() {
     let input_bytes = 2000 * 2 * 8u64;
     assert_eq!(d.write_bytes, 0, "fused pass must not write intermediates");
     assert!(d.read_bytes >= input_bytes && d.read_bytes <= input_bytes * 2);
-}
-
-#[test]
-fn numa_affinity_counters_favor_local() {
-    let ctx = FlashCtx::with_config(
-        CtxConfig { rows_per_part: 128, nthreads: 4, numa_nodes: 2, ..Default::default() },
-        None,
-    );
-    let x = FM::runif(&ctx, 128 * 64, 2, 0.0, 1.0, 5);
-    let before = ctx.stats().snapshot();
-    x.sum().value(&ctx);
-    let d = before.delta(&ctx.stats().snapshot());
-    assert_eq!(d.parts, 64);
-    assert!(d.local_parts >= d.remote_parts, "affinity scheduling should mostly hit local parts");
 }
 
 #[test]

@@ -77,18 +77,6 @@ fn engine_counters_flow_into_the_exposition() {
     // 1000 rows / 64 rows-per-part = 16 partitions in one pass.
     assert!(text.contains("flashr_exec_passes_total 1\n"), "{text}");
     assert!(text.contains("flashr_exec_parts_total 16\n"), "{text}");
-    // The NUMA split accounts for every partition.
-    let numa: u64 = ["local", "remote"]
-        .iter()
-        .map(|k| {
-            let needle = format!("flashr_exec_parts_numa_total{{numa=\"{k}\"}} ");
-            text.lines()
-                .find_map(|l| l.strip_prefix(&needle))
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0)
-        })
-        .sum();
-    assert_eq!(numa, 16, "{text}");
     // The always-on worker time breakdown moved.
     let compute = text
         .lines()
@@ -131,7 +119,6 @@ fn exposition_families_are_a_fixed_contract() {
         flashr_exec_nanos_total counter
         flashr_exec_node_chunk_bytes_total counter
         flashr_exec_node_chunks_total counter
-        flashr_exec_parts_numa_total counter
         flashr_exec_parts_total counter
         flashr_exec_passes_total counter
         flashr_exec_pcache_chunks_total counter
@@ -212,7 +199,8 @@ fn scrape_listener_serves_the_context_exposition() {
 fn forced_flight_dump_carries_exec_spans_and_metrics() {
     let ctx = small_ctx();
     run_once(&ctx);
-    let path = std::env::temp_dir().join(format!("flashr-flight-forced-{}.json", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("flashr-flight-forced-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
     ctx.flight_recorder().set_dump_path(&path);
     let written = ctx.flight_recorder().dump_now("forced").expect("dump written");

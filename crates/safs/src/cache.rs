@@ -7,10 +7,8 @@
 //! module reproduces that layer at partition granularity:
 //!
 //! * **Sharding.** Entries are distributed over shards by partition
-//!   index (`part % shards`), the same round-robin placement the matrix
-//!   engine uses to tag partitions with simulated NUMA nodes, so
-//!   concurrent workers on different partitions contend on different
-//!   locks and a shard's entries stay node-local.
+//!   index (`part % shards`), striping the lock: concurrent workers on
+//!   neighbouring partitions contend on different shards.
 //! * **CLOCK eviction.** Each shard runs a second-chance ring over its
 //!   resident entries: a hit only sets a reference bit (no list
 //!   splicing under the lock like LRU), and the clock hand gives every
@@ -53,7 +51,7 @@ pub struct CacheCfg {
     /// Total capacity in bytes, split evenly across shards. 0 disables
     /// the cache (the runtime installs none).
     pub capacity_bytes: u64,
-    /// Number of shards; match the context's simulated NUMA nodes.
+    /// Number of shards (default 2), each behind its own lock.
     pub shards: usize,
 }
 

@@ -251,20 +251,25 @@ impl SafsFile {
     /// the cache: hits return immediately and concurrent misses of one
     /// partition coalesce onto a single device read. Without a cache (or
     /// for files too large to cache) this degrades to a plain
-    /// [`read_part_async`](SafsFile::read_part_async).
-    pub fn fetch_part_cached(&self, part: u64) -> SafsResult<CachedFetch> {
+    /// [`read_part_async_into`](SafsFile::read_part_async_into). A device
+    /// read lands in `alloc(part_len)`, whose contents it overwrites.
+    pub fn fetch_part_cached(
+        &self,
+        part: u64,
+        alloc: impl FnOnce(usize) -> IoBuf,
+    ) -> SafsResult<CachedFetch> {
+        // Validate the range up-front so no placeholder is ever inserted
+        // for a partition that cannot be read.
+        let len = self.part_len(part)?;
         let cache = match self.inner.rt.page_cache() {
             Some(c) => c,
-            None => return Ok(CachedFetch::Direct(self.read_part_async(part)?)),
+            None => return Ok(CachedFetch::Direct(self.read_part_async_into(part, alloc(len))?)),
         };
         if !cache.admits(self.inner.total_bytes) {
             cache.note_bypass();
-            return Ok(CachedFetch::Direct(self.read_part_async(part)?));
+            return Ok(CachedFetch::Direct(self.read_part_async_into(part, alloc(len))?));
         }
         self.check_live()?;
-        // Validate the range up-front so no placeholder is ever inserted
-        // for a partition that cannot be read.
-        self.part_len(part)?;
         let key = (self.inner.uid, part);
         let sink = self.inner.rt.span_sink();
         loop {
@@ -279,7 +284,7 @@ impl SafsFile {
                     if let Some(s) = &sink {
                         s.instant("cache", "miss", now_nanos(), [("part", part), ("", 0)]);
                     }
-                    let ticket = match self.read_part_async(part) {
+                    let ticket = match self.read_part_async_into(part, alloc(len)) {
                         Ok(t) => t,
                         Err(e) => {
                             cache.abort(key);
@@ -305,7 +310,7 @@ impl SafsFile {
 
     /// Synchronous cache-aware read of partition `part`.
     pub fn read_part_cached(&self, part: u64) -> SafsResult<Arc<IoBuf>> {
-        self.fetch_part_cached(part)?.wait()
+        self.fetch_part_cached(part, IoBuf::zeroed)?.wait()
     }
 
     /// Submit an asynchronous write of partition `part`. `buf` must be

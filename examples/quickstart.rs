@@ -41,8 +41,8 @@ fn main() {
 
     let s = ctx.stats().snapshot();
     println!(
-        "engine: {} passes, {} partitions, {} pcache chunks, {} local / {} remote (simulated NUMA)",
-        s.passes, s.parts, s.pcache_chunks, s.local_parts, s.remote_parts
+        "engine: {} passes, {} partitions, {} pcache chunks",
+        s.passes, s.parts, s.pcache_chunks
     );
 
     // ---------------------------------------------------------------

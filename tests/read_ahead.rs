@@ -115,13 +115,13 @@ fn peak_held(submits: &[u64], per_set: usize, released: &[u64]) -> usize {
 
 /// (a) Claiming is not reading ahead: a worker never owns a partition it
 /// is not computing, so on a four-partition pass whose reads take 3 ms
-/// the second worker always finds its own node's partitions waiting. A
-/// worker that claimed its read-ahead window would take all four.
+/// the one cursor both workers share does not let worker 0 hoard the
+/// partitions — the second worker always finds one waiting. A worker
+/// that claimed its read-ahead window would take all four.
 #[test]
 fn every_worker_gets_partitions_on_a_short_pass() {
     let array = Array::open("short", 2, 4, 3.0);
     let ctx = array.ctx(2, TraceLevel::Pass);
-    assert_eq!(ctx.cfg().numa_nodes, 2, "NUMA-affine claiming is the default");
     let m = values(4);
     let x = em_leaf(&ctx, &m);
     for round in 0..8 {
@@ -221,9 +221,10 @@ fn the_device_queue_never_drains_before_the_last_claim() {
     }
 }
 
-/// (d) `cum.col` dispatches from one cursor, so a partition's carry
-/// always comes from one claimed before it; with workers interleaving
-/// single-partition claims the chain still resolves, and exactly.
+/// (d) Every pass claims in partition order, so a `cum.col` partition's
+/// carry always comes from one claimed before it; with workers
+/// interleaving single-partition claims the chain still resolves, and
+/// exactly.
 #[test]
 fn cumsum_over_an_em_leaf_resolves_under_interleaved_claims() {
     let array = Array::open("cum", 2, 4, 0.5);

@@ -12,7 +12,7 @@ use super::{PlanError, PlanErrorKind};
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::dtype::DType;
 use crate::exec::Target;
-use crate::ops::BinaryOp;
+use crate::ops::inner_prod_supported;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -64,9 +64,7 @@ fn expect_sig(node: &Node, inferred: Sig) -> Result<(), PlanError> {
 /// inputs, checking op-specific operand constraints on the way.
 pub fn infer(node: &Node) -> Result<Sig, PlanError> {
     match &node.kind {
-        NodeKind::Leaf(m) => {
-            Ok(Sig { nrows: m.nrows(), ncols: m.ncols(), dtype: m.dtype() })
-        }
+        NodeKind::Leaf(m) => Ok(Sig { nrows: m.nrows(), ncols: m.ncols(), dtype: m.dtype() }),
         NodeKind::Gen(spec) => {
             Ok(Sig { nrows: node.nrows, ncols: node.ncols, dtype: spec.dtype() })
         }
@@ -103,12 +101,22 @@ pub fn infer(node: &Node) -> Result<Sig, PlanError> {
             }
             Ok(Sig { nrows: a.ncols as u64, ncols: b.ncols, dtype: DType::F64 })
         }
-        NodeKind::SinkGroupBy { data, labels, ngroups, .. } => {
+        NodeKind::SinkGroupBy { data, labels, op, ngroups } => {
+            if op.is_positional() {
+                return Err(err(
+                    node,
+                    PlanErrorKind::BadOperand,
+                    format!("groupby.row cannot fold {op:?}: it has no per-group position"),
+                ));
+            }
             if labels.ncols != 1 {
                 return Err(err(
                     node,
                     PlanErrorKind::BadOperand,
-                    format!("groupby labels must be one column, found {}x{}", labels.nrows, labels.ncols),
+                    format!(
+                        "groupby labels must be one column, found {}x{}",
+                        labels.nrows, labels.ncols
+                    ),
                 ));
             }
             if labels.nrows != data.nrows {
@@ -126,7 +134,11 @@ pub fn infer(node: &Node) -> Result<Sig, PlanError> {
                 ));
             }
             if *ngroups == 0 {
-                return Err(err(node, PlanErrorKind::BadOperand, "ngroups must be positive".into()));
+                return Err(err(
+                    node,
+                    PlanErrorKind::BadOperand,
+                    "ngroups must be positive".into(),
+                ));
             }
             Ok(Sig { nrows: *ngroups as u64, ncols: data.ncols, dtype: DType::F64 })
         }
@@ -227,7 +239,7 @@ fn infer_map(node: &Node, op: &MapOp, inputs: &[MapInput]) -> Result<Sig, PlanEr
             }
             Ok(Sig { nrows: first.nrows, ncols: b.cols(), dtype: DType::F64 })
         }
-        MapOp::InnerProd { b, f2, .. } => {
+        MapOp::InnerProd { b, f1, f2 } => {
             if first.ncols != b.rows() {
                 return Err(err(
                     node,
@@ -241,11 +253,14 @@ fn infer_map(node: &Node, op: &MapOp, inputs: &[MapInput]) -> Result<Sig, PlanEr
                     ),
                 ));
             }
-            if !matches!(f2, BinaryOp::Add | BinaryOp::Mul | BinaryOp::Min | BinaryOp::Max) {
+            if !inner_prod_supported(*f1, *f2) {
                 return Err(err(
                     node,
                     PlanErrorKind::BadOperand,
-                    format!("inner.prod combiner must be associative, got {f2:?}"),
+                    format!(
+                        "inner.prod has no kernel for ({f1:?}, {f2:?}): f1 must be arithmetic \
+                         (not Rem or Pow) and f2 an associative combiner (Add, Mul, Min, Max)"
+                    ),
                 ));
             }
             Ok(Sig { nrows: first.nrows, ncols: b.cols(), dtype: first.dtype })
@@ -299,7 +314,11 @@ fn infer_map(node: &Node, op: &MapOp, inputs: &[MapInput]) -> Result<Sig, PlanEr
                 return Err(err(
                     node,
                     PlanErrorKind::ShapeMismatch,
-                    format!("groupby.col needs one label per column: {} labels for {} columns", labels.len(), first.ncols),
+                    format!(
+                        "groupby.col needs one label per column: {} labels for {} columns",
+                        labels.len(),
+                        first.ncols
+                    ),
                 ));
             }
             if let Some(&g) = labels.iter().find(|&&g| g >= *ngroups) {

@@ -13,6 +13,44 @@ use crate::ops::AggOp;
 use flashr_linalg::simd::dot_f64;
 use flashr_linalg::Dense;
 
+/// Rows × columns of one transposed block of the `groupby.row` fold.
+const GB_ROWS: usize = 32;
+const GB_COLS: usize = 8;
+
+/// `groupby.row`'s fold of one chunk: `vals[g·p + c] = fold(vals[g·p + c],
+/// data[r, c])` for every row `r` with label `g = lab[r]`. A block of up
+/// to 32 rows × 8 columns is transposed into a stack tile, then each
+/// row's strip folds into its group's contiguous slots. Every slot still
+/// folds its rows in ascending order, so the result is the per-element
+/// loop's, bit for bit.
+#[inline(always)]
+fn groupby_fold<T: Element>(
+    data: &Chunk,
+    lab: &[i64],
+    vals: &mut [f64],
+    fold: impl Fn(f64, f64) -> f64,
+) {
+    let (rows, p) = (data.rows(), data.cols());
+    let mut tile = [[0.0f64; GB_COLS]; GB_ROWS];
+    for c0 in (0..p).step_by(GB_COLS) {
+        let cb = GB_COLS.min(p - c0);
+        for r0 in (0..rows).step_by(GB_ROWS) {
+            let rb = GB_ROWS.min(rows - r0);
+            for c in 0..cb {
+                for (t, v) in tile.iter_mut().zip(&data.col::<T>(c0 + c)[r0..r0 + rb]) {
+                    t[c] = v.to_f64();
+                }
+            }
+            for (t, &g) in tile[..rb].iter().zip(&lab[r0..r0 + rb]) {
+                let slots = &mut vals[g as usize * p + c0..][..cb];
+                for (s, &v) in slots.iter_mut().zip(&t[..cb]) {
+                    *s = fold(*s, v);
+                }
+            }
+        }
+    }
+}
+
 /// One thread's partial state for one sink node.
 #[derive(Debug)]
 pub enum SinkAcc {
@@ -94,6 +132,7 @@ impl SinkAcc {
             }
             SinkAcc::GroupBy { op, ngroups, p, vals, counts } => {
                 let data = chunks[0];
+                assert_eq!(data.cols(), *p, "groupby data width");
                 let labels = chunks[1];
                 assert_eq!(labels.cols(), 1, "labels must be one column");
                 assert_eq!(labels.rows(), data.rows(), "labels/data row mismatch");
@@ -106,16 +145,19 @@ impl SinkAcc {
                     );
                     counts[g as usize] += 1;
                 }
-                crate::dispatch!(data.dtype(), T, {
-                    for c in 0..*p {
-                        let col = data.col::<T>(c);
-                        for r in 0..rows {
-                            let g = lab[r] as usize;
-                            let slot = g * *p + c;
-                            vals[slot] = op.fold(vals[slot], col[r].to_f64());
+                macro_rules! per_op {
+                    ($($v:ident),*) => {
+                        match *op {
+                            $(AggOp::$v => crate::dispatch!(data.dtype(), T, {
+                                groupby_fold::<T>(data, lab, vals, |a, x| AggOp::$v.fold(a, x))
+                            }),)*
+                            AggOp::WhichMin | AggOp::WhichMax => {
+                                unreachable!("analysis::infer rejects a positional groupby.row")
+                            }
                         }
-                    }
-                });
+                    };
+                }
+                per_op!(Sum, Mean, Prod, Min, Max, Count, Any, All);
             }
         }
     }
@@ -180,19 +222,11 @@ impl SinkAcc {
             }
             SinkAcc::Gramian { p, k, acc } => Dense::from_vec(p, k, acc),
             SinkAcc::GroupBy { op, ngroups, p, mut vals, counts } => {
-                if op == AggOp::Mean {
-                    for g in 0..ngroups {
-                        let n = counts[g].max(1) as f64;
-                        for c in 0..p {
-                            vals[g * p + c] /= n;
-                        }
-                    }
-                }
-                if op == AggOp::Count {
-                    for g in 0..ngroups {
-                        for c in 0..p {
-                            vals[g * p + c] = counts[g] as f64;
-                        }
+                for (group, &n) in vals.chunks_mut(p.max(1)).zip(&counts) {
+                    match op {
+                        AggOp::Mean => group.iter_mut().for_each(|v| *v /= n.max(1) as f64),
+                        AggOp::Count => group.fill(n as f64),
+                        _ => {}
                     }
                 }
                 Dense::from_vec(ngroups, p, vals)
@@ -289,6 +323,106 @@ mod tests {
         let l = Chunk::from_slice::<i64>(4, 1, &[0, 0, 0, 0]);
         acc.update(&[&d, &l]);
         assert_eq!(acc.finalize().at(0, 0), 3.0);
+    }
+
+    const GROUP_OPS: [AggOp; 8] = [
+        AggOp::Sum,
+        AggOp::Mean,
+        AggOp::Prod,
+        AggOp::Min,
+        AggOp::Max,
+        AggOp::Count,
+        AggOp::Any,
+        AggOp::All,
+    ];
+
+    /// The per-element, column-at-a-time fold the blocked one replaced.
+    fn per_element(op: AggOp, ngroups: usize, chunks: &[(Chunk, Vec<i64>)]) -> Vec<f64> {
+        let p = chunks[0].0.cols();
+        let mut vals = vec![op.identity(); ngroups * p];
+        for (data, lab) in chunks {
+            for c in 0..p {
+                for (r, &v) in data.col::<f64>(c).iter().enumerate() {
+                    let slot = lab[r] as usize * p + c;
+                    vals[slot] = op.fold(vals[slot], v);
+                }
+            }
+        }
+        vals
+    }
+
+    /// Fold `chunks` through the sink and require the per-element loop's
+    /// partials, bit for bit.
+    fn assert_blocked_fold_matches(op: AggOp, ngroups: usize, chunks: &[(Chunk, Vec<i64>)]) {
+        let (rows, p) = (chunks[0].0.rows(), chunks[0].0.cols());
+        let labels = Node::leaf(TasMat::from_fn::<i64>(1, 1, Partitioner::new(64), |_, _| 0));
+        let node = Node::sink_groupby(leaf(1, p), labels, op, ngroups);
+        let mut acc = SinkAcc::new_for(&node);
+        for (data, lab) in chunks {
+            acc.update(&[data, &Chunk::from_slice::<i64>(lab.len(), 1, lab)]);
+        }
+        let SinkAcc::GroupBy { vals, .. } = &acc else { unreachable!("a groupby sink") };
+        let want = per_element(op, ngroups, chunks);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(vals), bits(&want), "{op:?}, {ngroups} groups, {rows}×{p}");
+    }
+
+    /// Two chunks of `rows × p` values, a NaN every `nan_every` elements
+    /// (never when 0), labelled by `label(r)` over the rows of both.
+    fn chunks(
+        rows: usize,
+        p: usize,
+        nan_every: usize,
+        label: impl Fn(usize) -> i64,
+    ) -> Vec<(Chunk, Vec<i64>)> {
+        let mut rng = flashr_testkit::Rng::new((rows * 31 + p) as u64);
+        (0..2)
+            .map(|half| {
+                let mut v = rng.vec_f64(rows * p, -2.0..2.0);
+                for (i, x) in v.iter_mut().enumerate() {
+                    if i % 5 == 0 {
+                        *x = 0.0;
+                    }
+                    if nan_every > 0 && i % nan_every == 3 {
+                        *x = f64::NAN;
+                    }
+                }
+                let lab = (0..rows).map(|r| label(half * rows + r)).collect();
+                (Chunk::from_slice::<f64>(rows, p, &v), lab)
+            })
+            .collect()
+    }
+
+    /// All-equal labels, alternating labels, one group, runs of equal
+    /// labels over 17 groups; heights either side of the 32-row block and
+    /// widths either side of the 8-column one.
+    #[test]
+    fn blocked_groupby_fold_matches_the_per_element_loop() {
+        for rows in [1, 31, 32, 33, 70] {
+            for p in [1, 3, 8, 9, 13] {
+                for op in GROUP_OPS {
+                    assert_blocked_fold_matches(op, 3, &chunks(rows, p, 0, |_| 1));
+                    assert_blocked_fold_matches(op, 2, &chunks(rows, p, 0, |r| (r % 2) as i64));
+                    assert_blocked_fold_matches(op, 1, &chunks(rows, p, 0, |_| 0));
+                    let runs = |r: usize| ((r / 7) * 5 % 17) as i64;
+                    assert_blocked_fold_matches(op, 17, &chunks(rows, p, 0, runs));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_groupby_min_and_max_skip_nan_like_the_per_element_loop() {
+        for (rows, p) in [(33, 9), (70, 3), (5, 17)] {
+            for op in GROUP_OPS {
+                assert_blocked_fold_matches(op, 4, &chunks(rows, p, 4, |r| (r % 4) as i64));
+            }
+            // A group whose every value is NaN keeps Min's and Max's
+            // starting infinity.
+            for op in [AggOp::Min, AggOp::Max] {
+                assert_blocked_fold_matches(op, 2, &chunks(rows, p, 1, |_| 0));
+            }
+        }
     }
 
     #[test]

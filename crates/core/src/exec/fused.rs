@@ -962,7 +962,7 @@ fn eval_uncached(
             }
             MapOp::InnerProd { b, f1, f2 } => {
                 let input = eval_input(env, st, &inputs[0], r0, r1);
-                ops::inner_prod_chunk(&input, b, *f1, *f2, &mut st.pool)
+                ops::inner_prod_chunk(ops::SimdLevel::active(), &input, b, *f1, *f2, &mut st.pool)
             }
             MapOp::Select(idx) => {
                 let input = eval_input(env, st, &inputs[0], r0, r1);

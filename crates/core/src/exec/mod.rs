@@ -18,6 +18,7 @@ mod plan;
 pub use accum::SinkAcc;
 pub use plan::{Plan, TallOut};
 
+use crate::analysis::PlanError;
 use crate::dag::Node;
 use crate::mat::TasMat;
 use crate::session::{ExecMode, FlashCtx};
@@ -72,21 +73,15 @@ impl TargetResult {
 /// Materialize the targets under the context's engine mode.
 ///
 /// Every plan first goes through the static analyzer
-/// ([`crate::analysis::analyze`]): an inconsistent DAG fails here, before
-/// any partition is read (use [`crate::fm::FM::check`] for the
-/// non-panicking form), and what runs is the analyzer's rewritten plan
-/// (CSE, cast/cbind collapsing).
-pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
+/// ([`crate::analysis::analyze`]): an inconsistent DAG comes back here as
+/// a [`PlanError`], before any partition is read, and what runs is the
+/// analyzer's rewritten plan (CSE, cast/cbind collapsing).
+pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Result<Vec<TargetResult>, PlanError> {
     if targets.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    let analysis = match crate::analysis::analyze(ctx, targets) {
-        Ok(a) => a,
-        Err(e) => panic!("{e}"),
-    };
-    if let Err(e) = crate::analysis::deny_gate(&analysis.report.lints) {
-        panic!("{e}");
-    }
+    let analysis = crate::analysis::analyze(ctx, targets)?;
+    crate::analysis::deny_gate(&analysis.report.lints)?;
 
     let results = match ctx.cfg().mode {
         ExecMode::Eager => eager::run(ctx, &analysis.targets),
@@ -103,7 +98,7 @@ pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
             orig.install_cache(m.clone());
         }
     }
-    results
+    Ok(results)
 }
 
 /// Many-branch DAGs the planner's and the executor's tests share.

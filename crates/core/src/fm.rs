@@ -758,13 +758,25 @@ impl FM {
     /// Force computation of this matrix (R's `materialize`). Sinks become
     /// small matrices; talls become leaf-backed.
     pub fn materialize(&self, ctx: &FlashCtx) -> FM {
-        FM::materialize_multi(ctx, &[self]).pop().expect("one input, one output")
+        self.try_materialize(ctx).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FM::materialize`], with a plan the analyzer rejects returned as
+    /// its [`PlanError`] instead of a panic.
+    pub fn try_materialize(&self, ctx: &FlashCtx) -> Result<FM, PlanError> {
+        Ok(FM::try_materialize_multi(ctx, &[self])?.pop().expect("one input, one output"))
     }
 
     /// Materialize several virtual matrices in a *single* fused pass over
     /// the data — how the paper's k-means computes assignments, counts
     /// and new centers together.
     pub fn materialize_multi(ctx: &FlashCtx, fms: &[&FM]) -> Vec<FM> {
+        FM::try_materialize_multi(ctx, fms).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FM::materialize_multi`], with a plan the analyzer rejects
+    /// returned as its [`PlanError`] instead of a panic.
+    pub fn try_materialize_multi(ctx: &FlashCtx, fms: &[&FM]) -> Result<Vec<FM>, PlanError> {
         let mut targets = Vec::new();
         let mut mapping: Vec<Option<usize>> = Vec::with_capacity(fms.len());
         for fm in fms {
@@ -787,7 +799,7 @@ impl FM {
                 }
             }
         }
-        let mut results = exec::materialize(ctx, &targets).into_iter();
+        let mut results = exec::materialize(ctx, &targets)?.into_iter();
         let mut taken: HashMap<usize, exec::TargetResult> = HashMap::new();
         let mut out = Vec::with_capacity(fms.len());
         for (fm, slot) in fms.iter().zip(mapping) {
@@ -807,7 +819,7 @@ impl FM {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// The exec target this matrix's pending computation would run as.

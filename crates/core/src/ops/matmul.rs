@@ -4,13 +4,15 @@
 //! (paper Fig. 5 operations e/f): each output chunk depends only on its
 //! input chunk plus the shared read-only `B`. Floating point goes through
 //! the BLAS-style strided GEMM; the generalized `inner.prod(A, B, f1, f2)`
-//! (paper Table 1) runs the predefined function pair — this is how k-means
-//! computes Euclidean distances in one fused pass.
+//! (paper Table 1) runs the predefined function pair through one
+//! register-tiled kernel — this is how k-means computes Euclidean
+//! distances in one fused pass.
 
 use crate::chunk::{BufPool, Chunk};
 use crate::dtype::DType;
 use crate::element::Element;
 use crate::ops::binary::BinaryOp;
+use crate::ops::simd::{pick, versioned, SimdLevel};
 use flashr_linalg::{gemm_strided, Dense};
 
 /// `out = chunk %*% b` (f64 fast path through the strided GEMM kernel).
@@ -43,94 +45,113 @@ pub fn matmul_chunk(input: &Chunk, b: &Dense, pool: &mut BufPool) -> Chunk {
     out
 }
 
-/// One output column's first term: `d[r] = f1(col[r], bkj)`,
-/// monomorphized over `F1` so the row loop has no enum dispatch.
-fn ip_init<T: Element, const F1: u8>(d: &mut [T], col: &[T], bkj: T) {
-    let f1 = BinaryOp::from_u8(F1);
-    for (dv, &cv) in d.iter_mut().zip(col) {
-        *dv = f1.eval(cv, bkj);
+/// Rows × outputs of one `inner.prod` register tile.
+const MR: usize = 8;
+const NR: usize = 4;
+
+/// One `M`-row × `N`-output tile of `inner.prod`: rows `r0..r0 + M` of
+/// the column-major `rows × p` input against columns `j0..j0 + N` of `b`,
+/// with the accumulators in registers across the whole `kk` loop and
+/// `out` written once. Each element folds in the textbook order — `f1` at
+/// `kk = 0`, then `f2(acc, f1(x, b))` for `kk` ascending — so no tile
+/// shape changes a bit.
+#[inline(always)]
+fn ip_tile<T: Element, const F1: u8, const F2: u8, const M: usize, const N: usize>(
+    x: &[T],
+    rows: usize,
+    p: usize,
+    b: &Dense,
+    (r0, j0): (usize, usize),
+    out: &mut [T],
+) {
+    let (f1, f2) = (BinaryOp::from_u8(F1), BinaryOp::from_u8(F2));
+    let strip = |kk: usize| &x[kk * rows + r0..kk * rows + r0 + M];
+    let mut acc = [[T::zero(); M]; N];
+    for (jb, a) in acc.iter_mut().enumerate() {
+        let bv = T::from_f64(b.at(0, j0 + jb));
+        for (av, &xv) in a.iter_mut().zip(strip(0)) {
+            *av = f1.eval(xv, bv);
+        }
+    }
+    for kk in 1..p {
+        let xs = strip(kk);
+        for (jb, a) in acc.iter_mut().enumerate() {
+            let bv = T::from_f64(b.at(kk, j0 + jb));
+            for (av, &xv) in a.iter_mut().zip(xs) {
+                *av = f2.eval(*av, f1.eval(xv, bv));
+            }
+        }
+    }
+    for (jb, a) in acc.iter().enumerate() {
+        out[(j0 + jb) * rows + r0..][..M].copy_from_slice(a);
     }
 }
 
-/// One output column's fold step: `d[r] = f2(d[r], f1(col[r], bkj))`,
-/// monomorphized over the `(F1, F2)` pair.
-fn ip_fold<T: Element, const F1: u8, const F2: u8>(d: &mut [T], col: &[T], bkj: T) {
-    let f1 = BinaryOp::from_u8(F1);
-    let f2 = BinaryOp::from_u8(F2);
-    for (dv, &cv) in d.iter_mut().zip(col) {
-        *dv = f2.eval(*dv, f1.eval(cv, bkj));
-    }
+type IpFn<T> = fn(&[T], usize, usize, &Dense, &mut [T]);
+
+/// The whole chunk, compiled for AVX2 (`VEX`) or the baseline: `MR × NR`
+/// tiles, each row block's `k % NR` outputs one at a time, then the
+/// `rows % MR` tail rows one element at a time.
+fn ip_kernel<T: Element, const F1: u8, const F2: u8, const VEX: bool>(
+    x: &[T],
+    rows: usize,
+    p: usize,
+    b: &Dense,
+    out: &mut [T],
+) {
+    versioned::<VEX, _>(
+        #[inline(always)]
+        || {
+            let k = b.cols();
+            let (body_rows, body_k) = (rows - rows % MR, k - k % NR);
+            for r0 in (0..body_rows).step_by(MR) {
+                for j0 in (0..body_k).step_by(NR) {
+                    ip_tile::<T, F1, F2, MR, NR>(x, rows, p, b, (r0, j0), out);
+                }
+                for j0 in body_k..k {
+                    ip_tile::<T, F1, F2, MR, 1>(x, rows, p, b, (r0, j0), out);
+                }
+            }
+            for r0 in body_rows..rows {
+                for j0 in 0..k {
+                    ip_tile::<T, F1, F2, 1, 1>(x, rows, p, b, (r0, j0), out);
+                }
+            }
+        },
+    );
 }
 
-type IpColFn<T> = fn(&mut [T], &[T], T);
-
-/// Resolve `f1` to its monomorphized init kernel once per call. The
-/// supported set (and the panic for anything else) matches the historic
-/// per-element match.
-fn ip_init_fn<T: Element>(f1: BinaryOp) -> IpColFn<T> {
-    macro_rules! arm {
-        ($v:ident) => {
-            ip_init::<T, { BinaryOp::$v as u8 }>
+/// The kernel for `(f1, f2)` at `level`, or `None` for a pair `inner.prod`
+/// does not define: `f1` must be arithmetic other than `Rem`/`Pow`, `f2`
+/// one of the associative combiners `Add`, `Mul`, `Min`, `Max`.
+fn ip_fn<T: Element>(f1: BinaryOp, f2: BinaryOp, level: SimdLevel) -> Option<IpFn<T>> {
+    let vex = level.vex();
+    macro_rules! pairs {
+        ($($a:ident),*; $b:tt) => {
+            $(pairs!(@row $a $b);)*
+        };
+        (@row $a:ident [$($b:ident),*]) => {
+            $(if (f1, f2) == (BinaryOp::$a, BinaryOp::$b) {
+                return Some(pick!(vex, ip_kernel::<T, { BinaryOp::$a as u8 }, { BinaryOp::$b as u8 }>));
+            })*
         };
     }
-    match f1 {
-        BinaryOp::Add => arm!(Add),
-        BinaryOp::Sub => arm!(Sub),
-        BinaryOp::Mul => arm!(Mul),
-        BinaryOp::Div => arm!(Div),
-        BinaryOp::Min => arm!(Min),
-        BinaryOp::Max => arm!(Max),
-        BinaryOp::EuclidSq => arm!(EuclidSq),
-        other => panic!("unsupported inner.prod element function {other:?}"),
-    }
+    pairs!(Add, Sub, Mul, Div, Min, Max, EuclidSq; [Add, Mul, Min, Max]);
+    None
 }
 
-/// Resolve the `(f1, f2)` pair to its monomorphized fold kernel.
-fn ip_fold_fn<T: Element>(f1: BinaryOp, f2: BinaryOp) -> IpColFn<T> {
-    macro_rules! arm {
-        ($a:ident, $b:ident) => {
-            ip_fold::<T, { BinaryOp::$a as u8 }, { BinaryOp::$b as u8 }>
-        };
-    }
-    match (f1, f2) {
-        (BinaryOp::Add, BinaryOp::Add) => arm!(Add, Add),
-        (BinaryOp::Add, BinaryOp::Mul) => arm!(Add, Mul),
-        (BinaryOp::Add, BinaryOp::Min) => arm!(Add, Min),
-        (BinaryOp::Add, BinaryOp::Max) => arm!(Add, Max),
-        (BinaryOp::Sub, BinaryOp::Add) => arm!(Sub, Add),
-        (BinaryOp::Sub, BinaryOp::Mul) => arm!(Sub, Mul),
-        (BinaryOp::Sub, BinaryOp::Min) => arm!(Sub, Min),
-        (BinaryOp::Sub, BinaryOp::Max) => arm!(Sub, Max),
-        (BinaryOp::Mul, BinaryOp::Add) => arm!(Mul, Add),
-        (BinaryOp::Mul, BinaryOp::Mul) => arm!(Mul, Mul),
-        (BinaryOp::Mul, BinaryOp::Min) => arm!(Mul, Min),
-        (BinaryOp::Mul, BinaryOp::Max) => arm!(Mul, Max),
-        (BinaryOp::Div, BinaryOp::Add) => arm!(Div, Add),
-        (BinaryOp::Div, BinaryOp::Mul) => arm!(Div, Mul),
-        (BinaryOp::Div, BinaryOp::Min) => arm!(Div, Min),
-        (BinaryOp::Div, BinaryOp::Max) => arm!(Div, Max),
-        (BinaryOp::Min, BinaryOp::Add) => arm!(Min, Add),
-        (BinaryOp::Min, BinaryOp::Mul) => arm!(Min, Mul),
-        (BinaryOp::Min, BinaryOp::Min) => arm!(Min, Min),
-        (BinaryOp::Min, BinaryOp::Max) => arm!(Min, Max),
-        (BinaryOp::Max, BinaryOp::Add) => arm!(Max, Add),
-        (BinaryOp::Max, BinaryOp::Mul) => arm!(Max, Mul),
-        (BinaryOp::Max, BinaryOp::Min) => arm!(Max, Min),
-        (BinaryOp::Max, BinaryOp::Max) => arm!(Max, Max),
-        (BinaryOp::EuclidSq, BinaryOp::Add) => arm!(EuclidSq, Add),
-        (BinaryOp::EuclidSq, BinaryOp::Mul) => arm!(EuclidSq, Mul),
-        (BinaryOp::EuclidSq, BinaryOp::Min) => arm!(EuclidSq, Min),
-        (BinaryOp::EuclidSq, BinaryOp::Max) => arm!(EuclidSq, Max),
-        (other, _) => panic!("unsupported inner.prod element function {other:?}"),
-    }
+/// Whether `inner.prod(x, b, f1, f2)` has a kernel: `analysis::infer`
+/// checks it, so a pass never meets a pair [`inner_prod_chunk`] lacks.
+pub fn inner_prod_supported(f1: BinaryOp, f2: BinaryOp) -> bool {
+    ip_fn::<f64>(f1, f2, SimdLevel::Scalar).is_some()
 }
 
-/// Generalized inner product:
-/// `out[r, j] = fold_f2 over k of f1(chunk[r, k], b[k, j])`.
-///
-/// `f2` must be one of the associative reducers (`Add`, `Mul`, `Min`,
-/// `Max`). Runs in the chunk's own dtype.
+/// Generalized inner product at a SIMD level (both give the same bits):
+/// `out[r, j] = fold_f2 over k of f1(chunk[r, k], b[k, j])`, in the
+/// chunk's own dtype. `(f1, f2)` must be [`inner_prod_supported`]; a
+/// zero-column input leaves the output unwritten.
 pub fn inner_prod_chunk(
+    level: SimdLevel,
     input: &Chunk,
     b: &Dense,
     f1: BinaryOp,
@@ -138,34 +159,16 @@ pub fn inner_prod_chunk(
     pool: &mut BufPool,
 ) -> Chunk {
     assert_eq!(input.cols(), b.rows(), "inner dimensions disagree");
-    assert!(
-        matches!(f2, BinaryOp::Add | BinaryOp::Mul | BinaryOp::Min | BinaryOp::Max),
-        "inner.prod combiner must be associative, got {f2:?}"
-    );
-    let rows = input.rows();
-    let p = input.cols();
-    let k = b.cols();
-    let mut out = Chunk::alloc(input.dtype(), rows, k, pool);
-    crate::dispatch!(input.dtype(), T, {
-        // Resolve (f1, f2) to monomorphized column kernels once; the
-        // row loops below run through bare function pointers.
-        let init = ip_init_fn::<T>(f1);
-        let fold = ip_fold_fn::<T>(f1, f2);
-        let src = input.slice::<T>();
-        let dst = out.slice_mut::<T>();
-        for j in 0..k {
-            let d = &mut dst[j * rows..(j + 1) * rows];
-            for kk in 0..p {
-                let bkj = T::from_f64(b.at(kk, j));
-                let col = &src[kk * rows..(kk + 1) * rows];
-                if kk == 0 {
-                    init(d, col, bkj);
-                } else {
-                    fold(d, col, bkj);
-                }
-            }
-        }
-    });
+    let (rows, p) = (input.rows(), input.cols());
+    let mut out = Chunk::alloc(input.dtype(), rows, b.cols(), pool);
+    if p > 0 {
+        crate::dispatch!(input.dtype(), T, {
+            let Some(kernel) = ip_fn::<T>(f1, f2, level) else {
+                unreachable!("analysis::infer rejects inner.prod({f1:?}, {f2:?})")
+            };
+            kernel(input.slice::<T>(), rows, p, b, out.slice_mut::<T>());
+        });
+    }
     out
 }
 
@@ -195,7 +198,8 @@ mod tests {
         let x = Chunk::from_slice::<f64>(4, 3, &(0..12).map(|v| v as f64).collect::<Vec<_>>());
         let b = Dense::from_fn(3, 2, |r, c| (r * 2 + c) as f64 - 2.0);
         let blas = matmul_chunk(&x, &b, &mut pool);
-        let gen = inner_prod_chunk(&x, &b, BinaryOp::Mul, BinaryOp::Add, &mut pool);
+        let gen =
+            inner_prod_chunk(SimdLevel::Scalar, &x, &b, BinaryOp::Mul, BinaryOp::Add, &mut pool);
         for r in 0..4 {
             for c in 0..2 {
                 assert!((blas.get_f64(r, c) - gen.get_f64(r, c)).abs() < 1e-12);
@@ -209,7 +213,14 @@ mod tests {
         // one data point (2, 3); centers (0,0) and (2,4) as columns of b.
         let x = Chunk::from_slice::<f64>(1, 2, &[2.0, 3.0]);
         let centers = Dense::from_vec(2, 2, vec![0.0, 2.0, 0.0, 4.0]); // p×k: b[k][j]
-        let d = inner_prod_chunk(&x, &centers, BinaryOp::EuclidSq, BinaryOp::Add, &mut pool);
+        let d = inner_prod_chunk(
+            SimdLevel::Scalar,
+            &x,
+            &centers,
+            BinaryOp::EuclidSq,
+            BinaryOp::Add,
+            &mut pool,
+        );
         assert_eq!(d.get_f64(0, 0), 13.0); // 4 + 9
         assert_eq!(d.get_f64(0, 1), 1.0); // 0 + 1
     }
@@ -219,7 +230,8 @@ mod tests {
         let mut pool = BufPool::new();
         let x = Chunk::from_slice::<i64>(2, 2, &[1, 2, 3, 4]);
         let b = Dense::from_vec(2, 1, vec![10.0, 100.0]);
-        let out = inner_prod_chunk(&x, &b, BinaryOp::Mul, BinaryOp::Add, &mut pool);
+        let out =
+            inner_prod_chunk(SimdLevel::Scalar, &x, &b, BinaryOp::Mul, BinaryOp::Add, &mut pool);
         assert_eq!(out.dtype(), DType::I64);
         // row0 = [1,3] → 1*10 + 3*100 = 310
         assert_eq!(out.slice::<i64>(), &[310, 420]);
@@ -230,8 +242,83 @@ mod tests {
         let mut pool = BufPool::new();
         let x = Chunk::from_slice::<f64>(1, 3, &[5.0, 1.0, 3.0]);
         let b = Dense::from_vec(3, 1, vec![1.0, 1.0, 1.0]);
-        let out = inner_prod_chunk(&x, &b, BinaryOp::Mul, BinaryOp::Min, &mut pool);
+        let out =
+            inner_prod_chunk(SimdLevel::Scalar, &x, &b, BinaryOp::Mul, BinaryOp::Min, &mut pool);
         assert_eq!(out.get_f64(0, 0), 1.0);
+    }
+
+    /// Every `(f1, f2)` pair the kernel defines.
+    fn pairs() -> Vec<(BinaryOp, BinaryOp)> {
+        let all = BinaryOp::ALL;
+        all.iter()
+            .flat_map(|&f1| all.iter().map(move |&f2| (f1, f2)))
+            .filter(|&(f1, f2)| inner_prod_supported(f1, f2))
+            .collect()
+    }
+
+    /// The textbook per-element fold the tile must reproduce bit for bit.
+    fn textbook<T: Element>(x: &Chunk, b: &Dense, f1: BinaryOp, f2: BinaryOp) -> Chunk {
+        let (rows, p, src) = (x.rows(), x.cols(), x.slice::<T>());
+        let mut out = vec![T::zero(); rows * b.cols()];
+        for j in 0..b.cols() {
+            for r in 0..rows {
+                let term = |kk: usize| f1.eval(src[kk * rows + r], T::from_f64(b.at(kk, j)));
+                out[j * rows + r] = (1..p).fold(term(0), |acc, kk| f2.eval(acc, term(kk)));
+            }
+        }
+        Chunk::from_slice::<T>(rows, b.cols(), &out)
+    }
+
+    #[test]
+    fn the_kernel_defines_seven_element_functions_by_four_combiners() {
+        assert_eq!(pairs().len(), 28);
+        assert!(!inner_prod_supported(BinaryOp::Rem, BinaryOp::Add));
+        assert!(!inner_prod_supported(BinaryOp::Pow, BinaryOp::Add));
+        assert!(!inner_prod_supported(BinaryOp::Lt, BinaryOp::Add));
+        assert!(!inner_prod_supported(BinaryOp::Mul, BinaryOp::Sub));
+    }
+
+    /// The tile, its 1-output tail and its 1-row tail against the
+    /// textbook fold, across the block boundaries of both: every row count
+    /// either side of 8, every output count either side of 4.
+    #[test]
+    fn tile_matches_the_textbook_fold_bit_for_bit() {
+        let pairs = pairs();
+        let mut rng = flashr_testkit::Rng::new(0x1d7e);
+        let mut pool = BufPool::new();
+        let mut shape = 0;
+        for rows in [0usize, 1, 7, 8, 9, 17, 655] {
+            for k in [1usize, 3, 4, 5, 16, 17] {
+                for p in [1usize, 2, 32] {
+                    let vals = rng.vec_f64(rows * p, -3.0..3.0);
+                    let b = Dense::from_vec(p, k, rng.vec_f64(p * k, -3.0..3.0));
+                    let rotating = pairs[shape % pairs.len()];
+                    shape += 1;
+                    for (f1, f2) in [
+                        (BinaryOp::EuclidSq, BinaryOp::Add),
+                        (BinaryOp::Mul, BinaryOp::Add),
+                        rotating,
+                    ] {
+                        for dtype in [DType::F64, DType::F32, DType::I64, DType::U8] {
+                            crate::dispatch!(dtype, T, {
+                                let data: Vec<T> =
+                                    vals.iter().map(|&v| T::from_f64(v * 7.0)).collect();
+                                let x = Chunk::from_slice::<T>(rows, p, &data);
+                                let want = textbook::<T>(&x, &b, f1, f2);
+                                for level in SimdLevel::available() {
+                                    let got = inner_prod_chunk(level, &x, &b, f1, f2, &mut pool);
+                                    assert!(
+                                        got.as_bytes() == want.as_bytes(),
+                                        "{rows}x{p} by {p}x{k}, {f1:?}/{f2:?} on {dtype:?} at {}",
+                                        level.name()
+                                    );
+                                }
+                            });
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -240,6 +327,7 @@ mod tests {
         let mut pool = BufPool::new();
         let x = Chunk::from_slice::<f64>(1, 1, &[1.0]);
         let b = Dense::eye(1);
-        let _ = inner_prod_chunk(&x, &b, BinaryOp::Mul, BinaryOp::Sub, &mut pool);
+        let _ =
+            inner_prod_chunk(SimdLevel::Scalar, &x, &b, BinaryOp::Mul, BinaryOp::Sub, &mut pool);
     }
 }

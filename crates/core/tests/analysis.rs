@@ -237,6 +237,34 @@ fn check_rejects_non_associative_combiner() {
     assert_eq!(err.kind, PlanErrorKind::BadOperand);
 }
 
+/// An `inner.prod` element function with no kernel (`Rem`, `Pow`, a
+/// predicate) and a positional `groupby.row` fold are BadOperand errors
+/// from `FM::check` and `FM::try_materialize`, not worker panics.
+#[test]
+fn undefined_inner_prod_and_groupby_ops_are_typed_errors() {
+    let ctx = im_ctx();
+    let x = FM::runif(&ctx, 256, 3, 0.0, 1.0, 5);
+    let labels = FM::seq(256, 0.0, 1.0).binary_scalar(BinaryOp::Rem, 3.0, false).cast(DType::I64);
+    let mut bad: Vec<FM> = [BinaryOp::Rem, BinaryOp::Pow, BinaryOp::Lt]
+        .into_iter()
+        .map(|f1| x.inner_prod(Dense::filled(3, 2, 1.0), f1, BinaryOp::Add))
+        .collect();
+    for op in [AggOp::WhichMin, AggOp::WhichMax] {
+        bad.push(x.groupby_row(&labels, op, 3));
+    }
+    for fm in &bad {
+        let err = fm.check(&ctx).expect_err("an undefined op must be rejected");
+        assert_eq!(err.kind, PlanErrorKind::BadOperand, "{err}");
+        let err = fm.try_materialize(&ctx).expect_err("and must not run");
+        assert_eq!(err.kind, PlanErrorKind::BadOperand, "{err}");
+    }
+    // The defined ones still run.
+    let d = x.inner_prod(Dense::filled(3, 2, 1.0), BinaryOp::EuclidSq, BinaryOp::Min);
+    assert_eq!(d.try_materialize(&ctx).expect("a defined pair").ncol(), 2);
+    let g = x.groupby_row(&labels, AggOp::Count, 3).try_materialize(&ctx).expect("count");
+    assert_eq!(g.to_dense(&ctx).at(0, 0), 86.0);
+}
+
 /// Operating on an unmaterialized sink yields a typed NotMaterialized
 /// error from the fallible API (and a panic with the same rendering from
 /// the infallible one).

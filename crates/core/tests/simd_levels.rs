@@ -29,9 +29,9 @@ use flashr_core::dtype::{DType, Scalar};
 use flashr_core::element::Element;
 use flashr_core::ops::fused_map::{ChainLink, ChainOpSpec, ChainOperand, FusedMapKernel};
 use flashr_core::ops::simd::fold_col;
-use flashr_core::ops::{AggOp, BinaryOp, UnaryOp};
-use flashr_linalg::gemm_strided_level;
+use flashr_core::ops::{inner_prod_chunk, inner_prod_supported, AggOp, BinaryOp, UnaryOp};
 use flashr_linalg::simd::{dot_f64, SimdLevel};
+use flashr_linalg::{gemm_strided_level, Dense};
 use flashr_testkit::oracle::{assert_close, Mat};
 use flashr_testkit::{cases, Rng};
 
@@ -149,6 +149,40 @@ fn every_cast_pair_same_bytes_at_both_levels() {
             for to in DTYPES.into_iter().filter(|&to| to != from) {
                 let link = ChainLink { op: ChainOpSpec::Cast, in_dtype: from, out_dtype: to };
                 assert_levels_identical(&[link], &base, &[]);
+            }
+        }
+    }
+}
+
+/// The `inner.prod` register tile at both levels: every `(f1, f2)` pair
+/// the kernel defines gives the same bytes on `F64`, `F32` and `I64`,
+/// over shapes that cross the 8-row and 4-output blocks and their tails.
+#[test]
+fn every_inner_prod_pair_same_bytes_at_both_levels() {
+    let mut rng = Rng::new(0x51d5);
+    let all = BinaryOp::ALL;
+    let pairs: Vec<(BinaryOp, BinaryOp)> = all
+        .iter()
+        .flat_map(|&f1| all.iter().map(move |&f2| (f1, f2)))
+        .filter(|&(f1, f2)| inner_prod_supported(f1, f2))
+        .collect();
+    assert_eq!(pairs.len(), 28, "7 element functions × 4 combiners");
+    for dtype in [DType::F64, DType::F32, DType::I64] {
+        for (rows, p, k) in [(1037, 3, 9), (21, 32, 4), (8, 1, 1), (7, 5, 17)] {
+            let cols: Vec<Chunk> = (0..p).map(|_| column(&mut rng, dtype, rows)).collect();
+            let x = flashr_core::dispatch!(dtype, T, {
+                let v: Vec<T> = cols.iter().flat_map(|c| c.slice::<T>().to_vec()).collect();
+                Chunk::from_slice::<T>(rows, p, &v)
+            });
+            let b = Dense::from_fn(p, k, |_, _| rng.f64(-3.0..3.0));
+            for &(f1, f2) in &pairs {
+                let run = |level| {
+                    inner_prod_chunk(level, &x, &b, f1, f2, &mut BufPool::new()).as_bytes().to_vec()
+                };
+                assert!(
+                    run(SimdLevel::Scalar) == run(SimdLevel::Avx2),
+                    "inner.prod({f1:?}, {f2:?}) on {rows}×{p} {dtype:?} by {p}×{k} differs across levels"
+                );
             }
         }
     }

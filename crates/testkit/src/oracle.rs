@@ -53,11 +53,36 @@ fn promote(a: DType, b: DType) -> DType {
 
 /// Two's-complement wrap of an exact integer into `dt`'s width.
 fn wrap(dt: DType, v: i64) -> f64 {
+    wrap_int(dt, v) as f64
+}
+
+fn wrap_int(dt: DType, v: i64) -> i64 {
     match dt {
-        DType::U8 => f64::from(v as u8),
-        DType::I32 => f64::from(v as i32),
-        DType::I64 => v as f64,
+        DType::U8 => i64::from(v as u8),
+        DType::I32 => i64::from(v as i32),
+        DType::I64 => v,
         DType::F32 | DType::F64 => unreachable!("wrap is for integer dtypes"),
+    }
+}
+
+/// One arithmetic element on exact integers of dtype `dt`, other than
+/// `Pow` (which goes through `f64`).
+fn int_arith(dt: DType, op: BinaryOp, x: i64, y: i64) -> i64 {
+    let w = |v| wrap_int(dt, v);
+    match op {
+        BinaryOp::Add => w(x.wrapping_add(y)),
+        BinaryOp::Sub => w(x.wrapping_sub(y)),
+        BinaryOp::Mul => w(x.wrapping_mul(y)),
+        // Integer division and remainder by zero are 0, not a trap.
+        BinaryOp::Div => w(if y == 0 { 0 } else { x.wrapping_div(y) }),
+        BinaryOp::Rem => w(if y == 0 { 0 } else { x.wrapping_rem(y) }),
+        BinaryOp::Min => x.min(y),
+        BinaryOp::Max => x.max(y),
+        BinaryOp::EuclidSq => {
+            let d = w(x.wrapping_sub(y));
+            w(d.wrapping_mul(d))
+        }
+        _ => unreachable!("predicates go through `pred`, `Pow` through `f64`"),
     }
 }
 
@@ -147,25 +172,10 @@ fn arith(dt: DType, op: BinaryOp, a: f64, b: f64) -> f64 {
                 _ => unreachable!("predicates go through `pred`"),
             })
         }
-        DType::U8 | DType::I32 | DType::I64 => {
-            let (x, y) = (a as i64, b as i64);
-            match op {
-                BinaryOp::Add => wrap(dt, x.wrapping_add(y)),
-                BinaryOp::Sub => wrap(dt, x.wrapping_sub(y)),
-                BinaryOp::Mul => wrap(dt, x.wrapping_mul(y)),
-                // Integer division and remainder by zero are 0, not a trap.
-                BinaryOp::Div => wrap(dt, if y == 0 { 0 } else { x.wrapping_div(y) }),
-                BinaryOp::Rem => wrap(dt, if y == 0 { 0 } else { x.wrapping_rem(y) }),
-                BinaryOp::Pow => from_f64(dt, a.powf(b)),
-                BinaryOp::Min => a.min(b),
-                BinaryOp::Max => a.max(b),
-                BinaryOp::EuclidSq => {
-                    let d = wrap(dt, x.wrapping_sub(y)) as i64;
-                    wrap(dt, d.wrapping_mul(d))
-                }
-                _ => unreachable!("predicates go through `pred`"),
-            }
-        }
+        DType::U8 | DType::I32 | DType::I64 => match op {
+            BinaryOp::Pow => from_f64(dt, a.powf(b)),
+            _ => int_arith(dt, op, a as i64, b as i64) as f64,
+        },
     }
 }
 
@@ -361,6 +371,27 @@ impl Mat {
         })
     }
 
+    /// `inner.prod(self, b, f1, f2)` in the matrix's own dtype, `b` an
+    /// `F64` matrix whose values convert to that dtype as a cast does:
+    /// entry (r, j) is `f1(x[r, 0], b[0, j])`, then `f2(acc, f1(x[r, k],
+    /// b[k, j]))` for `k` ascending. Integers fold exactly, in `i64`, so an
+    /// intermediate beyond 2⁵³ cannot round.
+    pub fn inner_prod(&self, b: &Mat, f1: BinaryOp, f2: BinaryOp) -> Mat {
+        assert_eq!(self.cols, b.rows, "oracle: inner.prod inner dimension");
+        assert!(self.cols > 0, "oracle: inner.prod over no columns");
+        let dt = self.dtype;
+        Mat::from_fn(self.rows, b.cols, dt, |r, j| {
+            let (x, y) = (|k| self.at(r, k), |k| from_f64(dt, b.at(k, j)));
+            if is_float(dt) {
+                let term = |k| arith(dt, f1, x(k), y(k));
+                (1..self.cols).fold(term(0), |acc, k| arith(dt, f2, acc, term(k)))
+            } else {
+                let term = |k| int_arith(dt, f1, x(k) as i64, y(k) as i64);
+                (1..self.cols).fold(term(0), |acc, k| int_arith(dt, f2, acc, term(k))) as f64
+            }
+        })
+    }
+
     /// Running sum down each column, in the matrix's own dtype.
     pub fn cumsum_col(&self) -> Mat {
         let mut out = self.clone();
@@ -379,23 +410,31 @@ impl Mat {
     }
 
     /// One fold over `vals` in order, as every aggregation defines it:
-    /// sums start from +0.0; `Min`/`Max` start from ±∞ and skip NaN, so a
-    /// run with no number in it yields the infinity; `Mean` divides the
-    /// sum by the count.
+    /// sums and counts start from +0.0 and products from 1; `Min`/`Max`
+    /// start from ±∞ and skip NaN, so a run with no number in it yields
+    /// the infinity; `Any` is 1 once a value is non-zero (NaN is), `All`
+    /// 0 once one is zero, and 0 and 1 on an empty run; `Mean` divides
+    /// the sum by the count.
     fn fold(op: AggOp, vals: impl Iterator<Item = f64>) -> f64 {
         let mut n = 0usize;
         let acc = vals.fold(
             match op {
                 AggOp::Min => f64::INFINITY,
                 AggOp::Max => f64::NEG_INFINITY,
+                AggOp::Prod | AggOp::All => 1.0,
                 _ => 0.0,
             },
             |acc, v| {
                 n += 1;
                 match op {
                     AggOp::Sum | AggOp::Mean => acc + v,
+                    AggOp::Prod => acc * v,
                     AggOp::Min => acc.min(v),
                     AggOp::Max => acc.max(v),
+                    AggOp::Count => acc + 1.0,
+                    AggOp::Any if v != 0.0 => 1.0,
+                    AggOp::All if v == 0.0 => 0.0,
+                    AggOp::Any | AggOp::All => acc,
                     _ => panic!("oracle: aggregation {op:?} has no reference semantics here"),
                 }
             },

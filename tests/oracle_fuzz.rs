@@ -203,6 +203,16 @@ impl Pair {
         Some(out)
     }
 
+    /// `inner.prod(x, b, f1, f2)` against a drawn `cols × k` matrix `b`.
+    fn inner_prod(&self, rng: &mut Rng, k: usize, f1: BinaryOp, f2: BinaryOp) -> Option<Pair> {
+        let cols = self.want.cols;
+        let b = draw_values(rng, cols * k);
+        let want = self.want.inner_prod(&Mat::from_row_major(cols, k, b.clone()), f1, f2);
+        let mut out = self.then(want, |x| x.inner_prod(Dense::from_vec(cols, k, b), f1, f2))?;
+        out.zero_sign_free |= [f1, f2].iter().any(|f| matches!(f, BinaryOp::Min | BinaryOp::Max));
+        Some(out)
+    }
+
     fn materialize(&self, ctx: &FlashCtx) -> Pair {
         Pair { fm: self.fm.materialize(ctx), ..self.clone() }
     }
@@ -228,6 +238,23 @@ const UNARY: [UnaryOp; 16] = {
 const BINARY: [BinaryOp; 17] = {
     use BinaryOp::*;
     [Add, Sub, Mul, Div, Rem, Pow, Min, Max, Eq, Ne, Lt, Le, Gt, Ge, And, Or, EuclidSq]
+};
+
+/// `inner.prod`'s element functions and its associative combiners: the
+/// kernel defines every one of the 28 pairs.
+const IP_F1: [BinaryOp; 7] = {
+    use BinaryOp::*;
+    [Add, Sub, Mul, Div, Min, Max, EuclidSq]
+};
+const IP_F2: [BinaryOp; 4] = {
+    use BinaryOp::*;
+    [Add, Mul, Min, Max]
+};
+
+/// Every aggregation `groupby.row` folds.
+const GROUP_OPS: [AggOp; 8] = {
+    use AggOp::*;
+    [Sum, Mean, Min, Max, Prod, Count, Any, All]
 };
 
 fn pick<T: Copy>(rng: &mut Rng, from: &[T]) -> T {
@@ -280,7 +307,7 @@ fn draw_binary(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> O
 /// Grow `cur` by one random tall-to-tall operation.
 fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Option<Pair> {
     let width = cur.want.cols;
-    match rng.below(12) {
+    match rng.below(13) {
         0..=2 => cur.unary(pick(rng, &UNARY)),
         3..=6 => draw_binary(rng, ctx, cur, sources),
         7 => cur.cast(pick(rng, &DTYPES)),
@@ -296,6 +323,10 @@ fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Opt
             Some(out)
         }
         10 => cur.then(cur.want.cumsum_col(), |x| x.cumsum_col()),
+        11 => {
+            let (k, f1, f2) = (rng.usize(1..10), pick(rng, &IP_F1), pick(rng, &IP_F2));
+            cur.inner_prod(rng, k, f1, f2)
+        }
         _ => match rng.below(4) {
             0 => cur.then(cur.want.clone(), |x| x.t().t()),
             1 => cur.then(cur.want.agg_rows(AggOp::Sum), |x| x.row_sums()),
@@ -373,19 +404,52 @@ fn check_sink(sink: Sink, rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, what: &str)
             }
         }
         Sink::GroupBy => {
-            let k = rng.usize(1..6);
-            // Labels row % k, lazy: seq → Rem → cast I64.
-            let seq = Mat::from_row_major(rows, 1, (0..rows).map(|r| r as f64).collect());
-            let labels =
+            let (op, k) = (pick(rng, &GROUP_OPS), rng.usize(1..18));
+            let what = &format!("{what} {op:?} over {k} groups");
+            let labels = if rng.bool() {
+                // Labels row % k, lazy: seq → Rem → cast I64.
+                let seq = Mat::from_row_major(rows, 1, (0..rows).map(|r| r as f64).collect());
                 Pair { fm: FM::seq(rows as u64, 0.0, 1.0), want: seq, zero_sign_free: false }
                     .binary_scalar(BinaryOp::Rem, k as f64, false)
-                    .and_then(|l| l.cast(DType::I64))
-                    .expect("row numbers stay in the domain");
-            let want = cur.want.groupby_row(&labels.want, AggOp::Sum, k);
-            let scale = cur.want.abs().groupby_row(&labels.want, AggOp::Sum, k);
-            let got = cur.fm.groupby_row(&labels.fm, AggOp::Sum, k).to_dense(ctx);
+            } else {
+                // Runs of equal labels, each 1 to 24 rows long.
+                let mut labels = Vec::with_capacity(rows);
+                while labels.len() < rows {
+                    let (g, run) = (rng.usize(0..k) as f64, rng.usize(1..25));
+                    labels.extend(std::iter::repeat_n(g, run.min(rows - labels.len())));
+                }
+                Some(Pair::leaf(ctx, rows, 1, labels, rng.bool()))
+            }
+            .and_then(|l| l.cast(DType::I64))
+            .expect("labels stay in the domain");
+            let want = cur.want.groupby_row(&labels.want, op, k);
+            let got = cur.fm.groupby_row(&labels.fm, op, k).to_dense(ctx);
+            let abs = cur.want.abs();
+            // Sums reassociate across workers: within n·ε·Σ|x|. Products
+            // do too, relative to Π|x|, while no partial product can
+            // overflow or underflow: each lies between Π min(|x|, 1) and
+            // Π max(|x|, 1) over the group's non-zero values, so a group
+            // whose bounds leave [1e-290, 1e300] is not compared. The
+            // other ops are exact.
+            let (n, scale) = match op {
+                AggOp::Sum | AggOp::Mean | AggOp::Prod => {
+                    (rows, abs.groupby_row(&labels.want, op, k))
+                }
+                _ => (0, Mat::from_row_major(k, cols, vec![0.0; k * cols])),
+            };
+            let prod = |m: Mat| m.groupby_row(&labels.want, AggOp::Prod, k);
+            let zeros = abs.binary_scalar(BinaryOp::Eq, 0.0, false);
+            let lo = prod(abs.binary_scalar(BinaryOp::Min, 1.0, false).binary(
+                BinaryOp::Add,
+                &zeros,
+                false,
+            ));
+            let hi = prod(abs.binary_scalar(BinaryOp::Max, 1.0, false));
             for (g, c) in (0..k).flat_map(|g| (0..cols).map(move |c| (g, c))) {
-                assert_close(got.at(g, c), want.at(g, c), rows, scale.at(g, c), what);
+                if op == AggOp::Prod && !(lo.at(g, c) >= 1e-290 && hi.at(g, c) <= 1e300) {
+                    continue;
+                }
+                assert_close(got.at(g, c), want.at(g, c), n, scale.at(g, c), what);
             }
         }
         Sink::Matmul => {
@@ -477,6 +541,41 @@ fn generated_leaves_match_the_oracle() {
             let sum = x.binary(BinaryOp::Add, &y, false).expect("F64 + F64");
             sum.check_tall(&ctx, &what);
             check_sink(Sink::Crossprod, rng, &ctx, &sum, &what);
+        }
+    });
+}
+
+/// Every `(f1, f2)` pair `inner.prod` defines, on every dtype, at an
+/// output count drawn from 1 to 9 (either side of the kernel's 4-output
+/// block), over heights that are not a multiple of its 8-row tile and
+/// Pcache budgets of an odd number of input rows, compared bit for bit.
+#[test]
+fn every_inner_prod_pair_matches_the_oracle() {
+    let arrays = Arrays::open("innerprod");
+    let storages = [Storage::InMem, Storage::EmSim, Storage::EmSimCached];
+    cases(6, |rng, case| {
+        let storage = storages[case % storages.len()];
+        let (rows, cols) = (8 * rng.usize(2..40) + rng.usize(1..8), rng.usize(1..7));
+        let (nthreads, rpp) = (pick(rng, &NTHREADS), pick(rng, &ROWS_PER_PART));
+        let stride = 2 * rng.usize(8..40) + 1;
+        let (batch, seed) = (rng.usize(0..DISPATCH_BATCH.len()), rng.next_u64());
+        for mode in MODES {
+            let ctx = arrays.ctx(mode, nthreads, rpp, stride * cols * 8, storage, batch);
+            let rng = &mut Rng::new(seed);
+            let x = Pair::leaf(&ctx, rows, cols, draw_values(rng, rows * cols), rng.bool());
+            for dtype in DTYPES {
+                let x = x.cast(dtype).expect("small values fit every dtype");
+                for (f1, f2) in IP_F1.iter().flat_map(|&f1| IP_F2.map(|f2| (f1, f2))) {
+                    let k = rng.usize(1..10);
+                    let what = format!(
+                        "case {case}: {mode:?} {nthreads}t rpp={rpp} stride={stride} {storage:?} \
+                         {rows}×{cols} {dtype:?} inner.prod({f1:?}, {f2:?}) to {k} outputs"
+                    );
+                    if let Some(out) = x.inner_prod(rng, k, f1, f2) {
+                        out.check_tall(&ctx, &what);
+                    }
+                }
+            }
         }
     });
 }

@@ -10,8 +10,9 @@ use crate::dag::{Node, NodeKind};
 use crate::element::Element;
 use crate::ops::simd::{fold_col, SimdLevel};
 use crate::ops::AggOp;
-use flashr_linalg::simd::dot_f64;
+use flashr_linalg::simd::gramian_f64;
 use flashr_linalg::Dense;
+use std::sync::Arc;
 
 /// Rows × columns of one transposed block of the `groupby.row` fold.
 const GB_ROWS: usize = 32;
@@ -56,14 +57,18 @@ fn groupby_fold<T: Element>(
 pub enum SinkAcc {
     /// `agg` (1 slot) or `agg.col` (p slots).
     Col { op: AggOp, vals: Vec<f64>, count: u64, elems: u64 },
-    /// `t(A) %*% B`: p×k partial product.
-    Gramian { p: usize, k: usize, acc: Vec<f64> },
+    /// `t(A) %*% B`: p×k partial product. `sym` when `A` and `B` are one
+    /// node (`crossprod`), so only the upper triangle is computed.
+    Gramian { p: usize, k: usize, sym: bool, acc: Vec<f64> },
     /// `groupby.row`: ngroups×p partials plus group counts.
     GroupBy { op: AggOp, ngroups: usize, p: usize, vals: Vec<f64>, counts: Vec<u64> },
 }
 
 impl SinkAcc {
     /// Fresh accumulator for a sink node.
+    ///
+    /// # Panics
+    /// Never for a node of `Plan::sinks`, the only nodes it is given.
     pub fn new_for(node: &Node) -> SinkAcc {
         match &node.kind {
             NodeKind::SinkFull { op, .. } => {
@@ -72,9 +77,14 @@ impl SinkAcc {
             NodeKind::SinkCol { op, input } => {
                 SinkAcc::Col { op: *op, vals: vec![op.identity(); input.ncols], count: 0, elems: 0 }
             }
-            NodeKind::SinkGramian { a, b } => {
-                SinkAcc::Gramian { p: a.ncols, k: b.ncols, acc: vec![0.0; a.ncols * b.ncols] }
-            }
+            // One node on both sides: the memo hands both operands the
+            // same chunk.
+            NodeKind::SinkGramian { a, b } => SinkAcc::Gramian {
+                p: a.ncols,
+                k: b.ncols,
+                sym: Arc::ptr_eq(a, b),
+                acc: vec![0.0; a.ncols * b.ncols],
+            },
             NodeKind::SinkGroupBy { data, op, ngroups, .. } => SinkAcc::GroupBy {
                 op: *op,
                 ngroups: *ngroups,
@@ -82,7 +92,7 @@ impl SinkAcc {
                 vals: vec![op.identity(); *ngroups * data.ncols],
                 counts: vec![0; *ngroups],
             },
-            other => panic!("not a sink node: {other:?}"),
+            other => unreachable!("not a sink node: {other:?}"),
         }
     }
 
@@ -107,28 +117,14 @@ impl SinkAcc {
                     }
                 });
             }
-            SinkAcc::Gramian { p, k, acc } => {
-                let a = chunks[0];
-                let b = chunks[1];
+            SinkAcc::Gramian { sym, acc, .. } => {
+                let (a, b) = (chunks[0], chunks[1]);
                 assert_eq!(a.rows(), b.rows(), "gramian chunk row mismatch");
                 // acc (row-major p×k) += Aᵀ B. Both chunks are
                 // column-major, so every (i, j) entry is a dot product of
-                // two contiguous columns — far better locality than a
-                // strided GEMM. When both inputs are the same chunk
-                // (crossprod), only the upper triangle is computed.
-                let same = std::ptr::eq(a.as_bytes().as_ptr(), b.as_bytes().as_ptr()) && *p == *k;
-                for i in 0..*p {
-                    let ca = a.col::<f64>(i);
-                    let j0 = if same { i } else { 0 };
-                    for j in j0..*k {
-                        let cb = b.col::<f64>(j);
-                        let dot = dot_f64(level, ca, cb);
-                        acc[i * *k + j] += dot;
-                        if same && j != i {
-                            acc[j * *k + i] += dot;
-                        }
-                    }
-                }
+                // two contiguous columns, computed a 2 × 2 tile at a time.
+                let b = (!*sym).then(|| b.slice::<f64>());
+                gramian_f64(level, a.rows(), a.slice::<f64>(), b, acc);
             }
             SinkAcc::GroupBy { op, ngroups, p, vals, counts } => {
                 let data = chunks[0];
@@ -163,6 +159,10 @@ impl SinkAcc {
     }
 
     /// Merge another thread's partial into this one.
+    ///
+    /// # Panics
+    /// Never for two accumulators of one sink node, the only pairs it is
+    /// given.
     pub fn merge(&mut self, other: SinkAcc) {
         match (self, other) {
             (
@@ -191,7 +191,7 @@ impl SinkAcc {
                     *a += b;
                 }
             }
-            _ => panic!("merging mismatched sink accumulators"),
+            _ => unreachable!("merging mismatched sink accumulators"),
         }
     }
 
@@ -220,7 +220,7 @@ impl SinkAcc {
                 }
                 Dense::from_vec(1, vals.len(), vals)
             }
-            SinkAcc::Gramian { p, k, acc } => Dense::from_vec(p, k, acc),
+            SinkAcc::Gramian { p, k, acc, .. } => Dense::from_vec(p, k, acc),
             SinkAcc::GroupBy { op, ngroups, p, mut vals, counts } => {
                 for (group, &n) in vals.chunks_mut(p.max(1)).zip(&counts) {
                     match op {
@@ -250,7 +250,7 @@ mod tests {
     use crate::mat::TasMat;
     use crate::part::Partitioner;
 
-    fn leaf(n: u64, p: usize) -> std::sync::Arc<Node> {
+    fn leaf(n: u64, p: usize) -> Arc<Node> {
         Node::leaf(TasMat::from_fn::<f64>(n, p, Partitioner::new(64), |r, c| {
             (r * 10 + c as u64) as f64
         }))
@@ -293,6 +293,42 @@ mod tests {
         assert_eq!(g.at(0, 1), 32.0);
         assert_eq!(g.at(1, 0), 32.0);
         assert_eq!(g.at(1, 1), 77.0);
+
+        // A 3 × 5 `crossprod_with` and a 5-column `crossprod`: both run
+        // the ragged last row or column of 2 × 2 tiles, over two chunks
+        // of 13 rows (a full 8-row lane block and a 5-row tail). Every
+        // output is the sum of its two chunks' `dot_f64`, bit for bit.
+        let mut rng = flashr_testkit::Rng::new(7);
+        let mut chunks = |cols: usize| {
+            [0, 1].map(|_| Chunk::from_slice::<f64>(13, cols, &rng.vec_f64(13 * cols, -2.0..2.0)))
+        };
+        let x = leaf(26, 5);
+        let (a3, b5, x5) = (chunks(3), chunks(5), chunks(5));
+        for (node, a, b) in [
+            (Node::sink_gramian(leaf(26, 3), x.clone()), &a3, &b5),
+            (Node::sink_gramian(x.clone(), x), &x5, &x5),
+        ] {
+            let mut acc = SinkAcc::new_for(&node);
+            for (ca, cb) in a.iter().zip(b) {
+                acc.update(&[ca, cb]);
+            }
+            let g = acc.finalize();
+            let dot = |i, j, h: usize| {
+                flashr_linalg::simd::dot_f64(SimdLevel::active(), a[h].col(i), b[h].col(j))
+            };
+            for i in 0..a[0].cols() {
+                for j in 0..b[0].cols() {
+                    let want = 0.0 + dot(i, j, 0) + dot(i, j, 1);
+                    assert_eq!(
+                        g.at(i, j).to_bits(),
+                        want.to_bits(),
+                        "({i}, {j}) of a {} × {} Gramian",
+                        node.nrows,
+                        node.ncols
+                    );
+                }
+            }
+        }
     }
 
     #[test]

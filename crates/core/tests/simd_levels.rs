@@ -10,9 +10,9 @@
 //! * **Same bytes** for every element-wise link — every `UnaryOp`, every
 //!   `BinaryOp` in both operand orders against a slice and against a
 //!   constant, every cast pair, every dtype — and for every reduction
-//!   fold and the dot product. This is the test of the mechanism: if a
-//!   level ever selected a different body, or the compiler fused a
-//!   multiply into an add, it fails here.
+//!   fold, the dot product and the Gramian tile. This is the test of the
+//!   mechanism: if a level ever selected a different body, or the
+//!   compiler fused a multiply into an add, it fails here.
 //! * **Bounded reassociation** against a reference that shares nothing
 //!   with the engine: `flashr_testkit::oracle` folds strictly left to
 //!   right, and the lane kernels (8 `f64` partials) and the
@@ -30,7 +30,7 @@ use flashr_core::element::Element;
 use flashr_core::ops::fused_map::{ChainLink, ChainOpSpec, ChainOperand, FusedMapKernel};
 use flashr_core::ops::simd::fold_col;
 use flashr_core::ops::{inner_prod_chunk, inner_prod_supported, AggOp, BinaryOp, UnaryOp};
-use flashr_linalg::simd::{dot_f64, SimdLevel};
+use flashr_linalg::simd::{dot_f64, gramian_f64, SimdLevel};
 use flashr_linalg::{gemm_strided_level, Dense};
 use flashr_testkit::oracle::{assert_close, Mat};
 use flashr_testkit::{cases, Rng};
@@ -371,6 +371,8 @@ fn float_min_max_exact_across_levels() {
     });
 }
 
+/// The dot product, and the Gramian tile over a `p × k` block (`p, k` in
+/// 2..6, `crossprod` or `crossprod_with`) that it is the 1 × 1 instance of.
 #[test]
 fn dot_within_reassociation_bound() {
     cases(16, |rng, _| {
@@ -383,6 +385,28 @@ fn dot_within_reassociation_bound() {
         let scalar = dot_f64(SimdLevel::Scalar, &a, &b);
         assert_close(scalar, want, n, scale, "dot");
         assert_eq!(dot_f64(SimdLevel::Avx2, &a, &b).to_bits(), scalar.to_bits(), "n={n}");
+
+        let (p, k, sym) = (rng.usize(2..6), rng.usize(2..6), rng.bool());
+        let a = Mat::from_row_major(n, p, rng.vec_f64(n * p, -50.0..50.0));
+        let b = if sym {
+            a.clone()
+        } else {
+            Mat::from_row_major(n, k, rng.vec_f64(n * k, -50.0..50.0))
+        };
+        let (want, scale) = (a.crossprod(&b), a.abs().crossprod(&b.abs()));
+        let (ca, cb) = (a.col_major(), b.col_major());
+        let gramian = |level| {
+            let mut acc = vec![0.0; p * b.cols];
+            gramian_f64(level, n, &ca, (!sym).then_some(&cb[..]), &mut acc);
+            acc
+        };
+        let scalar = gramian(SimdLevel::Scalar);
+        for (o, got) in scalar.iter().enumerate() {
+            let (i, j) = (o / b.cols, o % b.cols);
+            assert_close(*got, want.at(i, j), n, scale.at(i, j), "gramian");
+        }
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(gramian(SimdLevel::Avx2)), bits(scalar), "n={n} p={p} sym={sym}");
     });
 }
 

@@ -9,7 +9,7 @@
 //! "avx2,fma")]` function the body it is given inlines into, reached
 //! through [`at_level`] (which checks the CPU per call) or through a
 //! function pointer resolved after that check. Nothing else in the
-//! workspace names an ISA, with two measured exceptions below.
+//! workspace names an ISA, with three measured exceptions below.
 //!
 //! Numerics policy (documented once, relied on everywhere):
 //!
@@ -20,6 +20,10 @@
 //! * Reductions carry eight independent `f64` lane partials folded in a
 //!   fixed order: deterministic, and within `n·ε·Σ|x|` of a strict
 //!   left-to-right fold.
+//! * The Gramian sink's 2 × 2 register tile (`avx2::tile_2x2`) is
+//!   hand-written at `Avx2` but keeps that rule: a product is rounded,
+//!   then added — never an FMA — and every output folds its lanes as
+//!   [`dot_f64`] does, so `crossprod` gives the same bits at both levels.
 //! * The packed gemm micro-kernel and axpy are the exception. At `Avx2`
 //!   they are hand-written FMA bodies (`avx2::mk_4x8`, a 4×8 register
 //!   tile, and `avx2::axpy`), so `%*%` and `syrk` differ between the
@@ -37,7 +41,7 @@ pub enum SimdLevel {
     /// The baseline compilation: whatever every x86-64 has (SSE2).
     Scalar = 1,
     /// The same kernels compiled with AVX2+FMA enabled, and the
-    /// hand-written gemm and axpy micro-kernels.
+    /// hand-written gemm, axpy and Gramian micro-kernels.
     Avx2 = 2,
 }
 
@@ -141,10 +145,11 @@ pub fn at_level<R>(level: SimdLevel, body: impl FnOnce() -> R) -> R {
     }
 }
 
-// ------------------------------------------------------------------ dot
+// ------------------------------------------------------ dot and Gramian
 
 /// `sum_i a[i] * b[i]` over `min(len)` elements: eight lane partials
-/// break the FP-add dependency chain, folded in a fixed order.
+/// break the FP-add dependency chain, folded in a fixed order. The 1 × 1
+/// instance of [`gramian_f64`]'s fold.
 pub fn dot_f64(level: SimdLevel, a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     at_level(
@@ -154,6 +159,79 @@ pub fn dot_f64(level: SimdLevel, a: &[f64], b: &[f64]) -> f64 {
     )
 }
 
+/// `acc += Aᵀ B` over one column-major block of `rows` rows: `a` holds
+/// `p` columns, `b` holds `k` (`None`: `b` is `a`, and only the upper
+/// triangle is computed, each off-diagonal value added at `(i, j)` and
+/// `(j, i)`). `acc` is `p × k`, row-major.
+///
+/// At `Avx2` outputs are computed in 2 × 2 tiles (`avx2::tile_2x2`), a
+/// ragged last row or column of them one at a time; at `Scalar` every
+/// output is one at a time, row by row (SSE2's 16 registers cannot hold
+/// a tile's 32 lane partials). Every output `(i, j)` folds exactly as
+/// [`dot_f64`] of columns `i` and `j` does, then `acc[i·k + j] += s`: the
+/// same bits at both levels and for any block height.
+pub fn gramian_f64(level: SimdLevel, rows: usize, a: &[f64], b: Option<&[f64]>, acc: &mut [f64]) {
+    if rows == 0 {
+        return;
+    }
+    let p = a.len() / rows;
+    let (b, k, sym) = match b {
+        Some(b) => (b, b.len() / rows, false),
+        None => (a, p, true),
+    };
+    assert_eq!(acc.len(), p * k, "gramian accumulator is not p × k");
+    let vex = level.vex();
+    let tile = if vex { 2 } else { 1 };
+    let col = |c: usize| c * rows..(c + 1) * rows;
+    let mut add = |i: usize, j: usize, s: f64| {
+        // A diagonal tile's `(i + 1, i)` is the mirror of its `(i, i + 1)`.
+        if !sym || i <= j {
+            acc[i * k + j] += s;
+            if sym && i != j {
+                acc[j * k + i] += s;
+            }
+        }
+    };
+    at_level(
+        level,
+        #[inline(always)]
+        || {
+            for i in (0..p).step_by(tile) {
+                let mi = tile.min(p - i);
+                let mut j = if sym { i } else { 0 };
+                while j < k {
+                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                    if vex && mi == 2 && j + 2 <= k {
+                        // SAFETY: `vex` is `level.vex()`, which saw
+                        // `SimdLevel::avx2_supported()`; all four columns
+                        // are `rows` long.
+                        let s = unsafe {
+                            avx2::tile_2x2(
+                                [&a[col(i)], &a[col(i + 1)]],
+                                [&b[col(j)], &b[col(j + 1)]],
+                            )
+                        };
+                        for (di, row) in s.iter().enumerate() {
+                            for (dj, &v) in row.iter().enumerate() {
+                                add(i + di, j + dj, v);
+                            }
+                        }
+                        j += 2;
+                        continue;
+                    }
+                    for ii in i..i + mi {
+                        add(ii, j, dot_lanes(&a[col(ii)], &b[col(j)]));
+                    }
+                    j += 1;
+                }
+            }
+        },
+    );
+}
+
+/// The portable lane body, one output: `lanes[l] += a[8c + l] * b[8c + l]`
+/// over the full 8-row blocks — each product rounded, then the add;
+/// never a fused multiply-add — then [`fold_lanes`].
 #[inline(always)]
 fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 8];
@@ -164,11 +242,19 @@ fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
             lanes[i] += xa[i] * xb[i];
         }
     }
+    fold_lanes(lanes, ca.remainder(), cb.remainder())
+}
+
+/// Finish one output: `s = +0.0`, add lanes 0 to 7 in order, then the
+/// tail rows' products in ascending order. Every Gramian output and
+/// every [`dot_f64`] ends here.
+#[inline(always)]
+fn fold_lanes(lanes: [f64; 8], a_tail: &[f64], b_tail: &[f64]) -> f64 {
     let mut s = 0.0;
     for l in lanes {
         s += l;
     }
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+    for (x, y) in a_tail.iter().zip(b_tail) {
         s += x * y;
     }
     s
@@ -352,14 +438,20 @@ fn mk_4x8_lanes(
 
 // ------------------------------------------- the hand-written exception
 
-// The only `std::arch` in the workspace: the two kernels where a
+// The only `std::arch` in the workspace: the three kernels where a
 // measurement says the hand-written body pays. On a 256³ product
 // `mk_4x8_lanes` compiled under `avx2,fma` reaches 9–13 GFLOP/s as
 // written and 7.6–7.7 with `f64::mul_add` (LLVM emits 32 scalar
 // `vfmadd231sd` per k-step and spills the accumulators), against 18–26
 // for `mk_4x8`; the plain axpy loop compiled the same way runs `syrk` on
 // a 16 384×40 panel at 0.82× of `axpy` (7.5 against 9.1 GFLOP/s, medians
-// of ten alternating runs, lower in every one).
+// of ten alternating runs, lower in every one). A portable 2 × 2 Gramian
+// tile (a const-generic `[[[f64; 8]; 2]; 2]` lane body) compiled under
+// `avx2` runs the 819-row 40 × 40 crossprod chunk at 6.2–6.5 GFLOP/s of
+// computed flops, slower than one `dot_f64` per output (7.5–8.0 in the
+// same runs). `tile_2x2` holds its eight lane vectors in `ymm` registers
+// and reaches a median of 16.2 against 8.0 (14.1–17.6 against 6.0–9.9;
+// one core of a 2-CPU x86-64 host, five runs).
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
     #[cfg(target_arch = "x86")]
@@ -394,6 +486,44 @@ mod avx2 {
             *dp.add(i) = alpha.mul_add(*sp.add(i), *dp.add(i));
             i += 1;
         }
+    }
+
+    /// The 2 × 2 Gramian tile: outputs `(i, j)` of `a_i · b_j` for
+    /// `i, j < 2`, eight lane partials each in two `__m256d` halves, so
+    /// eight independent add chains. A product is rounded, then added
+    /// (`mul` then `add`, never an FMA): lane for lane the portable
+    /// `dot_lanes`, finished by the same `fold_lanes`.
+    ///
+    /// # Safety
+    /// The CPU has avx2; the four columns have one length.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tile_2x2(a: [&[f64]; 2], b: [&[f64]; 2]) -> [[f64; 2]; 2] {
+        let full = a[0].len() / 8 * 8;
+        let (pa, pb) = (a.map(<[f64]>::as_ptr), b.map(<[f64]>::as_ptr));
+        let mut acc = [[[_mm256_setzero_pd(); 2]; 2]; 2];
+        let mut r = 0;
+        while r < full {
+            let load = |p: *const f64| [_mm256_loadu_pd(p.add(r)), _mm256_loadu_pd(p.add(r + 4))];
+            let (xa, xb) = (pa.map(load), pb.map(load));
+            for (acc_i, xa_i) in acc.iter_mut().zip(&xa) {
+                for (acc_ij, xb_j) in acc_i.iter_mut().zip(&xb) {
+                    for h in 0..2 {
+                        acc_ij[h] = _mm256_add_pd(acc_ij[h], _mm256_mul_pd(xa_i[h], xb_j[h]));
+                    }
+                }
+            }
+            r += 8;
+        }
+        let mut out = [[0.0f64; 2]; 2];
+        for i in 0..2 {
+            for j in 0..2 {
+                let mut lanes = [0.0f64; 8];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), acc[i][j][0]);
+                _mm256_storeu_pd(lanes.as_mut_ptr().add(4), acc[i][j][1]);
+                out[i][j] = super::fold_lanes(lanes, &a[i][full..], &b[j][full..]);
+            }
+        }
+        out
     }
 
     /// 4×8 register tile: eight `__m256d` accumulators (4 rows × 2
@@ -504,6 +634,55 @@ mod tests {
             assert!((scalar - want).abs() <= bound, "n={n} got={scalar} want={want}");
             let avx2 = dot_f64(SimdLevel::Avx2, &a, &b);
             assert_eq!(avx2.to_bits(), scalar.to_bits(), "n={n}");
+        }
+    }
+
+    /// The Gramian's contract, written out per output: eight lane
+    /// partials over full 8-row blocks, mul then add, lanes folded in
+    /// order from `+0.0`, then the tail rows.
+    fn textbook_dot(a: &[f64], b: &[f64]) -> f64 {
+        let full = a.len() / 8 * 8;
+        let mut lanes = [0.0f64; 8];
+        for r in 0..full {
+            lanes[r % 8] += a[r] * b[r];
+        }
+        let mut s = 0.0;
+        for l in lanes {
+            s += l;
+        }
+        for r in full..a.len() {
+            s += a[r] * b[r];
+        }
+        s
+    }
+
+    #[test]
+    fn gramian_tile_is_the_per_output_dot_bit_for_bit() {
+        let shapes = [
+            (1, 1, false),
+            (2, 2, false),
+            (3, 5, false),
+            (10, 32, false),
+            (40, 1, false),
+            (40, 40, true),
+            (33, 33, true),
+        ];
+        for rows in [0usize, 1, 7, 8, 9, 17, 819] {
+            for (p, k, sym) in shapes {
+                let a = pseudo(rows * p, 41);
+                let b = if sym { a.clone() } else { pseudo(rows * k, 43) };
+                let start = pseudo(p * k, 47);
+                let col = |x: &[f64], c: usize| x[c * rows..(c + 1) * rows].to_vec();
+                let want: Vec<u64> = (0..p * k)
+                    .map(|o| (start[o] + textbook_dot(&col(&a, o / k), &col(&b, o % k))).to_bits())
+                    .collect();
+                for lvl in SimdLevel::available() {
+                    let mut acc = start.clone();
+                    gramian_f64(lvl, rows, &a, (!sym).then_some(&b[..]), &mut acc);
+                    let got: Vec<u64> = acc.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "rows={rows} p={p} k={k} sym={sym} level={}", lvl.name());
+                }
+            }
         }
     }
 

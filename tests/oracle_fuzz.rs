@@ -347,12 +347,13 @@ enum Sink {
     ColMeans,
     TransposedRowSums,
     Crossprod,
+    CrossprodWith,
     GroupBy,
     Matmul,
 }
-const SINKS: [Sink; 7] = {
+const SINKS: [Sink; 8] = {
     use Sink::*;
-    [SumAndColSums, MinMax, ColMeans, TransposedRowSums, Crossprod, GroupBy, Matmul]
+    [SumAndColSums, MinMax, ColMeans, TransposedRowSums, Crossprod, CrossprodWith, GroupBy, Matmul]
 };
 
 /// End the program on `cur` with `sink` and check what comes out.
@@ -398,8 +399,38 @@ fn check_sink(sink: Sink, rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, what: &str)
         Sink::Crossprod => {
             let abs = cur.want.abs();
             let (want, scale) = (cur.want.crossprod(&cur.want), abs.crossprod(&abs));
-            let got = cur.fm.crossprod().to_dense(ctx);
+            // One output again, as the 1 × 1 `crossprod_with` of its two
+            // columns in the same pass, so over the same chunks: the 2 × 2
+            // tile and the one-output fold must give the same bits.
+            let (i0, j0) = (rng.usize(0..cols), rng.usize(0..cols));
+            let one = cur.fm.cols(&[i0]).crossprod_with(&cur.fm.cols(&[j0]));
+            let outs = FM::materialize_multi(ctx, &[&cur.fm.crossprod(), &one]);
+            let got = outs[0].to_dense(ctx);
             for (i, j) in (0..cols).flat_map(|i| (0..cols).map(move |j| (i, j))) {
+                assert_close(got.at(i, j), want.at(i, j), rows, scale.at(i, j), what);
+                assert_eq!(got.at(i, j).to_bits(), got.at(j, i).to_bits(), "{what}: ({i}, {j})");
+            }
+            let one = outs[1].value(ctx);
+            assert_eq!(one.to_bits(), got.at(i0, j0).to_bits(), "{what}: ({i0}, {j0}) alone");
+        }
+        Sink::CrossprodWith => {
+            // `t(x) %*% y` for a second program over the same rows, 1 to 9
+            // columns wide: one column is the logistic gradient's shape,
+            // odd widths end off the 2-column tile.
+            let width = rng.usize(1..10);
+            let leaf = Pair::leaf(ctx, rows, width, draw_values(rng, rows * width), rng.bool());
+            let mut y = leaf.clone();
+            for _ in 0..rng.usize(0..3) {
+                let sources = [cur.clone(), leaf.clone()];
+                if let Some(next) = (0..8).find_map(|_| draw_step(rng, ctx, &y, &sources)) {
+                    y = next;
+                }
+            }
+            let y = y.cols(&draw_idx(rng, y.want.cols, width));
+            let (want, scale) =
+                (cur.want.crossprod(&y.want), cur.want.abs().crossprod(&y.want.abs()));
+            let got = cur.fm.crossprod_with(&y.fm).to_dense(ctx);
+            for (i, j) in (0..cols).flat_map(|i| (0..width).map(move |j| (i, j))) {
                 assert_close(got.at(i, j), want.at(i, j), rows, scale.at(i, j), what);
             }
         }
@@ -603,7 +634,7 @@ fn grid_program(ctx: &FlashCtx, what: &str) {
         .and_then(|c| c.then(c.want.cumsum_col(), |f| f.cumsum_col()))
         .expect("I32");
     stepped.check_tall(ctx, what);
-    for sink in [Sink::SumAndColSums, Sink::Crossprod, Sink::GroupBy] {
+    for sink in [Sink::SumAndColSums, Sink::Crossprod, Sink::CrossprodWith, Sink::GroupBy] {
         check_sink(sink, &mut rng, ctx, &chain, what);
     }
 }

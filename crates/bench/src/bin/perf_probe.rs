@@ -7,8 +7,8 @@
 //! `BENCH_perf_probe.json` into the current directory: per-stage name,
 //! wall nanoseconds and GiB/s, plus the context's full profile report
 //! (exec counters and per-pass worker/op profiles). The probe records at
-//! least pass-level traces regardless of `FLASHR_TRACE`; setting
-//! `FLASHR_TRACE=op` upgrades the artifact to per-node op timings.
+//! least pass-level traces regardless of `FLASHR_TRACE`. It also writes
+//! the main context's Prometheus exposition to `flashr-metrics.prom`.
 //!
 //! ```sh
 //! cargo run --release -p flashr-bench --bin perf_probe
@@ -19,7 +19,7 @@ use flashr::core::json::Writer;
 use flashr::prelude::*;
 use flashr_bench::{
     bench_artifact_json_sections, bench_trace_level, host_section_json, maybe_dump_flight,
-    maybe_export_trace, print_critical_path, save_bench_artifact, scrape_own_metrics, scratch_dir,
+    maybe_export_trace, print_critical_path, save_bench_artifact, save_metrics_text, scratch_dir,
     BenchStage,
 };
 use std::time::Instant;
@@ -29,10 +29,6 @@ fn main() {
     // pass-profile summary is the point of the probe. `--trace-out` or
     // `FLASHR_TRACE_OUT` raise it to timeline spans.
     let level = bench_trace_level();
-    // One-step construction (not `in_memory().with_trace(..)`): builder
-    // methods make a throwaway context, and the first context to exist
-    // claims `FLASHR_METRICS_ADDR` — the scrape listener must live on
-    // this one for the self-scrape at the bottom.
     let ctx = FlashCtx::with_config(CtxConfig { trace: level, ..Default::default() }, None);
     let n = 2_000_000u64;
     let p = 16usize;
@@ -204,11 +200,9 @@ fn main() {
     print_critical_path("em-cache", &em_ctx.profile_report());
     maybe_export_trace(&[("main", &ctx), ("map-chain-fused", &fused_ctx), ("em-cache", &em_ctx)]);
 
-    // With FLASHR_METRICS_ADDR set, the main context bound the scrape
-    // listener at startup; save one exposition for CI to validate. With
-    // FLASHR_FLIGHT_OUT set, also force a flight dump for the artifact
-    // upload.
-    let _ = scrape_own_metrics(&ctx);
+    // Save one exposition for CI to validate. With FLASHR_FLIGHT_OUT
+    // set, also force a flight dump for the artifact upload.
+    save_metrics_text(&ctx);
     maybe_dump_flight(&ctx);
 
     println!(

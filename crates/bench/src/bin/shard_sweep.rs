@@ -27,7 +27,7 @@ use flashr::safs::{BackendKind, ShardStatsSnapshot};
 use flashr_bench::{
     bench_artifact_json_sections, bench_trace_level, host_section_json, io_summary_line,
     maybe_dump_flight, maybe_export_trace, print_critical_path, save_bench_artifact,
-    scrape_own_metrics, scratch_dir, time, BenchStage, Report, Scale,
+    save_metrics_text, scratch_dir, time, BenchStage, Report, Scale,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -56,8 +56,6 @@ fn run_cell(
         .with_throttle(ThrottleCfg::sata_ssd())
         .with_backend(backend);
     let safs = Safs::open(cfg).expect("open striped SAFS");
-    // One-step construction: the first context to exist claims
-    // `FLASHR_METRICS_ADDR`, so no builder-style throwaway contexts here.
     let ctx = FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 4096,
@@ -150,15 +148,11 @@ fn main() {
     // The shard count IS the sweep axis: the CI-wide `FLASHR_SAFS_SHARDS`
     // override must not rewrite the striped layouts under us.
     std::env::remove_var("FLASHR_SAFS_SHARDS");
-    // Park the metrics address: the listener must land on the *last*
-    // context (the 4-shard sim cell we scrape), not the first. Same for
-    // the trace path — the first traced context to *drop* claims it, and
-    // that would be a throwaway direct cell, not the merged sim export.
-    // Trace level is resolved before parking so the request still raises
-    // the cells to timeline spans.
+    // Park the trace path: the first traced context to *drop* claims it,
+    // and that would be a throwaway direct cell, not the merged sim
+    // export. Trace level is resolved before parking so the request still
+    // raises the cells to timeline spans.
     let level = bench_trace_level();
-    let metrics_addr = std::env::var("FLASHR_METRICS_ADDR").ok();
-    std::env::remove_var("FLASHR_METRICS_ADDR");
     let trace_out = std::env::var("FLASHR_TRACE_OUT").ok();
     std::env::remove_var("FLASHR_TRACE_OUT");
 
@@ -174,16 +168,11 @@ fn main() {
     let mut report = Report::new();
     let mut cells: Vec<Cell> = Vec::new();
     let mut stages: Vec<BenchStage> = Vec::new();
-    // Sim (throttled) cells run last so the final context — the one that
-    // re-claims the metrics address below — is the 4-shard sim cell.
+    // Sim (throttled) cells run last, so the final context — the one
+    // whose exposition is saved below — is the 4-shard sim cell.
     let mut kept: Vec<(String, FlashCtx)> = Vec::new();
     for backend in [BackendKind::Direct, BackendKind::Sim] {
         for shards in SHARD_COUNTS {
-            if backend == BackendKind::Sim && shards == *SHARD_COUNTS.last().unwrap() {
-                if let Some(addr) = &metrics_addr {
-                    std::env::set_var("FLASHR_METRICS_ADDR", addr);
-                }
-            }
             let (cell, ctx) = run_cell(backend, shards, rows, cols, level);
             let label = format!("{}-x{}", backend.as_str(), shards);
             stages.push(BenchStage::new(
@@ -234,7 +223,7 @@ fn main() {
     report.save_json("shard_sweep");
 
     // Per-shard series (`flashr_io_shard_*`) from the 4-shard sim cell.
-    scrape_own_metrics(last);
+    save_metrics_text(last);
     if let Some(path) = &trace_out {
         std::env::set_var("FLASHR_TRACE_OUT", path);
     }

@@ -246,32 +246,14 @@ pub fn host_section_json(ctx: &FlashCtx) -> String {
     flashr::core::obs::host_json(ctx)
 }
 
-/// Fetch this process's own `/metrics` endpoint — live only when the
-/// context claimed `FLASHR_METRICS_ADDR` — and write the exposition to
-/// `flashr-metrics.prom` in the current directory. CI validates that
-/// file with `scripts/check_prometheus`. Returns the path written.
-pub fn scrape_own_metrics(ctx: &FlashCtx) -> Option<PathBuf> {
-    use std::io::{Read, Write};
-    let addr = ctx.metrics_addr()?;
-    let mut s = std::net::TcpStream::connect(addr).ok()?;
-    write!(s, "GET /metrics HTTP/1.1\r\nHost: bench\r\n\r\n").ok()?;
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).ok()?;
-    if !resp.starts_with("HTTP/1.1 200") {
-        eprintln!("warning: self-scrape returned {}", resp.lines().next().unwrap_or(""));
-        return None;
-    }
-    let (_, body) = resp.split_once("\r\n\r\n")?;
-    let path = PathBuf::from("flashr-metrics.prom");
-    match std::fs::write(&path, body) {
-        Ok(()) => {
-            println!("metrics exposition written to {} ({} bytes)", path.display(), body.len());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("warning: could not write {}: {e}", path.display());
-            None
-        }
+/// Write the context's Prometheus exposition ([`FlashCtx::metrics_text`])
+/// to `flashr-metrics.prom` in the current directory. CI validates that
+/// file with `scripts/check_prometheus`.
+pub fn save_metrics_text(ctx: &FlashCtx) {
+    let (path, text) = ("flashr-metrics.prom", ctx.metrics_text());
+    match std::fs::write(path, &text) {
+        Ok(()) => println!("metrics exposition written to {path} ({} bytes)", text.len()),
+        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 }
 

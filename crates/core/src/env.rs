@@ -13,7 +13,7 @@ fn path(name: &str) -> Option<PathBuf> {
 }
 
 /// `FLASHR_TRACE`: the default [`TraceLevel`](crate::trace::TraceLevel)
-/// of a context, `off|summary|pass|op|timeline`.
+/// of a context, `off|pass|timeline`.
 pub fn trace() -> Option<String> {
     var("FLASHR_TRACE")
 }
@@ -32,11 +32,6 @@ pub fn trace_out() -> Option<PathBuf> {
 /// `FLASHR_FLIGHT_OUT`: where a flight-recorder dump is written.
 pub fn flight_out() -> Option<PathBuf> {
     path("FLASHR_FLIGHT_OUT")
-}
-
-/// `FLASHR_METRICS_ADDR`: bind address of the `/metrics` listener.
-pub fn metrics_addr() -> Option<String> {
-    var("FLASHR_METRICS_ADDR").map(|a| a.trim().to_string()).filter(|a| !a.is_empty())
 }
 
 /// `FLASHR_DENY_LINTS`: lint codes promoted to errors (comma/space

@@ -47,7 +47,7 @@ use flashr_linalg::par;
 use flashr_safs::sync::Mutex;
 use flashr_safs::{CachedFetch, IoBuf, IoTicket, SafsFile, NO_ARGS};
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
@@ -78,29 +78,15 @@ enum TallState {
     Em(SafsFile),
 }
 
-/// Per-node accumulation for op-level tracing. A kernel's root carries
-/// its label and, for a chain of ≥ 2 ops, the chain's length and
-/// saved-intermediate bytes; the interior nodes it covers never appear
-/// (they are never evaluated).
-#[derive(Default)]
-struct OpAgg {
-    label: String,
-    chunks: u64,
-    nanos: u64,
-    chain_len: u64,
-    saved_bytes: u64,
-}
+/// Accumulated op timings by node id. A kernel's root carries its label
+/// and, for a chain of ≥ 2 ops, the chain's length and saved-intermediate
+/// bytes; the interior nodes it covers never appear (they are never
+/// evaluated).
+type OpMap = HashMap<u64, OpProfile>;
 
-type OpMap = HashMap<u64, OpAgg>;
-
-/// Trace collection shared by one pass's workers. Only allocated when
-/// the context's tracer is at [`TraceLevel::Pass`] or above.
-#[derive(Default)]
-struct PassAgg {
-    workers: Mutex<Vec<WorkerProfile>>,
-    ops: Mutex<OpMap>,
-    trace_ops: bool,
-}
+/// What a worker hands its pass once, at its end: its profile and its
+/// per-node op timings.
+type WorkerRecord = (WorkerProfile, OpMap);
 
 /// The fetches of one partition of every plan leaf, in `Plan::leaves`
 /// order.
@@ -127,7 +113,9 @@ struct Shared<'a> {
     /// chains are poisoned, so it is the cause and not a waiter released
     /// by it.
     failure: Mutex<Option<Box<dyn Any + Send>>>,
-    trace: Option<&'a PassAgg>,
+    /// Where the workers hand in their records; `Some` only while the
+    /// tracer is at [`TraceLevel::Pass`] or above.
+    records: Option<&'a Mutex<Vec<WorkerRecord>>>,
     /// The context's span log; what it keeps follows the trace level.
     log: &'a Timeline,
     pass_id: u64,
@@ -156,11 +144,9 @@ pub(crate) fn run_labeled(
     let stats = ctx.stats();
     let pass_id = stats.passes.add(1);
     let tracer = ctx.tracer();
-    let agg = tracer
-        .enabled(TraceLevel::Pass)
-        .then(|| PassAgg { trace_ops: tracer.enabled(TraceLevel::Op), ..PassAgg::default() });
+    let records = tracer.enabled(TraceLevel::Pass).then(|| Mutex::new(Vec::new()));
     // Snapshot page-cache counters so the pass profile carries deltas.
-    let cache_before = agg.as_ref().and_then(|_| ctx.safs().map(|s| s.stats_snapshot().cache));
+    let cache_before = records.as_ref().and_then(|_| ctx.safs().map(|s| s.stats_snapshot().cache));
 
     // Prepare tall outputs.
     let tall_states: Vec<TallState> = plan
@@ -207,7 +193,7 @@ pub(crate) fn run_labeled(
         leaf_bufs: PartBufPool::new(),
         merged: Mutex::new((0..plan.nparts as usize).map(|_| None).collect()),
         failure: Mutex::new(None),
-        trace: agg.as_ref(),
+        records: records.as_ref(),
         log: tracer.log(),
         pass_id,
     };
@@ -291,22 +277,25 @@ pub(crate) fn run_labeled(
 
     stats.exec_nanos.add(started.elapsed().as_nanos() as u64);
 
-    if let Some(agg) = agg {
-        let mut workers = agg.workers.into_inner();
+    if let Some(records) = records {
+        let mut workers = Vec::new();
+        let mut ops = OpMap::new();
+        for (wp, worker_ops) in records.into_inner() {
+            workers.push(wp);
+            for (id, op) in worker_ops {
+                let e = ops.entry(id).or_insert_with(|| OpProfile {
+                    node_id: id,
+                    label: op.label.clone(),
+                    ..OpProfile::default()
+                });
+                e.chunks += op.chunks;
+                e.nanos += op.nanos;
+                e.chain_len = e.chain_len.max(op.chain_len);
+                e.saved_bytes += op.saved_bytes;
+            }
+        }
         workers.sort_by_key(|w| w.tid);
-        let mut ops: Vec<OpProfile> = agg
-            .ops
-            .into_inner()
-            .into_iter()
-            .map(|(node_id, a)| OpProfile {
-                node_id,
-                label: a.label,
-                chunks: a.chunks,
-                nanos: a.nanos,
-                chain_len: a.chain_len,
-                saved_bytes: a.saved_bytes,
-            })
-            .collect();
+        let mut ops: Vec<OpProfile> = ops.into_values().collect();
         ops.sort_by_key(|o| o.node_id);
         tracer.record_pass(PassProfile {
             pass_id,
@@ -366,6 +355,7 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         memo: Memo::new(plan.nnodes),
         remaining: Vec::with_capacity(plan.nnodes),
         pool: CHUNK_BUFS.take(),
+        ops: shared.records.map(|_| OpMap::new()),
         #[cfg(debug_assertions)]
         tally: MemoTally {
             bound: plan.pcache_step * plan.live_row_bytes(),
@@ -376,19 +366,17 @@ fn worker(tid: usize, shared: &Shared<'_>) {
     let mut pending_writes: VecDeque<IoTicket> = VecDeque::new();
     let max_pending = shared.ctx.cfg().max_pending_writes.max(1);
     let stats = shared.ctx.stats();
-    // `wp` is None unless the tracer is at `pass` level; the time
-    // breakdown itself is always taken (two clock reads per phase) and
-    // feeds the `ExecStats` nanos counters.
-    let mut wp = shared.trace.map(|_| WorkerProfile { tid, ..WorkerProfile::default() });
+    // One measurement per phase (two clock reads) feeds both the
+    // `ExecStats` counters and this worker's profile, which the pass
+    // keeps only while the tracer is at `pass` or above.
+    let mut wp = WorkerProfile { tid, ..WorkerProfile::default() };
     // This worker's lane of the span log, resolved once per pass.
     // `begin`/`end` record at `FLASHR_TRACE=timeline` only.
     let lane = shared.log.worker_lane(tid);
     let lane = lane.as_ref();
 
     while let Some((part, fetches)) = claim(shared) {
-        if let Some(wp) = wp.as_mut() {
-            wp.parts += 1;
-        }
+        wp.parts += 1;
 
         let task_args = [("part", part), ("pass", shared.pass_id)];
         let task_begin_ns = lane.open("exec", "task", task_args);
@@ -405,9 +393,7 @@ fn worker(tid: usize, shared: &Shared<'_>) {
             lane.end("exec", "write-stall");
             let nanos = ws_t0.elapsed().as_nanos() as u64;
             stats.write_stall_nanos.add(nanos);
-            if let Some(wp) = wp.as_mut() {
-                wp.write_stall_nanos += nanos;
-            }
+            wp.write_stall_nanos += nanos;
         }
         let io_t0 = Instant::now();
         lane.begin("exec", "io-wait", NO_ARGS);
@@ -420,9 +406,7 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         lane.end("exec", "io-wait");
         let nanos = io_t0.elapsed().as_nanos() as u64;
         stats.io_wait_nanos.add(nanos);
-        if let Some(wp) = wp.as_mut() {
-            wp.io_wait_nanos += nanos;
-        }
+        wp.io_wait_nanos += nanos;
         let compute_t0 = Instant::now();
         lane.begin("exec", "compute", NO_ARGS);
         // Fresh accumulators per partition: partials deposit into the
@@ -454,10 +438,8 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         lane.end("exec", "compute");
         let nanos = compute_t0.elapsed().as_nanos() as u64;
         stats.compute_nanos.add(nanos);
-        if let Some(wp) = wp.as_mut() {
-            wp.compute_nanos += nanos;
-            wp.pcache_chunks += chunks;
-        }
+        wp.compute_nanos += nanos;
+        wp.pcache_chunks += chunks;
         lane.close("exec", "task", task_begin_ns, task_args);
         stats.parts.add(1);
     }
@@ -473,13 +455,11 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         lane.end("exec", "write-stall");
         let nanos = ws_t0.elapsed().as_nanos() as u64;
         stats.write_stall_nanos.add(nanos);
-        if let Some(wp) = wp.as_mut() {
-            wp.write_stall_nanos += nanos;
-        }
+        wp.write_stall_nanos += nanos;
     }
 
-    if let (Some(agg), Some(wp)) = (shared.trace, wp) {
-        agg.workers.lock().push(wp);
+    if let Some(records) = shared.records {
+        records.lock().push((wp, st.ops.take().unwrap_or_default()));
     }
     st.pool.trim(idle_chunk_bound(shared.ctx));
     CHUNK_BUFS.set(st.pool);
@@ -495,10 +475,8 @@ struct PartEnv<'a> {
     part_rows: usize,
     grow0: u64,
     stats: &'a ExecStats,
-    /// Per-node accumulation; `Some` only at `FLASHR_TRACE=op`.
-    op_trace: Option<&'a RefCell<OpMap>>,
     /// This worker's lane of the span log (per-chunk op spans ride on
-    /// the op-trace timestamps).
+    /// the op timings' timestamps).
     lane: &'a Lane,
 }
 
@@ -537,6 +515,9 @@ struct Scratch {
     /// cache-hot memory.
     remaining: Vec<usize>,
     pool: BufPool,
+    /// This worker's per-node op timings over the pass; `Some` only while
+    /// the tracer is at [`TraceLevel::Pass`] or above.
+    ops: Option<OpMap>,
     #[cfg(debug_assertions)]
     tally: MemoTally,
 }
@@ -606,19 +587,8 @@ fn process_part(
     let plan = shared.plan;
     let part_rows = plan.parter.part_rows(part, plan.nrows);
     let grow0 = part * plan.parter.rows_per_part();
-    let op_cell = shared.trace.filter(|agg| agg.trace_ops).map(|_| RefCell::new(OpMap::new()));
     let stats = shared.ctx.stats();
-    let env = PartEnv {
-        plan,
-        cums: shared.cums,
-        leaf_bufs,
-        part,
-        part_rows,
-        grow0,
-        stats,
-        op_trace: op_cell.as_ref(),
-        lane,
-    };
+    let env = PartEnv { plan, cums: shared.cums, leaf_bufs, part, part_rows, grow0, stats, lane };
     let mut nchunks = 0u64;
 
     // Output partition buffers for tall targets (column-major). Every
@@ -684,10 +654,10 @@ fn process_part(
             let slot = plan.slot(&t.node);
             if st.memo.at(slot, r0, r1).is_none() && st.remaining[slot] == 1 {
                 if let Some(chain) = plan.chains.get(&t.node.id) {
-                    let t0 = env.op_trace.map(|_| Instant::now());
+                    let t0 = st.ops.is_some().then(Instant::now);
                     let dst = Some(&mut tall_bufs[ti]);
                     run_chain(&env, st, chain, &t.node, r0, r1, dst);
-                    trace_op(&env, &t.node, t0, r0, r1, true);
+                    trace_op(&env, st, &t.node, t0, r0, r1, true);
                     consume(&env, st, &t.node, r0, r1);
                     continue;
                 }
@@ -711,18 +681,6 @@ fn process_part(
             TallState::InMem(parts) => parts.lock()[part as usize] = Some(Arc::new(buf)),
             TallState::Em(file) => pending_writes
                 .push_back(file.write_part_async(part, buf).expect("EM output submit failed")),
-        }
-    }
-
-    // Merge this partition's op timings into the pass aggregate.
-    if let (Some(agg), Some(cell)) = (shared.trace, op_cell) {
-        let mut ops = agg.ops.lock();
-        for (id, a) in cell.into_inner() {
-            let e = ops.entry(id).or_insert_with(|| OpAgg { label: a.label, ..OpAgg::default() });
-            e.chunks += a.chunks;
-            e.nanos += a.nanos;
-            e.chain_len = e.chain_len.max(a.chain_len);
-            e.saved_bytes += a.saved_bytes;
         }
     }
 
@@ -835,24 +793,25 @@ fn chain_saved_bytes(
 }
 
 /// Account one freshly produced chunk of `node` over `[r0, r1)` (or,
-/// with `into_tall`, its direct write into a tall output) to the op
-/// trace — *inclusive* of any inputs computed on the way (see
-/// [`crate::trace::OpProfile`]) — and emit its per-chunk op span. `t0`
-/// is `Some` exactly when op tracing is on.
+/// with `into_tall`, its direct write into a tall output) to the
+/// worker's op timings — *inclusive* of any inputs computed on the way
+/// (see [`crate::trace::OpProfile`]) — and emit its per-chunk op span.
+/// `t0` is `Some` exactly when the worker keeps op timings.
 fn trace_op(
     env: &PartEnv<'_>,
+    st: &mut Scratch,
     node: &Node,
     t0: Option<Instant>,
     r0: usize,
     r1: usize,
     into_tall: bool,
 ) {
-    let (Some(cell), Some(t0)) = (env.op_trace, t0) else { return };
-    let mut ops = cell.borrow_mut();
+    let (Some(ops), Some(t0)) = (st.ops.as_mut(), t0) else { return };
     let chain = env.plan.chains.get(&node.id);
-    let e = ops.entry(node.id).or_insert_with(|| OpAgg {
+    let e = ops.entry(node.id).or_insert_with(|| OpProfile {
+        node_id: node.id,
         label: chain.map_or_else(|| node.label(), |c| c.label.clone()),
-        ..OpAgg::default()
+        ..OpProfile::default()
     });
     e.chunks += 1;
     let nanos = t0.elapsed().as_nanos() as u64;
@@ -897,22 +856,22 @@ fn consume(env: &PartEnv<'_>, st: &mut Scratch, node: &Arc<Node>, r0: usize, r1:
 
 /// Depth-first, memoized evaluation of one node over a Pcache row range.
 ///
-/// When op tracing is on, the time to produce each fresh (non-memoized)
-/// chunk accrues to its node — *inclusive* of any inputs computed on the
-/// way (see [`crate::trace::OpProfile`]).
+/// While the worker keeps op timings, the time to produce each fresh
+/// (non-memoized) chunk accrues to its node — *inclusive* of any inputs
+/// computed on the way (see [`crate::trace::OpProfile`]).
 fn eval(env: &PartEnv<'_>, st: &mut Scratch, node: &Arc<Node>, r0: usize, r1: usize) -> Rc<Chunk> {
     let slot = env.plan.slot(node);
     if let Some(c) = st.memo.at(slot, r0, r1) {
         return c.clone();
     }
-    let t0 = env.op_trace.map(|_| Instant::now());
+    let t0 = st.ops.is_some().then(Instant::now);
     let chunk = eval_uncached(env, st, node, slot, r0, r1);
     *st.memo.at(slot, r0, r1) = Some(chunk.clone());
     #[cfg(debug_assertions)]
     st.tally.add(r0, r1, &chunk);
     env.stats.node_chunks.add(1);
     env.stats.node_chunk_bytes.add(chunk_bytes(&chunk) as u64);
-    trace_op(env, node, t0, r0, r1, false);
+    trace_op(env, st, node, t0, r0, r1, false);
     chunk
 }
 
@@ -1119,7 +1078,7 @@ mod tests {
             nthreads: 1,
             rows_per_part: 1 << 11,
             pcache_bytes: 1,
-            trace: TraceLevel::Op,
+            trace: TraceLevel::Pass,
             ..CtxConfig::default()
         };
         let ctx = FlashCtx::with_config(cfg, None);

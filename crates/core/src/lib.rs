@@ -55,6 +55,6 @@ pub mod trace;
 pub use analysis::{AnalysisReport, FootprintEstimate, Lint, PlanError, PlanErrorKind};
 pub use dtype::{DType, Scalar};
 pub use fm::FM;
-pub use metrics::{FlightRecorder, MetricsHub, MetricsServer};
+pub use metrics::{FlightRecorder, MetricsHub};
 pub use session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 pub use trace::{CriticalPath, PassBreakdown, PassProfile, ProfileReport, Timeline, TraceLevel};

@@ -1,5 +1,5 @@
 //! Always-on metrics: the engine's statistics rendered as Prometheus
-//! text, a scrape listener and a fault flight recorder.
+//! text, and a fault flight recorder.
 //!
 //! The engine already counts everything the paper's evaluation cares
 //! about — passes, partition claims, device bytes, cache hits, queue
@@ -7,12 +7,12 @@
 //! [`flashr_safs::IoStats`], the page cache's and the shards' counters).
 //! Those structs are the record; this module renders them:
 //!
-//! * [`MetricsHub`] — a per-context list of [`MetricSource`] collectors
-//!   that snapshot the stat structs at scrape time, so the hot paths pay
-//!   nothing beyond the relaxed atomic adds they already do.
+//! * [`MetricsHub`] — a context's three stat structs (executor, memory
+//!   governor, SAFS runtime), snapshot at render time ([`sources`]), so
+//!   the hot paths pay nothing beyond the relaxed atomic adds they
+//!   already do. [`crate::session::FlashCtx::metrics_text`] renders it;
+//!   a program that wants the exposition on disk writes that string.
 //! * [`expo`] — Prometheus text-format (0.0.4) exposition.
-//! * [`serve`] — a minimal std-only blocking HTTP listener answering
-//!   `GET /metrics`, enabled per process via `FLASHR_METRICS_ADDR`.
 //! * [`flight`] — the flight recorder: dumps the newest events of the
 //!   context's span log ([`crate::trace::timeline`]), recorded even at
 //!   `FLASHR_TRACE=off`, to a JSON file on panic or on the first device
@@ -20,15 +20,16 @@
 
 pub mod expo;
 pub mod flight;
-pub mod serve;
 pub mod sources;
 
 pub use flashr_safs::StatValue as SampleValue;
 pub use flashr_safs::{Counter, Gauge, Log2Histogram, Log2HistogramSnapshot};
 pub use flight::FlightRecorder;
-pub use serve::MetricsServer;
 
-use flashr_safs::sync::Mutex;
+use crate::session::MemGovernor;
+use crate::stats::ExecStats;
+use flashr_safs::Safs;
+use std::sync::Arc;
 
 /// A label set: static names, owned values (`shard="3"`, `op="read"`).
 pub type LabelSet = Vec<(&'static str, String)>;
@@ -59,7 +60,7 @@ fn kind_of(value: &SampleValue) -> MetricKind {
     }
 }
 
-/// One series sample a [`MetricSource`] emits at scrape time.
+/// One series sample, taken at render time.
 #[derive(Debug, Clone)]
 pub struct Sample {
     pub name: &'static str,
@@ -79,14 +80,6 @@ impl Sample {
     }
 }
 
-/// A collector that snapshots live engine state (an [`crate::stats::ExecStats`],
-/// a SAFS runtime, the memory governor) into samples at scrape time.
-/// Sources hold their own clones/`Arc`s — never the context — so the
-/// hub creates no reference cycles.
-pub trait MetricSource: Send + Sync {
-    fn collect(&self, out: &mut Vec<Sample>);
-}
-
 /// Grouped samples ready for exposition (one `# HELP`/`# TYPE` header,
 /// then every series of the family).
 pub struct FamilySamples {
@@ -96,39 +89,58 @@ pub struct FamilySamples {
     pub series: Vec<(LabelSet, SampleValue)>,
 }
 
-/// The per-context metrics renderer: scrape-time collectors over the
-/// engine's stat structs, rendered to Prometheus text by
-/// [`MetricsHub::render_text`].
-#[derive(Default)]
+/// Samples grouped into families, in order of first appearance: a
+/// sample whose name was seen before joins that family's series.
+fn families(samples: Vec<Sample>) -> Vec<FamilySamples> {
+    let mut out: Vec<FamilySamples> = Vec::new();
+    for s in samples {
+        let kind = kind_of(&s.value);
+        match out.iter_mut().find(|f| f.name == s.name) {
+            Some(f) => {
+                debug_assert_eq!(f.kind, kind, "metric {} emitted with two kinds", s.name);
+                f.series.push((s.labels, s.value));
+            }
+            None => out.push(FamilySamples {
+                name: s.name,
+                help: s.help,
+                kind,
+                series: vec![(s.labels, s.value)],
+            }),
+        }
+    }
+    out
+}
+
+/// The per-context metrics renderer over the stat structs every context
+/// has, rendered to Prometheus text by [`MetricsHub::render_text`]. It
+/// holds its own `Arc`s and handles — never the context — so it creates
+/// no reference cycle.
 pub struct MetricsHub {
-    sources: Mutex<Vec<Box<dyn MetricSource>>>,
+    exec: Arc<ExecStats>,
+    governor: MemGovernor,
+    safs: Option<Safs>,
     scrapes: Counter,
 }
 
 impl MetricsHub {
-    pub fn new() -> MetricsHub {
-        MetricsHub::default()
+    pub fn new(exec: Arc<ExecStats>, governor: MemGovernor, safs: Option<Safs>) -> MetricsHub {
+        MetricsHub { exec, governor, safs, scrapes: Counter::default() }
     }
 
-    /// Install a scrape-time collector.
-    pub fn register_source(&self, src: Box<dyn MetricSource>) {
-        self.sources.lock().push(src);
-    }
-
-    /// Times the exposition has been rendered (scrapes plus explicit
-    /// [`MetricsHub::render_text`] calls) — the hub's own meta-metric,
-    /// exported as `flashr_metrics_scrapes_total`.
+    /// Times the exposition has been rendered — the hub's own
+    /// meta-metric, exported as `flashr_metrics_scrapes_total`.
     pub fn scrapes(&self) -> u64 {
         self.scrapes.get()
     }
 
-    /// Collect every family (the sources in registration order, then
-    /// the hub's meta-metric), grouped for exposition.
+    /// Collect every family (executor, governor, SAFS runtime, then the
+    /// hub's meta-metric), grouped for exposition.
     pub fn gather(&self) -> Vec<FamilySamples> {
-        let mut out: Vec<FamilySamples> = Vec::new();
         let mut samples = Vec::new();
-        for src in self.sources.lock().iter() {
-            src.collect(&mut samples);
+        sources::exec(&self.exec, &mut samples);
+        sources::governor(&self.governor, &mut samples);
+        if let Some(safs) = &self.safs {
+            sources::safs(safs, &mut samples);
         }
         samples.push(Sample::new(
             "flashr_metrics_scrapes_total",
@@ -138,22 +150,7 @@ impl MetricsHub {
             // render in flight is already included.
             SampleValue::Counter(self.scrapes.get()),
         ));
-        for s in samples {
-            let kind = kind_of(&s.value);
-            match out.iter_mut().find(|f| f.name == s.name) {
-                Some(f) => {
-                    debug_assert_eq!(f.kind, kind, "metric {} emitted with two kinds", s.name);
-                    f.series.push((s.labels, s.value));
-                }
-                None => out.push(FamilySamples {
-                    name: s.name,
-                    help: s.help,
-                    kind,
-                    series: vec![(s.labels, s.value)],
-                }),
-            }
-        }
-        out
+        families(samples)
     }
 
     /// Render the full Prometheus text-format (0.0.4) exposition.
@@ -165,8 +162,7 @@ impl MetricsHub {
 
 impl std::fmt::Debug for MetricsHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let sources = self.sources.lock().len();
-        write!(f, "MetricsHub({sources} sources, {} scrapes)", self.scrapes.get())
+        write!(f, "MetricsHub({} scrapes)", self.scrapes.get())
     }
 }
 
@@ -176,25 +172,19 @@ mod tests {
 
     #[test]
     fn sources_merge_into_existing_families() {
-        struct Src(&'static str, u64);
-        impl MetricSource for Src {
-            fn collect(&self, out: &mut Vec<Sample>) {
-                let labels = vec![("op", self.0.into())];
-                out.push(Sample::new("z_total", "h", labels, SampleValue::Counter(self.1)));
-            }
-        }
-        let hub = MetricsHub::new();
-        hub.register_source(Box::new(Src("a", 1)));
-        hub.register_source(Box::new(Src("b", 7)));
-        let fams = hub.gather();
-        let fam = fams.iter().find(|f| f.name == "z_total").expect("family");
-        assert_eq!(fam.series.len(), 2);
-        assert_eq!(fams.iter().filter(|f| f.name == "z_total").count(), 1, "one header");
+        let z = |op: &str, v| {
+            Sample::new("z_total", "h", vec![("op", op.into())], SampleValue::Counter(v))
+        };
+        let a = Sample::new("a_bytes", "h", Vec::new(), SampleValue::Gauge(3));
+        let fams = families(vec![z("a", 1), a, z("b", 7)]);
+        let names: Vec<&str> = fams.iter().map(|f| f.name).collect();
+        assert_eq!(names, ["z_total", "a_bytes"], "one header per family, first seen first");
+        assert_eq!(fams[0].series.len(), 2);
     }
 
     #[test]
     fn scrape_counter_counts_renders() {
-        let hub = MetricsHub::new();
+        let hub = MetricsHub::new(Arc::default(), MemGovernor::new(0), None);
         assert_eq!(hub.scrapes(), 0);
         let text = hub.render_text();
         assert!(text.contains("flashr_metrics_scrapes_total 1"), "{text}");

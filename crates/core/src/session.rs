@@ -3,15 +3,12 @@
 
 use crate::mat::TasMat;
 use crate::metrics::flight;
-use crate::metrics::serve::claim_metrics_addr;
-use crate::metrics::sources::{ExecStatsSource, GovernorSource, SafsSource};
-use crate::metrics::{FlightRecorder, MetricsHub, MetricsServer};
+use crate::metrics::{FlightRecorder, MetricsHub};
 use crate::part::Partitioner;
 use crate::stats::ExecStats;
 use crate::trace::timeline::claim_trace_out;
 use crate::trace::{CriticalPath, ProfileReport, TraceLevel, Tracer};
 use flashr_safs::{CacheCfg, Safs, SafsConfig, SafsResult, SpanSink};
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -268,23 +265,12 @@ struct CtxInner {
     governor: MemGovernor,
     metrics: Arc<MetricsHub>,
     flight: Arc<FlightRecorder>,
-    /// The scrape listener, when this context claimed
-    /// `FLASHR_METRICS_ADDR`. Held for its Drop (shuts the thread down
-    /// with the last context clone).
-    metrics_server: Option<MetricsServer>,
     /// Cross-pass recycler for tall-output partition buffers.
     part_bufs: Arc<crate::chunk::PartBufPool>,
 }
 
 impl Drop for CtxInner {
     fn drop(&mut self) {
-        // Shut the scrape listener down before releasing the address
-        // claim, so the next context to start can re-bind the same
-        // `FLASHR_METRICS_ADDR` without racing the dying socket.
-        if let Some(srv) = self.metrics_server.take() {
-            drop(srv);
-            crate::metrics::serve::release_metrics_addr();
-        }
         // This context's spans end here; others on the runtime go on.
         if let Some(s) = &self.safs {
             s.remove_span_sink(&self.span_sink());
@@ -344,27 +330,9 @@ impl FlashCtx {
             _ => MemGovernor::new(0),
         };
         let stats = Arc::new(ExecStats::default());
-        let metrics = Arc::new(MetricsHub::new());
-        metrics.register_source(Box::new(ExecStatsSource(stats.clone())));
-        metrics.register_source(Box::new(GovernorSource(governor.clone())));
-        if let Some(s) = &safs {
-            metrics.register_source(Box::new(SafsSource(s.clone())));
-        }
+        let metrics = Arc::new(MetricsHub::new(stats.clone(), governor.clone(), safs.clone()));
         let flight = FlightRecorder::new(tracer.log().clone(), Some(metrics.clone()));
         flight::register_panic_dump(&flight);
-        let metrics_server = claim_metrics_addr().and_then(|addr| {
-            let hub = metrics.clone();
-            match MetricsServer::start(&addr, Arc::new(move || hub.render_text())) {
-                Ok(srv) => {
-                    eprintln!("flashr: metrics listening on http://{}/metrics", srv.addr());
-                    Some(srv)
-                }
-                Err(e) => {
-                    eprintln!("flashr: could not bind FLASHR_METRICS_ADDR={addr}: {e}");
-                    None
-                }
-            }
-        });
         let inner = Arc::new(CtxInner {
             cfg,
             safs,
@@ -373,7 +341,6 @@ impl FlashCtx {
             governor,
             metrics,
             flight,
-            metrics_server,
             part_bufs: Arc::new(crate::chunk::PartBufPool::new()),
         });
         if let Some(s) = &inner.safs {
@@ -416,8 +383,8 @@ impl FlashCtx {
         &self.inner.metrics
     }
 
-    /// The current Prometheus text-format exposition — the same document
-    /// the `FLASHR_METRICS_ADDR` scrape listener serves.
+    /// The current Prometheus text-format exposition (write it to a file
+    /// for a scraper or `scripts/check_prometheus`).
     pub fn metrics_text(&self) -> String {
         self.inner.metrics.render_text()
     }
@@ -425,12 +392,6 @@ impl FlashCtx {
     /// The fault flight recorder (shared by all clones).
     pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
         &self.inner.flight
-    }
-
-    /// Where the scrape listener is bound, when this context claimed
-    /// `FLASHR_METRICS_ADDR` and the bind succeeded.
-    pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.inner.metrics_server.as_ref().map(|s| s.addr())
     }
 
     /// Everything this context observed — engine counters, SAFS I/O

@@ -5,12 +5,12 @@
 //! take, and where did the time go — I/O or compute?" (§4.3, Fig. 10).
 //! This module makes those questions answerable from inside a process:
 //!
-//! * [`TraceLevel`] — the `FLASHR_TRACE=off|summary|pass|op` gate, read
+//! * [`TraceLevel`] — the `FLASHR_TRACE=off|pass|timeline` gate, read
 //!   once per context from the environment (or set explicitly on
 //!   [`crate::session::CtxConfig`]).
 //! * [`PassProfile`] — one record per materialization pass: engine, node
 //!   count, partitions, per-worker I/O-wait vs compute split, Pcache
-//!   chunk counts, and (at `op` level) per-node operator timings.
+//!   chunk counts and per-node operator timings.
 //! * [`ProfileReport`] — everything a context observed, serialized to
 //!   JSON with [`crate::json::Writer`].
 //! * [`timeline`] — the context's one span log: per-thread tracks of
@@ -50,14 +50,10 @@ pub enum TraceLevel {
     /// Record nothing beyond the always-on [`crate::stats::ExecStats`]
     /// counters.
     Off,
-    /// Keep aggregate counters available for [`ProfileReport`] export,
-    /// but record no per-pass profiles.
-    Summary,
     /// Record a [`PassProfile`] per materialization pass (per-worker
-    /// I/O-wait vs compute split, chunk counts).
+    /// I/O-wait vs compute split, chunk counts, per-node operator
+    /// timings).
     Pass,
-    /// Additionally record per-node operator timings inside each pass.
-    Op,
     /// Additionally collect the span [`timeline`]: per-task executor
     /// spans, SAFS I/O request lifecycles, cache waits and queue-depth
     /// counters, exportable to Chrome/Perfetto.
@@ -69,9 +65,7 @@ impl TraceLevel {
     pub fn parse(s: &str) -> Option<TraceLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "" => Some(TraceLevel::Off),
-            "summary" => Some(TraceLevel::Summary),
             "pass" => Some(TraceLevel::Pass),
-            "op" => Some(TraceLevel::Op),
             "timeline" => Some(TraceLevel::Timeline),
             _ => None,
         }
@@ -115,12 +109,12 @@ pub struct WorkerProfile {
     pub pcache_chunks: u64,
 }
 
-/// Accumulated timing for one DAG node within one pass (`op` level).
+/// Accumulated timing for one DAG node within one pass.
 ///
 /// `nanos` is *inclusive*: producing a node's chunk includes producing
 /// any not-yet-memoized inputs, so a parent's time covers its children
 /// the first time they are evaluated.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpProfile {
     pub node_id: u64,
     pub label: String,
@@ -164,7 +158,7 @@ pub struct PassProfile {
     /// context has no SAFS runtime or no cache installed).
     pub cache: CacheStatsSnapshot,
     pub workers: Vec<WorkerProfile>,
-    /// Per-node timings; empty below [`TraceLevel::Op`].
+    /// Per-node timings, by node id.
     pub ops: Vec<OpProfile>,
     /// SIMD dispatch level the pass's kernels were compiled at
     /// (`"scalar"` or `"avx2"`).
@@ -481,15 +475,13 @@ mod tests {
     fn level_parsing_and_ordering() {
         assert_eq!(TraceLevel::parse("off"), Some(TraceLevel::Off));
         assert_eq!(TraceLevel::parse("0"), Some(TraceLevel::Off));
-        assert_eq!(TraceLevel::parse("Summary"), Some(TraceLevel::Summary));
         assert_eq!(TraceLevel::parse(" pass "), Some(TraceLevel::Pass));
-        assert_eq!(TraceLevel::parse("OP"), Some(TraceLevel::Op));
-        assert_eq!(TraceLevel::parse("timeline"), Some(TraceLevel::Timeline));
+        assert_eq!(TraceLevel::parse("Timeline"), Some(TraceLevel::Timeline));
         assert_eq!(TraceLevel::parse("bogus"), None);
-        assert!(TraceLevel::Timeline > TraceLevel::Op);
-        assert!(TraceLevel::Op > TraceLevel::Pass);
-        assert!(TraceLevel::Pass > TraceLevel::Summary);
-        assert!(TraceLevel::Summary > TraceLevel::Off);
+        assert_eq!(TraceLevel::parse("summary"), None);
+        assert_eq!(TraceLevel::parse("op"), None);
+        assert!(TraceLevel::Timeline > TraceLevel::Pass);
+        assert!(TraceLevel::Pass > TraceLevel::Off);
     }
 
     #[test]
@@ -508,11 +500,11 @@ mod tests {
     #[test]
     fn tracer_gating() {
         let t = Tracer::new(TraceLevel::Pass);
-        assert!(t.enabled(TraceLevel::Summary));
+        assert!(t.enabled(TraceLevel::Off));
         assert!(t.enabled(TraceLevel::Pass));
-        assert!(!t.enabled(TraceLevel::Op));
+        assert!(!t.enabled(TraceLevel::Timeline));
         let off = Tracer::new(TraceLevel::Off);
-        assert!(!off.enabled(TraceLevel::Summary));
+        assert!(!off.enabled(TraceLevel::Pass));
     }
 
     #[test]
@@ -546,7 +538,7 @@ mod tests {
 
     #[test]
     fn report_json_is_wellformed() {
-        let t = Tracer::new(TraceLevel::Op);
+        let t = Tracer::new(TraceLevel::Pass);
         t.record_pass(PassProfile {
             pass_id: 1,
             engine: "fused",

@@ -9,7 +9,7 @@
 //! * below [`TraceLevel::Timeline`] it is the flight recorder's memory:
 //!   the last [`RECENT_EVENTS_PER_LANE`] events per thread — one `pass`
 //!   interval per pass, one `task` interval per partition, the
-//!   `eager-step`/`optimize` markers and every SAFS span — in
+//!   `eager-step` markers and every SAFS span — in
 //!   pre-allocated buffers, so steady-state recording does not allocate;
 //! * at [`TraceLevel::Timeline`] every claimed I/O partition is a `task`
 //!   Begin/End pair on its worker's track with nested `io-wait` /
@@ -540,7 +540,7 @@ mod tests {
 
     #[test]
     fn summary_level_keeps_intervals_not_pairs() {
-        let tl = Timeline::for_level(TraceLevel::Op);
+        let tl = Timeline::for_level(TraceLevel::Pass);
         assert_eq!(tl.budget(), RECENT_EVENTS_PER_LANE);
         let lane = tl.named_lane("w0");
         let t0 = lane.open("exec", "task", [("part", 3), ("", 0)]);

@@ -251,7 +251,7 @@ fn lazy_second_operand_fuses_into_its_consumer() {
     let want = Mat::from_row_major(300, 2, data.clone());
     let want = want.unary(UnaryOp::Sqrt).binary(BinaryOp::Add, &want.unary(UnaryOp::Square), false);
     for mode in [ExecMode::Eager, ExecMode::MemFuse, ExecMode::CacheFuse] {
-        let ctx = ctx(mode, 2).with_trace(TraceLevel::Op);
+        let ctx = ctx(mode, 2).with_trace(TraceLevel::Pass);
         let x = FM::from_row_major(&ctx, 300, 2, &data);
         let total = (&x.sqrt() + &x.square()).sum().value(&ctx);
         assert_close(total, want.agg_all(AggOp::Sum), 600, want.abs_sum(), &format!("{mode:?}"));

@@ -1,9 +1,8 @@
 //! Integration tests for the always-on metrics layer: engine counters
 //! surfacing in the Prometheus exposition after a materialization, the
 //! exposition's family list, allocation-free hot-path recording (checked
-//! with a counting global allocator), the HTTP scrape listener
-//! end-to-end, and a forced flight recorder dump carrying exec spans
-//! plus a metrics snapshot.
+//! with a counting global allocator), and a forced flight recorder dump
+//! carrying exec spans plus a metrics snapshot.
 //!
 //! The panic-triggered dump lives in its own binary
 //! (`tests/flight_recorder.rs`): the panic hook dumps every live
@@ -12,7 +11,6 @@
 
 use flashr_core::fm::FM;
 use flashr_core::json;
-use flashr_core::metrics::serve::{MetricsServer, RenderFn};
 use flashr_core::ops::BinaryOp;
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_core::trace::timeline::RECENT_EVENTS_PER_LANE;
@@ -20,9 +18,6 @@ use flashr_core::trace::{Timeline, TraceLevel};
 use flashr_safs::{CacheCfg, Safs, SafsConfig, NO_ARGS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
 
 /// System allocator wrapped with a per-thread allocation counter, so a
 /// test can assert that a code region allocates nothing on its thread
@@ -173,26 +168,6 @@ fn hot_path_recording_does_not_allocate() {
     let after = allocs_on_this_thread();
     assert_eq!(after - before, 0, "hot-path recording must not allocate");
     assert_eq!(lane.len(), RECENT_EVENTS_PER_LANE, "full, evicting its oldest");
-}
-
-#[test]
-fn scrape_listener_serves_the_context_exposition() {
-    let ctx = small_ctx();
-    run_once(&ctx);
-    // Bind directly (not via FLASHR_METRICS_ADDR) so parallel tests in
-    // this binary don't race over the env-claimed address.
-    let hub = ctx.metrics().clone();
-    let render: RenderFn = Arc::new(move || hub.render_text());
-    let srv = MetricsServer::start("127.0.0.1:0", render).expect("bind scrape listener");
-    let mut s = TcpStream::connect(srv.addr()).expect("connect");
-    write!(s, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).unwrap();
-    assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
-    assert!(resp.contains("text/plain; version=0.0.4"), "{resp}");
-    assert!(resp.contains("# TYPE flashr_exec_passes_total counter"), "{resp}");
-    assert!(resp.contains("flashr_exec_passes_total 1\n"), "{resp}");
-    assert!(resp.contains("flashr_metrics_scrapes_total"), "{resp}");
 }
 
 #[test]

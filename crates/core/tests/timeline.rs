@@ -13,13 +13,7 @@ use flashr_core::trace::{json_escape, json_f64, EventKind, Timeline, TraceLevel}
 use flashr_safs::{CacheCfg, SafsConfig};
 
 fn ctx_with(mode: ExecMode, trace: TraceLevel) -> FlashCtx {
-    let cfg = CtxConfig {
-        nthreads: 2,
-        mode,
-        rows_per_part: 64,
-        trace,
-        ..CtxConfig::default()
-    };
+    let cfg = CtxConfig { nthreads: 2, mode, rows_per_part: 64, trace, ..CtxConfig::default() };
     FlashCtx::with_config(cfg, None)
 }
 
@@ -53,7 +47,7 @@ fn off_level_records_zero_events() {
 
 #[test]
 fn pass_levels_below_timeline_allocate_no_timeline() {
-    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Op);
+    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Pass);
     four_op_sum(&ctx);
     assert!(ctx.tracer().timeline().is_none());
     // But pass profiles alone still yield an aggregate breakdown.
@@ -149,7 +143,7 @@ fn count(ctx: &FlashCtx, name: &str, kind: EventKind, lane: &str) -> usize {
 fn no_level_records_a_span_twice() {
     use EventKind::{Begin, Complete, End};
     // 1000 rows in 64-row partitions: 16 tasks per pass; two passes.
-    for level in [TraceLevel::Off, TraceLevel::Op] {
+    for level in [TraceLevel::Off, TraceLevel::Pass] {
         let ctx = ctx_with(ExecMode::CacheFuse, level);
         four_op_sum(&ctx);
         four_op_sum(&ctx);

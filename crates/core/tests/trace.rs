@@ -5,7 +5,7 @@
 use flashr_core::fm::FM;
 use flashr_core::ops::{BinaryOp, UnaryOp};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
-use flashr_core::trace::TraceLevel;
+use flashr_core::trace::{TraceLevel, WorkerProfile};
 use flashr_safs::SafsConfig;
 
 fn ctx_with(mode: ExecMode, trace: TraceLevel) -> FlashCtx {
@@ -72,14 +72,7 @@ fn trace_off_records_nothing() {
 }
 
 #[test]
-fn trace_summary_records_no_passes() {
-    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Summary);
-    four_op_sum(&ctx);
-    assert!(ctx.tracer().passes().is_empty());
-}
-
-#[test]
-fn trace_pass_records_profiles_without_ops() {
+fn trace_pass_records_profiles_with_ops() {
     let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Pass);
     four_op_sum(&ctx);
     let passes = ctx.tracer().passes();
@@ -96,8 +89,8 @@ fn trace_pass_records_profiles_without_ops() {
     assert_eq!(p.workers.iter().map(|w| w.parts).sum::<u64>(), 16);
     assert_eq!(p.pcache_chunks(), 16); // 4 f64 cols * 64 rows fits one chunk
     assert!(p.wall_nanos > 0);
-    // Op timings require TraceLevel::Op.
-    assert!(p.ops.is_empty());
+    // Per-node op timings ride along at `pass`: gen and the fused chain.
+    assert_eq!(p.ops.len(), 2, "ops: {:?}", p.ops);
 }
 
 #[test]
@@ -105,7 +98,7 @@ fn trace_op_records_per_node_timings() {
     // Chain fusion compiles scale -> shift -> sqrt into one kernel, so
     // the per-node trace shows gen + a single chain root standing in for
     // all three maps.
-    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Op);
+    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Pass);
     four_op_sum(&ctx);
     let passes = ctx.tracer().passes();
     assert_eq!(passes.len(), 1);
@@ -128,7 +121,7 @@ fn trace_op_unfused_shows_every_node() {
     // Give every map a second consumer (its own sum) and nothing fuses:
     // each node is its own one-op kernel and the trace shows each under
     // its node's label, none of them a chain.
-    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Op);
+    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Pass);
     let x = FM::runif(&ctx, 1000, 4, 0.0, 1.0, 7);
     let scale = x.binary_scalar(BinaryOp::Mul, 2.0, false);
     let shift = scale.binary_scalar(BinaryOp::Add, 1.0, false);
@@ -209,6 +202,48 @@ fn em_pass_profile_shows_io_and_compute() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One measurement: each worker's phase timings feed both the always-on
+/// `ExecStats` counters and its profile, so a pass's profile sums to
+/// exactly the counters' movement over it.
+#[test]
+fn pass_profile_workers_sum_to_the_exec_stats_delta() {
+    let dir = std::env::temp_dir().join(format!("flashr-trace-one-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
+    let cfg = CtxConfig {
+        nthreads: 2,
+        rows_per_part: 64,
+        storage: StorageClass::Em,
+        max_pending_writes: 1,
+        trace: TraceLevel::Pass,
+        ..CtxConfig::default()
+    };
+    let ctx = FlashCtx::with_config(cfg, Some(safs));
+    let x = FM::runif(&ctx, 2000, 4, 0.0, 1.0, 11).materialize(&ctx);
+
+    // One pass reads the EM leaf and writes an EM output beside a sink.
+    let y = x.binary_scalar(BinaryOp::Mul, 2.0, false).unary(UnaryOp::Sqrt);
+    let before = ctx.stats().snapshot();
+    FM::materialize_multi(&ctx, &[&y, &y.sum()]);
+    let d = before.delta(&ctx.stats().snapshot());
+
+    let passes = ctx.tracer().passes();
+    let p = passes.last().expect("the pass was profiled");
+    assert_eq!((d.passes, p.nparts, p.workers.len()), (1, 32, 2));
+    let sum = |f: fn(&WorkerProfile) -> u64| p.workers.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|w| w.parts), d.parts);
+    assert_eq!(sum(|w| w.pcache_chunks), d.pcache_chunks);
+    assert_eq!(sum(|w| w.io_wait_nanos), d.io_wait_nanos);
+    assert_eq!(sum(|w| w.compute_nanos), d.compute_nanos);
+    assert_eq!(sum(|w| w.write_stall_nanos), d.write_stall_nanos);
+    assert!(!p.ops.is_empty());
+    for op in &p.ops {
+        assert!(op.chunks > 0, "{op:?}");
+    }
+    drop(ctx);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn explain_renders_the_pending_dag() {
     let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Off);
@@ -268,7 +303,7 @@ fn explain_dot_is_valid_dot() {
 
 #[test]
 fn profile_report_json_parses() {
-    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Op);
+    let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Pass);
     four_op_sum(&ctx);
     let json = ctx.profile_report().to_json();
     if let Err(e) = flashr_core::json::parse(&json) {

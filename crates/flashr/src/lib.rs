@@ -49,9 +49,11 @@ pub mod prelude {
     pub use flashr_core::analysis::{AnalysisReport, Lint, PlanError, PlanErrorKind};
     pub use flashr_core::block::BlockMat;
     pub use flashr_core::fm::FM;
-    pub use flashr_core::metrics::{FlightRecorder, MetricsHub, MetricsServer};
+    pub use flashr_core::metrics::{FlightRecorder, MetricsHub};
     pub use flashr_core::ops::{AggOp, BinaryOp, UnaryOp};
-    pub use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, MemBudget, MemGovernor, StorageClass};
+    pub use flashr_core::session::{
+        CtxConfig, ExecMode, FlashCtx, MemBudget, MemGovernor, StorageClass,
+    };
     pub use flashr_core::stats::ExecStatsSnapshot;
     pub use flashr_core::trace::{
         CriticalPath, PassBreakdown, PassProfile, ProfileReport, Timeline, TraceLevel,
@@ -93,6 +95,6 @@ mod tests {
             .flat_map(|l| l.split('|').nth(1))
             .collect();
         assert_eq!(read, flashr_vars(&rows), "left: named in the sources, right: README rows");
-        assert_eq!(read.len(), 10);
+        assert_eq!(read.len(), 9);
     }
 }

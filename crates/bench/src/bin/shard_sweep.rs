@@ -1,5 +1,6 @@
 //! Shard-sweep microbenchmark: aggregate EM scan throughput as the SAFS
-//! array grows from 1 to 4 simulated devices, for both storage backends.
+//! array grows from 1 to 4 simulated devices, with and without the
+//! per-device throttle.
 //!
 //! Each cell of the sweep opens a fresh striped runtime (`striped_under`,
 //! N shards), materializes a tall uniform matrix onto it, then times two
@@ -7,15 +8,15 @@
 //! queue. With the SATA-class throttle each simulated shard caps at the
 //! same per-device bandwidth, so aggregate read throughput must rise
 //! monotonically with the shard count (the paper's Figure 6 shape); the
-//! unthrottled direct backend rows show the raw thread-pool ceiling for
-//! comparison and carry no monotonic expectation.
+//! unthrottled rows show the raw thread-pool ceiling for comparison and
+//! carry no monotonic expectation.
 //!
 //! Artifacts: `BENCH_shard_sweep.json` (a `"sweep"` section with one row
 //! per cell, including per-shard request/byte/queue-depth deltas so CI
 //! can assert the stripe stays balanced), `flashr-results-shard_sweep.json`,
 //! `flashr-metrics.prom` (per-shard series from the final 4-shard cell),
-//! and a Chrome trace with one `safs-sim-s<shard>t<n>` lane group per
-//! shard when `FLASHR_TRACE_OUT` is set.
+//! and a Chrome trace of the throttled cells with one `safs-s<shard>t<n>`
+//! lane group per shard when `FLASHR_TRACE_OUT` is set.
 //!
 //! ```sh
 //! cargo run --release -p flashr-bench --bin shard_sweep
@@ -23,7 +24,7 @@
 //! ```
 
 use flashr::prelude::*;
-use flashr::safs::{BackendKind, ShardStatsSnapshot};
+use flashr::safs::ShardStatsSnapshot;
 use flashr_bench::{
     bench_artifact_json_sections, bench_trace_level, host_section_json, io_summary_line,
     maybe_dump_flight, maybe_export_trace, print_critical_path, save_bench_artifact,
@@ -36,7 +37,7 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const SCANS: u64 = 2;
 
 struct Cell {
-    backend: BackendKind,
+    throttled: bool,
     shards: usize,
     secs: f64,
     read_gbps: f64,
@@ -44,17 +45,27 @@ struct Cell {
     per_shard: Vec<ShardStatsSnapshot>,
 }
 
+/// Row label of a cell's throttle setting.
+fn label(throttled: bool) -> &'static str {
+    if throttled {
+        "throttled"
+    } else {
+        "unthrottled"
+    }
+}
+
 fn run_cell(
-    backend: BackendKind,
+    throttled: bool,
     shards: usize,
     rows: u64,
     cols: u64,
     level: TraceLevel,
 ) -> (Cell, FlashCtx) {
-    let tag = format!("shard-sweep-{}-{}", backend.as_str(), shards);
-    let cfg = SafsConfig::striped_under(scratch_dir(&tag), shards)
-        .with_throttle(ThrottleCfg::sata_ssd())
-        .with_backend(backend);
+    let tag = format!("shard-sweep-{}-{}", label(throttled), shards);
+    let cfg = SafsConfig {
+        throttle: throttled.then(ThrottleCfg::sata_ssd),
+        ..SafsConfig::striped_under(scratch_dir(&tag), shards)
+    };
     let safs = Safs::open(cfg).expect("open striped SAFS");
     let ctx = FlashCtx::with_config(
         CtxConfig {
@@ -80,7 +91,7 @@ fn run_cell(
 
     let secs = wall.as_secs_f64();
     let cell = Cell {
-        backend,
+        throttled,
         shards,
         secs,
         read_gbps: io.read_bytes as f64 / secs / 1e9,
@@ -89,16 +100,15 @@ fn run_cell(
     };
     // What the throttled array is configured to deliver: the fraction
     // says how much of it a scan through the executor reaches.
-    let device = match backend {
-        BackendKind::Sim => {
-            let configured = shards as f64 * ThrottleCfg::sata_ssd().bytes_per_sec;
-            format!("{:.2} of device   ", cell.read_gbps * 1e9 / configured)
-        }
-        BackendKind::Direct => String::new(),
+    let device = if throttled {
+        let configured = shards as f64 * ThrottleCfg::sata_ssd().bytes_per_sec;
+        format!("{:.2} of device   ", cell.read_gbps * 1e9 / configured)
+    } else {
+        String::new()
     };
     println!(
-        "  {:6} x{}  {:>7.3}s  {:>7.2} GB/s read   {device}{}",
-        backend.as_str(),
+        "  {:11} x{}  {:>7.3}s  {:>7.2} GB/s read   {device}{}",
+        label(throttled),
         shards,
         secs,
         cell.read_gbps,
@@ -126,10 +136,10 @@ fn sweep_section(cells: &[Cell]) -> String {
             c.per_shard.iter().map(|s| f(s).to_string()).collect::<Vec<_>>().join(",")
         };
         out.push_str(&format!(
-            "{{\"backend\":\"{}\",\"shards\":{},\"seconds\":{:.6},\"read_gbps\":{:.4},\
+            "{{\"throttled\":{},\"shards\":{},\"seconds\":{:.6},\"read_gbps\":{:.4},\
              \"read_bytes\":{},\"per_shard_read_reqs\":[{}],\"per_shard_read_bytes\":[{}],\
              \"per_shard_max_queue_depth\":[{}],\"per_shard_retries\":[{}]}}",
-            c.backend.as_str(),
+            c.throttled,
             c.shards,
             c.secs,
             c.read_gbps,
@@ -149,9 +159,9 @@ fn main() {
     // override must not rewrite the striped layouts under us.
     std::env::remove_var("FLASHR_SAFS_SHARDS");
     // Park the trace path: the first traced context to *drop* claims it,
-    // and that would be a throwaway direct cell, not the merged sim
-    // export. Trace level is resolved before parking so the request still
-    // raises the cells to timeline spans.
+    // and that would be a throwaway unthrottled cell, not the merged
+    // throttled export. Trace level is resolved before parking so the
+    // request still raises the cells to timeline spans.
     let level = bench_trace_level();
     let trace_out = std::env::var("FLASHR_TRACE_OUT").ok();
     std::env::remove_var("FLASHR_TRACE_OUT");
@@ -168,29 +178,29 @@ fn main() {
     let mut report = Report::new();
     let mut cells: Vec<Cell> = Vec::new();
     let mut stages: Vec<BenchStage> = Vec::new();
-    // Sim (throttled) cells run last, so the final context — the one
-    // whose exposition is saved below — is the 4-shard sim cell.
+    // Throttled cells run last, so the final context — the one whose
+    // exposition is saved below — is the 4-shard throttled cell.
     let mut kept: Vec<(String, FlashCtx)> = Vec::new();
-    for backend in [BackendKind::Direct, BackendKind::Sim] {
+    for throttled in [false, true] {
         for shards in SHARD_COUNTS {
-            let (cell, ctx) = run_cell(backend, shards, rows, cols, level);
-            let label = format!("{}-x{}", backend.as_str(), shards);
+            let (cell, ctx) = run_cell(throttled, shards, rows, cols, level);
+            let lane = format!("{}-x{}", label(throttled), shards);
             stages.push(BenchStage::new(
-                &format!("scan-{label}"),
+                &format!("scan-{lane}"),
                 std::time::Duration::from_secs_f64(cell.secs),
                 scan_bytes as f64 / cell.secs / (1u64 << 30) as f64,
             ));
             report.push_extra(
                 "shard-sweep",
-                &format!("em-scan-{}", backend.as_str()),
+                &format!("em-scan-{}", label(throttled)),
                 &format!("shards={shards}"),
                 &format!("rows={rows} cols={cols} scans={SCANS}"),
                 cell.secs,
                 cell.read_gbps,
             );
             cells.push(cell);
-            if backend == BackendKind::Sim {
-                kept.push((label, ctx));
+            if throttled {
+                kept.push((lane, ctx));
             }
         }
     }
@@ -198,8 +208,8 @@ fn main() {
     // The acceptance shape: with per-device throttling, more shards must
     // mean more aggregate bandwidth. Printed here; gated in CI by
     // `scripts/check_shard_sweep` against the JSON artifact.
-    let sim: Vec<&Cell> = cells.iter().filter(|c| c.backend == BackendKind::Sim).collect();
-    for w in sim.windows(2) {
+    let throttled: Vec<&Cell> = cells.iter().filter(|c| c.throttled).collect();
+    for w in throttled.windows(2) {
         let (a, b) = (w[0], w[1]);
         let ok = b.read_gbps > a.read_gbps;
         println!(
@@ -212,7 +222,7 @@ fn main() {
         );
     }
 
-    let last = &kept.last().expect("sim cells kept").1;
+    let last = &kept.last().expect("throttled cells kept").1;
     print_critical_path("shard_sweep", &last.profile_report());
     let sections = [("sweep", sweep_section(&cells)), ("host", host_section_json(last))];
     save_bench_artifact(
@@ -222,7 +232,7 @@ fn main() {
     report.print_raw();
     report.save_json("shard_sweep");
 
-    // Per-shard series (`flashr_io_shard_*`) from the 4-shard sim cell.
+    // Per-shard series (`flashr_io_shard_*`) from the 4-shard throttled cell.
     save_metrics_text(last);
     if let Some(path) = &trace_out {
         std::env::set_var("FLASHR_TRACE_OUT", path);

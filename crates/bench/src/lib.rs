@@ -240,7 +240,7 @@ pub fn bench_artifact_json_sections(
 /// `scripts/bench_check` when a gate fails). Delegates to the core's
 /// [`obs::host_json`](flashr::core::obs::host_json), so `perf_probe`,
 /// `ablate` and `shard_sweep` stamp the same facts (cpus, workers,
-/// page-cache capacity, build profile, SIMD level, storage backend,
+/// page-cache capacity, build profile, SIMD level, device throttle,
 /// shard count).
 pub fn host_section_json(ctx: &FlashCtx) -> String {
     flashr::core::obs::host_json(ctx)

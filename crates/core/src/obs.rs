@@ -54,8 +54,11 @@ fn node_fingerprint(node: &Arc<Node>, memo: &mut HashMap<u64, u64>) -> u64 {
 /// `flashr_bench::host_section_json`): what matches artifacts across runs.
 pub fn host_json(ctx: &FlashCtx) -> String {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0);
-    let (backend, shards, cache) = match ctx.safs() {
-        Some(s) => (s.backend_kind().as_str(), s.nshards(), s.page_cache_capacity()),
+    let (device, shards, cache) = match ctx.safs() {
+        Some(s) => {
+            let device = if s.throttle().is_some() { "throttled" } else { "unthrottled" };
+            (device, s.nshards(), s.page_cache_capacity())
+        }
         None => ("none", 0, 0),
     };
     json::object(|w| {
@@ -64,7 +67,7 @@ pub fn host_json(ctx: &FlashCtx) -> String {
         w.key("page_cache_capacity_bytes").u64(cache);
         w.key("build_profile").str(if cfg!(debug_assertions) { "debug" } else { "release" });
         w.key("simd").str(flashr_linalg::SimdLevel::active().name());
-        w.key("backend").str(backend);
+        w.key("backend").str(device);
         w.key("shards").u64(shards as u64);
     })
 }

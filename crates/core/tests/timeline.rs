@@ -226,13 +226,12 @@ fn derived_contexts_share_the_runtimes_spans() {
 fn em_run_emits_spans_across_categories() {
     let dir = std::env::temp_dir().join(format!("flashr-timeline-em-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // Explicit disks + backend pin the lane names below against the CI
-    // `FLASHR_SAFS_SHARDS` / `FLASHR_BACKEND` overrides.
+    // Explicit disks pin the lane names below against the CI
+    // `FLASHR_SAFS_SHARDS` override.
     let cfg = SafsConfig {
         disks: (0..2).map(|d| dir.join(format!("disk{d}"))).collect(),
         ..SafsConfig::single_dir(&dir)
-    }
-    .with_backend(flashr_safs::BackendKind::Sim);
+    };
     let safs = flashr_safs::Safs::open(cfg).unwrap();
     // A page cache so reads take the cached path (hit/miss instants).
     safs.set_page_cache(Some(CacheCfg::with_capacity(8 << 20)));
@@ -258,9 +257,9 @@ fn em_run_emits_spans_across_categories() {
     assert!(has("io"), "SAFS I/O spans recorded");
     assert!(has("cache"), "page-cache spans recorded");
     // The I/O threads surface as their own named lanes, one group per
-    // storage shard (`safs-<backend flavor>-s<shard>t<thread>`).
-    assert!(lanes.iter().any(|l| l.name.starts_with("safs-sim-s0")), "shard 0 io lanes");
-    assert!(lanes.iter().any(|l| l.name.starts_with("safs-sim-s1")), "shard 1 io lanes");
+    // storage shard (`safs-s<shard>t<thread>`).
+    assert!(lanes.iter().any(|l| l.name.starts_with("safs-s0t")), "shard 0 io lanes");
+    assert!(lanes.iter().any(|l| l.name.starts_with("safs-s1t")), "shard 1 io lanes");
 
     // Per-pass critical-path rows ride in the profile report.
     let report = ctx.profile_report();

@@ -1,5 +1,4 @@
-//! Asynchronous request and completion types shared by every storage
-//! backend.
+//! Asynchronous request and completion types of the SAFS I/O engine.
 //!
 //! Compute threads submit partition-granular requests and continue
 //! working; completion is observed through an [`IoTicket`]. This is what
@@ -14,7 +13,7 @@ use std::fs::File;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
-/// What a backend worker is asked to do with the byte range.
+/// What a shard worker is asked to do with the byte range.
 pub(crate) enum IoOp {
     /// Fill `buf` from the file (buf comes pre-sized to the read length).
     Read { buf: IoBuf },
@@ -22,13 +21,9 @@ pub(crate) enum IoOp {
     Write { buf: IoBuf },
 }
 
-/// One queued request against a strip file.
-///
-/// Public only so it can appear in [`StorageBackend::submit`]
-/// (crate::StorageBackend::submit) signatures; the fields (and therefore
-/// construction) are crate-private — requests are minted by
+/// One queued request against a strip file, minted by
 /// [`SafsFile`](crate::SafsFile) operations.
-pub struct IoReq {
+pub(crate) struct IoReq {
     pub(crate) file: Arc<File>,
     pub(crate) offset: u64,
     pub(crate) op: IoOp,

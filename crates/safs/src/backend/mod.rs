@@ -1,28 +1,16 @@
-//! Pluggable storage backends and the sharded I/O layout.
+//! The SAFS I/O engine and the sharded layout.
 //!
 //! SAFS proper drives an SSD *array*: every device owns its own request
 //! queue, its own I/O threads and its own statistics, and file data is
 //! striped across all of them (Zheng et al., SC'13 §3). This module is
-//! that architecture made explicit:
-//!
-//! * [`StorageBackend`] — the contract the runtime programs against:
-//!   asynchronous submit/complete of partition-granular requests,
-//!   addressed by *shard* (one SAFS root directory = one emulated
-//!   device), a completion barrier ([`StorageBackend::flush`]) and
-//!   per-shard statistics.
-//! * [`SimBackend`] — the original simulated aio-thread engine
-//!   (refactored out of `aio.rs`): per-shard worker threads with the
-//!   per-shard bandwidth [`Throttle`](crate::throttle) emulation that
-//!   makes the paper's scaling figures deterministic on any host.
-//! * [`DirectBackend`] — a thread-pool backend for real files: the same
-//!   per-shard queues and workers, but positional reads/writes run at
-//!   host-device speed with no throttle in the path. (`O_DIRECT`-style:
-//!   the request shapes are partition-granular and positional, but the
-//!   open flag itself is not set — the crate has no libc dependency and
-//!   [`IoBuf`](crate::IoBuf) makes no alignment guarantee.)
-//!
-//! Selection is per-runtime via [`SafsConfig::backend`](crate::SafsConfig)
-//! or the `FLASHR_BACKEND` environment variable (`sim` | `direct`).
+//! that engine: one `ShardSet` per runtime, one request queue and
+//! `io_threads_per_disk` worker threads per shard (one SAFS root
+//! directory = one emulated device), doing positional reads and writes
+//! through the kernel page cache. When
+//! [`SafsConfig::throttle`](crate::SafsConfig::throttle) is set, each
+//! shard also gets its own `Throttle` pacing completions to the
+//! configured per-device bandwidth, so striping over N shards scales
+//! emulated bandwidth by N on any host.
 //!
 //! Every shard keeps its own [`ShardStats`] — request/byte counters, a
 //! [`LatencyHisto`](crate::LatencyHisto) and queue-depth gauges — on top of the aggregate
@@ -34,58 +22,14 @@
 //! an `io-retry` span, and only the *final* failure surfaces as the
 //! `io-error` span that triggers the flight-recorder dump.
 
-mod direct;
-mod sim;
 mod worker;
 
-pub use direct::DirectBackend;
-pub use sim::SimBackend;
-pub(crate) use worker::WorkerEnv;
+pub(crate) use worker::ShardSet;
 
-use crate::aio::IoReq;
-use crate::config::SafsConfig;
-use crate::error::SafsResult;
 use std::io;
 use std::time::Duration;
 
-/// Which storage backend a runtime drives its shards with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// Simulated aio-thread engine with per-shard bandwidth throttling
-    /// (the default; deterministic device emulation for benchmarks).
-    #[default]
-    Sim,
-    /// Thread-pool backend doing positional I/O against real files at
-    /// host speed (no throttle emulation).
-    Direct,
-}
-
-impl BackendKind {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BackendKind::Sim => "sim",
-            BackendKind::Direct => "direct",
-        }
-    }
-
-    /// Parse a backend name (case-insensitive). `aio` is accepted as an
-    /// alias for `sim`, `odirect`/`o_direct` for `direct`.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "sim" | "aio" | "throttled" => Some(BackendKind::Sim),
-            "direct" | "odirect" | "o_direct" => Some(BackendKind::Direct),
-            _ => None,
-        }
-    }
-
-    /// The backend selected by `FLASHR_BACKEND`, or the default (`Sim`)
-    /// when the variable is unset or unparseable.
-    pub fn from_env() -> BackendKind {
-        std::env::var("FLASHR_BACKEND").ok().and_then(|s| BackendKind::parse(&s)).unwrap_or_default()
-    }
-}
-
-/// Bounded retry policy for transient backend I/O errors.
+/// Bounded retry policy for transient device I/O errors.
 ///
 /// A worker re-attempts a failed read/write while the error is
 /// transient (interrupted / would-block / timed-out) and attempts
@@ -221,58 +165,10 @@ pub(crate) fn shard_depth_counter(shard: usize) -> &'static str {
     NAMES.get(shard).copied().unwrap_or("io-queue-depth-s8plus")
 }
 
-/// The contract a storage backend fulfils for the runtime. One backend
-/// instance serves one [`Safs`](crate::Safs); requests are addressed by
-/// shard index (the striping layer's disk index).
-pub trait StorageBackend: Send + Sync {
-    /// Which implementation this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Number of shards (== configured root directories).
-    fn nshards(&self) -> usize;
-
-    /// Enqueue a request on `shard`. Completion is delivered through the
-    /// request's `done` channel; the caller observes it via
-    /// [`IoTicket`](crate::IoTicket).
-    fn submit(&self, shard: usize, req: IoReq);
-
-    /// Completion barrier: block until every request submitted before
-    /// this call has completed on every shard.
-    fn flush(&self);
-
-    /// Per-shard counters, in shard order.
-    fn shard_stats(&self) -> Vec<ShardStatsSnapshot>;
-
-    /// Close the queues and join the worker threads. Called exactly once
-    /// when the runtime drops; submitting after shutdown panics.
-    fn shutdown(&self);
-}
-
-/// Construct the backend selected by `cfg.backend`.
-pub(crate) fn open_backend(
-    cfg: &SafsConfig,
-    env: WorkerEnv,
-) -> SafsResult<Box<dyn StorageBackend>> {
-    Ok(match cfg.backend {
-        BackendKind::Sim => Box::new(SimBackend::open(cfg, env)?),
-        BackendKind::Direct => Box::new(DirectBackend::open(cfg, env)?),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-
-    #[test]
-    fn backend_kind_parsing() {
-        assert_eq!(BackendKind::parse("sim"), Some(BackendKind::Sim));
-        assert_eq!(BackendKind::parse("AIO"), Some(BackendKind::Sim));
-        assert_eq!(BackendKind::parse("direct"), Some(BackendKind::Direct));
-        assert_eq!(BackendKind::parse(" ODirect "), Some(BackendKind::Direct));
-        assert_eq!(BackendKind::parse("io_uring"), None);
-        assert_eq!(BackendKind::default(), BackendKind::Sim);
-    }
 
     #[test]
     fn retry_recovers_from_transient_errors() {
@@ -281,7 +177,10 @@ mod tests {
         let r = with_retries(
             RetryCfg { max_attempts: 3, base_backoff_us: 1 },
             || {
-                if fails.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1)).is_ok() {
+                if fails
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                    .is_ok()
+                {
                     Err(io::Error::new(io::ErrorKind::Interrupted, "flaky"))
                 } else {
                     Ok(42)

@@ -1,7 +1,5 @@
-//! The shard engine both backends delegate to: per-shard request queues
-//! drained by dedicated worker threads (the aio-thread design of SAFS,
-//! refactored out of the old `aio.rs` so the throttled and raw-speed
-//! backends share one request lifecycle).
+//! The shard engine: per-shard request queues drained by dedicated
+//! worker threads (the aio-thread design of SAFS).
 //!
 //! A request's life on a worker:
 //!
@@ -9,10 +7,10 @@
 //! 2. the positional read/write, retried under [`RetryCfg`] while the
 //!    error stays transient (each retry emits an `io-retry` span and
 //!    bumps the shard's and the aggregate retry counters),
-//! 3. optional throttle charge (Sim backend only): the emulated service
-//!    window opens at the dequeue of step 1 or when the device falls
-//!    free, whichever is later, so step 2's host time counts as part of
-//!    the window, not on top of it,
+//! 3. the throttle charge, when the shard has a throttle: the emulated
+//!    service window opens at the dequeue of step 1 or when the device
+//!    falls free, whichever is later, so step 2's host time counts as
+//!    part of the window, not on top of it,
 //! 4. stats recording — aggregate [`IoStats`] *and* the shard's
 //!    [`ShardStats`] — plus the `read`/`write`/`io-error` device span
 //!    and per-shard queue-depth counter samples,
@@ -33,16 +31,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Runtime-owned state every worker shares, handed to the backend at
-/// open time.
-pub(crate) struct WorkerEnv {
-    pub(crate) stats: Arc<IoStats>,
-    pub(crate) span_sink: Arc<SpanSinkCell>,
-    /// Injected transient read faults remaining (testing hook; see
-    /// [`Safs::inject_read_faults`](crate::Safs::inject_read_faults)).
-    pub(crate) faults: Arc<AtomicU64>,
-}
-
 /// Per-worker context cloned into each spawned thread.
 struct WorkerCtx {
     shard: usize,
@@ -54,7 +42,7 @@ struct WorkerCtx {
     faults: Arc<AtomicU64>,
 }
 
-/// Queues, workers and stats for every shard of one backend instance.
+/// Queues, workers and stats for every shard of one runtime.
 pub(crate) struct ShardSet {
     /// Cleared on shutdown so workers observe disconnection.
     queues: Mutex<Vec<Sender<IoReq>>>,
@@ -65,16 +53,17 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
-    /// Spawn `cfg.io_threads_per_disk` workers per shard. `throttled`
-    /// selects whether each shard gets its own bandwidth pacer from
-    /// `cfg.throttle`; `flavor` lands in the thread names
-    /// (`safs-<flavor>-s<shard>t<n>`), which become per-shard lanes in
-    /// the timeline and flight recorder.
+    /// Spawn `cfg.io_threads_per_disk` workers per shard, each shard
+    /// with its own bandwidth pacer when `cfg.throttle` is set. The
+    /// thread names (`safs-s<shard>t<n>`) become per-shard lanes in the
+    /// timeline and flight recorder. `faults` is the runtime's
+    /// injected-fault budget (see
+    /// [`Safs::inject_read_faults`](crate::Safs::inject_read_faults)).
     pub(crate) fn open(
         cfg: &SafsConfig,
-        throttled: bool,
-        env: &WorkerEnv,
-        flavor: &'static str,
+        stats: &Arc<IoStats>,
+        span_sink: &Arc<SpanSinkCell>,
+        faults: &Arc<AtomicU64>,
     ) -> SafsResult<ShardSet> {
         let nshards = cfg.disks.len();
         let mut queues = Vec::with_capacity(nshards);
@@ -85,40 +74,35 @@ impl ShardSet {
             // `mpsc` is single-consumer: the shard's workers take turns on
             // the one receiver.
             let rx = Arc::new(Mutex::new(rx));
-            let stats = Arc::new(ShardStats::default());
-            let throttle =
-                if throttled { cfg.throttle.map(|t| Arc::new(Throttle::new(t))) } else { None };
+            let per_shard = Arc::new(ShardStats::default());
+            let throttle = cfg.throttle.map(|t| Arc::new(Throttle::new(t)));
             for t in 0..cfg.io_threads_per_disk {
                 let ctx = WorkerCtx {
                     shard,
-                    stats: env.stats.clone(),
-                    shard_stats: stats.clone(),
+                    stats: stats.clone(),
+                    shard_stats: per_shard.clone(),
                     throttle: throttle.clone(),
                     retry: cfg.retry,
-                    span_sink: env.span_sink.clone(),
-                    faults: env.faults.clone(),
+                    span_sink: span_sink.clone(),
+                    faults: faults.clone(),
                 };
                 let rx = rx.clone();
                 let handle = std::thread::Builder::new()
-                    .name(format!("safs-{flavor}-s{shard}t{t}"))
+                    .name(format!("safs-s{shard}t{t}"))
                     .spawn(move || worker_main(rx, ctx))
                     .map_err(|e| SafsError::io("spawning I/O thread", e))?;
                 threads.push(handle);
             }
             queues.push(tx);
-            shard_stats.push(stats);
+            shard_stats.push(per_shard);
         }
         Ok(ShardSet {
             queues: Mutex::new(queues),
             shard_stats,
             threads: Mutex::new(threads),
-            stats: env.stats.clone(),
-            span_sink: env.span_sink.clone(),
+            stats: stats.clone(),
+            span_sink: span_sink.clone(),
         })
-    }
-
-    pub(crate) fn nshards(&self) -> usize {
-        self.shard_stats.len()
     }
 
     pub(crate) fn submit(&self, shard: usize, mut req: IoReq) {
@@ -175,7 +159,6 @@ fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
         let sink = ctx.span_sink.get();
         let device_ns = sink.as_ref().map(|_| now_nanos());
         let started = Instant::now();
-        let is_read = matches!(req.op, IoOp::Read { .. });
         let mut nbytes = 0u64;
         let mut on_retry = |attempt: u32, _e: &std::io::Error| {
             ctx.stats.record_retry();
@@ -189,57 +172,40 @@ fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
                 );
             }
         };
-        let result = match req.op {
-            IoOp::Read { mut buf } => {
-                let r = with_retries(
-                    ctx.retry,
-                    || {
-                        if take_fault(&ctx.faults) {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::Interrupted,
-                                "injected transient fault",
-                            ));
-                        }
-                        req.file.read_exact_at(buf.as_mut_bytes(), req.offset)
-                    },
-                    &mut on_retry,
-                );
-                match r {
-                    Ok(()) => {
-                        if let Some(t) = &ctx.throttle {
-                            let waited = t.charge(buf.len() as u64, started);
-                            ctx.stats.record_throttle_wait(waited.as_nanos() as u64);
-                        }
-                        nbytes = buf.len() as u64;
-                        let nanos = started.elapsed().as_nanos() as u64;
-                        ctx.stats.record_read(nbytes, nanos);
-                        ctx.shard_stats.record_read(nbytes, nanos);
-                        Ok(buf)
-                    }
-                    Err(e) => Err(SafsError::io(req.context, e)),
-                }
+        let (is_read, mut buf) = match req.op {
+            IoOp::Read { buf } => (true, buf),
+            IoOp::Write { buf } => (false, buf),
+        };
+        let attempt = || {
+            if !is_read {
+                req.file.write_all_at(buf.as_bytes(), req.offset)
+            } else if take_fault(&ctx.faults) {
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::Interrupted,
+                    "injected transient fault",
+                ))
+            } else {
+                req.file.read_exact_at(buf.as_mut_bytes(), req.offset)
             }
-            IoOp::Write { buf } => {
-                let r = with_retries(
-                    ctx.retry,
-                    || req.file.write_all_at(buf.as_bytes(), req.offset),
-                    &mut on_retry,
-                );
-                match r {
-                    Ok(()) => {
-                        if let Some(t) = &ctx.throttle {
-                            let waited = t.charge(buf.len() as u64, started);
-                            ctx.stats.record_throttle_wait(waited.as_nanos() as u64);
-                        }
-                        nbytes = buf.len() as u64;
-                        let nanos = started.elapsed().as_nanos() as u64;
-                        ctx.stats.record_write(nbytes, nanos);
-                        ctx.shard_stats.record_write(nbytes, nanos);
-                        Ok(buf)
-                    }
-                    Err(e) => Err(SafsError::io(req.context, e)),
+        };
+        let result = match with_retries(ctx.retry, attempt, &mut on_retry) {
+            Ok(()) => {
+                nbytes = buf.len() as u64;
+                if let Some(t) = &ctx.throttle {
+                    let waited = t.charge(nbytes, started);
+                    ctx.stats.record_throttle_wait(waited.as_nanos() as u64);
                 }
+                let nanos = started.elapsed().as_nanos() as u64;
+                if is_read {
+                    ctx.stats.record_read(nbytes, nanos);
+                    ctx.shard_stats.record_read(nbytes, nanos);
+                } else {
+                    ctx.stats.record_write(nbytes, nanos);
+                    ctx.shard_stats.record_write(nbytes, nanos);
+                }
+                Ok(buf)
             }
+            Err(e) => Err(SafsError::io(req.context, e)),
         };
         if let (Some(sink), Some(device_ns)) = (&sink, device_ns) {
             // The request's life splits into a queue span (submit → the
@@ -259,14 +225,10 @@ fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
             // Only a *final* failure — retries exhausted or a permanent
             // error — is an `io-error` span; that name is what triggers
             // the flight-recorder dump.
-            let name = if result.is_ok() {
-                if is_read {
-                    "read"
-                } else {
-                    "write"
-                }
-            } else {
-                "io-error"
+            let name = match (result.is_ok(), is_read) {
+                (false, _) => "io-error",
+                (true, true) => "read",
+                (true, false) => "write",
             };
             sink.span(
                 "io",
@@ -308,15 +270,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("strip");
         let file = Arc::new(std::fs::File::create(&path).unwrap());
-        let env = WorkerEnv {
-            stats: Arc::new(IoStats::default()),
-            span_sink: Arc::new(SpanSinkCell::default()),
-            faults: Arc::new(AtomicU64::new(0)),
-        };
+        let stats = Arc::new(IoStats::default());
         let cfg = SafsConfig::single_dir(&dir).with_io_threads(2);
-        let set = ShardSet::open(&cfg, false, &env, "test").unwrap();
-        // env + the set + one clone per worker.
-        assert_eq!(Arc::strong_count(&env.stats), 2 + 2);
+        let set = ShardSet::open(&cfg, &stats, &Arc::default(), &Arc::default()).unwrap();
+        // This handle + the set + one clone per worker.
+        assert_eq!(Arc::strong_count(&stats), 2 + 2);
 
         let mut tickets = Vec::new();
         for slot in 0..N {
@@ -339,7 +297,7 @@ mod tests {
         }
         set.flush();
         assert_eq!(set.shard_stats()[0].write_reqs, N as u64, "each request serviced once");
-        assert_eq!(env.stats.snapshot().write_reqs, N as u64);
+        assert_eq!(stats.snapshot().write_reqs, N as u64);
         let on_disk = std::fs::read(&path).unwrap();
         assert_eq!(on_disk.len(), N * SLOT);
         for (slot, bytes) in on_disk.chunks(SLOT).enumerate() {
@@ -348,7 +306,7 @@ mod tests {
 
         set.shutdown();
         assert!(set.threads.lock().is_empty());
-        assert_eq!(Arc::strong_count(&env.stats), 2, "a joined worker has dropped its context");
+        assert_eq!(Arc::strong_count(&stats), 2, "a joined worker has dropped its context");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,6 @@
 //! Runtime configuration for the SAFS substrate.
 
-use crate::backend::{BackendKind, RetryCfg};
+use crate::backend::RetryCfg;
 use crate::cache::CacheCfg;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -36,6 +36,24 @@ impl ThrottleCfg {
     }
 }
 
+/// The older name of the throttle choice, kept for
+/// [`SafsConfig::with_backend`] callers: `Sim` keeps the configured
+/// throttle, `Direct` runs without one. Both drive the same engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackendKind {
+    Sim,
+    Direct,
+}
+
+impl BackendKind {
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            BackendKind::Sim => "sim",
+            BackendKind::Direct => "direct",
+        }
+    }
+}
+
 /// `FLASHR_SAFS_SHARDS` override for [`SafsConfig::striped_under`]:
 /// parseable positive integer or nothing.
 fn shards_from_env() -> Option<usize> {
@@ -61,16 +79,13 @@ pub struct SafsConfig {
     /// initialisation — and `io::save_binary`) keep `dispatch_batch`
     /// reads in flight. `1` reads nothing ahead.
     pub dispatch_batch: usize,
-    /// Optional bandwidth emulation, one throttle per shard (applied by
-    /// the `Sim` backend only).
+    /// Optional bandwidth emulation, one throttle per shard. `None`
+    /// leaves requests completing at host speed.
     pub throttle: Option<ThrottleCfg>,
     /// Optional user-space page cache (SA-cache, paper §3.2.1). `None`
     /// or a zero capacity leaves every read going straight to the
     /// device.
     pub cache: Option<CacheCfg>,
-    /// Which storage backend drives the shards. Defaults to the value of
-    /// `FLASHR_BACKEND` (`sim` | `direct`), falling back to `Sim`.
-    pub backend: BackendKind,
     /// Bounded retry-with-backoff policy for transient I/O errors.
     pub retry: RetryCfg,
 }
@@ -104,7 +119,6 @@ impl SafsConfig {
             dispatch_batch: 4,
             throttle: None,
             cache: None,
-            backend: BackendKind::from_env(),
             retry: RetryCfg::default(),
         }
     }
@@ -133,10 +147,13 @@ impl SafsConfig {
         self
     }
 
-    /// Builder-style: pick the storage backend explicitly (overrides the
-    /// `FLASHR_BACKEND` default).
+    /// Builder-style: the older spelling of the throttle choice.
+    /// `Direct` clears [`Self::throttle`]; `Sim` leaves the config as
+    /// it is.
     pub fn with_backend(mut self, b: BackendKind) -> Self {
-        self.backend = b;
+        if b == BackendKind::Direct {
+            self.throttle = None;
+        }
         self
     }
 
@@ -217,6 +234,17 @@ mod tests {
         let mut cfg = base(vec![PathBuf::from("/tmp/one")]);
         cfg.retry.max_attempts = 0;
         assert!(matches!(cfg.validate(), Err(SafsError::Config(_))));
+    }
+
+    #[test]
+    fn with_backend_maps_onto_the_throttle() {
+        let throttled =
+            base(vec![PathBuf::from("/tmp/one")]).with_throttle(ThrottleCfg::sata_ssd());
+        let sim = throttled.clone().with_backend(BackendKind::Sim);
+        assert_eq!(sim.throttle, Some(ThrottleCfg::sata_ssd()));
+        assert_eq!(throttled.with_backend(BackendKind::Direct).throttle, None);
+        assert_eq!(BackendKind::Sim.as_str(), "sim");
+        assert_eq!(BackendKind::Direct.as_str(), "direct");
     }
 
     #[test]

@@ -49,13 +49,10 @@ mod stats;
 pub mod sync;
 mod throttle;
 
-pub use aio::{IoReq, IoTicket};
-pub use backend::{
-    BackendKind, DirectBackend, RetryCfg, ShardStats, ShardStatsSnapshot, SimBackend,
-    StorageBackend,
-};
+pub use aio::IoTicket;
+pub use backend::{RetryCfg, ShardStats, ShardStatsSnapshot};
 pub use cache::{CacheCfg, CacheStatsSnapshot, CachedFetch, PageCache, PendingRead};
-pub use config::{SafsConfig, ThrottleCfg};
+pub use config::{BackendKind, SafsConfig, ThrottleCfg};
 pub use error::{SafsError, SafsResult};
 pub use file::SafsFile;
 pub use iobuf::{IoBuf, Pod};

@@ -1,9 +1,9 @@
-//! The SAFS runtime: shard set, storage backend and file factory.
+//! The SAFS runtime: shard set, I/O engine and file factory.
 
 use crate::aio::IoReq;
-use crate::backend::{open_backend, BackendKind, ShardStatsSnapshot, StorageBackend, WorkerEnv};
+use crate::backend::{ShardSet, ShardStatsSnapshot};
 use crate::cache::{CacheCfg, CacheStatsSnapshot, PageCache};
-use crate::config::SafsConfig;
+use crate::config::{SafsConfig, ThrottleCfg};
 use crate::error::{SafsError, SafsResult};
 use crate::file::{FileInner, SafsFile};
 use crate::layout::Striping;
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// A running SAFS instance.
 ///
 /// Cheap to clone; all clones (and all [`SafsFile`]s created from them)
-/// share the same shards, backend workers and statistics. The workers
+/// share the same shards, I/O workers and statistics. The workers
 /// shut down when the last handle and the last file are dropped.
 #[derive(Clone)]
 pub struct Safs {
@@ -27,7 +27,7 @@ pub struct Safs {
 
 pub(crate) struct RtInner {
     cfg: SafsConfig,
-    backend: Box<dyn StorageBackend>,
+    shards: ShardSet,
     stats: Arc<IoStats>,
     name_counter: AtomicU64,
     page_cache: Mutex<Option<Arc<PageCache>>>,
@@ -38,13 +38,13 @@ pub(crate) struct RtInner {
 
 impl Drop for RtInner {
     fn drop(&mut self) {
-        self.backend.shutdown();
+        self.shards.shutdown();
     }
 }
 
 impl RtInner {
     pub(crate) fn submit(&self, shard: usize, req: IoReq) {
-        self.backend.submit(shard, req);
+        self.shards.submit(shard, req);
     }
 
     pub(crate) fn disk_dir(&self, shard: usize) -> &std::path::Path {
@@ -80,7 +80,7 @@ fn name_seed(name: &str) -> u64 {
 
 impl Safs {
     /// Start a runtime over the configured shards, creating the shard
-    /// root directories if needed and spawning the backend's worker
+    /// root directories if needed and spawning each shard's I/O
     /// threads.
     pub fn open(cfg: SafsConfig) -> SafsResult<Safs> {
         cfg.validate()?;
@@ -91,19 +91,12 @@ impl Safs {
         let stats = Arc::new(IoStats::default());
         let span_sink = Arc::new(SpanSinkCell::default());
         let faults = Arc::new(AtomicU64::new(0));
-        let backend = open_backend(
-            &cfg,
-            WorkerEnv {
-                stats: stats.clone(),
-                span_sink: span_sink.clone(),
-                faults: faults.clone(),
-            },
-        )?;
+        let shards = ShardSet::open(&cfg, &stats, &span_sink, &faults)?;
         let cache_cfg = cfg.cache;
         let safs = Safs {
             inner: Arc::new(RtInner {
                 cfg,
-                backend,
+                shards,
                 stats,
                 name_counter: AtomicU64::new(0),
                 page_cache: Mutex::new(None),
@@ -125,7 +118,7 @@ impl Safs {
 
     /// Register a receiver for I/O and cache lifecycle spans, beside
     /// any already registered: every context on this runtime has its
-    /// own. The sinks are shared with the backend workers, so this takes
+    /// own. The sinks are shared with the I/O workers, so this takes
     /// effect immediately; with none registered the hot paths pay one
     /// relaxed atomic load.
     pub fn add_span_sink(&self, sink: Arc<dyn SpanSink>) {
@@ -155,11 +148,10 @@ impl Safs {
 
     /// Create a file of `nparts` equally sized partitions.
     pub fn create(&self, name: &str, part_bytes: u64, nparts: u64) -> SafsResult<SafsFile> {
-        self.create_bytes(
-            name,
-            part_bytes,
-            part_bytes.checked_mul(nparts).expect("file size overflow"),
-        )
+        let total_bytes = part_bytes.checked_mul(nparts).ok_or_else(|| {
+            SafsError::Config(format!("file size {part_bytes} * {nparts} overflows u64"))
+        })?;
+        self.create_bytes(name, part_bytes, total_bytes)
     }
 
     /// Create a file of `total_bytes` split into `part_bytes` partitions
@@ -211,21 +203,21 @@ impl Safs {
     /// Per-shard I/O counters in shard order: requests, bytes, retries,
     /// latency histogram and queue-depth gauges for each emulated device.
     pub fn shard_stats_snapshots(&self) -> Vec<ShardStatsSnapshot> {
-        self.inner.backend.shard_stats()
+        self.inner.shards.shard_stats()
     }
 
-    /// Which storage backend this runtime drives.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.inner.backend.kind()
+    /// The per-shard bandwidth emulation, when the runtime has one.
+    pub fn throttle(&self) -> Option<ThrottleCfg> {
+        self.inner.cfg.throttle
     }
 
     /// Completion barrier: block until every request submitted before
     /// this call has completed on every shard.
     pub fn flush(&self) {
-        self.inner.backend.flush();
+        self.inner.shards.flush();
     }
 
-    /// Testing hook for the retry path: make the next `n` backend read
+    /// Testing hook for the retry path: make the next `n` device read
     /// attempts fail with a synthetic transient error (`Interrupted`).
     /// Faults are consumed per *attempt*, so with the default
     /// [`RetryCfg`](crate::RetryCfg) a single injected fault is absorbed
@@ -310,19 +302,29 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_roundtrip() {
-        for (tag, kind) in [("bk-sim", BackendKind::Sim), ("bk-dir", BackendKind::Direct)] {
-            let safs = Safs::open(tmp_cfg(tag, 2).with_backend(kind)).unwrap();
-            assert_eq!(safs.backend_kind(), kind);
-            let f = safs.create("m", 256, 3).unwrap();
+    fn both_backends_roundtrip() -> SafsResult<()> {
+        let fast = ThrottleCfg { bytes_per_sec: 1e9, latency_us: 0.0 };
+        for (tag, throttle) in [("bk-throttled", Some(fast)), ("bk-free", None)] {
+            let safs = Safs::open(SafsConfig { throttle, ..tmp_cfg(tag, 2) })?;
+            assert_eq!(safs.throttle(), throttle);
+            let f = safs.create("m", 256, 3)?;
             for p in 0..3u64 {
-                f.write_part(p, &[p as u8 + 1; 256]).unwrap();
+                f.write_part(p, &[p as u8 + 1; 256])?;
             }
             safs.flush();
             for p in 0..3u64 {
-                assert_eq!(f.read_part(p).unwrap().as_bytes(), &[p as u8 + 1; 256][..]);
+                assert_eq!(f.read_part(p)?.as_bytes(), &[p as u8 + 1; 256][..]);
             }
         }
+        Ok(())
+    }
+
+    #[test]
+    fn create_rejects_an_overflowing_size() -> SafsResult<()> {
+        let safs = Safs::open(tmp_cfg("overflow", 1))?;
+        assert!(matches!(safs.create("x", u64::MAX, 2), Err(SafsError::Config(_))));
+        assert!(!safs.exists("x"));
+        Ok(())
     }
 
     #[test]

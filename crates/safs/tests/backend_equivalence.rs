@@ -1,33 +1,43 @@
-//! Property tests: the storage backends are interchangeable. A file
-//! written and read back under any shard count ∈ {1, 2, 4} and either
-//! backend (throttle-simulated or raw-speed direct) is bit-identical to
-//! the same file under every other combination — with and without a
+//! Property tests: the throttle changes timing, never bytes. A file
+//! written and read back under any shard count ∈ {1, 2, 4}, with or
+//! without the per-shard bandwidth throttle, is bit-identical to the
+//! same file under every other combination — with and without a
 //! deliberately undersized page cache forcing eviction churn on the
 //! read path.
 
-use flashr_safs::{BackendKind, CacheCfg, IoBuf, Safs, SafsConfig};
+use flashr_safs::{CacheCfg, IoBuf, Safs, SafsConfig, ThrottleCfg};
 use flashr_testkit::cases;
 
 const CASES: usize = 8;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-const BACKENDS: [BackendKind; 2] = [BackendKind::Sim, BackendKind::Direct];
+/// Throttled (fast enough to keep the suite quick) and unthrottled.
+const THROTTLES: [Option<ThrottleCfg>; 2] =
+    [Some(ThrottleCfg { bytes_per_sec: 1e9, latency_us: 1.0 }), None];
+
+fn label(throttle: Option<ThrottleCfg>) -> &'static str {
+    if throttle.is_some() {
+        "throttled"
+    } else {
+        "unthrottled"
+    }
+}
 
 /// A runtime with an explicit disk list (immune to the CI
 /// `FLASHR_SAFS_SHARDS` override, which only rewrites `striped_under`
-/// layouts) and an explicit backend (immune to `FLASHR_BACKEND`).
-fn fresh(tag: &str, shards: usize, backend: BackendKind) -> Safs {
+/// layouts).
+fn fresh(tag: &str, shards: usize, throttle: Option<ThrottleCfg>) -> Safs {
     let dir = std::env::temp_dir().join(format!(
         "safs-beq-{tag}-{shards}-{}-{}",
-        backend.as_str(),
+        label(throttle),
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = SafsConfig {
         disks: (0..shards).map(|d| dir.join(format!("disk{d}"))).collect(),
+        throttle,
         ..SafsConfig::single_dir(&dir)
-    }
-    .with_backend(backend);
+    };
     Safs::open(cfg).unwrap()
 }
 
@@ -61,10 +71,10 @@ fn all_shard_and_backend_combinations_are_bit_identical() {
         let total = (part_bytes * nparts + tail % part_bytes).max(1);
         let reference = payload_matrix(part_bytes, total, seed);
         for shards in SHARD_COUNTS {
-            for backend in BACKENDS {
-                let safs = fresh("grid", shards, backend);
+            for throttle in THROTTLES {
+                let safs = fresh("grid", shards, throttle);
                 let got = write_and_read_back(&safs, part_bytes, total, seed);
-                assert_eq!(&got, &reference, "shards={} backend={}", shards, backend.as_str());
+                assert_eq!(&got, &reference, "shards={} {}", shards, label(throttle));
             }
         }
     });
@@ -79,8 +89,8 @@ fn cached_reads_survive_eviction_churn_on_every_combination() {
         let total = part_bytes * nparts;
         let reference = payload_matrix(part_bytes, total, seed);
         for shards in SHARD_COUNTS {
-            for backend in BACKENDS {
-                let safs = fresh("churn", shards, backend);
+            for throttle in THROTTLES {
+                let safs = fresh("churn", shards, throttle);
                 // A cache holding only ~2 partitions: every scan past it
                 // evicts, so reads mix hits, misses and re-reads.
                 safs.set_page_cache(Some(CacheCfg::with_capacity(2 * part_bytes)));
@@ -98,11 +108,11 @@ fn cached_reads_survive_eviction_churn_on_every_combination() {
                         assert_eq!(
                             got.as_bytes(),
                             reference[p as usize].as_slice(),
-                            "pass={} part={} shards={} backend={}",
+                            "pass={} part={} shards={} {}",
                             pass,
                             p,
                             shards,
-                            backend.as_str()
+                            label(throttle)
                         );
                     }
                 }
@@ -135,23 +145,23 @@ fn reopen_under_same_layout_is_identical_across_backends() {
     let part_bytes = 512u64;
     let total = part_bytes * 9;
     for shards in SHARD_COUNTS {
-        let dir = std::env::temp_dir()
-            .join(format!("safs-beq-reopen-{shards}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("safs-beq-reopen-{shards}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = SafsConfig {
             disks: (0..shards).map(|d| dir.join(format!("disk{d}"))).collect(),
             ..SafsConfig::single_dir(&dir)
         };
-        // Write with Sim…
+        // Write throttled…
         {
-            let safs = Safs::open(cfg.clone().with_backend(BackendKind::Sim)).unwrap();
+            let safs = Safs::open(SafsConfig { throttle: THROTTLES[0], ..cfg.clone() }).unwrap();
             let f = safs.create_bytes("m", part_bytes, total).unwrap();
             for p in 0..f.nparts() {
                 f.write_part(p, &payload(p, part_bytes as usize, 3)).unwrap();
             }
         }
-        // …reopen and read with Direct: same strips, same bytes.
-        let safs = Safs::open(cfg.with_backend(BackendKind::Direct)).unwrap();
+        // …reopen and read unthrottled: same strips, same bytes.
+        let safs = Safs::open(SafsConfig { throttle: None, ..cfg }).unwrap();
         let f = safs.open_file("m").unwrap();
         for p in 0..f.nparts() {
             assert_eq!(

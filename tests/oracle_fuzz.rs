@@ -10,7 +10,7 @@
 //! within `n·ε·Σ|x|`.
 
 use flashr::prelude::*;
-use flashr::safs::{BackendKind, CacheCfg};
+use flashr::safs::CacheCfg;
 use flashr_testkit::oracle::{assert_close, assert_same, Mat};
 use flashr_testkit::{cases, Rng};
 
@@ -53,21 +53,20 @@ impl Arrays {
     fn open(tag: &str) -> Arrays {
         let dir = std::env::temp_dir().join(format!("flashr-fuzz-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Explicit layouts, so FLASHR_SAFS_SHARDS / FLASHR_BACKEND cannot
-        // fold the two points into one.
-        let array = |name: &str, shards: usize, backend, cache_bytes| {
+        // Explicit layouts, so FLASHR_SAFS_SHARDS cannot fold the two
+        // shard counts into one.
+        let array = |name: &str, shards: usize, cache_bytes| {
             DISPATCH_BATCH.map(|batch| {
                 let disks = (0..shards).map(|d| dir.join(format!("{name}{batch}-{d}"))).collect();
                 let cfg = SafsConfig { disks, ..SafsConfig::single_dir(&dir) }
-                    .with_backend(backend)
                     .with_dispatch_batch(batch)
                     .with_cache(CacheCfg::with_capacity(cache_bytes));
                 Safs::open(cfg).expect("open scratch SAFS array")
             })
         };
-        let sim = array("sim", 2, BackendKind::Sim, 0);
-        let direct = array("direct", 4, BackendKind::Direct, 0);
-        let sim_cached = array("cached", 2, BackendKind::Sim, CACHE_BYTES);
+        let sim = array("sim", 2, 0);
+        let direct = array("direct", 4, 0);
+        let sim_cached = array("cached", 2, CACHE_BYTES);
         Arrays { dir, sim, direct, sim_cached }
     }
 

@@ -14,7 +14,7 @@
 
 use flashr::core::trace::{EventKind, SpanEvent};
 use flashr::prelude::*;
-use flashr::safs::{BackendKind, CacheCfg};
+use flashr::safs::CacheCfg;
 use flashr_testkit::oracle::{assert_same, Mat};
 use std::time::Duration;
 
@@ -48,7 +48,6 @@ impl Array {
         let _ = std::fs::remove_dir_all(&dir);
         let disks = (0..shards).map(|d| dir.join(format!("disk{d}"))).collect();
         let cfg = SafsConfig { disks, ..SafsConfig::single_dir(&dir) }
-            .with_backend(BackendKind::Sim)
             .with_io_threads(1)
             .with_dispatch_batch(dispatch_batch)
             .with_cache(CacheCfg::with_capacity(cache_bytes))

@@ -7,8 +7,7 @@
 //! `BENCH_perf_probe.json` into the current directory: per-stage name,
 //! wall nanoseconds and GiB/s, plus the context's full profile report
 //! (exec counters and per-pass worker/op profiles). The probe records at
-//! least pass-level traces regardless of `FLASHR_TRACE`. It also writes
-//! the main context's Prometheus exposition to `flashr-metrics.prom`.
+//! least pass-level traces regardless of `FLASHR_TRACE`.
 //!
 //! ```sh
 //! cargo run --release -p flashr-bench --bin perf_probe
@@ -19,8 +18,7 @@ use flashr::core::json::Writer;
 use flashr::prelude::*;
 use flashr_bench::{
     bench_artifact_json_sections, bench_trace_level, host_section_json, maybe_dump_flight,
-    maybe_export_trace, print_critical_path, save_bench_artifact, save_metrics_text, scratch_dir,
-    BenchStage,
+    maybe_export_trace, print_critical_path, save_bench_artifact, scratch_dir, BenchStage,
 };
 use std::time::Instant;
 
@@ -200,9 +198,8 @@ fn main() {
     print_critical_path("em-cache", &em_ctx.profile_report());
     maybe_export_trace(&[("main", &ctx), ("map-chain-fused", &fused_ctx), ("em-cache", &em_ctx)]);
 
-    // Save one exposition for CI to validate. With FLASHR_FLIGHT_OUT
-    // set, also force a flight dump for the artifact upload.
-    save_metrics_text(&ctx);
+    // With FLASHR_FLIGHT_OUT set, force a flight dump for the artifact
+    // upload.
     maybe_dump_flight(&ctx);
 
     println!(

@@ -13,9 +13,9 @@
 //!
 //! Artifacts: `BENCH_shard_sweep.json` (a `"sweep"` section with one row
 //! per cell, including per-shard request/byte/queue-depth deltas so CI
-//! can assert the stripe stays balanced), `flashr-results-shard_sweep.json`,
-//! `flashr-metrics.prom` (per-shard series from the final 4-shard cell),
-//! and a Chrome trace of the throttled cells with one `safs-s<shard>t<n>`
+//! can assert the stripe stays balanced, and the final 4-shard cell's
+//! profile with its per-shard `io_shards` counters),
+//! `flashr-results-shard_sweep.json`, and a Chrome trace of the throttled cells with one `safs-s<shard>t<n>`
 //! lane group per shard when `FLASHR_TRACE_OUT` is set.
 //!
 //! ```sh
@@ -27,8 +27,8 @@ use flashr::prelude::*;
 use flashr::safs::ShardStatsSnapshot;
 use flashr_bench::{
     bench_artifact_json_sections, bench_trace_level, host_section_json, io_summary_line,
-    maybe_dump_flight, maybe_export_trace, print_critical_path, save_bench_artifact,
-    save_metrics_text, scratch_dir, time, BenchStage, Report, Scale,
+    maybe_dump_flight, maybe_export_trace, print_critical_path, save_bench_artifact, scratch_dir,
+    time, BenchStage, Report, Scale,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -179,7 +179,7 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     let mut stages: Vec<BenchStage> = Vec::new();
     // Throttled cells run last, so the final context — the one whose
-    // exposition is saved below — is the 4-shard throttled cell.
+    // profile the artifact carries — is the 4-shard throttled cell.
     let mut kept: Vec<(String, FlashCtx)> = Vec::new();
     for throttled in [false, true] {
         for shards in SHARD_COUNTS {
@@ -232,8 +232,6 @@ fn main() {
     report.print_raw();
     report.save_json("shard_sweep");
 
-    // Per-shard series (`flashr_io_shard_*`) from the 4-shard throttled cell.
-    save_metrics_text(last);
     if let Some(path) = &trace_out {
         std::env::set_var("FLASHR_TRACE_OUT", path);
     }

@@ -80,8 +80,11 @@ fn main() {
         gib(criteo_bytes + page_bytes),
         final_rss as f64 / (criteo_bytes + page_bytes) as f64
     );
-    println!("(RSS before the algorithm loop: {:.2} GiB — includes generator buffers)", gib(baseline_rss));
-    if let Some(io) = em.profile_report().io {
+    println!(
+        "(RSS before the algorithm loop: {:.2} GiB — includes generator buffers)",
+        gib(baseline_rss)
+    );
+    if let Some(io) = em.profile_report().counters.io {
         println!("{}", io_summary_line(&io));
     }
     report.save_json("table6");

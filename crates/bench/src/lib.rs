@@ -197,7 +197,7 @@ impl BenchStage {
 ///
 /// ```json
 /// {"bench": "...", "stages": [{"name", "wall_nanos", "gib_per_s"}, ...],
-///  "profile": {"exec": ..., "io": ..., "passes": [...]}}
+///  "profile": {"exec": ..., "io": ..., "io_shards": [...], "mem": ..., "passes": [...]}}
 /// ```
 pub fn bench_artifact_json(bench: &str, stages: &[BenchStage], profile: &ProfileReport) -> String {
     bench_artifact_json_sections(bench, stages, profile, &[])
@@ -244,17 +244,6 @@ pub fn bench_artifact_json_sections(
 /// shard count).
 pub fn host_section_json(ctx: &FlashCtx) -> String {
     flashr::core::obs::host_json(ctx)
-}
-
-/// Write the context's Prometheus exposition ([`FlashCtx::metrics_text`])
-/// to `flashr-metrics.prom` in the current directory. CI validates that
-/// file with `scripts/check_prometheus`.
-pub fn save_metrics_text(ctx: &FlashCtx) {
-    let (path, text) = ("flashr-metrics.prom", ctx.metrics_text());
-    match std::fs::write(path, &text) {
-        Ok(()) => println!("metrics exposition written to {path} ({} bytes)", text.len()),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
 }
 
 /// Force a flight-recorder dump at bench exit when `FLASHR_FLIGHT_OUT`

@@ -44,7 +44,6 @@ pub mod gen;
 pub mod io;
 pub mod json;
 pub mod mat;
-pub mod metrics;
 pub mod obs;
 pub mod ops;
 pub mod part;
@@ -55,6 +54,8 @@ pub mod trace;
 pub use analysis::{AnalysisReport, FootprintEstimate, Lint, PlanError, PlanErrorKind};
 pub use dtype::{DType, Scalar};
 pub use fm::FM;
-pub use metrics::{FlightRecorder, MetricsHub};
 pub use session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
-pub use trace::{CriticalPath, PassBreakdown, PassProfile, ProfileReport, Timeline, TraceLevel};
+pub use trace::flight::FlightRecorder;
+pub use trace::{
+    Counters, CriticalPath, PassBreakdown, PassProfile, ProfileReport, Timeline, TraceLevel,
+};

@@ -2,12 +2,11 @@
 //! the optional SSD array.
 
 use crate::mat::TasMat;
-use crate::metrics::flight;
-use crate::metrics::{FlightRecorder, MetricsHub};
 use crate::part::Partitioner;
 use crate::stats::ExecStats;
+use crate::trace::flight::{self, CounterSources, FlightRecorder};
 use crate::trace::timeline::claim_trace_out;
-use crate::trace::{CriticalPath, ProfileReport, TraceLevel, Tracer};
+use crate::trace::{Counters, CriticalPath, ProfileReport, TraceLevel, Tracer};
 use flashr_safs::{CacheCfg, Safs, SafsConfig, SafsResult, SpanSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -220,6 +219,30 @@ impl MemGovernor {
     pub fn overcommits(&self) -> u64 {
         self.inner.overcommits.load(Ordering::Relaxed)
     }
+
+    /// Copy out the four readings above.
+    pub fn snapshot(&self) -> MemSnapshot {
+        MemSnapshot {
+            budget_bytes: self.budget_bytes(),
+            pinned_bytes: self.pinned_bytes(),
+            spills: self.spills(),
+            overcommits: self.overcommits(),
+        }
+    }
+}
+
+/// Point-in-time copy of a [`MemGovernor`]'s accounting (the profile
+/// JSON's `mem` section).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemSnapshot {
+    /// The pinnable budget in bytes (0 = unlimited).
+    pub budget_bytes: u64,
+    /// Bytes currently pinned by live `set.cache` matrices.
+    pub pinned_bytes: u64,
+    /// Cached matrices spilled to SAFS temporaries.
+    pub spills: u64,
+    /// Pins admitted above budget because nothing could spill.
+    pub overcommits: u64,
 }
 
 impl std::fmt::Debug for MemGovernor {
@@ -263,7 +286,6 @@ struct CtxInner {
     stats: Arc<ExecStats>,
     tracer: Tracer,
     governor: MemGovernor,
-    metrics: Arc<MetricsHub>,
     flight: Arc<FlightRecorder>,
     /// Cross-pass recycler for tall-output partition buffers.
     part_bufs: Arc<crate::chunk::PartBufPool>,
@@ -330,8 +352,9 @@ impl FlashCtx {
             _ => MemGovernor::new(0),
         };
         let stats = Arc::new(ExecStats::default());
-        let metrics = Arc::new(MetricsHub::new(stats.clone(), governor.clone(), safs.clone()));
-        let flight = FlightRecorder::new(tracer.log().clone(), Some(metrics.clone()));
+        let sources =
+            CounterSources { exec: stats.clone(), governor: governor.clone(), safs: safs.clone() };
+        let flight = FlightRecorder::new(tracer.log().clone(), Some(sources));
         flight::register_panic_dump(&flight);
         let inner = Arc::new(CtxInner {
             cfg,
@@ -339,7 +362,6 @@ impl FlashCtx {
             stats,
             tracer,
             governor,
-            metrics,
             flight,
             part_bufs: Arc::new(crate::chunk::PartBufPool::new()),
         });
@@ -378,37 +400,21 @@ impl FlashCtx {
         &self.inner.tracer
     }
 
-    /// The always-on metrics renderer (shared by all clones).
-    pub fn metrics(&self) -> &Arc<MetricsHub> {
-        &self.inner.metrics
-    }
-
-    /// The current Prometheus text-format exposition (write it to a file
-    /// for a scraper or `scripts/check_prometheus`).
-    pub fn metrics_text(&self) -> String {
-        self.inner.metrics.render_text()
-    }
-
     /// The fault flight recorder (shared by all clones).
     pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
         &self.inner.flight
     }
 
     /// Everything this context observed — engine counters, SAFS I/O
-    /// counters and latency histograms (if on SSDs), and the recorded
-    /// pass profiles — ready for [`ProfileReport::to_json`].
+    /// counters and latency histograms (if on SSDs), the memory
+    /// governor's accounting, and the recorded pass profiles — ready for
+    /// [`ProfileReport::to_json`].
     pub fn profile_report(&self) -> ProfileReport {
         let passes = self.inner.tracer.passes();
         let lanes = self.inner.tracer.timeline().map(|t| t.snapshot()).unwrap_or_default();
+        let inner = &self.inner;
         ProfileReport {
-            exec: self.inner.stats.snapshot(),
-            io: self.inner.safs.as_ref().map(|s| s.stats_snapshot()),
-            io_shards: self
-                .inner
-                .safs
-                .as_ref()
-                .map(|s| s.shard_stats_snapshots())
-                .unwrap_or_default(),
+            counters: Counters::read(&inner.stats, &inner.governor, inner.safs.as_ref()),
             critical_path: CriticalPath::analyze(&passes, &lanes),
             dropped_events: self.inner.tracer.dropped_events(),
             passes,

@@ -11,41 +11,30 @@ flashr_safs::stat_struct! {
     pub struct ExecStatsSnapshot {
         /// Materialization passes over the data (a fused DAG counts one;
         /// the eager engine counts one per operation).
-        pub passes: counter => "flashr_exec_passes_total",
-            "Materialization passes over the data.";
+        pub passes: counter;
         /// I/O partitions processed (across all passes and threads).
-        pub parts: counter => "flashr_exec_parts_total",
-            "I/O partitions processed across all passes and workers.";
+        pub parts: counter;
         /// Pcache chunks evaluated.
-        pub pcache_chunks: counter => "flashr_exec_pcache_chunks_total",
-            "Pcache chunks evaluated.";
+        pub pcache_chunks: counter;
         /// Nanoseconds spent inside materialization.
-        pub exec_nanos: counter => "flashr_exec_nanos_total",
-            "Wall nanoseconds spent inside materialization.";
+        pub exec_nanos: counter;
         /// Chunks freshly produced by node evaluation (memo hits excluded;
         /// one fused chain produces one chunk however long it is).
-        pub node_chunks: counter => "flashr_exec_node_chunks_total",
-            "Chunks freshly produced by node evaluation (memo hits excluded).";
+        pub node_chunks: counter;
         /// Bytes of those freshly produced chunks — the data-movement
         /// quantity chain fusion reduces.
-        pub node_chunk_bytes: counter => "flashr_exec_node_chunk_bytes_total",
-            "Bytes of freshly produced chunks.";
+        pub node_chunk_bytes: counter;
         /// Fused chain kernels executed (one count per chunk produced by a
         /// chain, not per chain discovered).
-        pub fused_chains: counter => "flashr_exec_fused_chains_total",
-            "Fused chain kernels executed.";
+        pub fused_chains: counter;
         /// Bytes of intermediate chunks chain fusion skipped allocating.
-        pub fused_saved_bytes: counter => "flashr_exec_fused_saved_bytes_total",
-            "Bytes of intermediate chunks chain fusion skipped allocating.";
+        pub fused_saved_bytes: counter;
         /// Worker nanoseconds spent blocked waiting for partition reads.
-        pub io_wait_nanos: counter => "flashr_exec_io_wait_nanos_total",
-            "Worker nanoseconds blocked waiting for partition reads.";
+        pub io_wait_nanos: counter;
         /// Worker nanoseconds spent evaluating kernels.
-        pub compute_nanos: counter => "flashr_exec_compute_nanos_total",
-            "Worker nanoseconds spent evaluating kernels.";
+        pub compute_nanos: counter;
         /// Worker nanoseconds spent stalled on result write-back.
-        pub write_stall_nanos: counter => "flashr_exec_write_stall_nanos_total",
-            "Worker nanoseconds stalled on result write-back.";
+        pub write_stall_nanos: counter;
     }
 }
 

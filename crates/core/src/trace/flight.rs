@@ -6,7 +6,7 @@
 //! [`RECENT_EVENTS_PER_LANE`] events per thread: executor task/pass
 //! spans, SAFS I/O and cache spans. When a worker panics, or the SAFS
 //! I/O threads surface their first device error (the `io-error` span),
-//! the recorder writes those events plus a full metrics snapshot to a
+//! the recorder writes those events plus the context's [`Counters`] to a
 //! JSON file, so the state leading up to a fault is preserved without
 //! anyone having re-run the workload under tracing. The recorder owns
 //! no events of its own: what it adds to the log is the dump.
@@ -25,14 +25,24 @@
 //! environment variable, or `flashr-flight-<pid>.json` in the
 //! temporary directory.
 
-use super::MetricsHub;
+use super::timeline::{Timeline, RECENT_EVENTS_PER_LANE};
+use super::Counters;
 use crate::json;
-use crate::trace::timeline::{Timeline, RECENT_EVENTS_PER_LANE};
-use flashr_safs::now_nanos;
+use crate::session::MemGovernor;
+use crate::stats::ExecStats;
 use flashr_safs::sync::Mutex;
+use flashr_safs::{now_nanos, Safs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
+
+/// The handles a dump reads a context's [`Counters`] from. It holds
+/// these, never the context, so the recorder creates no reference cycle.
+pub struct CounterSources {
+    pub exec: Arc<ExecStats>,
+    pub governor: MemGovernor,
+    pub safs: Option<Safs>,
+}
 
 /// The per-context flight recorder: the dump side of the context's span
 /// log.
@@ -40,25 +50,25 @@ pub struct FlightRecorder {
     log: Arc<Timeline>,
     dumped: AtomicBool,
     dump_path: Mutex<Option<PathBuf>>,
-    /// The hub whose exposition is embedded in dumps.
-    metrics: Option<Arc<MetricsHub>>,
+    /// Where the counters embedded in dumps are read from.
+    counters: Option<CounterSources>,
 }
 
 impl FlightRecorder {
     /// A recorder over `log` that dumps when the log sees an `io-error`.
-    pub fn new(log: Arc<Timeline>, metrics: Option<Arc<MetricsHub>>) -> Arc<FlightRecorder> {
+    pub fn new(log: Arc<Timeline>, counters: Option<CounterSources>) -> Arc<FlightRecorder> {
         let rec = Arc::new(FlightRecorder {
             log,
             dumped: AtomicBool::new(false),
             dump_path: Mutex::new(None),
-            metrics,
+            counters,
         });
         // Weak: the recorder owns the log, and a strong reference back
         // from the log's hook would keep both alive for good.
         let weak = Arc::downgrade(&rec);
         rec.log.on_io_error(move || {
             if let Some(rec) = weak.upgrade() {
-                let _ = rec.dump("io-error");
+                let _ = rec.dump_now("io-error");
             }
         });
         rec
@@ -80,14 +90,11 @@ impl FlightRecorder {
         self.dumped.load(Ordering::SeqCst)
     }
 
-    /// Force a dump now (benches archive one as a CI artifact). Returns
-    /// the path written, or `None` if this recorder already dumped or no
+    /// Dump now: the panic hook and the `io-error` hook call this, and
+    /// benches force one to archive as a CI artifact. Returns the path
+    /// written, or `None` if this recorder already dumped or no
     /// destination could be written.
     pub fn dump_now(&self, reason: &str) -> Option<PathBuf> {
-        self.dump(reason)
-    }
-
-    fn dump(&self, reason: &str) -> Option<PathBuf> {
         if self.dumped.swap(true, Ordering::SeqCst) {
             return None;
         }
@@ -109,8 +116,8 @@ impl FlightRecorder {
     }
 
     /// The dump document: reason, timestamp, the newest
-    /// [`RECENT_EVENTS_PER_LANE`] events of every lane, and the full
-    /// metrics exposition (when a hub is attached).
+    /// [`RECENT_EVENTS_PER_LANE`] events of every lane, and the
+    /// [`Counters`] read at dump time (`null` without sources).
     pub fn dump_json(&self, reason: &str) -> String {
         json::object(|w| {
             w.key("reason").str(reason);
@@ -136,9 +143,12 @@ impl FlightRecorder {
                     });
                 }
             });
-            match &self.metrics {
-                Some(hub) => w.key("metrics_text").str(&hub.render_text()),
-                None => w.key("metrics_text").null(),
+            match &self.counters {
+                Some(c) => {
+                    let counters = Counters::read(&c.exec, &c.governor, c.safs.as_ref());
+                    w.key("counters").obj(|w| counters.members(w));
+                }
+                None => w.key("counters").null(),
             }
         })
     }
@@ -173,7 +183,7 @@ pub(crate) fn register_panic_dump(rec: &Arc<FlightRecorder>) {
             if let Ok(g) = recorders().lock() {
                 for w in g.iter() {
                     if let Some(r) = w.upgrade() {
-                        let _ = r.dump("panic");
+                        let _ = r.dump_now("panic");
                     }
                 }
             }
@@ -240,7 +250,7 @@ mod tests {
         assert!(json.contains("\"name\":\"w0\""));
         assert!(json.contains("\"kind\":\"instant\""));
         assert!(json.contains("\"pass\":2"));
-        assert!(json.contains("\"metrics_text\":null"));
+        assert!(json.contains("\"counters\":null"));
         json::parse(&json).expect("strict JSON");
     }
 }

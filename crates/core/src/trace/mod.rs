@@ -11,6 +11,8 @@
 //! * [`PassProfile`] — one record per materialization pass: engine, node
 //!   count, partitions, per-worker I/O-wait vs compute split, Pcache
 //!   chunk counts and per-node operator timings.
+//! * [`Counters`] — the always-on counters at one instant, rendered once:
+//!   as the profile JSON's `exec`/`io`/`io_shards`/`mem` sections.
 //! * [`ProfileReport`] — everything a context observed, serialized to
 //!   JSON with [`crate::json::Writer`].
 //! * [`timeline`] — the context's one span log: per-thread tracks of
@@ -20,6 +22,8 @@
 //!   Chrome/Perfetto trace ([`chrome`], [`Tracer::export_chrome_trace`],
 //!   `FLASHR_TRACE_OUT=<path>`) and mined by the [`critical`] analyzer
 //!   for per-pass compute/io-wait/write-stall/idle attribution.
+//! * [`flight`] — the flight recorder: the newest events of every lane
+//!   plus the [`Counters`], dumped on a panic or a device I/O error.
 //!
 //! Cost model: when tracing is `off` the engine pays, beside the
 //! always-on counters, two summary events per pass and one per
@@ -27,6 +31,7 @@
 
 pub mod chrome;
 pub mod critical;
+pub mod flight;
 pub mod timeline;
 
 pub use crate::json::{json_escape, json_f64};
@@ -34,11 +39,12 @@ pub use critical::{CriticalPath, PassBreakdown};
 pub use timeline::{EventKind, Lane, LaneSnapshot, SpanEvent, Timeline};
 
 use crate::json::{self, Writer};
-use crate::stats::ExecStatsSnapshot;
+use crate::session::{MemGovernor, MemSnapshot};
+use crate::stats::{ExecStats, ExecStatsSnapshot};
 use flashr_safs::sync::Mutex;
 use flashr_safs::{
-    CacheStatsSnapshot, IoStatsSnapshot, LatencyHistoSnapshot, ShardStatsSnapshot, Stat, StatValue,
-    LAT_BUCKETS,
+    CacheStatsSnapshot, IoStatsSnapshot, LatencyHistoSnapshot, Safs, ShardStatsSnapshot, Stat,
+    StatValue, LAT_BUCKETS,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -279,16 +285,56 @@ impl Tracer {
     }
 }
 
-/// Everything a context observed, ready for JSON export.
-#[derive(Debug, Clone)]
-pub struct ProfileReport {
+/// A context's always-on counters at one instant: the sections the
+/// profile JSON and the flight dump both carry.
+#[derive(Debug, Clone, Default)]
+pub struct Counters {
     pub exec: ExecStatsSnapshot,
     /// SAFS I/O counters and latency histograms; `None` for in-memory
     /// contexts.
     pub io: Option<IoStatsSnapshot>,
+    /// Configured page-cache capacity (0 = no cache installed).
+    pub cache_capacity_bytes: u64,
     /// Per-shard (emulated device) I/O counters in shard order; empty
     /// for in-memory contexts.
     pub io_shards: Vec<ShardStatsSnapshot>,
+    pub mem: MemSnapshot,
+}
+
+impl Counters {
+    /// Snapshot the three sources every context has.
+    pub fn read(exec: &ExecStats, governor: &MemGovernor, safs: Option<&Safs>) -> Counters {
+        Counters {
+            exec: exec.snapshot(),
+            io: safs.map(|s| s.stats_snapshot()),
+            cache_capacity_bytes: safs.map(|s| s.page_cache_capacity()).unwrap_or(0),
+            io_shards: safs.map(|s| s.shard_stats_snapshots()).unwrap_or_default(),
+            mem: governor.snapshot(),
+        }
+    }
+
+    /// The `exec`, `io`, `io_shards` and `mem` members of the enclosing
+    /// object.
+    fn members(&self, w: &mut Writer) {
+        exec_json(&self.exec, w.key("exec"));
+        match &self.io {
+            Some(io) => io_json(io, self.cache_capacity_bytes, w.key("io")),
+            None => w.key("io").null(),
+        }
+        w.key("io_shards").arr(|w| self.io_shards.iter().for_each(|s| shard_json(s, w)));
+        w.key("mem").obj(|w| {
+            w.key("budget_bytes").u64(self.mem.budget_bytes);
+            w.key("pinned_bytes").u64(self.mem.pinned_bytes);
+            w.key("spills").u64(self.mem.spills);
+            w.key("overcommits").u64(self.mem.overcommits);
+        });
+    }
+}
+
+/// Everything a context observed, ready for JSON export.
+#[derive(Debug, Clone)]
+pub struct ProfileReport {
+    pub counters: Counters,
     pub passes: Vec<PassProfile>,
     pub dropped_passes: u64,
     /// Per-pass wall-clock attribution (compute / io-wait / write-stall
@@ -300,15 +346,10 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Serialize to JSON.
+    /// Serialize to JSON: the [`Counters`] sections, then the passes.
     pub fn to_json(&self) -> String {
         json::object(|w| {
-            exec_json(&self.exec, w.key("exec"));
-            match &self.io {
-                Some(io) => io_json(io, w.key("io")),
-                None => w.key("io").null(),
-            }
-            w.key("io_shards").arr(|w| self.io_shards.iter().for_each(|s| shard_json(s, w)));
+            self.counters.members(w);
             w.key("dropped_passes").u64(self.dropped_passes);
             w.key("dropped_events").u64(self.dropped_events);
             w.key("passes").arr(|w| self.passes.iter().for_each(|p| pass_json(p, w)));
@@ -330,7 +371,7 @@ impl ProfileReport {
 /// The scalar statistics as members, in declaration order.
 fn scalar_members(stats: &[Stat], w: &mut Writer) {
     for s in stats {
-        if let StatValue::Counter(v) | StatValue::Gauge(v) = s.value {
+        if let StatValue::Scalar(v) = s.value {
             w.key(s.field).u64(v);
         }
     }
@@ -345,7 +386,7 @@ fn histo_members(stats: &[Stat], w: &mut Writer) {
     }
 }
 
-pub(crate) fn exec_json(e: &ExecStatsSnapshot, w: &mut Writer) {
+fn exec_json(e: &ExecStatsSnapshot, w: &mut Writer) {
     w.obj(|w| scalar_members(&e.stats(), w));
 }
 
@@ -367,10 +408,11 @@ fn histo_json(h: &LatencyHistoSnapshot, w: &mut Writer) {
     });
 }
 
-pub(crate) fn io_json(io: &IoStatsSnapshot, w: &mut Writer) {
+fn io_json(io: &IoStatsSnapshot, cache_capacity_bytes: u64, w: &mut Writer) {
     w.obj(|w| {
         let stats = io.stats();
         scalar_members(&stats, w);
+        w.key("cache_capacity_bytes").u64(cache_capacity_bytes);
         cache_json(&io.cache, w.key("cache"));
         histo_members(&stats, w);
     });
@@ -570,9 +612,11 @@ mod tests {
             simd: "avx2",
         });
         let report = ProfileReport {
-            exec: ExecStatsSnapshot { passes: 1, parts: 2, ..Default::default() },
-            io: None,
-            io_shards: vec![ShardStatsSnapshot { read_reqs: 3, ..Default::default() }],
+            counters: Counters {
+                exec: ExecStatsSnapshot { passes: 1, parts: 2, ..Default::default() },
+                io_shards: vec![ShardStatsSnapshot { read_reqs: 3, ..Default::default() }],
+                ..Default::default()
+            },
             passes: t.passes(),
             dropped_passes: 0,
             critical_path: Vec::new(),
@@ -586,6 +630,7 @@ mod tests {
         assert!(json.contains("\"critical_path\":[]"));
         assert!(json.contains("\"io\":null"));
         assert!(json.contains("\"io_shards\":[{\"read_reqs\":3,"));
+        assert!(json.contains("\"mem\":{\"budget_bytes\":0,"));
         // escaping: the label's quotes must be escaped
         assert!(json.contains("mapply:Add \\\"x\\\""));
         json::parse(&json).expect("strict JSON");

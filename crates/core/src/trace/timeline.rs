@@ -435,7 +435,7 @@ impl std::fmt::Debug for Timeline {
 }
 
 /// SAFS-side spans land on the calling thread's lane: backend I/O
-/// threads have stable `safs-<flavor>-s<shard>t<n>` names (one lane
+/// threads have stable `safs-s<shard>t<n>` names (one lane
 /// group per storage shard), and compute threads calling into the
 /// cache reuse the worker lane their executor spans are on.
 impl SpanSink for Timeline {

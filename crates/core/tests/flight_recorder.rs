@@ -52,9 +52,9 @@ fn panic_dumps_recent_exec_spans_and_metrics() {
             .any(|e| e["name"].as_str() == Some("task") && e["args"]["pass"].as_u64() == Some(1)),
         "{doc:?}"
     );
-    // The dump embeds a full metrics snapshot taken at dump time.
-    let metrics_text = doc["metrics_text"].as_str().expect("metrics snapshot embedded");
-    assert!(metrics_text.contains("flashr_exec_passes_total 1"), "{metrics_text}");
-    assert!(metrics_text.contains("# TYPE flashr_exec_parts_total counter"), "{metrics_text}");
+    // The dump embeds the counters, read at dump time.
+    let exec = &doc["counters"]["exec"];
+    assert_eq!(exec["passes"].as_u64(), Some(1), "{doc:?}");
+    assert_eq!(exec["parts"].as_u64(), Some(16), "{doc:?}");
     let _ = std::fs::remove_file(&path);
 }

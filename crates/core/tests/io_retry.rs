@@ -1,6 +1,6 @@
 //! Transient I/O errors through the whole observability stack: bounded
 //! retry-with-backoff in the backend workers, retry counters in the
-//! metrics exposition, and the flight recorder dumping only when the
+//! profile JSON, and the flight recorder dumping only when the
 //! retry budget is exhausted — never for a retry that went on to
 //! succeed.
 
@@ -20,7 +20,12 @@ fn em_ctx(tag: &str, retry: RetryCfg) -> (FlashCtx, Safs) {
     .with_retry(retry);
     let safs = Safs::open(cfg).unwrap();
     let ctx = FlashCtx::with_config(
-        CtxConfig { nthreads: 2, rows_per_part: 64, storage: StorageClass::Em, ..CtxConfig::default() },
+        CtxConfig {
+            nthreads: 2,
+            rows_per_part: 64,
+            storage: StorageClass::Em,
+            ..CtxConfig::default()
+        },
         Some(safs.clone()),
     );
     (ctx, safs)
@@ -48,15 +53,12 @@ fn recovered_retries_count_but_do_not_dump() {
         "shard counters agree with the aggregate"
     );
 
-    // The counter is visible in the Prometheus exposition, per shard too.
-    let text = ctx.metrics_text();
-    assert!(text.contains("flashr_io_retries_total 2"), "{text}");
-    assert!(text.contains("flashr_io_shard_retries_total{shard="), "{text}");
-
-    // …and in the profile-report JSON.
+    // The counter is visible in the profile-report JSON, per shard too.
     let doc = json::parse(&ctx.profile_report().to_json()).unwrap();
     assert_eq!(doc["io"]["io_retries"].as_u64(), Some(2), "{doc:?}");
-    assert_eq!(doc["io_shards"].as_array().map(Vec::len), Some(2), "{doc:?}");
+    let shards = doc["io_shards"].as_array().expect("io_shards array");
+    assert_eq!(shards.len(), 2, "{doc:?}");
+    assert_eq!(shards.iter().filter_map(|s| s["retries"].as_u64()).sum::<u64>(), 2, "{doc:?}");
 
     // A recovered retry is not a fault: no flight-recorder dump.
     assert!(!ctx.flight_recorder().dumped());
@@ -65,8 +67,8 @@ fn recovered_retries_count_but_do_not_dump() {
 #[test]
 fn exhausted_retries_error_and_dump_flight_recorder() {
     let (ctx, safs) = em_ctx("fail", RetryCfg { max_attempts: 2, base_backoff_us: 1 });
-    let path = std::env::temp_dir()
-        .join(format!("flashr-io-retry-dump-{}.json", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("flashr-io-retry-dump-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
     ctx.flight_recorder().set_dump_path(&path);
 
@@ -80,9 +82,8 @@ fn exhausted_retries_error_and_dump_flight_recorder() {
 
     let doc = json::parse(&std::fs::read_to_string(&path).expect("dump written")).unwrap();
     assert_eq!(doc["reason"].as_str(), Some("io-error"));
-    // The embedded metrics snapshot carries the retry counter: one retry
-    // happened between the two failed attempts.
-    let metrics = doc["metrics_text"].as_str().expect("metrics embedded");
-    assert!(metrics.contains("flashr_io_retries_total 1"), "{metrics}");
+    // The embedded counters carry the retry counter: one retry happened
+    // between the two failed attempts.
+    assert_eq!(doc["counters"]["io"]["io_retries"].as_u64(), Some(1), "{doc:?}");
     let _ = std::fs::remove_file(&path);
 }

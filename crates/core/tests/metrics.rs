@@ -1,8 +1,8 @@
-//! Integration tests for the always-on metrics layer: engine counters
-//! surfacing in the Prometheus exposition after a materialization, the
-//! exposition's family list, allocation-free hot-path recording (checked
-//! with a counting global allocator), and a forced flight recorder dump
-//! carrying exec spans plus a metrics snapshot.
+//! Integration tests for the always-on counters: engine counters
+//! surfacing in the profile JSON after a materialization, the JSON's
+//! counter key sets, allocation-free hot-path recording (checked with a
+//! counting global allocator), and a forced flight recorder dump
+//! carrying exec spans plus the counters.
 //!
 //! The panic-triggered dump lives in its own binary
 //! (`tests/flight_recorder.rs`): the panic hook dumps every live
@@ -10,7 +10,7 @@
 //! that build contexts of their own.
 
 use flashr_core::fm::FM;
-use flashr_core::json;
+use flashr_core::json::{self, Value};
 use flashr_core::ops::BinaryOp;
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_core::trace::timeline::RECENT_EVENTS_PER_LANE;
@@ -64,84 +64,110 @@ fn run_once(ctx: &FlashCtx) -> f64 {
     x.binary_scalar(BinaryOp::Mul, 2.0, false).sum().value(ctx)
 }
 
-#[test]
-fn engine_counters_flow_into_the_exposition() {
-    let ctx = small_ctx();
-    run_once(&ctx);
-    let text = ctx.metrics_text();
-    // 1000 rows / 64 rows-per-part = 16 partitions in one pass.
-    assert!(text.contains("flashr_exec_passes_total 1\n"), "{text}");
-    assert!(text.contains("flashr_exec_parts_total 16\n"), "{text}");
-    // The always-on worker time breakdown moved.
-    let compute = text
-        .lines()
-        .find_map(|l| l.strip_prefix("flashr_exec_compute_nanos_total "))
-        .and_then(|v| v.parse::<u64>().ok())
-        .expect("compute nanos exported");
-    assert!(compute > 0, "{text}");
-    // The governor source reports even with no budget set.
-    assert!(text.contains("flashr_mem_budget_bytes 0\n"), "{text}");
-    // No '# TYPE' line repeats (one family header per name).
-    let mut seen = std::collections::HashSet::new();
-    for l in text.lines().filter(|l| l.starts_with("# TYPE ")) {
-        assert!(seen.insert(l.to_string()), "duplicate family header: {l}");
+/// The profile JSON of `ctx`, parsed.
+fn profile(ctx: &FlashCtx) -> Value {
+    json::parse(&ctx.profile_report().to_json()).expect("profile JSON parses")
+}
+
+/// An object's member names, sorted.
+fn keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Object(m) => m.keys().map(String::as_str).collect(),
+        other => panic!("expected an object, got {other:?}"),
     }
 }
 
-/// What `scripts/check_prometheus` and dashboards key on: every family
-/// an external-memory context exposes, with its type. The list is
-/// generated from the stat structs' declarations, so it is pinned here.
 #[test]
-fn exposition_families_are_a_fixed_contract() {
-    let dir = std::env::temp_dir().join(format!("flashr-metrics-families-{}", std::process::id()));
+fn engine_counters_flow_into_the_profile_json() {
+    let ctx = small_ctx();
+    run_once(&ctx);
+    let doc = profile(&ctx);
+    let exec = &doc["exec"];
+    // 1000 rows / 64 rows-per-part = 16 partitions in one pass.
+    assert_eq!(exec["passes"].as_u64(), Some(1), "{exec:?}");
+    assert_eq!(exec["parts"].as_u64(), Some(16), "{exec:?}");
+    // The always-on worker time breakdown moved.
+    assert!(exec["compute_nanos"].as_u64().is_some_and(|n| n > 0), "{exec:?}");
+    // The governor section reports even with no budget set.
+    assert_eq!(doc["mem"]["budget_bytes"].as_u64(), Some(0), "{doc:?}");
+}
+
+/// What CI and `scripts/bench_check` key on: every counter section an
+/// external-memory context renders, by member name. The names come from
+/// the stat structs' declarations, so they are pinned here: renaming or
+/// dropping a counter fails this test.
+#[test]
+fn profile_counter_sections_are_a_fixed_contract() {
+    let dir = std::env::temp_dir().join(format!("flashr-counter-keys-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cached = SafsConfig::striped_under(&dir, 2).with_cache(CacheCfg::with_capacity(1 << 20));
     let cfg = CtxConfig { storage: StorageClass::Em, ..small_ctx().cfg().clone() };
     let ctx = FlashCtx::with_config(cfg, Some(Safs::open(cached).unwrap()));
     let x = FM::runif(&ctx, 1000, 4, 0.0, 1.0, 7).materialize(&ctx);
     assert!(x.sum().value(&ctx).is_finite());
-    let text = ctx.metrics_text();
-    let mut families: Vec<&str> = text.lines().filter_map(|l| l.strip_prefix("# TYPE ")).collect();
-    families.sort_unstable();
-    let expected = "\
-        flashr_cache_capacity_bytes gauge
-        flashr_cache_events_total counter
-        flashr_cache_resident_bytes gauge
-        flashr_exec_compute_nanos_total counter
-        flashr_exec_fused_chains_total counter
-        flashr_exec_fused_saved_bytes_total counter
-        flashr_exec_io_wait_nanos_total counter
-        flashr_exec_nanos_total counter
-        flashr_exec_node_chunk_bytes_total counter
-        flashr_exec_node_chunks_total counter
-        flashr_exec_parts_total counter
-        flashr_exec_passes_total counter
-        flashr_exec_pcache_chunks_total counter
-        flashr_exec_write_stall_nanos_total counter
-        flashr_io_bytes_total counter
-        flashr_io_latency_ns histogram
-        flashr_io_nanos_total counter
-        flashr_io_queue_depth gauge
-        flashr_io_queue_depth_max gauge
-        flashr_io_requests_total counter
-        flashr_io_retries_total counter
-        flashr_io_shard_bytes_total counter
-        flashr_io_shard_latency_ns histogram
-        flashr_io_shard_queue_depth gauge
-        flashr_io_shard_queue_depth_max gauge
-        flashr_io_shard_requests_total counter
-        flashr_io_shard_retries_total counter
-        flashr_io_throttle_wait_nanos_total counter
-        flashr_mem_budget_bytes gauge
-        flashr_mem_overcommits_total counter
-        flashr_mem_pinned_bytes gauge
-        flashr_mem_spills_total counter
-        flashr_metrics_scrapes_total counter
-        flashr_simd_level gauge";
-    assert_eq!(families, expected.lines().map(str::trim).collect::<Vec<_>>());
-    // Labels ride along: the shard index in front, the declared one after.
-    assert!(text.contains("flashr_io_shard_bytes_total{shard=\"1\",op=\"write\"} "), "{text}");
-    assert!(text.contains("flashr_cache_events_total{shard=\"0\",event=\"evict\"} "), "{text}");
+    let doc = profile(&ctx);
+    let exec = [
+        "compute_nanos",
+        "exec_nanos",
+        "fused_chains",
+        "fused_saved_bytes",
+        "io_wait_nanos",
+        "node_chunk_bytes",
+        "node_chunks",
+        "parts",
+        "passes",
+        "pcache_chunks",
+        "write_stall_nanos",
+    ];
+    assert_eq!(keys(&doc["exec"]), exec);
+    let io = [
+        "cache",
+        "cache_capacity_bytes",
+        "cur_queue_depth",
+        "io_retries",
+        "max_queue_depth",
+        "read_bytes",
+        "read_lat",
+        "read_nanos",
+        "read_reqs",
+        "throttle_wait_nanos",
+        "write_bytes",
+        "write_lat",
+        "write_nanos",
+        "write_reqs",
+    ];
+    assert_eq!(keys(&doc["io"]), io);
+    assert_eq!(doc["io"]["cache_capacity_bytes"].as_u64(), Some(1 << 20));
+    let cache = [
+        "bypasses",
+        "coalesced",
+        "evictions",
+        "hits",
+        "inserts",
+        "invalidations",
+        "misses",
+        "readahead_hits",
+        "readahead_issued",
+        "resident_bytes",
+    ];
+    assert_eq!(keys(&doc["io"]["cache"]), cache);
+    let shard = [
+        "cur_queue_depth",
+        "lat",
+        "max_queue_depth",
+        "read_bytes",
+        "read_reqs",
+        "retries",
+        "write_bytes",
+        "write_reqs",
+    ];
+    let shards = doc["io_shards"].as_array().expect("io_shards array");
+    assert_eq!(shards.len(), 2);
+    for s in shards {
+        assert_eq!(keys(s), shard);
+        assert!(s["write_bytes"].as_u64().is_some_and(|b| b > 0), "both shards wrote: {s:?}");
+    }
+    assert_eq!(keys(&doc["mem"]), ["budget_bytes", "overcommits", "pinned_bytes", "spills"]);
     drop(ctx);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -198,8 +224,7 @@ fn forced_flight_dump_carries_exec_spans_and_metrics() {
         .collect();
     assert!(names.iter().any(|n| n == "task"), "{names:?}");
     assert!(names.iter().any(|n| n == "pass"), "{names:?}");
-    let metrics_text = doc["metrics_text"].as_str().expect("metrics snapshot embedded");
-    assert!(metrics_text.contains("flashr_exec_passes_total"), "{metrics_text}");
+    assert_eq!(doc["counters"]["exec"]["passes"].as_u64(), Some(1), "{doc:?}");
     // A second forced dump is refused (one dump per recorder).
     assert!(ctx.flight_recorder().dump_now("again").is_none());
     let _ = std::fs::remove_file(&path);

@@ -68,7 +68,7 @@ fn trace_off_records_nothing() {
     let report = ctx.profile_report();
     assert!(report.passes.is_empty());
     // The always-on counters still flow into the report.
-    assert_eq!(report.exec.passes, 1);
+    assert_eq!(report.counters.exec.passes, 1);
 }
 
 #[test]
@@ -194,7 +194,7 @@ fn em_pass_profile_shows_io_and_compute() {
 
     // The report carries SAFS I/O stats with populated histograms.
     let report = ctx.profile_report();
-    let io = report.io.expect("EM context has I/O stats");
+    let io = report.counters.io.expect("EM context has I/O stats");
     assert!(io.read_reqs > 0 && io.write_reqs > 0);
     assert!(io.read_lat.count() > 0 && io.write_lat.count() > 0);
     assert!(io.max_queue_depth >= 1);

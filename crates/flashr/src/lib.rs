@@ -49,14 +49,14 @@ pub mod prelude {
     pub use flashr_core::analysis::{AnalysisReport, Lint, PlanError, PlanErrorKind};
     pub use flashr_core::block::BlockMat;
     pub use flashr_core::fm::FM;
-    pub use flashr_core::metrics::{FlightRecorder, MetricsHub};
     pub use flashr_core::ops::{AggOp, BinaryOp, UnaryOp};
     pub use flashr_core::session::{
         CtxConfig, ExecMode, FlashCtx, MemBudget, MemGovernor, StorageClass,
     };
     pub use flashr_core::stats::ExecStatsSnapshot;
+    pub use flashr_core::trace::flight::FlightRecorder;
     pub use flashr_core::trace::{
-        CriticalPath, PassBreakdown, PassProfile, ProfileReport, Timeline, TraceLevel,
+        Counters, CriticalPath, PassBreakdown, PassProfile, ProfileReport, Timeline, TraceLevel,
     };
     pub use flashr_core::{DType, Scalar};
     pub use flashr_linalg::Dense;

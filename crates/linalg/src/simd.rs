@@ -46,8 +46,8 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Stable lowercase name, stamped into pass profiles, the bench
-    /// `host` section, and Prometheus labels.
+    /// Stable lowercase name, stamped into pass profiles and the bench
+    /// `host` section.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",

@@ -15,7 +15,7 @@
 //! Every shard keeps its own [`ShardStats`] — request/byte counters, a
 //! [`LatencyHisto`](crate::LatencyHisto) and queue-depth gauges — on top of the aggregate
 //! [`IoStats`](crate::IoStats), so the timeline, the flight recorder
-//! and the Prometheus exposition all see per-shard lanes.
+//! and the profile JSON all see per-shard lanes.
 //!
 //! Transient device errors are retried with bounded exponential backoff
 //! ([`RetryCfg`]); each retry is counted (`io_retries`) and emitted as
@@ -83,31 +83,26 @@ pub(crate) fn with_retries<T>(
     unreachable!("loop returns on the final attempt")
 }
 
-const SHARD_REQS: &str = "Requests completed, by storage shard and direction.";
-const SHARD_BYTES: &str = "Bytes moved, by storage shard and direction.";
-
 crate::stat_struct! {
     /// Per-shard I/O counters: one instance per shard, updated by that
     /// shard's workers only (plus queue-depth bumps from submitters).
     pub struct ShardStats;
     /// Point-in-time copy of one shard's [`ShardStats`].
     pub struct ShardStatsSnapshot {
-        read_reqs: counter => "flashr_io_shard_requests_total", SHARD_REQS, "op" = "read";
-        write_reqs: counter => "flashr_io_shard_requests_total", SHARD_REQS, "op" = "write";
-        read_bytes: counter => "flashr_io_shard_bytes_total", SHARD_BYTES, "op" = "read";
-        write_bytes: counter => "flashr_io_shard_bytes_total", SHARD_BYTES, "op" = "write";
+        // Requests completed on this shard, by direction.
+        read_reqs: counter;
+        write_reqs: counter;
+        // Bytes moved on this shard, by direction.
+        read_bytes: counter;
+        write_bytes: counter;
         /// Transient errors this shard's workers retried.
-        retries: counter => "flashr_io_shard_retries_total",
-            "Transient I/O errors retried, by storage shard.";
+        retries: counter;
         /// Device latency of this shard's requests (reads and writes).
-        lat: histogram => "flashr_io_shard_latency_ns",
-            "Per-request device latency by storage shard (log2 buckets, ns).";
+        lat: histogram;
         /// Requests in flight on this shard's queue.
-        cur_queue_depth: gauge => "flashr_io_shard_queue_depth",
-            "Requests in flight on this storage shard's queue.";
+        cur_queue_depth: gauge;
         /// Deepest this shard's queue has run.
-        max_queue_depth: gauge => "flashr_io_shard_queue_depth_max",
-            "Deepest this storage shard's queue has run.";
+        max_queue_depth: gauge;
     }
 }
 

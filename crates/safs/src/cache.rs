@@ -68,8 +68,6 @@ impl CacheCfg {
     }
 }
 
-const CACHE_EVENTS: &str = "Page-cache events by shard and kind.";
-
 crate::stat_struct! {
     /// Monotonic page-cache counters (relaxed atomics, like
     /// [`IoStats`](crate::IoStats)) plus the resident-bytes gauge; one
@@ -78,31 +76,27 @@ crate::stat_struct! {
     /// Point-in-time copy of [`CacheStats`].
     pub struct CacheStatsSnapshot {
         /// Lookups served from a resident entry.
-        hits: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "hit";
+        hits: counter;
         /// Lookups that became the owning device read.
-        misses: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "miss";
+        misses: counter;
         /// Lookups that blocked on another reader's in-flight I/O.
-        coalesced: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "coalesced";
+        coalesced: counter;
         /// Reads that skipped the cache via the admission filter.
-        bypasses: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "bypass";
+        bypasses: counter;
         /// Buffers published into the cache.
-        inserts: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "insert";
+        inserts: counter;
         /// Entries evicted by the CLOCK hand.
-        evictions: counter => "flashr_cache_events_total", CACHE_EVENTS, "event" = "evict";
+        evictions: counter;
         /// Entries dropped because their partition was rewritten or the
         /// file was deleted/dropped.
-        invalidations: counter =>
-            "flashr_cache_events_total", CACHE_EVENTS, "event" = "invalidate";
+        invalidations: counter;
         /// No longer incremented: the cache reads nothing ahead. Kept
         /// only because the benchmark's ledger still reads it.
-        readahead_issued: counter =>
-            "flashr_cache_events_total", CACHE_EVENTS, "event" = "readahead_issued";
+        readahead_issued: counter;
         /// No longer incremented; see `readahead_issued`.
-        readahead_hits: counter =>
-            "flashr_cache_events_total", CACHE_EVENTS, "event" = "readahead_hit";
+        readahead_hits: counter;
         /// Bytes resident in the shard; only changed under its lock.
-        resident_bytes: gauge =>
-            "flashr_cache_resident_bytes", "Resident page-cache bytes by shard.";
+        resident_bytes: gauge;
     }
 }
 
@@ -136,8 +130,7 @@ struct Shard {
     inner: Mutex<ShardInner>,
     cond: Condvar,
     /// Per-shard counters; shard-scoped so concurrent workers on
-    /// different partitions never share a counter cache line, and so the
-    /// metrics exposition can carry per-shard series (`shard="0"`).
+    /// different partitions never share a counter cache line.
     /// Admission-filter bypasses are not shard-scoped and are accounted
     /// on shard 0.
     stats: CacheStats,
@@ -185,8 +178,7 @@ impl PageCache {
     }
 
     /// Per-shard counters, in shard order, each with that shard's
-    /// resident bytes (the metrics exposition has these as
-    /// `shard="<i>"` series).
+    /// resident bytes.
     pub fn shard_snapshots(&self) -> Vec<CacheStatsSnapshot> {
         self.shards.iter().map(|s| s.stats.snapshot()).collect()
     }

@@ -5,7 +5,7 @@
 //! ([`IoStats`](crate::IoStats), the page cache's and the shards'
 //! counters here, `ExecStats` in `flashr_core`). They live in this crate
 //! — the bottom of the dependency stack — so every layer can record into
-//! them; exposition and the scrape surface live upstream in core.
+//! them; the profile JSON that renders them lives upstream in core.
 //!
 //! Every recording operation is a handful of relaxed atomic ops with no
 //! allocation and no locking, cheap enough to stay enabled in release
@@ -15,38 +15,32 @@
 use crate::stats::LatencyHistoSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One statistic of a snapshot, with everything a renderer needs: the
-/// JSON member name, and the Prometheus family, help text and fixed
-/// label. Produced by the `stats()` method [`stat_struct!`](crate::stat_struct) generates.
+/// One statistic of a snapshot: its JSON member name and value.
+/// Produced by the `stats()` method [`stat_struct!`](crate::stat_struct) generates.
 #[derive(Debug, Clone)]
 pub struct Stat {
     pub field: &'static str,
-    pub family: &'static str,
-    pub help: &'static str,
-    pub label: Option<(&'static str, &'static str)>,
     pub value: StatValue,
 }
 
-/// A statistic's value; the variant is its Prometheus type.
+/// A statistic's value: a counter or gauge reading, or a histogram.
 #[derive(Debug, Clone)]
 pub enum StatValue {
-    Counter(u64),
-    Gauge(u64),
+    Scalar(u64),
     // Boxed: the 40-bucket snapshot is ~an order of magnitude larger
-    // than the scalar variants, and most statistics are scalars.
+    // than a scalar, and most statistics are scalars.
     Histogram(Box<LatencyHistoSnapshot>),
 }
 
 /// Declare a statistics struct once: the live struct of atomic cells,
 /// its `Copy` snapshot struct, `snapshot()`, the saturating `delta()`
 /// (gauges carry the later value, histograms subtract bucket-wise), the
-/// pointwise `merge()` and the `stats()` list every renderer (JSON,
-/// Prometheus) loops over, all in declaration order.
+/// pointwise `merge()` and the `stats()` list the profile JSON loops
+/// over, all in declaration order.
 ///
-/// Each field is `name: kind => "family", help, "label" = "value";`
-/// with `kind` one of `counter` ([`Counter`]), `gauge` ([`Gauge`]) or
-/// `histogram` ([`LatencyHisto`](crate::LatencyHisto)); the label is
-/// optional. Fields after `plus` exist in the snapshot only: its owner
+/// Each field is `name: kind;` with `kind` one of `counter`
+/// ([`Counter`]), `gauge` ([`Gauge`]) or `histogram`
+/// ([`LatencyHisto`](crate::LatencyHisto)). Fields after `plus` exist in the snapshot only: its owner
 /// fills them in, and their type supplies `delta` and `merge`.
 #[macro_export]
 macro_rules! stat_struct {
@@ -57,8 +51,7 @@ macro_rules! stat_struct {
         pub struct $Snap:ident {
             $(
                 $(#[$fmeta:meta])*
-                $fvis:vis $field:ident : $kind:ident =>
-                    $family:literal, $help:expr $(, $lk:literal = $lv:literal)?
+                $fvis:vis $field:ident : $kind:ident
             );* $(;)?
         }
         $(plus { $( $(#[$pmeta:meta])* $pfield:ident : $pty:ty ),* $(,)? })?
@@ -110,15 +103,12 @@ macro_rules! stat_struct {
                 }
             }
 
-            /// Every declared statistic with its rendering metadata, in
+            /// Every declared statistic with its member name, in
             /// declaration order (`plus` fields are not included).
             pub fn stats(&self) -> Vec<$crate::Stat> {
                 vec![$(
                     $crate::Stat {
                         field: stringify!($field),
-                        family: $family,
-                        help: $help,
-                        label: $crate::stat_struct!(@label $($lk $lv)?),
                         value: $crate::stat_struct!(@stat $kind self.$field),
                     },
                 )*]
@@ -137,11 +127,8 @@ macro_rules! stat_struct {
     (@delta histogram $a:expr, $b:expr) => { $a.delta(&$b) };
     (@merge histogram $a:expr, $b:expr) => { $a.merge(&$b) };
     (@merge $scalar:ident $a:expr, $b:expr) => { $a + $b };
-    (@label) => { None };
-    (@label $k:literal $v:literal) => { Some(($k, $v)) };
-    (@stat counter $v:expr) => { $crate::StatValue::Counter($v) };
-    (@stat gauge $v:expr) => { $crate::StatValue::Gauge($v) };
     (@stat histogram $v:expr) => { $crate::StatValue::Histogram(Box::new($v)) };
+    (@stat $scalar:ident $v:expr) => { $crate::StatValue::Scalar($v) };
 }
 
 /// A monotonically increasing counter; recording is one relaxed
@@ -246,7 +233,10 @@ pub struct Log2Histogram<const N: usize> {
 
 impl<const N: usize> Default for Log2Histogram<N> {
     fn default() -> Self {
-        Log2Histogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)), sum: AtomicU64::new(0) }
+        Log2Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+        }
     }
 }
 

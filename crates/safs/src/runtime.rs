@@ -140,12 +140,6 @@ impl Safs {
         self.inner.page_cache.lock().as_ref().map(|c| c.stats_snapshot()).unwrap_or_default()
     }
 
-    /// Per-shard page-cache counters in shard order (empty when no cache
-    /// is installed). Feeds the metrics exposition's `shard="<i>"` series.
-    pub fn cache_shard_snapshots(&self) -> Vec<CacheStatsSnapshot> {
-        self.inner.page_cache.lock().as_ref().map(|c| c.shard_snapshots()).unwrap_or_default()
-    }
-
     /// Create a file of `nparts` equally sized partitions.
     pub fn create(&self, name: &str, part_bytes: u64, nparts: u64) -> SafsResult<SafsFile> {
         let total_bytes = part_bytes.checked_mul(nparts).ok_or_else(|| {

@@ -23,40 +23,35 @@ pub type LatencyHisto = Log2Histogram<LAT_BUCKETS>;
 /// Point-in-time copy of a [`LatencyHisto`].
 pub type LatencyHistoSnapshot = Log2HistogramSnapshot<LAT_BUCKETS>;
 
-const IO_BYTES: &str = "Bytes moved through the (emulated) SSD array.";
-const IO_REQS: &str = "Requests completed by the I/O threads.";
-const IO_NANOS: &str = "Device-side nanoseconds summed over requests.";
-const IO_LAT: &str = "Per-request device latency (log2 buckets, nanoseconds).";
-
 crate::stat_struct! {
     /// Monotonic counters, updated by the I/O threads, plus queue-depth
     /// gauges updated at submit/complete time.
     pub struct IoStats;
     /// A point-in-time copy of [`IoStats`].
     pub struct IoStatsSnapshot {
-        read_bytes: counter => "flashr_io_bytes_total", IO_BYTES, "op" = "read";
-        write_bytes: counter => "flashr_io_bytes_total", IO_BYTES, "op" = "write";
-        read_reqs: counter => "flashr_io_requests_total", IO_REQS, "op" = "read";
-        write_reqs: counter => "flashr_io_requests_total", IO_REQS, "op" = "write";
-        read_nanos: counter => "flashr_io_nanos_total", IO_NANOS, "op" = "read";
-        write_nanos: counter => "flashr_io_nanos_total", IO_NANOS, "op" = "write";
-        read_lat: histogram => "flashr_io_latency_ns", IO_LAT, "op" = "read";
-        write_lat: histogram => "flashr_io_latency_ns", IO_LAT, "op" = "write";
+        // Bytes moved through the (emulated) SSD array, by direction.
+        read_bytes: counter;
+        write_bytes: counter;
+        // Requests completed by the I/O threads.
+        read_reqs: counter;
+        write_reqs: counter;
+        // Device-side nanoseconds summed over requests.
+        read_nanos: counter;
+        write_nanos: counter;
+        // Per-request device latency (log2 buckets, nanoseconds).
+        read_lat: histogram;
+        write_lat: histogram;
         /// Nanoseconds I/O threads spent blocked in the bandwidth
         /// throttle (0 when no throttle is configured).
-        throttle_wait_nanos: counter => "flashr_io_throttle_wait_nanos_total",
-            "Nanoseconds I/O threads slept in the bandwidth throttle.";
+        throttle_wait_nanos: counter;
         /// Transient I/O errors the backend workers retried (each
         /// eventual success or final failure is one request; this counts
         /// the extra attempts).
-        io_retries: counter => "flashr_io_retries_total",
-            "Transient I/O errors retried by the backend workers.";
+        io_retries: counter;
         /// Requests submitted but not yet completed.
-        cur_queue_depth: gauge => "flashr_io_queue_depth",
-            "Requests currently in flight across the I/O queues.";
+        cur_queue_depth: gauge;
         /// Deepest the queues have run since the runtime started.
-        max_queue_depth: gauge => "flashr_io_queue_depth_max",
-            "Deepest the I/O queues have run since the runtime started.";
+        max_queue_depth: gauge;
     }
     plus {
         /// Page-cache counters (all zero when no cache is installed).

@@ -20,7 +20,7 @@ const ROWS_PER_PART: [u64; 5] = [16, 32, 64, 128, 256];
 /// A Pcache budget of one byte clamps to the 16-row floor; the other is
 /// `CtxConfig::default()`'s.
 const PCACHE_BYTES: [usize; 2] = [1, 256 * 1024];
-/// Read-ahead depth of the two EM arrays: none (every claim issues its
+/// Read-ahead depth of the EM arrays: none (every claim issues its
 /// own reads) and `SafsConfig`'s default.
 const DISPATCH_BATCH: [usize; 2] = [1, 4];
 const DTYPES: [DType; 5] = [DType::F64, DType::F32, DType::I64, DType::I32, DType::U8];
@@ -28,25 +28,30 @@ const DTYPES: [DType; 5] = [DType::F64, DType::F32, DType::I64, DType::I32, DTyp
 #[derive(Debug, Clone, Copy)]
 enum Storage {
     InMem,
-    EmSim,
-    EmDirect,
-    /// `EmSim` behind a page cache that admits every leaf, so partitions
-    /// arrive as cache hits, coalesced waits and owned misses.
-    EmSimCached,
+    TwoShards,
+    /// Four shards behind the per-device throttle, so reads and writes
+    /// complete through the token bucket.
+    FourShardsThrottled,
+    /// `TwoShards` behind a page cache that admits every leaf, so
+    /// partitions arrive as cache hits, coalesced waits and owned misses.
+    TwoShardsCached,
 }
 const STORAGES: [Storage; 4] =
-    [Storage::InMem, Storage::EmSim, Storage::EmDirect, Storage::EmSimCached];
+    [Storage::InMem, Storage::TwoShards, Storage::FourShardsThrottled, Storage::TwoShardsCached];
 
 /// A page cache larger than any leaf a case draws.
 const CACHE_BYTES: u64 = 16 << 20;
+
+/// The four-shard array's throttle: fast enough to keep the suite quick.
+const THROTTLE: ThrottleCfg = ThrottleCfg { bytes_per_sec: 1e9, latency_us: 1.0 };
 
 /// The three SSD arrays the EM points run on, each opened once per
 /// [`DISPATCH_BATCH`] value, under one scratch directory.
 struct Arrays {
     dir: std::path::PathBuf,
-    sim: [Safs; 2],
-    direct: [Safs; 2],
-    sim_cached: [Safs; 2],
+    two_shards: [Safs; 2],
+    four_shards: [Safs; 2],
+    cached: [Safs; 2],
 }
 
 impl Arrays {
@@ -55,19 +60,19 @@ impl Arrays {
         let _ = std::fs::remove_dir_all(&dir);
         // Explicit layouts, so FLASHR_SAFS_SHARDS cannot fold the two
         // shard counts into one.
-        let array = |name: &str, shards: usize, cache_bytes| {
+        let array = |name: &str, shards: usize, cache_bytes, throttle| {
             DISPATCH_BATCH.map(|batch| {
                 let disks = (0..shards).map(|d| dir.join(format!("{name}{batch}-{d}"))).collect();
-                let cfg = SafsConfig { disks, ..SafsConfig::single_dir(&dir) }
+                let cfg = SafsConfig { disks, throttle, ..SafsConfig::single_dir(&dir) }
                     .with_dispatch_batch(batch)
                     .with_cache(CacheCfg::with_capacity(cache_bytes));
                 Safs::open(cfg).expect("open scratch SAFS array")
             })
         };
-        let sim = array("sim", 2, 0);
-        let direct = array("direct", 4, 0);
-        let sim_cached = array("cached", 2, CACHE_BYTES);
-        Arrays { dir, sim, direct, sim_cached }
+        let two_shards = array("two", 2, 0, None);
+        let four_shards = array("four", 4, 0, Some(THROTTLE));
+        let cached = array("cached", 2, CACHE_BYTES, None);
+        Arrays { dir, two_shards, four_shards, cached }
     }
 
     /// `batch` indexes [`DISPATCH_BATCH`]; in-memory storage ignores it.
@@ -82,9 +87,11 @@ impl Arrays {
     ) -> FlashCtx {
         let (class, safs) = match storage {
             Storage::InMem => (StorageClass::InMem, None),
-            Storage::EmSim => (StorageClass::Em, Some(self.sim[batch].clone())),
-            Storage::EmDirect => (StorageClass::Em, Some(self.direct[batch].clone())),
-            Storage::EmSimCached => (StorageClass::Em, Some(self.sim_cached[batch].clone())),
+            Storage::TwoShards => (StorageClass::Em, Some(self.two_shards[batch].clone())),
+            Storage::FourShardsThrottled => {
+                (StorageClass::Em, Some(self.four_shards[batch].clone()))
+            }
+            Storage::TwoShardsCached => (StorageClass::Em, Some(self.cached[batch].clone())),
         };
         let cfg = CtxConfig {
             nthreads,
@@ -552,7 +559,7 @@ fn random_programs_match_the_oracle_in_every_mode() {
 #[test]
 fn generated_leaves_match_the_oracle() {
     let arrays = Arrays::open("gen");
-    let storages = [Storage::InMem, Storage::EmSim, Storage::EmSimCached];
+    let storages = [Storage::InMem, Storage::TwoShards, Storage::TwoShardsCached];
     cases(24, |rng, case| {
         let storage = storages[case % storages.len()];
         let (rows, cols) = (2 * rng.usize(8..150) + 1, rng.usize(1..5));
@@ -582,7 +589,7 @@ fn generated_leaves_match_the_oracle() {
 #[test]
 fn every_inner_prod_pair_matches_the_oracle() {
     let arrays = Arrays::open("innerprod");
-    let storages = [Storage::InMem, Storage::EmSim, Storage::EmSimCached];
+    let storages = [Storage::InMem, Storage::TwoShards, Storage::TwoShardsCached];
     cases(6, |rng, case| {
         let storage = storages[case % storages.len()];
         let (rows, cols) = (8 * rng.usize(2..40) + rng.usize(1..8), rng.usize(1..7));
@@ -660,9 +667,12 @@ fn one_program_at_every_configuration_point() {
             }
         }
     }
-    let cache = arrays.sim_cached.iter().map(|s| s.cache_stats_snapshot());
+    let cache = arrays.cached.iter().map(|s| s.cache_stats_snapshot());
     assert!(cache.clone().all(|c| c.bypasses == 0), "the cache admits every leaf");
     assert!(cache.map(|c| c.hits).sum::<u64>() > 0, "the cached points read through the cache");
+    let four = &arrays.four_shards;
+    assert!(four.iter().all(|s| s.throttle().is_some()), "the four-shard array is throttled");
+    assert!(four.iter().map(|s| s.stats_snapshot().read_reqs).sum::<u64>() > 0, "and read from");
 }
 
 /// A Pcache budget between the two above: a many-branch program runs at
@@ -721,11 +731,11 @@ fn many_branch_programs_match_the_oracle() {
 // ------------------------------------------------------------ fixed cases
 //
 // The shapes and values a random draw rarely lands on, each at a 16-row
-// partition in every mode, in memory and on the four-shard array.
+// partition in every mode, in memory and on the throttled four-shard array.
 
 fn at_small_partitions(arrays: &Arrays, body: impl Fn(&FlashCtx, &str)) {
     for mode in MODES {
-        for storage in [Storage::InMem, Storage::EmDirect] {
+        for storage in [Storage::InMem, Storage::FourShardsThrottled] {
             let ctx = arrays.ctx(mode, 2, 16, PCACHE_BYTES[1], storage, 1);
             body(&ctx, &format!("{mode:?} {storage:?}"));
         }

@@ -18,11 +18,6 @@ pub fn trace() -> Option<String> {
     var("FLASHR_TRACE")
 }
 
-/// `FLASHR_TRACE_EVENTS`: events kept per lane at `FLASHR_TRACE=timeline`.
-pub fn trace_events() -> Option<usize> {
-    var("FLASHR_TRACE_EVENTS")?.trim().parse().ok()
-}
-
 /// `FLASHR_TRACE_OUT`: where the Chrome trace is written; setting it
 /// raises the default trace level to `timeline`.
 pub fn trace_out() -> Option<PathBuf> {

@@ -199,7 +199,7 @@ pub(crate) fn run_labeled(
     };
 
     // The whole parallel section is one "pass" span on the coordinator
-    // lane; the critical-path analyzer windows task spans by it.
+    // lane; `profile_report` credits each task span to its `pass` arg.
     let coord = shared.log.named_lane("coordinator");
     let pass_args = [("pass", pass_id), ("nparts", nparts)];
     let pass_begin_ns = coord.open("exec", "pass", pass_args);
@@ -315,6 +315,8 @@ pub(crate) fn run_labeled(
             workers,
             ops,
             simd: ops::simd::SimdLevel::active().name(),
+            median_task_nanos: 0,
+            stragglers: 0,
         });
     }
 

@@ -56,6 +56,4 @@ pub use dtype::{DType, Scalar};
 pub use fm::FM;
 pub use session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 pub use trace::flight::FlightRecorder;
-pub use trace::{
-    Counters, CriticalPath, PassBreakdown, PassProfile, ProfileReport, Timeline, TraceLevel,
-};
+pub use trace::{Counters, PassProfile, ProfileReport, Timeline, TraceLevel};

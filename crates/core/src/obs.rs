@@ -1,54 +1,8 @@
-//! What identifies a plan and a host across runs: the structural plan
-//! fingerprint and the `"host"` stamp of the bench artifacts.
+//! What identifies a host across runs: the `"host"` stamp of the bench
+//! artifacts.
 
-use crate::dag::Node;
-use crate::exec::Target;
 use crate::json;
 use crate::session::FlashCtx;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
-
-/// Structural fingerprint of a target set: a recursive, node-id-free
-/// hash over shapes, dtypes and operator labels, so the same program
-/// shape yields the same fingerprint in every process (leaves hash by
-/// shape and storage class, not identity). Built on the unkeyed
-/// `DefaultHasher`, which is deterministic across runs of one build.
-pub fn plan_fingerprint(targets: &[Target]) -> u64 {
-    let mut memo: HashMap<u64, u64> = HashMap::new();
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    targets.len().hash(&mut h);
-    for t in targets {
-        let (tag, node) = match t {
-            Target::Sink(n) => (0u8, n),
-            Target::Tall { node, .. } => (1u8, node),
-        };
-        tag.hash(&mut h);
-        node_fingerprint(node, &mut memo).hash(&mut h);
-    }
-    h.finish()
-}
-
-fn node_fingerprint(node: &Arc<Node>, memo: &mut HashMap<u64, u64>) -> u64 {
-    if let Some(&f) = memo.get(&node.id) {
-        return f;
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    node.label().hash(&mut h);
-    node.nrows.hash(&mut h);
-    node.ncols.hash(&mut h);
-    node.dtype.hash(&mut h);
-    if !node.is_effective_leaf() {
-        let children = node.children();
-        children.len().hash(&mut h);
-        for c in children {
-            node_fingerprint(c, memo).hash(&mut h);
-        }
-    }
-    let f = h.finish();
-    memo.insert(node.id, f);
-    f
-}
 
 /// The `"host"` stamp every `BENCH_*.json` embeds (through
 /// `flashr_bench::host_section_json`): what matches artifacts across runs.
@@ -75,20 +29,6 @@ pub fn host_json(ctx: &FlashCtx) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fm::FM;
-
-    #[test]
-    fn fingerprint_is_structural_not_identity() {
-        let ctx = FlashCtx::in_memory();
-        let mk =
-            |rows| FM::runif(&ctx, rows, 4, 0.0, 1.0, 7).sqrt().sum().pending_target().unwrap();
-        // Distinct node ids, same structure.
-        let fa = plan_fingerprint(std::slice::from_ref(&mk(1024)));
-        let fb = plan_fingerprint(std::slice::from_ref(&mk(1024)));
-        assert_eq!(fa, fb);
-        // Different shape, different fingerprint.
-        assert_ne!(fa, plan_fingerprint(std::slice::from_ref(&mk(2048))));
-    }
 
     #[test]
     fn host_json_has_backend_and_shards() {

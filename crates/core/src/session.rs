@@ -6,7 +6,7 @@ use crate::part::Partitioner;
 use crate::stats::ExecStats;
 use crate::trace::flight::{self, CounterSources, FlightRecorder};
 use crate::trace::timeline::claim_trace_out;
-use crate::trace::{Counters, CriticalPath, ProfileReport, TraceLevel, Tracer};
+use crate::trace::{fill_task_stats, Counters, ProfileReport, TraceLevel, Tracer};
 use flashr_safs::{CacheCfg, Safs, SafsConfig, SafsResult, SpanSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,29 +100,20 @@ impl Default for CtxConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemBudget {
     /// Total bytes the session may pin (0 = unlimited, the historical
-    /// behavior).
+    /// behavior). On EM contexts half backs the SAFS page cache and the
+    /// rest pinned `set.cache` matrices.
     pub total_bytes: u64,
-    /// Fraction of the budget handed to the SAFS page cache; the rest
-    /// backs pinned `set.cache` matrices. Only meaningful on EM
-    /// contexts.
-    pub cache_fraction: f64,
 }
 
 impl MemBudget {
     /// A budget of `total_bytes`, split evenly between the page cache
     /// and pinned materializations.
     pub fn new(total_bytes: u64) -> Self {
-        MemBudget { total_bytes, cache_fraction: 0.5 }
-    }
-
-    /// Builder-style: set the page-cache share of the budget.
-    pub fn with_cache_fraction(mut self, f: f64) -> Self {
-        self.cache_fraction = f.clamp(0.0, 1.0);
-        self
+        MemBudget { total_bytes }
     }
 
     pub(crate) fn cache_bytes(&self) -> u64 {
-        (self.total_bytes as f64 * self.cache_fraction) as u64
+        self.total_bytes / 2
     }
 
     pub(crate) fn pin_bytes(&self) -> u64 {
@@ -407,18 +398,20 @@ impl FlashCtx {
 
     /// Everything this context observed — engine counters, SAFS I/O
     /// counters and latency histograms (if on SSDs), the memory
-    /// governor's accounting, and the recorded pass profiles — ready for
+    /// governor's accounting, and the recorded pass profiles (with their
+    /// task statistics at [`TraceLevel::Timeline`]) — ready for
     /// [`ProfileReport::to_json`].
     pub fn profile_report(&self) -> ProfileReport {
-        let passes = self.inner.tracer.passes();
-        let lanes = self.inner.tracer.timeline().map(|t| t.snapshot()).unwrap_or_default();
         let inner = &self.inner;
+        let mut passes = inner.tracer.passes();
+        if let Some(tl) = inner.tracer.timeline() {
+            fill_task_stats(&mut passes, &tl.snapshot());
+        }
         ProfileReport {
             counters: Counters::read(&inner.stats, &inner.governor, inner.safs.as_ref()),
-            critical_path: CriticalPath::analyze(&passes, &lanes),
-            dropped_events: self.inner.tracer.dropped_events(),
             passes,
-            dropped_passes: self.inner.tracer.dropped_passes(),
+            dropped_passes: inner.tracer.dropped_passes(),
+            dropped_events: inner.tracer.dropped_events(),
         }
     }
 

@@ -113,7 +113,14 @@ mod tests {
         lane.instant("cache", "hit", NO_ARGS);
         lane.counter("io-queue-depth", 15, 3);
         let json = export_single("ctx", &tl);
-        for phase in ["\"ph\":\"M\"", "\"ph\":\"B\"", "\"ph\":\"E\"", "\"ph\":\"X\"", "\"ph\":\"i\"", "\"ph\":\"C\""] {
+        for phase in [
+            "\"ph\":\"M\"",
+            "\"ph\":\"B\"",
+            "\"ph\":\"E\"",
+            "\"ph\":\"X\"",
+            "\"ph\":\"i\"",
+            "\"ph\":\"C\"",
+        ] {
             assert!(json.contains(phase), "missing {phase} in {json}");
         }
         assert!(json.contains("\"displayTimeUnit\":\"ms\""));

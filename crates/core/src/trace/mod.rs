@@ -20,8 +20,9 @@
 //!   waits). Below `FLASHR_TRACE=timeline` it keeps a short summary for
 //!   the flight recorder; at it, the full task stream, exportable as a
 //!   Chrome/Perfetto trace ([`chrome`], [`Tracer::export_chrome_trace`],
-//!   `FLASHR_TRACE_OUT=<path>`) and mined by the [`critical`] analyzer
-//!   for per-pass compute/io-wait/write-stall/idle attribution.
+//!   `FLASHR_TRACE_OUT=<path>`) and mined by
+//!   [`FlashCtx::profile_report`](crate::session::FlashCtx::profile_report)
+//!   for each pass's median task time and stragglers.
 //! * [`flight`] — the flight recorder: the newest events of every lane
 //!   plus the [`Counters`], dumped on a panic or a device I/O error.
 //!
@@ -30,12 +31,10 @@
 //! partition into pre-allocated lane buffers, and nothing per chunk.
 
 pub mod chrome;
-pub mod critical;
 pub mod flight;
 pub mod timeline;
 
 pub use crate::json::{json_escape, json_f64};
-pub use critical::{CriticalPath, PassBreakdown};
 pub use timeline::{EventKind, Lane, LaneSnapshot, SpanEvent, Timeline};
 
 use crate::json::{self, Writer};
@@ -46,6 +45,7 @@ use flashr_safs::{
     CacheStatsSnapshot, IoStatsSnapshot, LatencyHistoSnapshot, Safs, ShardStatsSnapshot, Stat,
     StatValue, LAT_BUCKETS,
 };
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -169,7 +169,17 @@ pub struct PassProfile {
     /// SIMD dispatch level the pass's kernels were compiled at
     /// (`"scalar"` or `"avx2"`).
     pub simd: &'static str,
+    /// Median `task`-span duration, and the tasks slower than
+    /// [`STRAGGLER_FACTOR`] × it. Filled from the span log by
+    /// [`FlashCtx::profile_report`](crate::session::FlashCtx::profile_report);
+    /// 0 below [`TraceLevel::Timeline`].
+    pub median_task_nanos: u64,
+    pub stragglers: u64,
 }
+
+/// A task slower than `STRAGGLER_FACTOR` × its pass's median task time
+/// is a straggler.
+pub const STRAGGLER_FACTOR: u64 = 2;
 
 impl PassProfile {
     /// Summed worker I/O-wait.
@@ -190,6 +200,66 @@ impl PassProfile {
     /// Summed Pcache chunks.
     pub fn pcache_chunks(&self) -> u64 {
         self.workers.iter().map(|w| w.pcache_chunks).sum()
+    }
+
+    /// Worker time the other three sums leave of `workers × wall`:
+    /// scheduler idle at the tail of the pass, claim contention and span
+    /// gaps.
+    pub fn idle_nanos(&self) -> u64 {
+        let busy = self.compute_nanos() + self.io_wait_nanos() + self.write_stall_nanos();
+        (self.workers.len() as u64 * self.wall_nanos).saturating_sub(busy)
+    }
+
+    /// The largest of the four parts of worker time: `"compute"`,
+    /// `"io-wait"`, `"write-stall"` or `"idle"`.
+    pub fn bound(&self) -> &'static str {
+        [
+            ("compute", self.compute_nanos()),
+            ("io-wait", self.io_wait_nanos()),
+            ("write-stall", self.write_stall_nanos()),
+            ("idle", self.idle_nanos()),
+        ]
+        .into_iter()
+        .max_by_key(|&(_, v)| v)
+        .map_or("compute", |(n, _)| n)
+    }
+
+    /// Fraction of worker time spent computing (NaN without workers or
+    /// wall time, serialized as `null`).
+    pub fn utilization(&self) -> f64 {
+        self.compute_nanos() as f64 / (self.workers.len() as f64 * self.wall_nanos as f64)
+    }
+}
+
+/// Fill every pass's `median_task_nanos` and `stragglers` from the span
+/// log in one walk: each lane's `task` Begin/End pairs are stack-matched
+/// and each duration is credited to the pass its Begin names.
+pub(crate) fn fill_task_stats(passes: &mut [PassProfile], lanes: &[LaneSnapshot]) {
+    let mut durs: HashMap<u64, Vec<u64>> = HashMap::new();
+    for lane in lanes {
+        let mut open: Vec<(u64, Option<u64>)> = Vec::new(); // (begin_ts, pass)
+        for ev in lane.events.iter().filter(|e| e.name == "task") {
+            match ev.kind {
+                EventKind::Begin => {
+                    let pass = ev.args.iter().find(|(k, _)| *k == "pass").map(|&(_, v)| v);
+                    open.push((ev.ts_ns, pass));
+                }
+                EventKind::End => {
+                    if let Some((t0, Some(pass))) = open.pop() {
+                        durs.entry(pass).or_default().push(ev.ts_ns.saturating_sub(t0));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    for p in passes {
+        let Some(d) = durs.get_mut(&p.pass_id) else { continue };
+        d.sort_unstable();
+        let median = d[d.len() / 2];
+        p.median_task_nanos = median;
+        p.stragglers =
+            d.iter().filter(|&&t| median > 0 && t > STRAGGLER_FACTOR * median).count() as u64;
     }
 }
 
@@ -332,14 +402,11 @@ impl Counters {
 }
 
 /// Everything a context observed, ready for JSON export.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileReport {
     pub counters: Counters,
     pub passes: Vec<PassProfile>,
     pub dropped_passes: u64,
-    /// Per-pass wall-clock attribution (compute / io-wait / write-stall
-    /// / idle, stragglers); one row per recorded pass.
-    pub critical_path: Vec<PassBreakdown>,
     /// Timeline events discarded at the per-lane budget (0 when the
     /// timeline is off).
     pub dropped_events: u64,
@@ -353,18 +420,47 @@ impl ProfileReport {
             w.key("dropped_passes").u64(self.dropped_passes);
             w.key("dropped_events").u64(self.dropped_events);
             w.key("passes").arr(|w| self.passes.iter().for_each(|p| pass_json(p, w)));
-            w.key("critical_path")
-                .arr(|w| self.critical_path.iter().for_each(|b| breakdown_json(b, w)));
         })
     }
 
-    /// The per-pass critical-path table (same rendering in every bench
-    /// bin; empty string when no passes were recorded).
+    /// The per-pass critical-path table, the heaviest 12 passes by wall
+    /// time (same rendering in every bench bin; empty string when no
+    /// passes were recorded).
     pub fn critical_path_table(&self) -> String {
-        if self.critical_path.is_empty() {
+        if self.passes.is_empty() {
             return String::new();
         }
-        CriticalPath::table(&self.critical_path)
+        let mut o = String::from(
+            "pass  engine        wall_ms   comp%    io%    wr%  idle%  tasks  straggler  bound\n",
+        );
+        // Iterative workloads record thousands of near-identical passes.
+        let mut order: Vec<&PassProfile> = self.passes.iter().collect();
+        order.sort_by_key(|p| std::cmp::Reverse(p.wall_nanos));
+        let shown = order.len().min(12);
+        for p in &order[..shown] {
+            let denom = (p.workers.len() as u64 * p.wall_nanos).max(1) as f64;
+            let pct = |n: u64| 100.0 * n as f64 / denom;
+            o.push_str(&format!(
+                "{:>4}  {:<12} {:>8.2} {:>7.1} {:>6.1} {:>6.1} {:>6.1} {:>6} {:>10}  {}\n",
+                p.pass_id,
+                p.engine,
+                p.wall_nanos as f64 / 1e6,
+                pct(p.compute_nanos()),
+                pct(p.io_wait_nanos()),
+                pct(p.write_stall_nanos()),
+                pct(p.idle_nanos()),
+                p.nparts,
+                p.stragglers,
+                p.bound(),
+            ));
+        }
+        if order.len() > shown {
+            o.push_str(&format!(
+                "({} more passes omitted; sorted by wall time)\n",
+                order.len() - shown
+            ));
+        }
+        o
     }
 }
 
@@ -450,12 +546,17 @@ fn pass_json(p: &PassProfile, w: &mut Writer) {
             ("io_wait_nanos", p.io_wait_nanos()),
             ("compute_nanos", p.compute_nanos()),
             ("write_stall_nanos", p.write_stall_nanos()),
+            ("idle_nanos", p.idle_nanos()),
             ("pcache_chunks", p.pcache_chunks()),
             ("cache_hits", p.cache.hits),
             ("cache_misses", p.cache.misses),
+            ("median_task_nanos", p.median_task_nanos),
+            ("stragglers", p.stragglers),
         ] {
             w.key(key).u64(v);
         }
+        w.key("bound").str(p.bound());
+        w.key("utilization").f64(p.utilization());
         w.key("workers").arr(|w| {
             for wp in &p.workers {
                 w.obj(|w| {
@@ -484,28 +585,6 @@ fn pass_json(p: &PassProfile, w: &mut Writer) {
                 });
             }
         });
-    });
-}
-
-fn breakdown_json(b: &PassBreakdown, w: &mut Writer) {
-    w.obj(|w| {
-        w.key("pass_id").u64(b.pass_id);
-        w.key("engine").str(b.engine);
-        for (key, v) in [
-            ("nworkers", b.nworkers as u64),
-            ("wall_nanos", b.wall_nanos),
-            ("compute_nanos", b.compute_nanos),
-            ("io_wait_nanos", b.io_wait_nanos),
-            ("write_stall_nanos", b.write_stall_nanos),
-            ("idle_nanos", b.idle_nanos),
-            ("tasks", b.tasks),
-            ("median_task_nanos", b.median_task_nanos),
-            ("stragglers", b.stragglers),
-        ] {
-            w.key(key).u64(v);
-        }
-        w.key("bound").str(b.bound);
-        w.key("utilization").f64(b.utilization());
     });
 }
 
@@ -549,27 +628,46 @@ mod tests {
         assert!(!off.enabled(TraceLevel::Pass));
     }
 
-    #[test]
-    fn tracer_caps_recorded_passes() {
-        let t = Tracer::new(TraceLevel::Pass);
-        let p = PassProfile {
-            pass_id: 1,
+    fn pass(pass_id: u64, wall: u64, workers: Vec<WorkerProfile>) -> PassProfile {
+        PassProfile {
+            pass_id,
             engine: "fused",
             mode: "CacheFuse",
             nodes: 1,
             nodes_pre_cse: 1,
-            nparts: 1,
+            nparts: 4,
             pcache_step: 64,
             sinks: 1,
             talls: 0,
-            wall_nanos: 1,
+            wall_nanos: wall,
             cache: CacheStatsSnapshot::default(),
-            workers: Vec::new(),
+            workers,
             ops: Vec::new(),
-            simd: "off",
-        };
+            simd: "scalar",
+            median_task_nanos: 0,
+            stragglers: 0,
+        }
+    }
+
+    fn worker(compute: u64, io: u64, ws: u64, parts: u64) -> WorkerProfile {
+        WorkerProfile {
+            parts,
+            io_wait_nanos: io,
+            compute_nanos: compute,
+            write_stall_nanos: ws,
+            ..Default::default()
+        }
+    }
+
+    fn report(passes: Vec<PassProfile>) -> ProfileReport {
+        ProfileReport { passes, ..Default::default() }
+    }
+
+    #[test]
+    fn tracer_caps_recorded_passes() {
+        let t = Tracer::new(TraceLevel::Pass);
         for _ in 0..(MAX_PASSES + 10) {
-            t.record_pass(p.clone());
+            t.record_pass(pass(1, 1, Vec::new()));
         }
         assert_eq!(t.passes().len(), MAX_PASSES);
         assert_eq!(t.dropped_passes(), 10);
@@ -580,59 +678,118 @@ mod tests {
 
     #[test]
     fn report_json_is_wellformed() {
-        let t = Tracer::new(TraceLevel::Pass);
-        t.record_pass(PassProfile {
-            pass_id: 1,
-            engine: "fused",
-            mode: "CacheFuse",
-            nodes: 3,
-            nodes_pre_cse: 3,
-            nparts: 2,
-            pcache_step: 64,
-            sinks: 1,
-            talls: 1,
-            wall_nanos: 12345,
-            cache: CacheStatsSnapshot::default(),
-            workers: vec![WorkerProfile {
-                tid: 0,
-                parts: 2,
-                io_wait_nanos: 10,
-                compute_nanos: 100,
-                write_stall_nanos: 5,
-                pcache_chunks: 4,
-            }],
-            ops: vec![OpProfile {
-                node_id: 7,
-                label: "mapply:Add \"x\"".into(),
-                chunks: 4,
-                nanos: 50,
-                chain_len: 0,
-                saved_bytes: 0,
-            }],
+        let op = OpProfile {
+            node_id: 7,
+            label: "mapply:Add \"x\"".into(),
+            chunks: 4,
+            nanos: 50,
+            ..Default::default()
+        };
+        let p = PassProfile {
             simd: "avx2",
-        });
+            ops: vec![op],
+            ..pass(1, 12345, vec![WorkerProfile { pcache_chunks: 4, ..worker(100, 10, 5, 2) }])
+        };
         let report = ProfileReport {
             counters: Counters {
                 exec: ExecStatsSnapshot { passes: 1, parts: 2, ..Default::default() },
                 io_shards: vec![ShardStatsSnapshot { read_reqs: 3, ..Default::default() }],
                 ..Default::default()
             },
-            passes: t.passes(),
-            dropped_passes: 0,
-            critical_path: Vec::new(),
-            dropped_events: 0,
+            ..report(vec![p])
         };
         let json = report.to_json();
         assert!(json.contains("\"engine\":\"fused\""));
         assert!(json.contains("\"simd\":\"avx2\""));
         assert!(json.contains("\"write_stall_nanos\":5"));
+        // 1 worker × 12345 wall − (100 + 10 + 5)
+        assert!(json.contains("\"idle_nanos\":12230"));
+        assert!(json.contains("\"bound\":\"idle\""));
         assert!(json.contains("\"dropped_events\":0"));
-        assert!(json.contains("\"critical_path\":[]"));
         assert!(json.contains("\"io\":null"));
         assert!(json.contains("\"io_shards\":[{\"read_reqs\":3,"));
         assert!(json.contains("\"mem\":{\"budget_bytes\":0,"));
         // escaping: the label's quotes must be escaped
         assert!(json.contains("mapply:Add \\\"x\\\""));
         json::parse(&json).expect("strict JSON");
+    }
+
+    fn event(
+        name: &'static str,
+        kind: EventKind,
+        ts_ns: u64,
+        args: [(&'static str, u64); 2],
+    ) -> SpanEvent {
+        SpanEvent { ts_ns, dur_ns: 0, kind, cat: "exec", name: name.into(), args }
+    }
+
+    /// `(begin, end)` task spans of `pass` as Begin/End events.
+    fn tasks(pass: u64, spans: &[(u64, u64)]) -> Vec<SpanEvent> {
+        let tagged = [("part", 0), ("pass", pass)];
+        let untagged = [("", 0), ("", 0)];
+        let pair = |&(t0, t1): &(u64, u64)| {
+            [
+                event("task", EventKind::Begin, t0, tagged),
+                event("task", EventKind::End, t1, untagged),
+            ]
+        };
+        spans.iter().flat_map(pair).collect()
+    }
+
+    #[test]
+    fn aggregate_attribution_without_timeline() {
+        let p = pass(1, 1000, vec![worker(600, 100, 50, 2), worker(500, 200, 0, 2)]);
+        assert_eq!(p.workers.len(), 2);
+        assert_eq!(p.compute_nanos(), 1100);
+        assert_eq!(p.io_wait_nanos(), 300);
+        assert_eq!(p.write_stall_nanos(), 50);
+        // 2 workers × 1000 wall − (1100+300+50) = 550 idle
+        assert_eq!(p.idle_nanos(), 550);
+        assert_eq!(p.bound(), "compute");
+        assert_eq!(p.nparts, 4);
+        assert_eq!(p.stragglers, 0);
+        assert!((p.utilization() - 0.55).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stragglers_from_spans() {
+        // Four tasks of 100ns and one of 900ns → median 100, one straggler.
+        let mut evs = vec![event("pass", EventKind::Begin, 0, [("pass", 7), ("", 0)])];
+        evs.extend(tasks(7, &[(10, 110), (210, 310), (410, 510), (610, 710), (1000, 1900)]));
+        evs.push(event("pass", EventKind::End, 2000, [("", 0), ("", 0)]));
+        let lanes = vec![LaneSnapshot { name: "w0".into(), events: evs }];
+
+        let mut passes = vec![pass(7, 2000, vec![worker(100, 1800, 0, 5)])];
+        fill_task_stats(&mut passes, &lanes);
+        let p = &passes[0];
+        assert_eq!(p.median_task_nanos, 100);
+        assert_eq!(p.stragglers, 1);
+        assert_eq!(p.bound(), "io-wait");
+    }
+
+    #[test]
+    fn one_walk_credits_each_pass_only_its_own_tasks() {
+        // Two eager sub-passes run back to back on one worker lane: pass 1
+        // has three 100ns tasks, pass 2 two 300ns tasks and one 1000ns one.
+        let mut evs = tasks(1, &[(0, 100), (100, 200), (200, 300)]);
+        evs.extend(tasks(2, &[(400, 700), (700, 1000), (1000, 2000)]));
+        let lanes = vec![LaneSnapshot { name: "flashr-w0".into(), events: evs }];
+        let mut passes = vec![pass(1, 300, Vec::new()), pass(2, 1600, Vec::new())];
+        passes.iter_mut().for_each(|p| p.engine = "eager-step");
+        fill_task_stats(&mut passes, &lanes);
+        assert_eq!((passes[0].median_task_nanos, passes[0].stragglers), (100, 0));
+        assert_eq!((passes[1].median_task_nanos, passes[1].stragglers), (300, 1));
+    }
+
+    #[test]
+    fn table_renders_and_caps() {
+        let passes = (1..=20).map(|i| pass(i, i * 1000, vec![worker(500, 100, 0, 2)])).collect();
+        let table = report(passes).critical_path_table();
+        assert!(table.contains("bound"));
+        assert!(table.contains("8 more passes omitted"));
+        // Heaviest pass (20) must be shown, lightest (1) omitted.
+        assert!(table.contains("\n  20  fused"));
+        assert!(!table.contains("\n   1  fused"));
+        assert_eq!(report(Vec::new()).critical_path_table(), "");
     }
 }

@@ -14,10 +14,10 @@
 //! * at [`TraceLevel::Timeline`] every claimed I/O partition is a `task`
 //!   Begin/End pair on its worker's track with nested `io-wait` /
 //!   `compute` / `write-stall` children and per-chunk operator spans,
-//!   up to `FLASHR_TRACE_EVENTS` events per lane — the task-stream view
-//!   the paper's overlap story (§3.2–3.3, Fig. 10) needs to be
-//!   debuggable, exported as a Chrome trace and mined by the
-//!   critical-path analyzer.
+//!   up to [`DEFAULT_EVENTS_PER_LANE`] events per lane — the task-stream
+//!   view the paper's overlap story (§3.2–3.3, Fig. 10) needs to be
+//!   debuggable, exported as a Chrome trace and mined for each pass's
+//!   task statistics.
 //!
 //! Either way the SAFS layer contributes I/O-request and cache lifecycle
 //! spans through the [`SpanSink`] trait, and a lane that is full evicts
@@ -39,8 +39,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::thread::ThreadId;
 
-/// Default per-lane event budget at [`TraceLevel::Timeline`]
-/// (overridable via `FLASHR_TRACE_EVENTS`).
+/// Per-lane event budget at [`TraceLevel::Timeline`].
 pub const DEFAULT_EVENTS_PER_LANE: usize = 1 << 16;
 
 /// Per-lane event budget below [`TraceLevel::Timeline`], and the most a
@@ -305,12 +304,12 @@ impl Timeline {
         }
     }
 
-    /// The log of a context tracing at `level`: full detail within the
-    /// `FLASHR_TRACE_EVENTS` budget (default [`DEFAULT_EVENTS_PER_LANE`])
-    /// at [`TraceLevel::Timeline`], the recent-events summary below it.
+    /// The log of a context tracing at `level`: full detail within
+    /// [`DEFAULT_EVENTS_PER_LANE`] at [`TraceLevel::Timeline`], the
+    /// recent-events summary below it.
     pub fn for_level(level: TraceLevel) -> Timeline {
         if level >= TraceLevel::Timeline {
-            Timeline::new(crate::env::trace_events().unwrap_or(DEFAULT_EVENTS_PER_LANE))
+            Timeline::new(DEFAULT_EVENTS_PER_LANE)
         } else {
             Timeline { detail: false, ..Timeline::new(RECENT_EVENTS_PER_LANE) }
         }

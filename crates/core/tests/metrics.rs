@@ -1,6 +1,6 @@
 //! Integration tests for the always-on counters: engine counters
 //! surfacing in the profile JSON after a materialization, the JSON's
-//! counter key sets, allocation-free hot-path recording (checked with a
+//! counter and pass key sets, allocation-free hot-path recording (checked with a
 //! counting global allocator), and a forced flight recorder dump
 //! carrying exec spans plus the counters.
 //!
@@ -170,6 +170,51 @@ fn profile_counter_sections_are_a_fixed_contract() {
     assert_eq!(keys(&doc["mem"]), ["budget_bytes", "overcommits", "pinned_bytes", "spills"]);
     drop(ctx);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `passes[]` object's members at `timeline`, where every one of
+/// them is filled; its four parts of worker time add up to
+/// `workers × wall` unless the busy parts already exceed it.
+#[test]
+fn profile_pass_object_is_a_fixed_contract() {
+    let ctx = small_ctx().with_trace(TraceLevel::Timeline);
+    run_once(&ctx);
+    let doc = profile(&ctx);
+    let passes = doc["passes"].as_array().expect("passes array");
+    assert_eq!(passes.len(), 1);
+    let p = &passes[0];
+    let members = [
+        "bound",
+        "cache_hits",
+        "cache_misses",
+        "compute_nanos",
+        "engine",
+        "idle_nanos",
+        "io_wait_nanos",
+        "median_task_nanos",
+        "mode",
+        "nodes",
+        "nodes_pre_cse",
+        "nparts",
+        "ops",
+        "pass_id",
+        "pcache_chunks",
+        "pcache_step",
+        "simd",
+        "sinks",
+        "stragglers",
+        "talls",
+        "utilization",
+        "wall_nanos",
+        "workers",
+        "write_stall_nanos",
+    ];
+    assert_eq!(keys(p), members);
+    let n = |k: &str| p[k].as_u64().unwrap_or_else(|| panic!("{k}: {p:?}"));
+    let busy = n("compute_nanos") + n("io_wait_nanos") + n("write_stall_nanos");
+    let capacity = p["workers"].as_array().expect("workers array").len() as u64 * n("wall_nanos");
+    assert_eq!(busy + n("idle_nanos"), busy.max(capacity), "{p:?}");
+    assert!(n("median_task_nanos") > 0, "{p:?}");
 }
 
 /// The path every pass pays at `FLASHR_TRACE=off`: once a thread's lane

@@ -40,7 +40,7 @@ fn off_level_records_zero_events() {
     assert_eq!(v["traceEvents"].as_array().expect("traceEvents array").len(), 0);
     // No recorded passes => no critical-path rows either.
     let report = ctx.profile_report();
-    assert!(report.critical_path.is_empty());
+    assert!(report.passes.is_empty());
     assert_eq!(report.dropped_events, 0);
     assert_eq!(report.critical_path_table(), "");
 }
@@ -50,9 +50,11 @@ fn pass_levels_below_timeline_allocate_no_timeline() {
     let ctx = ctx_with(ExecMode::CacheFuse, TraceLevel::Pass);
     four_op_sum(&ctx);
     assert!(ctx.tracer().timeline().is_none());
-    // But pass profiles alone still yield an aggregate breakdown.
+    // But pass profiles alone still yield an aggregate breakdown; the
+    // span-derived task statistics read zero.
     let report = ctx.profile_report();
-    assert_eq!(report.critical_path.len(), 1);
+    assert_eq!(report.passes.len(), 1);
+    assert_eq!((report.passes[0].median_task_nanos, report.passes[0].stragglers), (0, 0));
     assert!(report.critical_path_table().contains("bound"));
 }
 
@@ -112,6 +114,26 @@ fn spans_pair_nest_and_stay_monotonic() {
     }
     assert!(saw_task, "workers emitted task spans");
     assert_eq!(tl.dropped_events(), 0);
+}
+
+#[test]
+fn eager_sub_passes_each_get_their_own_task_statistics() {
+    // One worker: every eager sub-pass's task spans share its lane.
+    let cfg = CtxConfig {
+        nthreads: 1,
+        mode: ExecMode::Eager,
+        rows_per_part: 64,
+        trace: TraceLevel::Timeline,
+        ..CtxConfig::default()
+    };
+    let ctx = FlashCtx::with_config(cfg, None);
+    four_op_sum(&ctx);
+    let passes = ctx.profile_report().passes;
+    assert!(passes.len() > 1, "eager runs one sub-pass per op: {}", passes.len());
+    for p in &passes {
+        assert!(p.median_task_nanos > 0, "pass {} ({}) found no task spans", p.pass_id, p.engine);
+        assert!(p.stragglers < p.nparts, "pass {}: {} stragglers", p.pass_id, p.stragglers);
+    }
 }
 
 #[test]
@@ -263,7 +285,7 @@ fn em_run_emits_spans_across_categories() {
 
     // Per-pass critical-path rows ride in the profile report.
     let report = ctx.profile_report();
-    assert!(!report.critical_path.is_empty());
+    assert!(!report.passes.is_empty());
     let table = report.critical_path_table();
     assert!(table.contains("bound"), "table: {table}");
 
@@ -277,9 +299,9 @@ fn em_run_emits_spans_across_categories() {
             "no {cat} span in exported trace"
         );
     }
-    // Report JSON also parses, breakdown rows intact.
+    // Report JSON also parses, breakdown columns intact.
     let rj = json::parse(&report.to_json()).expect("report json parses");
-    let rows = rj["critical_path"].as_array().expect("critical_path array");
+    let rows = rj["passes"].as_array().expect("passes array");
     assert!(!rows.is_empty());
     assert!(rows[0]["bound"].as_str().is_some());
     assert!(rows[0]["wall_nanos"].as_u64().is_some());

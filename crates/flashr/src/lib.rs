@@ -55,9 +55,7 @@ pub mod prelude {
     };
     pub use flashr_core::stats::ExecStatsSnapshot;
     pub use flashr_core::trace::flight::FlightRecorder;
-    pub use flashr_core::trace::{
-        Counters, CriticalPath, PassBreakdown, PassProfile, ProfileReport, Timeline, TraceLevel,
-    };
+    pub use flashr_core::trace::{Counters, PassProfile, ProfileReport, Timeline, TraceLevel};
     pub use flashr_core::{DType, Scalar};
     pub use flashr_linalg::Dense;
     pub use flashr_safs::{CacheCfg, CacheStatsSnapshot, Safs, SafsConfig, ThrottleCfg};
@@ -94,6 +92,6 @@ mod tests {
             .flat_map(|l| l.split('|').nth(1))
             .collect();
         assert_eq!(read, flashr_vars(&rows), "left: named in the sources, right: README rows");
-        assert_eq!(read.len(), 8);
+        assert_eq!(read.len(), 7);
     }
 }

@@ -211,9 +211,9 @@ fn main() {
 
 /// Single-core micro-kernel bandwidth at every SIMD dispatch level the
 /// host supports: the fused 4-op map chain, one F32 `Sqrt` link and one
-/// I32 `Add` link, sum/min reductions, dot and the register-blocked
-/// gemm, each timed directly against the kernel entry points (no
-/// executor, no I/O). `bench_check` gates ratios between the rows of one
+/// I32 `Add` link, sum/min reductions, dot and the register-tiled gemm
+/// (a 256³ cube and the executor's tall-by-small shape), each timed
+/// directly against the kernel entry points (no executor, no I/O). `bench_check` gates ratios between the rows of one
 /// run — a kernel body left out of line, dispatching its op per element,
 /// shows as a `scalar` row several times below its `avx2` one — and the
 /// section gives absolute throughput context for the stage-level numbers
@@ -287,6 +287,12 @@ fn kernel_bw_section() -> String {
     let ga: Vec<f64> = (0..gm * gm).map(|_| next()).collect();
     let gb: Vec<f64> = (0..gm * gm).map(|_| next()).collect();
     let mut gc = vec![0.0f64; gm * gm];
+    // The executor's shape: one 16 384 × 40 column-major partition panel
+    // times a row-major 40 × 40.
+    let (tm, tp) = (16_384usize, 40usize);
+    let ta: Vec<f64> = (0..tm * tp).map(|_| next()).collect();
+    let tb: Vec<f64> = (0..tp * tp).map(|_| next()).collect();
+    let mut tc = vec![0.0f64; tm * tp];
 
     let levels = SimdLevel::available();
     let gib = (1u64 << 30) as f64;
@@ -323,6 +329,12 @@ fn kernel_bw_section() -> String {
             black_box(gc.first());
         });
         put("gemm", "GFLOP/s", 2.0 * (gm * gm * gm) as f64 / t / 1e9);
+        let (ta, tb) = (black_box(&ta), black_box(&tb));
+        let t = time_op(|| {
+            gemm_strided_level(level, tm, tp, tp, 1.0, ta, 1, tm, tb, tp, 1, 0.0, &mut tc, 1, tm);
+            black_box(tc.first());
+        });
+        put("gemm_tall", "GFLOP/s", 2.0 * (tm * tp * tp) as f64 / t / 1e9);
     }
 
     for (name, unit, vals) in &ops {

@@ -942,7 +942,7 @@ fn eval_uncached(
         },
         NodeKind::AggRow { op, input } => {
             let c = eval(env, st, input, r0, r1);
-            ops::agg_row(*op, &c, &mut st.pool)
+            ops::agg_row(ops::SimdLevel::active(), *op, &c, &mut st.pool)
         }
         NodeKind::CumRow { op, input } => {
             let c = eval(env, st, input, r0, r1);

@@ -29,7 +29,7 @@ use flashr_core::dtype::{DType, Scalar};
 use flashr_core::element::Element;
 use flashr_core::ops::fused_map::{ChainLink, ChainOpSpec, ChainOperand, FusedMapKernel};
 use flashr_core::ops::simd::fold_col;
-use flashr_core::ops::{inner_prod_chunk, inner_prod_supported, AggOp, BinaryOp, UnaryOp};
+use flashr_core::ops::{agg_row, inner_prod_chunk, inner_prod_supported, AggOp, BinaryOp, UnaryOp};
 use flashr_linalg::simd::{dot_f64, gramian_f64, SimdLevel};
 use flashr_linalg::{gemm_strided_level, Dense};
 use flashr_testkit::oracle::{assert_close, Mat};
@@ -369,6 +369,57 @@ fn float_min_max_exact_across_levels() {
             }
         }
     });
+}
+
+/// `agg.row`, every op × dtype: the same bytes at both levels, over rows
+/// that mix NaN, ±0 and ±∞; and a tie goes to the first column.
+#[test]
+fn agg_row_same_bytes_at_both_levels() {
+    const OPS: [AggOp; 10] = {
+        use AggOp::*;
+        [Sum, Prod, Min, Max, Mean, Any, All, Count, WhichMin, WhichMax]
+    };
+    let mut rng = Rng::new(0xa9_0c);
+    let mut pool = BufPool::new();
+    for dtype in DTYPES {
+        for rows in LENS {
+            for cols in [1usize, 2, 3, 9] {
+                // The awkward values lead a row-major `rows × cols`, so the
+                // first rows each mix several of them.
+                let long = column(&mut rng, dtype, rows * cols);
+                let x = flashr_core::dispatch!(dtype, T, {
+                    let v = long.slice::<T>();
+                    let cm: Vec<T> =
+                        (0..rows * cols).map(|i| v[(i % rows) * cols + i / rows]).collect();
+                    Chunk::from_slice::<T>(rows, cols, &cm)
+                });
+                // Columns 0 and 2 repeated after column 1: every row ties.
+                let ties = flashr_core::dispatch!(dtype, T, {
+                    let v = x.slice::<T>();
+                    let c = |j: usize| &v[j.min(cols - 1) * rows..][..rows];
+                    let tied: Vec<T> = [c(0), c(1), c(2), c(0), c(1), c(2)].concat();
+                    Chunk::from_slice::<T>(rows, 6, &tied)
+                });
+                for op in OPS {
+                    for input in [&x, &ties] {
+                        let scalar = agg_row(SimdLevel::Scalar, op, input, &mut pool);
+                        let avx2 = agg_row(SimdLevel::Avx2, op, input, &mut pool);
+                        assert!(
+                            scalar.as_bytes() == avx2.as_bytes(),
+                            "agg.row {op:?} over {rows} x {} {dtype:?} differs between levels",
+                            input.cols()
+                        );
+                        if op.is_positional() && std::ptr::eq(input, &ties) {
+                            assert!(
+                                scalar.slice::<i64>().iter().all(|&i| i < 3),
+                                "{op:?} over {rows} rows of {dtype:?}: a tie left the first column"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The dot product, and the Gramian tile over a `p × k` block (`p, k` in

@@ -132,17 +132,14 @@ pub fn gemm_strided_level(
     }
     debug_assert!(m == 0 || n == 0 || (m - 1) * rsc + (n - 1) * csc < c.len());
 
-    // Scale C by beta first.
-    if beta == 0.0 {
-        for i in 0..m {
-            for j in 0..n {
-                c[i * rsc + j * csc] = 0.0;
-            }
-        }
-    } else if beta != 1.0 {
-        for i in 0..m {
-            for j in 0..n {
-                c[i * rsc + j * csc] *= beta;
+    // Scale C by beta first, walking the shorter stride innermost: a
+    // column-major C written row by row touches `n` cache lines per row.
+    if beta != 1.0 {
+        let (outer, inner, so, si) = if rsc <= csc { (n, m, csc, rsc) } else { (m, n, rsc, csc) };
+        for o in 0..outer {
+            for i in 0..inner {
+                let cv = &mut c[o * so + i * si];
+                *cv = if beta == 0.0 { 0.0 } else { *cv * beta };
             }
         }
     }
@@ -150,28 +147,17 @@ pub fn gemm_strided_level(
         return;
     }
 
-    // Big-enough problems go through the packed register-blocked
-    // micro-kernel: packing makes the inner loops stride-oblivious, so
-    // the column-major partition buffers the executor hands us are as
-    // fast as row-major ones.
-    if m >= simd::MR && n >= simd::NR {
-        simd::gemm_packed_f64(level, m, n, k, alpha, a, rsa, csa, b, rsb, csb, c, rsc, csc);
+    // Column-major A and C — every chunk the executor multiplies — take
+    // the tall-by-small register tile, which reads A where it lies.
+    if rsa == 1 && rsc == 1 {
+        simd::gemm_tall_f64(level, m, n, k, alpha, a, csa, b, rsb, csb, c, csc);
         return;
     }
 
-    // Tall-and-skinny (n < NR) with column-major A and C: axpy whole A
-    // columns into C columns — contiguous streams.
-    if rsa == 1 && rsc == 1 {
-        for j in 0..n {
-            let cj = j * csc;
-            for kk in 0..k {
-                let bv = alpha * b[kk * rsb + j * csb];
-                if bv == 0.0 {
-                    continue;
-                }
-                simd::axpy_f64(level, &mut c[cj..cj + m], &a[kk * csa..kk * csa + m], bv);
-            }
-        }
+    // Other big-enough problems go through the packed register-blocked
+    // micro-kernel: packing makes the inner loops stride-oblivious.
+    if m >= simd::MR && n >= simd::NR {
+        simd::gemm_packed_f64(level, m, n, k, alpha, a, rsa, csa, b, rsb, csb, c, rsc, csc);
         return;
     }
 
@@ -187,9 +173,6 @@ pub fn gemm_strided_level(
                 let crow = &mut c[i * rsc..i * rsc + n];
                 for kk in 0..kb {
                     let aval = alpha * a[arow + kk * csa];
-                    if aval == 0.0 {
-                        continue;
-                    }
                     let brow = &b[(k0 + kk) * rsb..(k0 + kk) * rsb + n];
                     for (cv, bv) in crow.iter_mut().zip(brow) {
                         *cv += aval * bv;
@@ -198,9 +181,6 @@ pub fn gemm_strided_level(
             } else {
                 for kk in 0..kb {
                     let aval = alpha * a[arow + kk * csa];
-                    if aval == 0.0 {
-                        continue;
-                    }
                     let boff = (k0 + kk) * rsb;
                     for j in 0..n {
                         c[i * rsc + j * csc] += aval * b[boff + j * csb];
@@ -290,6 +270,39 @@ mod tests {
         let mut c = Dense::zeros(5, 4);
         gemm(1.0, &a, false, &b, false, 0.0, &mut c);
         assert!(c.max_abs_diff(&naive(&a, false, &b, false)) < 1e-9);
+    }
+
+    #[test]
+    fn inf_times_zero_is_nan_whatever_the_shape() {
+        // An 8 × 2 column-major chunk with Inf at (0, 0), times a B whose
+        // first row is 0: every output of row 0 is Inf · 0 + 1 = NaN, as
+        // in R, at every output width and level.
+        let (m, k) = (8usize, 2usize);
+        let mut a = vec![1.0f64; m * k];
+        a[0] = f64::INFINITY;
+        for n in [1usize, 4, 8] {
+            let mut b = vec![1.0f64; k * n];
+            b[..n].fill(0.0);
+            for level in SimdLevel::available() {
+                let mut c = vec![7.0f64; m * n];
+                gemm_strided_level(level, m, n, k, 1.0, &a, 1, m, &b, n, 1, 0.0, &mut c, 1, m);
+                for j in 0..n {
+                    assert!(c[j * m].is_nan(), "n={n} j={j} at {}", level.name());
+                    assert_eq!(c[j * m + 1], 1.0, "n={n} j={j} at {}", level.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inf_times_zero_is_nan_in_the_row_major_route() {
+        // Row-major `Dense` A with a 0 where B holds Inf: the small-shape
+        // route includes the term, so the output is NaN.
+        let a = Dense::from_vec(2, 2, vec![0.0, 1.0, 1.0, 1.0]);
+        let b = Dense::from_vec(2, 1, vec![f64::INFINITY, 1.0]);
+        let c = matmul(&a, &b);
+        assert!(c.at(0, 0).is_nan());
+        assert_eq!(c.at(1, 0), f64::INFINITY);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! "avx2,fma")]` function the body it is given inlines into, reached
 //! through [`at_level`] (which checks the CPU per call) or through a
 //! function pointer resolved after that check. Nothing else in the
-//! workspace names an ISA, with three measured exceptions below.
+//! workspace names an ISA, with four measured exceptions below.
 //!
 //! Numerics policy (documented once, relied on everywhere):
 //!
@@ -24,10 +24,13 @@
 //!   hand-written at `Avx2` but keeps that rule: a product is rounded,
 //!   then added — never an FMA — and every output folds its lanes as
 //!   [`dot_f64`] does, so `crossprod` gives the same bits at both levels.
-//! * The packed gemm micro-kernel and axpy are the exception. At `Avx2`
-//!   they are hand-written FMA bodies (`avx2::mk_4x8`, a 4×8 register
-//!   tile, and `avx2::axpy`), so `%*%` and `syrk` differ between the
-//!   levels within that same bound.
+//! * The gemm kernels and axpy are the exception. At `Avx2` they are
+//!   hand-written FMA bodies (`avx2::tall`, the 8-row × 4-output tile
+//!   behind every column-major `%*%`; `avx2::mk_4x8`, the packed route's
+//!   4×8 tile; `avx2::axpy`), so `%*%` and `syrk` differ between the
+//!   levels within that same bound. Both gemm routes keep one chain per
+//!   output from `+0.0` per k-panel and store it once as
+//!   `c += alpha · s`, so at one level they give the same bits.
 //!
 //! Every kernel takes the level as an explicit argument so tests and
 //! benches can compare levels inside one process; production call sites
@@ -279,14 +282,154 @@ pub fn axpy_f64(level: SimdLevel, dst: &mut [f64], src: &[f64], alpha: f64) {
     }
 }
 
+// ------------------------------------------------ tall-by-small product
+
+/// k-panel depth of both gemm routes: each output's chain restarts at
+/// `+0.0` every `KC` terms and is added into `C` per panel.
+const KC: usize = 256;
+
+/// A column-major `m × k` view `A` (`(i, kk)` at `a[i + kk·csa]`) and a
+/// strided `k × n` view `B` (`(kk, j)` at `b[kk·rsb + j·csb]`), narrowed
+/// to one k-panel by [`gemm_tall_f64`].
+struct Tall<'a> {
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &'a [f64],
+    csa: usize,
+    b: &'a [f64],
+    rsb: usize,
+    csb: usize,
+}
+
+impl Tall<'_> {
+    /// `B(kk, j)`, unchecked: a bounds check per broadcast costs the
+    /// tiles a third of their speed.
+    ///
+    /// # Safety
+    /// `kk < k` and `j < n`; [`gemm_tall_f64`] asserted that `b` spans
+    /// `k × n`.
+    #[inline(always)]
+    unsafe fn b(&self, kk: usize, j: usize) -> f64 {
+        *self.b.get_unchecked(kk * self.rsb + j * self.csb)
+    }
+}
+
+/// `C += alpha · A · B` for a column-major `A` (`m × k`, `(i, kk)` at
+/// `a[i + kk·csa]`) and `C` (`m × n`, `(i, j)` at `c[i + j·csc]`) and any
+/// strided `B` (`(kk, j)` at `b[kk·rsb + j·csb]`): the tall-by-small
+/// product the executor runs on every Pcache chunk, reading `A` where it
+/// lies (no packing).
+///
+/// Per `KC`-deep k-panel, every output `(i, j)` is one chain from `+0.0`,
+/// `s += A(i, kk) · B(kk, j)` for `kk` ascending — fused at `Avx2`
+/// (`avx2::tall`, 8-row × 4-output register tiles), mul then add at
+/// `Scalar` — and is stored once as `c += alpha · s`: the association of
+/// the packed route, so a product gives the same bits whichever route
+/// or tile shape computes it. Every term is included, so `Inf · 0` is
+/// `NaN` as in R.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tall_f64(
+    level: SimdLevel,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    csa: usize,
+    b: &[f64],
+    rsb: usize,
+    csb: usize,
+    c: &mut [f64],
+    csc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        return;
+    }
+    // The AVX2 tiles read and write through raw pointers: these bound
+    // every address they form.
+    assert!((k - 1) * csa + m <= a.len(), "A is shorter than m × k");
+    assert!((k - 1) * rsb + (n - 1) * csb < b.len(), "B is shorter than k × n");
+    assert!((n - 1) * csc + m <= c.len(), "C is shorter than m × n");
+    let mut k0 = 0;
+    while k0 < k {
+        let kc = KC.min(k - k0);
+        let panel =
+            Tall { m, n, k: kc, alpha, a: &a[k0 * csa..], csa, b: &b[k0 * rsb..], rsb, csb };
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if level.vex() {
+            // SAFETY: `vex()` on the line above saw
+            // `SimdLevel::avx2_supported()`; the asserts above bound every
+            // element of the panel and of `C` the tiles touch.
+            unsafe { avx2::tall(&panel, c.as_mut_ptr(), csc) };
+            k0 += kc;
+            continue;
+        }
+        tall_lanes(&panel, c, csc);
+        k0 += kc;
+    }
+}
+
+/// The portable route for one k-panel, sized for SSE2's sixteen
+/// registers: 4-row × 4-output tiles, then the `n % 4` outputs in 8-row
+/// strips, each ragged edge one element at a time.
+fn tall_lanes(t: &Tall, c: &mut [f64], csc: usize) {
+    let (body_m, body_n) = (t.m - t.m % 4, t.n - t.n % 4);
+    for r0 in (0..body_m).step_by(4) {
+        for j0 in (0..body_n).step_by(4) {
+            tall_tile::<4, 4>(t, (r0, j0), c, csc);
+        }
+    }
+    for r in body_m..t.m {
+        for j in 0..body_n {
+            tall_tile::<1, 1>(t, (r, j), c, csc);
+        }
+    }
+    let strip_m = t.m - t.m % 8;
+    for j in body_n..t.n {
+        for r0 in (0..strip_m).step_by(8) {
+            tall_tile::<8, 1>(t, (r0, j), c, csc);
+        }
+        for r in strip_m..t.m {
+            tall_tile::<1, 1>(t, (r, j), c, csc);
+        }
+    }
+}
+
+/// One `M`-row × `N`-output portable tile: `M · N` chains in registers
+/// across the panel, each product rounded, then added; `C` written once.
+#[inline(always)]
+fn tall_tile<const M: usize, const N: usize>(
+    t: &Tall,
+    (r0, j0): (usize, usize),
+    c: &mut [f64],
+    csc: usize,
+) {
+    let mut acc = [[0.0f64; M]; N];
+    for kk in 0..t.k {
+        let x: &[f64; M] = t.a[kk * t.csa + r0..][..M].try_into().expect("M rows");
+        for (jj, s) in acc.iter_mut().enumerate() {
+            // SAFETY: the callers in `tall_lanes` keep `j0 + jj < n`.
+            let bv = unsafe { t.b(kk, j0 + jj) };
+            for (s, xv) in s.iter_mut().zip(x) {
+                *s += xv * bv;
+            }
+        }
+    }
+    for (jj, s) in acc.iter().enumerate() {
+        for (cv, s) in c[(j0 + jj) * csc + r0..][..M].iter_mut().zip(s) {
+            *cv += t.alpha * s;
+        }
+    }
+}
+
 // -------------------------------------------------- packed gemm kernel
 
 /// Register tile height (rows of A per micro-kernel).
 pub const MR: usize = 4;
 /// Register tile width (columns of B per micro-kernel).
 pub const NR: usize = 8;
-/// k-panel depth kept resident in the packed buffers.
-const KC: usize = 256;
 /// Row-panel height packed per A block (L2-resident: 64×256×8 B).
 const MC: usize = 64;
 /// Column-panel width packed per B block (256×512×8 B).
@@ -438,8 +581,11 @@ fn mk_4x8_lanes(
 
 // ------------------------------------------- the hand-written exception
 
-// The only `std::arch` in the workspace: the three kernels where a
-// measurement says the hand-written body pays. On a 256³ product
+// The only `std::arch` in the workspace: the four kernels where a
+// measurement says the hand-written body pays. A portable 8 × 4 tall
+// tile with `f64::mul_add` compiled under `avx2,fma` runs GMM's
+// 436 × 32 · 32 × 32 chunk at 9–11 GFLOP/s, against 17–20 for `tall`
+// (one core of a 2-CPU x86-64 host, medians of five). On a 256³ product
 // `mk_4x8_lanes` compiled under `avx2,fma` reaches 9–13 GFLOP/s as
 // written and 7.6–7.7 with `f64::mul_add` (LLVM emits 32 scalar
 // `vfmadd231sd` per k-step and spills the accumulators), against 18–26
@@ -524,6 +670,99 @@ mod avx2 {
             }
         }
         out
+    }
+
+    /// [`super::gemm_tall_f64`]'s AVX2 route for one k-panel: 8-row ×
+    /// 4-output tiles (eight `__m256d` chains, one FMA each per k step),
+    /// the `n % 4` outputs in 32-row then 4-row strips of one output, the
+    /// ragged rows one element at a time with `mul_add`.
+    ///
+    /// # Safety
+    /// The CPU has avx2 and fma; `c + i + j·csc` is in bounds for every
+    /// `i < t.m`, `j < t.n`, and the panel's `a` and `b` for every
+    /// element of `A` and `B` it spans.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn tall(t: &super::Tall, c: *mut f64, csc: usize) {
+        let (body_m, body_n) = (t.m - t.m % 8, t.n - t.n % 4);
+        for r0 in (0..body_m).step_by(8) {
+            for j0 in (0..body_n).step_by(4) {
+                tile::<2, 4>(t, (r0, j0), c, csc);
+            }
+        }
+        for r in body_m..t.m {
+            for j in 0..body_n {
+                one(t, (r, j), c, csc);
+            }
+        }
+        let (strip_m, quad_m) = (t.m - t.m % 32, t.m - t.m % 4);
+        for j in body_n..t.n {
+            for r0 in (0..strip_m).step_by(32) {
+                tile::<8, 1>(t, (r0, j), c, csc);
+            }
+            for r0 in (strip_m..quad_m).step_by(4) {
+                tile::<1, 1>(t, (r0, j), c, csc);
+            }
+            for r in quad_m..t.m {
+                one(t, (r, j), c, csc);
+            }
+        }
+    }
+
+    /// `4·V` rows × `N` outputs: `V · N` `__m256d` chains from `+0.0`,
+    /// `s = fma(A(i, kk), B(kk, j), s)` for `kk` ascending, then each
+    /// output column stored once as `c + alpha · s` (mul, then add — the
+    /// packed route's writeback).
+    ///
+    /// # Safety
+    /// As [`tall`], for rows `r0..r0 + 4·V` and outputs `j0..j0 + N`,
+    /// which must lie inside the panel's `m × n`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tile<const V: usize, const N: usize>(
+        t: &super::Tall,
+        (r0, j0): (usize, usize),
+        c: *mut f64,
+        csc: usize,
+    ) {
+        let (csa, rsb, csb) = (t.csa, t.rsb, t.csb);
+        let a = t.a.as_ptr().add(r0);
+        let b = t.b.as_ptr().add(j0 * csb);
+        let mut acc = [[_mm256_setzero_pd(); V]; N];
+        for kk in 0..t.k {
+            let (col, bk) = (a.add(kk * csa), b.add(kk * rsb));
+            let mut x = [_mm256_setzero_pd(); V];
+            for (v, x) in x.iter_mut().enumerate() {
+                *x = _mm256_loadu_pd(col.add(4 * v));
+            }
+            for (jj, s) in acc.iter_mut().enumerate() {
+                let bv = _mm256_broadcast_sd(&*bk.add(jj * csb));
+                for (s, &xv) in s.iter_mut().zip(&x) {
+                    *s = _mm256_fmadd_pd(xv, bv, *s);
+                }
+            }
+        }
+        let va = _mm256_set1_pd(t.alpha);
+        for (jj, s) in acc.iter().enumerate() {
+            let cj = c.add((j0 + jj) * csc + r0);
+            for (v, &s) in s.iter().enumerate() {
+                let p = cj.add(4 * v);
+                _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), _mm256_mul_pd(va, s)));
+            }
+        }
+    }
+
+    /// One output element: the same chain as a tile lane, as `mul_add`.
+    ///
+    /// # Safety
+    /// As [`tall`], for an element `(r, j)` inside the panel's `m × n`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn one(t: &super::Tall, (r, j): (usize, usize), c: *mut f64, csc: usize) {
+        let mut s = 0.0f64;
+        for kk in 0..t.k {
+            s = t.a[r + kk * t.csa].mul_add(t.b(kk, j), s);
+        }
+        *c.add(j * csc + r) += t.alpha * s;
     }
 
     /// 4×8 register tile: eight `__m256d` accumulators (4 rows × 2
@@ -681,6 +920,64 @@ mod tests {
                     gramian_f64(lvl, rows, &a, (!sym).then_some(&b[..]), &mut acc);
                     let got: Vec<u64> = acc.iter().map(|x| x.to_bits()).collect();
                     assert_eq!(got, want, "rows={rows} p={p} k={k} sym={sym} level={}", lvl.name());
+                }
+            }
+        }
+    }
+
+    /// `gemm_tall_f64`'s contract, written out per output: per `KC`
+    /// panel one chain from `+0.0`, fused at `Avx2`, mul then add at
+    /// `Scalar`, then `c += alpha · s`.
+    #[allow(clippy::too_many_arguments)]
+    fn textbook_tall(
+        vex: bool,
+        (m, n, k): (usize, usize, usize),
+        alpha: f64,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        for j in 0..n {
+            for i in 0..m {
+                for k0 in (0..k).step_by(KC) {
+                    let mut s = 0.0f64;
+                    for kk in k0..(k0 + KC).min(k) {
+                        let (x, y) = (a[i + kk * m], b[kk * n + j]);
+                        s = if vex { x.mul_add(y, s) } else { s + x * y };
+                    }
+                    c[i + j * m] += alpha * s;
+                }
+            }
+        }
+    }
+
+    /// Every row count either side of the 4-, 8- and 32-row blocks, every
+    /// output count either side of the 4-output tile, and depths up to
+    /// one across a `KC` panel. Every pair of a rows, an outputs and a
+    /// depth value meets; the triples above 2²² products, which only
+    /// repeat blocks, are skipped to keep the unoptimized build quick.
+    #[test]
+    fn tall_tile_is_the_textbook_fold_bit_for_bit() {
+        let mut rng = flashr_testkit::Rng::new(0x7a11);
+        for m in [0usize, 1, 7, 8, 9, 17, 436, 4097] {
+            for p in [1usize, 2, 8, 32, 40, 256, 300] {
+                let a = rng.vec_f64(m * p, -2.0..2.0);
+                for n in [1usize, 3, 4, 5, 8, 9, 32, 33] {
+                    if m * p * n > 1 << 22 {
+                        continue;
+                    }
+                    // B row-major, as the executor hands it over.
+                    let b = rng.vec_f64(p * n, -2.0..2.0);
+                    let start = rng.vec_f64(m * n, -1.0..1.0);
+                    let alpha = if n % 2 == 0 { 1.0 } else { -0.75 };
+                    for lvl in SimdLevel::available() {
+                        let mut want = start.clone();
+                        textbook_tall(lvl.vex(), (m, n, p), alpha, &a, &b, &mut want);
+                        let mut got = start.clone();
+                        gemm_tall_f64(lvl, m, n, p, alpha, &a, m, &b, n, 1, &mut got, m);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert!(bits(&got) == bits(&want), "{m}x{p} by {p}x{n} at {}", lvl.name());
+                    }
                 }
             }
         }

@@ -27,16 +27,16 @@ pub enum Tok {
     False,
     Null,
     // punctuation / operators
-    Assign,    // <-  (and `=` in statement position)
-    Eq,        // =
+    Assign, // <-  (and `=` in statement position)
+    Eq,     // =
     Plus,
     Minus,
     Star,
     Slash,
     Caret,
     Colon,
-    MatMul,    // %*%
-    Modulo,    // %%
+    MatMul, // %*%
+    Modulo, // %%
     Lt,
     Gt,
     Le,
@@ -278,9 +278,7 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, RError> {
                 i += 1;
                 out.push(Tok::Str(s));
             }
-            c if c.is_ascii_digit()
-                || (c == '.' && i + 1 < n && b[i + 1].is_ascii_digit()) =>
-            {
+            c if c.is_ascii_digit() || (c == '.' && i + 1 < n && b[i + 1].is_ascii_digit()) => {
                 let start = i;
                 while i < n
                     && (b[i].is_ascii_digit()
@@ -306,9 +304,7 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, RError> {
             }
             c if c.is_ascii_alphabetic() || c == '.' || c == '_' => {
                 let start = i;
-                while i < n
-                    && (b[i].is_ascii_alphanumeric() || b[i] == '.' || b[i] == '_')
-                {
+                while i < n && (b[i].is_ascii_alphanumeric() || b[i] == '.' || b[i] == '_') {
                     i += 1;
                 }
                 let word: String = b[start..i].iter().collect();
@@ -325,6 +321,8 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, RError> {
                     "TRUE" | "T" => Tok::True,
                     "FALSE" | "F" => Tok::False,
                     "NULL" => Tok::Null,
+                    "Inf" => Tok::Num(f64::INFINITY),
+                    "NaN" => Tok::Num(f64::NAN),
                     _ => Tok::Ident(word),
                 });
             }

@@ -5,10 +5,7 @@ use flashr_core::session::{CtxConfig, FlashCtx};
 use flashr_rlang::{Interp, Value};
 
 fn interp() -> Interp {
-    Interp::new(FlashCtx::with_config(
-        CtxConfig { rows_per_part: 256, ..Default::default() },
-        None,
-    ))
+    Interp::new(FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None))
 }
 
 fn num(r: &mut Interp, src: &str) -> f64 {
@@ -60,18 +57,9 @@ fn control_flow() {
     let mut r = interp();
     assert_eq!(num(&mut r, "if (3 > 2) 10 else 20"), 10.0);
     assert_eq!(num(&mut r, "if (FALSE) 10 else 20"), 20.0);
-    assert_eq!(
-        num(&mut r, "s <- 0\nfor (i in 1:100) s <- s + i\ns"),
-        5050.0
-    );
-    assert_eq!(
-        num(&mut r, "n <- 0\nwhile (n < 10) n <- n + 3\nn"),
-        12.0
-    );
-    assert_eq!(
-        num(&mut r, "s <- 0\nfor (i in 1:10) { if (i == 4) break; s <- s + i }\ns"),
-        6.0
-    );
+    assert_eq!(num(&mut r, "s <- 0\nfor (i in 1:100) s <- s + i\ns"), 5050.0);
+    assert_eq!(num(&mut r, "n <- 0\nwhile (n < 10) n <- n + 3\nn"), 12.0);
+    assert_eq!(num(&mut r, "s <- 0\nfor (i in 1:10) { if (i == 4) break; s <- s + i }\ns"), 6.0);
 }
 
 #[test]
@@ -172,4 +160,17 @@ fn strings_and_null() {
     assert_eq!(num(&mut r, "is.null(3)"), 0.0);
     assert_eq!(num(&mut r, "\"a\" == \"a\""), 1.0);
     assert_eq!(num(&mut r, "\"a\" != \"b\""), 1.0);
+}
+
+#[test]
+fn inf_and_nan_are_base_constants() {
+    let mut r = interp();
+    assert_eq!(num(&mut r, "Inf"), f64::INFINITY);
+    assert_eq!(num(&mut r, "-Inf"), f64::NEG_INFINITY);
+    assert!(num(&mut r, "NaN").is_nan());
+    assert_eq!(num(&mut r, "1 / Inf"), 0.0);
+    // Inf · 0 is NaN inside a product, as in R.
+    r.eval_str("P <- matrix(c(Inf, 1, 1, 1), nrow = 2) %*% matrix(c(0, 1), nrow = 2)").unwrap();
+    assert!(num(&mut r, "P[1, 1]").is_nan());
+    assert_eq!(num(&mut r, "P[2, 1]"), 1.0);
 }

@@ -453,24 +453,30 @@ impl Mat {
     pub fn agg_rows(&self, op: AggOp) -> Mat {
         let row = |r: usize| (0..self.cols).map(move |c| self.at(r, c));
         match op {
-            AggOp::WhichMin => {
-                // Nothing beats the dtype's largest value, so a row of
-                // nothing but that (or, for floats, of NaN and +∞) is 0.
-                let top = match self.dtype {
-                    DType::U8 => f64::from(u8::MAX),
-                    DType::I32 => f64::from(i32::MAX),
-                    DType::I64 => i64::MAX as f64,
-                    DType::F32 | DType::F64 => f64::INFINITY,
+            AggOp::WhichMin | AggOp::WhichMax => {
+                // Nothing beats the dtype's largest (smallest) value, so a
+                // row of nothing but that (or, for floats, of NaN and ±∞)
+                // is 0.
+                let min = op == AggOp::WhichMin;
+                let start = match (self.dtype, min) {
+                    (DType::U8, true) => f64::from(u8::MAX),
+                    (DType::U8, false) => 0.0,
+                    (DType::I32, true) => f64::from(i32::MAX),
+                    (DType::I32, false) => f64::from(i32::MIN),
+                    (DType::I64, true) => i64::MAX as f64,
+                    (DType::I64, false) => i64::MIN as f64,
+                    (DType::F32 | DType::F64, true) => f64::INFINITY,
+                    (DType::F32 | DType::F64, false) => f64::NEG_INFINITY,
                 };
                 Mat::from_fn(self.rows, 1, DType::I64, |r, _| {
-                    let first_below = |(at, least): (usize, f64), (c, v)| {
-                        if v < least {
+                    let first_better = |(at, best): (usize, f64), (c, v)| {
+                        if (min && v < best) || (!min && v > best) {
                             (c, v)
                         } else {
-                            (at, least)
+                            (at, best)
                         }
                     };
-                    row(r).enumerate().fold((0, top), first_below).0 as f64
+                    row(r).enumerate().fold((0, start), first_better).0 as f64
                 })
             }
             _ => {
@@ -478,6 +484,7 @@ impl Mat {
                     AggOp::Sum if is_float(self.dtype) => DType::F64,
                     AggOp::Sum => DType::I64,
                     AggOp::Min | AggOp::Max => self.dtype,
+                    AggOp::Mean => DType::F64,
                     _ => panic!("oracle: per-row {op:?} has no reference semantics here"),
                 };
                 Mat::from_fn(self.rows, 1, out, |r, _| from_f64(out, Mat::fold(op, row(r))))

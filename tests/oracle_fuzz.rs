@@ -333,10 +333,12 @@ fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Opt
             let (k, f1, f2) = (rng.usize(1..10), pick(rng, &IP_F1), pick(rng, &IP_F2));
             cur.inner_prod(rng, k, f1, f2)
         }
-        _ => match rng.below(4) {
+        _ => match rng.below(6) {
             0 => cur.then(cur.want.clone(), |x| x.t().t()),
             1 => cur.then(cur.want.agg_rows(AggOp::Sum), |x| x.row_sums()),
             2 => cur.then(cur.want.agg_rows(AggOp::WhichMin), |x| x.row_which_min()),
+            3 => cur.then(cur.want.agg_rows(AggOp::WhichMax), |x| x.row_which_max()),
+            4 => cur.then(cur.want.agg_rows(AggOp::Mean), |x| x.row_means()),
             _ => {
                 let mut out = cur.then(cur.want.agg_rows(AggOp::Min), |x| x.row_min())?;
                 out.zero_sign_free = true;
@@ -490,7 +492,9 @@ fn check_sink(sink: Sink, rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, what: &str)
             }
         }
         Sink::Matmul => {
-            let k = rng.usize(1..4);
+            // Every output width either side of the 4-output tile, and
+            // the widths either side of 32.
+            let k = pick(rng, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33]);
             let b = Dense::from_fn(cols, k, |_, _| draw_values(rng, 1)[0]);
             let got = cur.fm.matmul(&FM::from_dense(b.clone()));
             let b = Mat::from_row_major(cols, k, b.as_slice().to_vec());
@@ -832,6 +836,8 @@ fn nan_inf_and_signed_zero_through_min_and_max() {
                 (x.then(x.want.agg_rows(AggOp::Min), |f| f.row_min()), "row_min"),
                 (x.then(x.want.agg_rows(AggOp::Max), |f| f.row_max()), "row_max"),
                 (x.then(x.want.agg_rows(AggOp::WhichMin), |f| f.row_which_min()), "row_which_min"),
+                (x.then(x.want.agg_rows(AggOp::WhichMax), |f| f.row_which_max()), "row_which_max"),
+                (x.then(x.want.agg_rows(AggOp::Mean), |f| f.row_means()), "row_means"),
             ] {
                 let step = Pair { zero_sign_free: true, ..step.unwrap() };
                 step.check_tall(ctx, &format!("{what} {dtype:?} {name}"));

@@ -296,46 +296,64 @@ fn kernel_bw_section() -> String {
 
     let levels = SimdLevel::available();
     let gib = (1u64 << 30) as f64;
-    // (op name, unit, one throughput figure per level), in first-seen order.
-    let mut ops: Vec<(&'static str, &'static str, Vec<f64>)> = Vec::new();
-    let mut put = |name, unit, v| match ops.iter_mut().find(|op| op.0 == name) {
-        Some(op) => op.2.push(v),
-        None => ops.push((name, unit, vec![v])),
+    // One throughput figure per level. Each op is timed at every level
+    // back to back, so contention that starts midway lands on one op's
+    // levels alike, not on every op of one level.
+    let per_level = |rate: &mut dyn FnMut(SimdLevel) -> f64| -> Vec<f64> {
+        levels.iter().map(|&level| rate(level)).collect()
     };
-    for &level in &levels {
-        for (name, links, base) in &maps {
+    // (op name, unit, figures), in the JSON's order.
+    let mut ops: Vec<(&'static str, &'static str, Vec<f64>)> = Vec::new();
+    for (name, links, base) in &maps {
+        let rates = per_level(&mut |level| {
             let kernel = FusedMapKernel::compile_with_level(level, links);
             let t = time_op(|| {
                 kernel.run_into(black_box(base), &[], &mut dst, rows, 0, &mut pool);
                 black_box(dst.as_bytes().first());
             });
-            put(name, "GiB/s", base.as_bytes().len() as f64 / t / gib);
-        }
+            base.as_bytes().len() as f64 / t / gib
+        });
+        ops.push((name, "GiB/s", rates));
+    }
+    let rates = per_level(&mut |level| {
         let t = time_op(|| {
             black_box(fold_col::<f64>(level, AggOp::Sum, 0.0, black_box(&a)));
         });
-        put("reduce_sum", "GiB/s", (n * 8) as f64 / t / gib);
+        (n * 8) as f64 / t / gib
+    });
+    ops.push(("reduce_sum", "GiB/s", rates));
+    let rates = per_level(&mut |level| {
         let t = time_op(|| {
             black_box(fold_col::<f64>(level, AggOp::Min, f64::INFINITY, black_box(&a)));
         });
-        put("reduce_min", "GiB/s", (n * 8) as f64 / t / gib);
+        (n * 8) as f64 / t / gib
+    });
+    ops.push(("reduce_min", "GiB/s", rates));
+    let rates = per_level(&mut |level| {
         let t = time_op(|| {
             black_box(dot_f64(level, black_box(&a), black_box(&b)));
         });
-        put("dot", "GiB/s", (2 * n * 8) as f64 / t / gib);
-        let (ga, gb) = (black_box(&ga), black_box(&gb));
+        (2 * n * 8) as f64 / t / gib
+    });
+    ops.push(("dot", "GiB/s", rates));
+    let (ga, gb) = (black_box(&ga), black_box(&gb));
+    let rates = per_level(&mut |level| {
         let t = time_op(|| {
             gemm_strided_level(level, gm, gm, gm, 1.0, ga, 1, gm, gb, 1, gm, 0.0, &mut gc, 1, gm);
             black_box(gc.first());
         });
-        put("gemm", "GFLOP/s", 2.0 * (gm * gm * gm) as f64 / t / 1e9);
-        let (ta, tb) = (black_box(&ta), black_box(&tb));
+        2.0 * (gm * gm * gm) as f64 / t / 1e9
+    });
+    ops.push(("gemm", "GFLOP/s", rates));
+    let (ta, tb) = (black_box(&ta), black_box(&tb));
+    let rates = per_level(&mut |level| {
         let t = time_op(|| {
             gemm_strided_level(level, tm, tp, tp, 1.0, ta, 1, tm, tb, tp, 1, 0.0, &mut tc, 1, tm);
             black_box(tc.first());
         });
-        put("gemm_tall", "GFLOP/s", 2.0 * (tm * tp * tp) as f64 / t / 1e9);
-    }
+        2.0 * (tm * tp * tp) as f64 / t / 1e9
+    });
+    ops.push(("gemm_tall", "GFLOP/s", rates));
 
     for (name, unit, vals) in &ops {
         let figures: Vec<String> =

@@ -463,11 +463,13 @@ fn dot_within_reassociation_bound() {
 
 #[test]
 fn gemm_within_reassociation_bound() {
-    // Each output element is a length-k dot product; the register-blocked
-    // kernel re-associates it (and fuses the multiply-adds at `Avx2`), so
+    // Each output element is a length-k dot product; the register tile
+    // re-associates it (and fuses the multiply-adds at `Avx2`), so
     // per-element error against the oracle's left-to-right product is
-    // bounded by `k · ε · Σ|a_il · b_lj|`. The last two shapes take the
-    // tall-and-skinny axpy path and the small-shape loop.
+    // bounded by `k · ε · Σ|a_il · b_lj|`. Every shape runs in the
+    // executor's column-major layout and again with row-major B and C,
+    // which the tile takes transposed at 4 × 8 and over; the last two
+    // shapes are narrower and take the small-shape loop there.
     let mut rng = Rng::new(8);
     for &(m, n, k) in
         &[(17usize, 13usize, 29usize), (64, 64, 64), (33, 47, 5), (33, 5, 47), (3, 9, 11)]
@@ -478,14 +480,22 @@ fn gemm_within_reassociation_bound() {
         let b = Mat::from_row_major(n, k, rng.vec_f64(k * n, -5.0..5.0)).t();
         let want = a.matmul(&b);
         let scale = a.abs().matmul(&b.abs());
-        let (a, b) = (a.col_major(), b.col_major());
+        // A column-major transpose is the row-major original.
+        let (a, b, b_rows) = (a.col_major(), b.col_major(), b.t().col_major());
+        // (layout, B, rsb, csb, rsc, csc): C(i, j) at i·rsc + j·csc.
+        let layouts = [("column-major", &b, 1, k, 1, m), ("row-major C", &b_rows, n, 1, n, 1)];
         for level in LEVELS {
-            let mut c = vec![0.0f64; m * n];
-            gemm_strided_level(level, m, n, k, 1.0, &a, 1, m, &b, 1, k, 0.0, &mut c, 1, m);
-            for j in 0..n {
-                for i in 0..m {
-                    let what = format!("gemm[{i},{j}] of {m}x{n}x{k} at {}", level.name());
-                    assert_close(c[j * m + i], want.at(i, j), k, scale.at(i, j), &what);
+            for &(layout, b, rsb, csb, rsc, csc) in &layouts {
+                let mut c = vec![0.0f64; m * n];
+                gemm_strided_level(
+                    level, m, n, k, 1.0, &a, 1, m, b, rsb, csb, 0.0, &mut c, rsc, csc,
+                );
+                for j in 0..n {
+                    for i in 0..m {
+                        let what =
+                            format!("gemm[{i},{j}] of {m}x{n}x{k} {layout} at {}", level.name());
+                        assert_close(c[i * rsc + j * csc], want.at(i, j), k, scale.at(i, j), &what);
+                    }
                 }
             }
         }

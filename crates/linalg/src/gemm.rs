@@ -9,6 +9,9 @@
 //!   the FlashR executor where parallelism already comes from dispatching
 //!   I/O partitions to threads; the strides let it consume partition
 //!   buffers in either row- or column-major layout without copies.
+//!
+//! Both run one register tile, `simd::gemm_tall_f64`: column-major A and
+//! C as they lie, row-major B and C as the column-major `Cᵀ = Bᵀ·Aᵀ`.
 
 use crate::dense::Dense;
 use crate::par;
@@ -19,6 +22,11 @@ use crate::simd::{self, SimdLevel};
 const KC: usize = 256;
 /// Row-panel height processed per [`par`] chunk.
 const MC: usize = 64;
+/// The smallest row-major product (`m × n`) the register tile takes.
+/// Smaller ones run the strided loop, which folds `alpha` into every term
+/// and adds each term to `C` — not the tile's association — so moving
+/// this bound changes the bits of every product it moves.
+const TILE_MIN: (usize, usize) = (4, 8);
 
 /// `C = alpha * op(A) * op(B) + beta * C` where `op` is optional transpose.
 pub fn gemm(alpha: f64, a: &Dense, ta: bool, b: &Dense, tb: bool, beta: f64, c: &mut Dense) {
@@ -29,9 +37,12 @@ pub fn gemm(alpha: f64, a: &Dense, ta: bool, b: &Dense, tb: bool, beta: f64, c: 
     assert_eq!(c.cols(), n, "C col count mismatch");
     let k = ka;
 
-    // Strides for op(A) and op(B) over the row-major storage.
+    // A row-major op(B) puts every product of `TILE_MIN` or more on the
+    // tile; a transposed B is copied once to get one.
+    let bt = tb.then(|| b.transpose());
+    let b = bt.as_ref().unwrap_or(b);
+    // Strides for op(A) and B over the row-major storage.
     let (rsa, csa) = if ta { (1, a.cols()) } else { (a.cols(), 1) };
-    let (rsb, csb) = if tb { (1, b.cols()) } else { (b.cols(), 1) };
     let adata = a.as_slice();
     let bdata = b.as_slice();
     let ncols = c.cols();
@@ -48,8 +59,8 @@ pub fn gemm(alpha: f64, a: &Dense, ta: bool, b: &Dense, tb: bool, beta: f64, c: 
             rsa,
             csa,
             bdata,
-            rsb,
-            csb,
+            n,
+            1,
             beta,
             cchunk,
             ncols,
@@ -153,16 +164,18 @@ pub fn gemm_strided_level(
         simd::gemm_tall_f64(level, m, n, k, alpha, a, csa, b, rsb, csb, c, csc);
         return;
     }
-
-    // Other big-enough problems go through the packed register-blocked
-    // micro-kernel: packing makes the inner loops stride-oblivious.
-    if m >= simd::MR && n >= simd::NR {
-        simd::gemm_packed_f64(level, m, n, k, alpha, a, rsa, csa, b, rsb, csb, c, rsc, csc);
+    // Row-major B and C — every `Dense` product — are the column-major
+    // `Cᵀ = Bᵀ·Aᵀ`: the same tile with the operands swapped. A product
+    // or an FMA does not depend on its operands' order, so each output
+    // gets the bits the column-major route would give it.
+    if csb == 1 && csc == 1 && m >= TILE_MIN.0 && n >= TILE_MIN.1 {
+        simd::gemm_tall_f64(level, n, m, k, alpha, b, rsb, a, csa, rsa, c, rsc);
         return;
     }
 
-    // Small shapes: contiguous C rows and contiguous B rows get a
-    // vectorizable inner loop over j.
+    // Row-major products under `TILE_MIN`, and layouts with no unit-stride
+    // pair: contiguous C rows and contiguous B rows get a vectorizable
+    // inner loop over j.
     let fast = csc == 1 && csb == 1;
     let mut k0 = 0;
     while k0 < k {
@@ -303,6 +316,152 @@ mod tests {
         let c = matmul(&a, &b);
         assert!(c.at(0, 0).is_nan());
         assert_eq!(c.at(1, 0), f64::INFINITY);
+    }
+
+    /// Each route's contract for one output, on any strided layout, after
+    /// `C` is scaled by `beta`. The tile: per `KC` panel one chain from
+    /// `+0.0`, fused at `Avx2` (`vex`), mul then add at `Scalar`, then
+    /// `c += alpha · s`. The strided loop: `c += (alpha · a) · b` per term.
+    #[allow(clippy::too_many_arguments)]
+    fn textbook(
+        (tile, vex): (bool, bool),
+        (m, n, k): (usize, usize, usize),
+        alpha: f64,
+        (a, rsa, csa): (&[f64], usize, usize),
+        (b, rsb, csb): (&[f64], usize, usize),
+        beta: f64,
+        (c, rsc, csc): (&mut [f64], usize, usize),
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let cv = &mut c[i * rsc + j * csc];
+                if beta != 1.0 {
+                    *cv = if beta == 0.0 { 0.0 } else { *cv * beta };
+                }
+                let term = |kk: usize| (a[i * rsa + kk * csa], b[kk * rsb + j * csb]);
+                if !tile {
+                    for (x, y) in (0..k).map(term) {
+                        *cv += alpha * x * y;
+                    }
+                    continue;
+                }
+                for k0 in (0..k).step_by(KC) {
+                    let mut s = 0.0f64;
+                    for (x, y) in (k0..(k0 + KC).min(k)).map(term) {
+                        s = if vex { x.mul_add(y, s) } else { s + x * y };
+                    }
+                    *cv += alpha * s;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_route_matches_naive_edge_sizes() {
+        // Ragged tiles in both dimensions, both sides of `TILE_MIN`, and
+        // k across the `KC` panel boundary, in the executor's column-major
+        // layout and the row-major one `gemm` passes: within the
+        // reassociation bound of a left-to-right fold, and with the bits
+        // of the textbook fold of the route that `TILE_MIN` picks.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &(m, n, k) in &[
+            (1usize, 1usize, 1usize),
+            (3, 7, 5),
+            (3, 8, 5),
+            (4, 7, 5),
+            (4, 8, 16),
+            (5, 9, 17),
+            (67, 130, 70),
+            (12, 12, 300),
+            (9, 33, 513),
+        ] {
+            let a = pseudo(m, k, 21).into_vec();
+            let b = pseudo(k, n, 22).into_vec();
+            let c0 = pseudo(m, n, 23).into_vec();
+            let want = naive(
+                &Dense::from_vec(m, k, a.clone()),
+                false,
+                &Dense::from_vec(k, n, b.clone()),
+                false,
+            );
+            let mag: f64 = a.iter().map(|x| x.abs()).sum::<f64>().max(1.0);
+            // Column-major copies: (i, kk) at i + kk·m.
+            let acm: Vec<f64> = (0..m * k).map(|x| a[(x % m) * k + x / m]).collect();
+            // (name, A, rsa, csa, rsc, csc, tile route?): 4 × 8 spelled out,
+            // so moving `TILE_MIN` fails here, not only in a bit diff.
+            let layouts = [
+                ("column-major", &acm, 1, m, 1, m, true),
+                ("row-major", &a, k, 1, n, 1, m >= 4 && n >= 8),
+            ];
+            for (name, a, rsa, csa, rsc, csc, tile) in layouts {
+                for level in SimdLevel::available() {
+                    for (alpha, beta) in [(1.0, 0.0), (-0.3, 0.5)] {
+                        let what = format!("{m}x{k}x{n} {name} a={alpha} at {}", level.name());
+                        let mut c = vec![0.0f64; m * n];
+                        for i in 0..m {
+                            for j in 0..n {
+                                c[i * rsc + j * csc] = c0[i * n + j];
+                            }
+                        }
+                        let mut got = c.clone();
+                        #[rustfmt::skip]
+                        gemm_strided_level(
+                            level, m, n, k, alpha, a, rsa, csa, &b, n, 1, beta, &mut got, rsc, csc,
+                        );
+                        for i in 0..m {
+                            for j in 0..n {
+                                let w = alpha * want.at(i, j) + beta * c0[i * n + j];
+                                let g = got[i * rsc + j * csc];
+                                let bound = (k as f64 + 2.0) * f64::EPSILON * (mag + 1.0);
+                                assert!((g - w).abs() <= bound, "{what} ({i}, {j}): {g} vs {w}");
+                            }
+                        }
+                        let route = (tile, level.vex());
+                        #[rustfmt::skip]
+                        textbook(
+                            route, (m, n, k), alpha, (a, rsa, csa), (&b, n, 1), beta,
+                            (&mut c, rsc, csc),
+                        );
+                        assert!(bits(&got) == bits(&c), "{what}: not its route's fold");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_major_inputs_column_major_output() {
+        // No unit-stride pair for either tile route: the strided loop.
+        let (m, n, k) = (10usize, 11usize, 6usize);
+        let a = pseudo(m, k, 31).into_vec(); // row-major m×k
+        let b = pseudo(k, n, 32).into_vec(); // row-major k×n
+        for lvl in SimdLevel::available() {
+            let mut c = vec![0.0f64; m * n]; // column-major: (i,j) at j*m+i
+            gemm_strided_level(lvl, m, n, k, 2.0, &a, k, 1, &b, n, 1, 0.0, &mut c, 1, m);
+            for i in 0..m {
+                for j in 0..n {
+                    let want: f64 =
+                        2.0 * (0..k).map(|kk| a[i * k + kk] * b[kk * n + j]).sum::<f64>();
+                    assert!((c[j * m + i] - want).abs() < 1e-12, "({i},{j}) level={}", lvl.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_b_gets_the_bits_of_its_copy() {
+        for &(m, k, n) in &[(3usize, 5usize, 7usize), (4, 9, 8), (70, 33, 41), (65, 300, 12)] {
+            for ta in [false, true] {
+                let a = if ta { pseudo(k, m, 41) } else { pseudo(m, k, 41) };
+                let bt = pseudo(n, k, 42);
+                let c0 = pseudo(m, n, 43);
+                let (mut got, mut want) = (c0.clone(), c0.clone());
+                gemm(-0.3, &a, ta, &bt, true, 0.5, &mut got);
+                gemm(-0.3, &a, ta, &bt.transpose(), false, 0.5, &mut want);
+                let bits = |d: &Dense| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(bits(&got) == bits(&want), "{m}x{k}x{n} ta={ta}");
+            }
+        }
     }
 
     #[test]

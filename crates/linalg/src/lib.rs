@@ -8,11 +8,13 @@
 //! * [`Dense`] — a small row-major `f64` matrix used for DAG *sink* results
 //!   (Gramians, cluster centers, covariances, ...). These are the matrices
 //!   the paper keeps in memory because they are small (§3.4).
-//! * [`gemm()`](gemm())/[`gemm_strided`] — cache-blocked general matrix multiply;
+//! * [`gemm()`](gemm())/[`gemm_strided`] — general matrix multiply on one
+//!   register tile ([`simd`]) for every product of 4 × 8 and over;
 //!   the `Dense` front-end is parallel over row panels ([`par`]), the
 //!   strided raw kernel is single-threaded because the FlashR executor
 //!   already parallelizes across I/O partitions.
-//! * [`syrk()`](syrk()) — symmetric rank-k update (`crossprod`).
+//! * [`syrk()`](syrk()) — symmetric rank-k update (`crossprod`), as
+//!   [`gemm()`](gemm()) of `Aᵀ` and `A`.
 //! * [`chol`] — Cholesky factorization, SPD solves, inverse, log-determinant.
 //! * [`lu`] — LU with partial pivoting, general solves, determinant.
 //! * [`eigen`] — symmetric eigendecomposition (cyclic Jacobi), the engine

@@ -9,7 +9,7 @@
 //! "avx2,fma")]` function the body it is given inlines into, reached
 //! through [`at_level`] (which checks the CPU per call) or through a
 //! function pointer resolved after that check. Nothing else in the
-//! workspace names an ISA, with four measured exceptions below.
+//! workspace names an ISA, with two measured exceptions below.
 //!
 //! Numerics policy (documented once, relied on everywhere):
 //!
@@ -24,13 +24,12 @@
 //!   hand-written at `Avx2` but keeps that rule: a product is rounded,
 //!   then added — never an FMA — and every output folds its lanes as
 //!   [`dot_f64`] does, so `crossprod` gives the same bits at both levels.
-//! * The gemm kernels and axpy are the exception. At `Avx2` they are
-//!   hand-written FMA bodies (`avx2::tall`, the 8-row × 4-output tile
-//!   behind every column-major `%*%`; `avx2::mk_4x8`, the packed route's
-//!   4×8 tile; `avx2::axpy`), so `%*%` and `syrk` differ between the
-//!   levels within that same bound. Both gemm routes keep one chain per
-//!   output from `+0.0` per k-panel and store it once as
-//!   `c += alpha · s`, so at one level they give the same bits.
+//! * The gemm tile is the exception. At `Avx2` it is a hand-written FMA
+//!   body (`avx2::tall`, the 8-row × 4-output tile behind `syrk` and
+//!   every `%*%` but small row-major ones), so those differ between the
+//!   levels within that same bound. It keeps one chain per output from `+0.0` per k-panel and
+//!   stores it once as `c += alpha · s`, so at one level a product gets
+//!   the same bits whichever layout or operand order reaches the tile.
 //!
 //! Every kernel takes the level as an explicit argument so tests and
 //! benches can compare levels inside one process; production call sites
@@ -44,7 +43,7 @@ pub enum SimdLevel {
     /// The baseline compilation: whatever every x86-64 has (SSE2).
     Scalar = 1,
     /// The same kernels compiled with AVX2+FMA enabled, and the
-    /// hand-written gemm, axpy and Gramian micro-kernels.
+    /// hand-written gemm and Gramian micro-kernels.
     Avx2 = 2,
 }
 
@@ -263,28 +262,9 @@ fn fold_lanes(lanes: [f64; 8], a_tail: &[f64], b_tail: &[f64]) -> f64 {
     s
 }
 
-// ----------------------------------------------------------------- axpy
-
-/// `dst[i] += alpha * src[i]`, element-wise: two roundings at `Scalar`,
-/// one (a fused multiply-add, `avx2::axpy`) at `Avx2`.
-pub fn axpy_f64(level: SimdLevel, dst: &mut [f64], src: &[f64], alpha: f64) {
-    let n = dst.len().min(src.len());
-    let (dst, src) = (&mut dst[..n], &src[..n]);
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if level.vex() {
-        // SAFETY: `vex()` on the line above saw `SimdLevel::avx2_supported()`;
-        // both slices are `n` long.
-        unsafe { avx2::axpy(dst, src, alpha) };
-        return;
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += alpha * s;
-    }
-}
-
 // ------------------------------------------------ tall-by-small product
 
-/// k-panel depth of both gemm routes: each output's chain restarts at
+/// k-panel depth of the gemm tile: each output's chain restarts at
 /// `+0.0` every `KC` terms and is added into `C` per panel.
 const KC: usize = 256;
 
@@ -320,15 +300,15 @@ impl Tall<'_> {
 /// `a[i + kk·csa]`) and `C` (`m × n`, `(i, j)` at `c[i + j·csc]`) and any
 /// strided `B` (`(kk, j)` at `b[kk·rsb + j·csb]`): the tall-by-small
 /// product the executor runs on every Pcache chunk, reading `A` where it
-/// lies (no packing).
+/// lies (no packing). A row-major product comes here as its transpose.
 ///
 /// Per `KC`-deep k-panel, every output `(i, j)` is one chain from `+0.0`,
 /// `s += A(i, kk) · B(kk, j)` for `kk` ascending — fused at `Avx2`
 /// (`avx2::tall`, 8-row × 4-output register tiles), mul then add at
-/// `Scalar` — and is stored once as `c += alpha · s`: the association of
-/// the packed route, so a product gives the same bits whichever route
-/// or tile shape computes it. Every term is included, so `Inf · 0` is
-/// `NaN` as in R.
+/// `Scalar` — and is stored once as `c += alpha · s`, so a product gives
+/// the same bits whichever tile shape computes it, and its transpose the
+/// same bits as it. Every term is included, so `Inf · 0` is `NaN` as in
+/// R.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_tall_f64(
     level: SimdLevel,
@@ -424,174 +404,13 @@ fn tall_tile<const M: usize, const N: usize>(
     }
 }
 
-// -------------------------------------------------- packed gemm kernel
-
-/// Register tile height (rows of A per micro-kernel).
-pub const MR: usize = 4;
-/// Register tile width (columns of B per micro-kernel).
-pub const NR: usize = 8;
-/// Row-panel height packed per A block (L2-resident: 64×256×8 B).
-const MC: usize = 64;
-/// Column-panel width packed per B block (256×512×8 B).
-const NC: usize = 512;
-
-thread_local! {
-    /// Packing scratch (A panel, B panel), reused across calls.
-    static PACK: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// `C += alpha * A * B` over strided views, via packed panels and a
-/// `MR`×`NR` register-blocked micro-kernel. Caller applies beta first.
-///
-/// Strides follow the BLIS convention: element `(i, j)` of a matrix `X`
-/// lives at `x[i * rsx + j * csx]`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_packed_f64(
-    level: SimdLevel,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    rsa: usize,
-    csa: usize,
-    b: &[f64],
-    rsb: usize,
-    csb: usize,
-    c: &mut [f64],
-    rsc: usize,
-    csc: usize,
-) {
-    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
-        return;
-    }
-    let use_avx2 = level.vex();
-    PACK.with(|p| {
-        let (apack, bpack) = &mut *p.borrow_mut();
-        apack.resize(MC * KC, 0.0);
-        bpack.resize(KC * NC, 0.0);
-        let mut k0 = 0;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            let mut j0 = 0;
-            while j0 < n {
-                let nc = NC.min(n - j0);
-                let nblk = nc.div_ceil(NR);
-                // Pack B[k0..k0+kc, j0..j0+nc] into NR-wide column panels,
-                // zero-padding the ragged rightmost panel.
-                for jb in 0..nblk {
-                    let panel = &mut bpack[jb * kc * NR..(jb + 1) * kc * NR];
-                    for kk in 0..kc {
-                        for jj in 0..NR {
-                            let j = j0 + jb * NR + jj;
-                            panel[kk * NR + jj] =
-                                if j < j0 + nc { b[(k0 + kk) * rsb + j * csb] } else { 0.0 };
-                        }
-                    }
-                }
-                let mut i0 = 0;
-                while i0 < m {
-                    let mc = MC.min(m - i0);
-                    let mblk = mc.div_ceil(MR);
-                    // Pack A[i0..i0+mc, k0..k0+kc] into MR-tall row panels.
-                    for ib in 0..mblk {
-                        let panel = &mut apack[ib * kc * MR..(ib + 1) * kc * MR];
-                        for kk in 0..kc {
-                            for ii in 0..MR {
-                                let i = i0 + ib * MR + ii;
-                                panel[kk * MR + ii] =
-                                    if i < i0 + mc { a[i * rsa + (k0 + kk) * csa] } else { 0.0 };
-                            }
-                        }
-                    }
-                    for jb in 0..nblk {
-                        let nr = NR.min(nc - jb * NR);
-                        let bp = &bpack[jb * kc * NR..];
-                        for ib in 0..mblk {
-                            let mr = MR.min(mc - ib * MR);
-                            let ap = &apack[ib * kc * MR..];
-                            let coff = (i0 + ib * MR) * rsc + (j0 + jb * NR) * csc;
-                            if use_avx2 {
-                                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                                // SAFETY: `use_avx2` is `level.vex()`, which
-                                // checked `SimdLevel::avx2_supported()`; the
-                                // packed panels hold `kc` full-width steps and
-                                // coff + strides stay inside `c` for the real
-                                // (mr, nr) tile.
-                                unsafe {
-                                    avx2::mk_4x8(
-                                        kc,
-                                        ap.as_ptr(),
-                                        bp.as_ptr(),
-                                        alpha,
-                                        c.as_mut_ptr().add(coff),
-                                        rsc,
-                                        csc,
-                                        mr,
-                                        nr,
-                                    );
-                                }
-                            } else {
-                                mk_4x8_lanes(kc, ap, bp, alpha, &mut c[coff..], rsc, csc, mr, nr);
-                            }
-                        }
-                    }
-                    i0 += mc;
-                }
-                j0 += nc;
-            }
-            k0 += kc;
-        }
-    });
-}
-
-/// Portable micro-kernel: same `MR`×`NR` accumulator tile as the AVX2
-/// one, plain mul+add.
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::needless_range_loop)]
-fn mk_4x8_lanes(
-    kc: usize,
-    ap: &[f64],
-    bp: &[f64],
-    alpha: f64,
-    c: &mut [f64],
-    rsc: usize,
-    csc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for kk in 0..kc {
-        let bk = &bp[kk * NR..kk * NR + NR];
-        let ak = &ap[kk * MR..kk * MR + MR];
-        for i in 0..MR {
-            let av = ak[i];
-            for j in 0..NR {
-                acc[i][j] += av * bk[j];
-            }
-        }
-    }
-    for i in 0..mr {
-        for j in 0..nr {
-            c[i * rsc + j * csc] += alpha * acc[i][j];
-        }
-    }
-}
-
 // ------------------------------------------- the hand-written exception
 
-// The only `std::arch` in the workspace: the four kernels where a
+// The only `std::arch` in the workspace: the two kernels where a
 // measurement says the hand-written body pays. A portable 8 × 4 tall
 // tile with `f64::mul_add` compiled under `avx2,fma` runs GMM's
 // 436 × 32 · 32 × 32 chunk at 9–11 GFLOP/s, against 17–20 for `tall`
-// (one core of a 2-CPU x86-64 host, medians of five). On a 256³ product
-// `mk_4x8_lanes` compiled under `avx2,fma` reaches 9–13 GFLOP/s as
-// written and 7.6–7.7 with `f64::mul_add` (LLVM emits 32 scalar
-// `vfmadd231sd` per k-step and spills the accumulators), against 18–26
-// for `mk_4x8`; the plain axpy loop compiled the same way runs `syrk` on
-// a 16 384×40 panel at 0.82× of `axpy` (7.5 against 9.1 GFLOP/s, medians
-// of ten alternating runs, lower in every one). A portable 2 × 2 Gramian
+// (one core of a 2-CPU x86-64 host, medians of five). A portable 2 × 2 Gramian
 // tile (a const-generic `[[[f64; 8]; 2]; 2]` lane body) compiled under
 // `avx2` runs the 819-row 40 × 40 crossprod chunk at 6.2–6.5 GFLOP/s of
 // computed flops, slower than one `dot_f64` per output (7.5–8.0 in the
@@ -604,35 +423,6 @@ mod avx2 {
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
-
-    /// `dst[i] = fma(alpha, src[i], dst[i])`.
-    ///
-    /// # Safety
-    /// The CPU has avx2 and fma; `src` is at least as long as `dst`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn axpy(dst: &mut [f64], src: &[f64], alpha: f64) {
-        let n = dst.len();
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let va = _mm256_set1_pd(alpha);
-        let mut i = 0;
-        while i + 8 <= n {
-            let d0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(sp.add(i)), _mm256_loadu_pd(dp.add(i)));
-            let d1 =
-                _mm256_fmadd_pd(va, _mm256_loadu_pd(sp.add(i + 4)), _mm256_loadu_pd(dp.add(i + 4)));
-            _mm256_storeu_pd(dp.add(i), d0);
-            _mm256_storeu_pd(dp.add(i + 4), d1);
-            i += 8;
-        }
-        while i + 4 <= n {
-            let d = _mm256_fmadd_pd(va, _mm256_loadu_pd(sp.add(i)), _mm256_loadu_pd(dp.add(i)));
-            _mm256_storeu_pd(dp.add(i), d);
-            i += 4;
-        }
-        while i < n {
-            *dp.add(i) = alpha.mul_add(*sp.add(i), *dp.add(i));
-            i += 1;
-        }
-    }
 
     /// The 2 × 2 Gramian tile: outputs `(i, j)` of `a_i · b_j` for
     /// `i, j < 2`, eight lane partials each in two `__m256d` halves, so
@@ -710,8 +500,8 @@ mod avx2 {
 
     /// `4·V` rows × `N` outputs: `V · N` `__m256d` chains from `+0.0`,
     /// `s = fma(A(i, kk), B(kk, j), s)` for `kk` ascending, then each
-    /// output column stored once as `c + alpha · s` (mul, then add — the
-    /// packed route's writeback).
+    /// output column stored once as `c + alpha · s` (mul, then add, as
+    /// the portable tile and `one` store).
     ///
     /// # Safety
     /// As [`tall`], for rows `r0..r0 + 4·V` and outputs `j0..j0 + N`,
@@ -763,51 +553,6 @@ mod avx2 {
             s = t.a[r + kk * t.csa].mul_add(t.b(kk, j), s);
         }
         *c.add(j * csc + r) += t.alpha * s;
-    }
-
-    /// 4×8 register tile: eight `__m256d` accumulators (4 rows × 2
-    /// column vectors), 8 FMAs per k step. Packed panels: `ap` holds
-    /// `MR` A values per k, `bp` holds `NR` B values per k, both
-    /// zero-padded so the kernel is always full-width; the writeback
-    /// masks to the real `(mr, nr)` tile.
-    ///
-    /// # Safety
-    /// The CPU has avx2 and fma; `ap` and `bp` point at `kc` steps of 4
-    /// and 8 values; `c + i * rsc + j * csc` is in bounds for every
-    /// `i < mr`, `j < nr`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn mk_4x8(
-        kc: usize,
-        ap: *const f64,
-        bp: *const f64,
-        alpha: f64,
-        c: *mut f64,
-        rsc: usize,
-        csc: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        let mut acc: [[__m256d; 2]; 4] = [[_mm256_setzero_pd(); 2]; 4];
-        for kk in 0..kc {
-            let b0 = _mm256_loadu_pd(bp.add(kk * 8));
-            let b1 = _mm256_loadu_pd(bp.add(kk * 8 + 4));
-            let ak = ap.add(kk * 4);
-            for (i, row) in acc.iter_mut().enumerate() {
-                let ai = _mm256_set1_pd(*ak.add(i));
-                row[0] = _mm256_fmadd_pd(ai, b0, row[0]);
-                row[1] = _mm256_fmadd_pd(ai, b1, row[1]);
-            }
-        }
-        let mut t = [0.0f64; 8];
-        for (i, row) in acc.iter().enumerate().take(mr) {
-            _mm256_storeu_pd(t.as_mut_ptr(), row[0]);
-            _mm256_storeu_pd(t.as_mut_ptr().add(4), row[1]);
-            for (j, &v) in t.iter().enumerate().take(nr) {
-                let p = c.add(i * rsc + j * csc);
-                *p += alpha * v;
-            }
-        }
     }
 }
 
@@ -978,97 +723,6 @@ mod tests {
                         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert!(bits(&got) == bits(&want), "{m}x{p} by {p}x{n} at {}", lvl.name());
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_scalar_is_the_unfused_loop() {
-        let alpha = 1.37;
-        let src = pseudo(1001, 7);
-        let orig = pseudo(1001, 9);
-        let mut d = orig.clone();
-        axpy_f64(SimdLevel::Scalar, &mut d, &src, alpha);
-        for i in 0..src.len() {
-            assert_eq!(d[i].to_bits(), (orig[i] + alpha * src[i]).to_bits(), "i={i}");
-        }
-    }
-
-    #[test]
-    fn axpy_avx2_within_input_rounding_per_element() {
-        if !SimdLevel::avx2_supported() {
-            return;
-        }
-        let alpha = -0.73;
-        let src = pseudo(517, 11);
-        let orig = pseudo(517, 13);
-        let mut d0 = orig.clone();
-        let mut d1 = orig.clone();
-        axpy_f64(SimdLevel::Scalar, &mut d0, &src, alpha);
-        axpy_f64(SimdLevel::Avx2, &mut d1, &src, alpha);
-        for i in 0..src.len() {
-            // One fused rounding vs two: the absolute gap is bounded by a
-            // rounding of the product `alpha*src` plus a rounding of the
-            // result. (A per-result ULP bound would be wrong: when
-            // `d ≈ -alpha*s` cancellation shrinks the result, not the gap.)
-            let p = (alpha * src[i]).abs();
-            let bound = f64::EPSILON * (p + d0[i].abs()) + f64::MIN_POSITIVE;
-            assert!((d0[i] - d1[i]).abs() <= bound, "i={i} x={} y={}", d0[i], d1[i]);
-        }
-    }
-
-    #[test]
-    fn packed_gemm_matches_naive_edge_sizes() {
-        // Exercise ragged tiles in both dimensions and multi-panel k.
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (4, 8, 16),
-            (5, 9, 17),
-            (67, 130, 70),
-            (12, 12, 300), // crosses the KC=256 panel boundary
-        ] {
-            let a = pseudo(m * k, 21);
-            let b = pseudo(k * n, 22);
-            let mut want = vec![0.0f64; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut s = 0.0;
-                    for kk in 0..k {
-                        s += a[i * k + kk] * b[kk * n + j];
-                    }
-                    want[i * n + j] = s;
-                }
-            }
-            let mag: f64 = a.iter().map(|x| x.abs()).sum::<f64>().max(1.0);
-            for lvl in SimdLevel::available() {
-                let mut c = vec![0.0f64; m * n];
-                gemm_packed_f64(lvl, m, n, k, 1.0, &a, k, 1, &b, n, 1, &mut c, n, 1);
-                for (got, w) in c.iter().zip(&want) {
-                    assert!(
-                        (got - w).abs() <= (k as f64) * f64::EPSILON * mag,
-                        "m={m} n={n} k={k} level={} got={got} want={w}",
-                        lvl.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_gemm_strided_column_major_output() {
-        let (m, n, k) = (10usize, 11usize, 6usize);
-        let a = pseudo(m * k, 31); // row-major m×k
-        let b = pseudo(k * n, 32); // row-major k×n
-        for lvl in SimdLevel::available() {
-            let mut c = vec![0.0f64; m * n]; // column-major: (i,j) at j*m+i
-            gemm_packed_f64(lvl, m, n, k, 2.0, &a, k, 1, &b, n, 1, &mut c, 1, m);
-            for i in 0..m {
-                for j in 0..n {
-                    let want: f64 =
-                        2.0 * (0..k).map(|kk| a[i * k + kk] * b[kk * n + j]).sum::<f64>();
-                    assert!((c[j * m + i] - want).abs() < 1e-12, "({i},{j}) level={}", lvl.name());
                 }
             }
         }

@@ -1,57 +1,32 @@
 //! Symmetric rank-k update: the `crossprod` kernel.
 
 use crate::dense::Dense;
-use crate::par;
-use crate::simd::{axpy_f64, SimdLevel};
+use crate::gemm::gemm;
 
-/// `C = A^T A` for a (possibly tall) row-major `A`, exploiting symmetry.
+/// `C = A^T A` for a (possibly tall) row-major `A`: [`gemm`] of `Aᵀ` and
+/// `A`, so every term is included and `Inf · 0` is `NaN`, as in R's
+/// `crossprod`.
 ///
 /// This is the in-memory reference kernel; the FlashR engine computes the
-/// same quantity out-of-core as an aggregation sink across I/O partitions
-/// and only uses this for per-partition panels.
+/// same quantity out-of-core as an aggregation sink across I/O partitions.
 pub fn syrk(a: &Dense) -> Dense {
-    let n = a.cols();
-    let m = a.rows();
-    // Accumulate per row-panel in parallel, then reduce.
-    let level = SimdLevel::active();
-    let panel = 512usize;
-    let partials: Vec<Vec<f64>> = par::map_range(m.div_ceil(panel), |p| {
-        let r0 = p * panel;
-        let r1 = (r0 + panel).min(m);
-        let mut acc = vec![0.0f64; n * n];
-        for r in r0..r1 {
-            let row = a.row(r);
-            for i in 0..n {
-                let v = row[i];
-                if v == 0.0 {
-                    continue;
-                }
-                let dst = &mut acc[i * n..(i + 1) * n];
-                // Upper triangle only: dst[i..n] += v * row[i..n].
-                axpy_f64(level, &mut dst[i..], &row[i..], v);
-            }
-        }
-        acc
-    });
-    let mut c = vec![0.0f64; n * n];
-    for part in partials {
-        for (cv, pv) in c.iter_mut().zip(part) {
-            *cv += pv;
-        }
-    }
-    // Mirror to the lower triangle.
-    for i in 0..n {
+    let p = a.cols();
+    let mut c = Dense::zeros(p, p);
+    gemm(1.0, a, true, a, false, 0.0, &mut c);
+    // `(i, j)` and `(j, i)` are one fold when one route computes both, but
+    // a row panel of fewer than four rows takes `gemm`'s strided loop:
+    // mirror the upper triangle so the result is symmetric to the bit.
+    for i in 0..p {
         for j in 0..i {
-            c[i * n + j] = c[j * n + i];
+            c.set(i, j, c.at(j, i));
         }
     }
-    Dense::from_vec(n, n, c)
+    c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::gemm;
 
     fn pseudo(r: usize, c: usize, seed: u64) -> Dense {
         let mut rng = flashr_testkit::Rng::new(seed);
@@ -60,24 +35,55 @@ mod tests {
 
     #[test]
     fn matches_gemm() {
-        for &(m, n) in &[(1usize, 1usize), (10, 3), (700, 17), (1025, 8)] {
-            let a = pseudo(m, n, 5);
-            let s = syrk(&a);
-            let mut want = Dense::zeros(n, n);
-            gemm(1.0, &a, true, &a, false, 0.0, &mut want);
-            assert!(s.max_abs_diff(&want) < 1e-9, "m={m} n={n}");
+        // Within the reassociation bound `m · ε · Σ|a_ri · a_rj|` of a
+        // left-to-right fold, and the very bits of `gemm` above the
+        // diagonal.
+        for &(m, n) in &[(1usize, 1usize), (10, 3), (700, 17), (1025, 8), (300, 67)] {
+            let a = &pseudo(m, n, 5);
+            let s = syrk(a);
+            let mut g = Dense::zeros(n, n);
+            gemm(1.0, a, true, a, false, 0.0, &mut g);
+            let col = |c: usize| (0..m).map(move |r| a.at(r, c));
+            for i in 0..n {
+                for j in i..n {
+                    let want = col(i).zip(col(j)).fold(0.0, |acc, (x, y)| acc + x * y);
+                    let mag: f64 = col(i).zip(col(j)).map(|(x, y)| (x * y).abs()).sum();
+                    let bound = m as f64 * f64::EPSILON * mag;
+                    assert!((s.at(i, j) - want).abs() <= bound, "m={m} n={n} ({i}, {j})");
+                    assert_eq!(
+                        s.at(i, j).to_bits(),
+                        g.at(i, j).to_bits(),
+                        "m={m} n={n} ({i}, {j})"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn result_is_symmetric_and_psd_diag() {
-        let a = pseudo(200, 6, 77);
-        let s = syrk(&a);
-        for i in 0..6 {
-            assert!(s.at(i, i) >= 0.0);
-            for j in 0..6 {
-                assert_eq!(s.at(i, j), s.at(j, i));
+        // 40 columns run the tile; 67 leave `gemm` a 3-row panel for its
+        // strided loop.
+        for (m, p) in [(200usize, 6usize), (700, 40), (300, 67)] {
+            let a = pseudo(m, p, 77);
+            let s = syrk(&a);
+            for i in 0..p {
+                assert!(s.at(i, i) >= 0.0);
+                for j in 0..p {
+                    assert_eq!(s.at(i, j).to_bits(), s.at(j, i).to_bits(), "p={p} ({i}, {j})");
+                }
             }
         }
+    }
+
+    #[test]
+    fn inf_times_zero_is_nan() {
+        // As R's `crossprod(matrix(c(0, 1, Inf, 1), 2))`: column 0 meets
+        // Inf in row 0 with a 0, so that term is NaN.
+        let a = Dense::from_vec(2, 2, vec![0.0, f64::INFINITY, 1.0, 1.0]);
+        let s = syrk(&a);
+        assert_eq!(s.at(0, 0), 1.0);
+        assert!(s.at(0, 1).is_nan() && s.at(1, 0).is_nan());
+        assert_eq!(s.at(1, 1), f64::INFINITY);
     }
 }

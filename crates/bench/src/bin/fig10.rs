@@ -25,9 +25,7 @@ fn main() {
     let scale = Scale::from_env();
     let n_criteo = scale.rows(100_000, 1_000_000);
     let n_page = scale.rows(50_000, 500_000);
-    println!(
-        "Figure 10 — engine ablation on SSDs (criteo n={n_criteo}, pagegraph n={n_page})\n"
-    );
+    println!("Figure 10 — engine ablation on SSDs (criteo n={n_criteo}, pagegraph n={n_page})\n");
 
     let mut report = Report::new();
     let mut traced: Vec<(String, FlashCtx)> = Vec::new();
@@ -66,9 +64,8 @@ fn main() {
         let (_, t) = time(|| kmeans(&em, &pg, &KmeansOptions { k: 10, max_iters: 4, seed: 1 }));
         report.push("fig10", "kmeans", mode_name, &params, t.as_secs_f64());
 
-        let (_, t) = time(|| {
-            gmm(&em, &pg, &GmmOptions { k: 4, max_iters: 3, ..Default::default() })
-        });
+        let (_, t) =
+            time(|| gmm(&em, &pg, &GmmOptions { k: 4, max_iters: 3, ..Default::default() }));
         report.push("fig10", "gmm", mode_name, &params, t.as_secs_f64());
 
         println!("{mode_name} done.");
@@ -93,12 +90,7 @@ fn main() {
                 .unwrap_or(f64::NAN)
         };
         let base = get("base");
-        println!(
-            "{:<22} {:>11.2}x {:>11.2}x",
-            a,
-            base / get("mem-fuse"),
-            base / get("cache-fuse")
-        );
+        println!("{:<22} {:>11.2}x {:>11.2}x", a, base / get("mem-fuse"), base / get("cache-fuse"));
     }
     let parts: Vec<(&str, &FlashCtx)> = traced.iter().map(|(n, c)| (n.as_str(), c)).collect();
     maybe_export_trace(&parts);

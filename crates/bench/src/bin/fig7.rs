@@ -31,14 +31,22 @@ fn datasets(ctx: &FlashCtx, n_criteo: u64, n_page: u64) -> (FM, FM, FM) {
     (x, y, pg)
 }
 
-fn run_all(report: &mut Report, system: &str, ctx: &FlashCtx, n_criteo: u64, n_page: u64, eager: bool) {
+fn run_all(
+    report: &mut Report,
+    system: &str,
+    ctx: &FlashCtx,
+    n_criteo: u64,
+    n_page: u64,
+    eager: bool,
+) {
     let (x, y, pg) = datasets(ctx, n_criteo, n_page);
     let params = format!("criteo n={n_criteo}, pagegraph n={n_page}");
     let lr_opts = LogRegOptions { max_iters: 10, tol: 1e-6, ..Default::default() };
     let km_opts = KmeansOptions { k: 10, max_iters: 8, seed: 1 };
     let gm_opts = GmmOptions { k: 10, max_iters: 4, tol: 1e-2, ..Default::default() };
 
-    let (_, t) = time(|| if eager { eagerml::correlation_eager(ctx, &x) } else { correlation(ctx, &x) });
+    let (_, t) =
+        time(|| if eager { eagerml::correlation_eager(ctx, &x) } else { correlation(ctx, &x) });
     report.push("fig7", "correlation", system, &params, t.as_secs_f64());
     println!("  {system:<14} correlation      {:>8.2}s", t.as_secs_f64());
 
@@ -46,8 +54,13 @@ fn run_all(report: &mut Report, system: &str, ctx: &FlashCtx, n_criteo: u64, n_p
     report.push("fig7", "pca", system, &params, t.as_secs_f64());
     println!("  {system:<14} pca              {:>8.2}s", t.as_secs_f64());
 
-    let (_, t) =
-        time(|| if eager { eagerml::naive_bayes_eager(ctx, &x, &y, 2) } else { naive_bayes(ctx, &x, &y, 2) });
+    let (_, t) = time(|| {
+        if eager {
+            eagerml::naive_bayes_eager(ctx, &x, &y, 2)
+        } else {
+            naive_bayes(ctx, &x, &y, 2)
+        }
+    });
     report.push("fig7", "naive-bayes", system, &params, t.as_secs_f64());
     println!("  {system:<14} naive-bayes      {:>8.2}s", t.as_secs_f64());
 
@@ -61,11 +74,20 @@ fn run_all(report: &mut Report, system: &str, ctx: &FlashCtx, n_criteo: u64, n_p
     report.push("fig7", "logistic-regression", system, &params, t.as_secs_f64());
     println!("  {system:<14} logreg           {:>8.2}s", t.as_secs_f64());
 
-    let (_, t) = time(|| if eager { eagerml::kmeans_eager(ctx, &pg, &km_opts) } else { kmeans(ctx, &pg, &km_opts) });
+    let (_, t) = time(|| {
+        if eager {
+            eagerml::kmeans_eager(ctx, &pg, &km_opts)
+        } else {
+            kmeans(ctx, &pg, &km_opts)
+        }
+    });
     report.push("fig7", "kmeans", system, &params, t.as_secs_f64());
     println!("  {system:<14} kmeans           {:>8.2}s", t.as_secs_f64());
 
-    let (_, t) = time(|| if eager { eagerml::gmm_eager(ctx, &pg, &gm_opts) } else { gmm(ctx, &pg, &gm_opts) });
+    let (_, t) =
+        time(
+            || if eager { eagerml::gmm_eager(ctx, &pg, &gm_opts) } else { gmm(ctx, &pg, &gm_opts) },
+        );
     report.push("fig7", "gmm", system, &params, t.as_secs_f64());
     println!("  {system:<14} gmm              {:>8.2}s", t.as_secs_f64());
 }
@@ -76,8 +98,10 @@ fn main() {
     let n_criteo = scale.rows(200_000, 4_000_000);
     let n_page = scale.rows(100_000, 2_000_000);
 
-    println!("Figure 7{} — comparative performance ({profile} profile, {scale:?} scale)\n",
-        if profile == "ec2" { "b" } else { "a" });
+    println!(
+        "Figure 7{} — comparative performance ({profile} profile, {scale:?} scale)\n",
+        if profile == "ec2" { "b" } else { "a" }
+    );
 
     let mut report = Report::new();
 

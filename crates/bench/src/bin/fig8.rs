@@ -41,12 +41,10 @@ fn main() {
     for (system, em) in [("FlashR-IM", false), ("FlashR-EM", true)] {
         let ctx = if em { em_ctx_local(&format!("fig8-{system}")) } else { im_ctx() };
         let x = FM::rnorm(&ctx, n, p, 0.0, 1.0, 11).materialize(&ctx);
-        let labels = FM::seq(n, 0.0, 1.0)
-            .binary_scalar(BinaryOp::Rem, 2.0, false)
-            .materialize(&ctx);
-        let xl = x
-            .binary(BinaryOp::Add, &(&labels.cast(DType::F64) * 3.0), false)
-            .materialize(&ctx);
+        let labels =
+            FM::seq(n, 0.0, 1.0).binary_scalar(BinaryOp::Rem, 2.0, false).materialize(&ctx);
+        let xl =
+            x.binary(BinaryOp::Add, &(&labels.cast(DType::F64) * 3.0), false).materialize(&ctx);
 
         let (_, t) = time(|| x.crossprod().to_dense(&ctx));
         report.push("fig8", "crossprod", system, &params, t.as_secs_f64());

@@ -24,7 +24,8 @@ fn main() {
 
     let mut report = Report::new();
     let mut traced: Vec<(String, FlashCtx)> = Vec::new();
-    let p_values: &[usize] = if scale == Scale::Quick { &[8, 32, 128, 256] } else { &[8, 32, 128, 512] };
+    let p_values: &[usize] =
+        if scale == Scale::Quick { &[8, 32, 128, 256] } else { &[8, 32, 128, 512] };
     let k_values: &[usize] = &[2, 8, 32, 64];
 
     println!("{:<14} {:>6} {:>10} {:>10} {:>8}", "algorithm", "param", "IM (s)", "EM (s)", "EM/IM");
@@ -39,19 +40,39 @@ fn main() {
 
         let (_, ti) = time(|| correlation(&im, &xi));
         let (_, te) = time(|| correlation(&em, &xe));
-        report.push_extra("fig9", "correlation", "EM/IM", &format!("p={p}"), te.as_secs_f64(), ti.as_secs_f64());
+        report.push_extra(
+            "fig9",
+            "correlation",
+            "EM/IM",
+            &format!("p={p}"),
+            te.as_secs_f64(),
+            ti.as_secs_f64(),
+        );
         println!(
             "{:<14} p={:<4} {:>10.2} {:>10.2} {:>8.2}",
-            "correlation", p, ti.as_secs_f64(), te.as_secs_f64(),
+            "correlation",
+            p,
+            ti.as_secs_f64(),
+            te.as_secs_f64(),
             te.as_secs_f64() / ti.as_secs_f64()
         );
 
         let (_, ti) = time(|| naive_bayes(&im, &xi, &yi, 2));
         let (_, te) = time(|| naive_bayes(&em, &xe, &ye, 2));
-        report.push_extra("fig9", "naive-bayes", "EM/IM", &format!("p={p}"), te.as_secs_f64(), ti.as_secs_f64());
+        report.push_extra(
+            "fig9",
+            "naive-bayes",
+            "EM/IM",
+            &format!("p={p}"),
+            te.as_secs_f64(),
+            ti.as_secs_f64(),
+        );
         println!(
             "{:<14} p={:<4} {:>10.2} {:>10.2} {:>8.2}",
-            "naive-bayes", p, ti.as_secs_f64(), te.as_secs_f64(),
+            "naive-bayes",
+            p,
+            ti.as_secs_f64(),
+            te.as_secs_f64(),
             te.as_secs_f64() / ti.as_secs_f64()
         );
         traced.push((format!("IM-p{p}"), im));
@@ -69,10 +90,20 @@ fn main() {
 
         let (_, ti) = time(|| kmeans(&im, &xi, &opts));
         let (_, te) = time(|| kmeans(&em, &xe, &opts));
-        report.push_extra("fig9", "kmeans", "EM/IM", &format!("k={k}"), te.as_secs_f64(), ti.as_secs_f64());
+        report.push_extra(
+            "fig9",
+            "kmeans",
+            "EM/IM",
+            &format!("k={k}"),
+            te.as_secs_f64(),
+            ti.as_secs_f64(),
+        );
         println!(
             "{:<14} k={:<4} {:>10.2} {:>10.2} {:>8.2}",
-            "kmeans", k, ti.as_secs_f64(), te.as_secs_f64(),
+            "kmeans",
+            k,
+            ti.as_secs_f64(),
+            te.as_secs_f64(),
             te.as_secs_f64() / ti.as_secs_f64()
         );
         traced.push((format!("IM-k{k}"), im));

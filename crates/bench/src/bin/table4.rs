@@ -33,7 +33,10 @@ fn main() {
     let x2 = FM::rnorm(&ctx, n, p2, 0.0, 1.0, 3).materialize(&ctx);
     let y = FM::seq(n, 0.0, 1.0).binary_scalar(BinaryOp::Rem, 2.0, false).materialize(&ctx);
 
-    println!("{:<22} {:>10} {:>12} {:>12} {:>16}", "algorithm", "axis", "t(small) s", "t(2x) s", "observed exp");
+    println!(
+        "{:<22} {:>10} {:>12} {:>12} {:>16}",
+        "algorithm", "axis", "t(small) s", "t(2x) s", "observed exp"
+    );
 
     let mut measure = |name: &str, axis: &str, expected: f64, ts: f64, tb: f64| {
         let e = exponent(ts, tb);

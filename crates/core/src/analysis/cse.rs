@@ -73,9 +73,10 @@ fn gen_eq(a: &GenSpec, b: &GenSpec) -> bool {
     // Bit-level float comparison: conservative and reflexive (a spec
     // always merges with an identical one, NaN included).
     match (a, b) {
-        (GenSpec::Runif { seed: s1, lo: l1, hi: h1 }, GenSpec::Runif { seed: s2, lo: l2, hi: h2 }) => {
-            s1 == s2 && l1.to_bits() == l2.to_bits() && h1.to_bits() == h2.to_bits()
-        }
+        (
+            GenSpec::Runif { seed: s1, lo: l1, hi: h1 },
+            GenSpec::Runif { seed: s2, lo: l2, hi: h2 },
+        ) => s1 == s2 && l1.to_bits() == l2.to_bits() && h1.to_bits() == h2.to_bits(),
         (
             GenSpec::Rnorm { seed: s1, mean: m1, sd: d1 },
             GenSpec::Rnorm { seed: s2, mean: m2, sd: d2 },
@@ -83,7 +84,9 @@ fn gen_eq(a: &GenSpec, b: &GenSpec) -> bool {
         (GenSpec::Seq { start: a1, step: p1 }, GenSpec::Seq { start: a2, step: p2 }) => {
             a1.to_bits() == a2.to_bits() && p1.to_bits() == p2.to_bits()
         }
-        (GenSpec::Const { value: v1 }, GenSpec::Const { value: v2 }) => v1.to_bits() == v2.to_bits(),
+        (GenSpec::Const { value: v1 }, GenSpec::Const { value: v2 }) => {
+            v1.to_bits() == v2.to_bits()
+        }
         _ => false,
     }
 }
@@ -130,8 +133,7 @@ fn map_input_eq(a: &MapInput, b: &MapInput) -> bool {
             x.dtype() == y.dtype() && x.to_f64().to_bits() == y.to_f64().to_bits()
         }
         (MapInput::RowVec(x), MapInput::RowVec(y)) => {
-            Arc::ptr_eq(x, y)
-                || x.iter().map(|v| v.to_bits()).eq(y.iter().map(|v| v.to_bits()))
+            Arc::ptr_eq(x, y) || x.iter().map(|v| v.to_bits()).eq(y.iter().map(|v| v.to_bits()))
         }
         _ => false,
     }
@@ -302,10 +304,7 @@ fn structural_eq(a: &Node, b: &Node) -> bool {
 /// `cast(cast(x, mid), to)` ≡ `cast(x, to)` for every value of `x`.
 fn lossless(from: crate::dtype::DType, mid: crate::dtype::DType) -> bool {
     use crate::dtype::DType::*;
-    matches!(
-        (from, mid),
-        (U8, _) | (I32, I64) | (I32, F64) | (F32, F64)
-    ) || from == mid
+    matches!((from, mid), (U8, _) | (I32, I64) | (I32, F64) | (F32, F64)) || from == mid
 }
 
 struct Rewriter {
@@ -339,8 +338,7 @@ impl Rewriter {
         // lives outside the DAG, so two distinct handles are never merged
         // — but uncached generators are pure functions of their spec and
         // go through the bucket below like any other node.
-        let cached_leaf =
-            node.cached().is_some() || matches!(node.kind, NodeKind::Leaf(_));
+        let cached_leaf = node.cached().is_some() || matches!(node.kind, NodeKind::Leaf(_));
         let canonical = if cached_leaf {
             node.clone()
         } else {
@@ -352,9 +350,7 @@ impl Rewriter {
                 Rebuilt::Node(candidate) => {
                     let h = structural_hash(&candidate);
                     let bucket = self.buckets.entry(h).or_default();
-                    if let Some(existing) =
-                        bucket.iter().find(|e| structural_eq(e, &candidate))
-                    {
+                    if let Some(existing) = bucket.iter().find(|e| structural_eq(e, &candidate)) {
                         if !Arc::ptr_eq(existing, node) {
                             self.merged += 1;
                         }

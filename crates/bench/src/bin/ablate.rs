@@ -20,7 +20,7 @@ fn workload(ctx: &FlashCtx, x: &FM) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let n = scale.rows(1_000_000, 8_000_000);
     let p = 16usize;
     println!("Engine ablations (n = {n}, p = {p})\n");

@@ -22,7 +22,7 @@ use flashr::prelude::*;
 use flashr_bench::*;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let n_criteo = scale.rows(100_000, 1_000_000);
     let n_page = scale.rows(50_000, 500_000);
     println!("Figure 10 — engine ablation on SSDs (criteo n={n_criteo}, pagegraph n={n_page})\n");

@@ -93,7 +93,7 @@ fn run_all(
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let profile = profile_arg();
     let n_criteo = scale.rows(200_000, 4_000_000);
     let n_page = scale.rows(100_000, 2_000_000);

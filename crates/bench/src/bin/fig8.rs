@@ -19,7 +19,7 @@ use flashr::prelude::*;
 use flashr_bench::*;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let n = scale.rows(200_000, 1_000_000);
     let p = if scale == Scale::Quick { 128usize } else { 512 };
     let params = format!("n={n}, p={p}");

@@ -18,7 +18,7 @@ use flashr::prelude::*;
 use flashr_bench::*;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let n = scale.rows(100_000, 2_000_000);
     println!("Figure 9 — IM vs EM ratio vs computation/I-O balance (n = {n})\n");
 

@@ -12,7 +12,7 @@ use flashr::data::{criteo_like, pagegraph_like, table5_shapes};
 use flashr_bench::*;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     println!("Table 5 — benchmark datasets\n");
     println!("paper datasets:");
     println!("{:<24} {:>14} {:>8}", "dataset", "#rows", "#cols");

@@ -20,7 +20,7 @@
 //!
 //! ```sh
 //! cargo run --release -p flashr-bench --bin shard_sweep
-//! FLASHR_BENCH_SCALE=full cargo run --release -p flashr-bench --bin shard_sweep
+//! cargo run --release -p flashr-bench --bin shard_sweep -- --full
 //! ```
 
 use flashr::prelude::*;
@@ -155,9 +155,6 @@ fn sweep_section(cells: &[Cell]) -> String {
 }
 
 fn main() {
-    // The shard count IS the sweep axis: the CI-wide `FLASHR_SAFS_SHARDS`
-    // override must not rewrite the striped layouts under us.
-    std::env::remove_var("FLASHR_SAFS_SHARDS");
     // Park the trace path: the first traced context to *drop* claims it,
     // and that would be a throwaway unthrottled cell, not the merged
     // throttled export. Trace level is resolved before parking so the
@@ -166,7 +163,7 @@ fn main() {
     let trace_out = std::env::var("FLASHR_TRACE_OUT").ok();
     std::env::remove_var("FLASHR_TRACE_OUT");
 
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let rows = scale.rows(163_840, 2_621_440);
     let cols = 16u64;
     let scan_bytes = rows * cols * 8 * SCANS;

@@ -21,7 +21,7 @@ fn exponent(t_small: f64, t_big: f64) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let n = scale.rows(200_000, 2_000_000);
     println!("Table 4 — empirical complexity exponents (n = {n})\n");
     let mut report = Report::new();

@@ -22,7 +22,7 @@ fn gib(b: u64) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_args();
     let n_criteo = scale.rows(1_000_000, 50_000_000);
     let n_page = scale.rows(500_000, 25_000_000);
     println!("Table 6 — out-of-core runtime and peak memory (criteo n={n_criteo}, pagegraph n={n_page})\n");

@@ -4,8 +4,8 @@
 //! FlashR paper's evaluation (§4). The harness provides:
 //!
 //! * [`Scale`] — workload sizing. Benchmarks default to a laptop-scale
-//!   configuration that finishes in minutes; `--full` (or
-//!   `FLASHR_BENCH_SCALE=full`) grows the workloads for server runs.
+//!   configuration that finishes in minutes; `--full` grows the
+//!   workloads for server runs.
 //! * context factories for the three execution configurations the paper
 //!   compares (in-memory, external-memory with the local-server SSD
 //!   profile, external-memory with the EC2 NVMe profile);
@@ -27,11 +27,9 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from argv/env (`--full` flag or `FLASHR_BENCH_SCALE=full`).
-    pub fn from_env() -> Scale {
-        let argv_full = std::env::args().any(|a| a == "--full");
-        let env_full = std::env::var("FLASHR_BENCH_SCALE").map(|v| v == "full").unwrap_or(false);
-        if argv_full || env_full {
+    /// `Full` when argv holds `--full`, `Quick` otherwise.
+    pub fn from_args() -> Scale {
+        if std::env::args().any(|a| a == "--full") {
             Scale::Full
         } else {
             Scale::Quick
@@ -433,9 +431,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_parses_env() {
+    fn scale_parses_args() {
         // Default (no flag in the test binary's argv) is Quick.
-        assert_eq!(Scale::from_env(), Scale::Quick);
+        assert_eq!(Scale::from_args(), Scale::Quick);
         assert_eq!(Scale::Quick.rows(10, 100), 10);
         assert_eq!(Scale::Full.rows(10, 100), 100);
     }

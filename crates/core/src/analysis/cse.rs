@@ -9,7 +9,7 @@
 //! computation once.
 //!
 //! Merging is keyed by a structural hash and confirmed by
-//! [`structural_eq`] — a hash collision can cost a missed merge, never a
+//! `structural_eq` — a hash collision can cost a missed merge, never a
 //! wrong one. Floats are compared and hashed by bit pattern, which is
 //! conservative (`0.0`/`-0.0` do not merge) but never unsound. Leaves and
 //! already-cached nodes are identity-keyed: their data lives outside the

@@ -70,6 +70,11 @@ fn idle_chunk_bound(ctx: &FlashCtx) -> usize {
     2 * ctx.cfg().pcache_bytes
 }
 
+/// Upper bound on a worker's in-flight external-memory output writes.
+/// At the bound the worker waits for the *oldest* write only, keeping
+/// the remaining slots streaming.
+const MAX_PENDING_WRITES: usize = 8;
+
 /// Per-tall-output shared state.
 enum TallState {
     /// Each partition's output buffer, once a worker publishes it.
@@ -366,7 +371,6 @@ fn worker(tid: usize, shared: &Shared<'_>) {
     };
     let mut leaf_bufs: Vec<Option<Arc<IoBuf>>> = vec![None; plan.nnodes];
     let mut pending_writes: VecDeque<IoTicket> = VecDeque::new();
-    let max_pending = shared.ctx.cfg().max_pending_writes.max(1);
     let stats = shared.ctx.stats();
     // One measurement per phase (two clock reads) feeds both the
     // `ExecStats` counters and this worker's profile, which the pass
@@ -385,10 +389,10 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         // Bound the in-flight writes: wait for the *oldest* ticket
         // only, so the remaining slots keep streaming instead of
         // stalling the worker behind every outstanding write.
-        if pending_writes.len() >= max_pending {
+        if pending_writes.len() >= MAX_PENDING_WRITES {
             let ws_t0 = Instant::now();
             lane.begin("exec", "write-stall", NO_ARGS);
-            while pending_writes.len() >= max_pending {
+            while pending_writes.len() >= MAX_PENDING_WRITES {
                 let Some(oldest) = pending_writes.pop_front() else { break };
                 oldest.wait().expect("EM output write failed");
             }

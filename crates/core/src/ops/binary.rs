@@ -40,7 +40,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// Every variant in declaration (discriminant) order; keeps
-    /// [`BinaryOp::from_u8`] in sync with `as u8` casts.
+    /// `BinaryOp::from_u8` in sync with `as u8` casts.
     pub const ALL: [BinaryOp; 17] = [
         BinaryOp::Add,
         BinaryOp::Sub,

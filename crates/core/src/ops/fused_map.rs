@@ -20,9 +20,9 @@
 //! `OP`, concrete element type via [`crate::dispatch!`]), collected into
 //! a function-pointer row. The strip loop calls through bare `fn`
 //! pointers; inner loops contain zero enum matching. The step bodies are
-//! the element kernels ([`crate::ops::unary::unary_typed`],
-//! [`crate::ops::binary::arith_col`] / [`pred_col`],
-//! [`crate::ops::misc::cast_slice`]), each inlined into its step so the
+//! the element kernels (`crate::ops::unary::unary_typed`,
+//! `crate::ops::binary::arith_col` / `pred_col`,
+//! `crate::ops::misc::cast_slice`), each inlined into its step so the
 //! const generics fold. The SIMD dispatch level picks, per link and at
 //! the same moment, which *compilation* of that one body the row points
 //! at — the baseline one or the AVX2 one ([`crate::ops::simd`]) — so

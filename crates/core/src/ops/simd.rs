@@ -7,7 +7,7 @@
 //! detection) selects which *compilation* of it runs: the resolvers in
 //! `fused_map.rs` and `binary.rs` hand out, once at kernel-compile
 //! time, either the plain monomorphic function or the same function
-//! wrapped in [`versioned`], which inlines it into a
+//! wrapped in `versioned`, which inlines it into a
 //! `#[target_feature(enable = "avx2,fma")]` frame
 //! ([`flashr_linalg::simd::as_avx2`]). Both are the same Rust, and Rust
 //! never fuses a multiply with an add on its own, so every op × dtype —

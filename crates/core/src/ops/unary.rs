@@ -30,7 +30,7 @@ pub enum UnaryOp {
 
 impl UnaryOp {
     /// Every variant in declaration (discriminant) order; keeps
-    /// [`UnaryOp::from_u8`] in sync with `as u8` casts.
+    /// `UnaryOp::from_u8` in sync with `as u8` casts.
     pub const ALL: [UnaryOp; 16] = [
         UnaryOp::Neg,
         UnaryOp::Abs,

@@ -66,10 +66,6 @@ pub struct CtxConfig {
     /// Tracing level (defaults to [`TraceLevel::from_env`]: the
     /// `FLASHR_TRACE` environment variable, off when unset).
     pub trace: TraceLevel,
-    /// Upper bound on in-flight asynchronous external-memory output
-    /// writes per worker. When the bound is reached the worker waits for
-    /// the *oldest* write only, keeping the remaining slots streaming.
-    pub max_pending_writes: usize,
     /// Optional global memory budget. On an EM context this sizes the
     /// SAFS page cache and bounds `set.cache` pinning (over-budget
     /// cached matrices spill to SAFS temporaries); `None` keeps the
@@ -87,7 +83,6 @@ impl Default for CtxConfig {
             storage: StorageClass::InMem,
             cache_storage: StorageClass::InMem,
             trace: TraceLevel::from_env(),
-            max_pending_writes: 8,
             mem_budget: None,
         }
     }

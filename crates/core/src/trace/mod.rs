@@ -109,7 +109,7 @@ pub struct WorkerProfile {
     /// Nanoseconds inside partition evaluation.
     pub compute_nanos: u64,
     /// Nanoseconds blocked on external-memory output writes (the
-    /// `max_pending_writes` bound and the end-of-pass drain).
+    /// pending-write bound and the end-of-pass drain).
     pub write_stall_nanos: u64,
     /// Pcache chunk ranges evaluated.
     pub pcache_chunks: u64,

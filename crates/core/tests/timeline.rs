@@ -248,13 +248,7 @@ fn derived_contexts_share_the_runtimes_spans() {
 fn em_run_emits_spans_across_categories() {
     let dir = std::env::temp_dir().join(format!("flashr-timeline-em-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // Explicit disks pin the lane names below against the CI
-    // `FLASHR_SAFS_SHARDS` override.
-    let cfg = SafsConfig {
-        disks: (0..2).map(|d| dir.join(format!("disk{d}"))).collect(),
-        ..SafsConfig::single_dir(&dir)
-    };
-    let safs = flashr_safs::Safs::open(cfg).unwrap();
+    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
     // A page cache so reads take the cached path (hit/miss instants).
     safs.set_page_cache(Some(CacheCfg::with_capacity(8 << 20)));
     let cfg = CtxConfig {

@@ -214,7 +214,6 @@ fn pass_profile_workers_sum_to_the_exec_stats_delta() {
         nthreads: 2,
         rows_per_part: 64,
         storage: StorageClass::Em,
-        max_pending_writes: 1,
         trace: TraceLevel::Pass,
         ..CtxConfig::default()
     };

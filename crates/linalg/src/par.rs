@@ -17,10 +17,9 @@
 //! every participant has finished; the helper that caught it goes back
 //! to the pool.
 //!
-//! [`for_each_chunk_mut`] and [`map_range`] split their items into one
-//! contiguous block per participant — at most `available_parallelism` of
-//! them — so what each index computes never depends on the thread that
-//! ran it, and `syrk`'s panel partials fold in index order.
+//! [`for_each_chunk_mut`] splits its items into one contiguous block per
+//! participant — at most `available_parallelism` of them — so what each
+//! index computes never depends on the thread that ran it.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -219,15 +218,6 @@ pub fn for_each_chunk_mut<T: Send>(
     });
 }
 
-/// `(0..n).map(f)` computed in parallel; results are in index order
-/// whatever thread produced them.
-pub fn map_range<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for_each_chunk_mut(&mut out, 1, |i, slot| slot[0] = Some(f(i)));
-    // Every index was visited exactly once, so nothing is dropped here.
-    out.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,11 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn map_range_keeps_index_order_and_nothing_has_no_chunks() {
-        let want: Vec<usize> = (0..1000).map(|i| i * i).collect();
-        assert_eq!(map_range(1000, |i| i * i), want);
-        assert!(map_range(0, |i| i).is_empty());
-        for_each_chunk_mut(&mut [0u8; 0], 0, |_, _| panic!("no chunk to visit"));
+    fn an_empty_slice_has_no_chunks() {
+        for chunk_len in [0, 1, 7] {
+            for_each_chunk_mut(&mut [0u8; 0], chunk_len, |_, _| panic!("no chunk to visit"));
+        }
     }
 
     #[test]
@@ -270,14 +259,15 @@ mod tests {
             chunk.reverse();
         });
         assert_eq!(one, [3, 2, 1]);
-        assert_eq!(map_range(1, |_| std::thread::current().id()), [caller]);
     }
 
     #[test]
     fn a_panic_in_any_block_reaches_the_caller() {
         // The last index is in the last block, which is a helper's
         // whenever more than one thread is available.
-        let res = std::panic::catch_unwind(|| map_range(64, |i| assert!(i != 63, "boom")));
+        let res = std::panic::catch_unwind(|| {
+            for_each_chunk_mut(&mut [0u8; 64], 1, |i, _| assert!(i != 63, "boom"));
+        });
         let payload = res.expect_err("the panic must not be swallowed");
         assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom"));
     }
@@ -307,8 +297,12 @@ mod tests {
         run(3, |_| {
             let me = std::thread::current().id();
             assert!(runners(4).iter().all(|&id| id == me), "a nested run left its participant");
-            let ids = map_range(16, |_| std::thread::current().id());
-            assert!(ids.iter().all(|&id| id == me), "a nested map_range left its participant");
+            let mut ids = [None; 16];
+            for_each_chunk_mut(&mut ids, 1, |_, id| id[0] = Some(std::thread::current().id()));
+            assert!(
+                ids.iter().all(|&id| id == Some(me)),
+                "a nested chunk loop left its participant"
+            );
         });
     }
 

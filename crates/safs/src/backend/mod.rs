@@ -18,9 +18,9 @@
 //! and the profile JSON all see per-shard lanes.
 //!
 //! Transient device errors are retried with bounded exponential backoff
-//! ([`RetryCfg`]); each retry is counted (`io_retries`) and emitted as
-//! an `io-retry` span, and only the *final* failure surfaces as the
-//! `io-error` span that triggers the flight-recorder dump.
+//! ([`RETRY_ATTEMPTS`] tries); each retry is counted (`io_retries`) and
+//! emitted as an `io-retry` span, and only the *final* failure surfaces
+//! as the `io-error` span that triggers the flight-recorder dump.
 
 mod worker;
 
@@ -29,26 +29,14 @@ pub(crate) use worker::ShardSet;
 use std::io;
 use std::time::Duration;
 
-/// Bounded retry policy for transient device I/O errors.
-///
-/// A worker re-attempts a failed read/write while the error is
-/// transient (interrupted / would-block / timed-out) and attempts
-/// remain, sleeping `base_backoff_us * 2^(attempt-1)` between tries.
-/// `max_attempts == 1` disables retry entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryCfg {
-    /// Total attempts per request, including the first (>= 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in microseconds; doubles per
-    /// subsequent retry.
-    pub base_backoff_us: u64,
-}
+/// Attempts per device request, including the first: a worker
+/// re-attempts a failed read or write while the error is transient
+/// (interrupted / would-block / timed-out), so [`RETRY_ATTEMPTS`]
+/// consecutive transient faults surface as the request's error.
+pub const RETRY_ATTEMPTS: u32 = 3;
 
-impl Default for RetryCfg {
-    fn default() -> Self {
-        RetryCfg { max_attempts: 3, base_backoff_us: 100 }
-    }
-}
+/// Sleep before the first retry; it doubles before each later one.
+pub(crate) const RETRY_BACKOFF: Duration = Duration::from_micros(100);
 
 /// Whether an I/O error is worth retrying: spurious kernel-level
 /// interruptions rather than hard device/media faults.
@@ -59,16 +47,18 @@ pub(crate) fn is_transient(e: &io::Error) -> bool {
     )
 }
 
-/// Run `attempt` under the retry policy. `on_retry(attempt_no, err)` is
-/// called before each backoff sleep (attempt_no counts from 1); the
-/// final error — transient or not — is returned unretried.
+/// Run `attempt` up to `max` (≥ 1) times, sleeping `backoff`
+/// before the first retry and doubling it per retry.
+/// `on_retry(attempt_no, err)` is called before each backoff sleep
+/// (attempt_no counts from 1); the final error — transient or not — is
+/// returned unretried. The workers pass [`RETRY_ATTEMPTS`] and
+/// [`RETRY_BACKOFF`].
 pub(crate) fn with_retries<T>(
-    retry: RetryCfg,
+    max: u32,
+    mut backoff: Duration,
     mut attempt: impl FnMut() -> io::Result<T>,
     mut on_retry: impl FnMut(u32, &io::Error),
 ) -> io::Result<T> {
-    let max = retry.max_attempts.max(1);
-    let mut backoff = Duration::from_micros(retry.base_backoff_us);
     for n in 1..=max {
         match attempt() {
             Ok(v) => return Ok(v),
@@ -170,7 +160,8 @@ mod tests {
         let fails = AtomicU32::new(2);
         let mut retried = 0u32;
         let r = with_retries(
-            RetryCfg { max_attempts: 3, base_backoff_us: 1 },
+            3,
+            Duration::from_micros(1),
             || {
                 if fails
                     .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
@@ -191,7 +182,8 @@ mod tests {
     fn retry_gives_up_after_max_attempts() {
         let mut retried = 0u32;
         let r: io::Result<()> = with_retries(
-            RetryCfg { max_attempts: 3, base_backoff_us: 1 },
+            3,
+            Duration::from_micros(1),
             || Err(io::Error::new(io::ErrorKind::Interrupted, "always")),
             |_, _| retried += 1,
         );
@@ -203,7 +195,8 @@ mod tests {
     fn permanent_errors_fail_immediately() {
         let mut retried = 0u32;
         let r: io::Result<()> = with_retries(
-            RetryCfg { max_attempts: 5, base_backoff_us: 1 },
+            5,
+            Duration::from_micros(1),
             || Err(io::Error::new(io::ErrorKind::UnexpectedEof, "short file")),
             |_, _| retried += 1,
         );

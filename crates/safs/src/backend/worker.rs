@@ -4,9 +4,9 @@
 //! A request's life on a worker:
 //!
 //! 1. dequeue (ends the `queue` span that began at submit time),
-//! 2. the positional read/write, retried under [`RetryCfg`] while the
-//!    error stays transient (each retry emits an `io-retry` span and
-//!    bumps the shard's and the aggregate retry counters),
+//! 2. the positional read/write, tried up to [`RETRY_ATTEMPTS`] times
+//!    while the error stays transient (each retry emits an `io-retry`
+//!    span and bumps the shard's and the aggregate retry counters),
 //! 3. the throttle charge, when the shard has a throttle: the emulated
 //!    service window opens at the dequeue of step 1 or when the device
 //!    falls free, whichever is later, so step 2's host time counts as
@@ -17,7 +17,10 @@
 //! 5. completion delivery to the ticket.
 
 use crate::aio::{IoOp, IoReq};
-use crate::backend::{shard_depth_counter, with_retries, RetryCfg, ShardStats, ShardStatsSnapshot};
+use crate::backend::{
+    shard_depth_counter, with_retries, ShardStats, ShardStatsSnapshot, RETRY_ATTEMPTS,
+    RETRY_BACKOFF,
+};
 use crate::config::SafsConfig;
 use crate::error::{SafsError, SafsResult};
 use crate::span::{now_nanos, SpanSinkCell};
@@ -37,7 +40,6 @@ struct WorkerCtx {
     stats: Arc<IoStats>,
     shard_stats: Arc<ShardStats>,
     throttle: Option<Arc<Throttle>>,
-    retry: RetryCfg,
     span_sink: Arc<SpanSinkCell>,
     faults: Arc<AtomicU64>,
 }
@@ -82,7 +84,6 @@ impl ShardSet {
                     stats: stats.clone(),
                     shard_stats: per_shard.clone(),
                     throttle: throttle.clone(),
-                    retry: cfg.retry,
                     span_sink: span_sink.clone(),
                     faults: faults.clone(),
                 };
@@ -188,7 +189,7 @@ fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
                 req.file.read_exact_at(buf.as_mut_bytes(), req.offset)
             }
         };
-        let result = match with_retries(ctx.retry, attempt, &mut on_retry) {
+        let result = match with_retries(RETRY_ATTEMPTS, RETRY_BACKOFF, attempt, &mut on_retry) {
             Ok(()) => {
                 nbytes = buf.len() as u64;
                 if let Some(t) = &ctx.throttle {

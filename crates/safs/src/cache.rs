@@ -6,8 +6,8 @@
 //! they re-read every iteration from RAM after the first pass. This
 //! module reproduces that layer at partition granularity:
 //!
-//! * **Sharding.** Entries are distributed over shards by partition
-//!   index (`part % shards`), striping the lock: concurrent workers on
+//! * **Sharding.** Entries are distributed over two shards by partition
+//!   index (`part % 2`), striping the lock: concurrent workers on
 //!   neighbouring partitions contend on different shards.
 //! * **CLOCK eviction.** Each shard runs a second-chance ring over its
 //!   resident entries: a hit only sets a reference bit (no list
@@ -51,29 +51,24 @@ pub struct CacheCfg {
     /// Total capacity in bytes, split evenly across shards. 0 disables
     /// the cache (the runtime installs none).
     pub capacity_bytes: u64,
-    /// Number of shards (default 2), each behind its own lock.
-    pub shards: usize,
 }
 
 impl CacheCfg {
-    /// A cache of `bytes` capacity with default sharding.
+    /// A cache of `bytes` capacity.
     pub fn with_capacity(bytes: u64) -> CacheCfg {
-        CacheCfg { capacity_bytes: bytes, shards: 2 }
-    }
-
-    /// Builder-style: set the shard count (clamped to ≥ 1).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
+        CacheCfg { capacity_bytes: bytes }
     }
 }
+
+/// Shards of every page cache, each behind its own lock.
+const SHARDS: usize = 2;
 
 crate::stat_struct! {
     /// Monotonic page-cache counters (relaxed atomics, like
     /// [`IoStats`](crate::IoStats)) plus the resident-bytes gauge; one
     /// instance per shard.
     pub struct CacheStats;
-    /// Point-in-time copy of [`CacheStats`].
+    /// Point-in-time copy of `CacheStats`.
     pub struct CacheStatsSnapshot {
         /// Lookups served from a resident entry.
         hits: counter;
@@ -156,13 +151,12 @@ pub struct PageCache {
 }
 
 impl PageCache {
-    /// Build a cache; `cfg.shards` is clamped to ≥ 1.
+    /// Build a cache of two shards.
     pub fn new(cfg: CacheCfg) -> PageCache {
-        let nshards = cfg.shards.max(1);
         PageCache {
-            shard_budget: cfg.capacity_bytes / nshards as u64,
-            shards: (0..nshards).map(|_| Shard::default()).collect(),
-            cfg: CacheCfg { shards: nshards, ..cfg },
+            shard_budget: cfg.capacity_bytes / SHARDS as u64,
+            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+            cfg,
         }
     }
 
@@ -184,7 +178,7 @@ impl PageCache {
     }
 
     fn shard(&self, key: CacheKey) -> &Shard {
-        &self.shards[(key.1 % self.cfg.shards as u64) as usize]
+        &self.shards[(key.1 % self.shards.len() as u64) as usize]
     }
 
     /// Admission filter: only files whose hot set can actually fit are
@@ -440,13 +434,23 @@ impl Drop for PendingRead {
 mod tests {
     use super::*;
 
+    /// A cache of one shard, so every entry shares one CLOCK ring and
+    /// the whole budget.
+    fn one_shard(capacity_bytes: u64) -> PageCache {
+        PageCache {
+            cfg: CacheCfg::with_capacity(capacity_bytes),
+            shard_budget: capacity_bytes,
+            shards: vec![Shard::default()],
+        }
+    }
+
     fn buf(len: usize, fill: u8) -> IoBuf {
         IoBuf::from_bytes(&vec![fill; len])
     }
 
     #[test]
     fn miss_then_hit() {
-        let c = PageCache::new(CacheCfg::with_capacity(1 << 20).with_shards(1));
+        let c = one_shard(1 << 20);
         let key = (1, 0);
         assert!(matches!(c.lookup(key), Lookup::MustRead));
         let published = c.complete(key, buf(64, 7));
@@ -462,7 +466,7 @@ mod tests {
 
     #[test]
     fn concurrent_miss_coalesces() {
-        let c = PageCache::new(CacheCfg::with_capacity(1 << 20).with_shards(1));
+        let c = one_shard(1 << 20);
         let key = (1, 3);
         assert!(matches!(c.lookup(key), Lookup::MustRead));
         // Second reader of the same partition shares the in-flight read.
@@ -476,7 +480,7 @@ mod tests {
 
     #[test]
     fn abort_unblocks_to_retry() {
-        let c = PageCache::new(CacheCfg::with_capacity(1 << 20).with_shards(1));
+        let c = one_shard(1 << 20);
         let key = (9, 0);
         assert!(matches!(c.lookup(key), Lookup::MustRead));
         c.abort(key);
@@ -488,7 +492,7 @@ mod tests {
     #[test]
     fn clock_evicts_unreferenced_first() {
         // Budget for exactly two 64-byte partitions on one shard.
-        let c = PageCache::new(CacheCfg::with_capacity(128).with_shards(1));
+        let c = one_shard(128);
         for p in 0..2u64 {
             assert!(matches!(c.lookup((1, p)), Lookup::MustRead));
             c.complete((1, p), buf(64, p as u8));
@@ -514,7 +518,7 @@ mod tests {
 
     #[test]
     fn invalidate_drops_resident() {
-        let c = PageCache::new(CacheCfg::with_capacity(1 << 20).with_shards(1));
+        let c = one_shard(1 << 20);
         assert!(matches!(c.lookup((4, 0)), Lookup::MustRead));
         c.complete((4, 0), buf(16, 3));
         c.invalidate((4, 0));
@@ -524,7 +528,7 @@ mod tests {
 
     #[test]
     fn invalidate_file_sweeps_all_parts() {
-        let c = PageCache::new(CacheCfg::with_capacity(1 << 20).with_shards(2));
+        let c = PageCache::new(CacheCfg::with_capacity(1 << 20));
         for p in 0..4u64 {
             assert!(matches!(c.lookup((7, p)), Lookup::MustRead));
             c.complete((7, p), buf(16, p as u8));
@@ -539,7 +543,7 @@ mod tests {
 
     #[test]
     fn snapshot_delta_saturates() {
-        let c = PageCache::new(CacheCfg::with_capacity(1 << 20).with_shards(1));
+        let c = one_shard(1 << 20);
         assert!(matches!(c.lookup((1, 0)), Lookup::MustRead));
         c.complete((1, 0), buf(8, 0));
         let a = c.stats_snapshot();

@@ -1,6 +1,5 @@
 //! Runtime configuration for the SAFS substrate.
 
-use crate::backend::RetryCfg;
 use crate::cache::CacheCfg;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -54,12 +53,6 @@ impl BackendKind {
     }
 }
 
-/// `FLASHR_SAFS_SHARDS` override for [`SafsConfig::striped_under`]:
-/// parseable positive integer or nothing.
-fn shards_from_env() -> Option<usize> {
-    std::env::var("FLASHR_SAFS_SHARDS").ok()?.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
 /// Configuration for a [`Safs`](crate::Safs) runtime.
 #[derive(Debug, Clone)]
 pub struct SafsConfig {
@@ -86,20 +79,14 @@ pub struct SafsConfig {
     /// or a zero capacity leaves every read going straight to the
     /// device.
     pub cache: Option<CacheCfg>,
-    /// Bounded retry-with-backoff policy for transient I/O errors.
-    pub retry: RetryCfg,
 }
 
 impl SafsConfig {
-    /// All shards inside subdirectories of `root` (`disk0`, `disk1`, ...).
-    ///
-    /// The shard count honours the `FLASHR_SAFS_SHARDS` environment
-    /// variable when set (CI uses it to run the whole test suite over a
-    /// wider array); explicit layouts built from [`SafsConfig`] fields
-    /// directly are never overridden.
+    /// `ndisks` shards (at least one) inside subdirectories of `root`
+    /// (`disk0`, `disk1`, ...).
     pub fn striped_under(root: impl AsRef<Path>, ndisks: usize) -> Self {
         let root = root.as_ref();
-        let ndisks = shards_from_env().unwrap_or(ndisks).max(1);
+        let ndisks = ndisks.max(1);
         SafsConfig {
             disks: (0..ndisks).map(|d| root.join(format!("disk{d}"))).collect(),
             ..SafsConfig::defaults_for(vec![])
@@ -113,14 +100,7 @@ impl SafsConfig {
 
     /// The default knobs around an explicit shard-root list.
     fn defaults_for(disks: Vec<PathBuf>) -> Self {
-        SafsConfig {
-            disks,
-            io_threads_per_disk: 2,
-            dispatch_batch: 4,
-            throttle: None,
-            cache: None,
-            retry: RetryCfg::default(),
-        }
+        SafsConfig { disks, io_threads_per_disk: 2, dispatch_batch: 4, throttle: None, cache: None }
     }
 
     /// Builder-style: set the throttle profile.
@@ -157,12 +137,6 @@ impl SafsConfig {
         self
     }
 
-    /// Builder-style: set the transient-error retry policy.
-    pub fn with_retry(mut self, r: RetryCfg) -> Self {
-        self.retry = r;
-        self
-    }
-
     pub(crate) fn validate(&self) -> Result<(), crate::SafsError> {
         if self.disks.is_empty() {
             return Err(crate::SafsError::NoShards);
@@ -178,9 +152,6 @@ impl SafsConfig {
         }
         if self.io_threads_per_disk == 0 {
             return Err(crate::SafsError::Config("io_threads_per_disk must be >= 1".into()));
-        }
-        if self.retry.max_attempts == 0 {
-            return Err(crate::SafsError::Config("retry.max_attempts must be >= 1".into()));
         }
         Ok(())
     }
@@ -230,13 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_retry_attempts() {
-        let mut cfg = base(vec![PathBuf::from("/tmp/one")]);
-        cfg.retry.max_attempts = 0;
-        assert!(matches!(cfg.validate(), Err(SafsError::Config(_))));
-    }
-
-    #[test]
     fn with_backend_maps_onto_the_throttle() {
         let throttled =
             base(vec![PathBuf::from("/tmp/one")]).with_throttle(ThrottleCfg::sata_ssd());
@@ -249,10 +213,6 @@ mod tests {
 
     #[test]
     fn striped_under_names_disk_subdirs() {
-        // Only meaningful when CI's FLASHR_SAFS_SHARDS override is unset.
-        if std::env::var("FLASHR_SAFS_SHARDS").is_ok() {
-            return;
-        }
         let cfg = SafsConfig::striped_under("/tmp/root", 3);
         assert_eq!(cfg.disks.len(), 3);
         assert_eq!(cfg.disks[2], PathBuf::from("/tmp/root/disk2"));

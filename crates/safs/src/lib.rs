@@ -50,7 +50,7 @@ pub mod sync;
 mod throttle;
 
 pub use aio::IoTicket;
-pub use backend::{RetryCfg, ShardStats, ShardStatsSnapshot};
+pub use backend::{ShardStats, ShardStatsSnapshot, RETRY_ATTEMPTS};
 pub use cache::{CacheCfg, CacheStatsSnapshot, CachedFetch, PageCache, PendingRead};
 pub use config::{BackendKind, SafsConfig, ThrottleCfg};
 pub use error::{SafsError, SafsResult};

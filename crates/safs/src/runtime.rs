@@ -213,10 +213,9 @@ impl Safs {
 
     /// Testing hook for the retry path: make the next `n` device read
     /// attempts fail with a synthetic transient error (`Interrupted`).
-    /// Faults are consumed per *attempt*, so with the default
-    /// [`RetryCfg`](crate::RetryCfg) a single injected fault is absorbed
-    /// by one retry while `max_attempts` consecutive faults surface as a
-    /// final I/O error.
+    /// Faults are consumed per *attempt*, so fewer than
+    /// [`RETRY_ATTEMPTS`](crate::RETRY_ATTEMPTS) consecutive faults are
+    /// absorbed by retries while that many surface as a final I/O error.
     pub fn inject_read_faults(&self, n: u64) {
         self.inner.faults.fetch_add(n, Ordering::Relaxed);
     }
@@ -227,13 +226,7 @@ impl Safs {
         self.inner.dispatch_batch()
     }
 
-    /// Number of disks in the array.
-    pub fn ndisks(&self) -> usize {
-        self.inner.ndisks()
-    }
-
-    /// Number of shards (synonym for [`ndisks`](Safs::ndisks): one shard
-    /// root per emulated device).
+    /// Number of shards: one shard root per emulated device.
     pub fn nshards(&self) -> usize {
         self.inner.ndisks()
     }
@@ -242,17 +235,12 @@ impl Safs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::RetryCfg;
+    use crate::backend::RETRY_ATTEMPTS;
 
     fn tmp_cfg(tag: &str, ndisks: usize) -> SafsConfig {
         let dir = std::env::temp_dir().join(format!("safs-rt-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        // Build the disk list explicitly so the CI shard-count override
-        // cannot change what this test exercises.
-        SafsConfig {
-            disks: (0..ndisks).map(|d| dir.join(format!("disk{d}"))).collect(),
-            ..SafsConfig::single_dir(&dir)
-        }
+        SafsConfig::striped_under(dir, ndisks)
     }
 
     #[test]
@@ -347,31 +335,31 @@ mod tests {
 
     #[test]
     fn injected_transient_faults_are_retried() {
-        let safs = Safs::open(
-            tmp_cfg("retry-ok", 1).with_retry(RetryCfg { max_attempts: 3, base_backoff_us: 1 }),
-        )
-        .unwrap();
+        let safs = Safs::open(tmp_cfg("retry-ok", 1)).unwrap();
         let f = safs.create("r", 128, 1).unwrap();
         f.write_part(0, &[5u8; 128]).unwrap();
-        safs.inject_read_faults(2);
+        // One fault fewer than the attempts: the last attempt succeeds.
+        let faults = u64::from(RETRY_ATTEMPTS - 1);
+        safs.inject_read_faults(faults);
         let got = f.read_part(0).unwrap();
         assert_eq!(got.as_bytes(), &[5u8; 128][..]);
         let snap = safs.stats_snapshot();
-        assert_eq!(snap.io_retries, 2);
-        assert_eq!(safs.shard_stats_snapshots()[0].retries, 2);
+        assert_eq!(snap.io_retries, faults);
+        assert_eq!(safs.shard_stats_snapshots()[0].retries, faults);
     }
 
     #[test]
     fn exhausted_retries_surface_an_io_error() {
-        let safs = Safs::open(
-            tmp_cfg("retry-fail", 1).with_retry(RetryCfg { max_attempts: 2, base_backoff_us: 1 }),
-        )
-        .unwrap();
+        let safs = Safs::open(tmp_cfg("retry-fail", 1)).unwrap();
         let f = safs.create("r", 128, 1).unwrap();
         f.write_part(0, &[5u8; 128]).unwrap();
-        safs.inject_read_faults(2);
+        safs.inject_read_faults(u64::from(RETRY_ATTEMPTS));
         assert!(matches!(f.read_part(0), Err(SafsError::Io { .. })));
-        assert_eq!(safs.stats_snapshot().io_retries, 1, "one retry between two attempts");
+        assert_eq!(
+            safs.stats_snapshot().io_retries,
+            u64::from(RETRY_ATTEMPTS - 1),
+            "one retry between each two attempts"
+        );
         // The fault budget is spent; the next read succeeds.
         assert_eq!(f.read_part(0).unwrap().as_bytes(), &[5u8; 128][..]);
     }

@@ -23,9 +23,7 @@ fn label(throttle: Option<ThrottleCfg>) -> &'static str {
     }
 }
 
-/// A runtime with an explicit disk list (immune to the CI
-/// `FLASHR_SAFS_SHARDS` override, which only rewrites `striped_under`
-/// layouts).
+/// A runtime of `shards` shards under a fresh directory.
 fn fresh(tag: &str, shards: usize, throttle: Option<ThrottleCfg>) -> Safs {
     let dir = std::env::temp_dir().join(format!(
         "safs-beq-{tag}-{shards}-{}-{}",
@@ -33,12 +31,7 @@ fn fresh(tag: &str, shards: usize, throttle: Option<ThrottleCfg>) -> Safs {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = SafsConfig {
-        disks: (0..shards).map(|d| dir.join(format!("disk{d}"))).collect(),
-        throttle,
-        ..SafsConfig::single_dir(&dir)
-    };
-    Safs::open(cfg).unwrap()
+    Safs::open(SafsConfig { throttle, ..SafsConfig::striped_under(&dir, shards) }).unwrap()
 }
 
 /// Deterministic payload for partition `p` of length `len`.
@@ -148,10 +141,7 @@ fn reopen_under_same_layout_is_identical_across_backends() {
         let dir =
             std::env::temp_dir().join(format!("safs-beq-reopen-{shards}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = SafsConfig {
-            disks: (0..shards).map(|d| dir.join(format!("disk{d}"))).collect(),
-            ..SafsConfig::single_dir(&dir)
-        };
+        let cfg = SafsConfig::striped_under(&dir, shards);
         // Write throttled…
         {
             let safs = Safs::open(SafsConfig { throttle: THROTTLES[0], ..cfg.clone() }).unwrap();

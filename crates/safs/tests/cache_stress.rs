@@ -33,7 +33,7 @@ fn concurrent_reads_are_bit_identical_and_evict() {
     const NFILES: u64 = 8;
     // Each file fits (8 parts ≤ 8-part capacity) so admission accepts,
     // but the working set is 8 files — plenty of CLOCK eviction churn.
-    let cache = CacheCfg::with_capacity(NPARTS * PART).with_shards(2);
+    let cache = CacheCfg::with_capacity(NPARTS * PART);
     let safs =
         Safs::open(SafsConfig::striped_under(tmp_root("concurrent"), 2).with_cache(cache)).unwrap();
     let files: Vec<Arc<flashr_safs::SafsFile>> =
@@ -101,7 +101,7 @@ fn single_flight_coalesces_concurrent_misses() {
 fn warm_cache_scan_issues_zero_device_reads() {
     const PART: u64 = 4096;
     const NPARTS: u64 = 32;
-    let cache = CacheCfg::with_capacity(NPARTS * PART).with_shards(2);
+    let cache = CacheCfg::with_capacity(NPARTS * PART);
     // Throttle on: cache hits must not be charged as device I/O
     // (ISSUE 3 satellite: ThrottleCfg interaction).
     let throttle = ThrottleCfg { bytes_per_sec: 64.0 * 1024.0 * 1024.0, latency_us: 5.0 };

@@ -58,12 +58,10 @@ impl Arrays {
     fn open(tag: &str) -> Arrays {
         let dir = std::env::temp_dir().join(format!("flashr-fuzz-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Explicit layouts, so FLASHR_SAFS_SHARDS cannot fold the two
-        // shard counts into one.
         let array = |name: &str, shards: usize, cache_bytes, throttle| {
             DISPATCH_BATCH.map(|batch| {
-                let disks = (0..shards).map(|d| dir.join(format!("{name}{batch}-{d}"))).collect();
-                let cfg = SafsConfig { disks, throttle, ..SafsConfig::single_dir(&dir) }
+                let root = dir.join(format!("{name}{batch}"));
+                let cfg = SafsConfig { throttle, ..SafsConfig::striped_under(root, shards) }
                     .with_dispatch_batch(batch)
                     .with_cache(CacheCfg::with_capacity(cache_bytes));
                 Safs::open(cfg).expect("open scratch SAFS array")

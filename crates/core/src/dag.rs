@@ -8,7 +8,10 @@
 //!
 //! Nodes are immutable and shared (`Arc`); `set.cache` is a flag examined
 //! at materialization time, and a cached node carries its materialized
-//! [`TasMat`] in a `OnceLock` so later DAGs treat it as a leaf.
+//! [`TasMat`] in a `OnceLock` so later DAGs treat it as a leaf. The data
+//! is kept whichever materialization computes the node — a byproduct of
+//! another target, an explicit tall target, or `to_dense` — and in every
+//! engine mode.
 
 use crate::dtype::{DType, Scalar};
 use crate::gen::GenSpec;

@@ -81,14 +81,12 @@ pub fn run(ctx: &FlashCtx, targets: &[Target]) -> Vec<TargetResult> {
             "eager-step",
             None,
         );
+        // The step's pass installs a `set.cache` node's cache: the plan
+        // marks a tall target that asks for it.
         let mat = match result.into_iter().next().expect("one target, one result") {
             TargetResult::Mat(m) => m,
             TargetResult::Dense(_) => unreachable!("tall target yields a matrix"),
         };
-        if node.cache_requested() {
-            let (cached, pin) = ctx.admit_cache(mat.clone());
-            node.install_cache_pinned(cached, pin);
-        }
         resolved.insert(node.id, mat);
     }
 

@@ -271,10 +271,15 @@ pub(crate) fn run_labeled(
                 file,
             ),
         };
-        if t.is_cache {
-            let (cached, pin) = ctx.admit_cache(mat.clone());
-            t.node.install_cache_pinned(cached, pin);
-        }
+        // A cached target returns the admitted matrix itself: pinned once,
+        // or spilled once, never an in-memory copy beside the spilled one.
+        let mat = if t.is_cache {
+            let (cached, pin) = ctx.admit_cache(mat);
+            t.node.install_cache_pinned(cached.clone(), pin);
+            cached
+        } else {
+            mat
+        };
         if let Some(slot) = t.slot {
             results[slot] = Some(TargetResult::Mat(mat));
         }

@@ -25,8 +25,21 @@ pub struct TallOut {
     /// Result slot in the caller's target list (`None` for `set.cache`
     /// byproducts).
     pub slot: Option<usize>,
-    /// Whether to install the result as the node's cache.
+    /// Whether to install the result as the node's cache: set for a
+    /// `set.cache` byproduct and for a target whose node requests caching
+    /// (the slot then returns the installed matrix itself).
     pub is_cache: bool,
+}
+
+/// Whether a pass that computes `node` must install the result as its
+/// `set.cache` data: the node asks for it and is not already materialized
+/// data (a leaf, a generator, an installed cache or an eager-resolved
+/// intermediate).
+fn keeps_cache(node: &Node, resolved: &HashMap<u64, TasMat>) -> bool {
+    node.cache_requested()
+        && !node.is_sink()
+        && !node.is_effective_leaf()
+        && !resolved.contains_key(&node.id)
 }
 
 /// The validated plan for one fused pass.
@@ -125,12 +138,11 @@ impl Plan {
                     };
                     // The output copy reads the node's chunk once.
                     *consumers.entry(node.id).or_default() += 1;
-                    talls.push(TallOut {
-                        node: node.clone(),
-                        storage,
-                        slot: Some(slot),
-                        is_cache: false,
-                    });
+                    // A `set.cache` node keeps its data whichever call
+                    // materializes it, and only once if targeted twice.
+                    let is_cache =
+                        keeps_cache(node, resolved) && !talls.iter().any(|t| t.node.id == node.id);
+                    talls.push(TallOut { node: node.clone(), storage, slot: Some(slot), is_cache });
                     stack.push(node.clone());
                 }
             }
@@ -142,8 +154,6 @@ impl Plan {
             }
             slots.insert(node.id, reach.len());
             reach.push(node.clone());
-
-            let is_resolved_leaf = resolved.contains_key(&node.id) || node.cached().is_some();
 
             if !node.is_sink() {
                 // Every tall node must share the partition dimension.
@@ -191,12 +201,7 @@ impl Plan {
             }
 
             // set.cache: materialize as a byproduct of this pass.
-            if node.cache_requested()
-                && !node.is_sink()
-                && !is_resolved_leaf
-                && !matches!(node.kind, NodeKind::Leaf(_) | NodeKind::Gen(_))
-                && !talls.iter().any(|t| t.node.id == node.id)
-            {
+            if keeps_cache(&node, resolved) && !talls.iter().any(|t| t.node.id == node.id) {
                 // The paper caches small reused vectors (like k-means
                 // assignments) in RAM by default; `cache_storage` can
                 // redirect them to the SSDs.

@@ -219,7 +219,13 @@ impl FM {
     }
 
     /// `set.cache`: keep this virtual matrix's data when it is next
-    /// computed, so later DAGs reuse it (paper §3.5).
+    /// computed, so later DAGs reuse it (paper §3.5). The data is kept
+    /// whichever materialization computes it: as a byproduct of a pass
+    /// that reads it, as a target of its own ([`FM::materialize`],
+    /// [`FM::materialize_multi`]), or through [`FM::to_dense`] and
+    /// [`FM::to_vec`]. A target returns the kept matrix itself, so the
+    /// data is held once — pinned, or spilled to the SSDs when over the
+    /// memory budget. Leaves and generators are never copied.
     pub fn set_cache(&self, v: bool) -> &FM {
         if let FM::Tall { node, .. } = self {
             node.set_cache(v);

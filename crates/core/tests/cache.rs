@@ -1,11 +1,12 @@
-//! The SA-cache + memory governor across the engine (ISSUE 3): warm
-//! scans of an EM leaf hit the page cache instead of the device,
-//! over-budget `set.cache` matrices spill to SAFS temporaries and
-//! round-trip bit-identically, and a zero-size cache reproduces the
-//! uncached read counts exactly.
+//! The SA-cache + memory governor across the engine: warm scans of an EM
+//! leaf hit the page cache instead of the device, over-budget `set.cache`
+//! matrices spill to SAFS temporaries and round-trip bit-identically, a
+//! zero-size cache reproduces the uncached read counts exactly, and a
+//! `set.cache` node keeps its data whichever call materializes it.
 
 use flashr_core::fm::FM;
-use flashr_core::session::{CtxConfig, FlashCtx, MemBudget, StorageClass};
+use flashr_core::mat::Store;
+use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, MemBudget, StorageClass};
 use flashr_safs::{CacheCfg, Safs, SafsConfig};
 
 fn em_ctx(tag: &str, budget: Option<MemBudget>) -> FlashCtx {
@@ -98,8 +99,7 @@ fn zero_capacity_cache_matches_uncached_read_counts() {
     // Their device read counts must agree exactly (ISSUE acceptance:
     // size 0 preserves today's behavior bit-identically).
     let run = |tag: &str, cache: Option<CacheCfg>| {
-        let dir =
-            std::env::temp_dir().join(format!("flashr-cache0-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("flashr-cache0-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = SafsConfig::striped_under(dir, 2);
         if let Some(c) = cache {
@@ -121,4 +121,108 @@ fn zero_capacity_cache_matches_uncached_read_counts() {
     let uncached = run("none", None);
     let zero = run("zero", Some(CacheCfg::with_capacity(0)));
     assert_eq!(uncached, zero, "a zero-size cache must not change device traffic");
+}
+
+/// How a test computes a `set.cache` node as a target of its own.
+#[derive(Debug, Clone, Copy)]
+enum Trigger {
+    /// `FM::materialize` on the node.
+    Materialize,
+    /// `FM::materialize_multi` with a sink that reads the node.
+    MultiWithSink,
+    /// `FM::to_vec`, through `to_dense`.
+    ToDense,
+}
+
+/// The node's values as `trigger` computes them.
+fn trigger(ctx: &FlashCtx, y: &FM, how: Trigger) -> Vec<f64> {
+    match how {
+        Trigger::Materialize => y.materialize(ctx).to_vec(ctx),
+        Trigger::MultiWithSink => {
+            let out = FM::materialize_multi(ctx, &[y, &y.col_sums()]);
+            out[0].to_vec(ctx)
+        }
+        Trigger::ToDense => y.to_vec(ctx),
+    }
+}
+
+fn in_memory(mode: ExecMode) -> FlashCtx {
+    FlashCtx::with_config(CtxConfig { rows_per_part: 256, mode, ..Default::default() }, None)
+}
+
+#[test]
+fn a_cached_target_keeps_its_data_in_every_mode() {
+    let (n, p) = (1000, 3);
+    for mode in [ExecMode::CacheFuse, ExecMode::MemFuse, ExecMode::Eager] {
+        let em = em_ctx(&format!("target-{mode:?}"), None).with_mode(mode);
+        for (storage, ctx) in [("im", in_memory(mode)), ("em", em)] {
+            for how in [Trigger::Materialize, Trigger::MultiWithSink, Trigger::ToDense] {
+                let what = format!("{mode:?} {storage} {how:?}");
+                let x = FM::runif(&ctx, n, p, -1.0, 1.0, 5);
+                let y = &x.square() + 0.5;
+                y.set_cache(true);
+                let first = trigger(&ctx, &y, how);
+                assert!(y.leaf_mat_opt().is_some(), "{what}: the target's cache is installed");
+
+                // A second DAG over the handle reads the cache: one pass,
+                // one chunk per range (the cached leaf's), no generator
+                // or map evaluated.
+                let before = ctx.stats().snapshot();
+                let sums = y.col_sums().to_dense(&ctx);
+                let d = before.delta(&ctx.stats().snapshot());
+                assert_eq!(d.passes, 1, "{what}");
+                assert_eq!(d.node_chunks, d.pcache_chunks, "{what}: the cached subtree ran");
+
+                // Bit-identical to the first pass, as values and as sums.
+                assert_eq!(y.to_vec(&ctx), first, "{what}");
+                let want = FM::from_col_major(&ctx, n, p, &first).col_sums().to_dense(&ctx);
+                assert!(sums.max_abs_diff(&want) == 0.0, "{what}: cached sums differ");
+            }
+        }
+    }
+}
+
+#[test]
+fn handles_merged_by_cse_share_one_cache() {
+    let ctx = in_memory(ExecMode::CacheFuse);
+    let x = FM::runif(&ctx, 1000, 2, 0.0, 1.0, 8);
+    let (y1, y2) = (x.square(), x.square());
+    y2.set_cache(true);
+    let out = FM::materialize_multi(&ctx, &[&y1, &y2]);
+    assert_eq!(out[0].to_vec(&ctx), out[1].to_vec(&ctx));
+    assert!(y1.leaf_mat_opt().is_some(), "the canonical handle is cached");
+    assert!(y2.leaf_mat_opt().is_some(), "the merged handle is cached");
+    assert_eq!(ctx.governor().pinned_bytes(), 1000 * 2 * 8, "one copy pinned");
+}
+
+#[test]
+fn an_over_budget_cached_target_spills_once() {
+    // A 2048×8 f64 target (128 KiB) computed in memory against a ~64 KiB
+    // pin budget: the pass spills it and hands back the spilled matrix.
+    let dir = std::env::temp_dir().join(format!("flashr-cachetest-tspill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let safs = Safs::open(SafsConfig::striped_under(dir, 2)).unwrap();
+    let ctx = FlashCtx::with_config(
+        CtxConfig {
+            rows_per_part: 256,
+            storage: StorageClass::InMem,
+            mem_budget: Some(MemBudget::new(128 * 1024)),
+            ..Default::default()
+        },
+        Some(safs),
+    );
+    let y = FM::runif(&ctx, 2048, 8, -1.0, 1.0, 7).square();
+    y.set_cache(true);
+    let before = ctx.safs().unwrap().stats_snapshot();
+    let got = y.materialize(&ctx);
+    let io = before.delta(&ctx.safs().unwrap().stats_snapshot());
+    assert_eq!(ctx.governor().spills(), 1);
+    assert_eq!(io.write_bytes, 2048 * 8 * 8, "one copy written");
+    assert_eq!(ctx.governor().pinned_bytes(), 0, "no in-memory copy pinned");
+
+    let file = |fm: &FM| match fm.leaf_mat_opt().expect("materialized").store() {
+        Store::Em(f) => f.name().to_string(),
+        Store::InMem(_) => panic!("an over-budget cache must spill"),
+    };
+    assert_eq!(file(&got), file(&y), "the target returns the spilled cache itself");
 }

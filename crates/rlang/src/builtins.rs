@@ -12,14 +12,15 @@ use flashr_linalg::Dense;
 use std::rc::Rc;
 
 /// All builtin names, used for identifier resolution.
+#[rustfmt::skip]
 const NAMES: &[&str] = &[
     "matrix", "rep", "rep.int", "c", "length", "dim", "nrow", "ncol", "t", "cbind", "rbind",
     "diag", "runif.matrix", "rnorm.matrix", "exp", "log", "log2", "log10", "log1p", "sqrt",
     "abs", "floor", "ceiling", "round", "sign", "sigmoid", "sum", "mean", "min", "max", "any",
     "all", "rowSums", "colSums", "rowMeans", "colMeans", "pmin", "pmax", "inner.prod", "agg.row",
-    "groupby.row", "groupby.col", "agg.col", "sweep", "set.cache", "materialize", "as.vector", "as.matrix", "unique",
-    "is.null", "print", "cat", "crossprod", "solve", "which.min", "which.max", "seq_len",
-    "stopifnot", "numeric",
+    "groupby.row", "groupby.col", "agg.col", "sweep", "set.cache", "materialize", "as.vector",
+    "as.matrix", "unique", "is.null", "print", "cat", "crossprod", "solve", "which.min",
+    "which.max", "seq_len", "stopifnot", "numeric",
 ];
 
 /// Resolve a builtin by name.
@@ -100,7 +101,12 @@ fn binop_of(name: &str) -> Result<BinaryOp, RError> {
     })
 }
 
-fn unary_elementwise(interp: &Interp, v: &Value, op: UnaryOp, f: fn(f64) -> f64) -> Result<Value, RError> {
+fn unary_elementwise(
+    interp: &Interp,
+    v: &Value,
+    op: UnaryOp,
+    f: fn(f64) -> f64,
+) -> Result<Value, RError> {
     match v {
         Value::Num(x) => Ok(Value::Num(f(*x))),
         Value::Bool(b) => Ok(Value::Num(f(f64::from(*b)))),
@@ -145,7 +151,11 @@ fn agg_value(interp: &Interp, v: &Value, op: AggOp, what: &str) -> Result<Value,
 }
 
 /// Invoke builtin `name`.
-pub fn call(interp: &Interp, name: &str, raw: Vec<(Option<String>, Value)>) -> Result<Value, RError> {
+pub fn call(
+    interp: &Interp,
+    name: &str,
+    raw: Vec<(Option<String>, Value)>,
+) -> Result<Value, RError> {
     let a = Args::new(raw);
     let ctx = interp.ctx();
     match name {
@@ -223,20 +233,15 @@ pub fn call(interp: &Interp, name: &str, raw: Vec<(Option<String>, Value)>) -> R
         },
         "t" => match a.pos(0, "t")? {
             Value::Matrix(m) => Ok(Value::Matrix(interp.force_fm(m).t())),
-            Value::Vec(v) => Ok(Value::Matrix(FM::from_dense(Dense::from_vec(
-                1,
-                v.len(),
-                v.as_ref().clone(),
-            )))),
+            Value::Vec(v) => {
+                Ok(Value::Matrix(FM::from_dense(Dense::from_vec(1, v.len(), v.as_ref().clone()))))
+            }
             Value::Num(x) => Ok(Value::Matrix(FM::from_dense(Dense::from_vec(1, 1, vec![*x])))),
             other => Err(RError::Eval(format!("cannot transpose {other:?}"))),
         },
         "cbind" => {
-            let fms: Vec<FM> = a
-                .positional
-                .iter()
-                .map(|v| fm_of(interp, v))
-                .collect::<Result<_, _>>()?;
+            let fms: Vec<FM> =
+                a.positional.iter().map(|v| fm_of(interp, v)).collect::<Result<_, _>>()?;
             if fms.iter().all(|m| m.is_small()) {
                 // Small-world cbind.
                 let rows = fms[0].nrow() as usize;
@@ -258,11 +263,8 @@ pub fn call(interp: &Interp, name: &str, raw: Vec<(Option<String>, Value)>) -> R
             Ok(Value::Matrix(FM::cbind(&refs)))
         }
         "rbind" => {
-            let fms: Vec<FM> = a
-                .positional
-                .iter()
-                .map(|v| fm_of(interp, v))
-                .collect::<Result<_, _>>()?;
+            let fms: Vec<FM> =
+                a.positional.iter().map(|v| fm_of(interp, v)).collect::<Result<_, _>>()?;
             let mut acc = fms[0].clone();
             for m in &fms[1..] {
                 acc = FM::rbind(ctx, &acc, m);
@@ -325,9 +327,9 @@ pub fn call(interp: &Interp, name: &str, raw: Vec<(Option<String>, Value)>) -> R
         "ceiling" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Ceil, f64::ceil),
         "round" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Round, f64::round),
         "sign" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sign, f64::signum),
-        "sigmoid" => {
-            unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sigmoid, |x| 1.0 / (1.0 + (-x).exp()))
-        }
+        "sigmoid" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sigmoid, |x| {
+            1.0 / (1.0 + (-x).exp())
+        }),
         "pmin" | "pmax" => {
             let op = if name == "pmin" { BinaryOp::Min } else { BinaryOp::Max };
             let l = a.pos(0, name)?;
@@ -465,16 +467,14 @@ pub fn call(interp: &Interp, name: &str, raw: Vec<(Option<String>, Value)>) -> R
                 other => return Err(RError::Eval(format!("unknown group function '{other}'"))),
             };
             // Output size depends on the label values (paper §3.4):
-            // materialize the labels (cheap n×1; reuses set.cache) and
-            // find the label range in one fused pass.
-            let labels = labels.materialize(ctx);
-            let lo_hi = FM::materialize_multi(ctx, &[&labels.min_all(), &labels.max_all()]);
-            let lo = lo_hi[0].value(ctx);
-            let hi = lo_hi[1].value(ctx);
+            // materialize the labels (cheap n×1) and find their range in
+            // one fused pass — only the range when `set.cache` already
+            // holds the labels.
+            let got = FM::materialize_multi(ctx, &[&labels, &labels.min_all(), &labels.max_all()]);
+            let (labels, lo, hi) = (&got[0], got[1].value(ctx), got[2].value(ctx));
             let ngroups = (hi - lo) as usize + 1;
-            let shifted = labels
-                .binary_scalar(BinaryOp::Sub, lo, false)
-                .cast(flashr_core::DType::I64);
+            let shifted =
+                labels.binary_scalar(BinaryOp::Sub, lo, false).cast(flashr_core::DType::I64);
             let out = data.groupby_row(&shifted, op, ngroups).materialize(ctx);
             Ok(Value::Matrix(out))
         }

@@ -12,6 +12,7 @@
 //!   center sums by the k-vector of counts, which is margin 1.
 
 use flashr_core::session::{CtxConfig, FlashCtx};
+use flashr_core::TraceLevel;
 use flashr_rlang::{Interp, Value};
 
 fn interp() -> Interp {
@@ -207,9 +208,87 @@ S <- groupby.row(X, I, "+")
     )
     .unwrap();
     let used = r.ctx().stats().snapshot().passes - before;
-    // groupby.row materializes labels + label-range + groupby: ≤ 4 passes
-    // for the whole body (vs. one per *operation* without fusion).
-    assert!(used <= 4, "interpreted loop body used {used} passes");
+    // groupby.row materializes the labels with their range in one pass,
+    // then runs the groupby: 2 passes for the whole body (vs. one per
+    // *operation* without fusion).
+    assert_eq!(used, 2, "interpreted loop body used {used} passes");
+}
+
+/// The Figure 3 loop body, run once per `eval_str` at the top level;
+/// `cache` keeps or drops its `set.cache` line.
+fn figure3_iteration(cache: bool) -> String {
+    let set_cache = if cache { "I <- set.cache(I, TRUE)" } else { "" };
+    format!(
+        r#"
+D <- inner.prod(X, t(C), "euclidean", "+")
+old.I <- I
+I <- agg.row(D, "which.min")
+{set_cache}
+CNT <- groupby.row(rep.int(1, nrow(I)), I, "+")
+C <- sweep(groupby.row(X, I, "+"), 1, CNT, "/")
+if (!is.null(old.I))
+  num.moves <- as.vector(sum(old.I != I))
+"#
+    )
+}
+
+/// `iters` Figure 3 iterations from fixed data: the final centres, and
+/// per iteration the engine passes and the `inner.prod` evaluations.
+fn figure3_fixed_iterations(cache: bool, iters: usize) -> (Vec<f64>, Vec<(u64, usize)>) {
+    let ctx = FlashCtx::with_config(
+        CtxConfig { rows_per_part: 1024, trace: TraceLevel::Pass, ..Default::default() },
+        None,
+    );
+    let mut r = Interp::new(ctx.clone());
+    r.eval_str(
+        r#"
+n <- 5000
+shift <- (runif.matrix(n, 1, seed = 31) > 0.5) * 6
+X <- materialize(rnorm.matrix(n, 3, sd = 0.4, seed = 32) + shift)
+C <- matrix(c(1, 5), nrow = 2, ncol = 3)
+I <- NULL
+"#,
+    )
+    .unwrap();
+    let body = figure3_iteration(cache);
+    let per_iter = (0..iters)
+        .map(|_| {
+            let (passes, traced) = (ctx.stats().snapshot().passes, ctx.tracer().passes().len());
+            r.eval_str(&body).unwrap();
+            let products = ctx.tracer().passes()[traced..]
+                .iter()
+                .flat_map(|p| &p.ops)
+                .filter(|op| op.label == "inner.prod")
+                .count();
+            (ctx.stats().snapshot().passes - passes, products)
+        })
+        .collect();
+    let centres = match r.eval_str("c(C)").unwrap() {
+        Value::Vec(v) => v.as_ref().clone(),
+        other => panic!("{other:?}"),
+    };
+    (centres, per_iter)
+}
+
+#[test]
+fn figure3_set_cache_computes_each_distance_product_once() {
+    // With `I` cached, an iteration is labels + range, the count
+    // groupby, the range of the cached `I`, the sum groupby and
+    // `sum(old.I != I)` over two cached vectors: 5 passes (4 in the
+    // first, which has no `old.I`) and one distance product.
+    let (cached, per_iter) = figure3_fixed_iterations(true, 6);
+    assert_eq!(per_iter[0], (4, 1), "first iteration: {per_iter:?}");
+    for (i, &it) in per_iter.iter().enumerate().skip(1) {
+        assert_eq!(it, (5, 1), "iteration {}: {per_iter:?}", i + 1);
+    }
+    // Caching changes what is recomputed, never a value.
+    let (uncached, _) = figure3_fixed_iterations(false, 6);
+    assert_eq!(cached.len(), 6);
+    assert_eq!(
+        cached.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+        uncached.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+        "set.cache changed the centres"
+    );
 }
 
 #[test]
@@ -256,10 +335,8 @@ c(min(C), max(C))
         }
     };
     let em_centers = run(em);
-    let im_centers = run(FlashCtx::with_config(
-        CtxConfig { rows_per_part: 1024, ..Default::default() },
-        None,
-    ));
+    let im_centers =
+        run(FlashCtx::with_config(CtxConfig { rows_per_part: 1024, ..Default::default() }, None));
     assert!((em_centers[0] - im_centers[0]).abs() < 1e-9);
     assert!((em_centers[1] - im_centers[1]).abs() < 1e-9);
 }

@@ -311,7 +311,7 @@ fn draw_binary(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> O
 /// Grow `cur` by one random tall-to-tall operation.
 fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Option<Pair> {
     let width = cur.want.cols;
-    match rng.below(13) {
+    match rng.below(14) {
         0..=2 => cur.unary(pick(rng, &UNARY)),
         3..=6 => draw_binary(rng, ctx, cur, sources),
         7 => cur.cast(pick(rng, &DTYPES)),
@@ -331,7 +331,7 @@ fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Opt
             let (k, f1, f2) = (rng.usize(1..10), pick(rng, &IP_F1), pick(rng, &IP_F2));
             cur.inner_prod(rng, k, f1, f2)
         }
-        _ => match rng.below(6) {
+        12 => match rng.below(6) {
             0 => cur.then(cur.want.clone(), |x| x.t().t()),
             1 => cur.then(cur.want.agg_rows(AggOp::Sum), |x| x.row_sums()),
             2 => cur.then(cur.want.agg_rows(AggOp::WhichMin), |x| x.row_which_min()),
@@ -343,6 +343,14 @@ fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Opt
                 Some(out)
             }
         },
+        // `set.cache` on the intermediate, materialized as a target of its
+        // own; later steps build on the handle, so they read the kept
+        // data. The reference is the identity.
+        _ => cur.then(cur.want.clone(), |x| {
+            x.set_cache(true);
+            let _ = x.materialize(ctx);
+            x.clone()
+        }),
     }
 }
 

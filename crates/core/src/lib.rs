@@ -18,8 +18,7 @@
 //! * [`exec`] — the fused / mem-fuse / eager materialization engines
 //!   (paper §3.5 and the Figure 10 ablation);
 //! * [`fm`] — the user-facing `FM` matrix type mirroring the R `base`
-//!   functions FlashR overrides (paper Tables 2 and 3);
-//! * [`block`] — block matrices (paper §3.2.2).
+//!   functions FlashR overrides (paper Tables 2 and 3).
 //!
 //! ```
 //! use flashr_core::fm::FM;
@@ -32,7 +31,6 @@
 //! ```
 
 pub mod analysis;
-pub mod block;
 pub mod chunk;
 pub mod dag;
 pub mod dtype;

@@ -47,7 +47,6 @@ pub use flashr_sparse as sparse;
 /// The working set of names for FlashR programs.
 pub mod prelude {
     pub use flashr_core::analysis::{AnalysisReport, Lint, PlanError, PlanErrorKind};
-    pub use flashr_core::block::BlockMat;
     pub use flashr_core::fm::FM;
     pub use flashr_core::ops::{AggOp, BinaryOp, UnaryOp};
     pub use flashr_core::session::{

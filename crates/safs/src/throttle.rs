@@ -38,23 +38,24 @@ impl Throttle {
     /// so callers can account throttle waits separately from device
     /// service time.
     pub(crate) fn charge(&self, bytes: u64, dequeued: Instant) -> Duration {
+        let wait = self.reserve(bytes, dequeued, Instant::now());
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
+        }
+        wait
+    }
+
+    /// Reserve the device's next window for a request of `bytes` that
+    /// reached it at `dequeued`, and return how long a caller charging at
+    /// `now` waits for that window to close: the window opens at
+    /// `max(next_free, dequeued)` and lasts `latency + bytes/bandwidth`.
+    fn reserve(&self, bytes: u64, dequeued: Instant, now: Instant) -> Duration {
         let service = Duration::from_secs_f64(
             self.cfg.latency_us * 1e-6 + bytes as f64 / self.cfg.bytes_per_sec,
         );
-        let deadline = {
-            let mut next_free = self.next_free.lock();
-            let start = (*next_free).max(dequeued);
-            *next_free = start + service;
-            *next_free
-        };
-        let now = Instant::now();
-        if deadline > now {
-            let wait = deadline - now;
-            std::thread::sleep(wait);
-            wait
-        } else {
-            Duration::ZERO
-        }
+        let mut next_free = self.next_free.lock();
+        *next_free = (*next_free).max(dequeued) + service;
+        next_free.saturating_duration_since(now)
     }
 }
 
@@ -62,18 +63,27 @@ impl Throttle {
 mod tests {
     use super::*;
 
+    /// 128 KiB at 16 MiB/s: a 1/128 s window, exact in nanoseconds.
+    const BYTES: u64 = 128 * 1024;
+    const WINDOW: Duration = Duration::from_nanos(7_812_500);
+
+    fn throttle() -> Throttle {
+        Throttle::new(ThrottleCfg { bytes_per_sec: 16.0 * 1024.0 * 1024.0, latency_us: 0.0 })
+    }
+
+    /// Requests that reach a busy device back to back close one window
+    /// apart: four 256 KiB requests at 10 MiB/s take 100 ms.
     #[test]
     fn sustains_configured_bandwidth() {
-        // 10 MB/s, no latency; 1 MB over 4 requests should take ~100ms.
         let t =
             Throttle::new(ThrottleCfg { bytes_per_sec: 10.0 * 1024.0 * 1024.0, latency_us: 0.0 });
-        let start = Instant::now();
-        for _ in 0..4 {
-            t.charge(256 * 1024, Instant::now());
+        let t0 = Instant::now();
+        let deadlines: Vec<Instant> = (0..4).map(|_| t0 + t.reserve(256 * 1024, t0, t0)).collect();
+        let window = deadlines[0] - t0;
+        assert_eq!(window, Duration::from_millis(25));
+        for (i, deadline) in deadlines.iter().enumerate() {
+            assert_eq!(*deadline, t0 + window * (i as u32 + 1), "request {i}");
         }
-        let elapsed = start.elapsed().as_secs_f64();
-        assert!(elapsed >= 0.08, "elapsed {elapsed} too fast");
-        assert!(elapsed < 0.5, "elapsed {elapsed} too slow");
     }
 
     #[test]
@@ -96,26 +106,24 @@ mod tests {
 
     /// The host's real read or write runs inside the emulated window,
     /// not before it: a busy device completes one request per window
-    /// whatever the host operation cost. Charging from the time of the
-    /// charge instead reads `N × (window + 2 ms)`, 25 % over.
+    /// whatever the host operation cost. Each request here reaches the
+    /// device as the one before it completes and is charged after a 2 ms
+    /// host operation; charging from the charge instant instead would
+    /// close request `i`'s window at `i × (window + 2 ms)`, 25 % late.
     #[test]
     fn host_time_counts_inside_the_window() {
         const N: u32 = 12;
-        // 8 ms per request: 128 KiB at 16 000 KiB/s.
-        let window = Duration::from_millis(8);
-        let t = Throttle::new(ThrottleCfg { bytes_per_sec: 16_000.0 * 1024.0, latency_us: 0.0 });
-        let start = Instant::now();
-        for _ in 0..N {
-            let dequeued = Instant::now();
-            std::thread::sleep(Duration::from_millis(2)); // the "real" operation
-            t.charge(128 * 1024, dequeued);
+        let host = Duration::from_millis(2);
+        let t = throttle();
+        let t0 = Instant::now();
+        let mut dequeued = t0;
+        for i in 1..=N {
+            let charged = dequeued + host;
+            let wait = t.reserve(BYTES, dequeued, charged);
+            assert_eq!(wait, WINDOW - host, "request {i}");
+            dequeued = charged + wait;
+            assert_eq!(dequeued, t0 + WINDOW * i, "request {i}");
         }
-        let elapsed = start.elapsed().as_secs_f64();
-        let want = (window * N).as_secs_f64();
-        assert!(
-            (elapsed - want).abs() <= 0.15 * want,
-            "{N} requests of {window:?} each took {elapsed:.4} s, want {want:.4} s ± 15 %"
-        );
     }
 
     /// An idle device banks no credit: after a pause a request's window
@@ -123,17 +131,16 @@ mod tests {
     /// device fell free, and a dequeue in the past opens it in the past.
     #[test]
     fn idle_device_opens_the_window_at_the_dequeue() {
-        let window = Duration::from_millis(20);
-        // 20 ms per request: 64 KiB at 3200 KiB/s.
-        let t = Throttle::new(ThrottleCfg { bytes_per_sec: 3200.0 * 1024.0, latency_us: 0.0 });
-        std::thread::sleep(3 * window);
-        let dequeued = Instant::now();
-        let slept = t.charge(64 * 1024, dequeued);
-        assert!(dequeued.elapsed() >= window, "window opened before the dequeue: slept {slept:?}");
-        assert!(slept <= window, "slept {slept:?} for a {window:?} window");
+        let t = throttle();
+        let t0 = Instant::now();
+        let dequeued = t0 + 3 * WINDOW;
+        assert_eq!(t.reserve(BYTES, dequeued, dequeued), WINDOW);
         // A host operation longer than the window leaves nothing to wait for.
-        let dequeued = Instant::now();
-        std::thread::sleep(window + Duration::from_millis(5));
-        assert_eq!(t.charge(64 * 1024, dequeued), Duration::ZERO);
+        let dequeued = dequeued + 2 * WINDOW;
+        let charged = dequeued + WINDOW + Duration::from_millis(5);
+        assert_eq!(t.reserve(BYTES, dequeued, charged), Duration::ZERO);
+        // The device is free again once that window closed.
+        let dequeued = charged;
+        assert_eq!(t.reserve(BYTES, dequeued, dequeued), WINDOW);
     }
 }

@@ -1,5 +1,5 @@
 //! Cross-crate engine integration: the FM programming surface driving the
-//! fused executor, block matrices, and I/O, through the `flashr` facade.
+//! fused executor and I/O, through the `flashr` facade.
 
 use flashr::prelude::*;
 
@@ -18,7 +18,10 @@ fn paper_table2_overrides_behave_like_r() {
     // C = pmin(A, B)
     assert_eq!(a.pmin(&b).sum().value(&ctx), 1.0 + 2.0 * 999.0);
     // C = sqrt(A)
-    assert!((a.sqrt().sum().value(&ctx) - (1..=1000).map(|v| (v as f64).sqrt()).sum::<f64>()).abs() < 1e-9);
+    assert!(
+        (a.sqrt().sum().value(&ctx) - (1..=1000).map(|v| (v as f64).sqrt()).sum::<f64>()).abs()
+            < 1e-9
+    );
     // c = sum(A)
     assert_eq!(a.sum().value(&ctx), 500500.0);
     // c = any(A > 999), all(A > 0)
@@ -38,7 +41,10 @@ fn dag_fusion_counts_one_pass_for_logistic_cost_and_grad() {
     // computation and must evaluate in one pass.
     let ctx = ctx();
     let x = FM::rnorm(&ctx, 20_000, 8, 0.0, 1.0, 1).materialize(&ctx);
-    let y = FM::runif(&ctx, 20_000, 1, 0.0, 1.0, 2).gt(&FM::constant(20_000, 1, 0.5)).cast(DType::F64).materialize(&ctx);
+    let y = FM::runif(&ctx, 20_000, 1, 0.0, 1.0, 2)
+        .gt(&FM::constant(20_000, 1, 0.5))
+        .cast(DType::F64)
+        .materialize(&ctx);
     let w = Dense::from_vec(8, 1, vec![0.1; 8]);
 
     let before = ctx.stats().snapshot();
@@ -49,17 +55,6 @@ fn dag_fusion_counts_one_pass_for_logistic_cost_and_grad() {
     assert_eq!(before.delta(&ctx.stats().snapshot()).passes, 1);
     assert!(out[0].value(&ctx).is_finite());
     assert_eq!(out[1].to_dense(&ctx).rows(), 8);
-}
-
-#[test]
-fn block_matrix_layer_composes_with_fm() {
-    let ctx = ctx();
-    let x = FM::rnorm(&ctx, 5000, 70, 0.0, 1.0, 12); // wider than one block
-    let bm = BlockMat::from_fm(&x, 32);
-    assert_eq!(bm.nblocks(), 3); // 32 + 32 + 6
-    let whole = x.crossprod().to_dense(&ctx);
-    let blocked = bm.crossprod(&ctx);
-    assert!(whole.max_abs_diff(&blocked) < 1e-8);
 }
 
 #[test]

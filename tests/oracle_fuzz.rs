@@ -773,6 +773,10 @@ fn ugly_shapes_match_the_oracle() {
     });
 }
 
+/// Wide matrices, past the paper's 32-column block width (§3.2.2), as one
+/// `FM`: the live-set Pcache step sizes their chunks, so there is no
+/// column-block path to take. The element-wise chain's bits, `colSums` and
+/// `crossprod` at 33 and 40 columns.
 #[test]
 fn block_matrices_match_the_oracle() {
     let arrays = Arrays::open("blocks");
@@ -786,15 +790,10 @@ fn block_matrices_match_the_oracle() {
                 false,
             );
             let want = x.want.unary(UnaryOp::Abs).unary(UnaryOp::Sqrt);
-            let blocks = BlockMat::from_fm(&x.fm, 32).unary(UnaryOp::Abs).unary(UnaryOp::Sqrt);
-            assert_eq!(blocks.nblocks(), 2, "{what}");
-            let dense = blocks.to_dense(ctx);
-            let got: Vec<f64> = (0..cols)
-                .flat_map(|c| (0..50).map(move |r| (r, c)))
-                .map(|(r, c)| dense.at(r, c))
-                .collect();
-            assert_same(&got, &want, false, what);
-            for (c, got) in blocks.col_sums(ctx).into_iter().enumerate() {
+            let y = x.fm.unary(UnaryOp::Abs).unary(UnaryOp::Sqrt);
+            let outs = FM::materialize_multi(ctx, &[&y, &y.col_sums(), &y.crossprod()]);
+            assert_same(&outs[0].to_vec(ctx), &want, false, what);
+            for (c, got) in outs[1].to_vec(ctx).into_iter().enumerate() {
                 assert_close(
                     got,
                     want.agg_cols(AggOp::Sum).at(0, c),
@@ -804,7 +803,7 @@ fn block_matrices_match_the_oracle() {
                 );
             }
             let (gram, scale) = (want.crossprod(&want), want.abs().crossprod(&want.abs()));
-            let got = blocks.crossprod(ctx);
+            let got = outs[2].to_dense(ctx);
             for (i, j) in (0..cols).flat_map(|i| (0..cols).map(move |j| (i, j))) {
                 assert_close(got.at(i, j), gram.at(i, j), 50, scale.at(i, j), what);
             }

@@ -1,7 +1,7 @@
 //! The executor's shared read-ahead frontier (DESIGN §4.4) and the
 //! partition scan built on the same helper (`TasMat::scan`, under
 //! `gather_rows`), observed from outside through pass profiles, the span
-//! log and the SAFS counters: who got partitions, how many partition
+//! log and the SAFS counters: when each worker claims, how many partition
 //! sets a pass holds — with and without a page cache, which reads
 //! nothing ahead of its own — whether the device queue drains between
 //! claims, and that `cum.col`'s carry chain still resolves under
@@ -112,25 +112,80 @@ fn peak_held(submits: &[u64], per_set: usize, released: &[u64]) -> usize {
     submits.iter().enumerate().map(held).max().expect("requests were submitted")
 }
 
-/// (a) Claiming is not reading ahead: a worker never owns a partition it
-/// is not computing, so on a four-partition pass whose reads take 3 ms
-/// the one cursor both workers share does not let worker 0 hoard the
-/// partitions — the second worker always finds one waiting. A worker
-/// that claimed its read-ahead window would take all four.
+/// Each worker's tasks on the last pass on `ctx`, in the order it ran
+/// them: `(partition, begin, end)`.
+fn tasks_per_worker(ctx: &FlashCtx) -> Vec<Vec<(u64, u64, u64)>> {
+    let log = ctx.tracer().timeline().expect("timeline level keeps the full log");
+    let workers = log.snapshot().into_iter().filter(|l| l.name.starts_with("flashr-w"));
+    let tasks = |events: Vec<SpanEvent>| {
+        let mut open = None;
+        let mut done = Vec::new();
+        for e in events.into_iter().filter(|e| e.cat == "exec" && e.name == "task") {
+            match e.kind {
+                EventKind::Begin => open = Some((e.args[0].1, e.ts_ns)),
+                EventKind::End => {
+                    let (part, begin) = open.take().expect("a task ends after it begins");
+                    done.push((part, begin, e.ts_ns));
+                }
+                _ => {}
+            }
+        }
+        done
+    };
+    workers.map(|l| tasks(l.events)).collect()
+}
+
+/// (a) Claiming is not reading ahead: a worker claims its next partition
+/// only once its last task has ended, so the one cursor the workers
+/// share never lets one of them hoard a read-ahead window — every
+/// partition it has not started stays for the others. The claims are
+/// seen through the cursor's partition order: the first claim issues the
+/// fetches of partitions `0..=depth`, and every later claim of `q`
+/// issues the fetch of `q + depth`, so that submit is the claim's
+/// instant. A worker that claimed its whole window at once would claim
+/// partition 1 before its task on partition 0 ended.
 #[test]
 fn every_worker_gets_partitions_on_a_short_pass() {
-    let array = Array::open("short", 2, 4, 3.0);
-    let ctx = array.ctx(2, TraceLevel::Pass);
-    let m = values(4);
+    const NPARTS: u64 = 12;
+    const BATCH: usize = 4;
+    const NTHREADS: usize = 2;
+    let depth = (NTHREADS * (BATCH - 1)) as u64;
+    let array = Array::open("short", 2, BATCH, 1.0);
+    let ctx = array.ctx(NTHREADS, TraceLevel::Timeline);
+    let m = values(NPARTS);
     let x = em_leaf(&ctx, &m);
-    for round in 0..8 {
+    for round in 0..4 {
         ctx.tracer().clear();
         assert_eq!(x.sum().value(&ctx), m.agg_all(AggOp::Sum));
-        let pass = ctx.tracer().passes().pop().expect("one pass profiled");
-        let parts: Vec<u64> = pass.workers.iter().map(|w| w.parts).collect();
-        assert_eq!(parts.len(), 2, "round {round}");
-        assert!(parts.iter().all(|&p| p >= 1), "round {round}: partitions per worker {parts:?}");
-        assert_eq!(parts.iter().sum::<u64>(), 4, "round {round}");
+        let submits = submits(&events(&ctx));
+        assert_eq!(submits.len() as u64, NPARTS, "round {round}: one request per partition");
+        let claimed_at = |q: u64| match q {
+            0 => Some(submits[0]),
+            q => submits.get((q + depth) as usize).copied(),
+        };
+        let workers = tasks_per_worker(&ctx);
+        let mut parts: Vec<u64> = workers.iter().flatten().map(|t| t.0).collect();
+        parts.sort_unstable();
+        assert_eq!(parts, (0..NPARTS).collect::<Vec<_>>(), "round {round}: each partition once");
+        let mut checked = 0;
+        for (tid, tasks) in workers.iter().enumerate() {
+            for &(q, begin, _) in tasks {
+                if let Some(at) = claimed_at(q) {
+                    assert!(at <= begin, "round {round}: worker {tid} began {q} before its claim");
+                }
+            }
+            for pair in tasks.windows(2) {
+                let ((p, _, ended), (q, _, _)) = (pair[0], pair[1]);
+                assert!(p < q, "round {round}: worker {tid} ran {q} after {p}");
+                if let Some(at) = claimed_at(q) {
+                    assert!(at >= ended, "round {round}: worker {tid} claimed {q} while on {p}");
+                    checked += 1;
+                }
+            }
+        }
+        // Partitions 0..=NPARTS − 1 − depth have a claim instant; with
+        // two workers one of them ran at least two of those in a row.
+        assert!(checked >= 1, "round {round}: no worker ran two claimable partitions");
     }
 }
 

@@ -1,9 +1,9 @@
-//! Thread-local sink accumulators (paper §3.3, operations g/h/i).
+//! Sink accumulators (paper §3.3, operations g/h/i).
 //!
 //! Cross-partition aggregations (full/column aggregation, groupby,
-//! Gramian) are accumulated per worker thread while partitions stream
-//! through the fused pass, then merged once at the end — no
-//! synchronization on the hot path.
+//! Gramian) accumulate each partition into its worker's own partials —
+//! no synchronization on the hot path — which the pass then folds in
+//! partition order as partitions finish (`exec::inorder::InOrder`).
 
 use crate::chunk::Chunk;
 use crate::dag::{Node, NodeKind};
@@ -158,7 +158,7 @@ impl SinkAcc {
         }
     }
 
-    /// Merge another thread's partial into this one.
+    /// Merge a later partition's partial into this one.
     ///
     /// # Panics
     /// Never for two accumulators of one sink node, the only pairs it is
@@ -193,6 +193,12 @@ impl SinkAcc {
             }
             _ => unreachable!("merging mismatched sink accumulators"),
         }
+    }
+
+    /// [`SinkAcc::merge`] each of a later partition's partials into the
+    /// matching running one.
+    pub(crate) fn merge_all(acc: &mut [SinkAcc], later: Vec<SinkAcc>) {
+        acc.iter_mut().zip(later).for_each(|(a, b)| a.merge(b));
     }
 
     /// Turn the merged accumulator into the sink's dense result.
@@ -231,14 +237,6 @@ impl SinkAcc {
                 }
                 Dense::from_vec(ngroups, p, vals)
             }
-        }
-    }
-
-    /// Group counts (groupby only) — used by `Mean` finalization tests.
-    pub fn group_counts(&self) -> Option<&[u64]> {
-        match self {
-            SinkAcc::GroupBy { counts, .. } => Some(counts),
-            _ => None,
         }
     }
 }
@@ -341,7 +339,8 @@ mod tests {
         let d = Chunk::from_slice::<f64>(4, 2, &[1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0]);
         let l = Chunk::from_slice::<i64>(4, 1, &[0, 1, 0, 1]);
         acc.update(&[&d, &l]);
-        assert_eq!(acc.group_counts().unwrap(), &[2, 2]);
+        let SinkAcc::GroupBy { counts, .. } = &acc else { unreachable!("a groupby sink") };
+        assert_eq!(counts, &[2, 2]);
         let out = acc.finalize();
         assert_eq!(out.at(0, 0), 4.0); // rows 0,2 of col 0: 1+3
         assert_eq!(out.at(1, 0), 6.0); // rows 1,3: 2+4

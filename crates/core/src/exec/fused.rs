@@ -7,8 +7,11 @@
 //! stream Pcache chunks depth-first through the operation graph with
 //! per-chunk memoization, recycle each chunk's buffer at its last read,
 //! fold sink accumulators per partition, and write tall outputs back as
-//! whole partitions. The Pcache step is sized by what that recycling
-//! leaves live at once ([`Plan::live_row_bytes`]).
+//! whole partitions. Each partition's sink partials and `cum.col` carries
+//! fold into the pass's results in partition order as partitions finish
+//! ([`InOrder`]), so a pass holds no per-partition sink state. The Pcache
+//! step is sized by what that recycling leaves live at once
+//! ([`Plan::live_row_bytes`]).
 //!
 //! Claiming and reading ahead are separate. Every pass claims from one
 //! cursor, in partition order. Every claim, by whichever worker, tops the
@@ -33,10 +36,10 @@
 use crate::analysis::chains::CompiledChain;
 use crate::chunk::{BufPool, Chunk, PartBufPool};
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
-use crate::exec::cumcoord::{CumCoord, Poisoned};
+use crate::exec::inorder::{InOrder, Poisoned};
 use crate::exec::plan::Plan;
 use crate::exec::{SinkAcc, Target, TargetResult};
-use crate::mat::{Layout, ReadAhead, TasMat};
+use crate::mat::{Layout, ReadAhead, TasMat, MAX_PENDING_WRITES};
 use crate::ops;
 use crate::part::pcache_ranges;
 use crate::session::{FlashCtx, StorageClass};
@@ -70,11 +73,6 @@ fn idle_chunk_bound(ctx: &FlashCtx) -> usize {
     2 * ctx.cfg().pcache_bytes
 }
 
-/// Upper bound on a worker's in-flight external-memory output writes.
-/// At the bound the worker waits for the *oldest* write only, keeping
-/// the remaining slots streaming.
-const MAX_PENDING_WRITES: usize = 8;
-
 /// Per-tall-output shared state.
 enum TallState {
     /// Each partition's output buffer, once a worker publishes it.
@@ -102,7 +100,8 @@ struct Shared<'a> {
     ctx: &'a FlashCtx,
     plan: &'a Plan,
     talls: &'a [TallState],
-    cums: &'a HashMap<u64, CumCoord>,
+    /// Each `cum.col` node's carry fold, by node id.
+    cums: HashMap<u64, InOrder<Vec<f64>>>,
     /// The claim cursor: the pass's partitions, in order, behind their
     /// shared read-ahead frontier.
     cursor: Mutex<ReadAhead<Range<u64>, LeafFetches>>,
@@ -110,13 +109,11 @@ struct Shared<'a> {
     /// device reads. Dropped with the pass, so nothing stays pooled
     /// between passes.
     leaf_bufs: PartBufPool,
-    /// Per-partition sink partials, folded in partition order at
-    /// finalize so reductions are bit-deterministic regardless of which
-    /// worker claimed which partition (thread-finish order is not).
-    merged: Mutex<Vec<Option<Vec<SinkAcc>>>>,
-    /// The first failed worker's panic. Stored before the pass's carry
-    /// chains are poisoned, so it is the cause and not a waiter released
-    /// by it.
+    /// Every partition's sink partials, folded in partition order as
+    /// partitions finish: bit-identical whichever worker claimed which.
+    sinks: InOrder<Vec<SinkAcc>>,
+    /// The first failed worker's panic. Stored before the pass's folds
+    /// are poisoned, so it is the cause and not a waiter released by it.
     failure: Mutex<Option<Box<dyn Any + Send>>>,
     /// Where the workers hand in their records; `Some` only while the
     /// tracer is at [`TraceLevel::Pass`] or above.
@@ -173,9 +170,6 @@ pub(crate) fn run_labeled(
         })
         .collect();
 
-    let cums: HashMap<u64, CumCoord> =
-        plan.cum_nodes.iter().map(|n| (n.id, CumCoord::default())).collect();
-
     let nparts = plan.nparts;
     let nthreads = ctx.cfg().nthreads.min(nparts as usize).max(1);
 
@@ -193,10 +187,10 @@ pub(crate) fn run_labeled(
         ctx,
         plan: &plan,
         talls: &tall_states,
-        cums: &cums,
+        cums: plan.cum_nodes.iter().map(|n| (n.id, InOrder::default())).collect(),
         cursor: Mutex::new(ReadAhead::new(0..nparts, nthreads * ahead)),
         leaf_bufs: PartBufPool::new(),
-        merged: Mutex::new((0..plan.nparts as usize).map(|_| None).collect()),
+        sinks: InOrder::default(),
         failure: Mutex::new(None),
         records: records.as_ref(),
         log: tracer.log(),
@@ -223,26 +217,12 @@ pub(crate) fn run_labeled(
         std::panic::resume_unwind(payload);
     }
 
-    // Finalize. Sink partials are folded in partition order — never in
-    // worker-finish order — so floating-point reductions are
-    // bit-identical run to run even under dynamic partition claiming.
+    // Finalize. The workers already folded the sink partials in
+    // partition order — never in worker-finish order — so floating-point
+    // reductions are bit-identical run to run under dynamic claiming.
     let mut results: Vec<Option<TargetResult>> = (0..targets.len()).map(|_| None).collect();
-    if !plan.sinks.is_empty() {
-        let mut merged = shared.merged.lock();
-        let mut finals: Vec<Option<SinkAcc>> = (0..plan.sinks.len()).map(|_| None).collect();
-        for part_accs in merged.iter_mut() {
-            let accs = part_accs.take().expect("partition sinks never accumulated");
-            for (i, acc) in accs.into_iter().enumerate() {
-                match &mut finals[i] {
-                    slot @ None => *slot = Some(acc),
-                    Some(existing) => existing.merge(acc),
-                }
-            }
-        }
-        for (i, (slot, _)) in plan.sinks.iter().enumerate() {
-            let acc = finals[i].take().expect("sink never accumulated");
-            results[*slot] = Some(TargetResult::Dense(acc.finalize()));
-        }
+    for ((slot, _), acc) in plan.sinks.iter().zip(shared.sinks.finish().unwrap_or_default()) {
+        results[*slot] = Some(TargetResult::Dense(acc.finalize()));
     }
     for (t, state) in plan.talls.iter().zip(tall_states) {
         let mat = match state {
@@ -334,12 +314,13 @@ pub(crate) fn run_labeled(
 }
 
 impl Shared<'_> {
-    /// Record a worker's failure — the pass's first is kept — and release
-    /// every `cum.col` waiter, which would otherwise wait for a carry the
-    /// failed worker will never publish.
+    /// Record a worker's failure — the pass's first is kept — and poison
+    /// the pass's folds, releasing every `cum.col` waiter, which would
+    /// otherwise wait for a carry the failed worker will never deposit.
     fn fail(&self, payload: Box<dyn Any + Send>) {
         self.failure.lock().get_or_insert(payload);
-        self.cums.values().for_each(CumCoord::poison);
+        self.sinks.poison();
+        self.cums.values().for_each(InOrder::poison);
     }
 }
 
@@ -420,9 +401,9 @@ fn worker(tid: usize, shared: &Shared<'_>) {
         wp.io_wait_nanos += nanos;
         let compute_t0 = Instant::now();
         lane.begin("exec", "compute", NO_ARGS);
-        // Fresh accumulators per partition: partials deposit into the
-        // partition's slot and fold in partition order at finalize,
-        // keeping reductions independent of worker scheduling.
+        // Fresh accumulators per partition: they fold into the pass's
+        // sinks in partition order, keeping reductions independent of
+        // worker scheduling.
         let mut sink_accs: Vec<SinkAcc> =
             plan.sinks.iter().map(|(_, n)| SinkAcc::new_for(n)).collect();
         let chunks = process_part(
@@ -444,7 +425,7 @@ fn worker(tid: usize, shared: &Shared<'_>) {
             }
         }
         if !sink_accs.is_empty() {
-            shared.merged.lock()[part as usize] = Some(sink_accs);
+            shared.sinks.deposit(part, sink_accs, |acc, later| SinkAcc::merge_all(acc, later));
         }
         lane.end("exec", "compute");
         let nanos = compute_t0.elapsed().as_nanos() as u64;
@@ -479,7 +460,7 @@ fn worker(tid: usize, shared: &Shared<'_>) {
 /// Evaluation environment for one partition.
 struct PartEnv<'a> {
     plan: &'a Plan,
-    cums: &'a HashMap<u64, CumCoord>,
+    cums: &'a HashMap<u64, InOrder<Vec<f64>>>,
     /// This partition's fetched leaf buffers, by plan slot.
     leaf_bufs: &'a [Option<Arc<IoBuf>>],
     part: u64,
@@ -599,7 +580,7 @@ fn process_part(
     let part_rows = plan.parter.part_rows(part, plan.nrows);
     let grow0 = part * plan.parter.rows_per_part();
     let stats = shared.ctx.stats();
-    let env = PartEnv { plan, cums: shared.cums, leaf_bufs, part, part_rows, grow0, stats, lane };
+    let env = PartEnv { plan, cums: &shared.cums, leaf_bufs, part, part_rows, grow0, stats, lane };
     let mut nchunks = 0u64;
 
     // Output partition buffers for tall targets (column-major). Every
@@ -964,15 +945,15 @@ fn eval_uncached(
                 Some(full) => full.clone(),
                 None => {
                     let input_full = eval(env, st, input, 0, env.part_rows);
-                    let coord = &env.cums[&node.id];
-                    // A poisoned chain means another worker failed: unwind
+                    let carries = &env.cums[&node.id];
+                    // A poisoned fold means another worker failed: unwind
                     // quietly, the pass reports that failure.
-                    let carry = coord
-                        .wait_carry(env.part)
+                    let carry = carries
+                        .wait_prefix(env.part)
                         .unwrap_or_else(|p: Poisoned| std::panic::resume_unwind(Box::new(p)));
                     let (out, new_carry) =
                         ops::cum_col_chunk(*op, &input_full, carry.as_deref(), &mut st.pool);
-                    coord.publish(env.part, new_carry);
+                    carries.deposit(env.part, new_carry, |acc, later| *acc = later);
                     let full = Rc::new(out);
                     st.memo.whole[slot] = Some(full.clone());
                     full

@@ -10,9 +10,9 @@
 //!   the paper's Figure 10 ablation).
 
 mod accum;
-mod cumcoord;
 mod eager;
 mod fused;
+mod inorder;
 mod plan;
 
 pub use accum::SinkAcc;

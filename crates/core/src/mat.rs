@@ -10,7 +10,7 @@ use crate::chunk::{BufPool, Chunk, PartBufPool};
 use crate::dtype::{DType, Scalar};
 use crate::element::Element;
 use crate::part::Partitioner;
-use flashr_safs::{CachedFetch, IoBuf, Safs, SafsFile, SafsResult};
+use flashr_safs::{CachedFetch, IoBuf, IoTicket, Safs, SafsFile, SafsResult};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -80,6 +80,12 @@ impl Drop for TasInner {
         }
     }
 }
+
+/// Upper bound on one writer's in-flight partition writes to the array:
+/// each executor worker's, and a [`TasMat::to_em`] copy's. At the bound
+/// the writer waits for the *oldest* write only, keeping the remaining
+/// slots streaming.
+pub const MAX_PENDING_WRITES: usize = 8;
 
 /// A bounded read-ahead window over an ordered sequence of partitions
 /// (paper §3.3: with sequential dispatch the next partitions' reads are
@@ -447,7 +453,10 @@ impl TasMat {
         out
     }
 
-    /// Copy this matrix into a fresh EM matrix on `safs`.
+    /// Copy this matrix into a fresh EM matrix on `safs`. At most
+    /// [`MAX_PENDING_WRITES`] partition copies are in flight: at the bound
+    /// the scan waits for the oldest write, so a spill never holds a
+    /// second copy of the matrix.
     pub fn to_em(&self, safs: &Safs) -> TasMat {
         let name = safs.unique_name("tas");
         let elem = self.inner.dtype.size() as u64;
@@ -455,9 +464,14 @@ impl TasMat {
         let total = self.inner.nrows * self.inner.ncols as u64 * elem;
         let file = safs.create_bytes(&name, part_bytes, total).expect("EM matrix create failed");
         file.set_delete_on_drop(true);
-        let mut pending = Vec::new();
+        let mut pending: VecDeque<IoTicket> = VecDeque::new();
         for (part, buf) in self.scan(0..self.nparts()) {
-            pending.push(
+            if pending.len() >= MAX_PENDING_WRITES {
+                if let Some(oldest) = pending.pop_front() {
+                    oldest.wait().expect("EM write failed");
+                }
+            }
+            pending.push_back(
                 file.write_part_async(part, IoBuf::from_bytes(buf.as_bytes()))
                     .expect("EM write submit failed"),
             );

@@ -12,20 +12,20 @@ use flashr_core::ops::{AggOp, BinaryOp, UnaryOp};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_linalg::Dense;
 use flashr_safs::SafsConfig;
-use flashr_testkit::cases;
 use flashr_testkit::oracle::{assert_close, assert_same, Mat};
+use flashr_testkit::{cases, TempDir};
 use std::sync::Arc;
 
 fn im_ctx() -> FlashCtx {
     FlashCtx::with_config(CtxConfig { rows_per_part: 64, nthreads: 4, ..Default::default() }, None)
 }
 
-fn em_ctx(tag: &str) -> FlashCtx {
-    let dir =
-        std::env::temp_dir().join(format!("flashr-analysis-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(dir, 2)).unwrap();
-    FlashCtx::with_config(
+/// An EM context on a two-shard array under the returned directory,
+/// which goes when the guard drops.
+fn em_ctx(tag: &str) -> (TempDir, FlashCtx) {
+    let dir = TempDir::new(&format!("analysis-test-{tag}"));
+    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
+    let ctx = FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 64,
             nthreads: 2,
@@ -33,7 +33,8 @@ fn em_ctx(tag: &str) -> FlashCtx {
             ..Default::default()
         },
         Some(safs),
-    )
+    );
+    (dir, ctx)
 }
 
 fn tall_node(fm: &FM) -> Arc<Node> {
@@ -96,7 +97,8 @@ fn inference_matches_eager_execution_shapes() {
 /// program that spells it once costs — in eager passes and EM bytes read.
 #[test]
 fn cse_is_bit_identical_and_saves_passes_and_bytes() {
-    let em = em_ctx("cse-ab").with_mode(ExecMode::Eager);
+    let (_dir, em) = em_ctx("cse-ab");
+    let em = em.with_mode(ExecMode::Eager);
     let x = FM::runif(&em, 1000, 2, 0.0, 1.0, 42).materialize(&em);
 
     let run = |build: &dyn Fn() -> FM| {
@@ -164,7 +166,7 @@ fn rewrite_is_idempotent() {
 /// a single partition from the SSDs.
 #[test]
 fn check_rejects_mismatched_mapply_before_any_io() {
-    let em = em_ctx("badmap");
+    let (_dir, em) = em_ctx("badmap");
     let a = FM::runif(&em, 512, 3, 0.0, 1.0, 1).materialize(&em);
     let b = FM::runif(&em, 512, 2, 0.0, 1.0, 2).materialize(&em);
     let forged = Node::raw(
@@ -402,7 +404,7 @@ fn cache_handles_survive_the_rewrite() {
 /// fused mode) silences the lint.
 #[test]
 fn w004_flags_em_rescans_beyond_cache_budget() {
-    let ctx = em_ctx("w004");
+    let (_dir, ctx) = em_ctx("w004");
     let eager = ctx.with_mode(ExecMode::Eager);
     // An EM leaf consumed twice: two eager passes, two device scans.
     let x = FM::runif(&eager, 1024, 4, 0.0, 1.0, 2).materialize(&eager);
@@ -509,7 +511,7 @@ fn deny_lints_env_reaches_check_check_json_and_materialize() {
 fn check_json_round_trips_through_the_strict_reader() {
     const FOOTPRINT_KEYS: [&str; 3] = ["gen_bytes", "read_bytes", "write_bytes"];
     let im = im_ctx();
-    let em = em_ctx("check-json");
+    let (_dir, em) = em_ctx("check-json");
     let consts = [0.5, -1.5, f64::NAN, f64::INFINITY];
     cases(24, |rng, case| {
         let ctx = if case % 2 == 0 { &im } else { &em };

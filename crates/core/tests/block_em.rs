@@ -9,15 +9,18 @@ use flashr_core::ops::{BinaryOp, UnaryOp};
 use flashr_core::session::{CtxConfig, FlashCtx, StorageClass};
 use flashr_linalg::Dense;
 use flashr_safs::SafsConfig;
+use flashr_testkit::TempDir;
 
-fn em_ctx(tag: &str) -> FlashCtx {
-    let dir = std::env::temp_dir().join(format!("flashr-blockem-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(dir, 3)).unwrap();
-    FlashCtx::with_config(
+/// An EM context on a three-shard array under the returned directory,
+/// which goes when the guard drops.
+fn em_ctx(tag: &str) -> (TempDir, FlashCtx) {
+    let dir = TempDir::new(&format!("blockem-{tag}"));
+    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 3)).unwrap();
+    let ctx = FlashCtx::with_config(
         CtxConfig { rows_per_part: 256, storage: StorageClass::Em, ..Default::default() },
         Some(safs),
-    )
+    );
+    (dir, ctx)
 }
 
 fn im_ctx() -> FlashCtx {
@@ -28,7 +31,7 @@ fn im_ctx() -> FlashCtx {
 /// the same matrix in memory.
 #[test]
 fn block_matrix_on_ssds_matches_memory() {
-    let em = em_ctx("basic");
+    let (_dir, em) = em_ctx("basic");
     let im = im_ctx();
     let n = 2000u64;
     let p = 70usize; // past two 32-column blocks
@@ -65,7 +68,7 @@ fn block_pipeline_stays_fused_per_block_group() {
 /// An element-wise chain over a 40-column matrix on the array.
 #[test]
 fn block_elementwise_chain_on_em() {
-    let em = em_ctx("chain");
+    let (_dir, em) = em_ctx("chain");
     let x = FM::runif(&em, 1500, 40, 0.0, 1.0, 4).materialize(&em);
     let total = x.unary(UnaryOp::Square).binary_scalar(BinaryOp::Add, 1.0, false).sum().value(&em);
     // E[u²] + 1 per element = 4/3.
@@ -90,7 +93,7 @@ fn wide_matrix_matmul_through_blocks() {
 /// its dense copy.
 #[test]
 fn block_row_sums_on_em_match_whole() {
-    let em = em_ctx("rowsums");
+    let (_dir, em) = em_ctx("rowsums");
     let x = FM::runif(&em, 1200, 50, -1.0, 1.0, 8).materialize(&em);
     let got = x.row_sums().to_vec(&em);
     let dense = x.to_dense(&em);

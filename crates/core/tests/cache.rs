@@ -1,19 +1,22 @@
 //! The SA-cache + memory governor across the engine: warm scans of an EM
 //! leaf hit the page cache instead of the device, over-budget `set.cache`
 //! matrices spill to SAFS temporaries and round-trip bit-identically, a
-//! zero-size cache reproduces the uncached read counts exactly, and a
-//! `set.cache` node keeps its data whichever call materializes it.
+//! zero-size cache reproduces the uncached read counts exactly, a
+//! `set.cache` node keeps its data whichever call materializes it, and a
+//! spill streams its writes.
 
 use flashr_core::fm::FM;
-use flashr_core::mat::Store;
+use flashr_core::mat::{Store, MAX_PENDING_WRITES};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, MemBudget, StorageClass};
-use flashr_safs::{CacheCfg, Safs, SafsConfig};
+use flashr_safs::{CacheCfg, Safs, SafsConfig, ThrottleCfg};
+use flashr_testkit::TempDir;
 
-fn em_ctx(tag: &str, budget: Option<MemBudget>) -> FlashCtx {
-    let dir = std::env::temp_dir().join(format!("flashr-cachetest-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let safs = Safs::open(SafsConfig::striped_under(dir, 2)).unwrap();
-    FlashCtx::with_config(
+/// An EM context on a two-shard array under the returned directory,
+/// which goes when the guard drops.
+fn em_ctx(tag: &str, budget: Option<MemBudget>) -> (TempDir, FlashCtx) {
+    let dir = TempDir::new(&format!("cachetest-{tag}"));
+    let safs = Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
+    let ctx = FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 256,
             storage: StorageClass::Em,
@@ -21,7 +24,8 @@ fn em_ctx(tag: &str, budget: Option<MemBudget>) -> FlashCtx {
             ..Default::default()
         },
         Some(safs),
-    )
+    );
+    (dir, ctx)
 }
 
 #[test]
@@ -29,7 +33,7 @@ fn warm_rescan_of_em_leaf_reads_no_device() {
     // Budget holds the whole input: after the cold pass, re-reads are
     // pure cache hits (the ISSUE's acceptance bar for iterative EM
     // workloads).
-    let ctx = em_ctx("warm", Some(MemBudget::new(64 * 1024 * 1024)));
+    let (_dir, ctx) = em_ctx("warm", Some(MemBudget::new(64 * 1024 * 1024)));
     let x = FM::runif(&ctx, 2048, 8, -1.0, 1.0, 42).materialize(&ctx);
 
     // Cold scan populates the cache.
@@ -53,7 +57,7 @@ fn warm_rescan_of_em_leaf_reads_no_device() {
 fn over_budget_set_cache_spills_and_reloads() {
     // Pin budget of ~64 KiB (half of 128 KiB): a 2048x8 f64 cache
     // candidate (128 KiB) cannot pin and must spill to a SAFS temporary.
-    let ctx = em_ctx("spill", Some(MemBudget::new(128 * 1024)));
+    let (_dir, ctx) = em_ctx("spill", Some(MemBudget::new(128 * 1024)));
     // The matrix itself lives in memory (leaf), only the set.cache
     // product is governed, so generate in-memory then cache a product.
     let x = FM::runif(&ctx, 2048, 8, -1.0, 1.0, 7);
@@ -78,7 +82,7 @@ fn over_budget_set_cache_spills_and_reloads() {
 
 #[test]
 fn within_budget_set_cache_pins_in_memory() {
-    let ctx = em_ctx("pin", Some(MemBudget::new(64 * 1024 * 1024)));
+    let (_dir, ctx) = em_ctx("pin", Some(MemBudget::new(64 * 1024 * 1024)));
     let x = FM::runif(&ctx, 1024, 4, -1.0, 1.0, 3);
     let y = x.square();
     y.set_cache(true);
@@ -99,9 +103,8 @@ fn zero_capacity_cache_matches_uncached_read_counts() {
     // Their device read counts must agree exactly (ISSUE acceptance:
     // size 0 preserves today's behavior bit-identically).
     let run = |tag: &str, cache: Option<CacheCfg>| {
-        let dir = std::env::temp_dir().join(format!("flashr-cache0-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = SafsConfig::striped_under(dir, 2);
+        let dir = TempDir::new(&format!("cache0-{tag}"));
+        let mut cfg = SafsConfig::striped_under(&dir, 2);
         if let Some(c) = cache {
             cfg = cfg.with_cache(c);
         }
@@ -154,7 +157,8 @@ fn in_memory(mode: ExecMode) -> FlashCtx {
 fn a_cached_target_keeps_its_data_in_every_mode() {
     let (n, p) = (1000, 3);
     for mode in [ExecMode::CacheFuse, ExecMode::MemFuse, ExecMode::Eager] {
-        let em = em_ctx(&format!("target-{mode:?}"), None).with_mode(mode);
+        let (_dir, em) = em_ctx(&format!("target-{mode:?}"), None);
+        let em = em.with_mode(mode);
         for (storage, ctx) in [("im", in_memory(mode)), ("em", em)] {
             for how in [Trigger::Materialize, Trigger::MultiWithSink, Trigger::ToDense] {
                 let what = format!("{mode:?} {storage} {how:?}");
@@ -199,9 +203,8 @@ fn handles_merged_by_cse_share_one_cache() {
 fn an_over_budget_cached_target_spills_once() {
     // A 2048×8 f64 target (128 KiB) computed in memory against a ~64 KiB
     // pin budget: the pass spills it and hands back the spilled matrix.
-    let dir = std::env::temp_dir().join(format!("flashr-cachetest-tspill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let safs = Safs::open(SafsConfig::striped_under(dir, 2)).unwrap();
+    let dir = TempDir::new("cachetest-tspill");
+    let safs = Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
     let ctx = FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 256,
@@ -225,4 +228,35 @@ fn an_over_budget_cached_target_spills_once() {
         Store::InMem(_) => panic!("an over-budget cache must spill"),
     };
     assert_eq!(file(&got), file(&y), "the target returns the spilled cache itself");
+}
+
+#[test]
+fn a_spill_keeps_at_most_max_pending_writes_queued() {
+    // 64 partitions of 1 KiB, spilled against a 1 KiB pin budget onto
+    // one throttled disk: each write takes 2 ms, so a spill that queued
+    // one write per partition before waiting would reach a depth of 64.
+    let dir = TempDir::new("cachetest-spill-queue");
+    let throttle = ThrottleCfg { bytes_per_sec: 1024.0 / 2e-3, latency_us: 0.0 };
+    let safs = Safs::open(SafsConfig::single_dir(&dir).with_throttle(throttle)).unwrap();
+    let ctx = FlashCtx::with_config(
+        CtxConfig {
+            rows_per_part: 64,
+            mem_budget: Some(MemBudget::new(1024)),
+            ..Default::default()
+        },
+        Some(safs),
+    );
+    let y = FM::runif(&ctx, 64 * 64, 2, -1.0, 1.0, 3).square();
+    y.set_cache(true);
+    let got = y.materialize(&ctx);
+    assert_eq!(ctx.governor().spills(), 1);
+    let io = ctx.safs().unwrap().stats_snapshot();
+    assert_eq!(io.write_reqs, 64, "one write per partition");
+    assert!(
+        io.max_queue_depth <= MAX_PENDING_WRITES as u64,
+        "{} writes queued at once, bound {MAX_PENDING_WRITES}",
+        io.max_queue_depth
+    );
+    let want = FM::runif(&ctx, 64 * 64, 2, -1.0, 1.0, 3).square().to_vec(&ctx);
+    assert_eq!(got.to_vec(&ctx), want, "the spilled copy reads back");
 }

@@ -5,6 +5,7 @@ use flashr_core::fm::FM;
 use flashr_core::ops::{AggOp, BinaryOp};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_safs::SafsConfig;
+use flashr_testkit::TempDir;
 
 fn im_ctx(threads: usize) -> FlashCtx {
     FlashCtx::with_config(
@@ -13,11 +14,12 @@ fn im_ctx(threads: usize) -> FlashCtx {
     )
 }
 
-fn em_ctx(tag: &str, threads: usize) -> FlashCtx {
-    let dir = std::env::temp_dir().join(format!("flashr-engine-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(dir, 4)).unwrap();
-    FlashCtx::with_config(
+/// An EM context on a four-shard array under the returned directory,
+/// which goes when the guard drops.
+fn em_ctx(tag: &str, threads: usize) -> (TempDir, FlashCtx) {
+    let dir = TempDir::new(&format!("engine-test-{tag}"));
+    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 4)).unwrap();
+    let ctx = FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 128,
             nthreads: threads,
@@ -25,7 +27,8 @@ fn em_ctx(tag: &str, threads: usize) -> FlashCtx {
             ..Default::default()
         },
         Some(safs),
-    )
+    );
+    (dir, ctx)
 }
 
 /// A deterministic workload touching map, matmul, agg.row, sinks.
@@ -41,7 +44,7 @@ fn workload(ctx: &FlashCtx, n: u64) -> (f64, Vec<f64>, Vec<f64>) {
 #[test]
 fn em_matches_im_results() {
     let im = im_ctx(4);
-    let em = em_ctx("em-vs-im", 4);
+    let (_dir, em) = em_ctx("em-vs-im", 4);
     let (t1, c1, r1) = workload(&im, 1000);
     let (t2, c2, r2) = workload(&em, 1000);
     assert!((t1 - t2).abs() < 1e-9);
@@ -53,7 +56,7 @@ fn em_matches_im_results() {
 
 #[test]
 fn em_materialization_actually_hits_the_ssds() {
-    let em = em_ctx("traffic", 2);
+    let (_dir, em) = em_ctx("traffic", 2);
     let before = em.safs().unwrap().stats_snapshot();
     let x = FM::runif(&em, 2000, 2, 0.0, 1.0, 1);
     let m = x.materialize(&em);
@@ -108,7 +111,8 @@ fn eager_mode_runs_one_pass_per_op() {
 
 #[test]
 fn eager_em_mode_spills_intermediates_to_ssds() {
-    let em = em_ctx("eager-spill", 2).with_mode(ExecMode::Eager);
+    let (_dir, em) = em_ctx("eager-spill", 2);
+    let em = em.with_mode(ExecMode::Eager);
     let x = FM::runif(&em, 2000, 2, 0.0, 1.0, 3).materialize(&em);
     let before = em.safs().unwrap().stats_snapshot();
     ((&(&x + 1.0) * 2.0).sqrt()).sum().value(&em);
@@ -124,7 +128,7 @@ fn eager_em_mode_spills_intermediates_to_ssds() {
 
 #[test]
 fn cache_fuse_em_moves_only_input_bytes() {
-    let em = em_ctx("fuse-traffic", 2);
+    let (_dir, em) = em_ctx("fuse-traffic", 2);
     let x = FM::runif(&em, 2000, 2, 0.0, 1.0, 3).materialize(&em);
     let before = em.safs().unwrap().stats_snapshot();
     ((&(&x + 1.0) * 2.0).sqrt()).sum().value(&em);
@@ -136,7 +140,7 @@ fn cache_fuse_em_moves_only_input_bytes() {
 
 #[test]
 fn cumsum_em_single_pass() {
-    let em = em_ctx("cum", 4);
+    let (_dir, em) = em_ctx("cum", 4);
     let x = FM::constant(1000, 2, 1.0).materialize(&em);
     let before = em.stats().snapshot();
     let c = x.cumsum_col().materialize(&em);
@@ -148,7 +152,7 @@ fn cumsum_em_single_pass() {
 
 #[test]
 fn groupby_and_kmeans_style_fusion_on_em() {
-    let em = em_ctx("kmeans-ish", 4);
+    let (_dir, em) = em_ctx("kmeans-ish", 4);
     // Points at 0 and 10; centers at 1 and 9.
     let half = 500u64;
     let x = FM::rbind(&em, &FM::constant(half, 1, 0.0), &FM::constant(half, 1, 10.0));
@@ -182,9 +186,8 @@ fn single_threaded_and_parallel_agree() {
 
 #[test]
 fn set_cache_can_target_the_ssds() {
-    let dir = std::env::temp_dir().join(format!("flashr-engine-cachestore-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(dir, 2)).unwrap();
+    let dir = TempDir::new("engine-cachestore");
+    let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
     let ctx = FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 128,

@@ -7,10 +7,12 @@
 use flashr_core::json;
 use flashr_core::session::{CtxConfig, FlashCtx, StorageClass};
 use flashr_safs::{Safs, SafsConfig, SafsError, RETRY_ATTEMPTS};
+use flashr_testkit::TempDir;
 
-fn em_ctx(tag: &str) -> (FlashCtx, Safs) {
-    let dir = std::env::temp_dir().join(format!("flashr-io-retry-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// An EM context on a two-shard array under the returned directory,
+/// which goes when the guard drops.
+fn em_ctx(tag: &str) -> (TempDir, FlashCtx, Safs) {
+    let dir = TempDir::new(&format!("io-retry-{tag}"));
     let safs = Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
     let ctx = FlashCtx::with_config(
         CtxConfig {
@@ -21,12 +23,12 @@ fn em_ctx(tag: &str) -> (FlashCtx, Safs) {
         },
         Some(safs.clone()),
     );
-    (ctx, safs)
+    (dir, ctx, safs)
 }
 
 #[test]
 fn recovered_retries_count_but_do_not_dump() {
-    let (ctx, safs) = em_ctx("ok");
+    let (_dir, ctx, safs) = em_ctx("ok");
     let f = safs.create("retry-ok", 4096, 4).unwrap();
     for p in 0..4 {
         f.write_part(p, &vec![p as u8; 4096]).unwrap();
@@ -61,7 +63,7 @@ fn recovered_retries_count_but_do_not_dump() {
 
 #[test]
 fn exhausted_retries_error_and_dump_flight_recorder() {
-    let (ctx, safs) = em_ctx("fail");
+    let (_dir, ctx, safs) = em_ctx("fail");
     let path =
         std::env::temp_dir().join(format!("flashr-io-retry-dump-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);

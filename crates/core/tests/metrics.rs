@@ -1,7 +1,8 @@
 //! Integration tests for the always-on counters: engine counters
 //! surfacing in the profile JSON after a materialization, the JSON's
-//! counter and pass key sets, allocation-free hot-path recording (checked with a
-//! counting global allocator), and a forced flight recorder dump
+//! counter and pass key sets, allocation-free hot-path recording and a
+//! sink pass's heap that stays flat in its partition count (both checked
+//! with a counting global allocator), and a forced flight recorder dump
 //! carrying exec spans plus the counters.
 //!
 //! The panic-triggered dump lives in its own binary
@@ -9,9 +10,10 @@
 //! recorder in the process, so it must not share a process with tests
 //! that build contexts of their own.
 
+use flashr_core::dtype::DType;
 use flashr_core::fm::FM;
 use flashr_core::json::{self, Value};
-use flashr_core::ops::BinaryOp;
+use flashr_core::ops::{AggOp, BinaryOp};
 use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_core::trace::timeline::RECENT_EVENTS_PER_LANE;
 use flashr_core::trace::{Timeline, TraceLevel};
@@ -19,24 +21,34 @@ use flashr_safs::{CacheCfg, Safs, SafsConfig, NO_ARGS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// System allocator wrapped with a per-thread allocation counter, so a
-/// test can assert that a code region allocates nothing on its thread
-/// without being confused by concurrent test threads.
+/// System allocator wrapped with per-thread counters — allocations, live
+/// bytes and their high-water mark — so a test can measure what a code
+/// region allocates on its thread without being confused by concurrent
+/// test threads.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus the bytes it freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest `LIVE` since [`peak_heap_during`] last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // try_with: the TLS slot may already be gone during thread
+        // try_with: the TLS slots may already be gone during thread
         // teardown; those allocations are not ours to count.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = LIVE.try_with(|l| {
+            l.set(l.get() + layout.size() as isize);
+            let _ = PEAK.try_with(|p| p.set(p.get().max(l.get())));
+        });
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|l| l.set(l.get() - layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -46,6 +58,15 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(|c| c.get())
+}
+
+/// The most heap bytes `f` held at once on this thread, above what the
+/// thread held when it started.
+fn peak_heap_during(f: impl FnOnce()) -> usize {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(start));
+    f();
+    (PEAK.with(Cell::get) - start) as usize
 }
 
 fn small_ctx() -> FlashCtx {
@@ -239,6 +260,37 @@ fn hot_path_recording_does_not_allocate() {
     let after = allocs_on_this_thread();
     assert_eq!(after - before, 0, "hot-path recording must not allocate");
     assert_eq!(lane.len(), RECENT_EVENTS_PER_LANE, "full, evicting its oldest");
+}
+
+/// Table 6's memory shape, for one pass: a full, a column, a Gramian and
+/// a `groupby.row` sink over a generated 16-column leaf (no input
+/// resident) in 64-row partitions hold the same peak heap at 2¹² as at
+/// 2⁸ partitions. One worker, so the pass runs on this thread and its
+/// peak does not depend on scheduling. A pass that kept every
+/// partition's partials until its end would hold over 2 KiB more per
+/// partition — 8 MiB more at 2¹².
+#[test]
+fn a_sink_pass_heap_is_flat_in_its_partition_count() {
+    /// Allowed growth from 2⁸ to 2¹² partitions.
+    const MARGIN: usize = 64 << 10;
+    let cfg = CtxConfig { nthreads: 1, rows_per_part: 64, ..CtxConfig::default() };
+    let ctx = FlashCtx::with_config(cfg, None);
+    let peak = |nparts: u64| {
+        let x = FM::rnorm(&ctx, nparts * 64, 16, 0.0, 1.0, 7);
+        let labels = FM::runif(&ctx, nparts * 64, 1, 0.0, 2.5, 8).cast(DType::I64);
+        let sinks = [x.sum(), x.col_sums(), x.crossprod(), x.groupby_row(&labels, AggOp::Sum, 3)];
+        peak_heap_during(|| {
+            let outs = FM::materialize_multi(&ctx, &sinks.iter().collect::<Vec<_>>());
+            assert_eq!(outs[2].to_dense(&ctx).rows(), 16);
+        })
+    };
+    // The first pass on a thread fills its chunk-buffer pool.
+    peak(1 << 8);
+    let (small, large) = (peak(1 << 8), peak(1 << 12));
+    assert!(
+        large <= small + MARGIN,
+        "peak heap {large} B at 2^12 partitions, {small} B at 2^8 (margin {MARGIN} B)"
+    );
 }
 
 #[test]

@@ -245,10 +245,13 @@ fn worker_main(rx: Arc<Mutex<Receiver<IoReq>>>, ctx: WorkerCtx) {
                 ctx.shard_stats.depth().saturating_sub(1),
             );
         }
-        // The submitter may have dropped its ticket; that's fine.
-        let _ = req.done.send(result);
+        // The request leaves the queue before its submitter can wake: a
+        // submitter that waits for one write before issuing the next then
+        // never sees both counted at once.
         ctx.shard_stats.queue_exit();
         ctx.stats.queue_exit();
+        // The submitter may have dropped its ticket; that's fine.
+        let _ = req.done.send(result);
     }
 }
 

@@ -49,9 +49,8 @@ impl SemCsr {
             part_bytes = part_bytes.max(part_payload_bytes(r1 - r0, nnz));
         }
 
-        let file = safs
-            .create(name, part_bytes as u64, nparts as u64)
-            .expect("SEM matrix create failed");
+        let file =
+            safs.create(name, part_bytes as u64, nparts as u64).expect("SEM matrix create failed");
         file.set_delete_on_drop(true);
 
         let mut writes = Vec::new();
@@ -186,16 +185,19 @@ impl SemCsr {
 mod tests {
     use super::*;
     use flashr_safs::SafsConfig;
+    use flashr_testkit::TempDir;
 
-    fn safs(tag: &str) -> Safs {
-        let dir = std::env::temp_dir().join(format!("flashr-sem-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Safs::open(SafsConfig::striped_under(dir, 3)).unwrap()
+    /// A three-shard array under the returned directory, which goes when
+    /// the guard drops.
+    fn safs(tag: &str) -> (TempDir, Safs) {
+        let dir = TempDir::new(&format!("sem-{tag}"));
+        let safs = Safs::open(SafsConfig::striped_under(&dir, 3)).unwrap();
+        (dir, safs)
     }
 
     #[test]
     fn roundtrip_through_the_array() {
-        let safs = safs("roundtrip");
+        let (_dir, safs) = safs("roundtrip");
         let m = CsrMatrix::random(500, 300, 5, 11);
         let sem = SemCsr::store(&safs, "m", &m, 64);
         assert_eq!(sem.nnz(), m.nnz() as u64);
@@ -205,7 +207,7 @@ mod tests {
 
     #[test]
     fn sem_spmm_matches_in_memory() {
-        let safs = safs("spmm");
+        let (_dir, safs) = safs("spmm");
         let m = CsrMatrix::random(400, 400, 8, 3);
         let sem = SemCsr::store(&safs, "g", &m, 32);
         // k = 0: a zero-width product is a 400 × 0 result, not a panic.
@@ -220,7 +222,7 @@ mod tests {
 
     #[test]
     fn single_partition_edge() {
-        let safs = safs("single");
+        let (_dir, safs) = safs("single");
         let m = CsrMatrix::random(10, 10, 3, 1);
         let sem = SemCsr::store(&safs, "s", &m, 1000);
         assert_eq!(sem.nparts(), 1);
@@ -230,7 +232,7 @@ mod tests {
 
     #[test]
     fn uneven_last_partition() {
-        let safs = safs("uneven");
+        let (_dir, safs) = safs("uneven");
         let m = CsrMatrix::random(77, 50, 4, 9);
         let sem = SemCsr::store(&safs, "u", &m, 16); // 77 = 4×16 + 13
         assert_eq!(sem.nparts(), 5);

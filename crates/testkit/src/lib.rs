@@ -1,5 +1,6 @@
-//! The test suites' one source of randomness: a seeded generator and a
-//! case runner that says how to replay a failing case.
+//! The test suites' one source of randomness — a seeded generator and a
+//! case runner that says how to replay a failing case — and their scratch
+//! directories, which go away with the test that made them.
 //!
 //! Runs are deterministic — case `i` of every [`cases`] call draws from
 //! [`Rng::new`]`(`[`case_seed`]`(i))` — so a failure reproduces by running
@@ -10,6 +11,7 @@
 pub mod oracle;
 
 use std::ops::Range;
+use std::path::{Path, PathBuf};
 
 /// splitmix64 (Steele, Lea & Flood 2014): every seed, 0 included, gives a
 /// full-period stream.
@@ -88,6 +90,38 @@ pub fn cases(n: usize, mut body: impl FnMut(&mut Rng, usize)) {
     }
 }
 
+/// A scratch directory, `flashr-<tag>-<pid>` under the system temp
+/// directory: made empty when opened, removed with everything in it when
+/// dropped — on a failing assertion's unwind too.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    pub fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("flashr-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("create scratch directory {}: {e}", dir.display()));
+        TempDir(dir)
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,5 +152,18 @@ mod tests {
         assert_eq!(firsts.len(), 4, "cases after the failing one must not run");
         firsts.dedup();
         assert_eq!(firsts.len(), 4, "every case has its own stream");
+    }
+
+    #[test]
+    fn a_temp_dir_starts_empty_and_goes_with_its_guard() {
+        let first = TempDir::new("testkit-guard");
+        std::fs::write(first.path().join("f"), b"x").expect("write into the scratch directory");
+        // The same tag names the same directory, emptied.
+        let second = TempDir::new("testkit-guard");
+        assert_eq!(std::fs::read_dir(&second).map(Iterator::count).ok(), Some(0));
+        let path = second.path().to_path_buf();
+        drop(second);
+        assert!(!path.exists(), "{} outlived its guard", path.display());
+        drop(first);
     }
 }

@@ -392,13 +392,18 @@ impl Mat {
         })
     }
 
-    /// Running sum down each column, in the matrix's own dtype.
-    pub fn cumsum_col(&self) -> Mat {
+    /// Running `op` (`Add`, `Mul`, `Min` or `Max`) down each column, one
+    /// sequential fold in the matrix's own dtype.
+    pub fn cum_col(&self, op: BinaryOp) -> Mat {
+        assert!(
+            matches!(op, BinaryOp::Add | BinaryOp::Mul | BinaryOp::Min | BinaryOp::Max),
+            "oracle: no cumulative {op:?}"
+        );
         let mut out = self.clone();
         for r in 1..self.rows {
             for c in 0..self.cols {
                 out.data[r * self.cols + c] =
-                    arith(self.dtype, BinaryOp::Add, out.at(r - 1, c), self.at(r, c));
+                    arith(self.dtype, op, out.at(r - 1, c), self.at(r, c));
             }
         }
         out

@@ -2,6 +2,7 @@
 //! fused executor and I/O, through the `flashr` facade.
 
 use flashr::prelude::*;
+use flashr_testkit::TempDir;
 
 fn ctx() -> FlashCtx {
     FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None)
@@ -60,20 +61,19 @@ fn dag_fusion_counts_one_pass_for_logistic_cost_and_grad() {
 #[test]
 fn csv_io_feeds_the_engine() {
     let ctx = ctx();
-    let path = std::env::temp_dir().join(format!("flashr-int-io-{}.csv", std::process::id()));
+    let dir = TempDir::new("int-io");
+    let path = dir.path().join("x.csv");
     let x = FM::runif(&ctx, 300, 4, -1.0, 1.0, 5);
     flashr::core::io::write_csv(&ctx, &x, &path, ',').unwrap();
     let y = flashr::core::io::read_csv(&ctx, &path, ',').unwrap();
     // Loaded data is row-major; results must match the generated matrix.
     let diff = (&x - &y).abs().max_all().value(&ctx);
     assert!(diff < 1e-12);
-    std::fs::remove_file(path).unwrap();
 }
 
 #[test]
 fn sparse_semi_external_composes_with_dense_results() {
-    let dir = std::env::temp_dir().join(format!("flashr-int-sem-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("int-sem");
     let safs = Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
     let a = flashr::sparse::CsrMatrix::random(300, 300, 6, 9);
     let b = Dense::from_fn(300, 4, |r, c| ((r * 2 + c) % 11) as f64 - 5.0);

@@ -4,6 +4,7 @@
 use flashr::data::{criteo_like, pagegraph_like};
 use flashr::ml::*;
 use flashr::prelude::*;
+use flashr_testkit::TempDir;
 
 fn ctx() -> FlashCtx {
     FlashCtx::with_config(CtxConfig { rows_per_part: 1024, ..Default::default() }, None)
@@ -14,7 +15,8 @@ fn logistic_probabilities_beat_chance_log_loss() {
     let ctx = ctx();
     let d = criteo_like(&ctx, 15_000, 8, 2);
     let (x, y) = (d.x.materialize(&ctx), d.y.materialize(&ctx));
-    let m = logistic_regression(&ctx, &x, &y, &LogRegOptions { max_iters: 25, ..Default::default() });
+    let m =
+        logistic_regression(&ctx, &x, &y, &LogRegOptions { max_iters: 25, ..Default::default() });
     let ll = log_loss(&ctx, &y, &m.predict_proba(&x));
     // The p=8 criteo-like ground truth has modest signal; its Bayes
     // log-loss is ≈0.56. Chance is ln 2 ≈ 0.693.
@@ -79,8 +81,7 @@ fn confusion_matrix_diagonal_dominates_for_good_classifiers() {
 
 #[test]
 fn ridge_r2_on_em_matches_im() {
-    let dir = std::env::temp_dir().join(format!("flashr-metrics-em-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("metrics-em");
     let safs = Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
     let em = FlashCtx::with_config(
         CtxConfig { rows_per_part: 1024, storage: StorageClass::Em, ..Default::default() },

@@ -5,15 +5,18 @@
 use flashr::data::{criteo_like, pagegraph_like};
 use flashr::ml::*;
 use flashr::prelude::*;
+use flashr_testkit::TempDir;
 
-fn em_ctx(tag: &str) -> FlashCtx {
-    let dir = std::env::temp_dir().join(format!("flashr-ooc-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let safs = Safs::open(SafsConfig::striped_under(dir, 4)).unwrap();
-    FlashCtx::with_config(
+/// An EM context on a four-shard array under the returned directory,
+/// which goes when the guard drops.
+fn em_ctx(tag: &str) -> (TempDir, FlashCtx) {
+    let dir = TempDir::new(&format!("ooc-{tag}"));
+    let safs = Safs::open(SafsConfig::striped_under(&dir, 4)).unwrap();
+    let ctx = FlashCtx::with_config(
         CtxConfig { rows_per_part: 1024, storage: StorageClass::Em, ..Default::default() },
         Some(safs),
-    )
+    );
+    (dir, ctx)
 }
 
 fn im_ctx() -> FlashCtx {
@@ -23,7 +26,7 @@ fn im_ctx() -> FlashCtx {
 #[test]
 fn correlation_em_equals_im() {
     let im = im_ctx();
-    let em = em_ctx("corr");
+    let (_dir, em) = em_ctx("corr");
     let a = correlation(&im, &criteo_like(&im, 20_000, 8, 3).x.materialize(&im));
     let b = correlation(&em, &criteo_like(&em, 20_000, 8, 3).x.materialize(&em));
     assert!(a.max_abs_diff(&b) < 1e-12, "EM and IM disagree");
@@ -32,7 +35,7 @@ fn correlation_em_equals_im() {
 #[test]
 fn logistic_regression_em_equals_im() {
     let im = im_ctx();
-    let em = em_ctx("logreg");
+    let (_dir, em) = em_ctx("logreg");
     let opts = LogRegOptions { max_iters: 10, ..Default::default() };
 
     let di = criteo_like(&im, 10_000, 6, 5);
@@ -52,7 +55,7 @@ fn logistic_regression_em_equals_im() {
 #[test]
 fn kmeans_em_equals_im() {
     let im = im_ctx();
-    let em = em_ctx("kmeans");
+    let (_dir, em) = em_ctx("kmeans");
     let opts = KmeansOptions { k: 4, max_iters: 25, seed: 3 };
 
     let xi = pagegraph_like(&im, 20_000, 8, 4, 11).x.materialize(&im);
@@ -69,7 +72,7 @@ fn kmeans_em_equals_im() {
 fn em_iterative_io_scales_with_iterations_not_memory() {
     // The paper's Table 6 claim: out-of-core execution touches the SSDs
     // once per iteration and keeps only sink results in memory.
-    let em = em_ctx("io-scale");
+    let (_dir, em) = em_ctx("io-scale");
     let n = 50_000u64;
     let p = 8usize;
     let x = pagegraph_like(&em, n, p, 4, 1).x.materialize(&em);
@@ -84,14 +87,19 @@ fn em_iterative_io_scales_with_iterations_not_memory() {
     // cached assignment column (kept in memory → zero writes).
     let max_expected = (r.iterations as u64 + 1) * (data_bytes + n * 8) * 2;
     assert!(io.read_bytes >= r.iterations as u64 * data_bytes, "too few reads");
-    assert!(io.read_bytes <= max_expected, "read amplification: {} vs {}", io.read_bytes, max_expected);
+    assert!(
+        io.read_bytes <= max_expected,
+        "read amplification: {} vs {}",
+        io.read_bytes,
+        max_expected
+    );
     assert_eq!(io.write_bytes, 0, "fused k-means must not write intermediates");
 }
 
 #[test]
 fn gmm_em_equals_im() {
     let im = im_ctx();
-    let em = em_ctx("gmm");
+    let (_dir, em) = em_ctx("gmm");
     let opts = GmmOptions { k: 2, max_iters: 15, seed: 7, ..Default::default() };
     let xi = pagegraph_like(&im, 6000, 4, 2, 9).x.materialize(&im);
     let xe = pagegraph_like(&em, 6000, 4, 2, 9).x.materialize(&em);
@@ -105,12 +113,9 @@ fn gmm_em_equals_im() {
 #[test]
 fn throttled_array_still_produces_identical_results() {
     // Bandwidth emulation slows the run but must never change results.
-    let dir = std::env::temp_dir().join(format!("flashr-ooc-throttle-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = SafsConfig::striped_under(dir, 2).with_throttle(ThrottleCfg {
-        bytes_per_sec: 50.0 * 1024.0 * 1024.0,
-        latency_us: 50.0,
-    });
+    let dir = TempDir::new("ooc-throttle");
+    let cfg = SafsConfig::striped_under(&dir, 2)
+        .with_throttle(ThrottleCfg { bytes_per_sec: 50.0 * 1024.0 * 1024.0, latency_us: 50.0 });
     let safs = Safs::open(cfg).unwrap();
     let em = FlashCtx::with_config(
         CtxConfig { rows_per_part: 1024, storage: StorageClass::Em, ..Default::default() },

@@ -207,6 +207,18 @@ impl Pair {
         Some(out)
     }
 
+    /// The running `op` down each column, across partition seams.
+    fn cum_col(&self, op: BinaryOp) -> Option<Pair> {
+        let mut out = self.then(self.want.cum_col(op), |x| match op {
+            BinaryOp::Add => x.cumsum_col(),
+            BinaryOp::Mul => x.cumprod_col(),
+            BinaryOp::Min => x.cummin_col(),
+            _ => x.cummax_col(),
+        })?;
+        out.zero_sign_free |= matches!(op, BinaryOp::Min | BinaryOp::Max);
+        Some(out)
+    }
+
     /// `inner.prod(x, b, f1, f2)` against a drawn `cols × k` matrix `b`.
     fn inner_prod(&self, rng: &mut Rng, k: usize, f1: BinaryOp, f2: BinaryOp) -> Option<Pair> {
         let cols = self.want.cols;
@@ -254,6 +266,9 @@ const IP_F2: [BinaryOp; 4] = {
     use BinaryOp::*;
     [Add, Mul, Min, Max]
 };
+
+/// `cum.col`'s ops: the associative ones, as `inner.prod`'s combiners.
+const CUM_OPS: [BinaryOp; 4] = IP_F2;
 
 /// Every aggregation `groupby.row` folds.
 const GROUP_OPS: [AggOp; 8] = {
@@ -326,7 +341,7 @@ fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Opt
             out.zero_sign_free |= other.zero_sign_free;
             Some(out)
         }
-        10 => cur.then(cur.want.cumsum_col(), |x| x.cumsum_col()),
+        10 => cur.cum_col(pick(rng, &CUM_OPS)),
         11 => {
             let (k, f1, f2) = (rng.usize(1..10), pick(rng, &IP_F1), pick(rng, &IP_F2));
             cur.inner_prod(rng, k, f1, f2)
@@ -647,7 +662,7 @@ fn grid_program(ctx: &FlashCtx, what: &str) {
         .cast(DType::F32)
         .and_then(|c| c.unary(UnaryOp::Floor))
         .and_then(|c| c.cast(DType::I32))
-        .and_then(|c| c.then(c.want.cumsum_col(), |f| f.cumsum_col()))
+        .and_then(|c| c.cum_col(BinaryOp::Add))
         .expect("I32");
     stepped.check_tall(ctx, what);
     for sink in [Sink::SumAndColSums, Sink::Crossprod, Sink::CrossprodWith, Sink::GroupBy] {
@@ -895,15 +910,18 @@ fn integer_edges_match_the_oracle() {
     });
 }
 
+/// Every `cum.col` op over every dtype, carried across 16-row seams.
 #[test]
 fn running_sums_cross_partition_seams() {
-    let arrays = Arrays::open("cumsum");
+    let arrays = Arrays::open("cumcol");
     at_small_partitions(&arrays, |ctx, what| {
         for dtype in DTYPES {
             let x = Pair::leaf(ctx, 50, 2, draw_values(&mut Rng::new(50), 100), true);
             let x = x.cast(dtype).unwrap();
-            let sums = x.then(x.want.cumsum_col(), |f| f.cumsum_col()).unwrap();
-            sums.check_tall(ctx, &format!("{what}: cumsum over {dtype:?}"));
+            for op in CUM_OPS {
+                let folds = x.cum_col(op).unwrap();
+                folds.check_tall(ctx, &format!("{what}: cum.col {op:?} over {dtype:?}"));
+            }
         }
     });
 }

@@ -283,7 +283,7 @@ fn the_device_queue_never_drains_before_the_last_claim() {
 fn cumsum_over_an_em_leaf_resolves_under_interleaved_claims() {
     let array = Array::open("cum", 2, 4, 0.5);
     let m = values(24);
-    let want = m.cumsum_col();
+    let want = m.cum_col(BinaryOp::Add);
     for nthreads in [2, 3, 4] {
         let (ctx, data) = (array.ctx(nthreads, TraceLevel::Off), m.clone());
         let (tx, rx) = std::sync::mpsc::channel();

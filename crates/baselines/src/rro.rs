@@ -8,7 +8,7 @@
 
 use flashr_core::chunk::BufPool;
 use flashr_core::gen::GenSpec;
-use flashr_linalg::{chol_solve, cholesky, eigen_sym, gemm, Dense};
+use flashr_linalg::{chol_solve, cholesky, eigen_sym, gemm, Dense, SimdLevel};
 
 /// Parallel-BLAS `t(X) %*% X` (the one operation RRO parallelizes).
 pub fn rro_crossprod(x: &Dense) -> Dense {
@@ -21,7 +21,7 @@ pub fn rro_crossprod(x: &Dense) -> Dense {
 /// generated column-major in one chunk and laid out row-major.
 pub fn rro_rnorm(n: usize, p: usize, seed: u64) -> Dense {
     let spec = GenSpec::Rnorm { seed, mean: 0.0, sd: 1.0 };
-    let chunk = spec.fill_chunk(0, n, p, &mut BufPool::new());
+    let chunk = spec.fill_chunk(SimdLevel::active(), 0, n, p, &mut BufPool::new());
     let z = chunk.slice::<f64>();
     Dense::from_fn(n, p, |r, c| z[c * n + r])
 }

@@ -899,7 +899,9 @@ fn eval_uncached(
     let chunk = match &node.kind {
         NodeKind::Leaf(_) => unreachable!("handled by leaf_mat"),
         NodeKind::Gen(spec) => {
-            spec.fill_chunk_as(node.dtype, env.grow0 + r0 as u64, r1 - r0, node.ncols, &mut st.pool)
+            let row0 = env.grow0 + r0 as u64;
+            let level = ops::SimdLevel::active();
+            spec.fill_chunk_as(level, node.dtype, row0, r1 - r0, node.ncols, &mut st.pool)
         }
         NodeKind::Map { op, inputs } => match op {
             MapOp::Unary(_) | MapOp::Binary { .. } | MapOp::Cast(_) => unreachable!(

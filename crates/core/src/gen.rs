@@ -17,12 +17,17 @@
 //! one `ln`, one `sqrt` and one `sin_cos` for two values. A range that
 //! starts on an odd row or ends on an even one takes the half of its
 //! boundary pair it needs, so every element still depends on
-//! `(seed, row, col)` alone. The bits follow the platform libm's `ln` and
-//! `sin_cos`.
+//! `(seed, row, col)` alone. `ln` and `sin_cos` are
+//! [`flashr_linalg::math`]'s, not the platform libm's, so the bits are
+//! the same on every host; the fill's stages run at the caller's SIMD
+//! level like every other kernel, and both levels give those bits.
 
 use crate::chunk::{BufPool, Chunk};
 use crate::dtype::DType;
 use crate::ops::misc::cast_slice;
+use crate::ops::simd::SimdLevel;
+use flashr_linalg::math;
+use flashr_linalg::simd::at_level;
 
 /// Specification of a generated (virtual leaf) matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,14 +73,14 @@ fn pair_uniforms(seed: u64, pair: u64, col: u64) -> (f64, f64) {
 /// The Box–Muller radius `sqrt(-2 ln u1)`.
 #[inline(always)]
 fn radius(u1: f64) -> f64 {
-    (-2.0 * u1.ln()).sqrt()
+    (-2.0 * math::ln(u1)).sqrt()
 }
 
 /// The pair's two values, `(mean + sd·r·cos θ, mean + sd·r·sin θ)` with
 /// `θ = 2π·u2`: the even row's and the odd row's.
 #[inline(always)]
 fn pair_values(r: f64, u2: f64, mean: f64, sd: f64) -> (f64, f64) {
-    let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
+    let (sin, cos) = math::sin_cos(std::f64::consts::TAU * u2);
     (mean + sd * (r * cos), mean + sd * (r * sin))
 }
 
@@ -89,8 +94,17 @@ fn normal_pair(seed: u64, pair: u64, col: u64, mean: f64, sd: f64) -> (f64, f64)
 /// Rows `[row0, row0 + out.len())` of normal column `col`, a pair at a
 /// time, in three stages over `out` itself (one column of one Pcache
 /// range): every pair's uniforms into its two rows, then the radius over
-/// the even row, then one `sin_cos` per pair.
-fn fill_normal(seed: u64, mean: f64, sd: f64, row0: u64, col: u64, out: &mut [f64]) {
+/// the even row, then one `sin_cos` per pair, all three compiled for
+/// `level`.
+fn fill_normal(
+    level: SimdLevel,
+    seed: u64,
+    mean: f64,
+    sd: f64,
+    row0: u64,
+    col: u64,
+    out: &mut [f64],
+) {
     // An odd first row is the odd half of a pair that starts before the range.
     let (head, out) = out.split_at_mut(usize::from(row0 & 1 == 1).min(out.len()));
     if let [first] = head {
@@ -99,15 +113,21 @@ fn fill_normal(seed: u64, mean: f64, sd: f64, row0: u64, col: u64, out: &mut [f6
     let row0 = row0 + head.len() as u64;
     let whole = out.len() & !1;
     let (body, tail) = out.split_at_mut(whole);
-    for (pair, rows) in (row0 >> 1..).zip(body.chunks_exact_mut(2)) {
-        (rows[0], rows[1]) = pair_uniforms(seed, pair, col);
-    }
-    for rows in body.chunks_exact_mut(2) {
-        rows[0] = radius(rows[0]);
-    }
-    for rows in body.chunks_exact_mut(2) {
-        (rows[0], rows[1]) = pair_values(rows[0], rows[1], mean, sd);
-    }
+    at_level(
+        level,
+        #[inline(always)]
+        || {
+            for (pair, rows) in (row0 >> 1..).zip(body.chunks_exact_mut(2)) {
+                (rows[0], rows[1]) = pair_uniforms(seed, pair, col);
+            }
+            for rows in body.chunks_exact_mut(2) {
+                rows[0] = radius(rows[0]);
+            }
+            for rows in body.chunks_exact_mut(2) {
+                (rows[0], rows[1]) = pair_values(rows[0], rows[1], mean, sd);
+            }
+        },
+    );
     // An odd last row is the even half of a pair that ends past the range.
     if let [last] = tail {
         *last = normal_pair(seed, (row0 + whole as u64) >> 1, col, mean, sd).0;
@@ -121,23 +141,26 @@ impl GenSpec {
     }
 
     /// Element (global `row`, `col`) of the generated matrix: a one-row
-    /// fill of the chunk kernel, so an element and a chunk cannot differ.
+    /// fill of the chunk kernel, so an element and a chunk cannot differ
+    /// (and every level gives the same bits, so the baseline one serves).
     pub fn value_at(&self, row: u64, col: usize) -> f64 {
         let mut v = [0.0];
-        self.fill_col(row, col, &mut v);
+        self.fill_col(SimdLevel::Scalar, row, col, &mut v);
         v[0]
     }
 
     /// Rows `[row0, row0 + out.len())` of column `col`: the one kernel
     /// behind every generated element.
-    fn fill_col(&self, row0: u64, col: usize, out: &mut [f64]) {
+    fn fill_col(&self, level: SimdLevel, row0: u64, col: usize, out: &mut [f64]) {
         match *self {
             GenSpec::Runif { seed, lo, hi } => {
                 for (row, v) in (row0..).zip(out) {
                     *v = lo + (hi - lo) * unit_f64(seed, row, col as u64, 0);
                 }
             }
-            GenSpec::Rnorm { seed, mean, sd } => fill_normal(seed, mean, sd, row0, col as u64, out),
+            GenSpec::Rnorm { seed, mean, sd } => {
+                fill_normal(level, seed, mean, sd, row0, col as u64, out);
+            }
             GenSpec::Seq { start, step } => {
                 for (row, v) in (row0..).zip(out) {
                     *v = start + row as f64 * step;
@@ -148,11 +171,18 @@ impl GenSpec {
     }
 
     /// Fill a column-major chunk covering global rows
-    /// `[row0, row0 + rows)` and all `cols` columns.
-    pub fn fill_chunk(&self, row0: u64, rows: usize, cols: usize, pool: &mut BufPool) -> Chunk {
+    /// `[row0, row0 + rows)` and all `cols` columns, compiled for `level`.
+    pub fn fill_chunk(
+        &self,
+        level: SimdLevel,
+        row0: u64,
+        rows: usize,
+        cols: usize,
+        pool: &mut BufPool,
+    ) -> Chunk {
         let mut out = Chunk::alloc(DType::F64, rows, cols, pool);
         for (c, col) in out.slice_mut::<f64>().chunks_exact_mut(rows.max(1)).enumerate() {
-            self.fill_col(row0, c, col);
+            self.fill_col(level, row0, c, col);
         }
         out
     }
@@ -161,6 +191,7 @@ impl GenSpec {
     /// one `f64` column of scratch from `pool`, then cast.
     pub fn fill_chunk_as(
         &self,
+        level: SimdLevel,
         dtype: DType,
         row0: u64,
         rows: usize,
@@ -168,14 +199,14 @@ impl GenSpec {
         pool: &mut BufPool,
     ) -> Chunk {
         if dtype == DType::F64 {
-            return self.fill_chunk(row0, rows, cols, pool);
+            return self.fill_chunk(level, row0, rows, cols, pool);
         }
         let mut out = Chunk::alloc(dtype, rows, cols, pool);
         let mut scratch = Chunk::alloc(DType::F64, rows, 1, pool);
         crate::dispatch!(dtype, T, {
             let values = scratch.slice_mut::<f64>();
             for (c, col) in out.slice_mut::<T>().chunks_exact_mut(rows.max(1)).enumerate() {
-                self.fill_col(row0, c, values);
+                self.fill_col(level, row0, c, values);
                 cast_slice::<f64, T>(values, col);
             }
         });
@@ -222,12 +253,12 @@ mod tests {
     fn chunks_are_position_independent() {
         let g = GenSpec::Rnorm { seed: 1, mean: 0.0, sd: 1.0 };
         let mut pool = BufPool::new();
-        let whole = g.fill_chunk(0, 1100, 2, &mut pool);
+        let whole = g.fill_chunk(SimdLevel::Scalar, 0, 1100, 2, &mut pool);
         // Even and odd first rows and lengths.
         for (row0, rows) in
             [(40, 20), (41, 20), (40, 21), (41, 22), (0, 513), (513, 587), (3, 1097)]
         {
-            let part = g.fill_chunk(row0, rows, 2, &mut pool);
+            let part = g.fill_chunk(SimdLevel::Scalar, row0, rows, 2, &mut pool);
             for c in 0..2 {
                 for r in 0..rows {
                     let (got, want) = (part.get_f64(r, c), whole.get_f64(row0 as usize + r, c));
@@ -250,7 +281,7 @@ mod tests {
             for row0 in [0, 1, 2, 16383] {
                 for rows in [0, 1, 2, 3, 257, 1027] {
                     let what = format!("{g:?} rows {row0}+{rows}");
-                    let whole = g.fill_chunk(row0, rows, 3, &mut pool);
+                    let whole = g.fill_chunk(SimdLevel::Scalar, row0, rows, 3, &mut pool);
                     for (c, col) in whole.slice::<f64>().chunks_exact(rows.max(1)).enumerate() {
                         for (r, v) in col.iter().enumerate() {
                             let want = g.value_at(row0 + r as u64, c);
@@ -258,7 +289,8 @@ mod tests {
                         }
                     }
                     for dtype in [DType::F32, DType::I64, DType::I32, DType::U8] {
-                        let typed = g.fill_chunk_as(dtype, row0, rows, 3, &mut pool);
+                        let typed =
+                            g.fill_chunk_as(SimdLevel::Scalar, dtype, row0, rows, 3, &mut pool);
                         assert_eq!((typed.dtype(), typed.rows(), typed.cols()), (dtype, rows, 3));
                         crate::dispatch!(dtype, T, {
                             let got = typed.slice::<T>();
@@ -274,14 +306,14 @@ mod tests {
         }
     }
 
-    /// Elements recorded, as bits, before the generator filled a pair at a
-    /// time: a change of definition fails here, where the benchmark's
-    /// golden log-loss (a 1e-6 tolerance) would let it through. `rnorm`'s
-    /// bits are glibc's `ln` and `sin`/`cos`.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    /// Elements pinned as bits, at every level and on every host: a
+    /// change of definition fails here, where the benchmark's golden
+    /// log-loss (a 1e-6 tolerance) would let it through. The last two are
+    /// elements where glibc's `ln`/`sin_cos` round the other way, so a
+    /// generator that called the platform libm would fail too.
     #[test]
     fn generated_bits_are_pinned() {
-        let pinned: [(GenSpec, [u64; 6]); 3] = [
+        let pinned: [(GenSpec, [u64; 8]); 3] = [
             (
                 GenSpec::Rnorm { seed: 42, mean: 0.0, sd: 1.0 },
                 [
@@ -291,6 +323,8 @@ mod tests {
                     0xc00999b4027d307f,
                     0xbfb5bd6cefde7e80,
                     0x3ff542d24ac07a8f,
+                    0xc0066de071c5bc80,
+                    0xbfee41b1cd5f34fc,
                 ],
             ),
             (
@@ -302,6 +336,8 @@ mod tests {
                     0xbfcc042789f26990,
                     0x40018faa52620b91,
                     0x40167e3e13ba8ada,
+                    0x40181f202eb2dc7e,
+                    0x3ff2b93d81f0c44f,
                 ],
             ),
             (
@@ -313,20 +349,27 @@ mod tests {
                     0x400313ced647bbbc,
                     0x3fd705da851206c0,
                     0x4002b2a21667bd90,
+                    0xbff834b7cb91a393,
+                    0xbff0626cd2fe167a,
                 ],
             ),
         ];
-        let at = [(0u64, 0usize), (1, 0), (2, 3), (16383, 1), (16384, 1), (123_457, 7)];
+        let at =
+            [(0u64, 0usize), (1, 0), (2, 3), (16383, 1), (16384, 1), (123_457, 7), (6, 1), (7, 1)];
         let mut pool = BufPool::new();
-        for (g, bits) in pinned {
-            for ((row, col), want) in at.into_iter().zip(bits) {
-                assert_eq!(g.value_at(row, col).to_bits(), want, "{g:?} ({row}, {col})");
-                if row > 0 {
-                    // The same element from a chunk that starts on an odd row.
-                    let row0 = (row - 1) | 1;
-                    let chunk = g.fill_chunk(row0, 5, col + 1, &mut pool);
-                    let got = chunk.get_f64((row - row0) as usize, col);
-                    assert_eq!(got.to_bits(), want, "{g:?} ({row}, {col}) in a chunk");
+        for level in SimdLevel::available() {
+            for (g, bits) in pinned {
+                for ((row, col), want) in at.into_iter().zip(bits) {
+                    assert_eq!(g.value_at(row, col).to_bits(), want, "{g:?} ({row}, {col})");
+                    // The same element inside chunks that start on an odd
+                    // and on an even row, filled at `level`.
+                    for row0 in [row.saturating_sub(1) | 1, row.saturating_sub(2) & !1] {
+                        let row0 = row0.min(row);
+                        let chunk = g.fill_chunk(level, row0, 6, col + 1, &mut pool);
+                        let got = chunk.get_f64((row - row0) as usize, col);
+                        let what = format!("{g:?} ({row}, {col}) from row {row0} at {level:?}");
+                        assert_eq!(got.to_bits(), want, "{what}");
+                    }
                 }
             }
         }
@@ -335,18 +378,19 @@ mod tests {
     #[test]
     fn seq_and_const() {
         let mut pool = BufPool::new();
-        let s = GenSpec::Seq { start: 5.0, step: 2.0 }.fill_chunk(10, 3, 2, &mut pool);
+        let seq = GenSpec::Seq { start: 5.0, step: 2.0 };
+        let s = seq.fill_chunk(SimdLevel::Scalar, 10, 3, 2, &mut pool);
         assert_eq!(s.get_f64(0, 0), 25.0);
         assert_eq!(s.get_f64(2, 1), 29.0);
-        let c = GenSpec::Const { value: -1.5 }.fill_chunk(0, 4, 1, &mut pool);
+        let c = GenSpec::Const { value: -1.5 }.fill_chunk(SimdLevel::Scalar, 0, 4, 1, &mut pool);
         assert!(c.slice::<f64>().iter().all(|&v| v == -1.5));
     }
 
     #[test]
     fn typed_fill_casts() {
         let mut pool = BufPool::new();
-        let c =
-            GenSpec::Seq { start: 0.0, step: 1.0 }.fill_chunk_as(DType::I32, 0, 5, 1, &mut pool);
+        let seq = GenSpec::Seq { start: 0.0, step: 1.0 };
+        let c = seq.fill_chunk_as(SimdLevel::Scalar, DType::I32, 0, 5, 1, &mut pool);
         assert_eq!(c.slice::<i32>(), &[0, 1, 2, 3, 4]);
     }
 

@@ -590,9 +590,8 @@ mod tests {
 
     #[test]
     fn em_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("core-mat-em-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let safs = Safs::open(flashr_safs::SafsConfig::striped_under(dir, 3)).unwrap();
+        let dir = flashr_testkit::TempDir::new("core-mat-em");
+        let safs = Safs::open(flashr_safs::SafsConfig::striped_under(&dir, 3)).unwrap();
         let m = TasMat::from_fn::<f64>(300, 5, parter(), |r, c| (r * 7 + c as u64) as f64);
         let em = m.to_em(&safs);
         assert!(em.is_em());

@@ -141,11 +141,14 @@ impl AggOp {
 /// `agg.row`: per-row aggregation over the columns of a chunk, producing
 /// a one-column chunk, compiled for `level` (both give the same bits).
 ///
-/// Every row folds its columns in ascending order from the op's identity,
-/// in `f64` (so `Min`/`Max` cast back to the input dtype and integer sums
-/// to `I64`); `which.min`/`which.max` keep the first column of a tie and
-/// never pick a `NaN`. The folds write into the output when it is `f64`
-/// and into a pooled buffer otherwise: nothing but the output stays
+/// Every row folds its columns in ascending order from the op's identity.
+/// Integer `Min`/`Max` fold in the input dtype, so an `I64` beyond 2⁵³
+/// comes back exact; every other fold is in `f64`, as every sink
+/// accumulates (float `Min`/`Max` cast back to the input dtype, integer
+/// `Sum`/`Prod` to `I64`, rounding past 2⁵³ like the sinks do).
+/// `which.min`/`which.max` keep the first column of a tie and never pick
+/// a `NaN`. The `f64` folds write into the output when it is `f64` and
+/// into a pooled buffer otherwise: nothing but the output stays
 /// allocated.
 pub fn agg_row(level: SimdLevel, op: AggOp, input: &Chunk, pool: &mut BufPool) -> Chunk {
     let rows = input.rows();
@@ -169,6 +172,16 @@ pub fn agg_row(level: SimdLevel, op: AggOp, input: &Chunk, pool: &mut BufPool) -
             };
             kernel(x, rows, best.slice_mut::<T>(), out.slice_mut::<i64>());
             best.recycle(pool);
+            return out;
+        }
+        if matches!(op, AggOp::Min | AggOp::Max) && !matches!(T::DTYPE, DType::F32 | DType::F64) {
+            let mut out = Chunk::alloc(T::DTYPE, rows, 1, pool);
+            let kernel = if op == AggOp::Min {
+                pick!(vex, extreme_rows::<T, true>)
+            } else {
+                pick!(vex, extreme_rows::<T, false>)
+            };
+            kernel(x, rows, out.slice_mut::<T>());
             return out;
         }
         let kernel = fold_fn::<T>(op, vex);
@@ -230,6 +243,22 @@ fn fold_rows<T: Element, const OP: u8, const VEX: bool>(x: &[T], rows: usize, ac
     );
 }
 
+/// Integer `min` (`MIN`) or `max` per row, in the input dtype: exact at
+/// any magnitude.
+fn extreme_rows<T: Element, const MIN: bool, const VEX: bool>(x: &[T], rows: usize, out: &mut [T]) {
+    versioned::<VEX, _>(
+        #[inline(always)]
+        || {
+            out.fill(if MIN { T::max_value() } else { T::min_value() });
+            for col in x.chunks_exact(rows) {
+                for (o, &v) in out.iter_mut().zip(col) {
+                    *o = if MIN { o.minv(v) } else { o.maxv(v) };
+                }
+            }
+        },
+    );
+}
+
 /// `which.min` (`MIN`) or `which.max` per row: a compare and two selects
 /// per element, so a column folds across all rows without a branch. Only
 /// a strictly better value moves the index, so ties keep the first
@@ -283,6 +312,21 @@ mod tests {
         assert_eq!(mx.slice::<i32>(), &[5, 8]);
     }
 
+    /// `rowMax` of the `I64` row `[2⁵³ + 1, 0]` is 2⁵³ + 1, not the
+    /// nearest `f64`; `rowMin` of `[i64::MIN + 1, 0]` is that, too.
+    #[test]
+    fn integer_min_max_stay_exact_past_2_pow_53() {
+        let mut pool = BufPool::new();
+        let big = (1i64 << 53) + 1;
+        let c = Chunk::from_slice::<i64>(2, 2, &[big, i64::MIN + 1, 0, 0]);
+        for level in SimdLevel::available() {
+            let mx = agg_row(level, AggOp::Max, &c, &mut pool);
+            assert_eq!(mx.slice::<i64>(), &[big, 0], "{level:?}");
+            let mn = agg_row(level, AggOp::Min, &c, &mut pool);
+            assert_eq!(mn.slice::<i64>(), &[0, i64::MIN + 1], "{level:?}");
+        }
+    }
+
     #[test]
     fn which_min_per_row() {
         let mut pool = BufPool::new();
@@ -322,8 +366,9 @@ mod tests {
     }
 
     /// The per-row fold `agg_row` must reproduce bit for bit: each row
-    /// from the identity over its columns in ascending order, in `f64`;
-    /// `which.*` moving only on a strictly better value.
+    /// from the identity over its columns in ascending order, in `f64`
+    /// (integer `min`/`max` in the input dtype); `which.*` moving only on
+    /// a strictly better value.
     fn textbook(op: AggOp, x: &Chunk) -> Chunk {
         let (rows, cols) = (x.rows(), x.cols());
         let out_dtype = op.out_dtype(x.dtype());
@@ -351,6 +396,16 @@ mod tests {
                     }
                     AggOp::Mean => {
                         row.fold(op.identity(), |a, v| op.fold(a, v.to_f64())) / cols as f64
+                    }
+                    AggOp::Min | AggOp::Max if !matches!(T::DTYPE, DType::F32 | DType::F64) => {
+                        let (start, pick): (T, fn(T, T) -> T) = if op == AggOp::Min {
+                            (<T as Element>::max_value(), T::minv)
+                        } else {
+                            (<T as Element>::min_value(), T::maxv)
+                        };
+                        let v = row.fold(start, pick);
+                        out.slice_mut::<T>()[r] = v;
+                        continue;
                     }
                     _ => row.fold(op.identity(), |a, v| op.fold(a, v.to_f64())),
                 };

@@ -2,6 +2,7 @@
 
 use crate::dtype::DType;
 use crate::element::Element;
+use flashr_linalg::math;
 
 /// Predefined unary element functions (the paper predefines all GenOp
 /// input functions; user closures never cross the engine boundary).
@@ -81,20 +82,25 @@ impl UnaryOp {
         }
     }
 
+    /// The op on one `f64`: the one definition behind every map kernel
+    /// and every scalar the R front-end evaluates. `exp`, `ln`, `log1p`
+    /// and `sigmoid` go through [`flashr_linalg::math`], so their bits do
+    /// not depend on the host's libm.
     #[inline(always)]
-    pub(crate) fn eval_f64(self, x: f64) -> f64 {
+    pub fn eval_f64(self, x: f64) -> f64 {
         match self {
             UnaryOp::Neg => -x,
             UnaryOp::Abs => x.abs(),
             UnaryOp::Sqrt => x.sqrt(),
-            UnaryOp::Exp => x.exp(),
-            UnaryOp::Ln => x.ln(),
+            UnaryOp::Exp => math::exp(x),
+            UnaryOp::Ln => math::ln(x),
             UnaryOp::Log2 => x.log2(),
             UnaryOp::Log10 => x.log10(),
-            UnaryOp::Log1p => x.ln_1p(),
+            UnaryOp::Log1p => math::ln_1p(x),
             UnaryOp::Floor => x.floor(),
             UnaryOp::Ceil => x.ceil(),
-            UnaryOp::Round => x.round(),
+            // Half to even, as R rounds.
+            UnaryOp::Round => x.round_ties_even(),
             UnaryOp::Sign => {
                 if x > 0.0 {
                     1.0
@@ -106,8 +112,8 @@ impl UnaryOp {
             }
             UnaryOp::Recip => 1.0 / x,
             UnaryOp::Square => x * x,
-            UnaryOp::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            UnaryOp::Not => unreachable!("Not handled separately"),
+            UnaryOp::Sigmoid => 1.0 / (1.0 + math::exp(-x)),
+            UnaryOp::Not => f64::from(u8::from(x == 0.0)),
         }
     }
 }

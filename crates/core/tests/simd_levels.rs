@@ -10,7 +10,8 @@
 //! * **Same bytes** for every element-wise link — every `UnaryOp`, every
 //!   `BinaryOp` in both operand orders against a slice and against a
 //!   constant, every cast pair, every dtype — and for every reduction
-//!   fold, the dot product and the Gramian tile. This is the test of the
+//!   fold, the dot product, the Gramian tile, the elementary functions of
+//!   `flashr_linalg::math` and the `rnorm` fill. This is the test of the
 //!   mechanism: if a level ever selected a different body, or the
 //!   compiler fused a multiply into an add, it fails here.
 //! * **Bounded reassociation** against a reference that shares nothing
@@ -27,10 +28,12 @@
 use flashr_core::chunk::{BufPool, Chunk};
 use flashr_core::dtype::{DType, Scalar};
 use flashr_core::element::Element;
+use flashr_core::gen::GenSpec;
 use flashr_core::ops::fused_map::{ChainLink, ChainOpSpec, ChainOperand, FusedMapKernel};
 use flashr_core::ops::simd::fold_col;
 use flashr_core::ops::{agg_row, inner_prod_chunk, inner_prod_supported, AggOp, BinaryOp, UnaryOp};
-use flashr_linalg::simd::{dot_f64, gramian_f64, SimdLevel};
+use flashr_linalg::math;
+use flashr_linalg::simd::{at_level, dot_f64, gramian_f64, SimdLevel};
 use flashr_linalg::{gemm_strided_level, Dense};
 use flashr_testkit::oracle::{assert_close, Mat};
 use flashr_testkit::{cases, Rng};
@@ -420,6 +423,85 @@ fn agg_row_same_bytes_at_both_levels() {
             }
         }
     }
+}
+
+/// `out[i] = f(xs[i])` as compiled for `level`: the loop LLVM vectorizes.
+fn map_at(level: SimdLevel, xs: &[f64], f: impl Fn(f64) -> f64) -> Vec<u64> {
+    let mut out = vec![0.0; xs.len()];
+    at_level(
+        level,
+        #[inline(always)]
+        || {
+            for (o, x) in out.iter_mut().zip(xs) {
+                *o = f(*x);
+            }
+        },
+    );
+    out.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `exp`, `ln`, `ln_1p`, `sin` and `cos` of `flashr_linalg::math`: the
+/// same bits at both levels over sweeps of each one's range, random bit
+/// patterns (every exponent, subnormals, NaN payloads) and the special
+/// values, at every position of a lane block.
+#[test]
+fn elementary_functions_same_bits_at_both_levels() {
+    let mut rng = Rng::new(0x3a74e);
+    let sweep = |lo: f64, hi: f64| (0..=20_000).map(move |i| lo + (hi - lo) * (f64::from(i) / 2e4));
+    let specials = [0.0, -0.0, 1.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324];
+    let mut xs: Vec<f64> = sweep(-746.0, 710.0)
+        .chain(sweep(-1.0, 4.0))
+        .chain(sweep(-40.0, 40.0))
+        .chain((0..20_000).map(|_| f64::from_bits(rng.next_u64())))
+        .collect();
+    for (i, v) in specials.into_iter().enumerate() {
+        // Each special value at a different lane of a block of four.
+        xs.insert(i * 5, v);
+    }
+    // Each function is handed over as its own (zero-sized) type, not as a
+    // `fn` pointer, so that it inlines into both compilations.
+    let same = |name: &str, scalar: Vec<u64>, avx2: Vec<u64>| {
+        if let Some(i) = (0..xs.len()).find(|&i| scalar[i] != avx2[i]) {
+            panic!(
+                "{name}({:e}) differs between levels: {:#x} vs {:#x}",
+                xs[i], scalar[i], avx2[i]
+            );
+        }
+    };
+    let [s, a] = LEVELS.map(|level| map_at(level, &xs, math::exp));
+    same("exp", s, a);
+    let [s, a] = LEVELS.map(|level| map_at(level, &xs, math::ln));
+    same("ln", s, a);
+    let [s, a] = LEVELS.map(|level| map_at(level, &xs, math::ln_1p));
+    same("ln_1p", s, a);
+    let [s, a] = LEVELS.map(|level| map_at(level, &xs, |x| math::sin_cos(x).0));
+    same("sin", s, a);
+    let [s, a] = LEVELS.map(|level| map_at(level, &xs, |x| math::sin_cos(x).1));
+    same("cos", s, a);
+}
+
+/// `rnorm` fills: the same bits at both levels for chunks that start and
+/// end on odd and even rows (the seams that take half a pair) and for
+/// several columns, means and deviations.
+#[test]
+fn rnorm_fills_same_bits_at_both_levels() {
+    let mut pool = BufPool::new();
+    cases(12, |rng, _| {
+        let spec = GenSpec::Rnorm {
+            seed: rng.next_u64(),
+            mean: rng.f64(-5.0..5.0),
+            sd: rng.f64(0.1..9.0),
+        };
+        let row0 = rng.u64(0..1 << 40);
+        for (start, rows) in [(row0, 1037), (row0 | 1, 1037), (row0 & !1, 1038), (row0 | 1, 2)] {
+            let scalar = spec.fill_chunk(SimdLevel::Scalar, start, rows, 3, &mut pool);
+            let avx2 = spec.fill_chunk(SimdLevel::Avx2, start, rows, 3, &mut pool);
+            assert!(
+                scalar.as_bytes() == avx2.as_bytes(),
+                "{spec:?} rows {start}+{rows} differ between levels"
+            );
+        }
+    });
 }
 
 /// The dot product, and the Gramian tile over a `p × k` block (`p, k` in

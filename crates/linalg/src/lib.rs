@@ -26,6 +26,7 @@ pub mod dense;
 pub mod eigen;
 pub mod gemm;
 pub mod lu;
+pub mod math;
 pub mod par;
 pub mod simd;
 pub mod syrk;

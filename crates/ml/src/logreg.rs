@@ -77,8 +77,10 @@ fn margin_and_loss(x: &FM, y: &FM, w: &[f64]) -> (FM, FM) {
     (margin, loss_sink)
 }
 
-/// One fused pass: (logloss, gradient) at `w`.
-fn loss_and_grad(ctx: &FlashCtx, x: &FM, y: &FM, w: &[f64]) -> (f64, Vec<f64>) {
+/// One fused pass: the mean log-loss and its gradient at `w`, from the
+/// margin `X w` shared by both. `flashr_testkit::steps` holds the
+/// reference it is tested against.
+pub fn loss_and_grad(ctx: &FlashCtx, x: &FM, y: &FM, w: &[f64]) -> (f64, Vec<f64>) {
     let n = x.nrow() as f64;
     // grad = Xᵀ (σ(m) − y), over the same DAG as the loss.
     let (margin, loss_sink) = margin_and_loss(x, y, w);

@@ -101,12 +101,12 @@ fn binop_of(name: &str) -> Result<BinaryOp, RError> {
     })
 }
 
-fn unary_elementwise(
-    interp: &Interp,
-    v: &Value,
-    op: UnaryOp,
-    f: fn(f64) -> f64,
-) -> Result<Value, RError> {
+/// An element-wise function of a number, a vector or a matrix. Numbers
+/// and vectors are evaluated by the engine's own [`UnaryOp::eval_f64`],
+/// so a number and a 1 × 1 matrix cannot differ: `round` rounds half to
+/// even (`round(2.5)` is 2) and `sign(0)` is 0, as in R.
+fn unary_elementwise(interp: &Interp, v: &Value, op: UnaryOp) -> Result<Value, RError> {
+    let f = |x: f64| op.eval_f64(x);
     match v {
         Value::Num(x) => Ok(Value::Num(f(*x))),
         Value::Bool(b) => Ok(Value::Num(f(f64::from(*b)))),
@@ -316,20 +316,18 @@ pub fn call(
         }
 
         // ------------------------------------------------- element-wise
-        "exp" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Exp, f64::exp),
-        "log" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Ln, f64::ln),
-        "log2" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log2, f64::log2),
-        "log10" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log10, f64::log10),
-        "log1p" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log1p, f64::ln_1p),
-        "sqrt" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sqrt, f64::sqrt),
-        "abs" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Abs, f64::abs),
-        "floor" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Floor, f64::floor),
-        "ceiling" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Ceil, f64::ceil),
-        "round" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Round, f64::round),
-        "sign" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sign, f64::signum),
-        "sigmoid" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sigmoid, |x| {
-            1.0 / (1.0 + (-x).exp())
-        }),
+        "exp" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Exp),
+        "log" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Ln),
+        "log2" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log2),
+        "log10" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log10),
+        "log1p" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log1p),
+        "sqrt" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sqrt),
+        "abs" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Abs),
+        "floor" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Floor),
+        "ceiling" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Ceil),
+        "round" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Round),
+        "sign" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sign),
+        "sigmoid" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sigmoid),
         "pmin" | "pmax" => {
             let op = if name == "pmin" { BinaryOp::Min } else { BinaryOp::Max };
             let l = a.pos(0, name)?;

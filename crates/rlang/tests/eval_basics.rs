@@ -174,3 +174,27 @@ fn inf_and_nan_are_base_constants() {
     assert!(num(&mut r, "P[1, 1]").is_nan());
     assert_eq!(num(&mut r, "P[2, 1]"), 1.0);
 }
+
+/// `sign` and `round` of a number, of a vector and of a matrix are one
+/// definition, R's: `sign(0)` is 0 and `round` takes a half to the even
+/// neighbour.
+#[test]
+fn sign_and_round_follow_r_for_numbers_vectors_and_matrices() {
+    let mut r = interp();
+    assert_eq!(num(&mut r, "sign(0)"), 0.0);
+    assert_eq!(num(&mut r, "sign(-0)"), 0.0);
+    assert_eq!(num(&mut r, "sign(c(0, -2))[1]"), 0.0);
+    assert_eq!(num(&mut r, "sign(c(0, -2))[2]"), -1.0);
+    assert_eq!(num(&mut r, "sign(3.5)"), 1.0);
+    for (x, want) in [(2.5, 2.0), (0.5, 0.0), (-2.5, -2.0), (1.5, 2.0), (-0.5, -0.0), (2.6, 3.0)] {
+        assert_eq!(num(&mut r, &format!("round({x})")), want, "round({x})");
+        assert_eq!(num(&mut r, &format!("round(c(9, {x}))[2]")), want, "round(c(9, {x}))");
+        let m = num(&mut r, &format!("sum(round(matrix({x}, nrow = 1)))"));
+        assert_eq!(m, want, "round(matrix({x}))");
+    }
+    r.eval_str("M <- matrix(c(0, -2, 2.5, 0.5), nrow = 2)").unwrap();
+    assert_eq!(num(&mut r, "sign(M)[1, 1]"), 0.0);
+    assert_eq!(num(&mut r, "sign(M)[2, 1]"), -1.0);
+    assert_eq!(num(&mut r, "round(M)[1, 2]"), 2.0);
+    assert_eq!(num(&mut r, "round(M)[2, 2]"), 0.0);
+}

@@ -294,8 +294,7 @@ fn figure3_set_cache_computes_each_distance_product_once() {
 #[test]
 fn figure3_kmeans_runs_out_of_core() {
     // The same R program, out-of-core: identical centers as in memory.
-    let dir = std::env::temp_dir().join(format!("rlang-em-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = flashr_testkit::TempDir::new("rlang-em");
     let safs = flashr_safs::Safs::open(flashr_safs::SafsConfig::striped_under(&dir, 2)).unwrap();
     let em = FlashCtx::with_config(
         CtxConfig {

@@ -363,16 +363,18 @@ impl SafsFile {
 mod tests {
     use super::*;
     use crate::{Safs, SafsConfig};
+    use flashr_testkit::TempDir;
 
-    fn fresh(tag: &str, ndisks: usize) -> Safs {
-        let dir = std::env::temp_dir().join(format!("safs-file-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Safs::open(SafsConfig::striped_under(dir, ndisks)).unwrap()
+    /// A runtime under a fresh directory, which goes with the guard.
+    fn fresh(tag: &str, ndisks: usize) -> (TempDir, Safs) {
+        let dir = TempDir::new(&format!("safs-file-test-{tag}"));
+        let safs = Safs::open(SafsConfig::striped_under(&dir, ndisks)).unwrap();
+        (dir, safs)
     }
 
     #[test]
     fn roundtrip_across_disks() {
-        let safs = fresh("rt", 4);
+        let (_dir, safs) = fresh("rt", 4);
         let f = safs.create("m", 1024, 17).unwrap();
         for p in 0..17u64 {
             let data: Vec<u8> = (0..1024u32).map(|i| ((i as u64 * 31 + p) % 251) as u8).collect();
@@ -388,7 +390,7 @@ mod tests {
 
     #[test]
     fn short_last_partition() {
-        let safs = fresh("short", 3);
+        let (_dir, safs) = fresh("short", 3);
         let f = safs.create_bytes("short", 100, 250).unwrap();
         assert_eq!(f.nparts(), 3);
         assert_eq!(f.part_len(0).unwrap(), 100);
@@ -399,7 +401,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_lengths_and_ranges() {
-        let safs = fresh("bad", 2);
+        let (_dir, safs) = fresh("bad", 2);
         let f = safs.create("b", 64, 2).unwrap();
         assert!(matches!(f.write_part(0, &[0u8; 63]), Err(SafsError::BadLength { .. })));
         assert!(matches!(f.read_part(5), Err(SafsError::PartOutOfRange { .. })));
@@ -407,7 +409,7 @@ mod tests {
 
     #[test]
     fn reopen_preserves_contents() {
-        let safs = fresh("reopen", 3);
+        let (_dir, safs) = fresh("reopen", 3);
         {
             let f = safs.create("persist", 256, 5).unwrap();
             for p in 0..5 {
@@ -423,7 +425,7 @@ mod tests {
 
     #[test]
     fn async_reads_overlap() {
-        let safs = fresh("async", 4);
+        let (_dir, safs) = fresh("async", 4);
         let f = safs.create("a", 4096, 32).unwrap();
         let mut writes = Vec::new();
         for p in 0..32u64 {
@@ -443,7 +445,7 @@ mod tests {
 
     #[test]
     fn delete_makes_handles_stale() {
-        let safs = fresh("delete", 2);
+        let (_dir, safs) = fresh("delete", 2);
         let f = safs.create("gone", 64, 1).unwrap();
         f.write_part(0, &[1u8; 64]).unwrap();
         f.delete().unwrap();
@@ -453,7 +455,7 @@ mod tests {
 
     #[test]
     fn delete_on_drop_removes_files() {
-        let safs = fresh("dod", 2);
+        let (_dir, safs) = fresh("dod", 2);
         {
             let f = safs.create("temp", 64, 1).unwrap();
             f.set_delete_on_drop(true);
@@ -464,7 +466,7 @@ mod tests {
 
     #[test]
     fn stats_observe_traffic() {
-        let safs = fresh("stats", 2);
+        let (_dir, safs) = fresh("stats", 2);
         let before = safs.stats_snapshot();
         let f = safs.create("s", 512, 4).unwrap();
         for p in 0..4 {

@@ -32,6 +32,8 @@
 //! let buf = file.read_part(0).unwrap();
 //! assert!(buf.as_bytes().iter().all(|&b| b == 7));
 //! file.delete().unwrap();
+//! # drop(safs);
+//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 mod aio;

@@ -236,16 +236,18 @@ impl Safs {
 mod tests {
     use super::*;
     use crate::backend::RETRY_ATTEMPTS;
+    use flashr_testkit::TempDir;
 
-    fn tmp_cfg(tag: &str, ndisks: usize) -> SafsConfig {
-        let dir = std::env::temp_dir().join(format!("safs-rt-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        SafsConfig::striped_under(dir, ndisks)
+    /// A config under a fresh directory, which goes with the guard.
+    fn tmp_cfg(tag: &str, ndisks: usize) -> (TempDir, SafsConfig) {
+        let dir = TempDir::new(&format!("safs-rt-test-{tag}"));
+        let cfg = SafsConfig::striped_under(&dir, ndisks);
+        (dir, cfg)
     }
 
     #[test]
     fn open_creates_disk_dirs() {
-        let cfg = tmp_cfg("dirs", 3);
+        let (_dir, cfg) = tmp_cfg("dirs", 3);
         let disks = cfg.disks.clone();
         let _safs = Safs::open(cfg).unwrap();
         for d in &disks {
@@ -255,7 +257,8 @@ mod tests {
 
     #[test]
     fn unique_names_are_unique() {
-        let safs = Safs::open(tmp_cfg("names", 1)).unwrap();
+        let (_dir, cfg) = tmp_cfg("names", 1);
+        let safs = Safs::open(cfg).unwrap();
         let a = safs.unique_name("tmp");
         let b = safs.unique_name("tmp");
         assert_ne!(a, b);
@@ -263,20 +266,22 @@ mod tests {
 
     #[test]
     fn rejects_empty_config() {
-        let cfg = SafsConfig { disks: vec![], ..tmp_cfg("empty", 1) };
+        let (_dir, cfg) = tmp_cfg("empty", 1);
+        let cfg = SafsConfig { disks: vec![], ..cfg };
         assert!(matches!(Safs::open(cfg), Err(SafsError::NoShards)));
     }
 
     #[test]
     fn rejects_duplicate_roots() {
-        let mut cfg = tmp_cfg("dup", 2);
+        let (_dir, mut cfg) = tmp_cfg("dup", 2);
         cfg.disks[1] = cfg.disks[0].clone();
         assert!(matches!(Safs::open(cfg), Err(SafsError::DuplicateShardRoot(_))));
     }
 
     #[test]
     fn shutdown_joins_threads() {
-        let safs = Safs::open(tmp_cfg("shutdown", 2)).unwrap();
+        let (_dir, cfg) = tmp_cfg("shutdown", 2);
+        let safs = Safs::open(cfg).unwrap();
         let f = safs.create("x", 128, 2).unwrap();
         f.write_part(0, &[1u8; 128]).unwrap();
         drop(f);
@@ -287,7 +292,8 @@ mod tests {
     fn both_backends_roundtrip() -> SafsResult<()> {
         let fast = ThrottleCfg { bytes_per_sec: 1e9, latency_us: 0.0 };
         for (tag, throttle) in [("bk-throttled", Some(fast)), ("bk-free", None)] {
-            let safs = Safs::open(SafsConfig { throttle, ..tmp_cfg(tag, 2) })?;
+            let (_dir, cfg) = tmp_cfg(tag, 2);
+            let safs = Safs::open(SafsConfig { throttle, ..cfg })?;
             assert_eq!(safs.throttle(), throttle);
             let f = safs.create("m", 256, 3)?;
             for p in 0..3u64 {
@@ -303,7 +309,8 @@ mod tests {
 
     #[test]
     fn create_rejects_an_overflowing_size() -> SafsResult<()> {
-        let safs = Safs::open(tmp_cfg("overflow", 1))?;
+        let (_dir, cfg) = tmp_cfg("overflow", 1);
+        let safs = Safs::open(cfg)?;
         assert!(matches!(safs.create("x", u64::MAX, 2), Err(SafsError::Config(_))));
         assert!(!safs.exists("x"));
         Ok(())
@@ -311,7 +318,8 @@ mod tests {
 
     #[test]
     fn shard_stats_cover_all_shards() {
-        let safs = Safs::open(tmp_cfg("shstats", 4)).unwrap();
+        let (_dir, cfg) = tmp_cfg("shstats", 4);
+        let safs = Safs::open(cfg).unwrap();
         let f = safs.create("spread", 512, 16).unwrap();
         for p in 0..16u64 {
             f.write_part(p, &[7u8; 512]).unwrap();
@@ -335,7 +343,8 @@ mod tests {
 
     #[test]
     fn injected_transient_faults_are_retried() {
-        let safs = Safs::open(tmp_cfg("retry-ok", 1)).unwrap();
+        let (_dir, cfg) = tmp_cfg("retry-ok", 1);
+        let safs = Safs::open(cfg).unwrap();
         let f = safs.create("r", 128, 1).unwrap();
         f.write_part(0, &[5u8; 128]).unwrap();
         // One fault fewer than the attempts: the last attempt succeeds.
@@ -350,7 +359,8 @@ mod tests {
 
     #[test]
     fn exhausted_retries_surface_an_io_error() {
-        let safs = Safs::open(tmp_cfg("retry-fail", 1)).unwrap();
+        let (_dir, cfg) = tmp_cfg("retry-fail", 1);
+        let safs = Safs::open(cfg).unwrap();
         let f = safs.create("r", 128, 1).unwrap();
         f.write_part(0, &[5u8; 128]).unwrap();
         safs.inject_read_faults(u64::from(RETRY_ATTEMPTS));

@@ -6,7 +6,7 @@
 //! read path.
 
 use flashr_safs::{CacheCfg, IoBuf, Safs, SafsConfig, ThrottleCfg};
-use flashr_testkit::cases;
+use flashr_testkit::{cases, TempDir};
 
 const CASES: usize = 8;
 
@@ -23,15 +23,12 @@ fn label(throttle: Option<ThrottleCfg>) -> &'static str {
     }
 }
 
-/// A runtime of `shards` shards under a fresh directory.
-fn fresh(tag: &str, shards: usize, throttle: Option<ThrottleCfg>) -> Safs {
-    let dir = std::env::temp_dir().join(format!(
-        "safs-beq-{tag}-{shards}-{}-{}",
-        label(throttle),
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    Safs::open(SafsConfig { throttle, ..SafsConfig::striped_under(&dir, shards) }).unwrap()
+/// A runtime of `shards` shards under a fresh directory, which goes with
+/// the guard.
+fn fresh(tag: &str, shards: usize, throttle: Option<ThrottleCfg>) -> (TempDir, Safs) {
+    let dir = TempDir::new(&format!("safs-beq-{tag}-{shards}-{}", label(throttle)));
+    let safs = Safs::open(SafsConfig { throttle, ..SafsConfig::striped_under(&dir, shards) });
+    (dir, safs.unwrap())
 }
 
 /// Deterministic payload for partition `p` of length `len`.
@@ -65,7 +62,7 @@ fn all_shard_and_backend_combinations_are_bit_identical() {
         let reference = payload_matrix(part_bytes, total, seed);
         for shards in SHARD_COUNTS {
             for throttle in THROTTLES {
-                let safs = fresh("grid", shards, throttle);
+                let (_dir, safs) = fresh("grid", shards, throttle);
                 let got = write_and_read_back(&safs, part_bytes, total, seed);
                 assert_eq!(&got, &reference, "shards={} {}", shards, label(throttle));
             }
@@ -83,7 +80,7 @@ fn cached_reads_survive_eviction_churn_on_every_combination() {
         let reference = payload_matrix(part_bytes, total, seed);
         for shards in SHARD_COUNTS {
             for throttle in THROTTLES {
-                let safs = fresh("churn", shards, throttle);
+                let (_dir, safs) = fresh("churn", shards, throttle);
                 // A cache holding only ~2 partitions: every scan past it
                 // evicts, so reads mix hits, misses and re-reads.
                 safs.set_page_cache(Some(CacheCfg::with_capacity(2 * part_bytes)));
@@ -138,9 +135,7 @@ fn reopen_under_same_layout_is_identical_across_backends() {
     let part_bytes = 512u64;
     let total = part_bytes * 9;
     for shards in SHARD_COUNTS {
-        let dir =
-            std::env::temp_dir().join(format!("safs-beq-reopen-{shards}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("safs-beq-reopen-{shards}"));
         let cfg = SafsConfig::striped_under(&dir, shards);
         // Write throttled…
         {

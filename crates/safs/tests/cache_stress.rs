@@ -4,13 +4,11 @@
 //! passthrough, admission bypass, and write invalidation.
 
 use flashr_safs::{CacheCfg, Safs, SafsConfig, ThrottleCfg};
-use flashr_testkit::Rng;
+use flashr_testkit::{Rng, TempDir};
 use std::sync::Arc;
 
-fn tmp_root(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("safs-cache-stress-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_root(tag: &str) -> TempDir {
+    TempDir::new(&format!("safs-cache-stress-{tag}"))
 }
 
 /// Deterministic partition payload: every byte derives from (part, idx).
@@ -34,8 +32,8 @@ fn concurrent_reads_are_bit_identical_and_evict() {
     // Each file fits (8 parts ≤ 8-part capacity) so admission accepts,
     // but the working set is 8 files — plenty of CLOCK eviction churn.
     let cache = CacheCfg::with_capacity(NPARTS * PART);
-    let safs =
-        Safs::open(SafsConfig::striped_under(tmp_root("concurrent"), 2).with_cache(cache)).unwrap();
+    let root = tmp_root("concurrent");
+    let safs = Safs::open(SafsConfig::striped_under(&root, 2).with_cache(cache)).unwrap();
     let files: Vec<Arc<flashr_safs::SafsFile>> =
         (0..NFILES).map(|i| Arc::new(make_file(&safs, &format!("x{i}"), PART, NPARTS))).collect();
 
@@ -72,8 +70,8 @@ fn single_flight_coalesces_concurrent_misses() {
     const PART: u64 = 64 * 1024; // large enough that reads take a while
     const NPARTS: u64 = 8;
     let cache = CacheCfg::with_capacity(NPARTS * PART);
-    let safs =
-        Safs::open(SafsConfig::striped_under(tmp_root("coalesce"), 2).with_cache(cache)).unwrap();
+    let root = tmp_root("coalesce");
+    let safs = Safs::open(SafsConfig::striped_under(&root, 2).with_cache(cache)).unwrap();
     let file = Arc::new(make_file(&safs, "x", PART, NPARTS));
     let before = safs.stats_snapshot();
 
@@ -105,10 +103,10 @@ fn warm_cache_scan_issues_zero_device_reads() {
     // Throttle on: cache hits must not be charged as device I/O
     // (ISSUE 3 satellite: ThrottleCfg interaction).
     let throttle = ThrottleCfg { bytes_per_sec: 64.0 * 1024.0 * 1024.0, latency_us: 5.0 };
-    let safs = Safs::open(
-        SafsConfig::striped_under(tmp_root("warm"), 2).with_cache(cache).with_throttle(throttle),
-    )
-    .unwrap();
+    let root = tmp_root("warm");
+    let safs =
+        Safs::open(SafsConfig::striped_under(&root, 2).with_cache(cache).with_throttle(throttle))
+            .unwrap();
     let file = make_file(&safs, "x", PART, NPARTS);
 
     // Cold scan: populates the cache.
@@ -131,8 +129,8 @@ fn capacity_zero_is_passthrough() {
     const PART: u64 = 4096;
     const NPARTS: u64 = 16;
     let cache = CacheCfg::with_capacity(0);
-    let safs =
-        Safs::open(SafsConfig::striped_under(tmp_root("zerocap"), 2).with_cache(cache)).unwrap();
+    let root = tmp_root("zerocap");
+    let safs = Safs::open(SafsConfig::striped_under(&root, 2).with_cache(cache)).unwrap();
     assert_eq!(safs.page_cache_capacity(), 0, "zero capacity must install no cache");
     let file = make_file(&safs, "x", PART, NPARTS);
 
@@ -157,8 +155,8 @@ fn oversized_file_bypasses_admission() {
     // Cache smaller than the file: a full-file scan would only churn, so
     // admission sends it straight to the device.
     let cache = CacheCfg::with_capacity(4 * PART);
-    let safs =
-        Safs::open(SafsConfig::striped_under(tmp_root("bypass"), 2).with_cache(cache)).unwrap();
+    let root = tmp_root("bypass");
+    let safs = Safs::open(SafsConfig::striped_under(&root, 2).with_cache(cache)).unwrap();
     let file = make_file(&safs, "x", PART, NPARTS);
 
     let before = safs.stats_snapshot();
@@ -175,8 +173,8 @@ fn oversized_file_bypasses_admission() {
 fn write_invalidates_cached_partition() {
     const PART: u64 = 4096;
     let cache = CacheCfg::with_capacity(8 * PART);
-    let safs =
-        Safs::open(SafsConfig::striped_under(tmp_root("inval"), 2).with_cache(cache)).unwrap();
+    let root = tmp_root("inval");
+    let safs = Safs::open(SafsConfig::striped_under(&root, 2).with_cache(cache)).unwrap();
     let file = make_file(&safs, "x", PART, 4);
 
     let old = file.read_part_cached(1).unwrap();

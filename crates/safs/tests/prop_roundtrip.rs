@@ -2,14 +2,15 @@
 //! payloads across arbitrary disk counts.
 
 use flashr_safs::{IoBuf, Safs, SafsConfig};
-use flashr_testkit::cases;
+use flashr_testkit::{cases, TempDir};
 
 const CASES: usize = 16;
 
-fn fresh(tag: u64, ndisks: usize) -> Safs {
-    let dir = std::env::temp_dir().join(format!("safs-prop-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    Safs::open(SafsConfig::striped_under(dir, ndisks)).unwrap()
+/// A runtime under a fresh directory, which goes with the guard.
+fn fresh(tag: u64, ndisks: usize) -> (TempDir, Safs) {
+    let dir = TempDir::new(&format!("safs-prop-{tag}"));
+    let safs = Safs::open(SafsConfig::striped_under(&dir, ndisks)).unwrap();
+    (dir, safs)
 }
 
 /// Deterministic payload for partition `p` of length `len`.
@@ -26,7 +27,7 @@ fn roundtrip_any_geometry() {
         let tail = rng.u64(0..5000);
         let seed = rng.next_u64();
         let total = (part_bytes * total_mult + tail % part_bytes.max(1)).max(1);
-        let safs = fresh(seed, ndisks);
+        let (_dir, safs) = fresh(seed, ndisks);
         let f = safs.create_bytes("prop", part_bytes, total).unwrap();
         assert_eq!(f.nparts(), total.div_ceil(part_bytes));
 
@@ -53,7 +54,7 @@ fn roundtrip_any_geometry() {
 fn rewrites_are_last_writer_wins() {
     cases(CASES, |rng, _| {
         let parts = rng.u64(1..20);
-        let safs = fresh(rng.next_u64() ^ 0xABCD, 3);
+        let (_dir, safs) = fresh(rng.next_u64() ^ 0xABCD, 3);
         let f = safs.create("rw", 256, parts).unwrap();
         for p in 0..parts {
             f.write_part(p, &payload(p, 256, 1)).unwrap();
@@ -76,7 +77,7 @@ fn rewrites_are_last_writer_wins() {
 fn reopen_sees_identical_content() {
     cases(CASES, |rng, _| {
         let parts = rng.u64(1..12);
-        let safs = fresh(rng.next_u64() ^ 0x1234, 2);
+        let (_dir, safs) = fresh(rng.next_u64() ^ 0x1234, 2);
         {
             let f = safs.create("persist", 128, parts).unwrap();
             for p in 0..parts {

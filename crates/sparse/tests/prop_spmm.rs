@@ -4,7 +4,7 @@
 use flashr_linalg::{matmul, Dense};
 use flashr_safs::{Safs, SafsConfig};
 use flashr_sparse::{spmm, CsrMatrix, SemCsr};
-use flashr_testkit::{cases, Rng};
+use flashr_testkit::{cases, Rng, TempDir};
 
 const CASES: usize = 24;
 
@@ -15,10 +15,11 @@ fn arb_triplets(rng: &mut Rng, max_n: usize) -> (usize, usize, Vec<(usize, usize
     (r, c, trips.collect())
 }
 
-fn safs(tag: u64) -> Safs {
-    let dir = std::env::temp_dir().join(format!("sparse-prop-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    Safs::open(SafsConfig::striped_under(dir, 2)).unwrap()
+/// A runtime under a fresh directory, which goes with the guard.
+fn safs(tag: u64) -> (TempDir, Safs) {
+    let dir = TempDir::new(&format!("sparse-prop-{tag}"));
+    let safs = Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
+    (dir, safs)
 }
 
 #[test]
@@ -68,7 +69,7 @@ fn sem_roundtrip_and_spmm() {
         let (r, c, trips) = arb_triplets(rng, 30);
         let rows_per_part = rng.usize(1..20);
         let a = CsrMatrix::from_triplets(r, c, &trips);
-        let rt = safs(rng.next_u64());
+        let (_dir, rt) = safs(rng.next_u64());
         let sem = SemCsr::store(&rt, "p", &a, rows_per_part);
         assert_eq!(sem.nnz(), a.nnz() as u64);
         assert!(sem.to_csr().to_dense().max_abs_diff(&a.to_dense()) < 1e-12);

@@ -7,8 +7,12 @@
 //! the test again, and the line printed on failure carries the seed that
 //! rebuilds exactly that case's inputs under a debugger. There is no
 //! shrinking: the failing case is reported as generated.
+//!
+//! [`oracle`] is the reference for `FM` programs; [`steps`] holds one
+//! step of each `crates/ml` driver as textbook loops.
 
 pub mod oracle;
+pub mod steps;
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};

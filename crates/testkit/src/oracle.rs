@@ -12,6 +12,13 @@
 //! below, which is what makes a disagreement with the engine mean
 //! something.
 //!
+//! The one thing shared beyond the names is the elementary functions:
+//! `exp`, `ln`, `ln_1p` and `sin_cos` come from `flashr_linalg::math`,
+//! as they do in the engine, so that generated leaves and `exp`/`log`
+//! maps compare bit for bit on every host. That module is four
+//! element functions written once and tested against the platform libm
+//! on its own; nothing else of `flashr_linalg` is called here.
+//!
 //! Integer matrices hold their values exactly as `f64`, so an `I64`
 //! value must stay below 2⁵³ in magnitude; [`Mat::in_domain`] says
 //! whether a result still does, and generators discard an operation
@@ -19,6 +26,7 @@
 
 use flashr_core::dtype::DType;
 use flashr_core::ops::{AggOp, BinaryOp, UnaryOp};
+use flashr_linalg::math;
 
 /// A dense reference matrix: row-major values and a dtype tag. Values of
 /// an integer dtype are integers in that dtype's range; values of `F32`
@@ -122,20 +130,20 @@ fn unary_f64(op: UnaryOp, x: f64) -> f64 {
         UnaryOp::Neg => -x,
         UnaryOp::Abs => x.abs(),
         UnaryOp::Sqrt => x.sqrt(),
-        UnaryOp::Exp => x.exp(),
-        UnaryOp::Ln => x.ln(),
+        UnaryOp::Exp => math::exp(x),
+        UnaryOp::Ln => math::ln(x),
         UnaryOp::Log2 => x.log2(),
         UnaryOp::Log10 => x.log10(),
-        UnaryOp::Log1p => x.ln_1p(),
+        UnaryOp::Log1p => math::ln_1p(x),
         UnaryOp::Floor => x.floor(),
         UnaryOp::Ceil => x.ceil(),
-        // Half away from zero (not R's half-to-even).
-        UnaryOp::Round => x.round(),
+        // Half to even, as R rounds.
+        UnaryOp::Round => x.round_ties_even(),
         // NaN has no sign: 0.
         UnaryOp::Sign => f64::from(i8::from(x > 0.0) - i8::from(x < 0.0)),
         UnaryOp::Recip => 1.0 / x,
         UnaryOp::Square => x * x,
-        UnaryOp::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+        UnaryOp::Sigmoid => 1.0 / (1.0 + math::exp(-x)),
         UnaryOp::Not => f64::from(u8::from(x == 0.0)),
     }
 }
@@ -214,8 +222,9 @@ impl Mat {
         Mat::from_fn(rows, cols, DType::F64, |r, c| {
             let u1 = unit(seed, r / 2, c, 1).max(f64::MIN_POSITIVE);
             let theta = std::f64::consts::TAU * unit(seed, r / 2, c, 2);
-            let radius = (-2.0 * u1.ln()).sqrt();
-            let z = if r % 2 == 0 { radius * theta.cos() } else { radius * theta.sin() };
+            let radius = (-2.0 * math::ln(u1)).sqrt();
+            let (sin, cos) = math::sin_cos(theta);
+            let z = if r % 2 == 0 { radius * cos } else { radius * sin };
             mean + sd * z
         })
     }

@@ -18,6 +18,9 @@
 //!    chained dtype conversions) plus a per-plan memory/I-O footprint
 //!    estimate.
 //!
+//! Beside them, [`range`] derives static integer ranges of label
+//! vectors for the R front-end's `groupby.row`.
+//!
 //! A fourth layer, **chain compilation** ([`chains`]), runs at
 //! plan-build time rather than here: it needs the plan's consumer
 //! counts and leaf-resolution map, so `exec::plan` invokes it after the
@@ -31,6 +34,7 @@ pub mod chains;
 pub mod cse;
 pub mod infer;
 pub mod lint;
+pub mod range;
 
 use crate::dag::Node;
 use crate::exec::Target;

@@ -4,11 +4,20 @@
 //! Gramian) accumulate each partition into its worker's own partials —
 //! no synchronization on the hot path — which the pass then folds in
 //! partition order as partitions finish (`exec::inorder::InOrder`).
+//!
+//! Within a partition a sink's bits do not depend on the Pcache step,
+//! so not on the pass it shares or the engine mode either. A float
+//! `sum`/`mean` column and every Gramian output carry eight lane
+//! partials across the partition's chunks (each a whole number of
+//! 8-row blocks but the last) and fold them once, in the partition's
+//! last chunk: the bits of one fold over the whole partition. Every
+//! other fold is a running one in row order, or exact. The lanes live
+//! only while the partition is processed.
 
 use crate::chunk::Chunk;
 use crate::dag::{Node, NodeKind};
 use crate::element::Element;
-use crate::ops::simd::{fold_col, SimdLevel};
+use crate::ops::simd::{fold_col, has_lane_fold, sum_lanes_run, SimdLevel};
 use crate::ops::AggOp;
 use flashr_linalg::simd::gramian_f64;
 use flashr_linalg::Dense;
@@ -55,11 +64,15 @@ fn groupby_fold<T: Element>(
 /// One thread's partial state for one sink node.
 #[derive(Debug)]
 pub enum SinkAcc {
-    /// `agg` (1 slot) or `agg.col` (p slots).
-    Col { op: AggOp, vals: Vec<f64>, count: u64, elems: u64 },
+    /// `agg` (1 slot) or `agg.col` (p slots). Within a partition, a
+    /// float `Sum`/`Mean` column carries its eight `lanes`, and a
+    /// many-column `agg` folds each column into its own `run` before
+    /// combining them in column order.
+    Col { op: AggOp, vals: Vec<f64>, count: u64, elems: u64, lanes: Vec<[f64; 8]>, run: Vec<f64> },
     /// `t(A) %*% B`: p×k partial product. `sym` when `A` and `B` are one
-    /// node (`crossprod`), so only the upper triangle is computed.
-    Gramian { p: usize, k: usize, sym: bool, acc: Vec<f64> },
+    /// node (`crossprod`), so only the upper triangle is computed. Each
+    /// output carries its eight `lanes` within a partition.
+    Gramian { p: usize, k: usize, sym: bool, acc: Vec<f64>, lanes: Vec<[f64; 8]> },
     /// `groupby.row`: ngroups×p partials plus group counts.
     GroupBy { op: AggOp, ngroups: usize, p: usize, vals: Vec<f64>, counts: Vec<u64> },
 }
@@ -71,12 +84,8 @@ impl SinkAcc {
     /// Never for a node of `Plan::sinks`, the only nodes it is given.
     pub fn new_for(node: &Node) -> SinkAcc {
         match &node.kind {
-            NodeKind::SinkFull { op, .. } => {
-                SinkAcc::Col { op: *op, vals: vec![op.identity(); 1], count: 0, elems: 0 }
-            }
-            NodeKind::SinkCol { op, input } => {
-                SinkAcc::Col { op: *op, vals: vec![op.identity(); input.ncols], count: 0, elems: 0 }
-            }
+            NodeKind::SinkFull { op, .. } => SinkAcc::col(*op, 1),
+            NodeKind::SinkCol { op, input } => SinkAcc::col(*op, input.ncols),
             // One node on both sides: the memo hands both operands the
             // same chunk.
             NodeKind::SinkGramian { a, b } => SinkAcc::Gramian {
@@ -84,6 +93,7 @@ impl SinkAcc {
                 k: b.ncols,
                 sym: Arc::ptr_eq(a, b),
                 acc: vec![0.0; a.ncols * b.ncols],
+                lanes: Vec::new(),
             },
             NodeKind::SinkGroupBy { data, op, ngroups, .. } => SinkAcc::GroupBy {
                 op: *op,
@@ -96,35 +106,72 @@ impl SinkAcc {
         }
     }
 
-    /// Fold one Pcache chunk of the sink's input(s).
+    fn col(op: AggOp, slots: usize) -> SinkAcc {
+        let vals = vec![op.identity(); slots];
+        SinkAcc::Col { op, vals, count: 0, elems: 0, lanes: Vec::new(), run: Vec::new() }
+    }
+
+    /// Fold one Pcache chunk of the sink's input(s). The chunks of one
+    /// partition come in row order, and `last` marks the partition's
+    /// last one; every chunk before it is a whole number of 8-row blocks.
     ///
     /// * `Col`/`Gramian` pass the data chunk(s);
     /// * `GroupBy` additionally passes the labels chunk (i64, one column).
-    pub fn update(&mut self, chunks: &[&Chunk]) {
+    pub fn update(&mut self, chunks: &[&Chunk], last: bool) {
         let level = SimdLevel::active();
         match self {
-            SinkAcc::Col { op, vals, count, elems } => {
+            SinkAcc::Col { op, vals, count, elems, lanes, run } => {
                 let input = chunks[0];
-                let rows = input.rows();
+                let (rows, cols) = (input.rows(), input.cols());
                 *count += rows as u64;
-                *elems += (rows * input.cols()) as u64;
+                *elems += (rows * cols) as u64;
                 let full = vals.len() == 1;
+                if matches!(op, AggOp::Sum | AggOp::Mean) && has_lane_fold(*op, input.dtype()) {
+                    lanes.resize(cols, [0.0; 8]);
+                } else if full && cols > 1 {
+                    run.resize(cols, op.identity());
+                }
                 crate::dispatch!(input.dtype(), T, {
-                    for c in 0..input.cols() {
+                    for c in 0..cols {
                         let col = input.col::<T>(c);
                         let slot = if full { 0 } else { c };
-                        vals[slot] = fold_col::<T>(level, *op, vals[slot], col);
+                        if let Some(l) = lanes.get_mut(c) {
+                            if let Some(s) = sum_lanes_run::<T>(level, l, col, last) {
+                                vals[slot] += s;
+                            }
+                        } else if let Some(r) = run.get_mut(c) {
+                            *r = fold_col::<T>(level, *op, *r, col);
+                            if last {
+                                vals[0] = op.combine(vals[0], *r);
+                            }
+                        } else {
+                            vals[slot] = fold_col::<T>(level, *op, vals[slot], col);
+                        }
                     }
                 });
+                if last {
+                    (*lanes, *run) = (Vec::new(), Vec::new());
+                }
             }
-            SinkAcc::Gramian { sym, acc, .. } => {
+            SinkAcc::Gramian { p, k, sym, acc, lanes } => {
                 let (a, b) = (chunks[0], chunks[1]);
                 assert_eq!(a.rows(), b.rows(), "gramian chunk row mismatch");
                 // acc (row-major p×k) += Aᵀ B. Both chunks are
                 // column-major, so every (i, j) entry is a dot product of
                 // two contiguous columns, computed a 2 × 2 tile at a time.
+                lanes.resize(*p * *k, [0.0; 8]);
                 let b = (!*sym).then(|| b.slice::<f64>());
-                gramian_f64(level, a.rows(), a.slice::<f64>(), b, acc);
+                gramian_f64(
+                    level,
+                    a.rows(),
+                    a.slice::<f64>(),
+                    b,
+                    lanes,
+                    last.then_some(&mut acc[..]),
+                );
+                if last {
+                    *lanes = Vec::new();
+                }
             }
             SinkAcc::GroupBy { op, ngroups, p, vals, counts } => {
                 let data = chunks[0];
@@ -166,7 +213,7 @@ impl SinkAcc {
     pub fn merge(&mut self, other: SinkAcc) {
         match (self, other) {
             (
-                SinkAcc::Col { op, vals, count, elems },
+                SinkAcc::Col { op, vals, count, elems, .. },
                 SinkAcc::Col { vals: ov, count: oc, elems: oe, .. },
             ) => {
                 for (a, b) in vals.iter_mut().zip(ov) {
@@ -204,7 +251,7 @@ impl SinkAcc {
     /// Turn the merged accumulator into the sink's dense result.
     pub fn finalize(self) -> Dense {
         match self {
-            SinkAcc::Col { op, mut vals, count, elems } => {
+            SinkAcc::Col { op, mut vals, count, elems, .. } => {
                 if op == AggOp::Mean {
                     // Full agg (one slot) folded every element into slot
                     // 0 → divide by the element count; agg.col divides
@@ -261,8 +308,8 @@ mod tests {
         let mut b = SinkAcc::new_for(&node);
         let c1 = Chunk::from_slice::<f64>(2, 2, &[1.0, 2.0, 10.0, 20.0]);
         let c2 = Chunk::from_slice::<f64>(1, 2, &[5.0, 50.0]);
-        a.update(&[&c1]);
-        b.update(&[&c2]);
+        a.update(&[&c1], true);
+        b.update(&[&c2], true);
         a.merge(b);
         let d = a.finalize();
         assert_eq!(d.at(0, 0), 8.0);
@@ -274,7 +321,7 @@ mod tests {
         let node = Node::sink_full(AggOp::Min, leaf(10, 2));
         let mut a = SinkAcc::new_for(&node);
         let c = Chunk::from_slice::<f64>(2, 2, &[3.0, -1.0, 7.0, 2.0]);
-        a.update(&[&c]);
+        a.update(&[&c], true);
         assert_eq!(a.finalize().at(0, 0), -1.0);
     }
 
@@ -284,7 +331,7 @@ mod tests {
         let node = Node::sink_gramian(leaf(3, 2), leaf(3, 2));
         let mut acc = SinkAcc::new_for(&node);
         let ca = Chunk::from_slice::<f64>(3, 2, &a_data);
-        acc.update(&[&ca, &ca]);
+        acc.update(&[&ca, &ca], true);
         let g = acc.finalize();
         // cols: x=[1,2,3], y=[4,5,6]; xᵀx=14, xᵀy=32, yᵀy=77
         assert_eq!(g.at(0, 0), 14.0);
@@ -308,7 +355,7 @@ mod tests {
         ] {
             let mut acc = SinkAcc::new_for(&node);
             for (ca, cb) in a.iter().zip(b) {
-                acc.update(&[ca, cb]);
+                acc.update(&[ca, cb], true);
             }
             let g = acc.finalize();
             let dot = |i, j, h: usize| {
@@ -338,7 +385,7 @@ mod tests {
         let mut acc = SinkAcc::new_for(&node);
         let d = Chunk::from_slice::<f64>(4, 2, &[1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0]);
         let l = Chunk::from_slice::<i64>(4, 1, &[0, 1, 0, 1]);
-        acc.update(&[&d, &l]);
+        acc.update(&[&d, &l], true);
         let SinkAcc::GroupBy { counts, .. } = &acc else { unreachable!("a groupby sink") };
         assert_eq!(counts, &[2, 2]);
         let out = acc.finalize();
@@ -356,7 +403,7 @@ mod tests {
         let mut acc = SinkAcc::new_for(&node);
         let d = Chunk::from_slice::<f64>(4, 1, &[1.0, 2.0, 3.0, 6.0]);
         let l = Chunk::from_slice::<i64>(4, 1, &[0, 0, 0, 0]);
-        acc.update(&[&d, &l]);
+        acc.update(&[&d, &l], true);
         assert_eq!(acc.finalize().at(0, 0), 3.0);
     }
 
@@ -394,7 +441,7 @@ mod tests {
         let node = Node::sink_groupby(leaf(1, p), labels, op, ngroups);
         let mut acc = SinkAcc::new_for(&node);
         for (data, lab) in chunks {
-            acc.update(&[data, &Chunk::from_slice::<i64>(lab.len(), 1, lab)]);
+            acc.update(&[data, &Chunk::from_slice::<i64>(lab.len(), 1, lab)], true);
         }
         let SinkAcc::GroupBy { vals, .. } = &acc else { unreachable!("a groupby sink") };
         let want = per_element(op, ngroups, chunks);
@@ -469,6 +516,6 @@ mod tests {
         let mut acc = SinkAcc::new_for(&node);
         let d = Chunk::from_slice::<f64>(1, 1, &[1.0]);
         let l = Chunk::from_slice::<i64>(1, 1, &[5]);
-        acc.update(&[&d, &l]);
+        acc.update(&[&d, &l], true);
     }
 }

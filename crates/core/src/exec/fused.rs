@@ -603,6 +603,7 @@ fn process_part(
     st.memo.part_rows = part_rows;
     let step = plan.pcache_step;
     for (r0, r1) in pcache_ranges(part_rows, step) {
+        let last = r1 == part_rows;
         stats.pcache_chunks.add(1);
         nchunks += 1;
         st.remaining.clone_from(&plan.consumers);
@@ -616,14 +617,14 @@ fn process_part(
             match &sink.kind {
                 NodeKind::SinkFull { input, .. } | NodeKind::SinkCol { input, .. } => {
                     let c = eval(&env, st, input, r0, r1);
-                    sink_accs[i].update(&[&c]);
+                    sink_accs[i].update(&[&c], last);
                     drop(c);
                     consume(&env, st, input, r0, r1);
                 }
                 NodeKind::SinkGramian { a, b } => {
                     let ca = eval(&env, st, a, r0, r1);
                     let cb = eval(&env, st, b, r0, r1);
-                    sink_accs[i].update(&[&ca, &cb]);
+                    sink_accs[i].update(&[&ca, &cb], last);
                     drop((ca, cb));
                     consume(&env, st, a, r0, r1);
                     consume(&env, st, b, r0, r1);
@@ -631,7 +632,7 @@ fn process_part(
                 NodeKind::SinkGroupBy { data, labels, .. } => {
                     let cd = eval(&env, st, data, r0, r1);
                     let cl = eval(&env, st, labels, r0, r1);
-                    sink_accs[i].update(&[&cd, &cl]);
+                    sink_accs[i].update(&[&cd, &cl], last);
                     drop((cd, cl));
                     consume(&env, st, data, r0, r1);
                     consume(&env, st, labels, r0, r1);
@@ -1019,7 +1020,9 @@ mod tests {
             mode,
             ..CtxConfig::default()
         };
-        FlashCtx::with_config(cfg, None)
+        let ctx = FlashCtx::with_config(cfg, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     #[test]
@@ -1076,6 +1079,7 @@ mod tests {
             ..CtxConfig::default()
         };
         let ctx = FlashCtx::with_config(cfg, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
         let x = FM::rnorm(&ctx, 3000, 8, 0.0, 1.0, 5).materialize(&ctx);
         // The node chunks of a pass that recycles only at range end,
         // measured on one.

@@ -559,7 +559,9 @@ mod tests {
 
     fn ctx() -> FlashCtx {
         let cfg = crate::session::CtxConfig { rows_per_part: 64, ..Default::default() };
-        FlashCtx::with_config(cfg, None)
+        let ctx = FlashCtx::with_config(cfg, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     fn leaf(n: u64, p: usize) -> Arc<Node> {
@@ -628,6 +630,7 @@ mod tests {
         // the step about k-fold (23 rows at k = 10).
         let cfg = crate::session::CtxConfig { rows_per_part: 4096, ..Default::default() };
         let ctx = FlashCtx::with_config(cfg, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
         let x = FM::runif(&ctx, 4096, 32, 0.0, 1.0, 3).materialize(&ctx);
         let steps: Vec<usize> = [2, 10, 20]
             .iter()

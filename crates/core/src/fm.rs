@@ -640,6 +640,17 @@ impl FM {
         }
     }
 
+    /// The closed integer range every value lies in, when the DAG alone
+    /// says so (`analysis::range::int_range`): `row_which_min` over k
+    /// columns is `[0, k − 1]`, shifted by integral scalars, through
+    /// casts. `None` when only the values can tell.
+    pub fn int_range(&self) -> Option<(i64, i64)> {
+        match self {
+            FM::Tall { node, .. } => crate::analysis::range::int_range(node),
+            _ => None,
+        }
+    }
+
     /// `groupby.row(x, labels, op)` → lazy k×p sink. `labels` is an n×1
     /// integer matrix with values in `[0, ngroups)`.
     pub fn groupby_row(&self, labels: &FM, op: AggOp, ngroups: usize) -> FM {
@@ -1180,10 +1191,12 @@ mod tests {
     use crate::session::CtxConfig;
 
     fn ctx() -> FlashCtx {
-        FlashCtx::with_config(
+        let ctx = FlashCtx::with_config(
             CtxConfig { rows_per_part: 64, nthreads: 4, ..Default::default() },
             None,
-        )
+        );
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     #[test]

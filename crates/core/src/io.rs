@@ -160,7 +160,10 @@ mod tests {
     use crate::session::CtxConfig;
 
     fn ctx() -> FlashCtx {
-        FlashCtx::with_config(CtxConfig { rows_per_part: 64, ..Default::default() }, None)
+        let ctx =
+            FlashCtx::with_config(CtxConfig { rows_per_part: 64, ..Default::default() }, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -57,7 +57,7 @@ macro_rules! pick {
 pub(crate) use pick;
 
 /// Whether `(op, dtype)` folds through the lane-partial reduction
-/// kernels.
+/// kernels (the sums through [`sum_lanes_run`] in a sink).
 pub(crate) fn has_lane_fold(op: AggOp, dtype: DType) -> bool {
     matches!(dtype, DType::F64 | DType::F32)
         && matches!(op, AggOp::Sum | AggOp::Mean | AggOp::Min | AggOp::Max)
@@ -92,17 +92,53 @@ pub fn fold_col<T: Element>(level: SimdLevel, op: AggOp, acc: f64, col: &[T]) ->
 #[inline(always)]
 fn sum_lanes<T: Element>(col: &[T]) -> f64 {
     let mut lanes = [0.0f64; 8];
-    let mut blocks = col.chunks_exact(8);
-    for block in blocks.by_ref() {
-        for (l, v) in lanes.iter_mut().zip(block) {
+    let full = col.len() / 8 * 8;
+    add_sum_lanes(&mut lanes, &col[..full]);
+    fold_sum_lanes(lanes, &col[full..])
+}
+
+/// [`sum_lanes`] over a run of chunks (a partition read in Pcache
+/// ranges), carrying the lanes from chunk to chunk. Every chunk but the
+/// last is a whole number of 8-element blocks; the `last` one folds the
+/// lanes and its tail and returns the run's sum, the bits of one
+/// [`sum_lanes`] over the whole run.
+pub(crate) fn sum_lanes_run<T: Element>(
+    level: SimdLevel,
+    lanes: &mut [f64; 8],
+    col: &[T],
+    last: bool,
+) -> Option<f64> {
+    let full = col.len() / 8 * 8;
+    assert!(last || full == col.len(), "only the last chunk of a run has a tail");
+    at_level(
+        level,
+        #[inline(always)]
+        || add_sum_lanes(lanes, &col[..full]),
+    );
+    last.then(|| fold_sum_lanes(std::mem::take(lanes), &col[full..]))
+}
+
+/// Lane `j` adds elements `8i + j` of `col`, a whole number of blocks,
+/// in registers.
+#[inline(always)]
+fn add_sum_lanes<T: Element>(lanes: &mut [f64; 8], col: &[T]) {
+    let mut acc = *lanes;
+    for block in col.chunks_exact(8) {
+        for (l, v) in acc.iter_mut().zip(block) {
             *l += v.to_f64();
         }
     }
+    *lanes = acc;
+}
+
+/// `+0.0`, then lanes 0 to 7 in order, then the tail.
+#[inline(always)]
+fn fold_sum_lanes<T: Element>(lanes: [f64; 8], tail: &[T]) -> f64 {
     let mut total = 0.0;
     for l in lanes {
         total += l;
     }
-    for v in blocks.remainder() {
+    for v in tail {
         total += v.to_f64();
     }
     total

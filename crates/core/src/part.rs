@@ -50,10 +50,17 @@ impl Partitioner {
 
 /// Choose the Pcache partition height: the largest row count such that
 /// `row_bytes` per row stays within `pcache_bytes`, clamped to
-/// `[16, part_rows]`.
+/// `[16, part_rows]`. A height short of the partition is a multiple of 8
+/// rows, so a sink's eight lane partials line up from chunk to chunk
+/// (`exec::accum`).
 pub fn pcache_rows(pcache_bytes: usize, row_bytes: usize, part_rows: usize) -> usize {
-    let by_budget = pcache_bytes / row_bytes.max(1);
-    by_budget.clamp(16, part_rows.max(1)).min(part_rows.max(1))
+    let part_rows = part_rows.max(1);
+    let rows = (pcache_bytes / row_bytes.max(1)).clamp(16, part_rows).min(part_rows);
+    if rows < part_rows {
+        rows / 8 * 8
+    } else {
+        rows
+    }
 }
 
 /// Iterator over `[start, end)` sub-ranges of height `step` covering
@@ -98,9 +105,9 @@ mod tests {
 
     #[test]
     fn pcache_rows_respects_budget() {
-        // 256 KiB budget, 40 f64 columns = 320 B/row → 819 rows.
-        let r = pcache_rows(256 * 1024, 40 * 8, 16384);
-        assert!((512..=1024).contains(&r), "rows={r}");
+        // 256 KiB budget, 40 f64 columns = 320 B/row → 819 rows, 816
+        // as whole 8-row blocks.
+        assert_eq!(pcache_rows(256 * 1024, 40 * 8, 16384), 816);
         // Never exceeds the partition.
         assert_eq!(pcache_rows(1 << 30, 8, 100), 100);
         // Floor of 16 even under tiny budgets.

@@ -417,30 +417,36 @@ impl FlashCtx {
         self.inner.tracer.export_chrome_trace()
     }
 
+    /// A context under `cfg` over this one's SSD array, whose flight
+    /// recorder dumps where this one's was told to.
+    fn derived(&self, cfg: CtxConfig) -> FlashCtx {
+        let ctx = FlashCtx::with_config(cfg, self.inner.safs.clone());
+        if let Some(path) = self.inner.flight.dump_path() {
+            ctx.inner.flight.set_dump_path(path);
+        }
+        ctx
+    }
+
     /// A copy of this context with a different engine mode.
     pub fn with_mode(&self, mode: ExecMode) -> FlashCtx {
-        let cfg = CtxConfig { mode, ..self.inner.cfg.clone() };
-        FlashCtx::with_config(cfg, self.inner.safs.clone())
+        self.derived(CtxConfig { mode, ..self.inner.cfg.clone() })
     }
 
     /// A copy of this context with a different default storage class.
     pub fn with_storage(&self, storage: StorageClass) -> FlashCtx {
-        let cfg = CtxConfig { storage, ..self.inner.cfg.clone() };
-        FlashCtx::with_config(cfg, self.inner.safs.clone())
+        self.derived(CtxConfig { storage, ..self.inner.cfg.clone() })
     }
 
     /// A copy of this context with a different trace level (fresh
     /// tracer; the original's recordings are untouched).
     pub fn with_trace(&self, trace: TraceLevel) -> FlashCtx {
-        let cfg = CtxConfig { trace, ..self.inner.cfg.clone() };
-        FlashCtx::with_config(cfg, self.inner.safs.clone())
+        self.derived(CtxConfig { trace, ..self.inner.cfg.clone() })
     }
 
     /// A copy of this context with a memory budget (resizes the SAFS
     /// page cache and starts fresh pin accounting).
     pub fn with_mem_budget(&self, budget: MemBudget) -> FlashCtx {
-        let cfg = CtxConfig { mem_budget: Some(budget), ..self.inner.cfg.clone() };
-        FlashCtx::with_config(cfg, self.inner.safs.clone())
+        self.derived(CtxConfig { mem_budget: Some(budget), ..self.inner.cfg.clone() })
     }
 
     /// The memory governor bounding `set.cache` pinning.

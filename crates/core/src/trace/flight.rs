@@ -75,9 +75,15 @@ impl FlightRecorder {
     }
 
     /// Override the dump destination (takes precedence over
-    /// `FLASHR_FLIGHT_OUT`).
+    /// `FLASHR_FLIGHT_OUT`). A context derived from this one
+    /// (`FlashCtx::with_mode` and the like) dumps there too.
     pub fn set_dump_path(&self, path: impl Into<PathBuf>) {
         *self.dump_path.lock() = Some(path.into());
+    }
+
+    /// The destination [`FlightRecorder::set_dump_path`] set, if any.
+    pub(crate) fn dump_path(&self) -> Option<PathBuf> {
+        self.dump_path.lock().clone()
     }
 
     /// Total events currently held by the span log.

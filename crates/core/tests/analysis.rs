@@ -16,8 +16,18 @@ use flashr_testkit::oracle::{assert_close, assert_same, Mat};
 use flashr_testkit::{cases, TempDir};
 use std::sync::Arc;
 
+/// Every context of this file dumps its flight recorder under the test's
+/// thread, never in the temporary directory: a test panics on purpose.
+fn quiet(ctx: FlashCtx) -> FlashCtx {
+    ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+    ctx
+}
+
 fn im_ctx() -> FlashCtx {
-    FlashCtx::with_config(CtxConfig { rows_per_part: 64, nthreads: 4, ..Default::default() }, None)
+    quiet(FlashCtx::with_config(
+        CtxConfig { rows_per_part: 64, nthreads: 4, ..Default::default() },
+        None,
+    ))
 }
 
 /// An EM context on a two-shard array under the returned directory,
@@ -25,7 +35,7 @@ fn im_ctx() -> FlashCtx {
 fn em_ctx(tag: &str) -> (TempDir, FlashCtx) {
     let dir = TempDir::new(&format!("analysis-test-{tag}"));
     let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
-    let ctx = FlashCtx::with_config(
+    let ctx = quiet(FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 64,
             nthreads: 2,
@@ -33,7 +43,7 @@ fn em_ctx(tag: &str) -> (TempDir, FlashCtx) {
             ..Default::default()
         },
         Some(safs),
-    );
+    ));
     (dir, ctx)
 }
 

@@ -7,11 +7,18 @@ use flashr_core::session::{CtxConfig, ExecMode, FlashCtx, StorageClass};
 use flashr_safs::SafsConfig;
 use flashr_testkit::TempDir;
 
+/// Every context of this file dumps its flight recorder under the test's
+/// thread, never in the temporary directory: some tests panic on purpose.
+fn quiet(ctx: FlashCtx) -> FlashCtx {
+    ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+    ctx
+}
+
 fn im_ctx(threads: usize) -> FlashCtx {
-    FlashCtx::with_config(
+    quiet(FlashCtx::with_config(
         CtxConfig { rows_per_part: 128, nthreads: threads, ..Default::default() },
         None,
-    )
+    ))
 }
 
 /// An EM context on a four-shard array under the returned directory,
@@ -19,7 +26,7 @@ fn im_ctx(threads: usize) -> FlashCtx {
 fn em_ctx(tag: &str, threads: usize) -> (TempDir, FlashCtx) {
     let dir = TempDir::new(&format!("engine-test-{tag}"));
     let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 4)).unwrap();
-    let ctx = FlashCtx::with_config(
+    let ctx = quiet(FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 128,
             nthreads: threads,
@@ -27,7 +34,7 @@ fn em_ctx(tag: &str, threads: usize) -> (TempDir, FlashCtx) {
             ..Default::default()
         },
         Some(safs),
-    );
+    ));
     (dir, ctx)
 }
 
@@ -188,7 +195,7 @@ fn single_threaded_and_parallel_agree() {
 fn set_cache_can_target_the_ssds() {
     let dir = TempDir::new("engine-cachestore");
     let safs = flashr_safs::Safs::open(SafsConfig::striped_under(&dir, 2)).unwrap();
-    let ctx = FlashCtx::with_config(
+    let ctx = quiet(FlashCtx::with_config(
         CtxConfig {
             rows_per_part: 128,
             storage: StorageClass::InMem,
@@ -196,7 +203,7 @@ fn set_cache_can_target_the_ssds() {
             ..Default::default()
         },
         Some(safs),
-    );
+    ));
     let x = FM::runif(&ctx, 1000, 2, 0.0, 1.0, 9);
     let y = &x * 2.0;
     y.set_cache(true);
@@ -237,10 +244,10 @@ fn single_row_matrices_work() {
 
 #[test]
 fn more_threads_than_partitions_is_fine() {
-    let ctx = FlashCtx::with_config(
+    let ctx = quiet(FlashCtx::with_config(
         CtxConfig { rows_per_part: 1024, nthreads: 32, ..Default::default() },
         None,
-    );
+    ));
     let x = FM::seq(100, 1.0, 1.0); // one partition, 32 workers
     assert_eq!(x.sum().value(&ctx), 5050.0);
 }

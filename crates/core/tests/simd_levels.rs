@@ -529,8 +529,8 @@ fn dot_within_reassociation_bound() {
         let (want, scale) = (a.crossprod(&b), a.abs().crossprod(&b.abs()));
         let (ca, cb) = (a.col_major(), b.col_major());
         let gramian = |level| {
-            let mut acc = vec![0.0; p * b.cols];
-            gramian_f64(level, n, &ca, (!sym).then_some(&cb[..]), &mut acc);
+            let (mut acc, mut lanes) = (vec![0.0; p * b.cols], vec![[0.0; 8]; p * b.cols]);
+            gramian_f64(level, n, &ca, (!sym).then_some(&cb[..]), &mut lanes, Some(&mut acc));
             acc
         };
         let scalar = gramian(SimdLevel::Scalar);

@@ -161,18 +161,32 @@ pub fn dot_f64(level: SimdLevel, a: &[f64], b: &[f64]) -> f64 {
     )
 }
 
-/// `acc += Aᵀ B` over one column-major block of `rows` rows: `a` holds
-/// `p` columns, `b` holds `k` (`None`: `b` is `a`, and only the upper
-/// triangle is computed, each off-diagonal value added at `(i, j)` and
-/// `(j, i)`). `acc` is `p × k`, row-major.
+/// `Aᵀ B` over one column-major block of `rows` rows, one block of a run
+/// (a partition read in Pcache ranges): `a` holds `p` columns, `b` holds
+/// `k` (`None`: `b` is `a`, and only the upper triangle is computed, each
+/// off-diagonal value added at `(i, j)` and `(j, i)`).
+///
+/// Every output `(i, j)` keeps eight lane partials in `lanes[i·k + j]`
+/// across the blocks of the run: lane `l` adds the products of the run's
+/// rows `8c + l`. Every block but the last must be a whole number of
+/// 8-row blocks. The last one passes `finish`, the `p × k` row-major
+/// accumulator: each output folds its lanes from `+0.0`, then the tail
+/// rows, as [`dot_f64`] does, adds that to `finish[i·k + j]` and clears
+/// its lanes. So an output's bits are those of one `dot_f64` over the
+/// whole run, whatever the block heights.
 ///
 /// At `Avx2` outputs are computed in 2 × 2 tiles (`avx2::tile_2x2`), a
 /// ragged last row or column of them one at a time; at `Scalar` every
 /// output is one at a time, row by row (SSE2's 16 registers cannot hold
-/// a tile's 32 lane partials). Every output `(i, j)` folds exactly as
-/// [`dot_f64`] of columns `i` and `j` does, then `acc[i·k + j] += s`: the
-/// same bits at both levels and for any block height.
-pub fn gramian_f64(level: SimdLevel, rows: usize, a: &[f64], b: Option<&[f64]>, acc: &mut [f64]) {
+/// a tile's 32 lane partials). The lanes are the same at both levels.
+pub fn gramian_f64(
+    level: SimdLevel,
+    rows: usize,
+    a: &[f64],
+    b: Option<&[f64]>,
+    lanes: &mut [[f64; 8]],
+    finish: Option<&mut [f64]>,
+) {
     if rows == 0 {
         return;
     }
@@ -181,19 +195,12 @@ pub fn gramian_f64(level: SimdLevel, rows: usize, a: &[f64], b: Option<&[f64]>, 
         Some(b) => (b, b.len() / rows, false),
         None => (a, p, true),
     };
-    assert_eq!(acc.len(), p * k, "gramian accumulator is not p × k");
+    assert_eq!(lanes.len(), p * k, "gramian lanes are not p × k");
+    let full = rows / 8 * 8;
+    assert!(finish.is_some() || full == rows, "only the last block of a run has a tail");
     let vex = level.vex();
     let tile = if vex { 2 } else { 1 };
     let col = |c: usize| c * rows..(c + 1) * rows;
-    let mut add = |i: usize, j: usize, s: f64| {
-        // A diagonal tile's `(i + 1, i)` is the mirror of its `(i, i + 1)`.
-        if !sym || i <= j {
-            acc[i * k + j] += s;
-            if sym && i != j {
-                acc[j * k + i] += s;
-            }
-        }
-    };
     at_level(
         level,
         #[inline(always)]
@@ -204,47 +211,71 @@ pub fn gramian_f64(level: SimdLevel, rows: usize, a: &[f64], b: Option<&[f64]>, 
                 while j < k {
                     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
                     if vex && mi == 2 && j + 2 <= k {
+                        let mut acc =
+                            [i * k + j, i * k + j + 1, (i + 1) * k + j, (i + 1) * k + j + 1]
+                                .map(|o| lanes[o]);
                         // SAFETY: `vex` is `level.vex()`, which saw
                         // `SimdLevel::avx2_supported()`; all four columns
                         // are `rows` long.
-                        let s = unsafe {
+                        unsafe {
                             avx2::tile_2x2(
                                 [&a[col(i)], &a[col(i + 1)]],
                                 [&b[col(j)], &b[col(j + 1)]],
+                                &mut acc,
                             )
                         };
-                        for (di, row) in s.iter().enumerate() {
-                            for (dj, &v) in row.iter().enumerate() {
-                                add(i + di, j + dj, v);
-                            }
-                        }
+                        lanes[i * k + j] = acc[0];
+                        lanes[i * k + j + 1] = acc[1];
+                        lanes[(i + 1) * k + j] = acc[2];
+                        lanes[(i + 1) * k + j + 1] = acc[3];
                         j += 2;
                         continue;
                     }
                     for ii in i..i + mi {
-                        add(ii, j, dot_lanes(&a[col(ii)], &b[col(j)]));
+                        add_lanes(&mut lanes[ii * k + j], &a[col(ii)], &b[col(j)]);
                     }
                     j += 1;
                 }
             }
         },
     );
+    let Some(acc) = finish else { return };
+    assert_eq!(acc.len(), p * k, "gramian accumulator is not p × k");
+    for i in 0..p {
+        for j in if sym { i..k } else { 0..k } {
+            let tail = |c: usize| c * rows + full..(c + 1) * rows;
+            let s = fold_lanes(lanes[i * k + j], &a[tail(i)], &b[tail(j)]);
+            acc[i * k + j] += s;
+            if sym && i != j {
+                acc[j * k + i] += s;
+            }
+        }
+    }
+    lanes.fill([0.0; 8]);
 }
 
 /// The portable lane body, one output: `lanes[l] += a[8c + l] * b[8c + l]`
-/// over the full 8-row blocks — each product rounded, then the add;
-/// never a fused multiply-add — then [`fold_lanes`].
+/// over the full 8-row blocks, in registers — each product rounded, then
+/// the add; never a fused multiply-add. The rows past the last full
+/// block are left to [`fold_lanes`].
+#[inline(always)]
+fn add_lanes(lanes: &mut [f64; 8], a: &[f64], b: &[f64]) {
+    let mut acc = *lanes;
+    for (xa, xb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        for i in 0..8 {
+            acc[i] += xa[i] * xb[i];
+        }
+    }
+    *lanes = acc;
+}
+
+/// [`add_lanes`] from zero, then [`fold_lanes`]: one output of one run.
 #[inline(always)]
 fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 8];
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        for i in 0..8 {
-            lanes[i] += xa[i] * xb[i];
-        }
-    }
-    fold_lanes(lanes, ca.remainder(), cb.remainder())
+    add_lanes(&mut lanes, a, b);
+    let full = a.len() / 8 * 8;
+    fold_lanes(lanes, &a[full..], &b[full..])
 }
 
 /// Finish one output: `s = +0.0`, add lanes 0 to 7 in order, then the
@@ -424,19 +455,25 @@ mod avx2 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// The 2 × 2 Gramian tile: outputs `(i, j)` of `a_i · b_j` for
-    /// `i, j < 2`, eight lane partials each in two `__m256d` halves, so
-    /// eight independent add chains. A product is rounded, then added
-    /// (`mul` then `add`, never an FMA): lane for lane the portable
-    /// `dot_lanes`, finished by the same `fold_lanes`.
+    /// The 2 × 2 Gramian tile: adds the full 8-row blocks' products
+    /// `a_i · b_j` for `i, j < 2` into the lane partials `lanes[2i + j]`,
+    /// each held in two `__m256d` halves, so eight independent add chains.
+    /// A product is rounded, then added (`mul` then `add`, never an FMA):
+    /// lane for lane the portable `add_lanes`.
     ///
     /// # Safety
     /// The CPU has avx2; the four columns have one length.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_2x2(a: [&[f64]; 2], b: [&[f64]; 2]) -> [[f64; 2]; 2] {
+    pub(super) unsafe fn tile_2x2(a: [&[f64]; 2], b: [&[f64]; 2], lanes: &mut [[f64; 8]; 4]) {
         let full = a[0].len() / 8 * 8;
         let (pa, pb) = (a.map(<[f64]>::as_ptr), b.map(<[f64]>::as_ptr));
         let mut acc = [[[_mm256_setzero_pd(); 2]; 2]; 2];
+        for i in 0..2 {
+            for j in 0..2 {
+                let l = lanes[2 * i + j].as_ptr();
+                acc[i][j] = [_mm256_loadu_pd(l), _mm256_loadu_pd(l.add(4))];
+            }
+        }
         let mut r = 0;
         while r < full {
             let load = |p: *const f64| [_mm256_loadu_pd(p.add(r)), _mm256_loadu_pd(p.add(r + 4))];
@@ -450,16 +487,13 @@ mod avx2 {
             }
             r += 8;
         }
-        let mut out = [[0.0f64; 2]; 2];
         for i in 0..2 {
             for j in 0..2 {
-                let mut lanes = [0.0f64; 8];
-                _mm256_storeu_pd(lanes.as_mut_ptr(), acc[i][j][0]);
-                _mm256_storeu_pd(lanes.as_mut_ptr().add(4), acc[i][j][1]);
-                out[i][j] = super::fold_lanes(lanes, &a[i][full..], &b[j][full..]);
+                let l = lanes[2 * i + j].as_mut_ptr();
+                _mm256_storeu_pd(l, acc[i][j][0]);
+                _mm256_storeu_pd(l.add(4), acc[i][j][1]);
             }
         }
-        out
     }
 
     /// [`super::gemm_tall_f64`]'s AVX2 route for one k-panel: 8-row ×
@@ -660,11 +694,30 @@ mod tests {
                 let want: Vec<u64> = (0..p * k)
                     .map(|o| (start[o] + textbook_dot(&col(&a, o / k), &col(&b, o % k))).to_bits())
                     .collect();
-                for lvl in SimdLevel::available() {
-                    let mut acc = start.clone();
-                    gramian_f64(lvl, rows, &a, (!sym).then_some(&b[..]), &mut acc);
-                    let got: Vec<u64> = acc.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(got, want, "rows={rows} p={p} k={k} sym={sym} level={}", lvl.name());
+                // The run in one block, and in blocks of 8 and 16 rows
+                // before the rest.
+                for cuts in [vec![], vec![8, 24]] {
+                    let cuts: Vec<usize> = cuts.into_iter().filter(|&c| c < rows).collect();
+                    for lvl in SimdLevel::available() {
+                        let mut acc = start.clone();
+                        let mut lanes = vec![[0.0; 8]; p * k];
+                        let bounds: Vec<usize> =
+                            std::iter::once(0).chain(cuts.iter().copied()).chain([rows]).collect();
+                        for w in bounds.windows(2) {
+                            let (r0, r1) = (w[0], w[1]);
+                            let block = |x: &[f64], cols: usize| -> Vec<f64> {
+                                (0..cols).flat_map(|c| col(x, c)[r0..r1].to_vec()).collect()
+                            };
+                            let (ba, bb) = (block(&a, p), block(&b, k));
+                            let last = r1 == rows;
+                            let finish = last.then_some(&mut acc[..]);
+                            let b = (!sym).then_some(&bb[..]);
+                            gramian_f64(lvl, r1 - r0, &ba, b, &mut lanes, finish);
+                        }
+                        let got: Vec<u64> = acc.iter().map(|x| x.to_bits()).collect();
+                        let what = format!("rows={rows} p={p} k={k} sym={sym} cuts={cuts:?}");
+                        assert_eq!(got, want, "{what} level={}", lvl.name());
+                    }
                 }
             }
         }

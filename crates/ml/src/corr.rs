@@ -20,9 +20,8 @@ pub fn correlation(ctx: &FlashCtx, x: &FM) -> Dense {
     let gram = out[1].to_dense(ctx);
 
     let mu: Vec<f64> = (0..p).map(|j| sums.at(0, j) / n).collect();
-    let sd: Vec<f64> = (0..p)
-        .map(|j| (gram.at(j, j) / n - mu[j] * mu[j]).max(0.0).sqrt())
-        .collect();
+    let sd: Vec<f64> =
+        (0..p).map(|j| (gram.at(j, j) / n - mu[j] * mu[j]).max(0.0).sqrt()).collect();
     Dense::from_fn(p, p, |i, j| {
         if sd[i] == 0.0 || sd[j] == 0.0 {
             if i == j {
@@ -43,7 +42,10 @@ mod tests {
     use flashr_core::session::CtxConfig;
 
     fn ctx() -> FlashCtx {
-        FlashCtx::with_config(CtxConfig { rows_per_part: 128, ..Default::default() }, None)
+        let ctx =
+            FlashCtx::with_config(CtxConfig { rows_per_part: 128, ..Default::default() }, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     #[test]

@@ -63,8 +63,7 @@ fn log_density_cols(x: &FM, model_means: &Dense, covs: &[Dense], weights: &[f64]
         let mu: Vec<f64> = (0..p).map(|j| model_means.at(c, j)).collect();
         let xc = x.sweep_cols(&mu, BinaryOp::Sub);
         let maha = xc.matmul(&FM::from_dense(m)).square().row_sums();
-        let konst = -0.5 * chol_logdet(&l)
-            - 0.5 * p as f64 * (2.0 * std::f64::consts::PI).ln()
+        let konst = -0.5 * chol_logdet(&l) - 0.5 * p as f64 * (2.0 * std::f64::consts::PI).ln()
             + weights[c].max(1e-300).ln();
         cols.push(&(&maha * -0.5) + konst);
     }
@@ -89,9 +88,8 @@ pub fn gmm(ctx: &FlashCtx, x: &FM, opts: &GmmOptions) -> GmmModel {
             .map(|j| (s2.at(0, j) / nn - (s.at(0, j) / nn).powi(2)).max(1e-6))
             .collect::<Vec<f64>>()
     };
-    let mut covs: Vec<Dense> = (0..k)
-        .map(|_| Dense::from_fn(p, p, |i, j| if i == j { var0[i] } else { 0.0 }))
-        .collect();
+    let mut covs: Vec<Dense> =
+        (0..k).map(|_| Dense::from_fn(p, p, |i, j| if i == j { var0[i] } else { 0.0 })).collect();
     let mut weights = vec![1.0 / k as f64; k];
 
     let mut prev_ll = f64::NEG_INFINITY;
@@ -108,9 +106,8 @@ pub fn gmm(ctx: &FlashCtx, x: &FM, opts: &GmmOptions) -> GmmModel {
         let rowmax = logd.row_max(); // n×1
         let shifted = logd.binary(BinaryOp::Sub, &rowmax, false);
         let lse = &rowmax + &shifted.exp().row_sums().ln(); // n×1
-        let resp = shifted
-            .binary(BinaryOp::Sub, &lse.binary(BinaryOp::Sub, &rowmax, false), false)
-            .exp(); // n×k
+        let resp =
+            shifted.binary(BinaryOp::Sub, &lse.binary(BinaryOp::Sub, &rowmax, false), false).exp(); // n×k
 
         // Sinks: log-likelihood, masses, weighted means, weighted Gramians.
         let ll_sink = lse.sum();
@@ -172,7 +169,10 @@ mod tests {
     use flashr_core::session::CtxConfig;
 
     fn ctx() -> FlashCtx {
-        FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None)
+        let ctx =
+            FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     fn two_blobs(ctx: &FlashCtx, n: u64) -> FM {

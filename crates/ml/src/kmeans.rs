@@ -116,7 +116,10 @@ mod tests {
     use flashr_core::session::CtxConfig;
 
     fn ctx() -> FlashCtx {
-        FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None)
+        let ctx =
+            FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     /// Two tight blobs at 0 and at 10 (1-D).
@@ -178,8 +181,10 @@ mod tests {
         let r = kmeans(&ctx, &x, &KmeansOptions { k: 3, max_iters: 30, seed: 2 });
         let mut c0: Vec<f64> = (0..3).map(|g| r.centers.at(g, 0)).collect();
         c0.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!(c0[0].abs() < 0.5 && (c0[1] - 8.0).abs() < 0.5 && (c0[2] - 16.0).abs() < 0.5,
-            "centers {c0:?}");
+        assert!(
+            c0[0].abs() < 0.5 && (c0[1] - 8.0).abs() < 0.5 && (c0[2] - 16.0).abs() < 0.5,
+            "centers {c0:?}"
+        );
     }
 
     #[test]

@@ -104,7 +104,10 @@ mod tests {
     use flashr_core::session::CtxConfig;
 
     fn ctx() -> FlashCtx {
-        FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None)
+        let ctx =
+            FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     fn shifted_classes(ctx: &FlashCtx, n: u64, k: usize, shift: f64) -> (FM, FM) {

@@ -17,9 +17,7 @@ pub fn confusion_matrix(ctx: &FlashCtx, truth: &FM, pred: &FM, k: usize) -> Dens
         .binary_scalar(BinaryOp::Mul, k as f64, false)
         .binary(BinaryOp::Add, &pred.cast(flashr_core::DType::F64), false)
         .cast(flashr_core::DType::I64);
-    let counts = FM::ones(truth.nrow(), 1)
-        .groupby_row(&combined, AggOp::Sum, k * k)
-        .to_dense(ctx);
+    let counts = FM::ones(truth.nrow(), 1).groupby_row(&combined, AggOp::Sum, k * k).to_dense(ctx);
     Dense::from_fn(k, k, |t, p| counts.at(t * k + p, 0))
 }
 
@@ -28,9 +26,8 @@ pub fn confusion_matrix(ctx: &FlashCtx, truth: &FM, pred: &FM, k: usize) -> Dens
 pub fn log_loss(ctx: &FlashCtx, y: &FM, p: &FM) -> f64 {
     let n = y.nrow() as f64;
     let eps = 1e-12;
-    let p = p
-        .binary_scalar(BinaryOp::Max, eps, false)
-        .binary_scalar(BinaryOp::Min, 1.0 - eps, false);
+    let p =
+        p.binary_scalar(BinaryOp::Max, eps, false).binary_scalar(BinaryOp::Min, 1.0 - eps, false);
     // −[y ln p + (1−y) ln(1−p)]
     let yl = y.binary(BinaryOp::Mul, &p.ln(), false);
     let nyl = (1.0 - y).binary(BinaryOp::Mul, &(1.0 - &p).ln(), false);
@@ -64,7 +61,8 @@ pub fn adjusted_rand_index(ctx: &FlashCtx, a: &FM, b: &FM, k: usize) -> f64 {
     let m = confusion_matrix(ctx, a, b, k);
     let n: f64 = (0..k).map(|i| (0..k).map(|j| m.at(i, j)).sum::<f64>()).sum();
     let comb2 = |x: f64| x * (x - 1.0) / 2.0;
-    let sum_ij: f64 = (0..k).flat_map(|i| (0..k).map(move |j| (i, j))).map(|(i, j)| comb2(m.at(i, j))).sum();
+    let sum_ij: f64 =
+        (0..k).flat_map(|i| (0..k).map(move |j| (i, j))).map(|(i, j)| comb2(m.at(i, j))).sum();
     let sum_a: f64 = (0..k).map(|i| comb2((0..k).map(|j| m.at(i, j)).sum())).sum();
     let sum_b: f64 = (0..k).map(|j| comb2((0..k).map(|i| m.at(i, j)).sum())).sum();
     let expected = sum_a * sum_b / comb2(n).max(1e-300);
@@ -78,7 +76,10 @@ mod tests {
     use flashr_core::session::CtxConfig;
 
     fn ctx() -> FlashCtx {
-        FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None)
+        let ctx =
+            FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     #[test]
@@ -122,7 +123,9 @@ mod tests {
     fn ari_identical_permuted_and_random() {
         let ctx = ctx();
         let n = 600u64;
-        let a = FM::seq(n, 0.0, 1.0).binary_scalar(BinaryOp::Rem, 3.0, false).cast(flashr_core::DType::I64);
+        let a = FM::seq(n, 0.0, 1.0)
+            .binary_scalar(BinaryOp::Rem, 3.0, false)
+            .cast(flashr_core::DType::I64);
         // Identical partition.
         assert!((adjusted_rand_index(&ctx, &a, &a, 3) - 1.0).abs() < 1e-12);
         // Same partition with permuted label names → still 1.

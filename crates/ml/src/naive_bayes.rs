@@ -84,12 +84,16 @@ mod tests {
     use flashr_core::session::CtxConfig;
 
     fn ctx() -> FlashCtx {
-        FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None)
+        let ctx =
+            FlashCtx::with_config(CtxConfig { rows_per_part: 256, ..Default::default() }, None);
+        ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+        ctx
     }
 
     /// Two well-separated Gaussian classes.
     fn two_class(ctx: &FlashCtx, n: u64) -> (FM, FM) {
-        let labels = FM::seq(n, 0.0, 1.0).binary_scalar(flashr_core::ops::BinaryOp::Rem, 2.0, false);
+        let labels =
+            FM::seq(n, 0.0, 1.0).binary_scalar(flashr_core::ops::BinaryOp::Rem, 2.0, false);
         let base = FM::rnorm(ctx, n, 3, 0.0, 1.0, 21);
         // Class 1 shifted by +4 in every dimension.
         let shift = &labels.cast(flashr_core::DType::F64) * 4.0;
@@ -152,8 +156,11 @@ mod tests {
             .binary_scalar(flashr_core::ops::BinaryOp::Rem, 10.0, false)
             .eq(&FM::zeros(n, 1))
             .cast(flashr_core::DType::F64);
-        let x = FM::rnorm(&ctx, n, 2, 0.0, 1.0, 8)
-            .binary(flashr_core::ops::BinaryOp::Add, &(&labels * 6.0), false);
+        let x = FM::rnorm(&ctx, n, 2, 0.0, 1.0, 8).binary(
+            flashr_core::ops::BinaryOp::Add,
+            &(&labels * 6.0),
+            false,
+        );
         let m = naive_bayes(&ctx, &x, &labels, 2);
         assert!((m.priors[0] - 0.9).abs() < 0.01);
         assert!((m.priors[1] - 0.1).abs() < 0.01);

@@ -2,7 +2,9 @@
 //! exposed to R (`inner.prod`, `agg.row`, `groupby.row`, `set.cache`,
 //! `materialize`, ...). Every matrix-valued builtin dispatches to the
 //! lazy [`FM`] API, so R programs extend the engine's DAG exactly like
-//! native Rust callers.
+//! native Rust callers. A [`SMALL_OPS`] builtin called on deferred values
+//! and no tall matrix stays deferred; every other builtin forces its
+//! arguments (see [`crate::interp`]).
 
 use crate::interp::Interp;
 use crate::value::{RError, Value};
@@ -21,6 +23,14 @@ const NAMES: &[&str] = &[
     "groupby.row", "groupby.col", "agg.col", "sweep", "set.cache", "materialize", "as.vector",
     "as.matrix", "unique", "is.null", "print", "cat", "crossprod", "solve", "which.min",
     "which.max", "seq_len", "stopifnot", "numeric",
+];
+
+/// The builtins that are small ops on small values.
+#[rustfmt::skip]
+const SMALL_OPS: &[&str] = &[
+    "t", "exp", "log", "log2", "log10", "log1p", "sqrt", "abs", "floor", "ceiling", "round",
+    "sign", "sigmoid", "pmin", "pmax", "sum", "mean", "min", "max", "any", "all", "rowSums",
+    "colSums", "rowMeans", "colMeans", "crossprod", "sweep",
 ];
 
 /// Resolve a builtin by name.
@@ -65,7 +75,7 @@ impl Args {
 
 fn fm_of(interp: &Interp, v: &Value) -> Result<FM, RError> {
     match v {
-        Value::Matrix(m) => Ok(interp.force_fm(m)),
+        Value::Matrix(m) => Ok(m.clone()),
         Value::Vec(xs) => Ok(interp.vec_to_fm(xs)),
         Value::Num(x) => Ok(FM::from_dense(Dense::from_vec(1, 1, vec![*x]))),
         other => Err(RError::Eval(format!("expected a matrix, got {other:?}"))),
@@ -78,11 +88,10 @@ fn small_vec_of(interp: &Interp, v: &Value) -> Result<Vec<f64>, RError> {
         Value::Num(x) => Ok(vec![*x]),
         Value::Bool(b) => Ok(vec![f64::from(*b)]),
         Value::Matrix(m) => {
-            let f = interp.force_fm(m);
-            if f.len() > 4_000_000 {
+            if m.len() > 4_000_000 {
                 return Err(RError::Eval("matrix too large to convert to a vector".into()));
             }
-            Ok(f.to_vec(interp.ctx()))
+            Ok(m.to_vec(interp.ctx()))
         }
         other => Err(RError::Eval(format!("cannot coerce {other:?} to a vector"))),
     }
@@ -105,18 +114,18 @@ fn binop_of(name: &str) -> Result<BinaryOp, RError> {
 /// and vectors are evaluated by the engine's own [`UnaryOp::eval_f64`],
 /// so a number and a 1 × 1 matrix cannot differ: `round` rounds half to
 /// even (`round(2.5)` is 2) and `sign(0)` is 0, as in R.
-fn unary_elementwise(interp: &Interp, v: &Value, op: UnaryOp) -> Result<Value, RError> {
+fn unary_elementwise(v: &Value, op: UnaryOp) -> Result<Value, RError> {
     let f = |x: f64| op.eval_f64(x);
     match v {
         Value::Num(x) => Ok(Value::Num(f(*x))),
         Value::Bool(b) => Ok(Value::Num(f(f64::from(*b)))),
         Value::Vec(xs) => Ok(Value::Vec(Rc::new(xs.iter().map(|&x| f(x)).collect()))),
-        Value::Matrix(m) => Ok(Value::Matrix(interp.force_fm(m).unary(op))),
+        Value::Matrix(m) => Ok(Value::Matrix(m.unary(op))),
         other => Err(RError::Eval(format!("non-numeric argument: {other:?}"))),
     }
 }
 
-fn agg_value(interp: &Interp, v: &Value, op: AggOp, what: &str) -> Result<Value, RError> {
+fn agg_value(v: &Value, op: AggOp, what: &str) -> Result<Value, RError> {
     match v {
         Value::Num(x) => Ok(Value::Num(match op {
             AggOp::Any | AggOp::All => f64::from(*x != 0.0),
@@ -133,25 +142,46 @@ fn agg_value(interp: &Interp, v: &Value, op: AggOp, what: &str) -> Result<Value,
             }
             Ok(Value::Num(acc))
         }
-        Value::Matrix(m) => {
-            // Lazy: return the sink; it forces on extraction.
-            let m = interp.force_fm(m);
-            Ok(Value::Matrix(match op {
-                AggOp::Sum => m.sum(),
-                AggOp::Mean => m.mean_all(),
-                AggOp::Min => m.min_all(),
-                AggOp::Max => m.max_all(),
-                AggOp::Any => m.any_nz(),
-                AggOp::All => m.all_nz(),
-                _ => return Err(RError::Eval(format!("bad aggregate for {what}"))),
-            }))
-        }
+        // Lazy: the sink becomes a deferred value.
+        Value::Matrix(m) => Ok(Value::Matrix(match op {
+            AggOp::Sum => m.sum(),
+            AggOp::Mean => m.mean_all(),
+            AggOp::Min => m.min_all(),
+            AggOp::Max => m.max_all(),
+            AggOp::Any => m.any_nz(),
+            AggOp::All => m.all_nz(),
+            _ => return Err(RError::Eval(format!("bad aggregate for {what}"))),
+        })),
         other => Err(RError::Eval(format!("non-numeric argument to {what}: {other:?}"))),
     }
 }
 
 /// Invoke builtin `name`.
 pub fn call(
+    interp: &Interp,
+    name: &'static str,
+    raw: Vec<(Option<String>, Value)>,
+) -> Result<Value, RError> {
+    // `is.null` reads no value.
+    if name != "is.null" && raw.iter().any(|(_, v)| matches!(v, Value::Deferred(_))) {
+        let tall = raw.iter().any(|(_, v)| matches!(v, Value::Matrix(m) if !m.is_small()));
+        if SMALL_OPS.contains(&name) && !tall {
+            let (names, args): (Vec<Option<String>>, Vec<Value>) = raw.into_iter().unzip();
+            return interp.defer_op(args, move |interp, args| {
+                call(interp, name, names.iter().cloned().zip(args).collect())
+            });
+        }
+        let raw = raw
+            .into_iter()
+            .map(|(n, v)| Ok((n, interp.force(&v)?)))
+            .collect::<Result<_, RError>>()?;
+        return call(interp, name, raw);
+    }
+    call_forced(interp, name, raw).map(|v| interp.settle(v))
+}
+
+/// [`call`] on arguments none of which is deferred.
+fn call_forced(
     interp: &Interp,
     name: &str,
     raw: Vec<(Option<String>, Value)>,
@@ -232,7 +262,7 @@ pub fn call(
             _ => Ok(Value::Null),
         },
         "t" => match a.pos(0, "t")? {
-            Value::Matrix(m) => Ok(Value::Matrix(interp.force_fm(m).t())),
+            Value::Matrix(m) => Ok(Value::Matrix(m.t())),
             Value::Vec(v) => {
                 Ok(Value::Matrix(FM::from_dense(Dense::from_vec(1, v.len(), v.as_ref().clone()))))
             }
@@ -282,7 +312,7 @@ pub fn call(
                 Ok(Value::Matrix(FM::from_dense(d)))
             }
             Value::Matrix(m) => {
-                let d = interp.force_fm(m).to_dense(ctx);
+                let d = m.to_dense(ctx);
                 let n = d.rows().min(d.cols());
                 Ok(Value::Vec(Rc::new((0..n).map(|i| d.at(i, i)).collect())))
             }
@@ -316,36 +346,31 @@ pub fn call(
         }
 
         // ------------------------------------------------- element-wise
-        "exp" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Exp),
-        "log" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Ln),
-        "log2" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log2),
-        "log10" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log10),
-        "log1p" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Log1p),
-        "sqrt" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sqrt),
-        "abs" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Abs),
-        "floor" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Floor),
-        "ceiling" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Ceil),
-        "round" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Round),
-        "sign" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sign),
-        "sigmoid" => unary_elementwise(interp, a.pos(0, name)?, UnaryOp::Sigmoid),
+        "exp" => unary_elementwise(a.pos(0, name)?, UnaryOp::Exp),
+        "log" => unary_elementwise(a.pos(0, name)?, UnaryOp::Ln),
+        "log2" => unary_elementwise(a.pos(0, name)?, UnaryOp::Log2),
+        "log10" => unary_elementwise(a.pos(0, name)?, UnaryOp::Log10),
+        "log1p" => unary_elementwise(a.pos(0, name)?, UnaryOp::Log1p),
+        "sqrt" => unary_elementwise(a.pos(0, name)?, UnaryOp::Sqrt),
+        "abs" => unary_elementwise(a.pos(0, name)?, UnaryOp::Abs),
+        "floor" => unary_elementwise(a.pos(0, name)?, UnaryOp::Floor),
+        "ceiling" => unary_elementwise(a.pos(0, name)?, UnaryOp::Ceil),
+        "round" => unary_elementwise(a.pos(0, name)?, UnaryOp::Round),
+        "sign" => unary_elementwise(a.pos(0, name)?, UnaryOp::Sign),
+        "sigmoid" => unary_elementwise(a.pos(0, name)?, UnaryOp::Sigmoid),
         "pmin" | "pmax" => {
             let op = if name == "pmin" { BinaryOp::Min } else { BinaryOp::Max };
             let l = a.pos(0, name)?;
             let r = a.pos(1, name)?;
             match (l, r) {
-                (Value::Matrix(m), other) | (other, Value::Matrix(m)) => {
-                    let m = interp.force_fm(m);
-                    match other {
-                        Value::Num(x) => Ok(Value::Matrix(m.binary_scalar(op, *x, false))),
-                        Value::Matrix(o) => {
-                            Ok(Value::Matrix(m.binary(op, &interp.force_fm(o), false)))
-                        }
-                        Value::Vec(v) if v.len() == 1 => {
-                            Ok(Value::Matrix(m.binary_scalar(op, v[0], false)))
-                        }
-                        other => Err(RError::Eval(format!("bad {name} operand {other:?}"))),
+                (Value::Matrix(m), other) | (other, Value::Matrix(m)) => match other {
+                    Value::Num(x) => Ok(Value::Matrix(m.binary_scalar(op, *x, false))),
+                    Value::Matrix(o) => Ok(Value::Matrix(m.binary(op, o, false))),
+                    Value::Vec(v) if v.len() == 1 => {
+                        Ok(Value::Matrix(m.binary_scalar(op, v[0], false)))
                     }
-                }
+                    other => Err(RError::Eval(format!("bad {name} operand {other:?}"))),
+                },
                 _ => {
                     let lv = small_vec_of(interp, l)?;
                     let rv = small_vec_of(interp, r)?;
@@ -370,11 +395,11 @@ pub fn call(
         "sum" => {
             // R sums all arguments together.
             if a.positional.len() == 1 {
-                agg_value(interp, a.pos(0, "sum")?, AggOp::Sum, "sum")
+                agg_value(a.pos(0, "sum")?, AggOp::Sum, "sum")
             } else {
                 let mut total = 0.0;
                 for v in &a.positional {
-                    let s = agg_value(interp, v, AggOp::Sum, "sum")?;
+                    let s = agg_value(v, AggOp::Sum, "sum")?;
                     total += match s {
                         Value::Num(x) => x,
                         Value::Matrix(m) => m.value(ctx),
@@ -384,11 +409,11 @@ pub fn call(
                 Ok(Value::Num(total))
             }
         }
-        "mean" => agg_value(interp, a.pos(0, "mean")?, AggOp::Mean, "mean"),
-        "min" => agg_value(interp, a.pos(0, "min")?, AggOp::Min, "min"),
-        "max" => agg_value(interp, a.pos(0, "max")?, AggOp::Max, "max"),
-        "any" => agg_value(interp, a.pos(0, "any")?, AggOp::Any, "any"),
-        "all" => agg_value(interp, a.pos(0, "all")?, AggOp::All, "all"),
+        "mean" => agg_value(a.pos(0, "mean")?, AggOp::Mean, "mean"),
+        "min" => agg_value(a.pos(0, "min")?, AggOp::Min, "min"),
+        "max" => agg_value(a.pos(0, "max")?, AggOp::Max, "max"),
+        "any" => agg_value(a.pos(0, "any")?, AggOp::Any, "any"),
+        "all" => agg_value(a.pos(0, "all")?, AggOp::All, "all"),
         "rowSums" | "rowMeans" | "colSums" | "colMeans" => {
             let m = fm_of(interp, a.pos(0, name)?)?;
             let out = match name {
@@ -413,7 +438,7 @@ pub fn call(
         // ------------------------------------------------------- GenOps
         "inner.prod" => {
             let x = fm_of(interp, a.pos(0, "inner.prod")?)?;
-            let b = interp.force_fm(a.pos(1, "inner.prod")?.as_matrix()?).to_dense(ctx);
+            let b = a.pos(1, "inner.prod")?.as_matrix()?.to_dense(ctx);
             let f1 = binop_of(a.pos(2, "inner.prod")?.as_str()?)?;
             let f2 = binop_of(a.pos(3, "inner.prod")?.as_str()?)?;
             if x.is_small() {
@@ -464,17 +489,27 @@ pub fn call(
                 "mean" => AggOp::Mean,
                 other => return Err(RError::Eval(format!("unknown group function '{other}'"))),
             };
-            // Output size depends on the label values (paper §3.4):
-            // materialize the labels (cheap n×1) and find their range in
-            // one fused pass — only the range when `set.cache` already
-            // holds the labels.
-            let got = FM::materialize_multi(ctx, &[&labels, &labels.min_all(), &labels.max_all()]);
-            let (labels, lo, hi) = (&got[0], got[1].value(ctx), got[2].value(ctx));
+            // Output size depends on the label values (paper §3.4). Labels
+            // with a static range (`agg.row(D, "which.min")` over k
+            // columns is 1..k, as an R factor carries its levels) size it
+            // with no pass, so a group no row falls in is a zero-count
+            // row. Other labels materialize (cheap n×1) with their range
+            // in one fused pass — only the range when `set.cache` already
+            // holds them — and are sized by the values they hold.
+            let (labels, lo, hi) = match labels.int_range() {
+                Some((lo, hi)) => (labels, lo as f64, hi as f64),
+                None => {
+                    let got = FM::materialize_multi(
+                        ctx,
+                        &[&labels, &labels.min_all(), &labels.max_all()],
+                    );
+                    (got[0].clone(), got[1].value(ctx), got[2].value(ctx))
+                }
+            };
             let ngroups = (hi - lo) as usize + 1;
             let shifted =
                 labels.binary_scalar(BinaryOp::Sub, lo, false).cast(flashr_core::DType::I64);
-            let out = data.groupby_row(&shifted, op, ngroups).materialize(ctx);
-            Ok(Value::Matrix(out))
+            Ok(Value::Matrix(data.groupby_row(&shifted, op, ngroups)))
         }
         "agg.col" => {
             let m = fm_of(interp, a.pos(0, "agg.col")?)?;
@@ -552,17 +587,16 @@ pub fn call(
             m.set_cache(flag);
             Ok(Value::Matrix(m.clone()))
         }
-        "materialize" => {
-            let m = a.pos(0, "materialize")?.as_matrix()?;
-            Ok(Value::Matrix(m.materialize(ctx)))
-        }
+        "materialize" => match a.pos(0, "materialize")? {
+            Value::Matrix(m) => Ok(Value::Matrix(m.materialize(ctx))),
+            other => Ok(other.clone()),
+        },
         "as.vector" => match a.pos(0, "as.vector")? {
             Value::Matrix(m) => {
-                let f = interp.force_fm(m);
-                if f.len() == 1 {
-                    Ok(Value::Num(f.get(ctx, 0, 0)))
+                if m.len() == 1 {
+                    Ok(Value::Num(m.get(ctx, 0, 0)))
                 } else {
-                    Ok(Value::Vec(Rc::new(small_vec_of(interp, &Value::Matrix(f))?)))
+                    Ok(Value::Vec(Rc::new(small_vec_of(interp, &Value::Matrix(m.clone()))?)))
                 }
             }
             other => Ok(other.clone()),
@@ -584,7 +618,7 @@ pub fn call(
         "print" => {
             let v = a.pos(0, "print")?.clone();
             match &v {
-                Value::Matrix(m) => println!("{:?}", interp.force_fm(m)),
+                Value::Matrix(m) => println!("{m:?}"),
                 other => println!("{other:?}"),
             }
             Ok(v)
@@ -602,11 +636,10 @@ pub fn call(
                         );
                     }
                     Value::Matrix(m) => {
-                        let f = interp.force_fm(m);
-                        if f.len() == 1 {
-                            out.push_str(&f.get(ctx, 0, 0).to_string());
+                        if m.len() == 1 {
+                            out.push_str(&m.get(ctx, 0, 0).to_string());
                         } else {
-                            out.push_str(&format!("{f:?}"));
+                            out.push_str(&format!("{m:?}"));
                         }
                     }
                     other => out.push_str(&format!("{other:?}")),
@@ -617,11 +650,11 @@ pub fn call(
             Ok(Value::Null)
         }
         "solve" => {
-            let m = interp.force_fm(a.pos(0, "solve")?.as_matrix()?).to_dense(ctx);
+            let m = a.pos(0, "solve")?.as_matrix()?.to_dense(ctx);
             let factors = flashr_linalg::lu_factor(&m)
                 .ok_or_else(|| RError::Eval("matrix is singular".into()))?;
             let rhs = match a.positional.get(1) {
-                Some(v) => interp.force_fm(v.as_matrix()?).to_dense(ctx),
+                Some(v) => v.as_matrix()?.to_dense(ctx),
                 None => Dense::eye(m.rows()),
             };
             Ok(Value::Matrix(FM::from_dense(flashr_linalg::lu_solve(&factors, &rhs))))

@@ -1,10 +1,30 @@
 //! The evaluator: R semantics on top of the FlashR engine.
 //!
-//! Matrices stay lazy exactly as in FlashR: building expressions extends
-//! the DAG, and *sink* values (aggregations) are forced only when a
-//! scalar is needed, when they meet element-wise arithmetic, or when the
-//! program extracts them (`as.vector`, indexing, `print`) — the paper's
-//! materialization triggers (§3.4).
+//! Matrices stay lazy exactly as in FlashR (paper §3.4–3.5): building
+//! expressions extends the DAG, and a *sink* (`sum`, `colSums`,
+//! `crossprod`-shaped `%*%`, `groupby.row`, ...) is a
+//! [`Value::Deferred`] until R needs its value. Small ops on deferred
+//! values — arithmetic with numbers, vectors, small matrices or other
+//! deferred values, `t`, `%*%` of small operands, `sweep`, the element
+//! functions and aggregates — stay deferred. R needs a value, and forces
+//! it, at
+//!
+//! * a condition (`if`, `while`, `&&`/`||`, `stopifnot`),
+//! * `as.vector`, `cat`, `print`, `materialize`, indexing `x[...]`, and
+//!   any other builtin that reads values,
+//! * a small operand of a tall op (`X %*% t(w)`, `inner.prod(X, t(C),
+//!   ...)`, element-wise with a tall matrix), and
+//! * the value [`Interp::eval_str`] hands back.
+//!
+//! Forcing one value materializes every live pending sink over the same
+//! partition dimension with it, in one `materialize_multi`, so the sinks
+//! one loop iteration builds share one pass. A sink's bits do not depend
+//! on the pass it shares (`flashr_core::exec::accum`), so a deferred
+//! program gives the bits it gives with `materialize()` after every
+//! statement. An error inside a deferred value — a plan the analyzer
+//! rejects, a small op on mismatched operands — surfaces as an
+//! [`RError`] at the force point, not where the value was built; a
+//! neighbour's failure never fails the value being forced.
 //!
 //! One pragmatic extension beyond strict R conformability: element-wise
 //! arithmetic between a `1×k` and a `k×1` small matrix aligns the shapes
@@ -15,24 +35,32 @@ use crate::ast::{Arg, BinOp, Expr, UnOp};
 use crate::builtins;
 use crate::env::{Env, EnvRef};
 use crate::parser::parse_program;
-use crate::value::{Closure, Flow, RError, Value};
+use crate::value::{Closure, Deferred, Flow, Pending, PendingSink, RError, SmallOp, Value};
 use flashr_core::fm::FM;
 use flashr_core::ops::BinaryOp;
 use flashr_core::session::FlashCtx;
 use flashr_linalg::Dense;
-use std::rc::Rc;
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
 
 /// An R interpreter bound to a FlashR execution context.
 pub struct Interp {
     ctx: FlashCtx,
     global: EnvRef,
     seed: std::cell::Cell<u64>,
+    /// Every sink handed to R and not yet forced; a dropped one is gone.
+    pending: RefCell<Vec<Weak<PendingSink>>>,
 }
 
 impl Interp {
     /// Fresh interpreter over `ctx`.
     pub fn new(ctx: FlashCtx) -> Interp {
-        Interp { ctx, global: Env::global(), seed: std::cell::Cell::new(0x5EED) }
+        Interp {
+            ctx,
+            global: Env::global(),
+            seed: std::cell::Cell::new(0x5EED),
+            pending: RefCell::new(Vec::new()),
+        }
     }
 
     /// Deterministic seed stream for `runif.matrix` / `rnorm.matrix`.
@@ -54,31 +82,134 @@ impl Interp {
 
     /// Define a variable in the global environment (host → R handoff).
     pub fn define(&self, name: &str, value: Value) {
-        Env::set(&self.global, name, value);
+        Env::set(&self.global, name, self.settle(value));
     }
 
-    /// Parse and evaluate a program; returns the last expression's value.
+    /// Parse and evaluate a program; returns the last expression's value,
+    /// forced.
     pub fn eval_str(&mut self, src: &str) -> Result<Value, RError> {
-        let prog = parse_program(src)?;
+        self.eval_program(&parse_program(src)?)
+    }
+
+    /// Evaluate a parsed program ([`parse_program`]); returns the last
+    /// expression's value, forced.
+    pub fn eval_program(&mut self, prog: &[Expr]) -> Result<Value, RError> {
         let mut last = Value::Null;
         for e in prog {
-            match self.eval(&self.global.clone(), &e)? {
+            match self.eval(&self.global.clone(), e)? {
                 Flow::Val(v) => last = v,
-                Flow::Return(v) => return Ok(v),
+                Flow::Return(v) => return self.force(&v),
                 Flow::Break | Flow::Next => {
                     return Err(RError::Eval("break/next outside a loop".into()))
                 }
             }
         }
-        Ok(last)
+        self.force(&last)
     }
 
-    /// Force a pending sink into a small materialized matrix.
-    pub fn force_fm(&self, m: &FM) -> FM {
-        match m {
-            FM::Sink { .. } => m.materialize(&self.ctx),
-            other => other.clone(),
+    /// R's view of an engine result: an `FM::Sink` becomes a deferred
+    /// value, registered so that forcing any value computes it with the
+    /// other pending sinks over its rows.
+    pub(crate) fn settle(&self, v: Value) -> Value {
+        let Value::Matrix(sink @ FM::Sink { node }) = &v else { return v };
+        let rows = node.children().first().map_or(0, |input| input.nrows);
+        let sink = Rc::new(PendingSink { sink: sink.clone(), rows, result: RefCell::new(None) });
+        let mut pending = self.pending.borrow_mut();
+        pending.retain(|w| w.strong_count() > 0);
+        pending.push(Rc::downgrade(&sink));
+        let read = sink.clone();
+        let op: SmallOp = Rc::new(move |_, _| {
+            Ok(Value::Matrix(read.result.borrow().clone().expect("forced before it is read")))
+        });
+        Value::Deferred(Rc::new(Deferred {
+            state: RefCell::new(Pending::Op { op, args: Vec::new(), sinks: vec![sink] }),
+        }))
+    }
+
+    /// `op(args)`: now when no arg waits on a pending sink, else a
+    /// deferred value that runs it on the forced args.
+    pub(crate) fn defer_op(
+        &self,
+        args: Vec<Value>,
+        op: impl Fn(&Interp, Vec<Value>) -> Result<Value, RError> + 'static,
+    ) -> Result<Value, RError> {
+        let mut sinks: Vec<Rc<PendingSink>> = Vec::new();
+        for arg in &args {
+            let Value::Deferred(d) = arg else { continue };
+            for s in d.pending_sinks() {
+                if !sinks.iter().any(|t| Rc::ptr_eq(t, &s)) {
+                    sinks.push(s);
+                }
+            }
         }
+        if sinks.is_empty() {
+            let args = args.iter().map(|a| self.force(a)).collect::<Result<_, _>>()?;
+            return op(self, args);
+        }
+        let op: SmallOp = Rc::new(op);
+        Ok(Value::Deferred(Rc::new(Deferred {
+            state: RefCell::new(Pending::Op { op, args, sinks }),
+        })))
+    }
+
+    /// The value itself, with a deferred one computed (a force point; see
+    /// the module docs).
+    pub fn force(&self, v: &Value) -> Result<Value, RError> {
+        let Value::Deferred(d) = v else { return Ok(v.clone()) };
+        if let Pending::Done(v) = &*d.state.borrow() {
+            return Ok(v.clone());
+        }
+        self.force_sinks(&d.pending_sinks())?;
+        let (op, args) = match &*d.state.borrow() {
+            Pending::Done(v) => return Ok(v.clone()),
+            Pending::Op { op, args, .. } => (op.clone(), args.clone()),
+        };
+        let args = args.iter().map(|a| self.force(a)).collect::<Result<_, _>>()?;
+        let value = op(self, args)?;
+        *d.state.borrow_mut() = Pending::Done(value.clone());
+        Ok(value)
+    }
+
+    /// Materialize `needed` together with every live pending sink over
+    /// the same rows, one pass per partition dimension. When that pass
+    /// fails, `needed` alone is retried, so only its own error surfaces.
+    fn force_sinks(&self, needed: &[Rc<PendingSink>]) -> Result<(), RError> {
+        if needed.is_empty() {
+            return Ok(());
+        }
+        let live: Vec<Rc<PendingSink>> = {
+            let mut pending = self.pending.borrow_mut();
+            pending.retain(|w| w.upgrade().is_some_and(|s| s.is_pending()));
+            pending.iter().filter_map(Weak::upgrade).collect()
+        };
+        let mut dims: Vec<u64> = needed.iter().map(|s| s.rows).collect();
+        dims.sort_unstable();
+        dims.dedup();
+        for rows in dims {
+            let group: Vec<Rc<PendingSink>> =
+                live.iter().filter(|s| s.rows == rows).cloned().collect();
+            if self.materialize_sinks(&group).is_err() {
+                let own: Vec<Rc<PendingSink>> =
+                    needed.iter().filter(|s| s.rows == rows).cloned().collect();
+                self.materialize_sinks(&own)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn materialize_sinks(&self, sinks: &[Rc<PendingSink>]) -> Result<(), RError> {
+        let fms: Vec<&FM> = sinks.iter().map(|s| &s.sink).collect();
+        let out =
+            FM::try_materialize_multi(&self.ctx, &fms).map_err(|e| RError::Eval(e.to_string()))?;
+        for (s, m) in sinks.iter().zip(out) {
+            *s.result.borrow_mut() = Some(m);
+        }
+        Ok(())
+    }
+
+    /// Evaluate `e` and force the result.
+    fn eval_forced(&self, env: &EnvRef, e: &Expr) -> Result<Value, RError> {
+        self.force(&self.eval_value(env, e)?)
     }
 
     /// R's condition coercion: scalars directly; matrices use their first
@@ -88,10 +219,8 @@ impl Interp {
             Value::Bool(b) => Ok(*b),
             Value::Num(x) => Ok(*x != 0.0),
             Value::Vec(xs) if !xs.is_empty() => Ok(xs[0] != 0.0),
-            Value::Matrix(m) => {
-                let f = self.force_fm(m);
-                Ok(f.get(&self.ctx, 0, 0) != 0.0)
-            }
+            Value::Matrix(m) => Ok(m.get(&self.ctx, 0, 0) != 0.0),
+            Value::Deferred(_) => self.truthy(&self.force(v)?),
             other => Err(RError::Eval(format!("cannot use {other:?} as a condition"))),
         }
     }
@@ -188,11 +317,11 @@ impl Interp {
                 }
             }
             Expr::For { var, seq, body } => {
-                let s = self.eval_value(env, seq)?;
+                let s = self.eval_forced(env, seq)?;
                 let items: Vec<f64> = match s {
                     Value::Vec(v) => v.as_ref().clone(),
                     Value::Num(v) => vec![v],
-                    Value::Matrix(m) => self.force_fm(&m).to_vec(&self.ctx),
+                    Value::Matrix(m) => m.to_vec(&self.ctx),
                     other => return Err(RError::Eval(format!("cannot iterate over {other:?}"))),
                 };
                 for item in items {
@@ -292,13 +421,16 @@ impl Interp {
     }
 
     fn unary(&self, op: UnOp, v: Value) -> Result<Value, RError> {
+        if let Value::Deferred(_) = v {
+            return self.defer_op(vec![v], move |interp, mut a| interp.unary(op, a.remove(0)));
+        }
         match op {
             UnOp::Plus => Ok(v),
             UnOp::Neg => match v {
                 Value::Num(x) => Ok(Value::Num(-x)),
                 Value::Bool(b) => Ok(Value::Num(-f64::from(b))),
                 Value::Vec(xs) => Ok(Value::Vec(Rc::new(xs.iter().map(|x| -x).collect()))),
-                Value::Matrix(m) => Ok(Value::Matrix(-(&self.force_fm(&m)))),
+                Value::Matrix(m) => Ok(Value::Matrix(-(&m))),
                 other => Err(RError::Eval(format!("invalid argument to unary minus: {other:?}"))),
             },
             UnOp::Not => match v {
@@ -308,7 +440,7 @@ impl Interp {
                 Value::Vec(xs) => {
                     Ok(Value::Vec(Rc::new(xs.iter().map(|x| f64::from(*x == 0.0)).collect())))
                 }
-                Value::Matrix(m) => Ok(Value::Matrix(self.force_fm(&m).not())),
+                Value::Matrix(m) => Ok(Value::Matrix(m.not())),
                 other => Err(RError::Eval(format!("invalid argument to '!': {other:?}"))),
             },
         }
@@ -356,6 +488,16 @@ impl Interp {
 
     /// Evaluate a binary operation with R coercion rules.
     pub fn binary(&self, op: BinOp, l: Value, r: Value) -> Result<Value, RError> {
+        if matches!(l, Value::Deferred(_)) || matches!(r, Value::Deferred(_)) {
+            let tall = |v: &Value| matches!(v, Value::Matrix(m) if !m.is_small());
+            if op == BinOp::Range || tall(&l) || tall(&r) {
+                return self.binary(op, self.force(&l)?, self.force(&r)?);
+            }
+            return self.defer_op(vec![l, r], move |interp, mut a| {
+                let r = a.pop().expect("two operands");
+                interp.binary(op, a.pop().expect("two operands"), r)
+            });
+        }
         if op == BinOp::Range {
             let a = l.as_num()?;
             let b = r.as_num()?;
@@ -388,8 +530,8 @@ impl Interp {
         }
 
         match (l, r) {
-            (Value::Matrix(a), rb) => self.matrix_binary(op, self.force_fm(&a), rb, false),
-            (la, Value::Matrix(b)) => self.matrix_binary(op, self.force_fm(&b), la, true),
+            (Value::Matrix(a), rb) => self.matrix_binary(op, a, rb, false),
+            (la, Value::Matrix(b)) => self.matrix_binary(op, b, la, true),
             (Value::Vec(a), Value::Vec(b)) => {
                 let (long, short) = if a.len() >= b.len() { (&a, &b) } else { (&b, &a) };
                 if short.is_empty() || long.len() % short.len() != 0 {
@@ -424,7 +566,12 @@ impl Interp {
                 let out = Self::num_binop(op, a, b);
                 if matches!(
                     op,
-                    BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne
+                    BinOp::Lt
+                        | BinOp::Gt
+                        | BinOp::Le
+                        | BinOp::Ge
+                        | BinOp::Eq
+                        | BinOp::Ne
                         | BinOp::And
                         | BinOp::Or
                 ) {
@@ -438,7 +585,13 @@ impl Interp {
 
     /// Element-wise op where one side is a matrix. `swapped` means the
     /// matrix was the right operand.
-    fn matrix_binary(&self, op: BinOp, m: FM, other: Value, swapped: bool) -> Result<Value, RError> {
+    fn matrix_binary(
+        &self,
+        op: BinOp,
+        m: FM,
+        other: Value,
+        swapped: bool,
+    ) -> Result<Value, RError> {
         let bop = Self::fm_binop(op);
         match other {
             Value::Num(x) => Ok(Value::Matrix(m.binary_scalar(bop, x, swapped))),
@@ -464,7 +617,6 @@ impl Interp {
                 }
             }
             Value::Matrix(o) => {
-                let o = self.force_fm(&o);
                 // 1×k / k×1 alignment (see module docs).
                 let (a, b) = if m.nrow() == o.ncol() && m.ncol() == o.nrow() && m.nrow() != o.nrow()
                 {
@@ -484,9 +636,9 @@ impl Interp {
 
     /// `%*%` with R-style vector promotion.
     fn matmul(&self, l: Value, r: Value) -> Result<Value, RError> {
-        let to_fm = |interp: &Interp, v: Value, want_rows: Option<u64>| -> Result<FM, RError> {
+        let to_fm = |v: Value, want_rows: Option<u64>| -> Result<FM, RError> {
             match v {
-                Value::Matrix(m) => Ok(interp.force_fm(&m)),
+                Value::Matrix(m) => Ok(m),
                 Value::Num(x) => Ok(FM::from_dense(Dense::from_vec(1, 1, vec![x]))),
                 Value::Vec(xs) => {
                     // Promote to whatever conforms: row if the LHS wants
@@ -501,9 +653,9 @@ impl Interp {
                 other => Err(RError::Eval(format!("non-numeric %*% operand {other:?}"))),
             }
         };
-        let lf = to_fm(self, l, None)?;
-        let rf = to_fm(self, r, Some(lf.ncol()))?;
-        Ok(Value::Matrix(lf.matmul(&rf)))
+        let lf = to_fm(l, None)?;
+        let rf = to_fm(r, Some(lf.ncol()))?;
+        Ok(self.settle(Value::Matrix(lf.matmul(&rf))))
     }
 
     /// A small f64 vector as an n×1 FlashR column.
@@ -513,7 +665,7 @@ impl Interp {
 
     /// Indexing `x[...]`.
     fn index(&self, _env: &EnvRef, obj: Value, args: &[Arg]) -> Result<Value, RError> {
-        match obj {
+        match self.force(&obj)? {
             Value::Vec(v) => {
                 if args.len() != 1 {
                     return Err(RError::Eval("vectors take one index".into()));
@@ -523,7 +675,7 @@ impl Interp {
                     None => return Err(RError::Eval("missing vector index".into())),
                 };
                 // args already evaluated? No — index exprs arrive raw.
-                let iv = self.eval_value(_env, idx)?;
+                let iv = self.eval_forced(_env, idx)?;
                 match iv {
                     Value::Num(i) => {
                         let i = i as usize;
@@ -551,14 +703,13 @@ impl Interp {
                     return Err(RError::Eval("matrices take two indices".into()));
                 }
                 let row = match &args[0].value {
-                    Some(e) => Some(self.eval_value(_env, e)?),
+                    Some(e) => Some(self.eval_forced(_env, e)?),
                     None => None,
                 };
                 let col = match &args[1].value {
-                    Some(e) => Some(self.eval_value(_env, e)?),
+                    Some(e) => Some(self.eval_forced(_env, e)?),
                     None => None,
                 };
-                let m = self.force_fm(&m);
                 match (row, col) {
                     (Some(r), Some(c)) => {
                         let (ri, ci) = (r.as_num()? as u64, c.as_num()? as u64);
@@ -571,7 +722,9 @@ impl Interp {
                         let cols: Vec<usize> = match c {
                             Value::Num(j) => vec![j as usize - 1],
                             Value::Vec(js) => js.iter().map(|&j| j as usize - 1).collect(),
-                            other => return Err(RError::Eval(format!("invalid column index {other:?}"))),
+                            other => {
+                                return Err(RError::Eval(format!("invalid column index {other:?}")))
+                            }
                         };
                         for &j in &cols {
                             if j >= m.ncol() as usize {
@@ -610,15 +763,20 @@ impl Interp {
         };
         let current = Env::get(env, &name)
             .ok_or_else(|| RError::Eval(format!("object '{name}' not found")))?;
+        let current = self.force(&current)?;
         match current {
             Value::Vec(v) => {
                 if args.len() != 1 {
                     return Err(RError::Eval("vectors take one index".into()));
                 }
                 let idx = self
-                    .eval_value(env, args[0].value.as_ref().ok_or_else(|| {
-                        RError::Eval("missing index".into())
-                    })?)?
+                    .eval_forced(
+                        env,
+                        args[0]
+                            .value
+                            .as_ref()
+                            .ok_or_else(|| RError::Eval("missing index".into()))?,
+                    )?
                     .as_num()? as usize;
                 if idx < 1 || idx > v.len() {
                     return Err(RError::Eval("index out of bounds".into()));
@@ -629,20 +787,27 @@ impl Interp {
                 Ok(())
             }
             Value::Matrix(m) => {
-                let m = self.force_fm(&m);
                 if let FM::Small(d) = &m {
                     if args.len() != 2 {
                         return Err(RError::Eval("matrices take two indices".into()));
                     }
                     let ri = self
-                        .eval_value(env, args[0].value.as_ref().ok_or_else(|| {
-                            RError::Eval("missing row index".into())
-                        })?)?
+                        .eval_forced(
+                            env,
+                            args[0]
+                                .value
+                                .as_ref()
+                                .ok_or_else(|| RError::Eval("missing row index".into()))?,
+                        )?
                         .as_num()? as usize;
                     let ci = self
-                        .eval_value(env, args[1].value.as_ref().ok_or_else(|| {
-                            RError::Eval("missing column index".into())
-                        })?)?
+                        .eval_forced(
+                            env,
+                            args[1]
+                                .value
+                                .as_ref()
+                                .ok_or_else(|| RError::Eval("missing column index".into()))?,
+                        )?
                         .as_num()? as usize;
                     if ri < 1 || ri > d.rows() || ci < 1 || ci > d.cols() {
                         return Err(RError::Eval("matrix index out of bounds".into()));

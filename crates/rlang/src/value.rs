@@ -2,7 +2,9 @@
 
 use crate::ast::Expr;
 use crate::env::EnvRef;
+use crate::interp::Interp;
 use flashr_core::fm::FM;
+use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -40,8 +42,12 @@ pub enum Value {
     Str(String),
     /// A small numeric vector (R vectors; kept in memory).
     Vec(Rc<Vec<f64>>),
-    /// A FlashR matrix: tall/lazy, a pending sink, or a small dense one.
+    /// A FlashR matrix: tall and lazy, or small and dense — never an
+    /// `FM::Sink`, which R sees as a [`Value::Deferred`].
     Matrix(FM),
+    /// A small value R has not needed yet: a pending sink, or small
+    /// arithmetic over pending sinks (see [`crate::interp`]).
+    Deferred(Rc<Deferred>),
     Closure(Rc<Closure>),
     /// A builtin by name (see `builtins`).
     Builtin(&'static str),
@@ -68,6 +74,10 @@ impl fmt::Debug for Value {
                 write!(f, ")")
             }
             Value::Matrix(m) => write!(f, "{m:?}"),
+            Value::Deferred(d) => match &*d.state.borrow() {
+                Pending::Done(v) => write!(f, "{v:?}"),
+                _ => write!(f, "<deferred>"),
+            },
             Value::Closure(c) => write!(f, "function({} params)", c.params.len()),
             Value::Builtin(n) => write!(f, "<builtin {n}>"),
         }
@@ -105,6 +115,54 @@ impl Value {
     /// R's `is.null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
+    }
+}
+
+/// An `FM::Sink` R has not forced, shared by every value built from it.
+pub struct PendingSink {
+    pub(crate) sink: FM,
+    /// Rows of the sink's tall input: the partition dimension of the
+    /// pass that computes it.
+    pub(crate) rows: u64,
+    /// The small matrix it became, once forced.
+    pub(crate) result: RefCell<Option<FM>>,
+}
+
+impl PendingSink {
+    pub(crate) fn is_pending(&self) -> bool {
+        self.result.borrow().is_none()
+    }
+}
+
+/// A small op the interpreter runs on its operands once they are forced.
+pub(crate) type SmallOp = Rc<dyn Fn(&Interp, Vec<Value>) -> Result<Value, RError>>;
+
+/// A deferred value; it computes once and keeps the result.
+pub struct Deferred {
+    pub(crate) state: RefCell<Pending>,
+}
+
+pub(crate) enum Pending {
+    /// `op` over `args`, some of them deferred; `sinks` are every pending
+    /// sink the args read.
+    Op {
+        op: SmallOp,
+        args: Vec<Value>,
+        sinks: Vec<Rc<PendingSink>>,
+    },
+    Done(Value),
+}
+
+impl Deferred {
+    /// The pending sinks this value still needs.
+    pub(crate) fn pending_sinks(&self) -> Vec<Rc<PendingSink>> {
+        match &*self.state.borrow() {
+            Pending::Op { sinks, .. } => sinks.clone(),
+            Pending::Done(_) => Vec::new(),
+        }
+        .into_iter()
+        .filter(|s| s.is_pending())
+        .collect()
     }
 }
 

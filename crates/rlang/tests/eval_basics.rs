@@ -14,9 +14,8 @@ fn num(r: &mut Interp, src: &str) -> f64 {
         Value::Bool(b) => f64::from(b),
         Value::Vec(v) if v.len() == 1 => v[0],
         Value::Matrix(m) => {
-            let f = r.force_fm(&m);
-            assert_eq!(f.len(), 1, "expected scalar result");
-            f.get(r.ctx(), 0, 0)
+            assert_eq!(m.len(), 1, "expected scalar result");
+            m.get(r.ctx(), 0, 0)
         }
         other => panic!("expected a number, got {other:?}"),
     }

@@ -193,8 +193,8 @@ total.var <- sum(diag(COV))
 
 #[test]
 fn iteration_stays_one_pass_per_round() {
-    // The Figure 3 loop body must stay a bounded number of engine passes
-    // per iteration (fusion working through the interpreter).
+    // The Figure 3 loop body is one engine pass (fusion working through
+    // the interpreter).
     let mut r = interp();
     r.eval_str("X <- materialize(rnorm.matrix(20000, 2, seed = 21))").unwrap();
     r.eval_str("C <- matrix(c(0, 1, 0, 1), nrow = 2)").unwrap();
@@ -208,10 +208,10 @@ S <- groupby.row(X, I, "+")
     )
     .unwrap();
     let used = r.ctx().stats().snapshot().passes - before;
-    // groupby.row materializes the labels with their range in one pass,
-    // then runs the groupby: 2 passes for the whole body (vs. one per
-    // *operation* without fusion).
-    assert_eq!(used, 2, "interpreted loop body used {used} passes");
+    // `which.min`'s labels have a static range, so `groupby.row` needs no
+    // range pass; the groupby sink waits until `eval_str` hands `S` back:
+    // 1 pass for the whole body (vs. one per *operation* without fusion).
+    assert_eq!(used, 1, "interpreted loop body used {used} passes");
 }
 
 /// The Figure 3 loop body, run once per `eval_str` at the top level;
@@ -272,14 +272,15 @@ I <- NULL
 
 #[test]
 fn figure3_set_cache_computes_each_distance_product_once() {
-    // With `I` cached, an iteration is labels + range, the count
-    // groupby, the range of the cached `I`, the sum groupby and
-    // `sum(old.I != I)` over two cached vectors: 5 passes (4 in the
-    // first, which has no `old.I`) and one distance product.
+    // With `I` cached, an iteration is one pass with one distance
+    // product: `as.vector(sum(old.I != I))` forces the move count, both
+    // groupbys and the labels (kept as a byproduct) together. The first
+    // iteration, which has no `old.I`, forces nothing; its groupbys wait
+    // for the second iteration's `t(C)`, one pass more there.
     let (cached, per_iter) = figure3_fixed_iterations(true, 6);
-    assert_eq!(per_iter[0], (4, 1), "first iteration: {per_iter:?}");
-    for (i, &it) in per_iter.iter().enumerate().skip(1) {
-        assert_eq!(it, (5, 1), "iteration {}: {per_iter:?}", i + 1);
+    assert_eq!(per_iter[..2], [(0, 0), (2, 2)], "first two iterations: {per_iter:?}");
+    for (i, &it) in per_iter.iter().enumerate().skip(2) {
+        assert_eq!(it, (1, 1), "iteration {}: {per_iter:?}", i + 1);
     }
     // Caching changes what is recomputed, never a value.
     let (uncached, _) = figure3_fixed_iterations(false, 6);
@@ -355,4 +356,51 @@ stopifnot(as.vector(sum(CS)) == 500 * 10)
 "#,
     )
     .unwrap();
+}
+
+#[test]
+fn figure2_iteration_is_one_pass_plus_one_per_line_search_trial() {
+    // The gradient and the cost share one pass, forced by the first
+    // trial's `X %*% t(w)`; each trial's cost is one pass more. The first
+    // step is 50 rather than the listing's 1, so the line search runs.
+    let mut r = interp();
+    r.eval_str(
+        r#"
+num.features <- 4
+X <- materialize(rnorm.matrix(5000, num.features, seed = 1))
+truth <- matrix(c(1.5, -1, 0.5, 2), nrow = 1)
+y <- materialize(sigmoid(X %*% t(truth)) > runif.matrix(5000, 1, seed = 2))
+grad <- function(X, y, w)
+  (t(X) %*% (1/(1+exp(-X%*%t(w)))-y))/length(y)
+cost <- function(X, y, w)
+  sum(y*(-X%*%t(w))+log(1+exp(X%*%t(w))))/length(y)
+theta <- matrix(rep(0, num.features), nrow=1)
+"#,
+    )
+    .unwrap();
+    let iteration = r#"
+g <- grad(X, y, theta)
+l <- cost(X, y, theta)
+eta <- 50
+delta <- 0.5 * (-g) %*% t(g)
+trials <- 1
+while (as.vector(cost(X, y, theta+eta*(-g))) > as.vector(l)+as.vector(delta)[1]*eta) {
+  eta <- eta * 0.2
+  trials <- trials + 1
+}
+theta <- theta + (-g) * eta
+trials
+"#;
+    let mut total_trials = 0.0;
+    for i in 0..6 {
+        let before = r.ctx().stats().snapshot().passes;
+        let trials = match r.eval_str(iteration).unwrap() {
+            Value::Num(t) => t,
+            other => panic!("{other:?}"),
+        };
+        let used = r.ctx().stats().snapshot().passes - before;
+        assert_eq!(used as f64, 1.0 + trials, "iteration {}: {trials} trials", i + 1);
+        total_trials += trials;
+    }
+    assert!(total_trials > 6.0, "the line search never shortened a step");
 }

@@ -126,6 +126,24 @@ impl Drop for TempDir {
     }
 }
 
+thread_local! {
+    /// The calling thread's flight-recorder dump directory.
+    static FLIGHT_DUMPS: TempDir = {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        TempDir::new(&format!("flight-{}", NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)))
+    };
+}
+
+/// Where a test context's flight recorder dumps
+/// (`FlightRecorder::set_dump_path`): a file in a scratch directory of
+/// the calling thread, removed with what is in it when the thread ends —
+/// the test harness runs each test on a thread of its own. A panic
+/// anywhere in the process makes every live context dump, so a suite
+/// whose tests panic on purpose points each of its contexts here.
+pub fn flight_dump_path() -> PathBuf {
+    FLIGHT_DUMPS.with(|d| d.path().join("flight.json"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

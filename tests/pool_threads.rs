@@ -23,6 +23,9 @@ fn passes_start_no_thread_once_the_pool_has_its_helpers() {
         CtxConfig { nthreads: 4, rows_per_part: 256, ..CtxConfig::default() },
         None,
     );
+    // The failing pass below dumps the flight recorder: under this
+    // thread, never in the temporary directory.
+    ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
 
     // One partition, so one worker: the calling thread.
     let small = FM::runif(&ctx, 200, 3, 0.0, 1.0, 1).materialize(&ctx);

@@ -27,8 +27,13 @@ fn within<T: Send + 'static>(
     }
 }
 
+/// A context whose flight recorder dumps under the calling thread, never
+/// in the temporary directory: a test here panics on purpose.
 fn ctx(nthreads: usize, rows_per_part: u64) -> FlashCtx {
-    FlashCtx::with_config(CtxConfig { nthreads, rows_per_part, ..CtxConfig::default() }, None)
+    let ctx =
+        FlashCtx::with_config(CtxConfig { nthreads, rows_per_part, ..CtxConfig::default() }, None);
+    ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
+    ctx
 }
 
 #[test]

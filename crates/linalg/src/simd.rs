@@ -211,9 +211,8 @@ pub fn gramian_f64(
                 while j < k {
                     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
                     if vex && mi == 2 && j + 2 <= k {
-                        let mut acc =
-                            [i * k + j, i * k + j + 1, (i + 1) * k + j, (i + 1) * k + j + 1]
-                                .map(|o| lanes[o]);
+                        let outs = [i * k + j, i * k + j + 1, (i + 1) * k + j, (i + 1) * k + j + 1];
+                        let mut acc = outs.map(|o| lanes[o]);
                         // SAFETY: `vex` is `level.vex()`, which saw
                         // `SimdLevel::avx2_supported()`; all four columns
                         // are `rows` long.
@@ -222,12 +221,11 @@ pub fn gramian_f64(
                                 [&a[col(i)], &a[col(i + 1)]],
                                 [&b[col(j)], &b[col(j + 1)]],
                                 &mut acc,
-                            )
-                        };
-                        lanes[i * k + j] = acc[0];
-                        lanes[i * k + j + 1] = acc[1];
-                        lanes[(i + 1) * k + j] = acc[2];
-                        lanes[(i + 1) * k + j + 1] = acc[3];
+                            );
+                        }
+                        for (o, l) in outs.into_iter().zip(acc) {
+                            lanes[o] = l;
+                        }
                         j += 2;
                         continue;
                     }

@@ -763,7 +763,7 @@ impl Interp {
         };
         let current = Env::get(env, &name)
             .ok_or_else(|| RError::Eval(format!("object '{name}' not found")))?;
-        let current = self.force(&current)?;
+        let (current, value) = (self.force(&current)?, self.force(&value)?);
         match current {
             Value::Vec(v) => {
                 if args.len() != 1 {

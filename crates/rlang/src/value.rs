@@ -86,12 +86,14 @@ impl fmt::Debug for Value {
 
 impl Value {
     /// Scalar extraction for values that don't need the engine (numbers,
-    /// logicals, length-1 vectors).
+    /// logicals, length-1 vectors, 1 × 1 small matrices such as a forced
+    /// `sum`).
     pub fn as_num(&self) -> Result<f64, RError> {
         match self {
             Value::Num(v) => Ok(*v),
             Value::Bool(b) => Ok(f64::from(*b)),
             Value::Vec(v) if v.len() == 1 => Ok(v[0]),
+            Value::Matrix(FM::Small(d)) if (d.rows(), d.cols()) == (1, 1) => Ok(d.at(0, 0)),
             other => Err(RError::Eval(format!("expected a number, got {other:?}"))),
         }
     }

@@ -308,3 +308,12 @@ good <- sum(X)
     let err = r.eval_str("as.vector(w)").unwrap_err().to_string();
     assert!(err.contains("does not recycle"), "{err}");
 }
+
+#[test]
+fn a_deferred_value_assigned_into_an_element_is_forced() {
+    let mut r = interp();
+    let v = r
+        .eval_str("X <- rnorm.matrix(1000, 2, seed = 8)\nv <- c(0, 0)\nv[2] <- sum(X * 0 + 1)\nv")
+        .unwrap();
+    assert!(matches!(v, Value::Vec(v) if v[..] == [0.0, 2000.0]));
+}

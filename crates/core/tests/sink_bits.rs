@@ -2,7 +2,7 @@
 //! what else shares its pass, the Pcache budget or the engine mode.
 //!
 //! Each case draws a tall matrix, a derived expression over it and a
-//! labelling, then materializes `sum`, `colSums`, `colMeans`,
+//! labelling, then materializes `sum`, `prod`, `colSums`, `colMeans`,
 //! `crossprod`, `crossprod_with` and `groupby.row` sinks of the
 //! expression alone, and all of them at once beside a tall target, at
 //! three `pcache_bytes` budgets under `CacheFuse`, `MemFuse` and `Eager`.
@@ -71,6 +71,8 @@ impl Case {
         let y = x.cols(&self.with_cols).unary(UnaryOp::Sigmoid);
         let sinks = vec![
             e.sum(),
+            // A many-column product folds column by column.
+            (&(&e * 1e-3) + 1.0).prod_all(),
             e.col_sums(),
             e.col_means(),
             e.crossprod(),

@@ -156,14 +156,11 @@ impl Interp {
     /// the module docs).
     pub fn force(&self, v: &Value) -> Result<Value, RError> {
         let Value::Deferred(d) = v else { return Ok(v.clone()) };
-        if let Pending::Done(v) = &*d.state.borrow() {
-            return Ok(v.clone());
-        }
-        self.force_sinks(&d.pending_sinks())?;
         let (op, args) = match &*d.state.borrow() {
             Pending::Done(v) => return Ok(v.clone()),
             Pending::Op { op, args, .. } => (op.clone(), args.clone()),
         };
+        self.force_sinks(&d.pending_sinks())?;
         let args = args.iter().map(|a| self.force(a)).collect::<Result<_, _>>()?;
         let value = op(self, args)?;
         *d.state.borrow_mut() = Pending::Done(value.clone());

@@ -101,17 +101,23 @@ fn main() {
     }
 
     // ------------------------------------------------ SA-cache size sweep
-    // A 5-iteration KMeans-shaped workload (every iteration re-reads the
-    // EM input in full). Cache size 0 is today's behavior — every
-    // iteration pays full device I/O; a cache that holds the input makes
-    // warm iterations near-zero device reads (ISSUE 3 acceptance).
+    // Six scans of a KMeans-shaped EM workload (every iteration re-reads
+    // the input in full) against three page-cache sizes. Cache size 0
+    // installs no cache: every scan pays full device I/O. A cache that
+    // holds the input is filled by the first scan. A cache of half the
+    // input bypasses the first two scans, the third keeps the partitions
+    // that fit, and each later scan reads about half the input from the
+    // device. Partitions of 4096 rows, so the half-size cache holds a
+    // dozen of them at quick scale, not one per shard.
+    const SCANS: usize = 6;
     let n_em = scale.rows(100_000, 1_000_000);
     let data_bytes = n_em * p as u64 * 8;
-    println!("\nSA-cache size sweep (5-iteration EM re-scan, input {data_bytes} bytes):");
+    println!("\nSA-cache size sweep ({SCANS} EM re-scans, input {data_bytes} bytes):");
     println!(
-        "{:>12} {:>10} {:>12} {:>12} {:>9}",
-        "cache", "seconds", "dev reads", "dev bytes", "hit rate"
+        "{:>12} {:>10} {:>12} {:>12} {:>9} {:>14}",
+        "cache", "seconds", "dev reads", "dev bytes", "hit rate", "scan 4+ ratio"
     );
+    let mut uncached_scan_bytes = None;
     for (label, cache_bytes) in
         [("0", 0u64), ("half-input", data_bytes / 2), ("2x-input", data_bytes * 2)]
     {
@@ -122,29 +128,42 @@ fn main() {
         }
         let safs = Safs::open(safs_cfg).expect("SAFS open failed");
         let ctx = FlashCtx::with_config(
-            CtxConfig { storage: StorageClass::Em, ..Default::default() },
-            Some(safs),
+            CtxConfig { storage: StorageClass::Em, rows_per_part: 4096, ..Default::default() },
+            Some(safs.clone()),
         );
         let x = FM::rnorm(&ctx, n_em, p, 0.0, 1.0, 3).materialize(&ctx);
-        workload(&ctx, &x); // cold iteration warms the cache
-        let before = ctx.safs().unwrap().stats_snapshot();
+        let first = safs.stats_snapshot();
+        let mut scan_bytes = Vec::with_capacity(SCANS);
+        let mut before = first;
         let (_, t) = time(|| {
-            for _ in 0..5 {
+            for _ in 0..SCANS {
                 workload(&ctx, &x);
+                let now = safs.stats_snapshot();
+                scan_bytes.push(before.delta(&now).read_bytes);
+                before = now;
             }
         });
-        let io = before.delta(&ctx.safs().unwrap().stats_snapshot());
+        let io = first.delta(&safs.stats_snapshot());
         let lookups = io.cache.hits + io.cache.misses + io.cache.coalesced;
         let hit_rate =
             if lookups > 0 { io.cache.hits as f64 / lookups as f64 * 100.0 } else { 0.0 };
+        // Device bytes of a scan after the one that admits, against an
+        // uncached scan.
+        let warm = scan_bytes[3..].iter().sum::<u64>() as f64 / (SCANS - 3) as f64;
+        let uncached = *uncached_scan_bytes.get_or_insert(warm);
         println!(
-            "{label:>12} {:>10.3} {:>12} {:>12} {hit_rate:>8.1}%",
+            "{label:>12} {:>10.3} {:>12} {:>12} {hit_rate:>8.1}% {:>14.3}",
             t.as_secs_f64(),
             io.read_reqs,
-            io.read_bytes
+            io.read_bytes,
+            warm / uncached
         );
+        println!("{:>12} per scan: {scan_bytes:?}", "");
         report.push("ablate", "cache-size", label, "", t.as_secs_f64());
         report.push("ablate", "cache-size-reads", label, "", io.read_reqs as f64);
+        report.push("ablate", "cache-size-scan4-ratio", label, "", warm / uncached);
+        drop((x, ctx, safs));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // --------------------------------------------- buffer-recycle check

@@ -16,9 +16,10 @@
 //!   truncates data and doubles per-element conversion work.
 //! * **W004** `em-rescan-uncached`: in eager mode the plan reads an
 //!   external-memory leaf in two or more passes, but the configured
-//!   page-cache budget is smaller than that leaf, so every pass pays
-//!   full device I/O. Raise the cache/memory budget or switch to a
-//!   fused mode (one pass).
+//!   page-cache budget is smaller than that leaf, so the first two
+//!   passes pay full device I/O and the later ones all but the part the
+//!   cache keeps. Raise the cache/memory budget or switch to a fused
+//!   mode (one pass).
 //!
 //! The footprint estimate counts the bytes a pass moves: read from
 //! materialized leaves, produced by generators and written by tall
@@ -113,7 +114,7 @@ pub fn run(ctx: &FlashCtx, targets: &[Target]) -> (Vec<Lint>, FootprintEstimate)
                         code: "W004",
                         node: node.id,
                         message: format!(
-                            "{} ({} bytes, external memory) is read by {} eager passes but the page-cache budget is {} bytes; every pass re-reads the device (raise the memory budget or use a fused mode)",
+                            "{} ({} bytes, external memory) is read by {} eager passes but the page-cache budget is {} bytes; every pass re-reads what the cache cannot hold from the device (raise the memory budget or use a fused mode)",
                             node.label(),
                             mat_bytes(node),
                             consumers[&node.id],

@@ -26,9 +26,10 @@
 //! counts and leaf-resolution map, so `exec::plan` invokes it after the
 //! CSE rewrite, on every plan.
 //!
-//! [`analyze`] runs all three; [`crate::exec::materialize`] calls it on
-//! every plan and runs the rewritten targets, and
-//! [`crate::fm::FM::check`] exposes it without executing anything.
+//! [`analyze`] runs all three; [`crate::exec::materialize`] runs the
+//! first two on every plan (the lints too when `FLASHR_DENY_LINTS` names
+//! a code) and then the rewritten targets, and [`crate::fm::FM::check`]
+//! exposes all three without executing anything.
 
 pub mod chains;
 pub mod cse;
@@ -120,8 +121,9 @@ impl PlanError {
 }
 
 /// Promote the lints `FLASHR_DENY_LINTS` names to hard [`PlanError`]s:
-/// the one gate [`crate::exec::materialize`], [`crate::fm::FM::check`]
-/// and [`crate::fm::FM::check_json`] all pass through.
+/// the gate [`crate::fm::FM::check`] and [`crate::fm::FM::check_json`]
+/// pass through ([`crate::exec::materialize`] reads the variable once and
+/// calls [`promote_denied`] itself).
 pub fn deny_gate(lints: &[Lint]) -> Result<(), PlanError> {
     promote_denied(lints, &crate::env::deny_lints())
 }
@@ -266,9 +268,22 @@ pub(crate) fn count_nodes(targets: &[Target]) -> usize {
 /// layers always run on a verified DAG, and the rewritten targets are
 /// what [`crate::exec::materialize`] executes.
 pub fn analyze(ctx: &FlashCtx, targets: &[Target]) -> Result<Analysis, PlanError> {
+    analyze_with(ctx, targets, true)
+}
+
+/// [`analyze`], with the lint layer only when `lint` is set; without it
+/// the report has no lints and a zero footprint. Materialization lints
+/// only when `FLASHR_DENY_LINTS` names a code, since nothing else there
+/// reads the lints.
+pub(crate) fn analyze_with(
+    ctx: &FlashCtx,
+    targets: &[Target],
+    lint: bool,
+) -> Result<Analysis, PlanError> {
     infer::verify(targets)?;
     let rw = cse::rewrite(targets);
-    let (lints, footprint) = lint::run(ctx, &rw.targets);
+    let (lints, footprint) =
+        if lint { lint::run(ctx, &rw.targets) } else { (Vec::new(), FootprintEstimate::default()) };
     Ok(Analysis {
         report: AnalysisReport {
             nodes_before: rw.nodes_before,

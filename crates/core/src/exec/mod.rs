@@ -75,13 +75,16 @@ impl TargetResult {
 /// Every plan first goes through the static analyzer
 /// ([`crate::analysis::analyze`]): an inconsistent DAG comes back here as
 /// a [`PlanError`], before any partition is read, and what runs is the
-/// analyzer's rewritten plan (CSE, cast/cbind collapsing).
+/// analyzer's rewritten plan (CSE, cast/cbind collapsing). The lint layer
+/// runs only when `FLASHR_DENY_LINTS` names a code, the one use a pass
+/// has for its lints.
 pub fn materialize(ctx: &FlashCtx, targets: &[Target]) -> Result<Vec<TargetResult>, PlanError> {
     if targets.is_empty() {
         return Ok(Vec::new());
     }
-    let analysis = crate::analysis::analyze(ctx, targets)?;
-    crate::analysis::deny_gate(&analysis.report.lints)?;
+    let denied = crate::env::deny_lints();
+    let analysis = crate::analysis::analyze_with(ctx, targets, !denied.is_empty())?;
+    crate::analysis::promote_denied(&analysis.report.lints, &denied)?;
 
     let results = match ctx.cfg().mode {
         ExecMode::Eager => eager::run(ctx, &analysis.targets),

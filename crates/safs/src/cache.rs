@@ -17,10 +17,17 @@
 //!   coalesce onto a single device read. The first becomes the
 //!   *completer* and owns the I/O; the rest block on the shard condvar
 //!   until the buffer is published.
-//! * **Admission.** Files larger than the cache capacity bypass the
-//!   cache entirely, so one streaming pass over a huge matrix cannot
-//!   evict an iterative hot set that fits. Capacity 0 means "no cache":
-//!   the runtime never installs one and every read goes straight to the
+//! * **Admission.** A file that fits the capacity is admitted at its
+//!   first miss. A larger file is counted instead: its partitions bypass
+//!   the cache until the file has missed `2 × nparts` times (two full
+//!   scans), so a one- or two-shot stream admits nothing. After that an
+//!   admitted partition may evict only unreferenced entries of *other*
+//!   files, never its own file's resident partitions; when no such room
+//!   exists it is served and not kept. A cyclic scan therefore keeps a
+//!   stable resident subset, the shape of Belady's optimum on a loop. The
+//!   per-file miss count, kept by file uid, stands in for 2Q's ghost set
+//!   (Johnson & Shasha, VLDB 1994). Capacity 0 means "no cache": the
+//!   runtime never installs one and every read goes straight to the
 //!   device, bit-identical to the pre-cache behaviour.
 //!
 //! The cache reads nothing ahead: the matrix engine's read-ahead window
@@ -72,11 +79,14 @@ crate::stat_struct! {
     pub struct CacheStatsSnapshot {
         /// Lookups served from a resident entry.
         hits: counter;
-        /// Lookups that became the owning device read.
+        /// Lookups that became the owning device read. A miss of an
+        /// admitted partition for which no room could be made is served
+        /// and not kept, so it is a miss without an insert.
         misses: counter;
         /// Lookups that blocked on another reader's in-flight I/O.
         coalesced: counter;
-        /// Reads that skipped the cache via the admission filter.
+        /// Reads of a file larger than the capacity that skipped the
+        /// cache during its first two scans.
         bypasses: counter;
         /// Buffers published into the cache.
         inserts: counter;
@@ -126,9 +136,22 @@ struct Shard {
     cond: Condvar,
     /// Per-shard counters; shard-scoped so concurrent workers on
     /// different partitions never share a counter cache line.
-    /// Admission-filter bypasses are not shard-scoped and are accounted
-    /// on shard 0.
+    /// Bypasses are not shard-scoped and are accounted on shard 0.
     stats: CacheStats,
+}
+
+/// How [`PageCache::admit`] lets a read of one file through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// Straight to the device: a file larger than the capacity in its
+    /// first two scans.
+    Bypass,
+    /// Through the cache; a miss is kept and evicts by CLOCK (the file
+    /// fits the capacity).
+    Whole,
+    /// Through the cache; a miss is kept only in the room that other
+    /// files' entries can give.
+    Partial,
 }
 
 /// What a [`PageCache::lookup`] resolved to.
@@ -148,6 +171,9 @@ pub struct PageCache {
     cfg: CacheCfg,
     shard_budget: u64,
     shards: Vec<Shard>,
+    /// Misses so far of each file larger than the capacity, by uid; an
+    /// entry goes with the file's entries (`invalidate_file`).
+    file_misses: Mutex<HashMap<u64, u64>>,
 }
 
 impl PageCache {
@@ -156,6 +182,7 @@ impl PageCache {
         PageCache {
             shard_budget: cfg.capacity_bytes / SHARDS as u64,
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+            file_misses: Mutex::default(),
             cfg,
         }
     }
@@ -181,16 +208,25 @@ impl PageCache {
         &self.shards[(key.1 % self.shards.len() as u64) as usize]
     }
 
-    /// Admission filter: only files whose hot set can actually fit are
-    /// cached; larger files stream past the cache.
-    pub(crate) fn admits(&self, file_bytes: u64) -> bool {
-        file_bytes <= self.cfg.capacity_bytes
-    }
-
-    /// Count one admission-filter bypass (not shard-scoped; accounted on
-    /// shard 0).
-    pub(crate) fn note_bypass(&self) {
+    /// Admission of one read of file `uid` (`file_bytes` long, in
+    /// `nparts` partitions). A file that fits is admitted whole. A larger
+    /// one bypasses until it has missed `2 × nparts` times, and each of
+    /// those reads counts as one of its misses; after that its
+    /// partitions are admitted one by one.
+    pub(crate) fn admit(&self, uid: u64, file_bytes: u64, nparts: u64) -> Admission {
+        if file_bytes <= self.cfg.capacity_bytes {
+            return Admission::Whole;
+        }
+        {
+            let mut misses = self.file_misses.lock();
+            let seen = misses.entry(uid).or_insert(0);
+            if *seen >= 2 * nparts {
+                return Admission::Partial;
+            }
+            *seen += 1;
+        }
         self.shards[0].stats.bypasses.inc();
+        Admission::Bypass
     }
 
     /// Resolve `key`: hit, owned miss, or shared wait.
@@ -234,69 +270,125 @@ impl PageCache {
         }
     }
 
-    /// Publish a completed read, evicting to budget, and wake waiters.
-    pub(crate) fn complete(&self, key: CacheKey, buf: IoBuf) -> Arc<IoBuf> {
+    /// Publish a completed read and wake waiters. Room is made first, so
+    /// the evicted buffers go before the new one is kept. A partition
+    /// admitted whole evicts by CLOCK. One admitted partially is kept only
+    /// if evicting other files' entries makes room for it; otherwise its
+    /// placeholder is cleared and the buffer is served uncached.
+    pub(crate) fn complete(&self, key: CacheKey, buf: IoBuf, admission: Admission) -> Arc<IoBuf> {
         let arc = Arc::new(buf);
         let len = arc.len() as u64;
         let shard = self.shard(key);
+        let mut evicted = Vec::new();
         {
             let mut g = shard.inner.lock();
-            match g.map.insert(key, Slot::Resident { buf: arc.clone(), referenced: false }) {
-                Some(Slot::Resident { buf: old, .. }) => {
-                    // Replaced in place (benign race); the ring slot stands.
-                    shard.stats.resident_bytes.sub(old.len() as u64);
+            let kept = match admission {
+                Admission::Partial => {
+                    self.make_room_locked(&mut g, key.0, len, &shard.stats, &mut evicted)
                 }
-                _ => g.ring.push(key),
+                _ => {
+                    self.evict_locked(&mut g, |_| false, len, &shard.stats, &mut evicted);
+                    true
+                }
+            };
+            if kept {
+                match g.map.insert(key, Slot::Resident { buf: arc.clone(), referenced: false }) {
+                    Some(Slot::Resident { buf: old, .. }) => {
+                        // Replaced in place (benign race); the ring slot stands.
+                        shard.stats.resident_bytes.sub(old.len() as u64);
+                    }
+                    _ => g.ring.push(key),
+                }
+                shard.stats.resident_bytes.add(len);
+                shard.stats.inserts.inc();
+            } else if matches!(g.map.get(&key), Some(Slot::InFlight)) {
+                g.map.remove(&key);
             }
-            shard.stats.resident_bytes.add(len);
-            shard.stats.inserts.inc();
-            self.evict_locked(&mut g, key, &shard.stats);
         }
         shard.cond.notify_all();
+        // An evicted buffer no reader holds goes now, its pages with it.
+        for buf in evicted.into_iter().filter_map(|b| Arc::try_unwrap(b).ok()) {
+            buf.free_pages();
+        }
         arc
     }
 
-    /// CLOCK sweep to the shard budget. Never evicts `protect` (the key
-    /// just inserted) and gives up after two full revolutions, so an
-    /// over-budget single partition overshoots instead of spinning.
-    fn evict_locked(&self, g: &mut ShardInner, protect: CacheKey, stats: &CacheStats) {
+    /// Evict entries of files other than `uid` until `len` more bytes
+    /// fit the shard budget. Evicts nothing and returns false when even
+    /// evicting all of them would not make the room: only the file's own
+    /// resident partitions stand in the way, and those are never evicted
+    /// for it.
+    fn make_room_locked(
+        &self,
+        g: &mut ShardInner,
+        uid: u64,
+        len: u64,
+        stats: &CacheStats,
+        evicted: &mut Vec<Arc<IoBuf>>,
+    ) -> bool {
+        let own: u64 = g
+            .map
+            .iter()
+            .filter_map(|(k, slot)| match slot {
+                Slot::Resident { buf, .. } if k.0 == uid => Some(buf.len() as u64),
+                _ => None,
+            })
+            .sum();
+        if own + len > self.shard_budget {
+            return false;
+        }
+        self.evict_locked(g, |k| k.0 == uid, len, stats, evicted);
+        true
+    }
+
+    /// CLOCK sweep until `room` more bytes fit the shard budget. Never
+    /// evicts a resident key `keep` holds, and gives up after two
+    /// revolutions of the ring as it stood, so a partition larger than
+    /// the budget overshoots instead of spinning. Two revolutions reach
+    /// every entry twice, so they evict every entry `keep` does not hold
+    /// if needed. The evicted buffers go to `evicted`, to be dropped
+    /// outside the lock.
+    fn evict_locked(
+        &self,
+        g: &mut ShardInner,
+        keep: impl Fn(CacheKey) -> bool,
+        room: u64,
+        stats: &CacheStats,
+        evicted: &mut Vec<Arc<IoBuf>>,
+    ) {
+        let limit = 2 * g.ring.len() + 1;
         let mut sweeps = 0usize;
-        while stats.resident_bytes.get() > self.shard_budget && !g.ring.is_empty() {
-            if sweeps > 2 * g.ring.len() + 1 {
+        while stats.resident_bytes.get() + room > self.shard_budget && !g.ring.is_empty() {
+            if sweeps > limit {
                 break;
             }
             if g.hand >= g.ring.len() {
                 g.hand = 0;
             }
             let k = g.ring[g.hand];
-            if k == protect {
-                g.hand += 1;
-                sweeps += 1;
-                continue;
-            }
-            let evict_len = match g.map.get_mut(&k) {
-                Some(Slot::Resident { referenced, buf }) => {
-                    if *referenced {
-                        *referenced = false;
-                        None
-                    } else {
-                        Some(buf.len() as u64)
-                    }
-                }
-                // In-flight or invalidated: the ring entry is stale.
-                _ => Some(u64::MAX),
+            let referenced = match g.map.get_mut(&k) {
+                Some(Slot::Resident { referenced, .. }) => Some(referenced),
+                _ => None,
             };
-            match evict_len {
+            match referenced {
+                // In-flight or invalidated: the ring entry is stale.
                 None => {
+                    g.ring.swap_remove(g.hand);
+                }
+                Some(_) if keep(k) => {
                     g.hand += 1;
                     sweeps += 1;
                 }
-                Some(u64::MAX) => {
-                    g.ring.swap_remove(g.hand);
+                Some(referenced) if *referenced => {
+                    *referenced = false;
+                    g.hand += 1;
+                    sweeps += 1;
                 }
-                Some(len) => {
-                    g.map.remove(&k);
-                    stats.resident_bytes.sub(len);
+                Some(_) => {
+                    if let Some(Slot::Resident { buf, .. }) = g.map.remove(&k) {
+                        stats.resident_bytes.sub(buf.len() as u64);
+                        evicted.push(buf);
+                    }
                     g.ring.swap_remove(g.hand);
                     stats.evictions.inc();
                 }
@@ -336,8 +428,10 @@ impl PageCache {
     }
 
     /// Drop every resident entry of a file (deleted, or its last handle
-    /// dropped). Placeholders are left for their readers to resolve.
+    /// dropped), and its miss count. Placeholders are left for their
+    /// readers to resolve.
     pub(crate) fn invalidate_file(&self, uid: u64) {
+        self.file_misses.lock().remove(&uid);
         for shard in &self.shards {
             let mut g = shard.inner.lock();
             let doomed: Vec<CacheKey> = g
@@ -362,10 +456,11 @@ pub enum CachedFetch {
     /// Available now: an in-memory partition, a cache hit, or a miss
     /// coalesced onto another reader's device read.
     Ready(Arc<IoBuf>),
-    /// A device read that bypasses the cache (no cache installed, or the
-    /// admission filter rejected the file).
+    /// A device read that bypasses the cache (no cache installed, or a
+    /// file larger than the cache in its first two scans).
     Direct(IoTicket),
-    /// A device read this caller completes into the cache.
+    /// A device read this caller completes into the cache, or serves
+    /// uncached when its admission finds no room.
     Pending(PendingRead),
 }
 
@@ -384,49 +479,60 @@ impl CachedFetch {
 /// the cache. Dropping without waiting clears the placeholder so blocked
 /// readers retry instead of hanging.
 pub struct PendingRead {
-    cache: Arc<PageCache>,
-    key: CacheKey,
-    ticket: Option<IoTicket>,
+    ticket: IoTicket,
+    claim: Claim,
     /// When tracing: where to report the blocking wait as a
     /// `cache`/`miss-wait` span.
     span: Option<Arc<crate::span::SinkSet>>,
+}
+
+/// The in-flight placeholder a [`PendingRead`] owns. Dropped before it
+/// is published (the read failed, or its reader went away), it clears
+/// the placeholder.
+struct Claim {
+    cache: Arc<PageCache>,
+    key: CacheKey,
+    admission: Admission,
+    published: bool,
+}
+
+impl Claim {
+    fn publish(mut self, buf: IoBuf) -> Arc<IoBuf> {
+        self.published = true;
+        self.cache.complete(self.key, buf, self.admission)
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if !self.published {
+            self.cache.abort(self.key);
+        }
+    }
 }
 
 impl PendingRead {
     pub(crate) fn new(
         cache: Arc<PageCache>,
         key: CacheKey,
+        admission: Admission,
         ticket: IoTicket,
         span: Option<Arc<crate::span::SinkSet>>,
     ) -> PendingRead {
-        PendingRead { cache, key, ticket: Some(ticket), span }
+        PendingRead { ticket, claim: Claim { cache, key, admission, published: false }, span }
     }
 
     /// Wait for the device, publish into the cache, wake coalesced
     /// readers. On failure the placeholder is cleared instead.
-    pub fn wait(mut self) -> SafsResult<Arc<IoBuf>> {
-        let ticket = self.ticket.take().expect("PendingRead waited twice");
-        let t0 = self.span.as_ref().map(|_| crate::span::now_nanos());
+    pub fn wait(self) -> SafsResult<Arc<IoBuf>> {
+        let PendingRead { ticket, claim, span } = self;
+        let t0 = span.as_ref().map(|_| crate::span::now_nanos());
         let result = ticket.wait();
-        if let (Some(sink), Some(t0)) = (&self.span, t0) {
+        if let (Some(sink), Some(t0)) = (&span, t0) {
             let end = crate::span::now_nanos();
-            sink.span("cache", "miss-wait", t0, end, [("part", self.key.1), ("", 0)]);
+            sink.span("cache", "miss-wait", t0, end, [("part", claim.key.1), ("", 0)]);
         }
-        match result {
-            Ok(buf) => Ok(self.cache.complete(self.key, buf)),
-            Err(e) => {
-                self.cache.abort(self.key);
-                Err(e)
-            }
-        }
-    }
-}
-
-impl Drop for PendingRead {
-    fn drop(&mut self) {
-        if self.ticket.is_some() {
-            self.cache.abort(self.key);
-        }
+        Ok(claim.publish(result?))
     }
 }
 
@@ -441,6 +547,7 @@ mod tests {
             cfg: CacheCfg::with_capacity(capacity_bytes),
             shard_budget: capacity_bytes,
             shards: vec![Shard::default()],
+            file_misses: Mutex::default(),
         }
     }
 
@@ -453,7 +560,7 @@ mod tests {
         let c = one_shard(1 << 20);
         let key = (1, 0);
         assert!(matches!(c.lookup(key), Lookup::MustRead));
-        let published = c.complete(key, buf(64, 7));
+        let published = c.complete(key, buf(64, 7), Admission::Whole);
         assert_eq!(published.as_bytes(), &[7u8; 64][..]);
         match c.lookup(key) {
             Lookup::Hit(b) => assert_eq!(b.as_bytes(), &[7u8; 64][..]),
@@ -471,7 +578,7 @@ mod tests {
         assert!(matches!(c.lookup(key), Lookup::MustRead));
         // Second reader of the same partition shares the in-flight read.
         assert!(matches!(c.lookup(key), Lookup::Shared));
-        c.complete(key, buf(32, 1));
+        c.complete(key, buf(32, 1), Admission::Whole);
         assert_eq!(c.wait_shared(key).expect("the published buffer").len(), 32);
         let s = c.stats_snapshot();
         assert_eq!(s.misses, 1, "one owner per partition");
@@ -495,12 +602,12 @@ mod tests {
         let c = one_shard(128);
         for p in 0..2u64 {
             assert!(matches!(c.lookup((1, p)), Lookup::MustRead));
-            c.complete((1, p), buf(64, p as u8));
+            c.complete((1, p), buf(64, p as u8), Admission::Whole);
         }
         // Touch partition 0 so its reference bit protects it.
         assert!(matches!(c.lookup((1, 0)), Lookup::Hit(_)));
         assert!(matches!(c.lookup((1, 2)), Lookup::MustRead));
-        c.complete((1, 2), buf(64, 2));
+        c.complete((1, 2), buf(64, 2), Admission::Whole);
         let s = c.stats_snapshot();
         assert_eq!(s.evictions, 1);
         assert!(s.resident_bytes <= 128);
@@ -511,16 +618,47 @@ mod tests {
 
     #[test]
     fn admission_filter_by_size() {
+        // A file that fits is admitted whole, a larger one after two scans.
         let c = PageCache::new(CacheCfg::with_capacity(1024));
-        assert!(c.admits(1024));
-        assert!(!c.admits(1025));
+        assert_eq!(c.admit(1, 1024, 4), Admission::Whole);
+        for _ in 0..2 * 3 {
+            assert_eq!(c.admit(2, 1025, 3), Admission::Bypass);
+        }
+        assert_eq!(c.admit(2, 1025, 3), Admission::Partial);
+        assert_eq!(c.stats_snapshot().bypasses, 6);
+        // The count goes with the file.
+        c.invalidate_file(2);
+        assert_eq!(c.admit(2, 1025, 3), Admission::Bypass);
+    }
+
+    #[test]
+    fn a_partial_admission_evicts_other_files_only() {
+        // Room for two 64-byte partitions: one of file 1, one of file 2.
+        let c = one_shard(128);
+        for uid in [1, 2] {
+            assert!(matches!(c.lookup((uid, 0)), Lookup::MustRead));
+            c.complete((uid, 0), buf(64, uid as u8), Admission::Partial);
+        }
+        // File 1's next partition evicts file 2's entry, not its own.
+        assert!(matches!(c.lookup((1, 1)), Lookup::MustRead));
+        c.complete((1, 1), buf(64, 1), Admission::Partial);
+        assert!(matches!(c.lookup((2, 0)), Lookup::MustRead));
+        c.abort((2, 0));
+        // A third finds only its own file resident: served, not kept.
+        assert!(matches!(c.lookup((1, 2)), Lookup::MustRead));
+        assert_eq!(c.complete((1, 2), buf(64, 1), Admission::Partial).len(), 64);
+        let s = c.stats_snapshot();
+        assert_eq!((s.inserts, s.evictions, s.resident_bytes), (3, 1, 128));
+        assert!(matches!(c.lookup((1, 0)), Lookup::Hit(_)));
+        assert!(matches!(c.lookup((1, 1)), Lookup::Hit(_)));
+        assert!(matches!(c.lookup((1, 2)), Lookup::MustRead), "the placeholder was cleared");
     }
 
     #[test]
     fn invalidate_drops_resident() {
         let c = one_shard(1 << 20);
         assert!(matches!(c.lookup((4, 0)), Lookup::MustRead));
-        c.complete((4, 0), buf(16, 3));
+        c.complete((4, 0), buf(16, 3), Admission::Whole);
         c.invalidate((4, 0));
         assert_eq!(c.stats_snapshot().resident_bytes, 0);
         assert!(matches!(c.lookup((4, 0)), Lookup::MustRead));
@@ -531,10 +669,10 @@ mod tests {
         let c = PageCache::new(CacheCfg::with_capacity(1 << 20));
         for p in 0..4u64 {
             assert!(matches!(c.lookup((7, p)), Lookup::MustRead));
-            c.complete((7, p), buf(16, p as u8));
+            c.complete((7, p), buf(16, p as u8), Admission::Whole);
         }
         assert!(matches!(c.lookup((8, 0)), Lookup::MustRead));
-        c.complete((8, 0), buf(16, 9));
+        c.complete((8, 0), buf(16, 9), Admission::Whole);
         c.invalidate_file(7);
         let s = c.stats_snapshot();
         assert_eq!(s.resident_bytes, 16, "the other file's entry survives");
@@ -545,7 +683,7 @@ mod tests {
     fn snapshot_delta_saturates() {
         let c = one_shard(1 << 20);
         assert!(matches!(c.lookup((1, 0)), Lookup::MustRead));
-        c.complete((1, 0), buf(8, 0));
+        c.complete((1, 0), buf(8, 0), Admission::Whole);
         let a = c.stats_snapshot();
         let _ = c.lookup((1, 0));
         let b = c.stats_snapshot();

@@ -1,7 +1,7 @@
 //! Striped, partition-granular files.
 
 use crate::aio::{completion, IoOp, IoReq, IoTicket};
-use crate::cache::{CachedFetch, Lookup, PendingRead};
+use crate::cache::{Admission, CachedFetch, Lookup, PendingRead};
 use crate::error::{SafsError, SafsResult};
 use crate::iobuf::IoBuf;
 use crate::layout::Striping;
@@ -246,11 +246,12 @@ impl SafsFile {
 
     /// Cache-aware fetch of partition `part` (the SA-cache front door).
     ///
-    /// When the runtime has a page cache and the admission filter
-    /// accepts this file, the read is served from — and published to —
+    /// When the runtime has a page cache that admits this read (see
+    /// `cache`'s module docs), it is served from — and published to —
     /// the cache: hits return immediately and concurrent misses of one
     /// partition coalesce onto a single device read. Without a cache (or
-    /// for files too large to cache) this degrades to a plain
+    /// for a file larger than the cache in its first two scans) this
+    /// degrades to a plain
     /// [`read_part_async_into`](SafsFile::read_part_async_into). A device
     /// read lands in `alloc(part_len)`, whose contents it overwrites.
     pub fn fetch_part_cached(
@@ -265,12 +266,13 @@ impl SafsFile {
             Some(c) => c,
             None => return Ok(CachedFetch::Direct(self.read_part_async_into(part, alloc(len))?)),
         };
-        if !cache.admits(self.inner.total_bytes) {
-            cache.note_bypass();
+        self.check_live()?;
+        let inner = &self.inner;
+        let admission = cache.admit(inner.uid, inner.total_bytes, inner.nparts);
+        if admission == Admission::Bypass {
             return Ok(CachedFetch::Direct(self.read_part_async_into(part, alloc(len))?));
         }
-        self.check_live()?;
-        let key = (self.inner.uid, part);
+        let key = (inner.uid, part);
         let sink = self.inner.rt.span_sink();
         loop {
             match cache.lookup(key) {
@@ -291,7 +293,8 @@ impl SafsFile {
                             return Err(e);
                         }
                     };
-                    return Ok(CachedFetch::Pending(PendingRead::new(cache, key, ticket, sink)));
+                    let pending = PendingRead::new(cache, key, admission, ticket, sink);
+                    return Ok(CachedFetch::Pending(pending));
                 }
                 Lookup::Shared => {
                     let t0 = sink.as_ref().map(|_| now_nanos());

@@ -5,6 +5,12 @@
 //! views need, so all SAFS data moves through [`IoBuf`]: a byte buffer
 //! backed by `u64` words, guaranteeing 8-byte alignment end-to-end.
 
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: std::ffi::c_int)
+        -> std::ffi::c_int;
+}
+
 /// A byte buffer with guaranteed 8-byte alignment.
 #[derive(Debug, Clone, Default)]
 pub struct IoBuf {
@@ -28,6 +34,30 @@ impl IoBuf {
         let mut b = IoBuf::zeroed(data.len());
         b.as_mut_bytes().copy_from_slice(data);
         b
+    }
+
+    /// Drop the buffer, first handing the whole pages of its allocation
+    /// back to the OS (`MADV_DONTNEED`; a plain drop outside Linux). The
+    /// allocator keeps a freed block resident until it reuses it, so a
+    /// page cache whose resident set turns over would otherwise hold its
+    /// evicted partitions' memory as well as their successors'.
+    pub fn free_pages(mut self) {
+        #[cfg(target_os = "linux")]
+        {
+            const PAGE: usize = 4096;
+            const MADV_DONTNEED: std::ffi::c_int = 4;
+            let start = self.words.as_mut_ptr() as usize;
+            let end = start + self.words.capacity() * 8;
+            let (first, last) = (start.next_multiple_of(PAGE), end / PAGE * PAGE);
+            if last > first {
+                // SAFETY: `[first, last)` lies inside this buffer's own
+                // allocation, which `self` owns and frees on return;
+                // MADV_DONTNEED only discards the contents of those
+                // pages. A failure (another page size) leaves them as
+                // they are.
+                unsafe { madvise(first as *mut std::ffi::c_void, last - first, MADV_DONTNEED) };
+            }
+        }
     }
 
     /// Length in bytes.
@@ -172,6 +202,20 @@ mod tests {
     fn from_bytes_copies() {
         let b = IoBuf::from_bytes(&[1, 2, 3, 4, 5]);
         assert_eq!(b.as_bytes(), &[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn free_pages_leaves_neighbouring_buffers_intact() {
+        // Odd lengths, so the freed buffer shares pages with its
+        // neighbours wherever the allocator puts them side by side.
+        for len in [0usize, 7, 4095, 3 * 4096 + 5, 1 << 20] {
+            let before = IoBuf::from_bytes(&vec![0xA5; len + 3]);
+            let doomed = IoBuf::from_bytes(&vec![0x11; len]);
+            let after = IoBuf::from_bytes(&vec![0x5A; len + 9]);
+            doomed.free_pages();
+            assert!(before.as_bytes().iter().all(|&b| b == 0xA5), "len={len}");
+            assert!(after.as_bytes().iter().all(|&b| b == 0x5A), "len={len}");
+        }
     }
 
     #[test]

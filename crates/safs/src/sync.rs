@@ -9,8 +9,9 @@
 //!   where a second panic aborts the process instead of writing the dump;
 //! * the `Drop` impls of `core::mat` (`TasInner`), `core::session`
 //!   (`CachePin`, `CtxInner`), `safs::runtime` (`RtInner`), `safs::file`
-//!   (`FileInner`) and `safs::cache` (`PendingRead`) take these locks
-//!   during unwinding, where a panic on a poisoned lock would also abort.
+//!   (`FileInner`) and `safs::cache` (`Claim`, the placeholder a
+//!   `PendingRead` owns) take these locks during unwinding, where a panic
+//!   on a poisoned lock would also abort.
 //!
 //! Condition variables are `std::sync::Condvar`, used directly on the
 //! guard `lock()` returns.

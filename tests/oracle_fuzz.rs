@@ -10,7 +10,7 @@
 //! within `n·ε·Σ|x|`.
 
 use flashr::prelude::*;
-use flashr::safs::CacheCfg;
+use flashr::safs::{CacheCfg, CacheStatsSnapshot};
 use flashr_testkit::oracle::{assert_close, assert_same, Mat};
 use flashr_testkit::{cases, Rng};
 
@@ -35,12 +35,23 @@ enum Storage {
     /// `TwoShards` behind a page cache that admits every leaf, so
     /// partitions arrive as cache hits, coalesced waits and owned misses.
     TwoShardsCached,
+    /// `TwoShards` behind a page cache smaller than most leaves a case
+    /// draws: a larger leaf bypasses it for two scans and then keeps the
+    /// partitions that fit beside its own, evicting other leaves' entries.
+    TwoShardsSmallCache,
 }
-const STORAGES: [Storage; 4] =
-    [Storage::InMem, Storage::TwoShards, Storage::FourShardsThrottled, Storage::TwoShardsCached];
+const STORAGES: [Storage; 5] = [
+    Storage::InMem,
+    Storage::TwoShards,
+    Storage::FourShardsThrottled,
+    Storage::TwoShardsCached,
+    Storage::TwoShardsSmallCache,
+];
 
 /// A page cache larger than any leaf a case draws.
 const CACHE_BYTES: u64 = 16 << 20;
+/// A page cache of a few partitions: 4 KiB a shard.
+const SMALL_CACHE_BYTES: u64 = 8 << 10;
 
 /// The four-shard array's throttle: fast enough to keep the suite quick.
 const THROTTLE: ThrottleCfg = ThrottleCfg { bytes_per_sec: 1e9, latency_us: 1.0 };
@@ -52,6 +63,7 @@ struct Arrays {
     two_shards: [Safs; 2],
     four_shards: [Safs; 2],
     cached: [Safs; 2],
+    small_cached: [Safs; 2],
 }
 
 impl Arrays {
@@ -70,7 +82,8 @@ impl Arrays {
         let two_shards = array("two", 2, 0, None);
         let four_shards = array("four", 4, 0, Some(THROTTLE));
         let cached = array("cached", 2, CACHE_BYTES, None);
-        Arrays { dir, two_shards, four_shards, cached }
+        let small_cached = array("small", 2, SMALL_CACHE_BYTES, None);
+        Arrays { dir, two_shards, four_shards, cached, small_cached }
     }
 
     /// `batch` indexes [`DISPATCH_BATCH`]; in-memory storage ignores it.
@@ -90,6 +103,9 @@ impl Arrays {
                 (StorageClass::Em, Some(self.four_shards[batch].clone()))
             }
             Storage::TwoShardsCached => (StorageClass::Em, Some(self.cached[batch].clone())),
+            Storage::TwoShardsSmallCache => {
+                (StorageClass::Em, Some(self.small_cached[batch].clone()))
+            }
         };
         let cfg = CtxConfig {
             nthreads,
@@ -584,7 +600,12 @@ fn random_programs_match_the_oracle_in_every_mode() {
 #[test]
 fn generated_leaves_match_the_oracle() {
     let arrays = Arrays::open("gen");
-    let storages = [Storage::InMem, Storage::TwoShards, Storage::TwoShardsCached];
+    let storages = [
+        Storage::InMem,
+        Storage::TwoShards,
+        Storage::TwoShardsCached,
+        Storage::TwoShardsSmallCache,
+    ];
     cases(24, |rng, case| {
         let storage = storages[case % storages.len()];
         let (rows, cols) = (2 * rng.usize(8..150) + 1, rng.usize(1..5));
@@ -614,7 +635,12 @@ fn generated_leaves_match_the_oracle() {
 #[test]
 fn every_inner_prod_pair_matches_the_oracle() {
     let arrays = Arrays::open("innerprod");
-    let storages = [Storage::InMem, Storage::TwoShards, Storage::TwoShardsCached];
+    let storages = [
+        Storage::InMem,
+        Storage::TwoShards,
+        Storage::TwoShardsCached,
+        Storage::TwoShardsSmallCache,
+    ];
     cases(6, |rng, case| {
         let storage = storages[case % storages.len()];
         let (rows, cols) = (8 * rng.usize(2..40) + rng.usize(1..8), rng.usize(1..7));
@@ -695,6 +721,15 @@ fn one_program_at_every_configuration_point() {
     let cache = arrays.cached.iter().map(|s| s.cache_stats_snapshot());
     assert!(cache.clone().all(|c| c.bypasses == 0), "the cache admits every leaf");
     assert!(cache.map(|c| c.hits).sum::<u64>() > 0, "the cached points read through the cache");
+    let small = arrays.small_cached.iter().map(|s| s.cache_stats_snapshot());
+    let small = small.fold(CacheStatsSnapshot::default(), |a, c| a.merge(&c));
+    assert!(
+        small.bypasses > 0 && small.inserts > 0 && small.evictions > 0 && small.hits > 0,
+        "the small cache bypassed, admitted, evicted and served: {small:?}"
+    );
+    // A miss without an insert: an admitted partition found only its own
+    // file resident, and was served without being kept.
+    assert!(small.misses > small.inserts, "no read was served and not kept: {small:?}");
     let four = &arrays.four_shards;
     assert!(four.iter().all(|s| s.throttle().is_some()), "the four-shard array is throttled");
     assert!(four.iter().map(|s| s.stats_snapshot().read_reqs).sum::<u64>() > 0, "and read from");

@@ -15,12 +15,34 @@
 //! already-cached nodes are identity-keyed: their data lives outside the
 //! DAG and two distinct leaves are never assumed equal. Generator nodes
 //! are deterministic functions of their spec, so equal specs merge.
+//!
+//! Two exact rewrites of tall-by-small products (`%*%`) ride along:
+//!
+//! * **Negation folds into the small operand.** `(−A) %*% B` becomes
+//!   `A %*% (−B)`: R parses `-X %*% t(w)` as the former, which negates
+//!   the whole tall operand. IEEE negation is exact and a product's sign
+//!   is the XOR of its factors' signs, so `(−x)·b` and `x·(−b)` are the
+//!   same number, fused or not, and every output's chain sees the same
+//!   terms; only the sign of a NaN can differ.
+//! * **Sibling products merge.** Every product of one canonical tall
+//!   operand becomes a column selection of one product against the
+//!   column-stacked right-hand sides, so the operand is read once. The
+//!   tall tile computes each output as its own chain whatever the output
+//!   count (`flashr_linalg::simd::gemm_tall_f64`), so the selected
+//!   columns carry the bits the separate products had.
+//!
+//! Neither touches a product that is a tall target or has `set.cache`
+//! requested or installed, nor a negation that does; integer operands
+//! reach a product through a cast, which stops the fold.
 
+use super::{IdHasher, IdMap, IdSet};
 use crate::dag::{MapInput, MapOp, Node, NodeKind};
+use crate::dtype::DType;
 use crate::exec::Target;
 use crate::gen::GenSpec;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use crate::ops::UnaryOp;
+use flashr_linalg::Dense;
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -34,6 +56,12 @@ pub struct Rewrite {
     pub merged: usize,
     /// Redundant casts and single-input `cbind`s removed.
     pub collapsed: usize,
+    /// Products of a negated operand rewritten as products of the
+    /// operand by the negated small matrix.
+    pub folded: usize,
+    /// Products replaced by a column selection of one wider product of
+    /// the same tall operand.
+    pub products_merged: usize,
     /// `(original, canonical)` pairs whose cache must be copied back
     /// after materialization (see [`crate::analysis::Analysis`]).
     pub cache_pairs: Vec<(Arc<Node>, Arc<Node>)>,
@@ -91,13 +119,13 @@ fn gen_eq(a: &GenSpec, b: &GenSpec) -> bool {
     }
 }
 
-fn dense_bits_eq(a: &flashr_linalg::Dense, b: &flashr_linalg::Dense) -> bool {
+fn dense_bits_eq(a: &Dense, b: &Dense) -> bool {
     a.rows() == b.rows()
         && a.cols() == b.cols()
         && a.as_slice().iter().map(|v| v.to_bits()).eq(b.as_slice().iter().map(|v| v.to_bits()))
 }
 
-fn hash_dense<H: Hasher>(d: &flashr_linalg::Dense, h: &mut H) {
+fn hash_dense<H: Hasher>(d: &Dense, h: &mut H) {
     d.rows().hash(h);
     d.cols().hash(h);
     for v in d.as_slice() {
@@ -202,7 +230,7 @@ fn map_op_eq(a: &MapOp, b: &MapOp) -> bool {
 
 /// Structural hash of a node whose children are already canonical.
 fn structural_hash(node: &Node) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = IdHasher::default();
     node.nrows.hash(&mut h);
     node.ncols.hash(&mut h);
     node.dtype.hash(&mut h);
@@ -302,36 +330,101 @@ fn structural_eq(a: &Node, b: &Node) -> bool {
 
 /// Whether casting from `from` through `mid` loses no information, i.e.
 /// `cast(cast(x, mid), to)` ≡ `cast(x, to)` for every value of `x`.
-fn lossless(from: crate::dtype::DType, mid: crate::dtype::DType) -> bool {
-    use crate::dtype::DType::*;
+fn lossless(from: DType, mid: DType) -> bool {
+    use DType::*;
     matches!((from, mid), (U8, _) | (I32, I64) | (I32, F64) | (F32, F64)) || from == mid
 }
 
 struct Rewriter {
     /// original node id → canonical node.
-    map: HashMap<u64, Arc<Node>>,
-    /// structural hash → canonical nodes with that hash.
-    buckets: HashMap<u64, Vec<Arc<Node>>>,
+    map: IdMap<Arc<Node>>,
+    /// structural hash → the first canonical node with that hash.
+    buckets: IdMap<Arc<Node>>,
+    /// Canonical nodes whose structural hash another one already holds
+    /// in `buckets`, with that hash (a collision: rare).
+    collisions: Vec<(u64, Arc<Node>)>,
     merged: usize,
     collapsed: usize,
+    folded: usize,
     cache_pairs: Vec<(Arc<Node>, Arc<Node>)>,
+    /// Ids of the tall targets, whose products are left as they are.
+    talls: IdSet,
+    /// Whether rebuilt nodes are hash-consed: off for the walk that only
+    /// re-parents an already canonical DAG onto merged products.
+    hash_cons: bool,
+    /// Canonical products, in the order they were first built.
+    products: Vec<Arc<Node>>,
+    /// Products to replace: node id → (merge group, its columns there).
+    subst: IdMap<(usize, Arc<Vec<usize>>)>,
+    groups: Vec<MergeGroup>,
+}
+
+/// Sibling products of one tall operand, merged into one.
+struct MergeGroup {
+    /// The shared operand, canonical before the merge.
+    input: Arc<Node>,
+    /// Every product's right-hand side, side by side.
+    b: Arc<Dense>,
+    /// The merged product, once built.
+    merged: Option<Arc<Node>>,
 }
 
 impl Rewriter {
-    fn new() -> Rewriter {
+    fn new(talls: IdSet, hash_cons: bool) -> Rewriter {
         Rewriter {
-            map: HashMap::new(),
-            buckets: HashMap::new(),
+            map: IdMap::default(),
+            buckets: IdMap::default(),
+            collisions: Vec::new(),
             merged: 0,
             collapsed: 0,
+            folded: 0,
             cache_pairs: Vec::new(),
+            talls,
+            hash_cons,
+            products: Vec::new(),
+            subst: IdMap::default(),
+            groups: Vec::new(),
         }
+    }
+
+    fn canon_targets(&mut self, targets: &[Target]) -> Vec<Target> {
+        targets
+            .iter()
+            .map(|t| match t {
+                Target::Sink(n) => Target::Sink(self.canon(n)),
+                Target::Tall { node, storage } => {
+                    Target::Tall { node: self.canon(node), storage: *storage }
+                }
+            })
+            .collect()
+    }
+
+    /// The canonical node structurally equal to `candidate`, whose
+    /// structural hash is `h`, if there is one.
+    fn find(&self, h: u64, candidate: &Node) -> Option<Arc<Node>> {
+        let first = self.buckets.get(&h)?;
+        if structural_eq(first, candidate) {
+            return Some(first.clone());
+        }
+        let mut rest = self.collisions.iter();
+        rest.find(|(k, e)| *k == h && structural_eq(e, candidate)).map(|(_, e)| e.clone())
     }
 
     /// Canonicalize `node`, canonicalizing its subtree first.
     fn canon(&mut self, node: &Arc<Node>) -> Arc<Node> {
         if let Some(c) = self.map.get(&node.id) {
             return c.clone();
+        }
+        if let Some((group, idx)) = self.subst.get(&node.id).cloned() {
+            let merged = self.merged_product(group);
+            let select = Node::raw(
+                NodeKind::Map { op: MapOp::Select(idx), inputs: vec![MapInput::Node(merged)] },
+                node.nrows,
+                node.ncols,
+                DType::F64,
+            );
+            self.map.insert(node.id, select.clone());
+            return select;
         }
 
         // Materialized data is identity: a Leaf's (or cached node's) data
@@ -347,16 +440,24 @@ impl Rewriter {
                 // Collapsed to an existing node (identity cast, cast-of-
                 // cast, cbind-of-one): already canonical.
                 Rebuilt::Collapsed(c) => c,
+                Rebuilt::Node(candidate) if !self.hash_cons => candidate,
                 Rebuilt::Node(candidate) => {
                     let h = structural_hash(&candidate);
-                    let bucket = self.buckets.entry(h).or_default();
-                    if let Some(existing) = bucket.iter().find(|e| structural_eq(e, &candidate)) {
-                        if !Arc::ptr_eq(existing, node) {
+                    if let Some(existing) = self.find(h, &candidate) {
+                        if !Arc::ptr_eq(&existing, node) {
                             self.merged += 1;
                         }
-                        existing.clone()
+                        existing
                     } else {
-                        bucket.push(candidate.clone());
+                        match self.buckets.entry(h) {
+                            Entry::Vacant(slot) => {
+                                slot.insert(candidate.clone());
+                            }
+                            Entry::Occupied(_) => self.collisions.push((h, candidate.clone())),
+                        }
+                        if matches!(&candidate.kind, NodeKind::Map { op: MapOp::MatMul(_), .. }) {
+                            self.products.push(candidate.clone());
+                        }
                         candidate
                     }
                 }
@@ -381,18 +482,17 @@ impl Rewriter {
             NodeKind::Leaf(_) => Rebuilt::Node(node.clone()),
             NodeKind::Gen(_) => Rebuilt::Node(node.clone()),
             NodeKind::Map { op, inputs } => {
-                let mut changed = false;
-                let new_inputs: Vec<MapInput> = inputs
-                    .iter()
-                    .map(|i| match i {
-                        MapInput::Node(n) => {
-                            let c = self.canon(n);
-                            changed |= !Arc::ptr_eq(&c, n);
-                            MapInput::Node(c)
+                // The inputs are copied only once a child changed.
+                let mut changed: Option<Vec<MapInput>> = None;
+                for (k, input) in inputs.iter().enumerate() {
+                    if let MapInput::Node(n) = input {
+                        let c = self.canon(n);
+                        if !Arc::ptr_eq(&c, n) {
+                            changed.get_or_insert_with(|| inputs.clone())[k] = MapInput::Node(c);
                         }
-                        other => other.clone(),
-                    })
-                    .collect();
+                    }
+                }
+                let new_inputs = changed.as_deref().unwrap_or(inputs);
 
                 // cast collapsing: identity casts and lossless chains.
                 if let MapOp::Cast(to) = op {
@@ -425,6 +525,25 @@ impl Rewriter {
                     }
                 }
 
+                // (−A) %*% B is A %*% (−B), bit for bit.
+                if let (MapOp::MatMul(b), Some(MapInput::Node(input))) = (op, new_inputs.first()) {
+                    if let Some((base, odd)) = negated_operand(input) {
+                        if !self.talls.contains(&node.id) && !node.cache_requested() {
+                            self.folded += 1;
+                            let b = if odd { Arc::new(negated(b)) } else { b.clone() };
+                            return Rebuilt::Node(Node::raw(
+                                NodeKind::Map {
+                                    op: MapOp::MatMul(b),
+                                    inputs: vec![MapInput::Node(base)],
+                                },
+                                node.nrows,
+                                node.ncols,
+                                node.dtype,
+                            ));
+                        }
+                    }
+                }
+
                 // cbind of a single input is the input (dtypes already
                 // promoted by the constructor).
                 if matches!(op, MapOp::Bind) && new_inputs.len() == 1 {
@@ -436,15 +555,14 @@ impl Rewriter {
                     }
                 }
 
-                if !changed {
-                    Rebuilt::Node(node.clone())
-                } else {
-                    Rebuilt::Node(Node::raw(
-                        NodeKind::Map { op: op.clone(), inputs: new_inputs },
+                match changed {
+                    None => Rebuilt::Node(node.clone()),
+                    Some(inputs) => Rebuilt::Node(Node::raw(
+                        NodeKind::Map { op: op.clone(), inputs },
                         node.nrows,
                         node.ncols,
                         node.dtype,
-                    ))
+                    )),
                 }
             }
             NodeKind::AggRow { op, input } => {
@@ -540,6 +658,96 @@ impl Rewriter {
             }
         }
     }
+
+    /// Plan the merge of `products`, the ones a first walk built: each
+    /// eligible product of an operand with two or more of them gets a
+    /// column range of its group's merged product. Returns how many
+    /// products will be replaced.
+    fn plan_merges(&mut self, products: &[Arc<Node>]) -> usize {
+        let eligible: Vec<(&Arc<Node>, u64, &Dense)> = products
+            .iter()
+            .filter_map(|p| {
+                let NodeKind::Map { op: MapOp::MatMul(b), inputs } = &p.kind else { return None };
+                let Some(MapInput::Node(input)) = inputs.first() else { return None };
+                let keep = b.cols() == 0 || self.talls.contains(&p.id) || p.cache_requested();
+                (!keep).then_some((input, p.id, b.as_ref()))
+            })
+            .collect();
+        let mut replaced = 0;
+        for (i, (input, _, _)) in eligible.iter().enumerate() {
+            // Each operand once, at its first product.
+            if eligible[..i].iter().any(|(o, _, _)| Arc::ptr_eq(o, input)) {
+                continue;
+            }
+            let members: Vec<(u64, &Dense)> = eligible[i..]
+                .iter()
+                .filter(|(o, _, _)| Arc::ptr_eq(o, input))
+                .map(|&(_, id, b)| (id, b))
+                .collect();
+            if members.len() < 2 {
+                continue;
+            }
+            // Row r of the merged right-hand side is every member's row r.
+            let ncols: usize = members.iter().map(|(_, b)| b.cols()).sum();
+            let mut data = Vec::with_capacity(input.ncols * ncols);
+            for r in 0..input.ncols {
+                for (_, b) in &members {
+                    data.extend_from_slice(&b.as_slice()[r * b.cols()..(r + 1) * b.cols()]);
+                }
+            }
+            let group = self.groups.len();
+            let mut c0 = 0;
+            for (id, b) in &members {
+                self.subst.insert(*id, (group, Arc::new((c0..c0 + b.cols()).collect())));
+                c0 += b.cols();
+            }
+            replaced += members.len();
+            let b = Arc::new(Dense::from_vec(input.ncols, ncols, data));
+            self.groups.push(MergeGroup { input: Arc::clone(input), b, merged: None });
+        }
+        replaced
+    }
+
+    /// Group `g`'s merged product, over this pass's canonical operand.
+    fn merged_product(&mut self, g: usize) -> Arc<Node> {
+        if let Some(m) = &self.groups[g].merged {
+            return m.clone();
+        }
+        let input = self.groups[g].input.clone();
+        let input = self.canon(&input);
+        let b = self.groups[g].b.clone();
+        let (nrows, k) = (input.nrows, b.cols());
+        let merged = Node::raw(
+            NodeKind::Map { op: MapOp::MatMul(b), inputs: vec![MapInput::Node(input)] },
+            nrows,
+            k,
+            DType::F64,
+        );
+        self.groups[g].merged = Some(merged.clone());
+        merged
+    }
+}
+
+/// `node` without its leading f64 negations, and whether their number
+/// is odd; `None` when it has none. A negation with a cache installed or
+/// requested, or not in f64, stops the walk.
+fn negated_operand(node: &Arc<Node>) -> Option<(Arc<Node>, bool)> {
+    let mut cur = node;
+    let mut odd = false;
+    while let NodeKind::Map { op: MapOp::Unary(UnaryOp::Neg), inputs } = &cur.kind {
+        if cur.dtype != DType::F64 || cur.is_effective_leaf() || cur.cache_requested() {
+            break;
+        }
+        let Some(MapInput::Node(inner)) = inputs.first() else { break };
+        cur = inner;
+        odd = !odd;
+    }
+    (!Arc::ptr_eq(cur, node)).then(|| (cur.clone(), odd))
+}
+
+/// `−b`, element by element.
+fn negated(b: &Dense) -> Dense {
+    Dense::from_vec(b.rows(), b.cols(), b.as_slice().iter().map(|v| -v).collect())
 }
 
 enum Rebuilt {
@@ -550,18 +758,33 @@ enum Rebuilt {
 }
 
 /// Rewrite a target set into an equivalent, canonicalized one.
+///
+/// A first walk hash-conses, collapses and folds negations into
+/// products; when it built two or more eligible products of one operand,
+/// a second walk over its result replaces them by column selections of
+/// their merged product (re-parenting what reads them).
 pub fn rewrite(targets: &[Target]) -> Rewrite {
     let nodes_before = super::count_nodes(targets);
-    let mut rw = Rewriter::new();
-    let targets: Vec<Target> = targets
-        .iter()
-        .map(|t| match t {
-            Target::Sink(n) => Target::Sink(rw.canon(n)),
-            Target::Tall { node, storage } => {
-                Target::Tall { node: rw.canon(node), storage: *storage }
+    let mut rw = Rewriter::new(tall_ids(targets), true);
+    let mut targets = rw.canon_targets(targets);
+    let mut products_merged = 0;
+    if rw.products.len() >= 2 {
+        let mut merge = Rewriter::new(tall_ids(&targets), false);
+        products_merged = merge.plan_merges(&rw.products);
+        if products_merged > 0 {
+            targets = merge.canon_targets(&targets);
+            // A pair's canonical node may itself have been re-parented.
+            for (_, canon) in &mut rw.cache_pairs {
+                if let Some(c) = merge.map.get(&canon.id) {
+                    *canon = c.clone();
+                }
             }
-        })
-        .collect();
+            rw.cache_pairs.append(&mut merge.cache_pairs);
+            rw.merged += merge.merged;
+            rw.collapsed += merge.collapsed;
+            rw.folded += merge.folded;
+        }
+    }
     let nodes_after = super::count_nodes(&targets);
     Rewrite {
         targets,
@@ -569,6 +792,19 @@ pub fn rewrite(targets: &[Target]) -> Rewrite {
         nodes_after,
         merged: rw.merged,
         collapsed: rw.collapsed,
+        folded: rw.folded,
+        products_merged,
         cache_pairs: rw.cache_pairs,
     }
+}
+
+/// Ids of the tall targets' nodes.
+fn tall_ids(targets: &[Target]) -> IdSet {
+    targets
+        .iter()
+        .filter_map(|t| match t {
+            Target::Tall { node, .. } => Some(node.id),
+            Target::Sink(_) => None,
+        })
+        .collect()
 }

@@ -10,9 +10,11 @@
 //!    partition is read*, instead of a mid-pass panic;
 //! 2. **optimization** ([`cse`]) — hash-consing common-subexpression
 //!    elimination (structurally identical subtrees share one node, so
-//!    `colMeans(X)` used twice reads `X` once), dead-node pruning, and
-//!    redundant-cast / `cbind`-of-one collapsing, as a rewrite producing
-//!    an equivalent DAG;
+//!    `colMeans(X)` used twice reads `X` once), dead-node pruning,
+//!    redundant-cast / `cbind`-of-one collapsing, and two exact product
+//!    rewrites (a negated operand's sign moved onto the small matrix,
+//!    sibling products of one operand merged into one), as a rewrite
+//!    producing an equivalent DAG;
 //! 3. **lints** ([`lint`]) — diagnostics for fusion-unfriendly patterns
 //!    (reused-but-uncached subtrees, oversized broadcast row vectors,
 //!    chained dtype conversions) plus a per-plan memory/I-O footprint
@@ -41,8 +43,42 @@ use crate::dag::Node;
 use crate::exec::Target;
 use crate::json;
 use crate::session::FlashCtx;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// A rotate, xor and multiply per word instead of SipHash: the analyzer
+/// hashes every node of every plan it rewrites, on every
+/// materialization, and a collision only costs a structural comparison
+/// (see [`cse`]). A single `u64` key — a node id or a structural hash —
+/// costs one multiply.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().unwrap_or_default()));
+        }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by node id or structural hash.
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+/// A set of node ids.
+pub(crate) type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
 /// What went wrong with a plan, structurally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,7 +278,7 @@ pub struct Analysis {
 /// Distinct reachable nodes (incl. effective leaves, not descending
 /// past them) from a set of targets.
 pub(crate) fn count_nodes(targets: &[Target]) -> usize {
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen = IdSet::default();
     let mut stack: Vec<Arc<Node>> = targets
         .iter()
         .map(|t| match t {
@@ -254,9 +290,7 @@ pub(crate) fn count_nodes(targets: &[Target]) -> usize {
             continue;
         }
         if !node.is_effective_leaf() {
-            for c in node.children() {
-                stack.push(c.clone());
-            }
+            node.for_each_child(|c| stack.push(c.clone()));
         }
     }
     seen.len()

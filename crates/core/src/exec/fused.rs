@@ -703,22 +703,22 @@ fn write_rows(
     });
 }
 
-/// The strided in-place view of a chain's base over `[r0, r1)` when the
-/// base is a prefetched column-major materialized leaf: `(bytes,
-/// col_stride_rows, row_off)` into the partition buffer. The kernel
-/// then reads the leaf directly and the executor never copies a base
-/// chunk out of it. Row-major leaves and bases outside the prefetch set
-/// return `None` and take the Pcache-chunk path.
-fn chain_base_stride<'a>(
+/// The strided in-place view of `node` over `[r0, r1)` when it is a
+/// prefetched column-major materialized leaf: `(partition buffer,
+/// col_stride_rows, row_off)`. A chain kernel or a product then reads the
+/// leaf directly and the executor never copies a chunk out of it.
+/// Row-major leaves and nodes outside the prefetch set return `None` and
+/// take the Pcache-chunk path.
+fn leaf_in_place<'a>(
     env: &PartEnv<'a>,
-    base: &Arc<Node>,
+    node: &Arc<Node>,
     r0: usize,
     r1: usize,
-) -> Option<(&'a [u8], usize, usize)> {
-    let mat = env.plan.leaf_mat(base)?;
+) -> Option<(&'a IoBuf, usize, usize)> {
+    let mat = env.plan.leaf_mat(node)?;
     let (stride, off) = mat.pcache_stride(env.part, r0, r1)?;
-    let buf = env.leaf_bufs[env.plan.slot(base)].as_ref()?;
-    Some((buf.as_bytes(), stride, off))
+    let buf = env.leaf_bufs[env.plan.slot(node)].as_ref()?;
+    Some((buf, stride, off))
 }
 
 /// Run the compiled kernel rooted at `node` over `[r0, r1)`. Auxiliary
@@ -738,7 +738,7 @@ fn run_chain(
 ) -> Option<Rc<Chunk>> {
     let rows = r1 - r0;
     let auxes: Vec<Rc<Chunk>> = chain.aux.iter().map(|a| eval(env, st, a, r0, r1)).collect();
-    let in_place = chain_base_stride(env, &chain.base, r0, r1);
+    let in_place = leaf_in_place(env, &chain.base, r0, r1);
     let base = match in_place {
         Some(_) => None,
         None => Some(eval(env, st, &chain.base, r0, r1)),
@@ -753,8 +753,17 @@ fn run_chain(
     let pool = &mut st.pool;
     match (&base, in_place) {
         (Some(base), _) => chain.kernel.run_into(base, &aux_refs, out, col_stride, row_off, pool),
-        (None, Some((bytes, stride, off))) => chain.kernel.run_strided_into(
-            bytes, stride, off, rows, node.ncols, &aux_refs, out, col_stride, row_off, pool,
+        (None, Some((buf, stride, off))) => chain.kernel.run_strided_into(
+            buf.as_bytes(),
+            stride,
+            off,
+            rows,
+            node.ncols,
+            &aux_refs,
+            out,
+            col_stride,
+            row_off,
+            pool,
         ),
         (None, None) => unreachable!("a base is read in place or evaluated"),
     }
@@ -911,8 +920,24 @@ fn eval_uncached(
                 node.label()
             ),
             MapOp::MatMul(b) => {
-                let input = eval_input(env, st, &inputs[0], r0, r1);
-                ops::matmul_chunk(&input, b, &mut st.pool)
+                // A leaf operand no one has copied into the memo is
+                // multiplied where it lies, as a chain base is read.
+                let in_place = match &inputs[0] {
+                    MapInput::Node(a) if st.memo.at(env.plan.slot(a), r0, r1).is_none() => {
+                        leaf_in_place(env, a, r0, r1)
+                    }
+                    _ => None,
+                };
+                match in_place {
+                    Some((buf, stride, off)) => {
+                        let a = &buf.typed::<f64>()[off..];
+                        ops::matmul_strided(a, stride, r1 - r0, b, &mut st.pool)
+                    }
+                    None => {
+                        let input = eval_input(env, st, &inputs[0], r0, r1);
+                        ops::matmul_chunk(&input, b, &mut st.pool)
+                    }
+                }
             }
             MapOp::InnerProd { b, f1, f2 } => {
                 let input = eval_input(env, st, &inputs[0], r0, r1);

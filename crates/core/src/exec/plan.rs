@@ -9,7 +9,7 @@
 //! with the number of branches a plan has while the live set does not.
 
 use crate::analysis::chains::{self, CompiledChain};
-use crate::dag::{Node, NodeKind};
+use crate::dag::{MapInput, MapOp, Node, NodeKind};
 use crate::exec::{Target, TargetStorage};
 use crate::mat::{Layout, TasMat};
 use crate::part::{pcache_rows, Partitioner};
@@ -91,6 +91,14 @@ impl Plan {
             NodeKind::Leaf(m) => Some(m),
             _ => None,
         }
+    }
+
+    /// Whether the pass reads `node` where it lies when it is a chain's
+    /// base or a product's operand: materialized, column-major data,
+    /// which `exec::fused` multiplies or maps straight out of the
+    /// partition buffer instead of copying a Pcache chunk.
+    fn reads_in_place(&self, node: &Node) -> bool {
+        self.leaf_mat(node).is_some_and(|m| m.layout() == Layout::ColMajor)
     }
 
     /// `node`'s dense index. Every node an evaluation reaches was
@@ -284,7 +292,8 @@ impl Plan {
     /// depth-first under the same consumer counts. A chunk is held from
     /// its evaluation until the read that takes its counter to 0. A
     /// kernel's interior nodes take no room, its output is produced while
-    /// its aux inputs and base are held, and a column-major leaf base is
+    /// its aux inputs and base are held, and a column-major leaf base —
+    /// or a product's column-major leaf operand not already held — is
     /// read in place; a kernel root only a tall output reads writes into
     /// that output. Everything evaluated for a `cum.col`, and the
     /// `cum.col` itself, is held to the end of the range. Multiply by the
@@ -495,6 +504,11 @@ impl LiveWalk<'_> {
             self.produce(slot, node);
         } else if let Some(chain) = plan.chains.get(&node.id) {
             self.kernel(chain, Some((slot, node.as_ref())));
+        } else if let Some(a) =
+            product_operand(node).filter(|a| plan.reads_in_place(a) && !self.live[plan.slot(a)])
+        {
+            self.produce(slot, node);
+            self.consume(a);
         } else if let NodeKind::CumCol { input, .. } = &node.kind {
             self.pinned += 1;
             self.eval(input);
@@ -513,9 +527,7 @@ impl LiveWalk<'_> {
         for a in &chain.aux {
             self.eval(a);
         }
-        let in_place =
-            self.plan.leaf_mat(&chain.base).is_some_and(|m| m.layout() == Layout::ColMajor);
-        if !in_place {
+        if !self.plan.reads_in_place(&chain.base) {
             self.eval(&chain.base);
         }
         if let Some((slot, node)) = root {
@@ -549,10 +561,20 @@ impl LiveWalk<'_> {
     }
 }
 
+/// A product's tall operand.
+fn product_operand(node: &Node) -> Option<&Arc<Node>> {
+    match &node.kind {
+        NodeKind::Map { op: MapOp::MatMul(_), inputs } => match inputs.first() {
+            Some(MapInput::Node(a)) => Some(a),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::MapInput;
     use crate::exec::test_dags;
     use crate::fm::FM;
     use crate::ops::{AggOp, BinaryOp};

@@ -22,18 +22,32 @@ pub fn matmul_chunk(input: &Chunk, b: &Dense, pool: &mut BufPool) -> Chunk {
     assert_eq!(input.dtype(), DType::F64, "BLAS path requires f64 (cast first)");
     assert_eq!(input.cols(), b.rows(), "inner dimensions disagree");
     let rows = input.rows();
+    matmul_strided(input.slice::<f64>(), rows, rows, b, pool)
+}
+
+/// `out = A %*% b` for `A` read where it lies: `rows × b.rows()`, column
+/// `j` at `a[j·col_stride..][..rows]`, so a Pcache range of a
+/// column-major partition buffer multiplies without being copied out.
+/// The same kernel as [`matmul_chunk`], so the same bits.
+pub fn matmul_strided(
+    a: &[f64],
+    col_stride: usize,
+    rows: usize,
+    b: &Dense,
+    pool: &mut BufPool,
+) -> Chunk {
     let k = b.cols();
     let mut out = Chunk::alloc(DType::F64, rows, k, pool);
-    // A: col-major rows×p → rsa=1, csa=rows. B: row-major p×k.
+    // A: col-major rows×p → rsa=1, csa=col_stride. B: row-major p×k.
     // C: col-major rows×k → rsc=1, csc=rows.
     gemm_strided(
         rows,
         k,
-        input.cols(),
+        b.rows(),
         1.0,
-        input.slice::<f64>(),
+        a,
         1,
-        rows,
+        col_stride,
         b.as_slice(),
         b.cols(),
         1,

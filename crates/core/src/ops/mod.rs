@@ -17,7 +17,7 @@ pub mod unary;
 pub use agg::{agg_row, AggOp};
 pub use binary::BinaryOp;
 pub use cum::{cum_col_chunk, cum_row_chunk};
-pub use matmul::{inner_prod_chunk, inner_prod_supported, matmul_chunk};
+pub use matmul::{inner_prod_chunk, inner_prod_supported, matmul_chunk, matmul_strided};
 pub use misc::{bind_cols, group_cols, select_cols};
 pub use simd::SimdLevel;
 pub use unary::UnaryOp;

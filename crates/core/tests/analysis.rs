@@ -560,3 +560,184 @@ fn check_json_round_trips_through_the_strict_reader() {
         assert_eq!(got, FOOTPRINT_KEYS, "case {case}: footprint key set drifted");
     });
 }
+
+fn sink_target(fm: &FM) -> Target {
+    match fm {
+        FM::Sink { node } => Target::Sink(node.clone()),
+        _ => panic!("expected a sink"),
+    }
+}
+
+/// Every node the targets reach, not descending past materialized data.
+fn reached(targets: &[Target]) -> Vec<Arc<Node>> {
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    let mut stack: Vec<Arc<Node>> = targets
+        .iter()
+        .map(|t| match t {
+            Target::Sink(n) | Target::Tall { node: n, .. } => n.clone(),
+        })
+        .collect();
+    while let Some(n) = stack.pop() {
+        if seen.insert(n.id) {
+            if !n.is_effective_leaf() {
+                stack.extend(n.children().into_iter().cloned());
+            }
+            out.push(n);
+        }
+    }
+    out
+}
+
+fn count_label(targets: &[Target], label: &str) -> usize {
+    reached(targets).iter().filter(|n| n.label() == label).count()
+}
+
+/// The right-hand sides of the products the targets reach.
+fn product_rhs(targets: &[Target]) -> Vec<Arc<Dense>> {
+    reached(targets)
+        .iter()
+        .filter_map(|n| match &n.kind {
+            NodeKind::Map { op: MapOp::MatMul(b), .. } => Some(b.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+fn f64_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `(−x) %*% b` becomes `x %*% (−b)`: no negation is left, the product
+/// reads `x` itself, and the result keeps its bits.
+#[test]
+fn negation_folds_into_the_product() {
+    let ctx = im_ctx();
+    let x = FM::runif(&ctx, 300, 3, -2.0, 2.0, 31).materialize(&ctx);
+    let b = Dense::from_vec(3, 2, vec![0.5, -2.0, 0.0, 1.25, -0.75, 3.0]);
+    let p = (-&x).matmul(&FM::from_dense(b.clone()));
+    let rw = cse::rewrite(&[sink_target(&p.col_sums())]);
+    assert_eq!((rw.folded, rw.products_merged), (1, 0));
+    assert_eq!(count_label(&rw.targets, "sapply:Neg"), 0);
+    let rhs = product_rhs(&rw.targets);
+    assert_eq!(rhs.len(), 1);
+    let minus_b: Vec<f64> = b.as_slice().iter().map(|v| -v).collect();
+    assert_eq!(f64_bits(rhs[0].as_slice()), f64_bits(&minus_b));
+    // Twice negated is not negated.
+    let twice = (-&(-&x)).matmul(&FM::from_dense(b.clone()));
+    let rw = cse::rewrite(&[sink_target(&twice.sum())]);
+    assert_eq!(rw.folded, 1);
+    assert_eq!(f64_bits(product_rhs(&rw.targets)[0].as_slice()), f64_bits(b.as_slice()));
+
+    // The folded product, summed, against the product run as a tall
+    // target (left alone) and summed from its own leaf.
+    let alone = p.materialize(&ctx);
+    assert_eq!(p.col_sums().to_vec(&ctx), alone.col_sums().to_vec(&ctx));
+    let want = Mat::from_row_major(300, 3, x.t().to_vec(&ctx))
+        .unary(UnaryOp::Neg)
+        .matmul_as(&Mat::from_row_major(3, 2, b.as_slice().to_vec()), fused());
+    assert_same(&alone.to_vec(&ctx), &want, false, "(−x) %*% b");
+}
+
+/// Whether the product tile fuses its multiply-adds.
+fn fused() -> bool {
+    flashr_core::ops::simd::SimdLevel::active().vex()
+}
+
+/// Figure 2's cost, `sum(y * ((−x) %*% w) + log(1 + exp(x %*% w)))`:
+/// the negation folds, and the two products of `x` merge into one
+/// two-column product that two column selections read. The result has
+/// the bits of the program run with separate products.
+#[test]
+fn sibling_products_merge_into_one() {
+    let ctx = im_ctx();
+    let x = FM::rnorm(&ctx, 500, 4, 0.0, 1.0, 8).materialize(&ctx);
+    let y = FM::runif(&ctx, 500, 1, 0.0, 1.0, 9).materialize(&ctx);
+    let w = FM::from_dense(Dense::from_vec(4, 1, vec![0.3, -0.2, 0.1, 0.4]));
+    let margin = (-&x).matmul(&w);
+    let cost = &(&y * &margin) + &(&x.matmul(&w).exp() + 1.0).ln();
+    let rw = cse::rewrite(&[sink_target(&cost.sum())]);
+    assert_eq!((rw.folded, rw.products_merged), (1, 2));
+    let rhs = product_rhs(&rw.targets);
+    assert_eq!((rhs.len(), rhs[0].rows(), rhs[0].cols()), (1, 4, 2), "one two-column product");
+    assert_eq!(count_label(&rw.targets, "select"), 2);
+    assert_eq!(count_label(&rw.targets, "sapply:Neg"), 0);
+    // Nothing is left for a second rewrite.
+    let again = cse::rewrite(&rw.targets);
+    assert_eq!((again.folded, again.products_merged, again.merged), (0, 0, 0));
+    assert_eq!(again.nodes_before, again.nodes_after);
+
+    // The merged pass against each product materialized on its own (a
+    // tall target is neither folded nor merged).
+    let merged = cost.sum().value(&ctx);
+    let (m, p) = (margin.materialize(&ctx), x.matmul(&w).materialize(&ctx));
+    let separate = (&(&y * &m) + &(&p.exp() + 1.0).ln()).sum().value(&ctx);
+    assert_eq!(merged.to_bits(), separate.to_bits());
+    let both = FM::cbind(&[&margin, &x.matmul(&w)]).materialize(&ctx);
+    let mut want = m.to_vec(&ctx);
+    want.extend(p.to_vec(&ctx));
+    assert_eq!(f64_bits(&both.to_vec(&ctx)), f64_bits(&want));
+}
+
+/// What the two rewrites leave alone: an integer operand's negation
+/// (under the cast to f64), a negation with `set.cache`, a product that
+/// is a tall target or asks for `set.cache`.
+#[test]
+fn products_left_alone() {
+    let ctx = im_ctx();
+    let x = FM::runif(&ctx, 200, 2, -3.0, 3.0, 4).materialize(&ctx);
+    let b1 = FM::from_dense(Dense::from_vec(2, 1, vec![1.0, -1.0]));
+    let b2 = FM::from_dense(Dense::from_vec(2, 1, vec![0.5, 2.0]));
+
+    let xi = x.cast(DType::I32);
+    let rw = cse::rewrite(&[sink_target(&(-&xi).matmul(&b1).sum())]);
+    assert_eq!((rw.folded, count_label(&rw.targets, "sapply:Neg")), (0, 1), "integer");
+
+    let neg = -&x;
+    neg.set_cache(true);
+    let rw = cse::rewrite(&[sink_target(&neg.matmul(&b1).sum())]);
+    assert_eq!(rw.folded, 0, "a negation asked to be cached");
+
+    let (p1, p2) = (x.matmul(&b1), x.matmul(&b2));
+    let targets = [
+        Target::Tall { node: tall_node(&p1), storage: TargetStorage::Default },
+        sink_target(&p2.sum()),
+    ];
+    let rw = cse::rewrite(&targets);
+    assert_eq!((rw.products_merged, product_rhs(&rw.targets).len()), (0, 2), "a tall target");
+    let target_neg = (-&x).matmul(&b1);
+    let rw = cse::rewrite(&[Target::Tall {
+        node: tall_node(&target_neg),
+        storage: TargetStorage::Default,
+    }]);
+    assert_eq!(rw.folded, 0, "a tall target");
+
+    p1.set_cache(true);
+    let rw = cse::rewrite(&[sink_target(&(&p1 + &p2).sum())]);
+    assert_eq!((rw.products_merged, product_rhs(&rw.targets).len()), (0, 2), "set.cache");
+    let s = (&p1 + &p2).sum().value(&ctx);
+    assert!(s.is_finite());
+    assert!(tall_node(&p1).cached().is_some(), "the cached product keeps its data");
+}
+
+/// A `set.cache` request above a merged product, on a handle and on a
+/// duplicate of it that hash-consing merges, is honoured on both.
+#[test]
+fn cache_requests_survive_a_product_merge() {
+    let ctx = im_ctx();
+    let x = FM::runif(&ctx, 256, 2, 0.0, 1.0, 12).materialize(&ctx);
+    let b1 = FM::from_dense(Dense::from_vec(2, 1, vec![1.0, 2.0]));
+    let b2 = FM::from_dense(Dense::from_vec(2, 1, vec![-1.0, 0.5]));
+    let z = x.matmul(&b1).exp();
+    let dup = x.matmul(&b1).exp();
+    z.set_cache(true);
+    dup.set_cache(true);
+    let total = (&(&z + &dup) + &x.matmul(&b2)).sum();
+    let rw = cse::rewrite(&[sink_target(&total)]);
+    assert_eq!(rw.products_merged, 2);
+    assert!(total.value(&ctx).is_finite());
+    for (name, h) in [("z", &z), ("its duplicate", &dup)] {
+        assert!(tall_node(h).cached().is_some(), "{name} keeps its data");
+    }
+    assert_eq!(z.to_vec(&ctx), x.matmul(&b1).exp().to_vec(&ctx));
+}

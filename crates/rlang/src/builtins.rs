@@ -2,9 +2,10 @@
 //! exposed to R (`inner.prod`, `agg.row`, `groupby.row`, `set.cache`,
 //! `materialize`, ...). Every matrix-valued builtin dispatches to the
 //! lazy [`FM`] API, so R programs extend the engine's DAG exactly like
-//! native Rust callers. A [`SMALL_OPS`] builtin called on deferred values
-//! and no tall matrix stays deferred; every other builtin forces its
-//! arguments (see [`crate::interp`]).
+//! native Rust callers. A builtin that is a small op on small values
+//! (`t`, the element functions, the aggregates, `crossprod`, `sweep`)
+//! called on deferred values and no tall matrix stays deferred; every
+//! other builtin forces its arguments (see [`crate::interp`]).
 
 use crate::interp::Interp;
 use crate::value::{RError, Value};

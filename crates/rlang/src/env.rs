@@ -42,6 +42,24 @@ impl Env {
     pub fn set(env: &EnvRef, name: &str, value: Value) {
         env.borrow_mut().vars.insert(name.to_string(), value);
     }
+
+    /// Drop every binding of the frame, after its borrow ends.
+    pub(crate) fn clear(env: &EnvRef) {
+        let vars = std::mem::take(&mut env.borrow_mut().vars);
+        drop(vars);
+    }
+
+    /// Whether `frame` is `env` or encloses it.
+    pub(crate) fn encloses(frame: &EnvRef, env: &EnvRef) -> bool {
+        let mut cur = Some(env.clone());
+        while let Some(e) = cur {
+            if Rc::ptr_eq(&e, frame) {
+                return true;
+            }
+            cur = e.borrow().parent.clone();
+        }
+        false
+    }
 }
 
 #[cfg(test)]

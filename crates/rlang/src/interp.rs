@@ -410,7 +410,16 @@ impl Interp {
                 if pos_iter.next().is_some() {
                     return Err(RError::Eval("too many arguments".into()));
                 }
-                Ok(self.eval(&frame, &c.body)?.into_value())
+                let out = self.eval(&frame, &c.body).map(Flow::into_value);
+                // A closure defined in the call is bound in its frame and
+                // holds the frame as its `env`: a cycle that would keep the
+                // frame, and every pending sink bound there, alive. Unless
+                // the value returned is such a closure, nothing can reach
+                // the frame any more, so its bindings go now.
+                if !out.as_ref().is_ok_and(|v| v.closes_over(&frame)) {
+                    Env::clear(&frame);
+                }
+                out
             }
             Value::Builtin(name) => builtins::call(self, name, args),
             other => Err(RError::Eval(format!("attempt to call a non-function: {other:?}"))),

@@ -1,7 +1,7 @@
 //! Runtime values of the R subset.
 
 use crate::ast::Expr;
-use crate::env::EnvRef;
+use crate::env::{Env, EnvRef};
 use crate::interp::Interp;
 use flashr_core::fm::FM;
 use std::cell::RefCell;
@@ -117,6 +117,12 @@ impl Value {
     /// R's `is.null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
+    }
+
+    /// Whether this is a closure that can see `frame`'s bindings: its
+    /// environment is `frame` or a frame enclosed by it.
+    pub(crate) fn closes_over(&self, frame: &EnvRef) -> bool {
+        matches!(self, Value::Closure(c) if Env::encloses(frame, &c.env))
     }
 }
 

@@ -11,6 +11,7 @@
 //!   clearly meant, and its `sweep(..., 2, CNT, "/")` divides the k×p
 //!   center sums by the k-vector of counts, which is margin 1.
 
+use flashr_core::ops::simd::SimdLevel;
 use flashr_core::session::{CtxConfig, FlashCtx};
 use flashr_core::TraceLevel;
 use flashr_rlang::{Interp, Value};
@@ -404,3 +405,162 @@ trials
     }
     assert!(total_trials > 6.0, "the line search never shortened a step");
 }
+
+/// The benchmark's set-up for the two listings: one partition of 4 096
+/// rows, 8 features, two blobs for k-means.
+const LISTING_DATA: &str = r#"
+n <- 4096
+seed <- 29
+num.features <- 8
+truth <- matrix(c(1.5, -1, 0.5, 2, -0.5, 0.25, 1, -1.5), nrow = 1)
+X <- materialize(rnorm.matrix(n, num.features, seed = seed))
+y <- materialize(sigmoid(X %*% t(truth)) > runif.matrix(n, 1, seed = seed + 1))
+shift <- (runif.matrix(n, 1, seed = seed + 2) > 0.5) * 6
+Z <- materialize(rnorm.matrix(n, num.features, sd = 0.4, seed = seed + 3) + shift)
+C0 <- matrix(c(1, 5), nrow = 2, ncol = num.features)
+"#;
+
+/// Figure 2 with a fixed number of steps, as the benchmark runs it, and
+/// the final log-loss.
+const FIXED_STEP_FIGURE2: &str = r#"
+logistic.regression <- function(X, y) {
+  grad <- function(X, y, w)
+    (t(X) %*% (1/(1+exp(-X%*%t(w)))-y))/length(y)
+  cost <- function(X, y, w)
+    sum(y*(-X%*%t(w))+log(1+exp(X%*%t(w))))/length(y)
+  theta <- matrix(rep(0, num.features), nrow=1)
+  for (i in 1:4) {
+    g <- grad(X, y, theta)
+    l <- cost(X, y, theta)
+    eta <- 1
+    delta <- 0.5 * (-g) %*% t(g)
+    for (j in 1:3)
+      if (as.vector(cost(X, y, theta+eta*(-g))) > as.vector(l)+as.vector(delta)[1]*eta)
+        eta <- eta * 0.2
+    theta <- theta + (-g) * eta
+  }
+  theta
+}
+theta <- logistic.regression(X, y)
+final.cost <- as.vector(sum(y*(-X%*%t(theta))+log(1+exp(X%*%t(theta))))/length(y))
+truth.cost <- as.vector(sum(y*(-X%*%t(truth))+log(1+exp(X%*%t(truth))))/length(y))
+"#;
+
+/// Figure 3 with a fixed number of iterations.
+const FIXED_STEP_FIGURE3: &str = r#"
+kmeans <- function(X, C) {
+  I <- NULL
+  for (i in 1:4) {
+    D <- inner.prod(X, t(C), "euclidean", "+")
+    old.I <- I
+    I <- agg.row(D, "which.min")
+    I <- set.cache(I, TRUE)
+    CNT <- groupby.row(rep.int(1, nrow(I)), I, "+")
+    C <- sweep(groupby.row(X, I, "+"), 1, CNT, "/")
+    if (!is.null(old.I))
+      num.moves <- as.vector(sum(old.I != I))
+  }
+  C
+}
+C <- kmeans(Z, C0)
+"#;
+
+fn vec_of(v: Value) -> Vec<f64> {
+    match v {
+        Value::Vec(v) => v.as_ref().clone(),
+        Value::Num(x) => vec![x],
+        other => panic!("{other:?}"),
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn figure2_line_search_reads_x_once_in_one_product() {
+    // R parses `-X%*%t(w)` as `(-X) %*% t(w)`. The analyzer folds the
+    // negation into the small operand and merges the two products of `X`
+    // into one, which reads `X` where it lies: a line-search pass (the
+    // cost alone, one sink) is one two-column product, with no negated
+    // copy of `X` and no chunk copied out of it.
+    let ctx =
+        FlashCtx::with_config(CtxConfig { trace: TraceLevel::Pass, ..Default::default() }, None);
+    let mut r = Interp::new(ctx.clone());
+    r.eval_str(LISTING_DATA).unwrap();
+    ctx.tracer().clear();
+    r.eval_str(FIXED_STEP_FIGURE2).unwrap();
+    let passes = ctx.tracer().passes();
+    let line_search: Vec<_> = passes.iter().filter(|p| p.sinks == 1).collect();
+    // Four iterations of three trials, and the final and true costs.
+    assert_eq!(line_search.len(), 14, "{} passes in all", passes.len());
+    for p in line_search {
+        let labels: Vec<&str> = p.ops.iter().map(|op| op.label.as_str()).collect();
+        let products = labels.iter().filter(|l| **l == "matmul").count();
+        assert_eq!(products, 1, "pass {}: {labels:?}", p.pass_id);
+        assert!(
+            !labels.iter().any(|l| l.contains("sapply:Neg") || *l == "leaf"),
+            "pass {}: {labels:?}",
+            p.pass_id
+        );
+    }
+
+    // The rewrites are exact: the bits of the program as written, run
+    // with a negated copy of `X` and two products. The product tile is
+    // fused at `Avx2` only, which moves one weight by an ulp.
+    let theta = vec_of(r.eval_str("c(theta)").unwrap());
+    let costs = vec_of(r.eval_str("c(final.cost, truth.cost)").unwrap());
+    let want = if SimdLevel::active().vex() { THETA_BITS_FUSED } else { THETA_BITS_SCALAR };
+    assert_eq!(bits(&theta), want, "theta");
+    assert_eq!(bits(&costs), [0x3fdd3d442978e4d6, 0x3fd5b11cb90e142a], "log-losses");
+}
+
+const THETA_BITS_FUSED: [u64; 8] = [
+    0x3fdbd6334509ca2a,
+    0xbfd405556b6033ce,
+    0x3fc64b8f229fd618,
+    0x3fe2f6d74c9d2af8,
+    0xbfc18da0f68946b6,
+    0x3fb811bf9fc6bdfc,
+    0x3fd3c37154aeb54a,
+    0xbfdc70e4493657ef,
+];
+const THETA_BITS_SCALAR: [u64; 8] = [
+    0x3fdbd6334509ca29,
+    0xbfd405556b6033ce,
+    0x3fc64b8f229fd618,
+    0x3fe2f6d74c9d2af8,
+    0xbfc18da0f68946b6,
+    0x3fb811bf9fc6bdfc,
+    0x3fd3c37154aeb54a,
+    0xbfdc70e4493657ef,
+];
+
+#[test]
+fn figure3_centres_keep_their_bits() {
+    let mut r = interp();
+    r.eval_str(LISTING_DATA).unwrap();
+    r.eval_str(FIXED_STEP_FIGURE3).unwrap();
+    let centres = vec_of(r.eval_str("c(C)").unwrap());
+    assert_eq!(bits(&centres), CENTRE_BITS);
+}
+
+/// Figure 3's centres, column-major, at both SIMD levels.
+const CENTRE_BITS: [u64; 16] = [
+    0x3f517143fd3ee084,
+    0x4017f11aca56192b,
+    0xbf920f2d4c924789,
+    0x4017ff1801f9ad29,
+    0x3f844a9ef9dc03a5,
+    0x4017fa586890dfbb,
+    0x3f8b85c3b6557fe9,
+    0x4017f9eea16addf7,
+    0x3f66475fb9afce89,
+    0x40180efd2316bfa6,
+    0x3f86b5e4c860172b,
+    0x4018085e0aa1cae4,
+    0x3f8cacd3ae1e3d60,
+    0x4018021c2e9e0142,
+    0x3f7483fa7ba5064d,
+    0x4017f4546d30108f,
+];

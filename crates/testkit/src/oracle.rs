@@ -373,10 +373,26 @@ impl Mat {
 
     /// `self %*% b` in `F64`, each entry one left-to-right dot product.
     pub fn matmul(&self, b: &Mat) -> Mat {
+        self.matmul_as(b, false)
+    }
+
+    /// `self %*% b` folded as the engine's tall-by-small tile folds each
+    /// output: one chain from `+0.0` over `k` ascending, each term
+    /// rounded and then added, or — `fused`, the `Avx2` level — one
+    /// `mul_add` per term. Up to the tile's 256-deep k-panel this is the
+    /// engine's product bit for bit, whatever its output count.
+    pub fn matmul_as(&self, b: &Mat, fused: bool) -> Mat {
         assert_eq!(self.cols, b.rows, "oracle: matmul inner dimension");
         let a = self.cast(DType::F64);
         Mat::from_fn(self.rows, b.cols, DType::F64, |r, c| {
-            (0..a.cols).fold(0.0, |s, k| s + a.at(r, k) * b.at(k, c))
+            (0..a.cols).fold(0.0, |s, k| {
+                let (x, y) = (a.at(r, k), b.at(k, c));
+                if fused {
+                    x.mul_add(y, s)
+                } else {
+                    s + x * y
+                }
+            })
         })
     }
 

@@ -245,6 +245,59 @@ impl Pair {
         Some(out)
     }
 
+    /// `x %*% b` for a `cols × k` matrix `b` given row-major, against the
+    /// tile's fold at the active level.
+    fn matmul(&self, b: &[f64], k: usize) -> Option<Pair> {
+        let cols = self.want.cols;
+        let want = self.want.matmul_as(&Mat::from_row_major(cols, k, b.to_vec()), fused());
+        self.then(want, |x| x.matmul(&FM::from_dense(Dense::from_vec(cols, k, b.to_vec()))))
+    }
+
+    /// Products of `x`, or of `−x` — which the analyzer folds into the
+    /// small operand, unless `x` is an integer and the negation sits
+    /// under a cast — against drawn right-hand sides: one product alone;
+    /// two siblings, which the analyzer merges into one product when they
+    /// share their operand; or two of which the first is left alone,
+    /// because it asks for `set.cache` or is a tall target of its own pass
+    /// beside a sink over the second.
+    fn products(&self, rng: &mut Rng, ctx: &FlashCtx) -> Option<Pair> {
+        let cols = self.want.cols;
+        let rhs = |rng: &mut Rng| {
+            let k = rng.usize(1..6);
+            (draw_values(rng, cols * k), k)
+        };
+        let x = if rng.bool() { self.unary(UnaryOp::Neg)? } else { self.clone() };
+        let (b1, k1) = rhs(rng);
+        let first = x.matmul(&b1, k1)?;
+        let sibling = if rng.bool() { &x } else { self };
+        let (b2, k2) = rhs(rng);
+        let second = sibling.matmul(&b2, k2)?;
+        match rng.below(4) {
+            0 => Some(first),
+            1 => first.cbind(&second),
+            2 => {
+                first.fm.set_cache(true);
+                first.cbind(&second)
+            }
+            _ => {
+                let outs = FM::materialize_multi(ctx, &[&first.fm, &second.fm.col_sums()]);
+                let want = second.want.agg_cols(AggOp::Sum);
+                for (c, got) in outs[1].to_vec(ctx).into_iter().enumerate() {
+                    let scale = second.want.cols(&[c]).abs_sum();
+                    assert_close(got, want.at(0, c), second.want.rows, scale, "sibling's colSums");
+                }
+                Pair { fm: outs[0].clone(), ..first }.cbind(&second)
+            }
+        }
+    }
+
+    fn cbind(&self, other: &Pair) -> Option<Pair> {
+        let want = Mat::cbind(&[&self.want, &other.want]);
+        let mut out = self.then(want, |x| FM::cbind(&[x, &other.fm]))?;
+        out.zero_sign_free |= other.zero_sign_free;
+        Some(out)
+    }
+
     fn materialize(&self, ctx: &FlashCtx) -> Pair {
         Pair { fm: self.fm.materialize(ctx), ..self.clone() }
     }
@@ -291,6 +344,11 @@ const GROUP_OPS: [AggOp; 8] = {
     use AggOp::*;
     [Sum, Mean, Min, Max, Prod, Count, Any, All]
 };
+
+/// Whether the engine's product tile fuses its multiply-adds.
+fn fused() -> bool {
+    flashr::core::ops::simd::SimdLevel::active().vex()
+}
 
 fn pick<T: Copy>(rng: &mut Rng, from: &[T]) -> T {
     from[rng.usize(0..from.len())]
@@ -342,7 +400,7 @@ fn draw_binary(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> O
 /// Grow `cur` by one random tall-to-tall operation.
 fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Option<Pair> {
     let width = cur.want.cols;
-    match rng.below(14) {
+    match rng.below(15) {
         0..=2 => cur.unary(pick(rng, &UNARY)),
         3..=6 => draw_binary(rng, ctx, cur, sources),
         7 => cur.cast(pick(rng, &DTYPES)),
@@ -350,13 +408,7 @@ fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Opt
             let len = rng.usize(1..width + 2);
             Some(cur.cols(&draw_idx(rng, width, len)))
         }
-        9 => {
-            let other = &sources[rng.usize(0..sources.len())];
-            let want = Mat::cbind(&[&cur.want, &other.want]);
-            let mut out = cur.then(want, |x| FM::cbind(&[x, &other.fm]))?;
-            out.zero_sign_free |= other.zero_sign_free;
-            Some(out)
-        }
+        9 => cur.cbind(&sources[rng.usize(0..sources.len())]),
         10 => cur.cum_col(pick(rng, &CUM_OPS)),
         11 => {
             let (k, f1, f2) = (rng.usize(1..10), pick(rng, &IP_F1), pick(rng, &IP_F2));
@@ -374,6 +426,7 @@ fn draw_step(rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, sources: &[Pair]) -> Opt
                 Some(out)
             }
         },
+        13 => cur.products(rng, ctx),
         // `set.cache` on the intermediate, materialized as a target of its
         // own; later steps build on the handle, so they read the kept
         // data. The reference is the identity.
@@ -530,17 +583,11 @@ fn check_sink(sink: Sink, rng: &mut Rng, ctx: &FlashCtx, cur: &Pair, what: &str)
         }
         Sink::Matmul => {
             // Every output width either side of the 4-output tile, and
-            // the widths either side of 32.
+            // the widths either side of 32, bit for bit.
             let k = pick(rng, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33]);
-            let b = Dense::from_fn(cols, k, |_, _| draw_values(rng, 1)[0]);
-            let got = cur.fm.matmul(&FM::from_dense(b.clone()));
-            let b = Mat::from_row_major(cols, k, b.as_slice().to_vec());
-            let (want, scale) = (cur.want.matmul(&b), cur.want.abs().matmul(&b.abs()));
-            assert_eq!(got.dtype(), DType::F64, "{what}: matmul dtype");
-            let got = got.to_dense(ctx);
-            for (r, c) in (0..rows).flat_map(|r| (0..k).map(move |c| (r, c))) {
-                assert_close(got.at(r, c), want.at(r, c), cols, scale.at(r, c), what);
-            }
+            let b: Vec<f64> = (0..cols * k).map(|_| draw_values(rng, 1)[0]).collect();
+            let got = cur.matmul(&b, k).expect("a product stays in the domain");
+            got.check_tall(ctx, what);
         }
     }
 }

@@ -4,6 +4,7 @@
 //! sink bound in it outlives the call.
 
 use flashr_core::session::{CtxConfig, FlashCtx};
+use flashr_core::TraceLevel;
 use flashr_rlang::{Interp, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -37,9 +38,11 @@ fn live_bytes() -> isize {
 }
 
 /// One worker, so every pass runs on the calling thread and its
-/// allocations are the ones counted.
+/// allocations are the ones counted, and no pass profiles kept whatever
+/// `FLASHR_TRACE` says.
 fn interp(rows_per_part: u64) -> Interp {
-    let cfg = CtxConfig { nthreads: 1, rows_per_part, ..Default::default() };
+    let cfg =
+        CtxConfig { nthreads: 1, rows_per_part, trace: TraceLevel::Off, ..Default::default() };
     let ctx = FlashCtx::with_config(cfg, None);
     ctx.flight_recorder().set_dump_path(flashr_testkit::flight_dump_path());
     Interp::new(ctx)
